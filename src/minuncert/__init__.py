@@ -8,10 +8,11 @@ entanglement detection thresholds for two, four and six parties.
 from .bipartite import (
     PRODUCT_INFIMUM_2,
     SEPARABLE_BOUND_2,
-    RadialProfile,
+    AngularProfile,
     UncertaintyReport,
     XiParameter,
     coeff,
+    f_closed,
     f_profile,
     fock_coeff,
     fock_normalization_defect,
@@ -53,7 +54,6 @@ from .spectral import (
     BandedSymmetricForm,
     EigenPair,
     build_q_form,
-    build_r_form,
     min_eigenpair,
     quadratic_form_value,
 )
@@ -64,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tolerance",
     "XiParameter",
-    "RadialProfile",
+    "AngularProfile",
     "UncertaintyReport",
     "SEPARABLE_BOUND_2",
     "PRODUCT_INFIMUM_2",
@@ -76,6 +76,7 @@ __all__ = [
     "r_closed",
     "uncertainty_product",
     "residual_norm_sq",
+    "f_closed",
     "f_profile",
     "wavefunction",
     "overlap",
@@ -101,7 +102,6 @@ __all__ = [
     "BandedSymmetricForm",
     "EigenPair",
     "build_q_form",
-    "build_r_form",
     "min_eigenpair",
     "quadratic_form_value",
     "IntegrationResult",

@@ -1,9 +1,10 @@
 """Two-party minimum-uncertainty family parametrized by xi in (0, 1).
 
 Closed forms for the expectation functional and the uncertainty product,
-the radial profile with two independent evaluation routes, the position
-wave function, overlaps between family members, and the number-basis
-coefficient layer with its exact combinatorial identities.
+the radial profile both in closed form and as the angular-kernel integral
+that the four- and six-party families share, the position wave function,
+overlaps between family members, and the number-basis coefficient layer
+with its exact combinatorial identities.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .specfun import Tolerance, binom, central_binomial, ellip_e, ellip_k, log_b
 
 __all__ = [
     "XiParameter",
-    "RadialProfile",
+    "AngularProfile",
     "UncertaintyReport",
     "SEPARABLE_BOUND_2",
     "PRODUCT_INFIMUM_2",
@@ -26,6 +27,7 @@ __all__ = [
     "r_closed",
     "uncertainty_product",
     "residual_norm_sq",
+    "f_closed",
     "f_profile",
     "wavefunction",
     "overlap",
@@ -122,97 +124,118 @@ def _angular_kernel_integral(xi: float, r, kernel, tol: Tolerance = _THETA_TOL):
     return values
 
 
-def _poly_exp_envelope(k: int) -> float:
-    # sup over x >= 0 of x^k e^{-x/2}
-    if k == 0:
-        return 1.0
-    return (2.0 * k / math.e) ** k
+# Radial integrands inherit noise from the inner angular pass: each
+# profile value is only good to ~5e-13 relative, so a squared profile
+# peaking near p carries an error floor around p^2 * 1e-12 that no
+# amount of outer refinement can beat.  Near xi -> 1 the peaks reach
+# ~40, putting the floor around 1e-9.  The relative component keeps the
+# outer target safely above it; absolute accuracy here is still three
+# orders tighter than any downstream comparison.
+_NORM_TOL = Tolerance(abs_tol=1e-9, rel_tol=3e-7)
 
 
-class RadialProfile:
-    """Unit-norm radial profile of the two-party family.
+class AngularProfile:
+    """Radial profile v(r) = scale * int w(theta) K(gamma(theta) r) dtheta.
 
-    ``value`` follows the configured route: "closed_form" combines the
-    modified-Bessel factor with the exponential in log space (stable up
-    to xi very close to 1), "angular_integral" runs the adaptive theta
-    quadrature.  Derivative combinations r^k f^(k) always go through the
-    angular representation, where each d/dr inserts a factor -gamma.
+    ``chain(x)`` returns (K_0, ..., K_3) at x = gamma r, where K_k is the
+    kernel of r^k v^(k): each d/dr of K(gamma r), multiplied by r, stays a
+    function of x alone.  ``envelopes[k]`` bounds |K_k(x)| by
+    envelopes[k] * e^{-x/2} on x >= 0.
+
+    ``value`` and ``derivative_combo`` refer to the normalized profile
+    v/||v||, with ||v|| given as ``norm`` or computed on first use; the
+    ``raw_`` accessor exposes the unnormalized v.  The raw solution keeps
+    the sign the kernel dictates (negative at the origin for the plain
+    ODE families), which is what makes a defining ODE hold verbatim;
+    consumers that want a positive plot flip the sign.
     """
 
-    def __init__(self, xi, route: str = "closed_form"):
-        if route not in ("closed_form", "angular_integral"):
-            raise ValueError(f"unknown route {route!r}")
+    max_derivative_order = 3
+
+    def __init__(self, xi, chain, envelopes, scale: float = 1.0, norm=None):
         self.xi = as_xi(xi)
-        self.route = route
-        self.family_n = 1
-        self.max_derivative_order = 3
+        self._chain = chain
+        self._envelopes = tuple(envelopes)
+        self._scale = float(scale)
+        self._norm = norm
+        self._rk_norms = {}
         v = self.xi.value
-        self._sqrt_xi = math.sqrt(v)
-        self._K = ellip_k(v)
-        # exponent and Bessel-argument rates of the closed form
-        self._alpha = 0.5 * (1.0 + v) / (1.0 - v)
-        self._beta = self._sqrt_xi / (1.0 - v)
-        self._log_front = 0.5 * (math.log(math.pi) - math.log(2.0 * self._K * (1.0 - v)))
-        # gamma(0), the slowest angular decay; squared combinations of
-        # r^k f^(k) admit the envelope C * e^{-decay_rate * r}
-        self.decay_rate = 0.5 * (1.0 - self._sqrt_xi) / (1.0 + self._sqrt_xi)
-        self._weight_mass_bound = (
-            math.pi / (math.sqrt(2.0 * math.pi * self._K) * (1.0 - self._sqrt_xi))
+        sq = math.sqrt(v)
+        # gamma(0); squared combinations decay at least this fast
+        self.decay_rate = 0.5 * (1.0 - sq) / (1.0 + sq)
+        self._weight_mass_bound = math.pi / (
+            math.sqrt(2.0 * math.pi * ellip_k(v)) * (1.0 - sq)
         )
 
-    def value(self, r):
-        if self.route == "closed_form":
-            return self._closed_value(r)
-        return self.derivative_combo((1.0,), r)
-
-    def _closed_value(self, r):
-        rv = np.asarray(r, dtype=float)
-        if np.any(rv < 0.0):
-            raise ValueError("r must be nonnegative")
-        out = np.exp(self._log_front + log_bessel_i0(self._beta * rv) - self._alpha * rv)
-        return float(out) if rv.ndim == 0 else out
-
-    def rk_derivative(self, k: int, r):
-        """r^k times the k-th derivative of f, via the angular route."""
-        if not (isinstance(k, int) and 0 <= k <= self.max_derivative_order):
-            raise ValueError(f"derivative order must be an integer in [0, 3], got {k!r}")
-        coefs = [0.0] * k + [1.0]
-        return self.derivative_combo(coefs, r)
-
-    def derivative_combo(self, coefs, r):
-        """Evaluate sum_k coefs[k] * r^k f^(k)(r) in one angular pass."""
+    def raw_derivative_combo(self, coefs, r):
+        """sum_k coefs[k] * r^k v^(k) for the unnormalized profile, in one angular pass."""
         if len(coefs) > self.max_derivative_order + 1:
             raise ValueError("combination exceeds the supported derivative order")
         terms = [(k, float(c)) for k, c in enumerate(coefs) if c != 0.0]
 
         def kernel(x):
-            e = np.exp(-x)
+            ks = self._chain(x)
             acc = np.zeros_like(x)
             for k, c in terms:
-                acc += c * (-x) ** k
-            return acc * e
+                acc += c * ks[k]
+            return acc
 
-        values = _angular_kernel_integral(self.xi.value, r, kernel)
+        values = self._scale * _angular_kernel_integral(self.xi.value, r, kernel)
         return float(values[0]) if np.ndim(r) == 0 else values
 
-    def f_prime_at_zero(self) -> float:
-        v = self.xi.value
-        return -math.sqrt(math.pi / (8.0 * self._K)) * (1.0 + v) / (1.0 - v) ** 1.5
+    @property
+    def normalization(self) -> float:
+        if self._norm is None:
+            self._norm = self._raw_l2_norm((1.0,))
+        return self._norm
 
-    def squared_combo_envelope(self, coefs):
-        """(C, lam) with |sum coefs[k] r^k f^(k)|^2 <= C e^{-lam r} for all r."""
-        amp = self._weight_mass_bound * sum(
-            abs(float(c)) * _poly_exp_envelope(k) for k, c in enumerate(coefs)
+    def _raw_l2_norm(self, coefs) -> float:
+        coeff_, rate = self._raw_envelope(coefs)
+
+        def integrand(r):
+            vals = np.asarray(self.raw_derivative_combo(coefs, r))
+            return vals * vals
+
+        return math.sqrt(integrate_semi_infinite(integrand, _NORM_TOL, rate, coeff_).value)
+
+    def value(self, r):
+        return self.derivative_combo((1.0,), r)
+
+    def rk_norm(self, k: int) -> float:
+        """L2 norm of r^k v^(k) on [0, inf) for the unnormalized profile.
+
+        rk_norm(0) is the same number as ``normalization``; these norms
+        are what the closed identities constrain (e.g. the a = 2 family
+        satisfies 3 rk_norm(0)^2 + 4 rk_norm(1)^2 = 1).
+        """
+        if not (isinstance(k, int) and 0 <= k <= self.max_derivative_order):
+            raise ValueError(f"derivative order must be an integer in [0, 3], got {k!r}")
+        if k == 0:
+            return self.normalization
+        if k not in self._rk_norms:
+            self._rk_norms[k] = self._raw_l2_norm(tuple([0.0] * k + [1.0]))
+        return self._rk_norms[k]
+
+    def rk_derivative(self, k: int, r):
+        """r^k times the k-th derivative of the normalized profile."""
+        if not (isinstance(k, int) and 0 <= k <= self.max_derivative_order):
+            raise ValueError(f"derivative order must be an integer in [0, 3], got {k!r}")
+        return self.derivative_combo([0.0] * k + [1.0], r)
+
+    def derivative_combo(self, coefs, r):
+        """sum_k coefs[k] * r^k v^(k)(r) for the normalized profile."""
+        return self.raw_derivative_combo(coefs, r) / self.normalization
+
+    def _raw_envelope(self, coefs):
+        amp = abs(self._scale) * self._weight_mass_bound * sum(
+            abs(float(c)) * self._envelopes[k] for k, c in enumerate(coefs)
         )
         return amp * amp, self.decay_rate
 
-    def l2_norm_sq(self, tol: Tolerance = Tolerance(abs_tol=1e-10)) -> float:
-        coeff_, rate = self.squared_combo_envelope((1.0,))
-
-        def integrand(r):
-            return np.asarray(self.value(r)) ** 2
-
-        return integrate_semi_infinite(integrand, tol, rate, coeff_).value
+    def squared_combo_envelope(self, coefs):
+        """(C, lam) with |normalized combo|^2 <= C e^{-lam r} for all r."""
+        coeff_, rate = self._raw_envelope(coefs)
+        return coeff_ / self.normalization**2, rate
 
 
 def coeff(n: int, xi) -> float:
@@ -273,17 +296,48 @@ def residual_norm_sq(xi) -> float:
     return (2.0 * ellip_e(v) - (1.0 - v * v) * kv) / (4.0 * (1.0 + v) ** 2 * kv)
 
 
-def f_profile(xi, route: str = "closed_form") -> RadialProfile:
-    return RadialProfile(xi, route)
+def f_closed(xi, r):
+    """Unit-norm two-party radial profile f(r) in closed form.
+
+    The modified-Bessel factor and the exponential are combined in log
+    space, which stays stable up to xi very close to 1.
+    """
+    v = as_xi(xi).value
+    rv = np.asarray(r, dtype=float)
+    if np.any(rv < 0.0):
+        raise ValueError("r must be nonnegative")
+    alpha = 0.5 * (1.0 + v) / (1.0 - v)
+    beta = math.sqrt(v) / (1.0 - v)
+    log_front = 0.5 * (math.log(math.pi) - math.log(2.0 * ellip_k(v) * (1.0 - v)))
+    out = np.exp(log_front + log_bessel_i0(beta * rv) - alpha * rv)
+    return float(out) if rv.ndim == 0 else out
+
+
+def _exp_chain(x):
+    # r^k d^k/dr^k e^{-gamma r} = (-x)^k e^{-x} at x = gamma r
+    e = np.exp(-x)
+    return tuple((-x) ** k * e for k in range(4))
+
+
+# sup over x >= 0 of x^k e^{-x/2} is (2k/e)^k
+_EXP_CHAIN_ENVELOPES = (1.0, 2.0 / math.e, (4.0 / math.e) ** 2, (6.0 / math.e) ** 3)
+
+
+def f_profile(xi) -> AngularProfile:
+    """The two-party profile f as an angular integral of e^{-gamma r}.
+
+    Independent of ``f_closed``; derivative combinations r^k f^(k) come
+    from this route only.
+    """
+    return AngularProfile(xi, _exp_chain, _EXP_CHAIN_ENVELOPES, norm=1.0)
 
 
 def wavefunction(x, y, xi):
     """Position wave function psi(x, y) = f(x^2 + y^2) / sqrt(pi)."""
-    profile = RadialProfile(xi, "closed_form")
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     s = xv * xv + yv * yv
-    out = np.asarray(profile.value(s)) / math.sqrt(math.pi)
+    out = np.asarray(f_closed(xi, s)) / math.sqrt(math.pi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -333,6 +387,9 @@ def shell_sum(big_n: int, xi) -> float:
     return math.pi / (2.0 * ellip_k(v)) * float(c * c) * (v * v / 16.0) ** big_n
 
 
+_MAX_TAIL_SHELLS = 100000
+
+
 def fock_normalization_defect(xi, max_total: int) -> float:
     """1 minus the squared-coefficient mass with n + m <= max_total.
 
@@ -349,13 +406,16 @@ def fock_normalization_defect(xi, max_total: int) -> float:
     for n in range(full_shells + 1):
         term *= ((2 * n + 1) / (n + 1)) ** 2 * u
     total = 0.0
-    n = full_shells + 1
-    while True:
+    # shell ratios tend to xi^2, so the shell count needed grows like 1 / (1 - xi)
+    for n in range(full_shells + 1, full_shells + 1 + _MAX_TAIL_SHELLS):
         total += term
         term *= ((2 * n + 1) / (n + 1)) ** 2 * u
-        n += 1
-        if term < 1e-30 * total or n > 100000:
+        if term < 1e-30 * total:
             break
+    else:
+        raise RuntimeError(
+            f"normalization tail at xi={v!r} not converged after {_MAX_TAIL_SHELLS} shells"
+        )
     return math.pi / (2.0 * ellip_k(v)) * total
 
 

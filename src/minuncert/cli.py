@@ -21,6 +21,7 @@ import numpy as np
 
 from . import multipartite
 from .bipartite import (
+    f_closed,
     f_profile,
     fock_coeff,
     fock_normalization_defect,
@@ -310,13 +311,11 @@ def _residual_route_gap(tol: Tolerance) -> float:
 
 
 def _overlap_route_gap(tol: Tolerance) -> float:
-    fa = f_profile(0.3)
-    fb = f_profile(0.7)
-    ca, la = fa.squared_combo_envelope((1.0,))
-    cb, lb = fb.squared_combo_envelope((1.0,))
+    ca, la = f_profile(0.3).squared_combo_envelope((1.0,))
+    cb, lb = f_profile(0.7).squared_combo_envelope((1.0,))
 
     def integrand(r):
-        return np.asarray(fa.value(r)) * np.asarray(fb.value(r))
+        return np.asarray(f_closed(0.3, r)) * np.asarray(f_closed(0.7, r))
 
     quad = integrate_semi_infinite(
         integrand, tol, 0.5 * (la + lb), math.sqrt(ca * cb)
@@ -354,8 +353,7 @@ def run_verify(config: RunConfig) -> int:
                       - uncertainty_product(0.5, "quadrature").product),
                   0.0, 1e-6, None)),
         ("f_route_agreement",
-         lambda: (abs(f_profile(0.5).value(1.0)
-                      - f_profile(0.5, "angular_integral").value(1.0)),
+         lambda: (abs(f_closed(0.5, 1.0) - f_profile(0.5).value(1.0)),
                   0.0, 1e-10, None)),
         ("residual_route_agreement",
          lambda: (_residual_route_gap(tol), 0.0, 1e-7, None)),
@@ -465,8 +463,7 @@ def run_scan(config: RunConfig) -> int:
 
 def _profile_family(parties: int, x: float):
     if parties == 2:
-        prof = f_profile(x)
-        return prof.value
+        return lambda r: f_closed(x, r)
     fam = g_family(x) if parties == 4 else h_family(x)
     orient = 1.0 if fam.value(0.0) >= 0.0 else -1.0
 

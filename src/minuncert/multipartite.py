@@ -18,15 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bipartite import (
-    RadialProfile,
-    UncertaintyReport,
-    XiParameter,
-    _angular_kernel_integral,
-    as_xi,
-)
+from .bipartite import AngularProfile, UncertaintyReport, as_xi
 from .quadrature import integrate_semi_infinite
-from .specfun import Tolerance, binom, ellip_k, upper_gamma
+from .specfun import Tolerance, binom, upper_gamma
 
 __all__ = [
     "OperatorCoefficients",
@@ -51,14 +45,8 @@ PRODUCT_INFIMUM_4 = 1.0 / 30.0
 SEPARABLE_BOUND_6 = 1.0 / 64.0
 PRODUCT_INFIMUM_6 = 35.0 / 4096.0
 
-# Radial integrands inherit noise from the inner angular pass: each
-# profile value is only good to ~5e-13 relative, so a squared profile
-# peaking near p carries an error floor around p^2 * 1e-12 that no
-# amount of outer refinement can beat.  Near xi -> 1 the peaks reach
-# ~40, putting the floor around 1e-9.  The relative component keeps the
-# outer target safely above it; absolute accuracy here is still three
-# orders tighter than any downstream comparison.
-_NORM_TOL = Tolerance(abs_tol=1e-9, rel_tol=3e-7)
+# the functional inherits the angular-pass noise floor described at
+# bipartite._NORM_TOL
 _Z_TOL = Tolerance(abs_tol=1e-9, rel_tol=3e-7)
 
 _GAMMA_THIRD = 2.678938534707747  # Gamma(1/3)
@@ -227,132 +215,14 @@ def _h_envelopes():
     return env0, env1, env2, env3
 
 
-class OdeFamilyProfile:
-    """Solution family of (1 - a) v + a r v' = base, in angular-kernel form.
-
-    ``value`` and ``derivative_combo`` refer to the normalized profile
-    v/||v||; the ``raw_`` accessors expose the unnormalized solution.
-    The raw solution keeps the sign the kernel dictates (negative at the
-    origin for the plain families), which is what makes the defining ODE
-    hold verbatim; consumers that want a positive plot flip the sign.
-    """
-
-    def __init__(self, xi, a_parameter: float, base, chain, scale: float, envelopes):
-        self.xi = as_xi(xi)
-        self.a_parameter = float(a_parameter)
-        self.base = base
-        self._chain = chain
-        self._scale = float(scale)
-        self._envelopes = tuple(envelopes)
-        self.max_derivative_order = 3
-        v = self.xi.value
-        sq = math.sqrt(v)
-        # gamma(0); squared combinations decay at least this fast
-        self.decay_rate = 0.5 * (1.0 - sq) / (1.0 + sq)
-        self._weight_mass_bound = math.pi / (
-            math.sqrt(2.0 * math.pi * ellip_k(v)) * (1.0 - sq)
-        )
-        self._norm = None
-        self._rk_norms = {}
-
-    def gamma(self, theta):
-        c = math.sqrt(self.xi.value) * np.cos(theta)
-        return 0.5 * (1.0 - c) / (1.0 + c)
-
-    def raw_derivative_combo(self, coefs, r):
-        """sum_k coefs[k] * r^k v^(k) for the unnormalized solution."""
-        if len(coefs) > self.max_derivative_order + 1:
-            raise ValueError("combination exceeds the supported derivative order")
-        terms = [(k, float(c)) for k, c in enumerate(coefs) if c != 0.0]
-
-        def kernel(x):
-            ks = self._chain(x)
-            acc = np.zeros_like(x)
-            for k, c in terms:
-                acc += c * ks[k]
-            return acc
-
-        values = self._scale * _angular_kernel_integral(self.xi.value, r, kernel)
-        return float(values[0]) if np.ndim(r) == 0 else values
-
-    def raw_value(self, r):
-        return self.raw_derivative_combo((1.0,), r)
-
-    @property
-    def normalization(self) -> float:
-        if self._norm is None:
-            coeff, rate = self._raw_envelope((1.0,))
-
-            def integrand(r):
-                vals = np.asarray(self.raw_value(r))
-                return vals * vals
-
-            res = integrate_semi_infinite(integrand, _NORM_TOL, rate, coeff)
-            self._norm = math.sqrt(res.value)
-        return self._norm
-
-    def value(self, r):
-        return self.raw_value(r) / self.normalization
-
-    def rk_norm(self, k: int) -> float:
-        """L2 norm of r^k v^(k) on [0, inf) for the unnormalized solution.
-
-        rk_norm(0) is the same number as ``normalization``; these norms
-        are what the closed identities constrain (e.g. the a = 2 family
-        satisfies 3 rk_norm(0)^2 + 4 rk_norm(1)^2 = 1).
-        """
-        if not (isinstance(k, int) and 0 <= k <= self.max_derivative_order):
-            raise ValueError(f"derivative order must be an integer in [0, 3], got {k!r}")
-        if k == 0:
-            return self.normalization
-        if k not in self._rk_norms:
-            coefs = tuple([0.0] * k + [1.0])
-            coeff, rate = self._raw_envelope(coefs)
-
-            def integrand(r):
-                vals = np.asarray(self.raw_derivative_combo(coefs, r))
-                return vals * vals
-
-            res = integrate_semi_infinite(integrand, _NORM_TOL, rate, coeff)
-            self._rk_norms[k] = math.sqrt(res.value)
-        return self._rk_norms[k]
-
-    def rk_derivative(self, k: int, r):
-        if not (isinstance(k, int) and 0 <= k <= self.max_derivative_order):
-            raise ValueError(f"derivative order must be an integer in [0, 3], got {k!r}")
-        coefs = [0.0] * k + [1.0]
-        return self.derivative_combo(coefs, r)
-
-    def derivative_combo(self, coefs, r):
-        return self.raw_derivative_combo(coefs, r) / self.normalization
-
-    def _raw_envelope(self, coefs):
-        amp = abs(self._scale) * self._weight_mass_bound * sum(
-            abs(float(c)) * self._envelopes[k] for k, c in enumerate(coefs)
-        )
-        return amp * amp, self.decay_rate
-
-    def squared_combo_envelope(self, coefs):
-        """(C, lam) with |normalized combo|^2 <= C e^{-lam r}."""
-        coeff, rate = self._raw_envelope(coefs)
-        return coeff / self.normalization**2, rate
-
-    def ode_residual(self, r):
-        """|(1 - a) v + a r v' - base| for the unnormalized solution."""
-        a = self.a_parameter
-        combo = self.raw_derivative_combo((1.0 - a, a), r)
-        return np.abs(np.asarray(combo) - np.asarray(self.base.value(r)))
+# the g and h families are angular-kernel profiles like f
+OdeFamilyProfile = AngularProfile
 
 
 @lru_cache(maxsize=32)
 def _g_family_cached(xi_value: float, a: float) -> OdeFamilyProfile:
-    return OdeFamilyProfile(
-        xi=xi_value,
-        a_parameter=a,
-        base=RadialProfile(xi_value, "closed_form"),
-        chain=lambda x: _g_kernel_chain(a, x),
-        scale=1.0,
-        envelopes=_g_envelopes(a),
+    return AngularProfile(
+        xi_value, chain=lambda x: _g_kernel_chain(a, x), envelopes=_g_envelopes(a)
     )
 
 
@@ -370,13 +240,8 @@ def _h_family_cached(xi_value: float) -> OdeFamilyProfile:
     base = g_family(xi_value, 1.5)
     # scale chosen so -2 h + 3 r h' reproduces the normalized base exactly
     scale = -2.0 / (3.0 * base.normalization)
-    return OdeFamilyProfile(
-        xi=xi_value,
-        a_parameter=3.0,
-        base=base,
-        chain=_h_kernel_chain,
-        scale=scale,
-        envelopes=_h_envelopes(),
+    return AngularProfile(
+        xi_value, chain=_h_kernel_chain, envelopes=_h_envelopes(), scale=scale
     )
 
 

@@ -2,14 +2,13 @@
 
 Complete elliptic integrals in the modulus convention (the squared modulus
 multiplies sin^2 in the defining integral), the dilogarithm on [0, 1],
-Bessel J0/I0, Laguerre polynomials and the exponentially weighted Laguerre
-basis functions, the upper incomplete gamma function including negative
-non-integer order, and exact integer binomials.
+the logarithm of the modified Bessel function I0, the upper incomplete
+gamma function including negative non-integer order, and exact integer
+binomials.
 
 Scalar arguments are Python floats.  The functions that appear inside
-integration kernels (``bessel_i0``, ``log_bessel_i0``, ``upper_gamma``,
-``laguerre``, ``laguerre_fn``) also accept numpy arrays and evaluate
-elementwise.
+integration kernels (``log_bessel_i0``, ``upper_gamma``) also accept
+numpy arrays and evaluate elementwise.
 """
 
 from __future__ import annotations
@@ -24,11 +23,7 @@ __all__ = [
     "ellip_k",
     "ellip_e",
     "dilog",
-    "bessel_j0",
-    "bessel_i0",
     "log_bessel_i0",
-    "laguerre",
-    "laguerre_fn",
     "upper_gamma",
     "binom",
     "central_binomial",
@@ -36,9 +31,9 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 
-# Both Bessel functions switch from the power series to the asymptotic
-# expansion here; the asymptotic remainder at the crossover is ~4e-11
-# relative, the series roundoff ~1e-12 absolute.
+# log I0 switches from the power series to the asymptotic expansion here;
+# the asymptotic remainder at the crossover is ~4e-11 relative, the series
+# roundoff ~1e-12 absolute.
 _BESSEL_CROSSOVER = 12.0
 
 _EULER_GAMMA = 0.5772156649015329
@@ -139,52 +134,8 @@ def dilog(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions
+# modified Bessel function I0
 # ---------------------------------------------------------------------------
-
-def _bessel_asymptotic_tail(z: float) -> tuple[float, float]:
-    """P and Q amplitude sums of the large-argument expansion of J0."""
-    # t_m = prod_{j<=m} (2j-1)^2 / (m! (8z)^m); the series is summed until
-    # the terms stop decreasing, which at z >= 12 happens far below 1e-15.
-    p = 1.0
-    q = 0.0
-    t = 1.0
-    m = 0
-    sign = 1.0
-    while True:
-        m += 1
-        t_next = t * (2 * m - 1) ** 2 / (8.0 * m * z)
-        if t_next >= t and m > 2:
-            break
-        t = t_next
-        if m % 2 == 1:
-            q += sign * t
-        else:
-            sign = -sign
-            p += sign * t
-        if t < 1e-18:
-            break
-    return p, -q
-
-
-def bessel_j0(z: float) -> float:
-    """Bessel function of the first kind, order zero, for z >= 0."""
-    if z < 0.0:
-        raise ValueError(f"argument must be non-negative, got {z!r}")
-    if z <= _BESSEL_CROSSOVER:
-        q = 0.25 * z * z
-        total = 1.0
-        term = 1.0
-        k = 0
-        while abs(term) > 1e-18:
-            k += 1
-            term *= -q / (k * k)
-            total += term
-        return total
-    p, qs = _bessel_asymptotic_tail(z)
-    chi = z - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(chi) - qs * math.sin(chi))
-
 
 def _i0_series(z: np.ndarray) -> np.ndarray:
     q = 0.25 * z * z
@@ -195,7 +146,10 @@ def _i0_series(z: np.ndarray) -> np.ndarray:
         total = total + term
         if np.all(term <= 1e-18 * total):
             break
+    else:
+        raise RuntimeError("I0 power series not converged")
     return total
+
 
 def _i0_asymptotic_sum(z: np.ndarray) -> np.ndarray:
     # sum_k prod_{j<=k} (2j-1)^2 / (k! (8z)^k), truncated at the smallest term
@@ -229,49 +183,6 @@ def log_bessel_i0(z):
     return out
 
 
-def bessel_i0(z):
-    """Modified Bessel function I0 for z >= 0.
-
-    Raises OverflowError once the result exceeds the double-precision
-    exponent range (argument around 713).
-    """
-    arr = np.asarray(z, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("argument must be non-negative")
-    lg = log_bessel_i0(arr)
-    if np.any(np.asarray(lg) > 709.7):
-        raise OverflowError("I0 overflows double precision at this argument")
-    out = np.exp(lg)
-    if arr.ndim == 0:
-        return float(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Laguerre polynomials and basis functions
-# ---------------------------------------------------------------------------
-
-def laguerre(n: int, r):
-    """Laguerre polynomial L_n(r) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    r = np.asarray(r, dtype=float)
-    prev = np.ones_like(r)
-    if n == 0:
-        return float(prev) if r.ndim == 0 else prev
-    cur = 1.0 - r
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - r) * cur - k * prev) / (k + 1)
-    return float(cur) if r.ndim == 0 else cur
-
-
-def laguerre_fn(n: int, r):
-    """Orthonormal basis function L_n(r) exp(-r/2) on the half line."""
-    r = np.asarray(r, dtype=float)
-    out = laguerre(n, r) * np.exp(-0.5 * r)
-    return float(out) if r.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # upper incomplete gamma
 # ---------------------------------------------------------------------------
@@ -296,6 +207,12 @@ def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
         h = h * delta
         if np.all(np.abs(delta - 1.0) < 1e-16):
             break
+    else:
+        # converged elements go on moving by up to a few ulp, so the exit
+        # test above often misses them all at once; a last step that moves
+        # an element by more than that means it never converged
+        if np.any(np.abs(delta - 1.0) > 2e-15):
+            raise RuntimeError(f"incomplete gamma continued fraction at s={s!r} not converged")
     with np.errstate(under="ignore"):
         return np.exp(-x + s * np.log(x)) * h
 

@@ -1,10 +1,7 @@
-"""Banded symmetric quadratic forms and their minimal eigenpairs.
+"""Tridiagonal symmetric quadratic forms and their minimal eigenpairs.
 
-The two families built here are tridiagonal (bandwidth 1) or
-tridiagonal-after-parity-permutation (bandwidth 2 with vanishing first
-off-diagonal).  The minimal eigenvalue comes from Sturm-sequence
-bisection on the tridiagonal blocks, the eigenvector from inverse
-iteration, so no dense eigensolver is involved.
+The minimal eigenvalue comes from Sturm-sequence bisection, the
+eigenvector from inverse iteration, so no dense eigensolver is involved.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ __all__ = [
     "BandedSymmetricForm",
     "EigenPair",
     "build_q_form",
-    "build_r_form",
     "min_eigenpair",
     "quadratic_form_value",
 ]
@@ -25,35 +21,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BandedSymmetricForm:
-    """Symmetric banded matrix stored as diagonal plus off-diagonals.
-
-    ``off_diagonals[k]`` holds the (n, n+k+1) couplings, so a bandwidth-1
-    form carries one array and a bandwidth-2 form carries two.
-    """
+    """Symmetric tridiagonal matrix: the diagonal and the (n, n+1) couplings."""
 
     order: int
-    bandwidth: int
     diagonal: np.ndarray
-    off_diagonals: tuple[np.ndarray, ...]
+    off_diagonal: np.ndarray
 
     def __post_init__(self) -> None:
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
-        if self.bandwidth not in (1, 2):
-            raise ValueError(f"bandwidth must be 1 or 2, got {self.bandwidth}")
         if len(self.diagonal) != self.order:
             raise ValueError("diagonal length must equal order")
-        if len(self.off_diagonals) != self.bandwidth:
-            raise ValueError("need one off-diagonal array per band")
-        for k, off in enumerate(self.off_diagonals):
-            if len(off) != self.order - (k + 1):
-                raise ValueError(f"off-diagonal {k} has wrong length")
-
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diagonal.astype(float))
-        for k, off in enumerate(self.off_diagonals):
-            m += np.diag(off, k + 1) + np.diag(off, -(k + 1))
-        return m
+        if len(self.off_diagonal) != self.order - 1:
+            raise ValueError("off-diagonal length must equal order - 1")
 
 
 @dataclass(frozen=True)
@@ -70,22 +50,7 @@ def build_q_form(order: int) -> BandedSymmetricForm:
     diag = 2.0 * n * (2 * n + 1)
     m = n[:-1]
     off = -0.5 * (m + 1) * (2 * m + 1)
-    return BandedSymmetricForm(order, 1, diag, (off,))
-
-
-def build_r_form(order: int) -> BandedSymmetricForm:
-    """Bandwidth-2 form: diagonal n(n+1), coupling -(n+1)(n+2)/2 at (n, n+2).
-
-    The (n, n+1) band is identically zero, so the even- and odd-index
-    sublattices decouple.
-    """
-    if order < 3:
-        raise ValueError(f"order must be >= 3, got {order}")
-    n = np.arange(order)
-    diag = (n * (n + 1)).astype(float)
-    m = n[:-2]
-    off2 = -0.5 * (m + 1) * (m + 2)
-    return BandedSymmetricForm(order, 2, diag, (np.zeros(order - 1), off2))
+    return BandedSymmetricForm(order, diag, off)
 
 
 def quadratic_form_value(form: BandedSymmetricForm, vec) -> float:
@@ -94,9 +59,7 @@ def quadratic_form_value(form: BandedSymmetricForm, vec) -> float:
     if v.shape != (form.order,):
         raise ValueError(f"vector length must be {form.order}, got {v.shape}")
     total = float(np.dot(form.diagonal, v * v))
-    for k, off in enumerate(form.off_diagonals):
-        total += 2.0 * float(np.dot(off, v[: -(k + 1)] * v[k + 1:]))
-    return total
+    return total + 2.0 * float(np.dot(form.off_diagonal, v[:-1] * v[1:]))
 
 
 def _count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
@@ -185,28 +148,8 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
 
 
 def min_eigenpair(form: BandedSymmetricForm) -> EigenPair:
-    """Smallest eigenvalue with its unit eigenvector.
-
-    Bandwidth-2 forms must have a vanishing first off-diagonal; their
-    even- and odd-index sublattices are then solved as independent
-    tridiagonal problems and the smaller minimum wins (the even block on
-    a tie, for determinism).
-    """
-    diag = np.asarray(form.diagonal, dtype=float)
-    if form.bandwidth == 1:
-        lam, v = _tridiag_min_eig(diag, np.asarray(form.off_diagonals[0], dtype=float))
-        return EigenPair(lam, _sign_fix(v))
-
-    if np.any(form.off_diagonals[0] != 0.0):
-        raise ValueError("bandwidth-2 form with nonzero (n, n+1) band is not supported")
-    off2 = np.asarray(form.off_diagonals[1], dtype=float)
-    lam_e, v_e = _tridiag_min_eig(diag[0::2], off2[0::2])
-    lam_o, v_o = _tridiag_min_eig(diag[1::2], off2[1::2])
-    v = np.zeros(form.order)
-    if lam_e <= lam_o:
-        v[0::2] = v_e
-        lam = lam_e
-    else:
-        v[1::2] = v_o
-        lam = lam_o
+    """Smallest eigenvalue with its unit eigenvector."""
+    lam, v = _tridiag_min_eig(
+        np.asarray(form.diagonal, dtype=float), np.asarray(form.off_diagonal, dtype=float)
+    )
     return EigenPair(lam, _sign_fix(v))

@@ -1,6 +1,12 @@
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def _no_output_dir_override(monkeypatch):
+    """Keep the caller's MINUNCERT_OUTPUT_DIR out of every test."""
+    monkeypatch.delenv("MINUNCERT_OUTPUT_DIR", raising=False)
+
+
 @pytest.fixture(scope="session")
 def criterion_report(request):
     """Emit one PASS/FAIL line per acceptance criterion on the live terminal."""

@@ -121,17 +121,6 @@ def q_dense_min(order: int):
     return float(w[0]), v[:, 0]
 
 
-def r_dense_min(order: int):
-    n = np.arange(order)
-    mat = np.diag(1.0 * n * (n + 1))
-    m = n[:-2]
-    off = -0.5 * (m + 1) * (m + 2)
-    mat[m, m + 2] = off
-    mat[m + 2, m] = off
-    w, v = np.linalg.eigh(mat)
-    return float(w[0]), v[:, 0]
-
-
 def ansatz_coefficients(xi: float, phi: float, terms: int = 400) -> np.ndarray:
     """State coefficients of the geometric ansatz, straight from its
     definition: c_0 = cos(phi), c_n = xi^{n-1} c_1 / n with the c_1

@@ -15,8 +15,9 @@ import scipy.special as sps
 
 import minuncert.cli as cli
 from minuncert.bipartite import (
-    RadialProfile,
     coeff,
+    f_closed,
+    f_profile,
     fock_coeff,
     fock_normalization_defect,
     overlap,
@@ -104,13 +105,11 @@ def test_criterion_3_infimum_approach(criterion_report):
 
 
 def test_criterion_4_overlap(criterion_report):
-    pa = RadialProfile(0.3)
-    pb = RadialProfile(0.7)
-    ca, la = pa.squared_combo_envelope((1.0,))
-    cb, lb = pb.squared_combo_envelope((1.0,))
+    ca, la = f_profile(0.3).squared_combo_envelope((1.0,))
+    cb, lb = f_profile(0.7).squared_combo_envelope((1.0,))
 
     def integrand(r):
-        return np.asarray(pa.value(r)) * np.asarray(pb.value(r))
+        return np.asarray(f_closed(0.3, r)) * np.asarray(f_closed(0.7, r))
 
     quad = integrate_semi_infinite(
         integrand, Tolerance(abs_tol=1e-10), 0.5 * (la + lb), math.sqrt(ca * cb)

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from minuncert.bipartite import (
     PRODUCT_INFIMUM_2,
     SEPARABLE_BOUND_2,
-    RadialProfile,
     UncertaintyReport,
     XiParameter,
     as_xi,
     coeff,
+    f_closed,
     f_profile,
     fock_coeff,
     fock_normalization_defect,
@@ -155,57 +155,66 @@ def test_report_invariants_enforced():
 
 def test_profile_routes_agree():
     for xi in (0.3, 0.9):
-        closed = RadialProfile(xi, "closed_form")
-        angular = RadialProfile(xi, "angular_integral")
+        angular = f_profile(xi)
         for r in (0.0, 0.4, 2.0, 7.5):
-            assert closed.value(r) == pytest.approx(angular.value(r), rel=1e-11, abs=1e-13)
-    with pytest.raises(ValueError):
-        RadialProfile(0.5, "spline")
+            assert f_closed(xi, r) == pytest.approx(angular.value(r), rel=1e-11, abs=1e-13)
 
 
 def test_profile_at_origin_frozen():
     for xi, expected in F0.items():
-        assert RadialProfile(xi).value(0.0) == pytest.approx(expected, rel=1e-12)
+        assert f_closed(xi, 0.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_profile_unit_norm():
     for xi in (0.2, 0.5, 0.95):
-        norm = RadialProfile(xi).l2_norm_sq()
-        assert norm == pytest.approx(1.0, abs=1e-8)
+        c_env, lam = f_profile(xi).squared_combo_envelope((1.0,))
+
+        def integrand(r):
+            return np.asarray(f_closed(xi, r)) ** 2
+
+        res = integrate_semi_infinite(integrand, Tolerance(abs_tol=1e-10), lam, c_env)
+        assert res.value == pytest.approx(1.0, abs=1e-8)
 
 
 def test_profile_vectorized():
-    p = RadialProfile(0.5)
     r = np.array([0.0, 1.0, 3.0])
-    vals = p.value(r)
+    vals = f_closed(0.5, r)
     assert vals.shape == (3,)
     for i, ri in enumerate(r):
-        assert vals[i] == p.value(float(ri))
+        assert vals[i] == f_closed(0.5, float(ri))
+    assert f_profile(0.5).value(r).shape == (3,)
     with pytest.raises(ValueError):
-        p.value(-1.0)
+        f_closed(0.5, -1.0)
+    with pytest.raises(ValueError):
+        f_profile(0.5).value(-1.0)
 
 
 def test_f_prime_at_zero():
     for xi in (0.3, 0.7):
-        p = RadialProfile(xi)
-        fd = (p.value(2e-6) - p.value(0.0)) / 2e-6
-        assert p.f_prime_at_zero() == pytest.approx(fd, rel=1e-5)
+        exact = -math.sqrt(math.pi / (8.0 * ellip_k(xi))) * (1.0 + xi) / (1.0 - xi) ** 1.5
+        fd = (f_closed(xi, 2e-6) - f_closed(xi, 0.0)) / 2e-6
+        assert exact == pytest.approx(fd, rel=1e-5)
 
 
 def test_rk_derivative_vs_finite_differences():
-    p = RadialProfile(0.5)
+    # the angular route differentiated against differences of the closed form
+    p = f_profile(0.5)
+
+    def closed(r):
+        return f_closed(0.5, r)
+
     for r in (0.7, 1.8):
         for k in (1, 2):
-            fd = fd_rk_derivative(p.value, k, r, h=1e-3)
+            fd = fd_rk_derivative(closed, k, r, h=1e-3)
             assert p.rk_derivative(k, r) == pytest.approx(fd, rel=1e-7, abs=1e-9)
-        fd3 = fd_rk_derivative(p.value, 3, r, h=1e-2)
+        fd3 = fd_rk_derivative(closed, 3, r, h=1e-2)
         assert p.rk_derivative(3, r) == pytest.approx(fd3, rel=1e-4, abs=1e-6)
     with pytest.raises(ValueError):
         p.rk_derivative(4, 1.0)
 
 
 def test_derivative_combo_linearity():
-    p = RadialProfile(0.6)
+    p = f_profile(0.6)
     r = 1.3
     combo = p.derivative_combo((0.5, 1.0, -2.0), r)
     parts = 0.5 * p.value(r) + p.rk_derivative(1, r) - 2.0 * p.rk_derivative(2, r)
@@ -215,7 +224,7 @@ def test_derivative_combo_linearity():
 
 
 def test_envelope_is_actual_bound():
-    p = RadialProfile(0.7)
+    p = f_profile(0.7)
     coefs = (0.5, 1.0)
     c_env, lam = p.squared_combo_envelope(coefs)
     for r in np.linspace(0.0, 30.0, 121):
@@ -225,7 +234,7 @@ def test_envelope_is_actual_bound():
 
 def test_residual_norm_closed_vs_quadrature():
     assert residual_norm_sq(0.7) == pytest.approx(RESIDUAL_07, abs=1e-14)
-    p = RadialProfile(0.7)
+    p = f_profile(0.7)
     coefs = (0.5, 1.0)
     c_env, lam = p.squared_combo_envelope(coefs)
 
@@ -239,7 +248,7 @@ def test_residual_norm_closed_vs_quadrature():
 
 def test_rf_prime_norm_equals_r_combination():
     # int (r f')^2 dr = (1 + R)/2, tying the profile to the closed R
-    p = RadialProfile(0.5)
+    p = f_profile(0.5)
     c_env, lam = p.squared_combo_envelope((0.0, 1.0))
 
     def integrand(r):
@@ -285,13 +294,11 @@ def test_overlap_basic_properties():
 
 def test_overlap_vs_radial_quadrature():
     a, b = 0.3, 0.7
-    pa = RadialProfile(a)
-    pb = RadialProfile(b)
-    ca, la = pa.squared_combo_envelope((1.0,))
-    cb, lb = pb.squared_combo_envelope((1.0,))
+    ca, la = f_profile(a).squared_combo_envelope((1.0,))
+    cb, lb = f_profile(b).squared_combo_envelope((1.0,))
 
     def integrand(r):
-        return np.asarray(pa.value(r)) * np.asarray(pb.value(r))
+        return np.asarray(f_closed(a, r)) * np.asarray(f_closed(b, r))
 
     res = integrate_semi_infinite(
         integrand, Tolerance(abs_tol=1e-10),
@@ -356,6 +363,10 @@ def test_normalization_defect():
     assert d == pytest.approx(tail, rel=1e-9)
     with pytest.raises(ValueError):
         fock_normalization_defect(0.5, 3)
+    # near xi = 1 the tail outruns the shell cap: the exact defect at
+    # 1 - 1e-6 is 0.7529, and stopping at the cap would report 0.676
+    with pytest.raises(RuntimeError):
+        fock_normalization_defect(1.0 - 1e-6, 4)
 
 
 def test_shell_identity():

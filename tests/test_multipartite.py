@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minuncert.bipartite import RadialProfile, r_closed
+from minuncert.bipartite import f_closed, f_profile, r_closed
 from minuncert.multipartite import (
     PRODUCT_INFIMUM_4,
     PRODUCT_INFIMUM_6,
@@ -122,34 +122,39 @@ def test_pochhammer_nonroot_does_not_vanish():
 @pytest.mark.parametrize("a", [1.5, 2.0])
 @pytest.mark.parametrize("xi", [0.3, 0.5, 0.7])
 def test_g_ode_residual(a, xi):
+    # (1 - a) g + a r g' = f
     prof = g_family(xi, a)
     for r in (0.0, 0.3, 1.1, 2.6, 5.0):
-        assert prof.ode_residual(r) < 1e-10
+        lhs = prof.raw_derivative_combo((1.0 - a, a), r)
+        assert abs(lhs - f_closed(xi, r)) < 1e-10
 
 
 def test_h_ode_residual():
+    # -2 h + 3 r h' equals the normalized a = 3/2 member
     prof = h_family(0.5)
+    base = g_family(0.5, 1.5)
     for r in (0.0, 0.4, 1.3, 3.0):
-        assert prof.ode_residual(r) < 1e-10
+        lhs = prof.raw_derivative_combo((-2.0, 3.0), r)
+        assert abs(lhs - base.value(r)) < 1e-10
 
 
 def test_g_value_at_origin_analytic():
     # (1 - a) g(0) = f(0), so the raw solution starts at -f(0)/(a - 1)
-    f = RadialProfile(0.5)
-    g2 = g_family(0.5, 2.0)
-    g32 = g_family(0.5, 1.5)
-    assert g2.raw_value(0.0) == pytest.approx(-f.value(0.0), rel=1e-10)
-    assert g32.raw_value(0.0) == pytest.approx(-2.0 * f.value(0.0), rel=1e-10)
-    assert g2.raw_value(0.0) == pytest.approx(G2_RAW0_HALF, rel=1e-11)
+    f0 = f_closed(0.5, 0.0)
+    g2 = g_family(0.5, 2.0).raw_derivative_combo((1.0,), 0.0)
+    g32 = g_family(0.5, 1.5).raw_derivative_combo((1.0,), 0.0)
+    assert g2 == pytest.approx(-f0, rel=1e-10)
+    assert g32 == pytest.approx(-2.0 * f0, rel=1e-10)
+    assert g2 == pytest.approx(G2_RAW0_HALF, rel=1e-11)
 
 
 def test_h_value_at_origin_analytic():
-    h = h_family(0.5)
+    h0 = h_family(0.5).raw_derivative_combo((1.0,), 0.0)
     base = g_family(0.5, 1.5)
-    assert h.raw_value(0.0) == pytest.approx(-0.5 * base.value(0.0), rel=1e-10)
+    assert h0 == pytest.approx(-0.5 * base.value(0.0), rel=1e-10)
     # the raw scale carries 1/||base||, so the frozen value is only as
     # reproducible as the norm quadrature target
-    assert h.raw_value(0.0) == pytest.approx(H_RAW0_HALF, rel=1e-8)
+    assert h0 == pytest.approx(H_RAW0_HALF, rel=1e-8)
 
 
 def test_g_norm_identity():
@@ -200,7 +205,7 @@ def test_rk_derivative_vs_finite_differences():
 def test_first_derivative_of_ode_pointwise():
     # differentiating (1 - a) g + a r g' = f once and multiplying by r:
     # r g' + a r^2 g'' = r f', exactly, at every radius
-    f = RadialProfile(0.5)
+    f = f_profile(0.5)
     for a in (1.5, 2.0):
         prof = g_family(0.5, a)
         for r in (0.5, 1.7, 4.2):

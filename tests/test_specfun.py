@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from minuncert.specfun import (
     Tolerance,
-    bessel_i0,
-    bessel_j0,
+    _i0_series,
+    _upper_gamma_cf,
     binom,
     central_binomial,
     dilog,
     ellip_e,
     ellip_k,
-    laguerre,
     log_bessel_i0,
     upper_gamma,
 )
@@ -71,14 +70,7 @@ def test_dilog_values():
 
 
 def test_bessel_against_scipy():
-    xs = [0.0, 0.1, 1.0, 3.7, 10.0, 25.0, 80.0, 300.0]
-    for x in xs:
-        # below the asymptotic crossover the alternating series cancels
-        # by a factor ~exp(x)/x, leaving ~1e-13 absolute at x = 10
-        assert bessel_j0(x) == pytest.approx(sps.j0(x), abs=2e-13)
-    for x in xs[:-1]:
-        assert bessel_i0(x) == pytest.approx(sps.i0(x), rel=1e-13)
-    for x in xs:
+    for x in [0.0, 0.1, 1.0, 3.7, 10.0, 25.0, 80.0, 300.0]:
         assert log_bessel_i0(x) == pytest.approx(
             math.log(sps.i0e(x)) + x, rel=1e-13, abs=1e-13
         )
@@ -88,14 +80,6 @@ def test_log_bessel_i0_no_overflow():
     # i0(900) overflows in direct evaluation; the log route must not
     v = log_bessel_i0(900.0)
     assert v == pytest.approx(900.0 + math.log(sps.i0e(900.0)), rel=1e-12)
-
-
-def test_laguerre_against_scipy():
-    for n in (0, 1, 2, 5, 17):
-        for x in (0.0, 0.3, 2.0, 11.5):
-            assert laguerre(n, x) == pytest.approx(
-                sps.eval_laguerre(n, x), rel=1e-12, abs=1e-12
-            )
 
 
 def _gamma_ref(s: float, x: float) -> float:
@@ -132,6 +116,16 @@ def test_upper_gamma_rejects_bad_input():
         upper_gamma(0.5, 0.0)
 
 
+def test_iteration_caps_raise():
+    # both expansions are only used where they converge (I0 series up to
+    # the crossover 12, the continued fraction from x = 1.5); outside
+    # that range the step cap must raise instead of returning a value
+    with pytest.raises(RuntimeError):
+        _i0_series(np.array([100.0]))
+    with pytest.raises(RuntimeError):
+        _upper_gamma_cf(-0.5, np.array([0.01]))
+
+
 def test_binomials_exact():
     assert binom(12, 5) == math.comb(12, 5)
     assert binom(40, 20) == math.comb(40, 20)
@@ -147,12 +141,3 @@ def test_tolerance():
         Tolerance(abs_tol=-1.0)
     with pytest.raises(ValueError):
         Tolerance(abs_tol=0.0, rel_tol=0.0)
-
-
-@given(st.integers(min_value=1, max_value=30), st.floats(min_value=0.0, max_value=20.0))
-@settings(max_examples=60, deadline=None)
-def test_laguerre_recurrence_consistency(n, x):
-    # (n+1) L_{n+1} = (2n+1-x) L_n - n L_{n-1}
-    lhs = (n + 1) * laguerre(n + 1, x)
-    rhs = (2 * n + 1 - x) * laguerre(n, x) - n * laguerre(n - 1, x)
-    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)

@@ -4,35 +4,23 @@ import pytest
 from minuncert.spectral import (
     BandedSymmetricForm,
     build_q_form,
-    build_r_form,
     min_eigenpair,
     quadratic_form_value,
 )
 
-from oracles import LAMBDA_MIN_200, q_dense_min, r_dense_min
+from oracles import LAMBDA_MIN_200, q_dense_min
 
 
 def test_q_form_entries():
     form = build_q_form(5)
-    assert form.bandwidth == 1
     assert list(form.diagonal) == [0.0, 6.0, 20.0, 42.0, 72.0]
     # coupling at (n, n+1) is -(n+1)(2n+1)/2
-    assert list(form.off_diagonals[0]) == [-0.5, -3.0, -7.5, -14.0]
-
-
-def test_r_form_entries():
-    form = build_r_form(6)
-    assert form.bandwidth == 2
-    assert list(form.diagonal) == [0.0, 2.0, 6.0, 12.0, 20.0, 30.0]
-    assert np.all(form.off_diagonals[0] == 0.0)
-    assert list(form.off_diagonals[1]) == [-1.0, -3.0, -6.0, -10.0]
+    assert list(form.off_diagonal) == [-0.5, -3.0, -7.5, -14.0]
 
 
 def test_order_validation():
     with pytest.raises(ValueError):
         build_q_form(1)
-    with pytest.raises(ValueError):
-        build_r_form(2)
 
 
 @pytest.mark.parametrize("order", [10, 11, 24, 25, 60])
@@ -45,15 +33,6 @@ def test_q_min_vs_dense(order):
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("order", [10, 11, 24, 25, 60])
-def test_r_min_vs_dense(order):
-    pair = min_eigenpair(build_r_form(order))
-    lam_ref, v_ref = r_dense_min(order)
-    assert pair.eigenvalue == pytest.approx(lam_ref, abs=1e-12)
-    overlap = abs(float(np.dot(pair.eigenvector, v_ref)))
-    assert overlap == pytest.approx(1.0, abs=1e-10)
-
-
 def test_eigenvector_residual():
     form = build_q_form(80)
     pair = min_eigenpair(form)
@@ -61,19 +40,13 @@ def test_eigenvector_residual():
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     # dense reconstruction of M v
     m = np.diag(form.diagonal)
-    off = form.off_diagonals[0]
+    off = form.off_diagonal
     m += np.diag(off, 1) + np.diag(off, -1)
     residual = m @ v - pair.eigenvalue * v
     # the diagonal grows like 2n(2n+1), so judge the residual against
     # the matrix scale rather than absolutely
     scale = np.max(np.abs(form.diagonal))
     assert np.linalg.norm(residual) < 1e-12 * scale
-
-
-def test_r_eigenvector_lives_on_even_sublattice():
-    pair = min_eigenpair(build_r_form(40))
-    assert np.all(pair.eigenvector[1::2] == 0.0)
-    assert np.any(pair.eigenvector[0::2] != 0.0)
 
 
 def test_quadratic_form_consistency():
@@ -107,9 +80,9 @@ def test_truncation_converged_by_200():
     assert abs(lam_300 - lam_200) < 1e-8
 
 
-def test_nonzero_first_band_rejected():
-    form = BandedSymmetricForm(
-        4, 2, np.arange(4.0), (np.ones(3), -np.ones(2))
-    )
+def test_malformed_form_rejected():
+    BandedSymmetricForm(4, np.arange(4.0), np.ones(3))
     with pytest.raises(ValueError):
-        min_eigenpair(form)
+        BandedSymmetricForm(4, np.arange(4.0), np.ones(2))
+    with pytest.raises(ValueError):
+        BandedSymmetricForm(4, np.arange(3.0), np.ones(3))
