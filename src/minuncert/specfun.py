@@ -38,6 +38,10 @@ _BESSEL_CROSSOVER = 12.0
 
 _EULER_GAMMA = 0.5772156649015329
 
+# largest order upper_gamma accepts; at s = 6 the continued fraction is
+# already off by 3.6e-14 relative just above x = 1.5
+_MAX_ORDER = 5.0
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -188,13 +192,20 @@ def log_bessel_i0(z):
 # ---------------------------------------------------------------------------
 
 def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for Gamma(s, x), reliable for x >= 1.5, s >= 1."""
+    """Continued fraction for Gamma(s, x) at x >= 1.5.
+
+    The library uses -1 < s <= 1/3 and the tests cover -1 < s <= 5;
+    ``upper_gamma`` rejects larger orders.  Each element stops at its
+    own first converged step, so its value depends on its own x alone,
+    not on the rest of the array.
+    """
     # modified Lentz on  x^s e^-x / (x+1-s - 1(1-s)/(x+3-s - 2(2-s)/...))
     tiny = 1e-300
     b = x + 1.0 - s
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / np.where(b == 0.0, tiny, b)
     h = d.copy()
+    done = np.zeros(x.shape, dtype=bool)
     for i in range(1, 300):
         an = -i * (i - s)
         b = b + 2.0
@@ -204,15 +215,12 @@ def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
         c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) < 1e-16):
+        h = np.where(done, h, h * delta)
+        done |= np.abs(delta - 1.0) < 1e-16
+        if done.all():
             break
     else:
-        # converged elements go on moving by up to a few ulp, so the exit
-        # test above often misses them all at once; a last step that moves
-        # an element by more than that means it never converged
-        if np.any(np.abs(delta - 1.0) > 2e-15):
-            raise RuntimeError(f"incomplete gamma continued fraction at s={s!r} not converged")
+        raise RuntimeError(f"incomplete gamma continued fraction at s={s!r} not converged")
     with np.errstate(under="ignore"):
         return np.exp(-x + s * np.log(x)) * h
 
@@ -234,6 +242,8 @@ def _upper_gamma_series(s: float, x: np.ndarray) -> np.ndarray:
         tail = tail + term / (s + k)
         if np.all(np.abs(term / (s + k + 1)) < 1e-18):
             break
+    else:
+        raise RuntimeError(f"incomplete gamma power series at s={s!r} not converged")
     if s < 1.0:
         # Gamma(s) - x^s/s = (Gamma(s+1) - 1)/s - expm1(s ln x)/s, finite as s -> 0
         if s == 0.0:
@@ -252,11 +262,14 @@ def upper_gamma(s: float, x):
     target order, which stays accurate for the negative orders needed
     here (a downward recurrence from a positive order amplifies roundoff
     by a factor ~x per step, unusable at large x).  Negative integer
-    orders are rejected.  Accepts array x.
+    orders are rejected, and so are orders above 5, where the continued
+    fraction is no longer accurate near x = 1.5.  Accepts array x.
     """
     s = float(s)
     if s < 0.0 and s.is_integer():
         raise ValueError(f"negative integer order is not supported, got {s!r}")
+    if s > _MAX_ORDER:
+        raise ValueError(f"order above {_MAX_ORDER} is not supported, got {s!r}")
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("x must be positive")

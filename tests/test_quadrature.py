@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from minuncert.quadrature import (
     IntegrationResult,
     QuadratureError,
+    _WEIGHTS_G,
+    _WEIGHTS_K,
+    _panels,
     exponential_tail_bound,
     integrate_2d,
     integrate_finite,
@@ -26,11 +29,18 @@ def test_polynomial_exactness():
     res = integrate_finite(lambda x: 7 * x**6 - x**3 + 2.0, 0.0, 2.0, TOL)
     assert res.value == pytest.approx(2.0**7 - 4.0 + 4.0, rel=1e-14)
     assert res.evaluations == 15
+    for k in range(23):
+        (value, _), = _panels(lambda x: x**k, [(0.0, 1.0)])
+        assert abs(value - 1.0 / (k + 1)) <= 1e-15
+    # the constants carry full double precision: both weight sets sum to 2
+    assert abs(_WEIGHTS_K.sum() - 2.0) <= 4e-16
+    assert abs(_WEIGHTS_G.sum() - 2.0) <= 4e-16
 
 
 def test_sin_integral():
     res = integrate_finite(np.sin, 0.0, math.pi, Tolerance(abs_tol=1e-12))
     assert res.value == pytest.approx(2.0, abs=1e-13)
+    assert res.evaluations == 15
     assert abs(res.value - 2.0) <= max(res.error_estimate, 1e-14)
 
 
@@ -41,16 +51,18 @@ def test_near_singular_edge():
         lambda x: 1.0 / np.sqrt(x), a, 2.0, Tolerance(abs_tol=1e-9)
     )
     assert res.value == pytest.approx(2.0 * (math.sqrt(2.0) - math.sqrt(a)), abs=1e-8)
+    assert res.evaluations == 975
 
 
 def test_error_estimate_honest():
-    for f, a, b, exact in [
-        (np.exp, 0.0, 1.0, math.e - 1.0),
-        (lambda x: np.cos(10.0 * x), 0.0, 3.0, math.sin(30.0) / 10.0),
-        (lambda x: x**0.25, 0.0, 1.0, 0.8),
+    for f, a, b, exact, evaluations in [
+        (np.exp, 0.0, 1.0, math.e - 1.0, 15),
+        (lambda x: np.cos(10.0 * x), 0.0, 3.0, math.sin(30.0) / 10.0, 225),
+        (lambda x: x**0.25, 0.0, 1.0, 0.8, 735),
     ]:
         res = integrate_finite(f, a, b, Tolerance(abs_tol=1e-10))
         assert abs(res.value - exact) <= max(res.error_estimate, 1e-13)
+        assert res.evaluations == evaluations
 
 
 def test_relative_tolerance_mode():
@@ -85,6 +97,7 @@ def test_semi_infinite_vs_scipy():
     assert res.value == pytest.approx(ref, abs=1e-11)
     # exact: 2 / (2^2 + 3^2)
     assert res.value == pytest.approx(2.0 / 13.0, abs=1e-11)
+    assert res.evaluations == 285
 
 
 def test_semi_infinite_gaussian():
@@ -126,6 +139,7 @@ def test_2d_vs_dblquad():
         lambda y, x: math.sin(x + y * y), 0.0, 1.5, 0.0, 1.0
     )
     assert res.value == pytest.approx(ref, abs=1e-8)
+    assert res.evaluations == 225
 
 
 def test_vector_route_matches_scalar():
@@ -149,6 +163,21 @@ def test_vector_segments_consistent():
         integrate_finite_vector(fv, 0.0, 1.0, TOL, segments=0)
 
 
+def test_panels_batched_into_one_call():
+    # one call for the 8 seed panels (120 abscissae), then one call of
+    # 30 abscissae for both halves of each bisection
+    sizes = []
+
+    def fv(x):
+        sizes.append(x.size)
+        return np.stack([np.exp(-x), 1.0 / (1.0 + 100.0 * (x - 1.0) ** 2)], axis=-1)
+
+    _, meta = integrate_finite_vector(fv, 0.0, 6.0, Tolerance(abs_tol=1e-12), segments=8)
+    assert meta.evaluations > 120
+    assert len(sizes) == 1 + (meta.evaluations - 120) // 30
+    assert sizes == [120] + [30] * (len(sizes) - 1)
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         integrate_finite(np.sin, 1.0, 1.0, TOL)
@@ -161,7 +190,7 @@ def test_deterministic():
     a = integrate_finite(f, 0.0, 4.0, Tolerance(abs_tol=1e-11))
     b = integrate_finite(f, 0.0, 4.0, Tolerance(abs_tol=1e-11))
     assert a.value == b.value
-    assert a.evaluations == b.evaluations
+    assert a.evaluations == b.evaluations == 165
 
 
 @given(

@@ -9,6 +9,7 @@ from minuncert.specfun import (
     Tolerance,
     _i0_series,
     _upper_gamma_cf,
+    _upper_gamma_series,
     binom,
     central_binomial,
     dilog,
@@ -114,16 +115,42 @@ def test_upper_gamma_rejects_bad_input():
         upper_gamma(-1.0, 0.5)  # negative integer order not supported
     with pytest.raises(ValueError):
         upper_gamma(0.5, 0.0)
+    with pytest.raises(ValueError):
+        upper_gamma(10, 1.5)  # the continued fraction loses digits above s = 5
+
+
+def test_upper_gamma_highest_order():
+    for x in np.linspace(1.5, 60.0, 118):
+        assert upper_gamma(5.0, x) == pytest.approx(_gamma_ref(5.0, float(x)), rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [-0.5, -1.0 / 3.0, 0.0, 1.0 / 3.0])
+def test_upper_gamma_kernel_orders_dense(s):
+    # the orders the ODE kernels use, over the continued-fraction range
+    # the angular passes reach
+    x = np.geomspace(1.5, 400.0, 601)
+    out = upper_gamma(s, x)
+    rel = 5e-13 if s >= 0.0 else 1e-10
+    ref = np.array([_gamma_ref(s, float(v)) for v in x])
+    assert np.all(np.abs(out - ref) <= rel * np.abs(ref))
+    # each element retires on its own, so the value cannot depend on
+    # which other elements share the array
+    cf = _upper_gamma_cf(s, x)
+    pieces = np.concatenate([_upper_gamma_cf(s, x[i:i + 7]) for i in range(0, x.size, 7)])
+    assert np.array_equal(cf, pieces)
 
 
 def test_iteration_caps_raise():
-    # both expansions are only used where they converge (I0 series up to
-    # the crossover 12, the continued fraction from x = 1.5); outside
+    # the expansions are only used where they converge (I0 series up to
+    # the crossover 12, the continued fraction from x = 1.5, the gamma
+    # power series below it); outside
     # that range the step cap must raise instead of returning a value
     with pytest.raises(RuntimeError):
         _i0_series(np.array([100.0]))
     with pytest.raises(RuntimeError):
         _upper_gamma_cf(-0.5, np.array([0.01]))
+    with pytest.raises(RuntimeError):
+        _upper_gamma_series(-0.5, np.array([60.0]))
 
 
 def test_binomials_exact():
