@@ -20,7 +20,7 @@ import numpy as np
 
 from .bipartite import AngularProfile, UncertaintyReport, as_xi
 from .quadrature import integrate_semi_infinite
-from .specfun import Tolerance, binom, upper_gamma
+from .specfun import Tolerance, binom, tabulated_upper_gamma
 
 __all__ = [
     "OperatorCoefficients",
@@ -144,9 +144,9 @@ def _t_kernel(c: float, x):
     if np.any(pos):
         xp = x[pos]
         if c > 0.0:
-            out[pos] = xp**c * upper_gamma(-c, xp)
+            out[pos] = xp**c * tabulated_upper_gamma(-c, xp)
         else:
-            out[pos] = upper_gamma(0.0, xp)
+            out[pos] = tabulated_upper_gamma(0.0, xp)
     return out
 
 
@@ -158,7 +158,7 @@ def _u_kernel(x):
     pos = ~zero
     if np.any(pos):
         xp = x[pos]
-        out[pos] = xp ** (2.0 / 3.0) * upper_gamma(1.0 / 3.0, xp)
+        out[pos] = xp ** (2.0 / 3.0) * tabulated_upper_gamma(1.0 / 3.0, xp)
     return out
 
 

@@ -8,7 +8,8 @@ elementwise; they may also return one value per abscissa *per component*
 (shape ``(n, m)``), in which case the vector entry point returns an
 array result.  An integrand is called once per batch of panels, on the
 concatenated abscissae of all of them: once for all seed panels of a
-pass, then once for both halves of each bisection.
+pass, then once for both halves of each bisection; the rule sums of a
+batch are reduced for all its panels in one vectorised pass.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results.
@@ -102,30 +103,30 @@ def _panels(f, intervals):
     ``f`` receives the 15 abscissae of every interval, concatenated in
     order.  Returns one (value, error) pair per interval, where value may
     be an array for a vector integrand and error is the scalar
-    worst-component estimate.
+    worst-component estimate.  All intervals are reduced together.
     """
-    centers = np.array([0.5 * (a + b) for a, b in intervals])
-    halves = np.array([0.5 * (b - a) for a, b in intervals])
+    bounds = np.array(intervals, dtype=float)
+    centers = 0.5 * (bounds[:, 0] + bounds[:, 1])
+    halves = 0.5 * (bounds[:, 1] - bounds[:, 0])
     fvs = np.asarray(f((centers[:, None] + halves[:, None] * _NODES).ravel()), dtype=float)
-    out = []
-    for i, half in enumerate(halves):
-        fv = fvs[15 * i:15 * (i + 1)]
-        resk = np.tensordot(_WEIGHTS_K, fv, axes=(0, 0)) * half
-        resg = np.tensordot(_WEIGHTS_G, fv, axes=(0, 0)) * half
-        reskh = resk * 0.5 / half
-        resasc = np.tensordot(_WEIGHTS_K, np.abs(fv - reskh), axes=(0, 0)) * abs(half)
-        err = np.abs(resk - resg)
-        # QUADPACK-style sharpening of the raw K-G difference
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = np.where(
-                (resasc > 0.0) & (err > 0.0),
-                resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-                err,
-            )
-        resabs = np.tensordot(_WEIGHTS_K, np.abs(fv), axes=(0, 0)) * abs(half)
-        scaled = np.maximum(scaled, 50.0 * _EPS * resabs)
-        out.append((resk, float(np.max(scaled))))
-    return out
+    fv = fvs.reshape((len(bounds), 15) + fvs.shape[1:])
+    half = halves.reshape((len(bounds),) + (1,) * (fv.ndim - 2))
+    resk = np.tensordot(fv, _WEIGHTS_K, axes=(1, 0)) * half
+    resg = np.tensordot(fv, _WEIGHTS_G, axes=(1, 0)) * half
+    reskh = resk * 0.5 / half
+    resasc = np.tensordot(np.abs(fv - reskh[:, None]), _WEIGHTS_K, axes=(1, 0)) * np.abs(half)
+    err = np.abs(resk - resg)
+    # QUADPACK-style sharpening of the raw K-G difference
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.where(
+            (resasc > 0.0) & (err > 0.0),
+            resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
+            err,
+        )
+    resabs = np.tensordot(np.abs(fv), _WEIGHTS_K, axes=(1, 0)) * np.abs(half)
+    scaled = np.maximum(scaled, 50.0 * _EPS * resabs)
+    worst = scaled.reshape(len(bounds), -1).max(axis=1)
+    return list(zip(resk, worst.tolist()))
 
 
 def _adaptive(f, a: float, b: float, tol: Tolerance, budget: int, segments: int = 1):

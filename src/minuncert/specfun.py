@@ -7,14 +7,20 @@ gamma function including negative non-integer order, and exact integer
 binomials.
 
 Scalar arguments are Python floats.  The functions that appear inside
-integration kernels (``log_bessel_i0``, ``upper_gamma``) also accept
-numpy arrays and evaluate elementwise.
+integration kernels (``log_bessel_i0``, ``upper_gamma``,
+``tabulated_upper_gamma``) also accept numpy arrays and evaluate
+elementwise.
+
+The integration kernels take the incomplete gamma from
+``tabulated_upper_gamma``: a piecewise Chebyshev table per order, built
+on first use from ``upper_gamma``, which stays the reference route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +31,7 @@ __all__ = [
     "dilog",
     "log_bessel_i0",
     "upper_gamma",
+    "tabulated_upper_gamma",
     "binom",
     "central_binomial",
 ]
@@ -41,6 +48,18 @@ _EULER_GAMMA = 0.5772156649015329
 # largest order upper_gamma accepts; at s = 6 the continued fraction is
 # already off by 3.6e-14 relative just above x = 1.5
 _MAX_ORDER = 5.0
+
+# the series route serves x below this edge, the continued fraction above
+_SERIES_EDGE = 1.5
+# exp(-x + s ln x) underflows to 0 from here on for every s <= _MAX_ORDER
+_UNDERFLOW_X = 800.0
+# tabulated_upper_gamma: geometric panels [1.5 * 2^k, 1.5 * 2^(k+1)] up to
+# x = 384 and the Chebyshev degree of every panel.  The branch point x = 0
+# lies 3 half-widths from each geometric panel's centre, so the Bernstein
+# ellipse parameter is 3 + sqrt(8) = 5.8 and the degree-24 truncation
+# error (~5.8^-24 = 4e-19) sits far below rounding
+_TABLE_PANELS = 8
+_TABLE_DEGREE = 24
 
 
 @dataclass(frozen=True)
@@ -225,17 +244,9 @@ def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
         return np.exp(-x + s * np.log(x)) * h
 
 
-def _upper_gamma_series(s: float, x: np.ndarray) -> np.ndarray:
-    """Small-x evaluation through the lower-gamma power series.
-
-    For s < 1 the k = 0 term is folded against Gamma(s) analytically, which
-    keeps the evaluation stable arbitrarily close to s = 0 (where the two
-    would cancel catastrophically) and covers s = 0 itself.
-    """
-    lx = np.log(x)
-    with np.errstate(under="ignore"):
-        xs = np.exp(s * lx)
-    tail = np.zeros_like(x)  # sum over k >= 1 of (-x)^k / (k! (s + k))
+def _series_tail(s: float, x: np.ndarray) -> np.ndarray:
+    """The entire part sum over k >= 1 of (-x)^k / (k! (s + k)) of the series."""
+    tail = np.zeros_like(x)
     term = np.ones_like(x)
     for k in range(1, 80):
         term = term * (-x) / k
@@ -244,6 +255,19 @@ def _upper_gamma_series(s: float, x: np.ndarray) -> np.ndarray:
             break
     else:
         raise RuntimeError(f"incomplete gamma power series at s={s!r} not converged")
+    return tail
+
+
+def _series_value(s: float, x: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Gamma(s, x) from the series tail at the same x.
+
+    For s < 1 the k = 0 term is folded against Gamma(s) analytically, which
+    keeps the evaluation stable arbitrarily close to s = 0 (where the two
+    would cancel catastrophically) and covers s = 0 itself.
+    """
+    lx = np.log(x)
+    with np.errstate(under="ignore"):
+        xs = np.exp(s * lx)
     if s < 1.0:
         # Gamma(s) - x^s/s = (Gamma(s+1) - 1)/s - expm1(s ln x)/s, finite as s -> 0
         if s == 0.0:
@@ -254,17 +278,12 @@ def _upper_gamma_series(s: float, x: np.ndarray) -> np.ndarray:
     return math.gamma(s) - xs * (1.0 / s + tail)
 
 
-def upper_gamma(s: float, x):
-    """Upper incomplete gamma Gamma(s, x) for x > 0 and real order s.
+def _upper_gamma_series(s: float, x: np.ndarray) -> np.ndarray:
+    """Small-x evaluation through the lower-gamma power series."""
+    return _series_value(s, x, _series_tail(s, x))
 
-    Small x uses the power series in a cancellation-free arrangement;
-    x >= 1.5 uses the Lentz continued fraction evaluated directly at the
-    target order, which stays accurate for the negative orders needed
-    here (a downward recurrence from a positive order amplifies roundoff
-    by a factor ~x per step, unusable at large x).  Negative integer
-    orders are rejected, and so are orders above 5, where the continued
-    fraction is no longer accurate near x = 1.5.  Accepts array x.
-    """
+
+def _checked(s, x):
     s = float(s)
     if s < 0.0 and s.is_integer():
         raise ValueError(f"negative integer order is not supported, got {s!r}")
@@ -273,12 +292,98 @@ def upper_gamma(s: float, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("x must be positive")
-    out = np.empty_like(arr)
-    small = arr < 1.5
+    return s, arr
+
+
+def upper_gamma(s: float, x):
+    """Upper incomplete gamma Gamma(s, x) for x > 0 and real order s.
+
+    Small x uses the power series in a cancellation-free arrangement;
+    x >= 1.5 uses the Lentz continued fraction evaluated directly at the
+    target order, which stays accurate for the negative orders needed
+    here (a downward recurrence from a positive order amplifies roundoff
+    by a factor ~x per step, unusable at large x).  From x = 800 on the
+    value underflows to 0 for every accepted order and is returned
+    without evaluation.  Negative integer orders are rejected, and so are
+    orders above 5, where the continued fraction is no longer accurate
+    near x = 1.5.  Accepts array x.
+
+    This is the reference route; the integration kernels use
+    ``tabulated_upper_gamma``.
+    """
+    s, arr = _checked(s, x)
+    out = np.zeros_like(arr)
+    small = arr < _SERIES_EDGE
+    mid = ~small & (arr < _UNDERFLOW_X)
     if np.any(small):
         out[small] = _upper_gamma_series(s, arr[small])
-    if np.any(~small):
-        out[~small] = _upper_gamma_cf(s, arr[~small])
+    if np.any(mid):
+        out[mid] = _upper_gamma_cf(s, arr[mid])
+    if arr.ndim == 0:
+        return float(out)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _gamma_table(s: float) -> np.ndarray:
+    """Chebyshev coefficients of the order-s table, shape (degree + 1, panels + 1).
+
+    Column 0 interpolates the series tail on [0, 1.5]; column k >= 1 the
+    ratio e^x x^-s Gamma(s, x) on [1.5 * 2^(k-1), 1.5 * 2^k], taken from
+    ``upper_gamma`` at the first-kind Chebyshev points.
+    """
+    n = _TABLE_DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    t = np.cos(theta)
+    values = np.empty((_TABLE_PANELS + 1, n))
+    values[0] = _series_tail(s, _SERIES_EDGE * 0.5 * (t + 1.0))
+    lo = _SERIES_EDGE * 2.0 ** np.arange(_TABLE_PANELS)
+    x = lo[:, None] * 0.5 * (t + 3.0)
+    values[1:] = upper_gamma(s, x) * np.exp(x - s * np.log(x))
+    coef = (2.0 / n) * values @ np.cos(np.outer(theta, np.arange(n)))
+    coef[:, 0] *= 0.5
+    table = np.ascontiguousarray(coef.T)
+    table.flags.writeable = False
+    return table
+
+
+def _clenshaw(table: np.ndarray, panel, t: np.ndarray) -> np.ndarray:
+    """sum_k table[k, panel] T_k(t), elementwise in (panel, t)."""
+    t2 = 2.0 * t
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    for k in range(table.shape[0] - 1, 0, -1):
+        b1, b2 = table[k][panel] + t2 * b1 - b2, b1
+    return table[0][panel] + t * b1 - b2
+
+
+def tabulated_upper_gamma(s: float, x):
+    """Gamma(s, x) from a piecewise Chebyshev table of order s.
+
+    Accepts the orders and arguments ``upper_gamma`` accepts and agrees
+    with it to ~1e-13 relative.  Below x = 1.5 the table replaces the
+    series tail and keeps the exact head; on [1.5, 384) it replaces the
+    continued fraction by one of 8 geometric panels, found with
+    ``frexp``; beyond that ``upper_gamma`` itself is called.  The table
+    for each order is built on first use.  Each value depends on its own
+    x alone.
+    """
+    s, arr = _checked(s, x)
+    table = _gamma_table(s)
+    q = arr / _SERIES_EDGE
+    out = np.empty_like(arr)
+    inner = q < 1.0
+    far = q >= 2.0**_TABLE_PANELS
+    mid = ~(inner | far)
+    if np.any(inner):
+        out[inner] = _series_value(s, arr[inner], _clenshaw(table, 0, 2.0 * q[inner] - 1.0))
+    if np.any(mid):
+        # q = m 2^e with m in [0.5, 1): panel e, local coordinate 4m - 3 in [-1, 1)
+        m, e = np.frexp(q[mid])
+        xm = arr[mid]
+        out[mid] = _clenshaw(table, e, 4.0 * m - 3.0) * np.exp(-xm + s * np.log(xm))
+    if np.any(far):
+        out[far] = upper_gamma(s, arr[far])
     if arr.ndim == 0:
         return float(out)
     return out

@@ -1,7 +1,8 @@
 """Tridiagonal symmetric quadratic forms and their minimal eigenpairs.
 
 The minimal eigenvalue comes from Sturm-sequence bisection, the
-eigenvector from inverse iteration, so no dense eigensolver is involved.
+eigenvector from inverse iteration with an O(n) tridiagonal LDL^T solve,
+so no dense matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -62,17 +63,17 @@ def quadratic_form_value(form: BandedSymmetricForm, vec) -> float:
     return total + 2.0 * float(np.dot(form.off_diagonal, v[:-1] * v[1:]))
 
 
-def _count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal (diag, off) below x."""
-    pivmin = 1e-30 * max(1.0, float(np.max(off * off)) if len(off) else 1.0)
+def _count_below(diag: list, squares: list, x: float) -> int:
+    """Number of eigenvalues below x of the tridiagonal (diag, squared couplings)."""
+    pivmin = 1e-30 * max(1.0, max(squares, default=1.0))
     count = 0
     q = diag[0] - x
     if abs(q) < pivmin:
         q = -pivmin
     if q < 0.0:
         count += 1
-    for k in range(1, len(diag)):
-        q = diag[k] - x - off[k - 1] ** 2 / q
+    for dk, sk in zip(diag[1:], squares):
+        q = dk - x - sk / q
         if abs(q) < pivmin:
             q = -pivmin
         if q < 0.0:
@@ -89,30 +90,32 @@ def _tridiag_min_eig(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarr
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
     scale = max(abs(lo), abs(hi), 1.0)
+    diag_list = diag.tolist()
+    squares = (off * off).tolist()
     for _ in range(200):
         if hi - lo <= 1e-14 * scale:
             break
         mid = 0.5 * (lo + hi)
-        if _count_below(diag, off, mid) >= 1:
+        if _count_below(diag_list, squares, mid) >= 1:
             hi = mid
         else:
             lo = mid
     shift = 0.5 * (lo + hi)
 
+    factors = _ldl(diag - shift, off)
+    if factors is None:
+        # exactly singular shift: nudge off the eigenvalue
+        factors = _ldl(diag - shift + 1e-13 * scale, off)
+        if factors is None:
+            raise RuntimeError("shifted matrix stays singular after the nudge")
     n = len(diag)
-    m = np.diag(diag - shift) + np.diag(off, 1) + np.diag(off, -1)
     v = np.full(n, 1.0 / np.sqrt(n))  # deterministic start
     norm_m = float(np.max(np.abs(diag) + radius))
     best_res = np.inf
     best = v
     best_lam = shift
     for _ in range(50):
-        try:
-            w = np.linalg.solve(m, v)
-        except np.linalg.LinAlgError:
-            # exactly singular shift: nudge off the eigenvalue
-            m += np.eye(n) * (1e-13 * scale)
-            w = np.linalg.solve(m, v)
+        w = _ldl_solve(*factors, v)
         v = w / np.linalg.norm(w)
         mv = _apply(diag, off, v)
         lam = float(v @ mv)
@@ -130,6 +133,36 @@ def _tridiag_min_eig(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarr
                 f"(matrix norm {norm_m:.3e})"
             )
     return best_lam, best
+
+
+def _ldl(diag: np.ndarray, off: np.ndarray):
+    """Pivots d and multipliers l of the tridiagonal LDL^T factorization.
+
+    Returns None when a pivot is exactly zero.
+    """
+    e = off.tolist()
+    d = [0.0] * len(diag)
+    piv = float(diag[0])
+    for i, a in enumerate(diag[1:].tolist()):
+        if piv == 0.0:
+            return None
+        d[i] = piv
+        piv = a - e[i] * e[i] / piv
+    if piv == 0.0:
+        return None
+    d[-1] = piv
+    return d, [ei / di for ei, di in zip(e, d)]
+
+
+def _ldl_solve(d: list, lower: list, v: np.ndarray) -> np.ndarray:
+    """Solve L D L^T w = v in O(n) from the factors of ``_ldl``."""
+    y = v.tolist()
+    for i, li in enumerate(lower):
+        y[i + 1] -= li * y[i]
+    w = [yi / di for yi, di in zip(y, d)]
+    for i in range(len(lower) - 1, -1, -1):
+        w[i] -= lower[i] * w[i + 1]
+    return np.array(w)
 
 
 def _apply(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:

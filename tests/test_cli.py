@@ -2,10 +2,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 
+import minuncert
 import minuncert.cli as cli
 import minuncert.multipartite as multipartite
 from minuncert.bipartite import fock_coeff, overlap, wavefunction
@@ -22,6 +26,18 @@ def read_csv(path):
 
 
 # --- argument handling ----------------------------------------------------
+
+
+def test_import_builds_no_kernel_table():
+    # the incomplete-gamma tables are built on first use, never at import,
+    # so commands that never touch the kernels pay nothing for them
+    src = str(Path(minuncert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import minuncert.cli, minuncert.specfun as s; "
+            "print(s._gamma_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
 
 
 def test_parse_defaults(tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from minuncert.multipartite import (
 )
 import minuncert.multipartite as multipartite
 from minuncert.quadrature import integrate_semi_infinite
-from minuncert.specfun import Tolerance
+from minuncert.specfun import Tolerance, upper_gamma
 
 from oracles import (
     G2_NORM,
@@ -357,6 +357,37 @@ def test_z6_shortcut_identity():
     hn = h_family(xi).normalization
     value = (1.0 / 560.0) * 0.5 * (1.0 + r_closed(xi)) / (g32 * g32 * hn * hn)
     assert z6_product(xi).product == pytest.approx(value, rel=1e-6)
+
+
+@pytest.mark.parametrize("product, infimum, bound", [
+    (z4_product, PRODUCT_INFIMUM_4, SEPARABLE_BOUND_4),
+    (z6_product, PRODUCT_INFIMUM_6, SEPARABLE_BOUND_6),
+], ids=["z4", "z6"])
+def test_products_near_xi_one(product, infimum, bound):
+    # strong squeezing: the kernels reach far into the tabulated range and
+    # the profiles peak sharply, yet the product stays inside its window
+    # and keeps falling towards the infimum
+    near = product(0.999).product
+    assert infimum < near < product(0.99).product < bound
+
+
+def test_products_match_reference_kernels(monkeypatch):
+    # the tabulated kernels against the continued fraction they were
+    # tabulated from, through the whole product
+    def clear_families():
+        multipartite._g_family_cached.cache_clear()
+        multipartite._h_family_cached.cache_clear()
+
+    cases = [(z, xi) for z in (z4_product, z6_product) for xi in (0.5, 0.9)]
+    tabulated = [z(xi).product for z, xi in cases]
+    monkeypatch.setattr(multipartite, "tabulated_upper_gamma", upper_gamma)
+    clear_families()
+    try:
+        reference = [z(xi).product for z, xi in cases]
+    finally:
+        clear_families()
+    for value, ref in zip(tabulated, reference):
+        assert value == pytest.approx(ref, rel=1e-12)
 
 
 def test_functional_z_validation():

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from minuncert.quadrature import (
     IntegrationResult,
     QuadratureError,
+    _EPS,
+    _NODES,
     _WEIGHTS_G,
     _WEIGHTS_K,
     _panels,
@@ -176,6 +178,38 @@ def test_panels_batched_into_one_call():
     assert meta.evaluations > 120
     assert len(sizes) == 1 + (meta.evaluations - 120) // 30
     assert sizes == [120] + [30] * (len(sizes) - 1)
+
+
+def _rule_pair_reference(f, a, b):
+    """The rule pair and its sharpened error on one interval, reduced alone."""
+    half = 0.5 * (b - a)
+    fv = np.asarray(f(0.5 * (a + b) + half * _NODES), dtype=float)
+    resk = np.tensordot(_WEIGHTS_K, fv, axes=(0, 0)) * half
+    resg = np.tensordot(_WEIGHTS_G, fv, axes=(0, 0)) * half
+    resasc = np.tensordot(_WEIGHTS_K, np.abs(fv - resk * 0.5 / half), axes=(0, 0)) * abs(half)
+    resabs = np.tensordot(_WEIGHTS_K, np.abs(fv), axes=(0, 0)) * abs(half)
+    err = np.atleast_1d(np.abs(resk - resg))
+    resasc = np.atleast_1d(resasc)
+    scaled = err.copy()
+    live = (resasc > 0.0) & (err > 0.0)
+    scaled[live] = resasc[live] * np.minimum(1.0, (200.0 * err[live] / resasc[live]) ** 1.5)
+    return resk, float(np.max(np.maximum(scaled, 50.0 * _EPS * resabs)))
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_panels_match_one_interval_reduction(vector):
+    # the batched reduction agrees with reducing each interval alone, up to
+    # the summation order of the weighted sums
+    def f(x):
+        cols = [np.exp(-x) * np.cos(3.0 * x), np.full_like(x, 2.0), 1.0 / (1.0 + x * x)]
+        return np.stack(cols, axis=-1) if vector else cols[0]
+
+    intervals = [(0.0, 0.3), (0.3, 1.1), (1.1, 1.2), (2.0, 5.0), (-4.0, -3.5)]
+    for (value, err), (a, b) in zip(_panels(f, intervals), intervals):
+        ref_value, ref_err = _rule_pair_reference(f, a, b)
+        assert np.shape(value) == np.shape(ref_value)
+        assert np.all(np.abs(value - ref_value) <= 4.0 * _EPS * np.abs(ref_value))
+        assert err == pytest.approx(ref_err, rel=1e-10)
 
 
 def test_interval_validation():

@@ -16,6 +16,7 @@ from minuncert.specfun import (
     ellip_e,
     ellip_k,
     log_bessel_i0,
+    tabulated_upper_gamma,
     upper_gamma,
 )
 
@@ -111,12 +112,15 @@ def test_upper_gamma_array():
 
 
 def test_upper_gamma_rejects_bad_input():
-    with pytest.raises(ValueError):
-        upper_gamma(-1.0, 0.5)  # negative integer order not supported
-    with pytest.raises(ValueError):
-        upper_gamma(0.5, 0.0)
-    with pytest.raises(ValueError):
-        upper_gamma(10, 1.5)  # the continued fraction loses digits above s = 5
+    for gamma in (upper_gamma, tabulated_upper_gamma):
+        with pytest.raises(ValueError):
+            gamma(-1.0, 0.5)  # negative integer order not supported
+        with pytest.raises(ValueError):
+            gamma(0.5, 0.0)
+        with pytest.raises(ValueError):
+            gamma(0.5, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            gamma(10, 1.5)  # the continued fraction loses digits above s = 5
 
 
 def test_upper_gamma_highest_order():
@@ -138,6 +142,57 @@ def test_upper_gamma_kernel_orders_dense(s):
     cf = _upper_gamma_cf(s, x)
     pieces = np.concatenate([_upper_gamma_cf(s, x[i:i + 7]) for i in range(0, x.size, 7)])
     assert np.array_equal(cf, pieces)
+
+
+def test_upper_gamma_underflow_returns_zero():
+    # from x = 800 on Gamma(s, x) underflows for every accepted order; the
+    # continued fraction used to stall at delta = 1 - 2^-53 at such x
+    assert upper_gamma(-0.5, 35047705401168.223) == 0.0
+    big = np.geomspace(800.0, 1e16, 20001)
+    for s in (-0.5, -1.0 / 3.0, 0.0, 1.0 / 3.0, 5.0):
+        assert not np.any(upper_gamma(s, big))
+        out = upper_gamma(s, np.geomspace(1.5, 800.0, 50001)[:-1])
+        assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+
+
+# The kernel orders: a = 2, 3/2, 1 and h, then a = 3 (less cancellation
+# headroom near x = 1.5, so a looser bound).
+_TABLE_BOUNDS = [(-0.5, 1e-13), (-1.0 / 3.0, 1e-13), (0.0, 1e-13), (1.0 / 3.0, 1e-13),
+                 (-2.0 / 3.0, 2e-13)]
+
+
+@pytest.mark.parametrize("s, rel", _TABLE_BOUNDS)
+def test_tabulated_upper_gamma_certified(s, rel):
+    # off the Chebyshev nodes over the whole range the kernels reach
+    rng = np.random.default_rng(5)
+    x = np.sort(np.concatenate([np.geomspace(1e-6, 800.0, 4001),
+                                rng.uniform(1e-9, 1.5, 1000), rng.uniform(1.5, 400.0, 1000)]))
+    table = tabulated_upper_gamma(s, x)
+    ref = upper_gamma(s, x)
+    live = ref != 0.0
+    assert np.all(np.abs(table[live] - ref[live]) <= rel * np.abs(ref[live]))
+    assert np.array_equal(table[~live], ref[~live])
+    if s >= 0.0:
+        # scipy flushes subnormal results to 0, so compare normal values only
+        normal = ref >= np.finfo(float).tiny
+        scipy_ref = np.array([_gamma_ref(s, float(v)) for v in x[normal]])
+        assert np.all(np.abs(table[normal] - scipy_ref) <= 5e-13 * scipy_ref)
+    pieces = np.concatenate([tabulated_upper_gamma(s, x[i:i + 7]) for i in range(0, x.size, 7)])
+    assert np.array_equal(table, pieces)
+    assert tabulated_upper_gamma(s, float(x[17])) == table[17]
+
+
+@pytest.mark.parametrize("s", [-0.5, 1.0 / 3.0])
+def test_tabulated_upper_gamma_panel_edges(s):
+    # the series edge 1.5, every geometric panel edge, and the hand-over
+    # to upper_gamma at 384
+    for edge in 1.5 * 2.0 ** np.arange(9):
+        x = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+        table = tabulated_upper_gamma(s, x)
+        ref = upper_gamma(s, x)
+        assert np.all(np.abs(table - ref) <= 1e-13 * ref)
+        # no jump across the edge beyond the function's own change
+        assert abs(table[2] - table[0]) <= 1e-13 * table[1] + abs(ref[2] - ref[0])
 
 
 def test_iteration_caps_raise():

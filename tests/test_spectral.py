@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,35 @@ def test_q_min_vs_dense(order):
     # same ray, both unit
     overlap = abs(float(np.dot(pair.eigenvector, v_ref)))
     assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", [200, 2000])
+def test_q_min_vs_eigvalsh(order):
+    form = build_q_form(order)
+    dense = np.diag(form.diagonal) + np.diag(form.off_diagonal, 1) + np.diag(form.off_diagonal, -1)
+    ref = np.linalg.eigvalsh(dense)[0]
+    assert min_eigenpair(form).eigenvalue == pytest.approx(ref, abs=1e-14)
+
+
+def test_large_order_stays_linear():
+    # a dense copy at this order would take 3.2 GB; the inverse iteration
+    # must stay O(n) in memory and still deliver a true eigenpair
+    order = 20000
+    form = build_q_form(order)
+    tracemalloc.start()
+    try:
+        pair = min_eigenpair(form)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 8 * order
+    v = pair.eigenvector
+    mv = form.diagonal * v
+    mv[:-1] += form.off_diagonal * v[1:]
+    mv[1:] += form.off_diagonal * v[:-1]
+    norm = np.max(np.abs(form.diagonal)) + 2.0 * np.max(np.abs(form.off_diagonal))
+    assert np.linalg.norm(mv - pair.eigenvalue * v) <= 1e-10 * norm
+    assert pair.eigenvalue == pytest.approx(min_eigenpair(build_q_form(2000)).eigenvalue, abs=1e-8)
 
 
 def test_eigenvector_residual():
