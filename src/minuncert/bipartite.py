@@ -216,12 +216,6 @@ class AngularProfile:
             self._rk_norms[k] = self._raw_l2_norm(tuple([0.0] * k + [1.0]))
         return self._rk_norms[k]
 
-    def rk_derivative(self, k: int, r):
-        """r^k times the k-th derivative of the normalized profile."""
-        if not (isinstance(k, int) and 0 <= k <= self.max_derivative_order):
-            raise ValueError(f"derivative order must be an integer in [0, 3], got {k!r}")
-        return self.derivative_combo([0.0] * k + [1.0], r)
-
     def derivative_combo(self, coefs, r):
         """sum_k coefs[k] * r^k v^(k)(r) for the normalized profile."""
         return self.raw_derivative_combo(coefs, r) / self.normalization

@@ -461,16 +461,25 @@ def run_scan(config: RunConfig) -> int:
 # profile
 
 
-def _profile_family(parties: int, x: float):
+def _profile_column(parties: int, x: float, r_grid):
+    """The family's radial profile at xi = x, at r**parties for each r in r_grid.
+
+    The two-party closed form is elementwise, so it takes the whole
+    column in one call.  Only the ODE families are chunked: all radii of
+    one angular pass share its subdivision tree, refined as far as the
+    hardest of them needs, so short chunks keep each tree small.  Their
+    values depend on that tree in the last digits, so the chunk length
+    stays fixed at 16.
+    """
     if parties == 2:
-        return lambda r: f_closed(x, r)
+        return f_closed(x, r_grid ** parties)
     fam = g_family(x) if parties == 4 else h_family(x)
     orient = 1.0 if fam.value(0.0) >= 0.0 else -1.0
-
-    def value(r):
-        return orient * np.asarray(fam.value(r))
-
-    return value
+    col = np.empty(len(r_grid))
+    for start in range(0, len(r_grid), 16):
+        block = r_grid[start:start + 16]
+        col[start:start + len(block)] = orient * np.asarray(fam.value(block ** parties))
+    return col
 
 
 def run_profile(config: RunConfig) -> int:
@@ -482,27 +491,15 @@ def run_profile(config: RunConfig) -> int:
     table = [r_grid]
     status = 0
     for x in config.xi_grid:
-        value = _profile_family(config.parties, x)
-        col = np.empty(points)
         try:
-            # chunked so each shared-subdivision angular pass stays small
-            for start in range(0, points, 16):
-                block = r_grid[start:start + 16]
-                col[start:start + len(block)] = front * np.asarray(
-                    value(block ** (2 * n))
-                )
+            col = front * _profile_column(config.parties, x, r_grid)
         except QuadratureError as exc:
             print(f"profile: xi={x:g}: {exc}", file=sys.stderr)
-            col[:] = np.nan
+            col = np.full(points, np.nan)
             status = 1
         table.append(col)
-    rows = []
-    for i in range(points):
-        row = [float(table[0][i])]
-        for c in range(1, len(table)):
-            v = float(table[c][i])
-            row.append(v if math.isfinite(v) else None)
-        rows.append(row)
+    rows = [[v if math.isfinite(v) else None for v in row]
+            for row in np.column_stack(table).tolist()]
     write_table(config, columns, rows)
     return status
 

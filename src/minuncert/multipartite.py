@@ -60,11 +60,6 @@ class OperatorCoefficients:
     b: tuple
     prefactor: Fraction
 
-    def a_coefficients(self):
-        """The unreduced operator coefficients, 2^n n! times b."""
-        scale = Fraction(2**self.n * math.factorial(self.n))
-        return tuple(scale * bk for bk in self.b)
-
 
 @lru_cache(maxsize=16)
 def b_coefficients(n: int) -> OperatorCoefficients:

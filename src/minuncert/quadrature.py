@@ -37,6 +37,7 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _BUDGET = 1_000_000  # integrand evaluations per public call
+_STALL_BISECTIONS = 200  # bisections without a new low of the total error
 
 # 15-point Kronrod abscissae on [-1, 1] (non-negative half) and weights,
 # with the embedded 7-point Gauss weights on the odd-indexed nodes.
@@ -133,11 +134,13 @@ def _adaptive(f, a: float, b: float, tol: Tolerance, budget: int, segments: int 
     """Worst-interval-first bisection.  Returns (value, error, evaluations).
 
     Raises QuadratureError when the budget is exhausted with the error
-    still above target.  Intervals narrower than ~1e-14 of the original
-    are frozen rather than split further.  ``segments`` seeds the heap
-    with a uniform pre-split, useful when the integrand is known to
-    have localized structure.  ``f`` is called once for all seed panels
-    and once for both halves of each bisection.
+    still above target, or when ``_STALL_BISECTIONS`` bisections in a
+    row have not brought the total error below its smallest value so
+    far.  Intervals narrower than ~1e-14 of the original are frozen
+    rather than split further.  ``segments`` seeds the heap with a
+    uniform pre-split, useful when the integrand is known to have
+    localized structure.  ``f`` is called once for all seed panels and
+    once for both halves of each bisection.
     """
     edges = np.linspace(a, b, segments + 1).tolist()
     seeds = list(zip(edges[:-1], edges[1:]))
@@ -149,6 +152,8 @@ def _adaptive(f, a: float, b: float, tol: Tolerance, budget: int, segments: int 
     frozen_value = np.zeros_like(heap[0][4])
     frozen_err = 0.0
     min_width = 1e-14 * (b - a)
+    best_err = math.inf
+    stalled = 0  # bisections since the total error last reached a new low
 
     def total():
         v = frozen_value + sum(item[4] for item in heap) if heap else frozen_value
@@ -160,10 +165,14 @@ def _adaptive(f, a: float, b: float, tol: Tolerance, budget: int, segments: int 
         scale = float(np.max(np.abs(v))) if np.ndim(v) else abs(float(v))
         if e <= tol.target(scale):
             return v, e, neval
-        if not heap or neval + 30 > budget:
+        if e < best_err:
+            best_err, stalled = e, 0
+        if not heap or neval + 30 > budget or stalled >= _STALL_BISECTIONS:
             res = IntegrationResult(_scalarize(v), e, neval)
+            why = (f"error stalled over {stalled} bisections"
+                   if stalled >= _STALL_BISECTIONS else "no convergence")
             raise QuadratureError(
-                f"no convergence after {neval} evaluations "
+                f"{why} after {neval} evaluations "
                 f"(error {e:.3e}, target {tol.target(scale):.3e})",
                 res,
             )
@@ -175,6 +184,7 @@ def _adaptive(f, a: float, b: float, tol: Tolerance, budget: int, segments: int 
         mid = 0.5 * (pa + pb)
         (lv, le), (rv, re) = _panels(f, [(pa, mid), (mid, pb)])
         neval += 30
+        stalled += 1
         heapq.heappush(heap, (-le, counter, pa, mid, lv, le))
         heapq.heappush(heap, (-re, counter + 1, mid, pb, rv, re))
         counter += 2

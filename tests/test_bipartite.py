@@ -25,7 +25,7 @@ from minuncert.bipartite import (
     wavefunction,
 )
 from minuncert.quadrature import integrate_semi_infinite
-from minuncert.specfun import Tolerance, binom, ellip_k
+from minuncert.specfun import _BESSEL_CROSSOVER, Tolerance, binom, ellip_k
 
 from oracles import (
     C00_HALF,
@@ -189,6 +189,18 @@ def test_profile_vectorized():
         f_profile(0.5).value(-1.0)
 
 
+def test_f_closed_whole_equals_slices():
+    # the profile table evaluates whole columns; each value must not
+    # depend on which other radii share the call
+    for xi in (0.1, 0.5, 0.9, 0.999):
+        beta = math.sqrt(xi) / (1.0 - xi)
+        r = np.linspace(0.0, 3.0 * _BESSEL_CROSSOVER / beta, 201)
+        assert np.any(beta * r <= _BESSEL_CROSSOVER) and np.any(beta * r > _BESSEL_CROSSOVER)
+        whole = f_closed(xi, r)
+        sliced = np.concatenate([f_closed(xi, r[i:i + 16]) for i in range(0, len(r), 16)])
+        assert whole.tobytes() == sliced.tobytes()
+
+
 def test_f_prime_at_zero():
     for xi in (0.3, 0.7):
         exact = -math.sqrt(math.pi / (8.0 * ellip_k(xi))) * (1.0 + xi) / (1.0 - xi) ** 1.5
@@ -206,18 +218,19 @@ def test_rk_derivative_vs_finite_differences():
     for r in (0.7, 1.8):
         for k in (1, 2):
             fd = fd_rk_derivative(closed, k, r, h=1e-3)
-            assert p.rk_derivative(k, r) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+            rk = p.derivative_combo([0.0] * k + [1.0], r)
+            assert rk == pytest.approx(fd, rel=1e-7, abs=1e-9)
         fd3 = fd_rk_derivative(closed, 3, r, h=1e-2)
-        assert p.rk_derivative(3, r) == pytest.approx(fd3, rel=1e-4, abs=1e-6)
-    with pytest.raises(ValueError):
-        p.rk_derivative(4, 1.0)
+        rk3 = p.derivative_combo((0.0, 0.0, 0.0, 1.0), r)
+        assert rk3 == pytest.approx(fd3, rel=1e-4, abs=1e-6)
 
 
 def test_derivative_combo_linearity():
     p = f_profile(0.6)
     r = 1.3
     combo = p.derivative_combo((0.5, 1.0, -2.0), r)
-    parts = 0.5 * p.value(r) + p.rk_derivative(1, r) - 2.0 * p.rk_derivative(2, r)
+    parts = (0.5 * p.value(r) + p.derivative_combo((0.0, 1.0), r)
+             - 2.0 * p.derivative_combo((0.0, 0.0, 1.0), r))
     assert combo == pytest.approx(parts, rel=1e-11)
     with pytest.raises(ValueError):
         p.derivative_combo((1.0, 0.0, 0.0, 0.0, 1.0), r)
@@ -252,7 +265,7 @@ def test_rf_prime_norm_equals_r_combination():
     c_env, lam = p.squared_combo_envelope((0.0, 1.0))
 
     def integrand(r):
-        v = np.asarray(p.rk_derivative(1, r))
+        v = np.asarray(p.derivative_combo((0.0, 1.0), r))
         return v * v
 
     res = integrate_semi_infinite(integrand, Tolerance(abs_tol=1e-10), lam, c_env)

@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import minuncert
+import minuncert.bipartite as bipartite
 import minuncert.cli as cli
 import minuncert.multipartite as multipartite
 from minuncert.bipartite import fock_coeff, overlap, wavefunction
@@ -244,6 +246,23 @@ def test_profile_origin_grows_with_xi(tmp_path, monkeypatch):
     assert float(r1[2]) == pytest.approx(
         wavefunction(float(r1[0]), 0.0, 0.5), rel=1e-9
     )
+
+
+def test_two_party_profile_one_call_per_column(tmp_path, monkeypatch):
+    # the closed form is elementwise, so each xi column is one call
+    calls = []
+    kernel = bipartite.log_bessel_i0
+
+    def counted(z):
+        calls.append(np.size(z))
+        return kernel(z)
+
+    monkeypatch.setattr(bipartite, "log_bessel_i0", counted)
+    assert cli.main([
+        "--command", "profile", "--parties", "2", "--xi", "0.1", "--xi", "0.5",
+        "--order", "4001", "--out", str(tmp_path / "profile.csv"),
+    ]) == 0
+    assert calls == [4001, 4001]
 
 
 def test_profile_higher_families_positive_at_origin(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from minuncert.multipartite import (
     z6_product,
 )
 import minuncert.multipartite as multipartite
-from minuncert.quadrature import integrate_semi_infinite
+from minuncert.quadrature import _STALL_BISECTIONS, QuadratureError, integrate_semi_infinite
 from minuncert.specfun import Tolerance, upper_gamma
 
 from oracles import (
@@ -61,10 +61,10 @@ def test_b_leading_coefficient_is_one():
 
 
 def test_a_coefficients_scaling():
-    ops = b_coefficients(2)
-    assert ops.a_coefficients() == (8, 16)
-    ops3 = b_coefficients(3)
-    assert ops3.a_coefficients() == (48, 432, 216)
+    # the unreduced operator coefficients are 2^n n! times b
+    for n, table in ((2, (8, 16)), (3, (48, 432, 216))):
+        scale = 2**n * math.factorial(n)
+        assert tuple(scale * bk for bk in b_coefficients(n).b) == table
 
 
 def test_b_validation():
@@ -195,9 +195,11 @@ def test_rk_derivative_vs_finite_differences():
     for r in (0.8, 2.1):
         for k in (1, 2):
             fd = fd_rk_derivative(prof.value, k, r, h=1e-3)
-            assert prof.rk_derivative(k, r) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            rk = prof.derivative_combo([0.0] * k + [1.0], r)
+            assert rk == pytest.approx(fd, rel=1e-6, abs=1e-9)
         fd3 = fd_rk_derivative(prof.value, 3, r, h=1e-2)
-        assert prof.rk_derivative(3, r) == pytest.approx(fd3, rel=1e-3, abs=1e-5)
+        rk3 = prof.derivative_combo((0.0, 0.0, 0.0, 1.0), r)
+        assert rk3 == pytest.approx(fd3, rel=1e-3, abs=1e-5)
     with pytest.raises(ValueError):
         prof.rk_norm(4)
 
@@ -210,7 +212,8 @@ def test_first_derivative_of_ode_pointwise():
         prof = g_family(0.5, a)
         for r in (0.5, 1.7, 4.2):
             lhs = prof.raw_derivative_combo((0.0, 1.0, a), r)
-            assert lhs == pytest.approx(f.rk_derivative(1, r), rel=1e-10, abs=1e-12)
+            rf = f.derivative_combo((0.0, 1.0), r)
+            assert lhs == pytest.approx(rf, rel=1e-10, abs=1e-12)
 
 
 def test_first_derivative_of_h_ode_pointwise():
@@ -218,7 +221,8 @@ def test_first_derivative_of_h_ode_pointwise():
     base = g_family(0.5, 1.5)
     for r in (0.6, 2.3):
         lhs = h.raw_derivative_combo((0.0, 1.0, 3.0), r)
-        assert lhs == pytest.approx(base.rk_derivative(1, r), rel=1e-9, abs=1e-12)
+        rg = base.derivative_combo((0.0, 1.0), r)
+        assert lhs == pytest.approx(rg, rel=1e-9, abs=1e-12)
 
 
 def _raw_norm_sq(profile, coefs):
@@ -369,6 +373,19 @@ def test_products_near_xi_one(product, infimum, bound):
     # and keeps falling towards the infimum
     near = product(0.999).product
     assert infimum < near < product(0.99).product < bound
+
+
+def test_z4_closer_to_one_succeeds_or_fails_fast():
+    # at xi = 1 - 1e-6 the nested route's outer error sits at ~4e-2 and
+    # does not shrink; it must say so after a bounded number of
+    # bisections rather than after the whole evaluation budget
+    try:
+        rep = z4_product(1.0 - 1e-6)
+    except QuadratureError as exc:
+        assert "stalled" in str(exc)
+        assert exc.result.evaluations <= 15 + 30 * _STALL_BISECTIONS
+    else:
+        assert PRODUCT_INFIMUM_4 < rep.product < z4_product(0.999).product
 
 
 def test_products_match_reference_kernels(monkeypatch):

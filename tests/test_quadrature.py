@@ -10,6 +10,7 @@ from minuncert.quadrature import (
     QuadratureError,
     _EPS,
     _NODES,
+    _STALL_BISECTIONS,
     _WEIGHTS_G,
     _WEIGHTS_K,
     _panels,
@@ -90,6 +91,18 @@ def test_budget_exhaustion(monkeypatch):
     assert isinstance(exc.value.result, IntegrationResult)
     assert exc.value.result.evaluations > 1000
     assert math.isfinite(exc.value.result.value)
+
+
+def test_stalled_pass_fails_fast():
+    # 1/x on [0, 1] diverges: every panel [0, h] has the same error
+    # estimate, so each bisection of it only adds the error of [h/2, h]
+    # and the total never falls below its first value.  The pass must
+    # give up after a fixed number of bisections, not a full budget.
+    with pytest.raises(QuadratureError, match="stalled") as exc:
+        integrate_finite(lambda x: 1.0 / x, 0.0, 1.0, Tolerance(abs_tol=1e-10))
+    assert _STALL_BISECTIONS == 200
+    assert exc.value.result.evaluations == 15 + 30 * _STALL_BISECTIONS == 6015
+    assert exc.value.result.error_estimate > 1.0
 
 
 def test_semi_infinite_vs_scipy():
