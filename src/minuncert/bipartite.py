@@ -129,8 +129,9 @@ def _angular_kernel_integral(xi: float, r, kernel, tol: Tolerance = _THETA_TOL):
 # peaking near p carries an error floor around p^2 * 1e-12 that no
 # amount of outer refinement can beat.  Near xi -> 1 the peaks reach
 # ~40, putting the floor around 1e-9.  The relative component keeps the
-# outer target safely above it; absolute accuracy here is still three
-# orders tighter than any downstream comparison.
+# outer target safely above it.  Only the nested route (``combo_norm``,
+# ``rk_norm``, the functional built on them) runs at this tolerance; the
+# products take their norms from the swapped integration order.
 _NORM_TOL = Tolerance(abs_tol=1e-9, rel_tol=3e-7)
 
 
@@ -143,11 +144,13 @@ class AngularProfile:
     envelopes[k] * e^{-x/2} on x >= 0.
 
     ``value`` and ``derivative_combo`` refer to the normalized profile
-    v/||v||, with ||v|| given as ``norm`` or computed on first use; the
-    ``raw_`` accessor exposes the unnormalized v.  The raw solution keeps
-    the sign the kernel dictates (negative at the origin for the plain
-    ODE families), which is what makes a defining ODE hold verbatim;
-    consumers that want a positive plot flip the sign.
+    v/||v||, with ||v|| given as ``norm`` where an independent route
+    exists (the closed form for f, the swapped integration order for the
+    g and h families), otherwise computed by the nested pass on first
+    use; the ``raw_`` accessor exposes the unnormalized v.  The raw
+    solution keeps the sign the kernel dictates (negative at the origin
+    for the plain ODE families), which is what makes a defining ODE hold
+    verbatim; consumers that want a positive plot flip the sign.
     """
 
     max_derivative_order = 3
@@ -185,11 +188,17 @@ class AngularProfile:
 
     @property
     def normalization(self) -> float:
+        """||v|| of the unnormalized profile: the ``norm`` given, else ``rk_norm(0)``."""
         if self._norm is None:
-            self._norm = self._raw_l2_norm((1.0,))
+            self._norm = self.rk_norm(0)
         return self._norm
 
-    def _raw_l2_norm(self, coefs) -> float:
+    def combo_norm(self, coefs) -> float:
+        """L2 norm of sum_k coefs[k] r^k v^(k) on [0, inf), unnormalized, by the nested pass.
+
+        The nested pass is an adaptive radial integral with an adaptive
+        angular pass at every radius.
+        """
         coeff_, rate = self._raw_envelope(coefs)
 
         def integrand(r):
@@ -204,16 +213,15 @@ class AngularProfile:
     def rk_norm(self, k: int) -> float:
         """L2 norm of r^k v^(k) on [0, inf) for the unnormalized profile.
 
-        rk_norm(0) is the same number as ``normalization``; these norms
-        are what the closed identities constrain (e.g. the a = 2 family
-        satisfies 3 rk_norm(0)^2 + 4 rk_norm(1)^2 = 1).
+        Always the nested pass, rk_norm(0) included, so it stays an
+        independent check of a ``normalization`` given at construction.
+        These norms are what the closed identities constrain (e.g. the
+        a = 2 family satisfies 3 rk_norm(0)^2 + 4 rk_norm(1)^2 = 1).
         """
         if not (isinstance(k, int) and 0 <= k <= self.max_derivative_order):
             raise ValueError(f"derivative order must be an integer in [0, 3], got {k!r}")
-        if k == 0:
-            return self.normalization
         if k not in self._rk_norms:
-            self._rk_norms[k] = self._raw_l2_norm(tuple([0.0] * k + [1.0]))
+            self._rk_norms[k] = self.combo_norm(tuple([0.0] * k + [1.0]))
         return self._rk_norms[k]
 
     def derivative_combo(self, coefs, r):

@@ -386,18 +386,14 @@ def run_verify(config: RunConfig) -> int:
         ("z4_below_bound",
          lambda: one_sided(z4_product(0.5).product, 1.0 / 16.0, False)),
         ("z4_shortcut_agreement",
-         lambda: (abs(z4_product(0.5).product
-                      - (1.0 / 30.0) * 0.5 * (1.0 + r_closed(0.5))
-                      / g2.rk_norm(0) ** 2),
+         lambda: (abs(z4_product(0.5).product - multipartite.functional_z(2, g2)),
                   0.0, 1e-6, None)),
         ("z6_above_infimum",
          lambda: one_sided(z6_product(0.5).product, 35.0 / 4096.0, True)),
         ("z6_below_bound",
          lambda: one_sided(z6_product(0.5).product, 1.0 / 64.0, False)),
         ("z6_shortcut_agreement",
-         lambda: (abs(z6_product(0.5).product
-                      - (1.0 / 560.0) * 0.5 * (1.0 + r_closed(0.5))
-                      / (g32.rk_norm(0) ** 2 * h.rk_norm(0) ** 2)),
+         lambda: (abs(z6_product(0.5).product - multipartite.functional_z(3, h)),
                   0.0, 1e-6, None)),
         ("alpha_beta_certificate",
          lambda: (multipartite.alpha_beta_certificate(), 0.0, 1e-10, None)),

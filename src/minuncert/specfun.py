@@ -328,19 +328,28 @@ def upper_gamma(s: float, x):
 def _gamma_table(s: float) -> np.ndarray:
     """Chebyshev coefficients of the order-s table, shape (degree + 1, panels + 1).
 
-    Column 0 interpolates the series tail on [0, 1.5]; column k >= 1 the
-    ratio e^x x^-s Gamma(s, x) on [1.5 * 2^(k-1), 1.5 * 2^k], taken from
-    ``upper_gamma`` at the first-kind Chebyshev points.
+    Column 0 interpolates the series tail divided by its leading term
+    -x/(s + 1) on [0, 1.5]; column k >= 1 the ratio e^x x^-s Gamma(s, x)
+    on [1.5 * 2^(k-1), 1.5 * 2^k], taken from ``upper_gamma`` at the
+    first-kind Chebyshev points.  Below 1.5 the head and the tail cancel,
+    by up to a factor ~200 as s -> -1, so the tail must be held to a few
+    ulp: the quotient is close to 1, and its transform takes every cosine
+    at an angle reduced exactly to [0, 2 pi).  The panels need no such
+    care, since the ~3e-14 error of ``upper_gamma`` dominates theirs.
     """
     n = _TABLE_DEGREE + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
     t = np.cos(theta)
     values = np.empty((_TABLE_PANELS + 1, n))
-    values[0] = _series_tail(s, _SERIES_EDGE * 0.5 * (t + 1.0))
+    x0 = _SERIES_EDGE * 0.5 * (t + 1.0)
+    values[0] = _series_tail(s, x0) * (-(s + 1.0) / x0)
     lo = _SERIES_EDGE * 2.0 ** np.arange(_TABLE_PANELS)
     x = lo[:, None] * 0.5 * (t + 3.0)
     values[1:] = upper_gamma(s, x) * np.exp(x - s * np.log(x))
     coef = (2.0 / n) * values @ np.cos(np.outer(theta, np.arange(n)))
+    # cos(theta_j k) = cos(pi m / 2n) with m = (2j + 1) k mod 4n
+    m = np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
+    coef[0] = (2.0 / n) * values[0] @ np.cos(np.pi * m / (2 * n))
     coef[:, 0] *= 0.5
     table = np.ascontiguousarray(coef.T)
     table.flags.writeable = False
@@ -376,7 +385,9 @@ def tabulated_upper_gamma(s: float, x):
     far = q >= 2.0**_TABLE_PANELS
     mid = ~(inner | far)
     if np.any(inner):
-        out[inner] = _series_value(s, arr[inner], _clenshaw(table, 0, 2.0 * q[inner] - 1.0))
+        xs = arr[inner]
+        tail = _clenshaw(table, 0, 2.0 * q[inner] - 1.0) * (-xs / (s + 1.0))
+        out[inner] = _series_value(s, xs, tail)
     if np.any(mid):
         # q = m 2^e with m in [0.5, 1): panel e, local coordinate 4m - 3 in [-1, 1)
         m, e = np.frexp(q[mid])

@@ -31,15 +31,16 @@ def read_csv(path):
 
 
 def test_import_builds_no_kernel_table():
-    # the incomplete-gamma tables are built on first use, never at import,
-    # so commands that never touch the kernels pay nothing for them
+    # the incomplete-gamma tables and the Gauss-Legendre nodes are built on
+    # first use, never at import, so commands that never touch them pay
+    # nothing for them (numpy.polynomial alone costs ~5 ms to import)
     src = str(Path(minuncert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import minuncert.cli, minuncert.specfun as s; "
-            "print(s._gamma_table.cache_info().currsize)")
+    code = ("import sys, minuncert.cli, minuncert.specfun as s; "
+            "print(s._gamma_table.cache_info().currsize, 'numpy.polynomial' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_parse_defaults(tmp_path, monkeypatch):

@@ -310,6 +310,7 @@ def test_family_validation():
 def test_z4_frozen_and_window():
     rep = z4_product(0.5)
     assert rep.parties == 4
+    assert rep.route == "shortcut"
     assert rep.product == pytest.approx(Z4[0.5], rel=1e-6)
     assert PRODUCT_INFIMUM_4 < rep.product < SEPARABLE_BOUND_4
     assert rep.separable_bound == SEPARABLE_BOUND_4
@@ -332,16 +333,18 @@ def test_z4_monotone_decreasing():
 
 
 def test_z4_shortcut_identity():
-    # z4 = (1/30) (1 + R)/2 / ||g_2||^2, eliminating the full integrand
+    # z4 = (1/30) (1 + R)/2 / ||g_2||^2, eliminating the full integrand;
+    # the product takes the swapped-order norm, the check the nested one
     for xi in (0.5, 0.9):
-        norm = g_family(xi, 2.0).normalization
+        norm = g_family(xi, 2.0).rk_norm(0)
         shortcut = PRODUCT_INFIMUM_4 * 0.5 * (1.0 + r_closed(xi)) / (norm * norm)
-        assert z4_product(xi).product == pytest.approx(shortcut, rel=1e-6)
+        assert z4_product(xi).product == pytest.approx(shortcut, rel=1e-9)
 
 
 def test_z6_frozen_and_window():
     rep = z6_product(0.5)
     assert rep.parties == 6
+    assert rep.route == "shortcut"
     assert rep.product == pytest.approx(Z6[0.5], rel=1e-6)
     assert PRODUCT_INFIMUM_6 < rep.product < SEPARABLE_BOUND_6
     assert rep.separable_bound == SEPARABLE_BOUND_6
@@ -355,12 +358,21 @@ def test_z6_monotone_decreasing():
 
 
 def test_z6_shortcut_identity():
-    # z6 = (1/560) (1 + R)/2 / (||g_32||^2 ||h||^2)
+    # z6 = (1/560) (1 + R)/2 / (||g_32||^2 ||h||^2), with the nested norms
     xi = 0.5
-    g32 = g_family(xi, 1.5).normalization
-    hn = h_family(xi).normalization
+    g32 = g_family(xi, 1.5).rk_norm(0)
+    hn = h_family(xi).rk_norm(0)
     value = (1.0 / 560.0) * 0.5 * (1.0 + r_closed(xi)) / (g32 * g32 * hn * hn)
-    assert z6_product(xi).product == pytest.approx(value, rel=1e-6)
+    assert z6_product(xi).product == pytest.approx(value, rel=1e-9)
+
+
+def test_products_match_nested_functional():
+    # the primary products against the fully nested route they replaced
+    assert z4_product(0.5).product == pytest.approx(functional_z(2, g_family(0.5, 2.0)), rel=1e-9)
+    assert z6_product(0.5).product == pytest.approx(functional_z(3, h_family(0.5)), rel=1e-9)
+
+
+_NEAR_ONE = (0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("product, infimum, bound", [
@@ -368,39 +380,89 @@ def test_z6_shortcut_identity():
     (z6_product, PRODUCT_INFIMUM_6, SEPARABLE_BOUND_6),
 ], ids=["z4", "z6"])
 def test_products_near_xi_one(product, infimum, bound):
-    # strong squeezing: the kernels reach far into the tabulated range and
-    # the profiles peak sharply, yet the product stays inside its window
-    # and keeps falling towards the infimum
-    near = product(0.999).product
-    assert infimum < near < product(0.99).product < bound
+    # strong squeezing: the profiles peak sharply and the angular weight
+    # piles up within 1 - sqrt(xi) of theta = 0, yet the product stays
+    # inside its window and keeps falling towards the infimum
+    vals = [product(x).product for x in _NEAR_ONE]
+    assert bound > vals[0]
+    assert all(a > b for a, b in zip(vals, vals[1:]))
+    assert vals[-1] > infimum
+
+
+@pytest.mark.parametrize("m, scale", [
+    (multipartite._m_g2, 0.5),
+    (multipartite._m_g32, 2.0 / 3.0),
+    (multipartite._m_h, 1.0),
+], ids=["g2", "g32", "h"])
+@pytest.mark.parametrize("xi", [0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+def test_swapped_norm_rule_orders_agree(m, scale, xi):
+    # the tensor rule is converged on its mesh: two orders per panel agree
+    lo = multipartite._swapped_norm(xi, m, scale, order=16)
+    hi = multipartite._swapped_norm(xi, m, scale, order=24)
+    assert lo == pytest.approx(hi, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0])
+def test_swapped_kernels_vs_mpmath(rho):
+    # each kernel against its defining double integral over the substituted
+    # measure, with the q integral taken independently of the library's
+    # closed forms: arctangent for a = 2, Gauss hypergeometric for the
+    # cube-root kernels,
+    # int_0^1 q^j / (q^3 + B) dq = 2F1(1, a; a + 1; -1/B) / (3 a B), a = (j + 1)/3
+    import mpmath as mp
+
+    with mp.workdps(20):
+        r = mp.mpf(rho)
+
+        def q_int(j, big_b):
+            a = mp.mpf(j + 1) / 3
+            return mp.hyp2f1(1, a, a + 1, -1 / big_b) / (3 * a * big_b)
+
+        k = mp.sqrt(r)
+        g2 = 4 * mp.quad(lambda p: p**2 * (1 - k * p * mp.atan(1 / (k * p))), [0, 1])
+        g32 = 9 * mp.quad(lambda p: p**3 * q_int(3, r * p**3), [0, 1])
+        h = 9 * mp.quad(
+            lambda p: (p - 1) * p**3 * (q_int(4, r * p**3) - q_int(3, r * p**3)), [0, 1])
+    rv = np.array([rho])
+    assert multipartite._m_g2(rv)[0] == pytest.approx(float(g2), rel=2e-15)
+    assert multipartite._m_g32(rv)[0] == pytest.approx(float(g32), rel=2e-15)
+    assert multipartite._m_h(rv)[0] == pytest.approx(float(h), rel=2e-15)
 
 
 def test_z4_closer_to_one_succeeds_or_fails_fast():
-    # at xi = 1 - 1e-6 the nested route's outer error sits at ~4e-2 and
-    # does not shrink; it must say so after a bounded number of
-    # bisections rather than after the whole evaluation budget
+    # at xi = 1 - 1e-6 the primary product lands inside its window, while
+    # the nested route's outer error sits at ~4e-2 and does not shrink; it
+    # must say so after a bounded number of bisections rather than after
+    # the whole evaluation budget
+    xi = 1.0 - 1e-6
+    rep = z4_product(xi)
+    assert PRODUCT_INFIMUM_4 < rep.product < z4_product(0.999).product
     try:
-        rep = z4_product(1.0 - 1e-6)
+        nested = functional_z(2, g_family(xi, 2.0))
     except QuadratureError as exc:
         assert "stalled" in str(exc)
         assert exc.result.evaluations <= 15 + 30 * _STALL_BISECTIONS
     else:
-        assert PRODUCT_INFIMUM_4 < rep.product < z4_product(0.999).product
+        assert nested == pytest.approx(rep.product, rel=1e-6)
 
 
 def test_products_match_reference_kernels(monkeypatch):
     # the tabulated kernels against the continued fraction they were
-    # tabulated from, through the whole product
+    # tabulated from, through the whole nested product
     def clear_families():
         multipartite._g_family_cached.cache_clear()
         multipartite._h_family_cached.cache_clear()
 
-    cases = [(z, xi) for z in (z4_product, z6_product) for xi in (0.5, 0.9)]
-    tabulated = [z(xi).product for z, xi in cases]
+    def nested(n, xi):
+        return functional_z(n, g_family(xi, 2.0) if n == 2 else h_family(xi))
+
+    cases = [(n, xi) for n in (2, 3) for xi in (0.5, 0.9)]
+    clear_families()
+    tabulated = [nested(n, xi) for n, xi in cases]
     monkeypatch.setattr(multipartite, "tabulated_upper_gamma", upper_gamma)
     clear_families()
     try:
-        reference = [z(xi).product for z, xi in cases]
+        reference = [nested(n, xi) for n, xi in cases]
     finally:
         clear_families()
     for value, ref in zip(tabulated, reference):
@@ -430,8 +492,9 @@ def test_alpha_beta_certificate():
 
 def test_perturbed_coefficients_shift_z4(monkeypatch):
     # sensitivity control: corrupting b_2 by 5 percent must move the
-    # product, proving the functional actually consumes the table
-    clean = z4_product(0.5).product
+    # nested product, proving the functional actually consumes the table
+    prof = g_family(0.5, 2.0)
+    clean = functional_z(2, prof)
     real = b_coefficients(2)
     fake = OperatorCoefficients(
         n=2, b=(real.b[0], real.b[1] * Fraction(21, 20)), prefactor=real.prefactor
@@ -441,5 +504,19 @@ def test_perturbed_coefficients_shift_z4(monkeypatch):
         return fake if n == 2 else b_coefficients(n)
 
     monkeypatch.setattr(multipartite, "b_coefficients", patched)
-    dirty = multipartite.z4_product(0.5).product
+    dirty = multipartite.functional_z(2, prof)
     assert abs(dirty - clean) > 1e-4
+
+
+def test_perturbed_kernel_shifts_z4(monkeypatch):
+    # the same control for the primary route: corrupting the swapped-order
+    # kernel by 5 percent must move the product through the norm
+    clean = z4_product(0.5).product
+    real = multipartite._m_g2
+    monkeypatch.setitem(multipartite._G_KERNELS, 2.0, lambda rho: 1.05 * real(rho))
+    multipartite._g_family_cached.cache_clear()
+    try:
+        dirty = z4_product(0.5).product
+    finally:
+        multipartite._g_family_cached.cache_clear()
+    assert dirty == pytest.approx(clean / 1.05, rel=1e-12)

@@ -19,6 +19,7 @@ from minuncert.quadrature import (
     integrate_finite,
     integrate_finite_vector,
     integrate_semi_infinite,
+    panel_rule,
 )
 from minuncert.specfun import Tolerance
 
@@ -223,6 +224,30 @@ def test_panels_match_one_interval_reduction(vector):
         assert np.shape(value) == np.shape(ref_value)
         assert np.all(np.abs(value - ref_value) <= 4.0 * _EPS * np.abs(ref_value))
         assert err == pytest.approx(ref_err, rel=1e-10)
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 16, 24])
+def test_panel_rule(order):
+    # Gauss-Legendre against numpy's construction, and exact for degree
+    # 2 order - 1 on every panel of a composite rule
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = panel_rule((-1.0, 1.0), order)
+    ref_x, ref_w = leggauss(order)
+    assert np.allclose(x, ref_x, rtol=0.0, atol=1e-15)
+    assert np.allclose(w, ref_w, rtol=1e-12, atol=0.0)
+    edges = (0.0, 0.1, 0.5, 2.0)
+    x, w = panel_rule(edges, order)
+    assert x.shape == w.shape == (3 * order,)
+    assert np.all(np.diff(x) > 0.0)
+    deg = 2 * order - 1
+    for a, b in zip(edges[:-1], edges[1:]):
+        on = (x > a) & (x < b)
+        exact = (b ** (deg + 1) - a ** (deg + 1)) / (deg + 1)
+        assert np.sum(w[on] * x[on] ** deg) == pytest.approx(exact, rel=1e-14)
+    for bad_edges, bad_order in (((0.0, 1.0), 0), ((1.0,), 4), ((0.0, 2.0, 1.0), 4)):
+        with pytest.raises(ValueError):
+            panel_rule(bad_edges, bad_order)
 
 
 def test_interval_validation():

@@ -182,6 +182,20 @@ def test_tabulated_upper_gamma_certified(s, rel):
     assert tabulated_upper_gamma(s, float(x[17])) == table[17]
 
 
+@pytest.mark.parametrize("s", [-0.9, -2.0 / 3.0, -0.5, -1.0 / 3.0, 0.0, 1.0 / 3.0])
+def test_tabulated_upper_gamma_below_series_edge_vs_mpmath(s):
+    # on [0.9, 1.5) the series head and tail cancel, by up to ~200x as
+    # s -> -1; the table must keep the digits of the reference route there
+    import mpmath
+
+    x = np.linspace(0.9, 1.5, 61)[:-1]
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.gammainc(s, mpmath.mpf(float(v)))) for v in x])
+    worst_table = np.max(np.abs(tabulated_upper_gamma(s, x) / ref - 1.0))
+    worst_reference = np.max(np.abs(upper_gamma(s, x) / ref - 1.0))
+    assert worst_table <= 2.5 * worst_reference
+
+
 @pytest.mark.parametrize("s", [-0.5, 1.0 / 3.0])
 def test_tabulated_upper_gamma_panel_edges(s):
     # the series edge 1.5, every geometric panel edge, and the hand-over
