@@ -46,7 +46,6 @@ from .quadrature import (
     QuadratureError,
     integrate_2d,
     integrate_finite,
-    integrate_finite_vector,
     integrate_semi_infinite,
 )
 from .simple_state import SimpleStateSolution, c1_c2, minimize_q0, q0
@@ -107,7 +106,6 @@ __all__ = [
     "IntegrationResult",
     "QuadratureError",
     "integrate_finite",
-    "integrate_finite_vector",
     "integrate_semi_infinite",
     "integrate_2d",
     "__version__",

@@ -2,7 +2,8 @@
 
 Closed forms for the expectation functional and the uncertainty product,
 the radial profile both in closed form and as the angular-kernel integral
-that the four- and six-party families share, the position wave function,
+that the four- and six-party families share, with the fixed angular rule
+every such integral is taken on, the position wave function,
 overlaps between family members, and the number-basis coefficient layer
 with its exact combinatorial identities.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_2d, integrate_finite_vector, integrate_semi_infinite
+from .quadrature import integrate_2d, integrate_semi_infinite, panel_rule
 from .specfun import Tolerance, binom, central_binomial, ellip_e, ellip_k, log_bessel_i0
 
 __all__ = [
@@ -40,10 +41,13 @@ __all__ = [
 SEPARABLE_BOUND_2 = 0.25
 PRODUCT_INFIMUM_2 = 0.125
 
-_THETA_TOL = Tolerance(abs_tol=1e-13, rel_tol=5e-13)
-# seed the angular quadrature with a uniform pre-split; the integrand is
-# smooth in theta but localizes near theta = 0 once r is large
-_THETA_SEGMENTS = 8
+# Gauss-Legendre points per panel of the angular rule.  8 and 16 agree to
+# ~7e-13 on the norms but only to ~1e-8 of a column's maximum on point
+# values out to large r; 16 and 24 agree to ~1e-15 on both
+_ANGULAR_ORDER = 16
+# cells (radii x nodes) per kernel call of an angular pass: whole columns
+# at once raise the peak memory of `profile --parties 6` by ~6 MB (~18%)
+_RULE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -100,38 +104,62 @@ class UncertaintyReport:
             raise ValueError("violation_ratio inconsistent with separable_bound / product")
 
 
-def _angular_kernel_integral(xi: float, r, kernel, tol: Tolerance = _THETA_TOL):
-    """Integrate w(theta) * kernel(gamma(theta) * r) over theta in [0, pi].
+def angular_rule(xi: float):
+    """(gamma, weight): the fixed rule of every angular-kernel integral at xi.
+
+    The Poisson substitution cos phi = (cos theta + s) / (1 + s cos theta),
+    s = sqrt(xi), makes the weight of the theta integral uniform,
+    w dtheta = dphi / sqrt(2 pi K (1 - xi)), and gives
+    gamma = (eps^2 + 4 s sin^2(phi/2)) / (2 (1 - xi)) with eps = 1 - s.
+    gamma vanishes at phi = +-i eps, so every kernel in gamma r is
+    analytic on each panel of a geometric phi-mesh from eps/8 to pi, and
+    a Gauss-Legendre rule of ``_ANGULAR_ORDER`` points per panel converges
+    geometrically on it.  ``weight`` carries dphi only; each consumer
+    applies the density 1 / (2 pi K (1 - xi)) itself.
+    """
+    sq = math.sqrt(xi)
+    gap = 1.0 - xi
+    eps = gap / (1.0 + sq)  # 1 - sqrt(xi) without the cancellation
+    lo = 0.125 * eps
+    panels = max(1, math.ceil(math.log2(math.pi / lo)))
+    phi, weight = panel_rule(
+        np.concatenate(([0.0], np.geomspace(lo, math.pi, panels + 1))), _ANGULAR_ORDER)
+    half = np.sin(0.5 * phi)
+    gamma = (eps * eps + 4.0 * sq * half * half) / (2.0 * gap)
+    return gamma, weight
+
+
+def _angular_kernel_integral(xi: float, r, kernel):
+    """int w(theta) kernel(gamma(theta) r) dtheta over [0, pi], one value per r.
 
     w(theta) = 1 / (sqrt(2 pi K) (1 + sqrt(xi) cos theta)) and
-    gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)).
-    ``kernel`` receives the full matrix x[i, j] = gamma(theta_i) * r[j].
-    Returns one value per r.
+    gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)),
+    taken on ``angular_rule``.  ``kernel`` receives blocks
+    x[i, j] = r[i] * gamma_j of about ``_RULE_BLOCK`` cells, each row
+    reduced on its own, so a value depends on its own r alone.
     """
     rv = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rv < 0.0):
         raise ValueError("r must be nonnegative")
-    sq = math.sqrt(xi)
-    wnorm = 1.0 / math.sqrt(2.0 * math.pi * ellip_k(xi))
-
-    def fv(theta):
-        c = sq * np.cos(theta)
-        gam = 0.5 * (1.0 - c) / (1.0 + c)
-        w = wnorm / (1.0 + c)
-        return w[:, None] * kernel(np.outer(gam, rv))
-
-    values, _ = integrate_finite_vector(fv, 0.0, math.pi, tol, segments=_THETA_SEGMENTS)
-    return values
+    gamma, weight = angular_rule(xi)
+    rows = max(1, _RULE_BLOCK // len(gamma))
+    values = np.empty(len(rv))
+    for start in range(0, len(rv), rows):
+        block = rv[start:start + rows]
+        values[start:start + len(block)] = np.sum(
+            weight * kernel(np.outer(block, gamma)), axis=-1)
+    return values / math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
 
 
-# Radial integrands inherit noise from the inner angular pass: each
-# profile value is only good to ~5e-13 relative, so a squared profile
-# peaking near p carries an error floor around p^2 * 1e-12 that no
-# amount of outer refinement can beat.  Near xi -> 1 the peaks reach
-# ~40, putting the floor around 1e-9.  The relative component keeps the
-# outer target safely above it.  Only the nested route (``combo_norm``,
-# ``rk_norm``, the functional built on them) runs at this tolerance; the
-# products take their norms from the swapped integration order.
+# Target of the outer radial pass of the nested route (``combo_norm``,
+# ``rk_norm``, the functional built on them); the products take their
+# norms from the swapped integration order instead.  The angular values
+# under it are converged on ``angular_rule`` to ~1e-15 relative, so the
+# radial pass alone sets the route's error.  The route is a cross-check
+# and lands 4e-11 to 1e-10 from the products at xi = 0.5 and 0.9.  Near
+# xi -> 1 the squared combinations fall off roughly like 1/r over many
+# decades below the cutoff ~ 1/gamma(0), and bisecting [0, cutoff]
+# stalls at xi = 1 - 1e-4 and 1 - 1e-6.
 _NORM_TOL = Tolerance(abs_tol=1e-9, rel_tol=3e-7)
 
 
@@ -144,23 +172,22 @@ class AngularProfile:
     envelopes[k] * e^{-x/2} on x >= 0.
 
     ``value`` and ``derivative_combo`` refer to the normalized profile
-    v/||v||, with ||v|| given as ``norm`` where an independent route
-    exists (the closed form for f, the swapped integration order for the
-    g and h families), otherwise computed by the nested pass on first
-    use; the ``raw_`` accessor exposes the unnormalized v.  The raw
-    solution keeps the sign the kernel dictates (negative at the origin
-    for the plain ODE families), which is what makes a defining ODE hold
-    verbatim; consumers that want a positive plot flip the sign.
+    v/||v||, with ||v|| given as ``norm`` from a route independent of the
+    nested pass (the closed form for f, the swapped integration order for
+    the g and h families); the ``raw_`` accessor exposes the unnormalized
+    v.  The raw solution keeps the sign the kernel dictates (negative at
+    the origin for the plain ODE families), which is what makes a defining
+    ODE hold verbatim; consumers that want a positive plot flip the sign.
     """
 
     max_derivative_order = 3
 
-    def __init__(self, xi, chain, envelopes, scale: float = 1.0, norm=None):
+    def __init__(self, xi, chain, envelopes, norm: float, scale: float = 1.0):
         self.xi = as_xi(xi)
         self._chain = chain
         self._envelopes = tuple(envelopes)
         self._scale = float(scale)
-        self._norm = norm
+        self._norm = float(norm)
         self._rk_norms = {}
         v = self.xi.value
         sq = math.sqrt(v)
@@ -188,16 +215,14 @@ class AngularProfile:
 
     @property
     def normalization(self) -> float:
-        """||v|| of the unnormalized profile: the ``norm`` given, else ``rk_norm(0)``."""
-        if self._norm is None:
-            self._norm = self.rk_norm(0)
+        """||v|| of the unnormalized profile, as given at construction."""
         return self._norm
 
     def combo_norm(self, coefs) -> float:
         """L2 norm of sum_k coefs[k] r^k v^(k) on [0, inf), unnormalized, by the nested pass.
 
-        The nested pass is an adaptive radial integral with an adaptive
-        angular pass at every radius.
+        The nested pass is an adaptive radial integral with an angular
+        pass at every radius.
         """
         coeff_, rate = self._raw_envelope(coefs)
 

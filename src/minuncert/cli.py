@@ -460,22 +460,14 @@ def run_scan(config: RunConfig) -> int:
 def _profile_column(parties: int, x: float, r_grid):
     """The family's radial profile at xi = x, at r**parties for each r in r_grid.
 
-    The two-party closed form is elementwise, so it takes the whole
-    column in one call.  Only the ODE families are chunked: all radii of
-    one angular pass share its subdivision tree, refined as far as the
-    hardest of them needs, so short chunks keep each tree small.  Their
-    values depend on that tree in the last digits, so the chunk length
-    stays fixed at 16.
+    Every value depends on its own radius alone, so each column is one
+    call.  The ODE families are oriented positive at the origin.
     """
     if parties == 2:
         return f_closed(x, r_grid ** parties)
     fam = g_family(x) if parties == 4 else h_family(x)
     orient = 1.0 if fam.value(0.0) >= 0.0 else -1.0
-    col = np.empty(len(r_grid))
-    for start in range(0, len(r_grid), 16):
-        block = r_grid[start:start + 16]
-        col[start:start + len(block)] = orient * np.asarray(fam.value(block ** parties))
-    return col
+    return orient * fam.value(r_grid ** parties)
 
 
 def run_profile(config: RunConfig) -> int:
@@ -484,20 +476,10 @@ def run_profile(config: RunConfig) -> int:
     r_grid = np.linspace(0.0, 4.0, points)
     front = math.sqrt(math.factorial(n) / math.pi**n)
     columns = ["r"] + [f"psi_xi={x:g}" for x in config.xi_grid]
-    table = [r_grid]
-    status = 0
-    for x in config.xi_grid:
-        try:
-            col = front * _profile_column(config.parties, x, r_grid)
-        except QuadratureError as exc:
-            print(f"profile: xi={x:g}: {exc}", file=sys.stderr)
-            col = np.full(points, np.nan)
-            status = 1
-        table.append(col)
-    rows = [[v if math.isfinite(v) else None for v in row]
-            for row in np.column_stack(table).tolist()]
-    write_table(config, columns, rows)
-    return status
+    table = [r_grid] + [front * _profile_column(config.parties, x, r_grid)
+                        for x in config.xi_grid]
+    write_table(config, columns, np.column_stack(table).tolist())
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ the ODE, never taken numerically.
 The family norms are computed with the integration order swapped (the
 radial integral first, in closed form), and the products z4 and z6 come
 from the shortcut identities on those norms.  The nested route,
-``functional_z`` over adaptive radial and angular passes, stays as the
-independent check.
+``functional_z``, an adaptive radial pass over angular values, stays as
+the independent check.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bipartite import AngularProfile, UncertaintyReport, as_xi, r_closed
+from .bipartite import AngularProfile, UncertaintyReport, angular_rule, as_xi, r_closed
 from .quadrature import panel_rule
 from .specfun import binom, ellip_k, tabulated_upper_gamma
 
@@ -130,20 +130,14 @@ def pochhammer_root_residual(n: int, j: int) -> Fraction:
 
 
 def _t_kernel(c: float, x):
-    # x^c Gamma(-c, x); tends to 1/c at the origin (c > 0)
+    # x^c Gamma(-c, x) for c > 0; tends to 1/c at the origin
     out = np.empty_like(x)
     zero = x == 0.0
-    if np.any(zero):
-        if c <= 0.0:
-            raise ValueError("kernel diverges at r = 0 for a = 1")
-        out[zero] = 1.0 / c
+    out[zero] = 1.0 / c
     pos = ~zero
     if np.any(pos):
         xp = x[pos]
-        if c > 0.0:
-            out[pos] = xp**c * tabulated_upper_gamma(-c, xp)
-        else:
-            out[pos] = tabulated_upper_gamma(0.0, xp)
+        out[pos] = xp**c * tabulated_upper_gamma(-c, xp)
     return out
 
 
@@ -181,21 +175,15 @@ def _h_kernel_chain(x):
     return k0, k1, k2, k3
 
 
-# Envelope constants: |atom(x)| <= C * e^{-x/2} on x >= 0.  For T with
-# c > 0 the constant e/c follows from T <= 1/c on [0, 2] and
-# T <= e^{-x}/x beyond; the c = 0 case (a = 1) only holds for x >= 1,
-# which every tail cutoff exceeds.
+# Envelope constants: |atom(x)| <= C * e^{-x/2} on x >= 0.  For T the
+# constant e/c follows from T <= 1/c on [0, 2] and T <= e^{-x}/x beyond.
 _C_XE = 2.0 / math.e
 _C_X2E = (4.0 / math.e) ** 2
 _C_U = 2.0 ** (2.0 / 3.0) * _GAMMA_THIRD * math.e
 
 
-def _c_t(c: float) -> float:
-    return math.e / c if c > 0.0 else 1.0
-
-
 def _g_envelopes(a: float):
-    ct = _c_t((a - 1.0) / a)
+    ct = math.e / ((a - 1.0) / a)
     env0 = ct / a
     env1 = (1.0 + (a - 1.0) * env0) / a
     env2 = (_C_XE + env1) / a
@@ -204,7 +192,7 @@ def _g_envelopes(a: float):
 
 
 def _h_envelopes():
-    ct = _c_t(1.0 / 3.0)
+    ct = math.e / (1.0 / 3.0)
     env0 = 1.5 + 1.5 * _C_U + ct
     env1 = 1.0 + _C_U + ct / 3.0
     env2 = _C_U / 3.0 + 2.0 * ct / 9.0 + 2.0 / 3.0
@@ -274,37 +262,23 @@ def _m_h(rho):
     return 9.0 * np.sum((p - 1.0) * p3w * (-0.5 - beta * (beta * f1 - f0)), axis=-1)
 
 
-# Gauss-Legendre points per phi panel; 8 and 16 agree to ~7e-13, 16 and
-# 24 to ~6e-16
-_SWAPPED_ORDER = 16
 # kernel pairs per block of the tensor rule: with the 16 p points of the
 # cube-root kernels every temporary stays at 128 kB, so the rule leaves
 # the peak memory of a run where it was
 _PAIR_BLOCK = 1024
 
 
-def _swapped_norm(xi: float, m, scale: float, order: int = _SWAPPED_ORDER) -> float:
+def _swapped_norm(xi: float, m, scale: float) -> float:
     """||v|| of v(r) = scale int w(theta) K(gamma(theta) r) dtheta, radial integral first.
 
-    ``m`` is the kernel's m(rho).  The Poisson substitution
-    cos phi = (cos theta + s) / (1 + s cos theta), s = sqrt(xi), makes
-    w dtheta = dphi / sqrt(2 pi K (1 - xi)) uniform and gives
-    gamma = (eps^2 + 4 s sin^2(phi/2)) / (2 (1 - xi)) with eps = 1 - s, so
-    ||v||^2 = scale^2 / (2 pi K (1 - xi)) iint_0^pi M(gamma, gamma') dphi dphi'.
-    gamma vanishes at phi = +-i eps, so the integrand is analytic on each
-    panel of a geometric mesh from eps/8 to pi, which takes a tensor
-    Gauss-Legendre rule of ``order`` points per panel and axis.
+    ``m`` is the kernel's m(rho).  On the substituted angle of
+    ``angular_rule``, where w dtheta = dphi / sqrt(2 pi K (1 - xi)),
+    ||v||^2 = scale^2 / (2 pi K (1 - xi)) iint_0^pi M(gamma, gamma') dphi dphi',
+    taken with the tensor product of that rule.
     """
-    sq = math.sqrt(xi)
-    gap = 1.0 - xi
-    eps = gap / (1.0 + sq)  # 1 - sqrt(xi) without the cancellation
-    lo = 0.125 * eps
-    panels = max(1, math.ceil(math.log2(math.pi / lo)))
-    phi, wt = panel_rule(np.concatenate(([0.0], np.geomspace(lo, math.pi, panels + 1))), order)
-    half = np.sin(0.5 * phi)
-    gam = (eps * eps + 4.0 * sq * half * half) / (2.0 * gap)
+    gam, wt = angular_rule(xi)
     # M is symmetric: pairs j > i count twice, the diagonal once
-    n = len(phi)
+    n = len(gam)
     rows = max(1, _PAIR_BLOCK // n)
     total = 0.0
     for start in range(0, n, rows):
@@ -314,33 +288,33 @@ def _swapped_norm(xi: float, m, scale: float, order: int = _SWAPPED_ORDER) -> fl
         g_hi = np.maximum(gam[i], gam[j])
         pair_w = wt[i] * wt[j] * np.where(j > i, 2.0, np.where(j == i, 1.0, 0.0))
         total += float(np.sum(pair_w * m(g_lo / g_hi) / g_hi))
-    return abs(scale) * math.sqrt(total / (2.0 * math.pi * ellip_k(xi) * gap))
+    return abs(scale) * math.sqrt(total / (2.0 * math.pi * ellip_k(xi) * (1.0 - xi)))
 
 
 # the g and h families are angular-kernel profiles like f
 OdeFamilyProfile = AngularProfile
 
-# m(rho) of the g families whose radial integral has a closed form
+# m(rho) of each g family, by its order a: the four-party product takes
+# a = 2, the six-party one a = 3/2
 _G_KERNELS = {2.0: _m_g2, 1.5: _m_g32}
 
 
 @lru_cache(maxsize=32)
 def _g_family_cached(xi_value: float, a: float) -> OdeFamilyProfile:
-    m = _G_KERNELS.get(a)
     return AngularProfile(
         xi_value,
         chain=lambda x: _g_kernel_chain(a, x),
         envelopes=_g_envelopes(a),
-        norm=None if m is None else _swapped_norm(xi_value, m, 1.0 / a),
+        norm=_swapped_norm(xi_value, _G_KERNELS[a], 1.0 / a),
     )
 
 
 def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:
-    """Family member solving (1 - a) g + a r g' = f for the given xi."""
+    """Family member solving (1 - a) g + a r g' = f for the given xi, a = 2 or 3/2."""
     v = as_xi(xi).value
     a = float(a)
-    if not (math.isfinite(a) and a >= 1.0):
-        raise ValueError(f"a must be a finite real >= 1, got {a!r}")
+    if a not in _G_KERNELS:
+        raise ValueError(f"a must be 2 or 3/2, got {a!r}")
     return _g_family_cached(v, a)
 
 

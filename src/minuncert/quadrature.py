@@ -4,10 +4,8 @@ One nested 7/15 rule pair, interval bisection driven by a worst-first
 heap, and three entry points: finite intervals, semi-infinite intervals
 with an analytic exponential tail bound, and iterated 2-D rectangles.
 Integrands must accept a numpy array of abscissae and evaluate
-elementwise; they may also return one value per abscissa *per component*
-(shape ``(n, m)``), in which case the vector entry point returns an
-array result.  An integrand is called once per batch of panels, on the
-concatenated abscissae of all of them: once for all seed panels of a
+elementwise.  An integrand is called once per batch of panels, on the
+concatenated abscissae of all of them: once for the seed panel of a
 pass, then once for both halves of each bisection; the rule sums of a
 batch are reduced for all its panels in one vectorised pass.
 
@@ -36,7 +34,6 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_2d",
-    "integrate_finite_vector",
     "exponential_tail_bound",
     "panel_rule",
 ]
@@ -108,16 +105,14 @@ def _panels(f, intervals):
     """Evaluate the rule pair on each interval [a, b] with one call of ``f``.
 
     ``f`` receives the 15 abscissae of every interval, concatenated in
-    order.  Returns one (value, error) pair per interval, where value may
-    be an array for a vector integrand and error is the scalar
-    worst-component estimate.  All intervals are reduced together.
+    order.  Returns one (value, error) pair per interval.  All intervals
+    are reduced together.
     """
     bounds = np.array(intervals, dtype=float)
     centers = 0.5 * (bounds[:, 0] + bounds[:, 1])
-    halves = 0.5 * (bounds[:, 1] - bounds[:, 0])
-    fvs = np.asarray(f((centers[:, None] + halves[:, None] * _NODES).ravel()), dtype=float)
-    fv = fvs.reshape((len(bounds), 15) + fvs.shape[1:])
-    half = halves.reshape((len(bounds),) + (1,) * (fv.ndim - 2))
+    half = 0.5 * (bounds[:, 1] - bounds[:, 0])
+    fv = np.asarray(f((centers[:, None] + half[:, None] * _NODES).ravel()), dtype=float)
+    fv = fv.reshape(len(bounds), 15)
     resk = np.tensordot(fv, _WEIGHTS_K, axes=(1, 0)) * half
     resg = np.tensordot(fv, _WEIGHTS_G, axes=(1, 0)) * half
     reskh = resk * 0.5 / half
@@ -132,30 +127,24 @@ def _panels(f, intervals):
         )
     resabs = np.tensordot(np.abs(fv), _WEIGHTS_K, axes=(1, 0)) * np.abs(half)
     scaled = np.maximum(scaled, 50.0 * _EPS * resabs)
-    worst = scaled.reshape(len(bounds), -1).max(axis=1)
-    return list(zip(resk, worst.tolist()))
+    return list(zip(resk, scaled.tolist()))
 
 
-def _adaptive(f, a: float, b: float, tol: Tolerance, budget: int, segments: int = 1):
+def _adaptive(f, a: float, b: float, tol: Tolerance, budget: int):
     """Worst-interval-first bisection.  Returns (value, error, evaluations).
 
     Raises QuadratureError when the budget is exhausted with the error
     still above target, or when ``_STALL_BISECTIONS`` bisections in a
     row have not brought the total error below its smallest value so
     far.  Intervals narrower than ~1e-14 of the original are frozen
-    rather than split further.  ``segments`` seeds the heap with a
-    uniform pre-split, useful when the integrand is known to have
-    localized structure.  ``f`` is called once for all seed panels and
-    once for both halves of each bisection.
+    rather than split further.  ``f`` is called once for the whole
+    interval and once for both halves of each bisection.
     """
-    edges = np.linspace(a, b, segments + 1).tolist()
-    seeds = list(zip(edges[:-1], edges[1:]))
-    heap = [(-err, i, pa, pb, value, err)
-            for i, ((pa, pb), (value, err)) in enumerate(zip(seeds, _panels(f, seeds)))]
-    neval = 15 * segments
-    heapq.heapify(heap)
-    counter = segments
-    frozen_value = np.zeros_like(heap[0][4])
+    [(value, err)] = _panels(f, [(a, b)])
+    heap = [(-err, 0, a, b, value, err)]
+    neval = 15
+    counter = 1
+    frozen_value = 0.0
     frozen_err = 0.0
     min_width = 1e-14 * (b - a)
     best_err = math.inf
@@ -168,13 +157,13 @@ def _adaptive(f, a: float, b: float, tol: Tolerance, budget: int, segments: int 
 
     while True:
         v, e = total()
-        scale = float(np.max(np.abs(v))) if np.ndim(v) else abs(float(v))
+        scale = abs(float(v))
         if e <= tol.target(scale):
             return v, e, neval
         if e < best_err:
             best_err, stalled = e, 0
         if not heap or neval + 30 > budget or stalled >= _STALL_BISECTIONS:
-            res = IntegrationResult(_scalarize(v), e, neval)
+            res = IntegrationResult(float(v), e, neval)
             why = (f"error stalled over {stalled} bisections"
                    if stalled >= _STALL_BISECTIONS else "no convergence")
             raise QuadratureError(
@@ -196,10 +185,6 @@ def _adaptive(f, a: float, b: float, tol: Tolerance, budget: int, segments: int 
         counter += 2
 
 
-def _scalarize(v):
-    return float(v) if np.ndim(v) == 0 else v
-
-
 def integrate_finite(f, a: float, b: float, tol: Tolerance) -> IntegrationResult:
     """Integrate a scalar integrand over [a, b] to the given tolerance.
 
@@ -212,24 +197,6 @@ def integrate_finite(f, a: float, b: float, tol: Tolerance) -> IntegrationResult
         raise ValueError(f"need a < b, got [{a}, {b}]")
     value, err, neval = _adaptive(f, a, b, tol, _BUDGET)
     return IntegrationResult(float(value), err, neval)
-
-
-def integrate_finite_vector(f, a: float, b: float, tol: Tolerance, segments: int = 1):
-    """Like integrate_finite for an integrand returning shape (n, m).
-
-    All components share one subdivision tree; the error estimate is the
-    worst component's.  Returns (value_array, IntegrationResult-like
-    scalar metadata) packed as an IntegrationResult whose value is the
-    max-magnitude component, plus the array itself.
-    """
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if not (isinstance(segments, int) and segments >= 1):
-        raise ValueError(f"segments must be a positive integer, got {segments!r}")
-    value, err, neval = _adaptive(f, a, b, tol, _BUDGET, segments=segments)
-    return np.asarray(value), IntegrationResult(float(np.max(np.abs(value))), err, neval)
 
 
 def exponential_tail_bound(decay_coeff: float, decay_rate: float, cutoff: float) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from minuncert.bipartite import (
@@ -24,6 +25,7 @@ from minuncert.bipartite import (
     uncertainty_product,
     wavefunction,
 )
+from minuncert.multipartite import g_family, h_family
 from minuncert.quadrature import integrate_semi_infinite
 from minuncert.specfun import _BESSEL_CROSSOVER, Tolerance, binom, ellip_k
 
@@ -191,14 +193,36 @@ def test_profile_vectorized():
 
 def test_f_closed_whole_equals_slices():
     # the profile table evaluates whole columns; each value must not
-    # depend on which other radii share the call
+    # depend on which other radii share the call, for the closed form and
+    # for every angular-kernel profile
     for xi in (0.1, 0.5, 0.9, 0.999):
         beta = math.sqrt(xi) / (1.0 - xi)
         r = np.linspace(0.0, 3.0 * _BESSEL_CROSSOVER / beta, 201)
         assert np.any(beta * r <= _BESSEL_CROSSOVER) and np.any(beta * r > _BESSEL_CROSSOVER)
-        whole = f_closed(xi, r)
-        sliced = np.concatenate([f_closed(xi, r[i:i + 16]) for i in range(0, len(r), 16)])
-        assert whole.tobytes() == sliced.tobytes()
+        for route in (lambda rr: f_closed(xi, rr), f_profile(xi).value,
+                      g_family(xi).value, h_family(xi).value):
+            whole = route(r)
+            for width in (16, 1):
+                sliced = np.concatenate([route(r[i:i + width]) for i in range(0, len(r), width)])
+                assert whole.tobytes() == sliced.tobytes()
+
+
+@pytest.mark.parametrize("xi", [0.01, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12])
+def test_f_profile_point_values_certified(xi):
+    # the angular rule against the closed form arranged without
+    # cancellation: I0(beta r) e^(-alpha r) = i0e(beta r) e^(-gamma0 r)
+    # with gamma0 = alpha - beta = (1 - s) / (2 (1 + s)), s = sqrt(xi)
+    s = math.sqrt(xi)
+    gap = 1.0 - xi
+    gamma0 = 0.5 * gap / (1.0 + s) ** 2
+    beta = s / gap
+    r = np.concatenate(([0.0], np.geomspace(1e-3, max(4096.0, 40.0 / gamma0), 600)))
+    log_front = 0.5 * (math.log(math.pi) - math.log(2.0 * ellip_k(xi) * gap))
+    ref = np.exp(log_front + np.log(scipy.special.i0e(beta * r)) - gamma0 * r)
+    value = f_profile(xi).value(r)
+    live = ref > 1e-8 * ref.max()
+    assert np.count_nonzero(live) > 100
+    assert np.max(np.abs(value[live] / ref[live] - 1.0)) <= 1e-14
 
 
 def test_f_prime_at_zero():

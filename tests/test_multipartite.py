@@ -21,6 +21,7 @@ from minuncert.multipartite import (
     z4_product,
     z6_product,
 )
+import minuncert.bipartite as bipartite
 import minuncert.multipartite as multipartite
 from minuncert.quadrature import _STALL_BISECTIONS, QuadratureError, integrate_semi_infinite
 from minuncert.specfun import Tolerance, upper_gamma
@@ -298,6 +299,8 @@ def test_family_validation():
     with pytest.raises(ValueError):
         g_family(0.5, 0.5)
     with pytest.raises(ValueError):
+        g_family(0.5, 3.0)
+    with pytest.raises(ValueError):
         g_family(1.5, 2.0)
     prof = g_family(0.5, 2.0)
     with pytest.raises(ValueError):
@@ -395,11 +398,31 @@ def test_products_near_xi_one(product, infimum, bound):
     (multipartite._m_h, 1.0),
 ], ids=["g2", "g32", "h"])
 @pytest.mark.parametrize("xi", [0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
-def test_swapped_norm_rule_orders_agree(m, scale, xi):
+def test_swapped_norm_rule_orders_agree(m, scale, xi, monkeypatch):
     # the tensor rule is converged on its mesh: two orders per panel agree
-    lo = multipartite._swapped_norm(xi, m, scale, order=16)
-    hi = multipartite._swapped_norm(xi, m, scale, order=24)
+    monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
+    lo = multipartite._swapped_norm(xi, m, scale)
+    monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
+    hi = multipartite._swapped_norm(xi, m, scale)
     assert lo == pytest.approx(hi, rel=1e-12)
+
+
+@pytest.mark.parametrize("xi", [0.01, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12])
+def test_family_chains_rule_orders_agree(xi, monkeypatch):
+    # point values of every kernel of the g_2, g_3/2 and h chains are
+    # converged on the angular rule: two orders per panel agree to a few
+    # ulps of the column maximum, out to where e^(-gamma(0) r) is ~e^-40
+    s = math.sqrt(xi)
+    gamma0 = 0.5 * (1.0 - xi) / (1.0 + s) ** 2
+    r = np.concatenate(([0.0], np.geomspace(1e-3, max(4096.0, 40.0 / gamma0), 200)))
+    for fam in (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
+        for k in range(4):
+            coefs = tuple([0.0] * k + [1.0])
+            monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
+            lo = fam.raw_derivative_combo(coefs, r)
+            monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
+            hi = fam.raw_derivative_combo(coefs, r)
+            assert np.max(np.abs(lo - hi)) <= 5e-15 * np.max(np.abs(lo))
 
 
 @pytest.mark.parametrize("rho", [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0])

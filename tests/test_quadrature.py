@@ -17,7 +17,6 @@ from minuncert.quadrature import (
     exponential_tail_bound,
     integrate_2d,
     integrate_finite,
-    integrate_finite_vector,
     integrate_semi_infinite,
     panel_rule,
 )
@@ -158,40 +157,18 @@ def test_2d_vs_dblquad():
     assert res.evaluations == 225
 
 
-def test_vector_route_matches_scalar():
-    def fv(x):
-        return np.stack([np.exp(-x), x * np.exp(-x), x * x * np.exp(-x)], axis=-1)
-
-    vals, meta = integrate_finite_vector(fv, 0.0, 6.0, Tolerance(abs_tol=1e-11))
-    assert vals.shape == (3,)
-    for k in range(3):
-        ref = integrate_finite(lambda x, k=k: x**k * np.exp(-x), 0.0, 6.0, TOL)
-        assert vals[k] == pytest.approx(ref.value, abs=2e-10)
-    assert meta.value == pytest.approx(np.max(np.abs(vals)))
-
-
-def test_vector_segments_consistent():
-    fv = lambda x: np.stack([np.cos(x), np.sin(x)], axis=-1)
-    v1, _ = integrate_finite_vector(fv, 0.0, 10.0, Tolerance(abs_tol=1e-12), segments=1)
-    v4, _ = integrate_finite_vector(fv, 0.0, 10.0, Tolerance(abs_tol=1e-12), segments=4)
-    assert np.allclose(v1, v4, atol=1e-11)
-    with pytest.raises(ValueError):
-        integrate_finite_vector(fv, 0.0, 1.0, TOL, segments=0)
-
-
 def test_panels_batched_into_one_call():
-    # one call for the 8 seed panels (120 abscissae), then one call of
+    # one call of 15 abscissae for the whole interval, then one call of
     # 30 abscissae for both halves of each bisection
     sizes = []
 
-    def fv(x):
+    def f(x):
         sizes.append(x.size)
-        return np.stack([np.exp(-x), 1.0 / (1.0 + 100.0 * (x - 1.0) ** 2)], axis=-1)
+        return 1.0 / (1.0 + 100.0 * (x - 1.0) ** 2)
 
-    _, meta = integrate_finite_vector(fv, 0.0, 6.0, Tolerance(abs_tol=1e-12), segments=8)
-    assert meta.evaluations > 120
-    assert len(sizes) == 1 + (meta.evaluations - 120) // 30
-    assert sizes == [120] + [30] * (len(sizes) - 1)
+    res = integrate_finite(f, 0.0, 6.0, Tolerance(abs_tol=1e-12))
+    assert res.evaluations > 15
+    assert sizes == [15] + [30] * ((res.evaluations - 15) // 30)
 
 
 def _rule_pair_reference(f, a, b):
@@ -210,13 +187,11 @@ def _rule_pair_reference(f, a, b):
     return resk, float(np.max(np.maximum(scaled, 50.0 * _EPS * resabs)))
 
 
-@pytest.mark.parametrize("vector", [False, True])
-def test_panels_match_one_interval_reduction(vector):
+def test_panels_match_one_interval_reduction():
     # the batched reduction agrees with reducing each interval alone, up to
     # the summation order of the weighted sums
     def f(x):
-        cols = [np.exp(-x) * np.cos(3.0 * x), np.full_like(x, 2.0), 1.0 / (1.0 + x * x)]
-        return np.stack(cols, axis=-1) if vector else cols[0]
+        return np.exp(-x) * np.cos(3.0 * x)
 
     intervals = [(0.0, 0.3), (0.3, 1.1), (1.1, 1.2), (2.0, 5.0), (-4.0, -3.5)]
     for (value, err), (a, b) in zip(_panels(f, intervals), intervals):
