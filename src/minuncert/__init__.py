@@ -41,13 +41,6 @@ from .multipartite import (
     z4_product,
     z6_product,
 )
-from .quadrature import (
-    IntegrationResult,
-    QuadratureError,
-    integrate_2d,
-    integrate_finite,
-    integrate_semi_infinite,
-)
 from .simple_state import SimpleStateSolution, c1_c2, minimize_q0, q0
 from .spectral import (
     BandedSymmetricForm,
@@ -56,12 +49,10 @@ from .spectral import (
     min_eigenpair,
     quadratic_form_value,
 )
-from .specfun import Tolerance
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tolerance",
     "XiParameter",
     "AngularProfile",
     "UncertaintyReport",
@@ -103,10 +94,5 @@ __all__ = [
     "build_q_form",
     "min_eigenpair",
     "quadratic_form_value",
-    "IntegrationResult",
-    "QuadratureError",
-    "integrate_finite",
-    "integrate_semi_infinite",
-    "integrate_2d",
     "__version__",
 ]

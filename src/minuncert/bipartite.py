@@ -2,8 +2,8 @@
 
 Closed forms for the expectation functional and the uncertainty product,
 the radial profile both in closed form and as the angular-kernel integral
-that the four- and six-party families share, with the fixed angular rule
-every such integral is taken on, the position wave function,
+that the four- and six-party families share, with the fixed angular and
+radial rules every integral is taken on, the position wave function,
 overlaps between family members, and the number-basis coefficient layer
 with its exact combinatorial identities.
 """
@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_2d, integrate_semi_infinite, panel_rule
-from .specfun import Tolerance, binom, central_binomial, ellip_e, ellip_k, log_bessel_i0
+from .quadrature import graded_rule
+from .specfun import binom, central_binomial, ellip_e, ellip_k, log_bessel_i0
 
 __all__ = [
     "XiParameter",
     "AngularProfile",
+    "radial_rule",
     "UncertaintyReport",
     "SEPARABLE_BOUND_2",
     "PRODUCT_INFIMUM_2",
@@ -41,9 +42,10 @@ __all__ = [
 SEPARABLE_BOUND_2 = 0.25
 PRODUCT_INFIMUM_2 = 0.125
 
-# Gauss-Legendre points per panel of the angular rule.  8 and 16 agree to
-# ~7e-13 on the norms but only to ~1e-8 of a column's maximum on point
-# values out to large r; 16 and 24 agree to ~1e-15 on both
+# Gauss-Legendre points per panel of the angular and radial rules.  On the
+# angular rule 8 and 16 agree to ~7e-13 on the norms but only to ~1e-8 of
+# a column's maximum on point values out to large r; 16 and 24 agree to
+# ~1e-15 on both, and to ~4e-16 on the nested norms of the radial rule
 _ANGULAR_ORDER = 16
 # cells (radii x nodes) per kernel call of an angular pass: whole columns
 # at once raise the peak memory of `profile --parties 6` by ~6 MB (~18%)
@@ -120,13 +122,63 @@ def angular_rule(xi: float):
     sq = math.sqrt(xi)
     gap = 1.0 - xi
     eps = gap / (1.0 + sq)  # 1 - sqrt(xi) without the cancellation
-    lo = 0.125 * eps
-    panels = max(1, math.ceil(math.log2(math.pi / lo)))
-    phi, weight = panel_rule(
-        np.concatenate(([0.0], np.geomspace(lo, math.pi, panels + 1))), _ANGULAR_ORDER)
+    phi, weight = graded_rule(0.125 * eps, math.pi, _ANGULAR_ORDER)
     half = np.sin(0.5 * phi)
     gamma = (eps * eps + 4.0 * sq * half * half) / (2.0 * gap)
     return gamma, weight
+
+
+def radial_rule(xi: float):
+    """(r, weight): the fixed rule of every radial integral over [0, inf) at xi.
+
+    The angular kernels are functions of x = gamma r with gamma between
+    gamma(0) = eps / (2 (1 + s)) and gamma(pi) = (1 + s) / (2 eps),
+    s = sqrt(xi), eps = 1 - s.  In between lo = 1e-12 / gamma(pi) and
+    hi = 24 / gamma(0), geometric panels of ratio at most 2 follow the
+    integrand through its scales, each with ``_ANGULAR_ORDER``
+    Gauss-Legendre points like ``angular_rule``.  Beyond hi every x
+    exceeds 24 and the squared combinations are gone to ~1e-14 of their
+    mass.  One panel takes [0, lo], where every x is under 1e-12; the
+    cube-root kernels are not analytic at x = 0 (terms in x^(1/3)), so
+    that panel's error, which a second rule order does not see, grows
+    like (lo gamma(pi))^(4/3): at 1e-8 instead of 1e-12 it put 1.3e-13
+    into ||h|| at xi = 0.01, here it is below rounding.
+    """
+    sq = math.sqrt(xi)
+    eps = (1.0 - xi) / (1.0 + sq)
+    gamma_lo = 0.5 * eps / (1.0 + sq)
+    gamma_hi = 0.5 * (1.0 + sq) / eps
+    return graded_rule(1e-12 / gamma_hi, 24.0 / gamma_lo, _ANGULAR_ORDER)
+
+
+# kernel pairs per block of the tensor rule: with the 16 p points of the
+# cube-root kernels every temporary stays at 128 kB, so the rule leaves
+# the peak memory of a run where it was
+_PAIR_BLOCK = 1024
+
+
+def _swapped_norm(xi: float, m, scale: float) -> float:
+    """||v|| of v(r) = scale int w(theta) K(gamma(theta) r) dtheta, radial integral first.
+
+    ``m`` is the kernel's m(rho): int_0^inf K(gamma r) K(gamma' r) dr
+    = m(rho) / max(gamma, gamma'), rho = min / max.  On the substituted
+    angle of ``angular_rule``, where w dtheta = dphi / sqrt(2 pi K (1 - xi)),
+    ||v||^2 = scale^2 / (2 pi K (1 - xi)) iint_0^pi M(gamma, gamma') dphi dphi',
+    taken with the tensor product of that rule.
+    """
+    gam, wt = angular_rule(xi)
+    # M is symmetric: pairs j > i count twice, the diagonal once
+    n = len(gam)
+    rows = max(1, _PAIR_BLOCK // n)
+    total = 0.0
+    for start in range(0, n, rows):
+        i = np.arange(start, min(start + rows, n))[:, None]
+        j = np.arange(start, n)
+        g_lo = np.minimum(gam[i], gam[j])
+        g_hi = np.maximum(gam[i], gam[j])
+        pair_w = wt[i] * wt[j] * np.where(j > i, 2.0, np.where(j == i, 1.0, 0.0))
+        total += float(np.sum(pair_w * m(g_lo / g_hi) / g_hi))
+    return abs(scale) * math.sqrt(total / (2.0 * math.pi * ellip_k(xi) * (1.0 - xi)))
 
 
 def _angular_kernel_integral(xi: float, r, kernel):
@@ -151,25 +203,12 @@ def _angular_kernel_integral(xi: float, r, kernel):
     return values / math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
 
 
-# Target of the outer radial pass of the nested route (``combo_norm``,
-# ``rk_norm``, the functional built on them); the products take their
-# norms from the swapped integration order instead.  The angular values
-# under it are converged on ``angular_rule`` to ~1e-15 relative, so the
-# radial pass alone sets the route's error.  The route is a cross-check
-# and lands 4e-11 to 1e-10 from the products at xi = 0.5 and 0.9.  Near
-# xi -> 1 the squared combinations fall off roughly like 1/r over many
-# decades below the cutoff ~ 1/gamma(0), and bisecting [0, cutoff]
-# stalls at xi = 1 - 1e-4 and 1 - 1e-6.
-_NORM_TOL = Tolerance(abs_tol=1e-9, rel_tol=3e-7)
-
-
 class AngularProfile:
     """Radial profile v(r) = scale * int w(theta) K(gamma(theta) r) dtheta.
 
     ``chain(x)`` returns (K_0, ..., K_3) at x = gamma r, where K_k is the
     kernel of r^k v^(k): each d/dr of K(gamma r), multiplied by r, stays a
-    function of x alone.  ``envelopes[k]`` bounds |K_k(x)| by
-    envelopes[k] * e^{-x/2} on x >= 0.
+    function of x alone.
 
     ``value`` and ``derivative_combo`` refer to the normalized profile
     v/||v||, with ||v|| given as ``norm`` from a route independent of the
@@ -182,20 +221,12 @@ class AngularProfile:
 
     max_derivative_order = 3
 
-    def __init__(self, xi, chain, envelopes, norm: float, scale: float = 1.0):
+    def __init__(self, xi, chain, norm: float, scale: float = 1.0):
         self.xi = as_xi(xi)
         self._chain = chain
-        self._envelopes = tuple(envelopes)
         self._scale = float(scale)
         self._norm = float(norm)
         self._rk_norms = {}
-        v = self.xi.value
-        sq = math.sqrt(v)
-        # gamma(0); squared combinations decay at least this fast
-        self.decay_rate = 0.5 * (1.0 - sq) / (1.0 + sq)
-        self._weight_mass_bound = math.pi / (
-            math.sqrt(2.0 * math.pi * ellip_k(v)) * (1.0 - sq)
-        )
 
     def raw_derivative_combo(self, coefs, r):
         """sum_k coefs[k] * r^k v^(k) for the unnormalized profile, in one angular pass."""
@@ -221,16 +252,12 @@ class AngularProfile:
     def combo_norm(self, coefs) -> float:
         """L2 norm of sum_k coefs[k] r^k v^(k) on [0, inf), unnormalized, by the nested pass.
 
-        The nested pass is an adaptive radial integral with an angular
-        pass at every radius.
+        The nested pass sums the squared combination on ``radial_rule``,
+        with an angular pass on ``angular_rule`` at every radius.
         """
-        coeff_, rate = self._raw_envelope(coefs)
-
-        def integrand(r):
-            vals = np.asarray(self.raw_derivative_combo(coefs, r))
-            return vals * vals
-
-        return math.sqrt(integrate_semi_infinite(integrand, _NORM_TOL, rate, coeff_).value)
+        r, weight = radial_rule(self.xi.value)
+        vals = self.raw_derivative_combo(coefs, r)
+        return math.sqrt(float(np.sum(weight * vals * vals)))
 
     def value(self, r):
         return self.derivative_combo((1.0,), r)
@@ -253,17 +280,6 @@ class AngularProfile:
         """sum_k coefs[k] * r^k v^(k)(r) for the normalized profile."""
         return self.raw_derivative_combo(coefs, r) / self.normalization
 
-    def _raw_envelope(self, coefs):
-        amp = abs(self._scale) * self._weight_mass_bound * sum(
-            abs(float(c)) * self._envelopes[k] for k, c in enumerate(coefs)
-        )
-        return amp * amp, self.decay_rate
-
-    def squared_combo_envelope(self, coefs):
-        """(C, lam) with |normalized combo|^2 <= C e^{-lam r} for all r."""
-        coeff_, rate = self._raw_envelope(coefs)
-        return coeff_ / self.normalization**2, rate
-
 
 def coeff(n: int, xi) -> float:
     """Series coefficient c_n of the two-party family."""
@@ -282,27 +298,27 @@ def r_closed(xi) -> float:
     return -1.0 / (1.0 + v) + ellip_e(v) / ((1.0 + v) ** 2 * ellip_k(v))
 
 
+def _m_rf(rho):
+    # m(rho) of r f', kernel -x e^-x: gamma gamma' int r^2 e^(-(gamma + gamma') r) dr
+    # = 2 gamma gamma' / (gamma + gamma')^3 = m(rho) / max(gamma, gamma')
+    return 2.0 * rho / (1.0 + rho) ** 3
+
+
 def uncertainty_product(xi, route: str = "closed_form") -> UncertaintyReport:
     """Two-party uncertainty product, by closed form or by 2-D quadrature.
 
-    The quadrature route evaluates the double angular integral
-    (1/(8 pi K)) iint (1 - xi cos^2 t)(1 - xi cos^2 t') /
-    (1 - xi cos t cos t')^3 dt dt' over [0, pi]^2.
+    The product is ||r f'||^2 / 2.  The quadrature route takes it as the
+    double angular integral (1/(8 pi K)) iint (1 - xi cos^2 t)
+    (1 - xi cos^2 t') / (1 - xi cos t cos t')^3 dt dt' over [0, pi]^2,
+    which is ``_swapped_norm`` of the r f' kernel, on the tensor product
+    of ``angular_rule``.
     """
     p = as_xi(xi)
     v = p.value
     if route == "closed_form":
         product = 0.25 + 0.25 * r_closed(v)
     elif route == "quadrature":
-        kv = ellip_k(v)
-
-        def integrand(t, tp):
-            ct = np.cos(t)
-            cp = math.cos(tp)
-            return (1.0 - v * ct * ct) * (1.0 - v * cp * cp) / (1.0 - v * ct * cp) ** 3
-
-        res = integrate_2d(integrand, (0.0, math.pi), (0.0, math.pi), Tolerance(abs_tol=1e-9))
-        product = res.value / (8.0 * math.pi * kv)
+        product = 0.5 * _swapped_norm(v, _m_rf, 1.0) ** 2
     else:
         raise ValueError(f"unknown route {route!r}")
     return UncertaintyReport(
@@ -346,17 +362,13 @@ def _exp_chain(x):
     return tuple((-x) ** k * e for k in range(4))
 
 
-# sup over x >= 0 of x^k e^{-x/2} is (2k/e)^k
-_EXP_CHAIN_ENVELOPES = (1.0, 2.0 / math.e, (4.0 / math.e) ** 2, (6.0 / math.e) ** 3)
-
-
 def f_profile(xi) -> AngularProfile:
     """The two-party profile f as an angular integral of e^{-gamma r}.
 
     Independent of ``f_closed``; derivative combinations r^k f^(k) come
     from this route only.
     """
-    return AngularProfile(xi, _exp_chain, _EXP_CHAIN_ENVELOPES, norm=1.0)
+    return AngularProfile(xi, _exp_chain, norm=1.0)
 
 
 def wavefunction(x, y, xi):

@@ -27,16 +27,16 @@ from .bipartite import (
     fock_normalization_defect,
     overlap,
     r_closed,
+    radial_rule,
     residual_norm_sq,
     shell_identity_check,
     shell_sum,
     uncertainty_product,
 )
 from .multipartite import g_family, h_family, z4_product, z6_product
-from .quadrature import QuadratureError, integrate_semi_infinite
 from .simple_state import minimize_q0, q0
 from .spectral import build_q_form, min_eigenpair
-from .specfun import Tolerance, binom, ellip_k
+from .specfun import binom, ellip_k
 
 __all__ = ["RunConfig", "main", "run_verify", "run_scan", "run_profile",
            "run_minimize_q", "run_fock", "run_overlap"]
@@ -60,7 +60,6 @@ class RunConfig:
     parties: int
     xi_grid: tuple
     truncation: int
-    tol: Tolerance
     output_path: str
     format: str
 
@@ -141,8 +140,6 @@ def parse_args(argv) -> RunConfig:
                         help="xi value or inclusive range; repeatable")
     parser.add_argument("--order", type=int, default=None,
                         help="truncation / sample-count knob of the command")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="absolute tolerance for the cross-check quadratures")
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     ns = parser.parse_args(argv)
@@ -155,12 +152,6 @@ def parse_args(argv) -> RunConfig:
     else:
         grid = _default_grid(ns.command)
 
-    if ns.tol is not None and not ns.tol > 0.0:
-        raise UsageError(f"--tol must be positive, got {ns.tol}")
-    tol = Tolerance(abs_tol=ns.tol) if ns.tol is not None else Tolerance(
-        abs_tol=1e-9, rel_tol=3e-7
-    )
-
     out = ns.out
     if out is None:
         base = os.environ.get(_OUTPUT_DIR_ENV, ".")
@@ -172,7 +163,6 @@ def parse_args(argv) -> RunConfig:
         parties=ns.parties,
         xi_grid=grid,
         truncation=ns.order if ns.order is not None else _default_order(ns.command),
-        tol=tol,
         output_path=out,
         format=ns.format,
     )
@@ -297,34 +287,20 @@ def _shell_structure_error() -> float:
     return worst
 
 
-def _residual_route_gap(tol: Tolerance) -> float:
-    prof = f_profile(0.7)
-    coefs = (0.5, 1.0)
-    coeff, rate = prof.squared_combo_envelope(coefs)
-
-    def integrand(r):
-        val = np.asarray(prof.derivative_combo(coefs, r))
-        return val * val
-
-    quad = integrate_semi_infinite(integrand, tol, rate, coeff).value
+def _residual_route_gap() -> float:
+    # the unit-norm f on radial_rule(0.7) against the closed form
+    quad = f_profile(0.7).combo_norm((0.5, 1.0)) ** 2
     return abs(quad - residual_norm_sq(0.7))
 
 
-def _overlap_route_gap(tol: Tolerance) -> float:
-    ca, la = f_profile(0.3).squared_combo_envelope((1.0,))
-    cb, lb = f_profile(0.7).squared_combo_envelope((1.0,))
-
-    def integrand(r):
-        return np.asarray(f_closed(0.3, r)) * np.asarray(f_closed(0.7, r))
-
-    quad = integrate_semi_infinite(
-        integrand, tol, 0.5 * (la + lb), math.sqrt(ca * cb)
-    ).value
+def _overlap_route_gap() -> float:
+    # radial_rule of the larger xi spans both profiles' scales
+    r, weight = radial_rule(0.7)
+    quad = float(np.sum(weight * f_closed(0.3, r) * f_closed(0.7, r)))
     return abs(quad - overlap(0.3, 0.7))
 
 
 def run_verify(config: RunConfig) -> int:
-    tol = config.tol
     sol = minimize_q0()
     pair = min_eigenpair(build_q_form(config.truncation))
     product2 = 0.25 + sol.q_value
@@ -356,12 +332,12 @@ def run_verify(config: RunConfig) -> int:
          lambda: (abs(f_closed(0.5, 1.0) - f_profile(0.5).value(1.0)),
                   0.0, 1e-10, None)),
         ("residual_route_agreement",
-         lambda: (_residual_route_gap(tol), 0.0, 1e-7, None)),
+         lambda: (_residual_route_gap(), 0.0, 1e-7, None)),
         ("overlap_identity", lambda: (overlap(0.3, 0.3), 1.0, 1e-10, None)),
         ("overlap_vacuum",
          lambda: (abs(overlap(0.5, 0.0) - fock_coeff(0, 0, 0.5)), 0.0, 1e-10, None)),
         ("overlap_route_agreement",
-         lambda: (_overlap_route_gap(tol), 0.0, 1e-8, None)),
+         lambda: (_overlap_route_gap(), 0.0, 1e-8, None)),
         ("fock_selection", lambda: (_fock_selection_leak(), 0.0, 0.0, None)),
         ("fock_defect",
          lambda: (fock_normalization_defect(0.5, 200), 0.0, 1e-6, None)),
@@ -374,27 +350,27 @@ def run_verify(config: RunConfig) -> int:
     checks += [
         ("g_identity_a2",
          lambda: (abs(3.0 * g2.rk_norm(0) ** 2 + 4.0 * g2.rk_norm(1) ** 2 - 1.0),
-                  0.0, 1e-6, None)),
+                  0.0, 1e-12, None)),
         ("g_identity_a32",
          lambda: (abs(g32.rk_norm(0) ** 2 + 2.25 * g32.rk_norm(1) ** 2 - 1.0),
-                  0.0, 1e-6, None)),
+                  0.0, 1e-12, None)),
         ("h_identity",
          lambda: (abs(10.0 * h.rk_norm(0) ** 2 + 9.0 * h.rk_norm(1) ** 2 - 1.0),
-                  0.0, 1e-6, None)),
+                  0.0, 1e-12, None)),
         ("z4_above_infimum",
          lambda: one_sided(z4_product(0.5).product, 1.0 / 30.0, True)),
         ("z4_below_bound",
          lambda: one_sided(z4_product(0.5).product, 1.0 / 16.0, False)),
         ("z4_shortcut_agreement",
          lambda: (abs(z4_product(0.5).product - multipartite.functional_z(2, g2)),
-                  0.0, 1e-6, None)),
+                  0.0, 1e-12, None)),
         ("z6_above_infimum",
          lambda: one_sided(z6_product(0.5).product, 35.0 / 4096.0, True)),
         ("z6_below_bound",
          lambda: one_sided(z6_product(0.5).product, 1.0 / 64.0, False)),
         ("z6_shortcut_agreement",
          lambda: (abs(z6_product(0.5).product - multipartite.functional_z(3, h)),
-                  0.0, 1e-6, None)),
+                  0.0, 1e-12, None)),
         ("alpha_beta_certificate",
          lambda: (multipartite.alpha_beta_certificate(), 0.0, 1e-10, None)),
     ]
@@ -426,15 +402,10 @@ def run_scan(config: RunConfig) -> int:
     if two:
         columns += ["r_value", "q0"]
     rows = []
-    soft_failures = []
     hard_failure = None
     for x in config.xi_grid:
         try:
             rep = _product_for(config.parties, x)
-        except QuadratureError as exc:
-            soft_failures.append(f"xi={x:g}: {exc}")
-            rows.append([x] + [None] * (len(columns) - 1))
-            continue
         except ValueError as exc:
             # a product outside its hard bounds is a broken invariant,
             # not a data point
@@ -445,12 +416,10 @@ def run_scan(config: RunConfig) -> int:
             row += [r_closed(x), q0(x)]
         rows.append(row)
     write_table(config, columns, rows)
-    for note in soft_failures:
-        print(f"scan: {note}", file=sys.stderr)
     if hard_failure:
         print(f"scan: aborted, {hard_failure}", file=sys.stderr)
         return 1
-    return 1 if soft_failures else 0
+    return 0
 
 
 # ---------------------------------------------------------------------------

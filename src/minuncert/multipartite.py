@@ -11,8 +11,8 @@ the ODE, never taken numerically.
 The family norms are computed with the integration order swapped (the
 radial integral first, in closed form), and the products z4 and z6 come
 from the shortcut identities on those norms.  The nested route,
-``functional_z``, an adaptive radial pass over angular values, stays as
-the independent check.
+``functional_z``, a fixed radial rule over angular values, stays as the
+independent check.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bipartite import AngularProfile, UncertaintyReport, angular_rule, as_xi, r_closed
+from .bipartite import AngularProfile, UncertaintyReport, _swapped_norm, as_xi, r_closed
 from .quadrature import panel_rule
-from .specfun import binom, ellip_k, tabulated_upper_gamma
+from .specfun import binom, tabulated_upper_gamma
 
 __all__ = [
     "OperatorCoefficients",
@@ -50,8 +50,6 @@ SEPARABLE_BOUND_4 = 1.0 / 16.0
 PRODUCT_INFIMUM_4 = 1.0 / 30.0
 SEPARABLE_BOUND_6 = 1.0 / 64.0
 PRODUCT_INFIMUM_6 = 35.0 / 4096.0
-
-_GAMMA_THIRD = 2.678938534707747  # Gamma(1/3)
 
 
 @dataclass(frozen=True)
@@ -175,31 +173,6 @@ def _h_kernel_chain(x):
     return k0, k1, k2, k3
 
 
-# Envelope constants: |atom(x)| <= C * e^{-x/2} on x >= 0.  For T the
-# constant e/c follows from T <= 1/c on [0, 2] and T <= e^{-x}/x beyond.
-_C_XE = 2.0 / math.e
-_C_X2E = (4.0 / math.e) ** 2
-_C_U = 2.0 ** (2.0 / 3.0) * _GAMMA_THIRD * math.e
-
-
-def _g_envelopes(a: float):
-    ct = math.e / ((a - 1.0) / a)
-    env0 = ct / a
-    env1 = (1.0 + (a - 1.0) * env0) / a
-    env2 = (_C_XE + env1) / a
-    env3 = (_C_X2E + (1.0 + a) * env2) / a
-    return env0, env1, env2, env3
-
-
-def _h_envelopes():
-    ct = math.e / (1.0 / 3.0)
-    env0 = 1.5 + 1.5 * _C_U + ct
-    env1 = 1.0 + _C_U + ct / 3.0
-    env2 = _C_U / 3.0 + 2.0 * ct / 9.0 + 2.0 / 3.0
-    env3 = 4.0 / 9.0 * _C_U + 10.0 / 27.0 * ct + 10.0 / 9.0 + _C_XE / 3.0
-    return env0, env1, env2, env3
-
-
 # ---------------------------------------------------------------------------
 # swapped-order norms
 #
@@ -262,35 +235,6 @@ def _m_h(rho):
     return 9.0 * np.sum((p - 1.0) * p3w * (-0.5 - beta * (beta * f1 - f0)), axis=-1)
 
 
-# kernel pairs per block of the tensor rule: with the 16 p points of the
-# cube-root kernels every temporary stays at 128 kB, so the rule leaves
-# the peak memory of a run where it was
-_PAIR_BLOCK = 1024
-
-
-def _swapped_norm(xi: float, m, scale: float) -> float:
-    """||v|| of v(r) = scale int w(theta) K(gamma(theta) r) dtheta, radial integral first.
-
-    ``m`` is the kernel's m(rho).  On the substituted angle of
-    ``angular_rule``, where w dtheta = dphi / sqrt(2 pi K (1 - xi)),
-    ||v||^2 = scale^2 / (2 pi K (1 - xi)) iint_0^pi M(gamma, gamma') dphi dphi',
-    taken with the tensor product of that rule.
-    """
-    gam, wt = angular_rule(xi)
-    # M is symmetric: pairs j > i count twice, the diagonal once
-    n = len(gam)
-    rows = max(1, _PAIR_BLOCK // n)
-    total = 0.0
-    for start in range(0, n, rows):
-        i = np.arange(start, min(start + rows, n))[:, None]
-        j = np.arange(start, n)
-        g_lo = np.minimum(gam[i], gam[j])
-        g_hi = np.maximum(gam[i], gam[j])
-        pair_w = wt[i] * wt[j] * np.where(j > i, 2.0, np.where(j == i, 1.0, 0.0))
-        total += float(np.sum(pair_w * m(g_lo / g_hi) / g_hi))
-    return abs(scale) * math.sqrt(total / (2.0 * math.pi * ellip_k(xi) * (1.0 - xi)))
-
-
 # the g and h families are angular-kernel profiles like f
 OdeFamilyProfile = AngularProfile
 
@@ -304,7 +248,6 @@ def _g_family_cached(xi_value: float, a: float) -> OdeFamilyProfile:
     return AngularProfile(
         xi_value,
         chain=lambda x: _g_kernel_chain(a, x),
-        envelopes=_g_envelopes(a),
         norm=_swapped_norm(xi_value, _G_KERNELS[a], 1.0 / a),
     )
 
@@ -326,7 +269,6 @@ def _h_family_cached(xi_value: float) -> OdeFamilyProfile:
     return AngularProfile(
         xi_value,
         chain=_h_kernel_chain,
-        envelopes=_h_envelopes(),
         scale=scale,
         norm=_swapped_norm(xi_value, _m_h, scale),
     )

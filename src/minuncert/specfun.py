@@ -19,13 +19,11 @@ on first use from ``upper_gamma``, which stays the reference route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "Tolerance",
     "ellip_k",
     "ellip_e",
     "dilog",
@@ -60,24 +58,6 @@ _UNDERFLOW_X = 800.0
 # error (~5.8^-24 = 4e-19) sits far below rounding
 _TABLE_PANELS = 8
 _TABLE_DEGREE = 24
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative tolerance pair.  At least one must be positive."""
-
-    abs_tol: float = 0.0
-    rel_tol: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise ValueError("tolerances must be non-negative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise ValueError("at least one of abs_tol, rel_tol must be positive")
-
-    def target(self, scale: float) -> float:
-        """Error budget for a quantity of the given magnitude."""
-        return max(self.abs_tol, self.rel_tol * abs(scale))
 
 
 # ---------------------------------------------------------------------------

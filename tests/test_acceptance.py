@@ -17,11 +17,11 @@ import minuncert.cli as cli
 from minuncert.bipartite import (
     coeff,
     f_closed,
-    f_profile,
     fock_coeff,
     fock_normalization_defect,
     overlap,
     r_closed,
+    radial_rule,
     shell_identity_check,
     shell_sum,
     uncertainty_product,
@@ -36,9 +36,7 @@ from minuncert.multipartite import (
     z4_product,
     z6_product,
 )
-from minuncert.quadrature import integrate_semi_infinite
 from minuncert.simple_state import minimize_q0
-from minuncert.specfun import Tolerance
 from minuncert.spectral import build_q_form, min_eigenpair
 
 from oracles import r_series, shell_class_sums
@@ -105,19 +103,12 @@ def test_criterion_3_infimum_approach(criterion_report):
 
 
 def test_criterion_4_overlap(criterion_report):
-    ca, la = f_profile(0.3).squared_combo_envelope((1.0,))
-    cb, lb = f_profile(0.7).squared_combo_envelope((1.0,))
-
-    def integrand(r):
-        return np.asarray(f_closed(0.3, r)) * np.asarray(f_closed(0.7, r))
-
-    quad = integrate_semi_infinite(
-        integrand, Tolerance(abs_tol=1e-10), 0.5 * (la + lb), math.sqrt(ca * cb)
-    ).value
+    r, weight = radial_rule(0.7)
+    quad = float(np.sum(weight * f_closed(0.3, r) * f_closed(0.7, r)))
     formula_gap = abs(overlap(0.3, 0.7) - quad)
     self_gap = max(abs(overlap(x, x) - 1.0) for x in (0.2, 0.5, 0.8))
     vac_gap = max(abs(overlap(x, 0.0) - coeff(0, x)) for x in (0.2, 0.5, 0.8))
-    ok = formula_gap < 1e-8 and self_gap < 1e-10 and vac_gap < 1e-10
+    ok = formula_gap < 1e-12 and self_gap < 1e-10 and vac_gap < 1e-10
     criterion_report(
         4, ok,
         f"formula vs quadrature {formula_gap:.2e}, self {self_gap:.2e}, "

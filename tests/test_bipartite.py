@@ -19,6 +19,7 @@ from minuncert.bipartite import (
     fock_normalization_defect,
     overlap,
     r_closed,
+    radial_rule,
     residual_norm_sq,
     shell_identity_check,
     shell_sum,
@@ -26,8 +27,7 @@ from minuncert.bipartite import (
     wavefunction,
 )
 from minuncert.multipartite import g_family, h_family
-from minuncert.quadrature import integrate_semi_infinite
-from minuncert.specfun import _BESSEL_CROSSOVER, Tolerance, binom, ellip_k
+from minuncert.specfun import _BESSEL_CROSSOVER, binom, ellip_k
 
 from oracles import (
     C00_HALF,
@@ -91,10 +91,10 @@ def test_r_frozen_values():
 
 
 def test_product_closed_vs_quadrature():
-    for xi in (0.1, 0.5, 0.9):
+    for xi in (0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12):
         a = uncertainty_product(xi, route="closed_form")
         b = uncertainty_product(xi, route="quadrature")
-        assert a.product == pytest.approx(b.product, abs=1e-8)
+        assert a.product == pytest.approx(b.product, abs=1e-13)
     with pytest.raises(ValueError):
         uncertainty_product(0.5, route="bogus")
 
@@ -169,13 +169,8 @@ def test_profile_at_origin_frozen():
 
 def test_profile_unit_norm():
     for xi in (0.2, 0.5, 0.95):
-        c_env, lam = f_profile(xi).squared_combo_envelope((1.0,))
-
-        def integrand(r):
-            return np.asarray(f_closed(xi, r)) ** 2
-
-        res = integrate_semi_infinite(integrand, Tolerance(abs_tol=1e-10), lam, c_env)
-        assert res.value == pytest.approx(1.0, abs=1e-8)
+        r, weight = radial_rule(xi)
+        assert np.sum(weight * f_closed(xi, r) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_profile_vectorized():
@@ -260,41 +255,18 @@ def test_derivative_combo_linearity():
         p.derivative_combo((1.0, 0.0, 0.0, 0.0, 1.0), r)
 
 
-def test_envelope_is_actual_bound():
-    p = f_profile(0.7)
-    coefs = (0.5, 1.0)
-    c_env, lam = p.squared_combo_envelope(coefs)
-    for r in np.linspace(0.0, 30.0, 121):
-        v = p.derivative_combo(coefs, float(r))
-        assert v * v <= c_env * math.exp(-lam * r) * (1.0 + 1e-12)
-
-
 def test_residual_norm_closed_vs_quadrature():
     assert residual_norm_sq(0.7) == pytest.approx(RESIDUAL_07, abs=1e-14)
-    p = f_profile(0.7)
-    coefs = (0.5, 1.0)
-    c_env, lam = p.squared_combo_envelope(coefs)
-
-    def integrand(r):
-        v = np.asarray(p.derivative_combo(coefs, r))
-        return v * v
-
-    res = integrate_semi_infinite(integrand, Tolerance(abs_tol=1e-10), lam, c_env)
-    assert res.value == pytest.approx(RESIDUAL_07, abs=1e-9)
+    # the unit-norm angular route, summed on the radial rule
+    value = f_profile(0.7).combo_norm((0.5, 1.0)) ** 2
+    assert value == pytest.approx(RESIDUAL_07, abs=1e-13)
 
 
 def test_rf_prime_norm_equals_r_combination():
     # int (r f')^2 dr = (1 + R)/2, tying the profile to the closed R
-    p = f_profile(0.5)
-    c_env, lam = p.squared_combo_envelope((0.0, 1.0))
-
-    def integrand(r):
-        v = np.asarray(p.derivative_combo((0.0, 1.0), r))
-        return v * v
-
-    res = integrate_semi_infinite(integrand, Tolerance(abs_tol=1e-10), lam, c_env)
-    assert res.value == pytest.approx(RF_PRIME_NORM_SQ_HALF, abs=1e-9)
-    assert res.value == pytest.approx(0.5 * (1.0 + r_closed(0.5)), abs=1e-9)
+    value = f_profile(0.5).combo_norm((0.0, 1.0)) ** 2
+    assert value == pytest.approx(RF_PRIME_NORM_SQ_HALF, abs=1e-13)
+    assert value == pytest.approx(0.5 * (1.0 + r_closed(0.5)), abs=1e-13)
 
 
 def test_residual_shrinks_toward_one():
@@ -330,18 +302,11 @@ def test_overlap_basic_properties():
 
 
 def test_overlap_vs_radial_quadrature():
+    # the radial rule of the larger xi spans both profiles' scales
     a, b = 0.3, 0.7
-    ca, la = f_profile(a).squared_combo_envelope((1.0,))
-    cb, lb = f_profile(b).squared_combo_envelope((1.0,))
-
-    def integrand(r):
-        return np.asarray(f_closed(a, r)) * np.asarray(f_closed(b, r))
-
-    res = integrate_semi_infinite(
-        integrand, Tolerance(abs_tol=1e-10),
-        0.5 * (la + lb), math.sqrt(ca * cb),
-    )
-    assert res.value == pytest.approx(overlap(a, b), abs=1e-8)
+    r, weight = radial_rule(b)
+    value = np.sum(weight * f_closed(a, r) * f_closed(b, r))
+    assert value == pytest.approx(overlap(a, b), abs=1e-12)
 
 
 def test_fock_selection_rule():

@@ -23,8 +23,7 @@ from minuncert.multipartite import (
 )
 import minuncert.bipartite as bipartite
 import minuncert.multipartite as multipartite
-from minuncert.quadrature import _STALL_BISECTIONS, QuadratureError, integrate_semi_infinite
-from minuncert.specfun import Tolerance, upper_gamma
+from minuncert.specfun import upper_gamma
 
 from oracles import (
     G2_NORM,
@@ -165,13 +164,13 @@ def test_g_norm_identity():
         n0 = prof.rk_norm(0)
         n1 = prof.rk_norm(1)
         lhs = (1.0 - a) * (1.0 - 2.0 * a) * n0 * n0 + a * a * n1 * n1
-        assert lhs == pytest.approx(1.0, abs=1e-6)
+        assert lhs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_h_norm_identity():
     prof = h_family(0.5)
     lhs = 10.0 * prof.rk_norm(0) ** 2 + 9.0 * prof.rk_norm(1) ** 2
-    assert lhs == pytest.approx(1.0, abs=1e-6)
+    assert lhs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_frozen_norms():
@@ -227,15 +226,7 @@ def test_first_derivative_of_h_ode_pointwise():
 
 
 def _raw_norm_sq(profile, coefs):
-    coeff, rate = profile._raw_envelope(coefs)
-
-    def integrand(r):
-        vals = np.asarray(profile.raw_derivative_combo(coefs, r))
-        return vals * vals
-
-    return integrate_semi_infinite(
-        integrand, Tolerance(abs_tol=1e-10, rel_tol=3e-7), rate, coeff
-    ).value
+    return profile.combo_norm(coefs) ** 2
 
 
 def _raw_dot(profile, ca, cb):
@@ -251,11 +242,11 @@ def test_h_scalar_product_relations():
     n1 = h.rk_norm(1)
     n2 = h.rk_norm(2)
     d12 = _raw_dot(h, (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
-    assert d12 == pytest.approx(-1.5 * n1 * n1, rel=1e-5)
+    assert d12 == pytest.approx(-1.5 * n1 * n1, rel=1e-12, abs=0.0)
     d23 = _raw_dot(h, (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-    assert d23 == pytest.approx(-2.5 * n2 * n2, rel=1e-5)
+    assert d23 == pytest.approx(-2.5 * n2 * n2, rel=1e-12, abs=0.0)
     d13 = _raw_dot(h, (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-    assert d13 == pytest.approx(6.0 * n1 * n1 - n2 * n2, rel=1e-5)
+    assert d13 == pytest.approx(6.0 * n1 * n1 - n2 * n2, rel=1e-12, abs=0.0)
 
 
 def test_h_cauchy_schwarz_consequence():
@@ -273,26 +264,8 @@ def test_h_norms_tie_back_to_base():
         - 130.5 * h.rk_norm(2) ** 2
         + 20.25 * h.rk_norm(3) ** 2
     )
-    coefs = (0.0, 1.0, 1.5)
-    coeff, rate = base.squared_combo_envelope(coefs)
-
-    def integrand(r):
-        vals = np.asarray(base.derivative_combo(coefs, r))
-        return vals * vals
-
-    rhs = integrate_semi_infinite(
-        integrand, Tolerance(abs_tol=1e-10, rel_tol=3e-7), rate, coeff
-    ).value
-    assert lhs == pytest.approx(rhs, rel=2e-5, abs=1e-7)
-
-
-def test_envelope_is_actual_bound():
-    prof = g_family(0.7, 2.0)
-    coefs = (0.0, 1.0, 2.0)
-    c_env, lam = prof.squared_combo_envelope(coefs)
-    for r in np.linspace(0.0, 25.0, 91):
-        v = prof.derivative_combo(coefs, float(r))
-        assert v * v <= c_env * math.exp(-lam * r) * (1.0 + 1e-12)
+    rhs = (base.combo_norm((0.0, 1.0, 1.5)) / base.normalization) ** 2
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_family_validation():
@@ -341,7 +314,7 @@ def test_z4_shortcut_identity():
     for xi in (0.5, 0.9):
         norm = g_family(xi, 2.0).rk_norm(0)
         shortcut = PRODUCT_INFIMUM_4 * 0.5 * (1.0 + r_closed(xi)) / (norm * norm)
-        assert z4_product(xi).product == pytest.approx(shortcut, rel=1e-9)
+        assert z4_product(xi).product == pytest.approx(shortcut, rel=1e-12, abs=0.0)
 
 
 def test_z6_frozen_and_window():
@@ -366,13 +339,15 @@ def test_z6_shortcut_identity():
     g32 = g_family(xi, 1.5).rk_norm(0)
     hn = h_family(xi).rk_norm(0)
     value = (1.0 / 560.0) * 0.5 * (1.0 + r_closed(xi)) / (g32 * g32 * hn * hn)
-    assert z6_product(xi).product == pytest.approx(value, rel=1e-9)
+    assert z6_product(xi).product == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 def test_products_match_nested_functional():
     # the primary products against the fully nested route they replaced
-    assert z4_product(0.5).product == pytest.approx(functional_z(2, g_family(0.5, 2.0)), rel=1e-9)
-    assert z6_product(0.5).product == pytest.approx(functional_z(3, h_family(0.5)), rel=1e-9)
+    nested_z4 = functional_z(2, g_family(0.5, 2.0))
+    nested_z6 = functional_z(3, h_family(0.5))
+    assert z4_product(0.5).product == pytest.approx(nested_z4, rel=1e-12, abs=0.0)
+    assert z6_product(0.5).product == pytest.approx(nested_z6, rel=1e-12, abs=0.0)
 
 
 _NEAR_ONE = (0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
@@ -401,9 +376,9 @@ def test_products_near_xi_one(product, infimum, bound):
 def test_swapped_norm_rule_orders_agree(m, scale, xi, monkeypatch):
     # the tensor rule is converged on its mesh: two orders per panel agree
     monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
-    lo = multipartite._swapped_norm(xi, m, scale)
+    lo = bipartite._swapped_norm(xi, m, scale)
     monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
-    hi = multipartite._swapped_norm(xi, m, scale)
+    hi = bipartite._swapped_norm(xi, m, scale)
     assert lo == pytest.approx(hi, rel=1e-12)
 
 
@@ -423,6 +398,28 @@ def test_family_chains_rule_orders_agree(xi, monkeypatch):
             monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
             hi = fam.raw_derivative_combo(coefs, r)
             assert np.max(np.abs(lo - hi)) <= 5e-15 * np.max(np.abs(lo))
+
+
+@pytest.mark.parametrize("xi", [0.01, 0.5, 0.999, 1.0 - 1e-9])
+def test_radial_rule_orders_agree(xi, monkeypatch):
+    # the nested norms rk_norm(k) are converged on radial_rule x
+    # angular_rule: two orders per panel agree (to ~4e-16), and
+    # rk_norm(0) meets the norm each profile was given by an independent
+    # route (1 for f, the swapped order for g and h; to ~4e-15).  The
+    # second check also sees the first radial panel [0, lo], which the
+    # orders do not resolve: with lo ten thousand times larger it put
+    # 1.3e-13 into ||h|| at xi = 0.01.  combo_norm is rk_norm without its
+    # per-profile cache, which must not keep an order-24 value
+    for fam in (f_profile(xi), g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
+        for k in range(4):
+            coefs = tuple([0.0] * k + [1.0])
+            monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
+            lo = fam.combo_norm(coefs)
+            monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
+            hi = fam.combo_norm(coefs)
+            assert lo == pytest.approx(hi, rel=1e-14, abs=0.0)
+            if k == 0:
+                assert lo == pytest.approx(fam.normalization, rel=5e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("rho", [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0])
@@ -452,21 +449,17 @@ def test_swapped_kernels_vs_mpmath(rho):
     assert multipartite._m_h(rv)[0] == pytest.approx(float(h), rel=2e-15)
 
 
-def test_z4_closer_to_one_succeeds_or_fails_fast():
-    # at xi = 1 - 1e-6 the primary product lands inside its window, while
-    # the nested route's outer error sits at ~4e-2 and does not shrink; it
-    # must say so after a bounded number of bisections rather than after
-    # the whole evaluation budget
-    xi = 1.0 - 1e-6
-    rep = z4_product(xi)
-    assert PRODUCT_INFIMUM_4 < rep.product < z4_product(0.999).product
-    try:
-        nested = functional_z(2, g_family(xi, 2.0))
-    except QuadratureError as exc:
-        assert "stalled" in str(exc)
-        assert exc.result.evaluations <= 15 + 30 * _STALL_BISECTIONS
-    else:
-        assert nested == pytest.approx(rep.product, rel=1e-6)
+@pytest.mark.parametrize("xi", [1.0 - 1e-4, 1.0 - 1e-6])
+def test_nested_route_near_xi_one(xi):
+    # the squared combinations fall off like 1/r over many decades below
+    # r ~ 1/gamma(0); the geometric panels of radial_rule follow them, so
+    # the nested route confirms both products to the digits of the
+    # swapped order where strong squeezing leaves the products closest
+    # to their infima
+    z4 = z4_product(xi).product
+    z6 = z6_product(xi).product
+    assert functional_z(2, g_family(xi, 2.0)) == pytest.approx(z4, rel=1e-12, abs=0.0)
+    assert functional_z(3, h_family(xi)) == pytest.approx(z6, rel=1e-12, abs=0.0)
 
 
 def test_products_match_reference_kernels(monkeypatch):

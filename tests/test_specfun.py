@@ -6,7 +6,6 @@ import scipy.special as sps
 from hypothesis import given, settings, strategies as st
 
 from minuncert.specfun import (
-    Tolerance,
     _i0_series,
     _upper_gamma_cf,
     _upper_gamma_series,
@@ -228,12 +227,3 @@ def test_binomials_exact():
     assert central_binomial(17) == math.comb(34, 17)
     assert binom(5, 9) == 0
 
-
-def test_tolerance():
-    t = Tolerance(abs_tol=1e-10, rel_tol=1e-6)
-    assert t.target(0.0) == 1e-10
-    assert t.target(100.0) == pytest.approx(1e-4)
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        Tolerance(abs_tol=0.0, rel_tol=0.0)
