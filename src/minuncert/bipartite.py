@@ -181,25 +181,28 @@ def _swapped_norm(xi: float, m, scale: float) -> float:
     return abs(scale) * math.sqrt(total / (2.0 * math.pi * ellip_k(xi) * (1.0 - xi)))
 
 
-def _angular_kernel_integral(xi: float, r, kernel):
-    """int w(theta) kernel(gamma(theta) r) dtheta over [0, pi], one value per r.
+def _angular_kernel_integral(xi: float, r, chain, ks):
+    """int w(theta) K_k(gamma(theta) r) dtheta over [0, pi] for each k in ``ks``.
 
     w(theta) = 1 / (sqrt(2 pi K) (1 + sqrt(xi) cos theta)) and
     gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)),
-    taken on ``angular_rule``.  ``kernel`` receives blocks
-    x[i, j] = r[i] * gamma_j of about ``_RULE_BLOCK`` cells, each row
-    reduced on its own, so a value depends on its own r alone.
+    taken on ``angular_rule``.  ``chain`` receives blocks
+    x[i, j] = r[i] * gamma_j of about ``_RULE_BLOCK`` cells and returns
+    (K_0, ..., K_3) on them; each requested kernel is reduced row by row,
+    so a value depends on its own r alone.  One row per k, one column
+    per r.
     """
     rv = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rv < 0.0):
         raise ValueError("r must be nonnegative")
     gamma, weight = angular_rule(xi)
     rows = max(1, _RULE_BLOCK // len(gamma))
-    values = np.empty(len(rv))
+    values = np.empty((len(ks), len(rv)))
     for start in range(0, len(rv), rows):
         block = rv[start:start + rows]
-        values[start:start + len(block)] = np.sum(
-            weight * kernel(np.outer(block, gamma)), axis=-1)
+        kernels = chain(np.outer(block, gamma))
+        for i, k in enumerate(ks):
+            values[i, start:start + len(block)] = np.sum(weight * kernels[k], axis=-1)
     return values / math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
 
 
@@ -217,6 +220,10 @@ class AngularProfile:
     v.  The raw solution keeps the sign the kernel dictates (negative at
     the origin for the plain ODE families), which is what makes a defining
     ODE hold verbatim; consumers that want a positive plot flip the sign.
+
+    The nested norms evaluate the chain once per profile and rule order:
+    ``_radial_rows`` reduces all four kernels on ``radial_rule`` and keeps
+    the rows, and every ``combo_norm`` combines them.
     """
 
     max_derivative_order = 3
@@ -226,23 +233,46 @@ class AngularProfile:
         self._chain = chain
         self._scale = float(scale)
         self._norm = float(norm)
-        self._rk_norms = {}
+        self._rows = {}
 
-    def raw_derivative_combo(self, coefs, r):
-        """sum_k coefs[k] * r^k v^(k) for the unnormalized profile, in one angular pass."""
+    def _combine(self, coefs, rows):
+        # scale * sum_k coefs[k] rows[k] over the nonzero coefficients.
+        # No zero start and the scale last: a single term then keeps the
+        # digits and the sign of zero a per-cell combination gave
+        terms = [c * row for c, row in zip(coefs, rows) if c != 0.0]
+        if not terms:
+            return np.zeros(rows.shape[1])
+        return self._scale * sum(terms[1:], terms[0])
+
+    def _coefs(self, coefs):
         if len(coefs) > self.max_derivative_order + 1:
             raise ValueError("combination exceeds the supported derivative order")
-        terms = [(k, float(c)) for k, c in enumerate(coefs) if c != 0.0]
+        return [float(c) for c in coefs]
 
-        def kernel(x):
-            ks = self._chain(x)
-            acc = np.zeros_like(x)
-            for k, c in terms:
-                acc += c * ks[k]
-            return acc
+    def raw_derivative_combo(self, coefs, r):
+        """sum_k coefs[k] * r^k v^(k) for the unnormalized profile, in one angular pass.
 
-        values = self._scale * _angular_kernel_integral(self.xi.value, r, kernel)
+        Only the kernels with a nonzero coefficient are reduced.
+        """
+        terms = [(k, c) for k, c in enumerate(self._coefs(coefs)) if c != 0.0]
+        ks = [k for k, _ in terms]
+        rows = _angular_kernel_integral(self.xi.value, r, self._chain, ks)
+        values = self._combine([c for _, c in terms], rows)
         return float(values[0]) if np.ndim(r) == 0 else values
+
+    def _radial_rows(self):
+        """(weight, rows): ``radial_rule`` weights and r^k v^(k) / scale at its nodes.
+
+        One angular pass of the whole chain, kept per rule order
+        (``_ANGULAR_ORDER`` sets both rules), so a changed order is a
+        fresh pass and never a cached one.
+        """
+        order = _ANGULAR_ORDER
+        if order not in self._rows:
+            r, weight = radial_rule(self.xi.value)
+            self._rows[order] = weight, _angular_kernel_integral(
+                self.xi.value, r, self._chain, range(4))
+        return self._rows[order]
 
     @property
     def normalization(self) -> float:
@@ -253,10 +283,11 @@ class AngularProfile:
         """L2 norm of sum_k coefs[k] r^k v^(k) on [0, inf), unnormalized, by the nested pass.
 
         The nested pass sums the squared combination on ``radial_rule``,
-        with an angular pass on ``angular_rule`` at every radius.
+        with an angular pass on ``angular_rule`` at every radius; the
+        combination is taken from the rows of ``_radial_rows``.
         """
-        r, weight = radial_rule(self.xi.value)
-        vals = self.raw_derivative_combo(coefs, r)
+        weight, rows = self._radial_rows()
+        vals = self._combine(self._coefs(coefs), rows)
         return math.sqrt(float(np.sum(weight * vals * vals)))
 
     def value(self, r):
@@ -272,9 +303,7 @@ class AngularProfile:
         """
         if not (isinstance(k, int) and 0 <= k <= self.max_derivative_order):
             raise ValueError(f"derivative order must be an integer in [0, 3], got {k!r}")
-        if k not in self._rk_norms:
-            self._rk_norms[k] = self.combo_norm(tuple([0.0] * k + [1.0]))
-        return self._rk_norms[k]
+        return self.combo_norm(tuple([0.0] * k + [1.0]))
 
     def derivative_combo(self, coefs, r):
         """sum_k coefs[k] * r^k v^(k)(r) for the normalized profile."""
@@ -358,8 +387,10 @@ def f_closed(xi, r):
 
 def _exp_chain(x):
     # r^k d^k/dr^k e^{-gamma r} = (-x)^k e^{-x} at x = gamma r
+    # products, not float powers: an array pow costs several times the rest
     e = np.exp(-x)
-    return tuple((-x) ** k * e for k in range(4))
+    m = -x
+    return e, m * e, (m * m) * e, (m * m * m) * e
 
 
 def f_profile(xi) -> AngularProfile:

@@ -243,16 +243,43 @@ def _b_table_mismatches() -> int:
     return bad
 
 
-def _pascal_mismatches() -> int:
+# a common denominator of every entry of the pairs up to n = 12, whose
+# entries are +-1/(i - j)!
+_PASCAL_SCALE = math.factorial(11)
+
+
+def _pair_mismatches(fwd, inv) -> int:
+    """Entries of fwd @ inv that differ from the identity, checked on integers.
+
+    Every entry is scaled by ``_PASCAL_SCALE``; an entry that does not
+    scale to an integer counts as a mismatch itself.  The scaled product
+    must then equal _PASCAL_SCALE^2 times the identity.
+    """
     bad = 0
-    for n in range(1, 13):
-        fwd, inv = multipartite.pascal_matrix_pair(n)
-        for i in range(n):
-            for j in range(n):
-                acc = sum(fwd[i][k] * inv[k][j] for k in range(n))
-                if acc != (1 if i == j else 0):
-                    bad += 1
+    scaled = []
+    for matrix in (fwd, inv):
+        rows = []
+        for row in matrix:
+            out = []
+            for v in row:
+                v = Fraction(v)
+                num, rem = divmod(v.numerator * _PASCAL_SCALE, v.denominator)
+                bad += rem != 0
+                out.append(num)
+            rows.append(out)
+        scaled.append(rows)
+    a, b = scaled
+    n = len(a)
+    one = _PASCAL_SCALE * _PASCAL_SCALE
+    for i in range(n):
+        for j in range(n):
+            acc = sum(a[i][k] * b[k][j] for k in range(n))
+            bad += acc != (one if i == j else 0)
     return bad
+
+
+def _pascal_mismatches() -> int:
+    return sum(_pair_mismatches(*multipartite.pascal_matrix_pair(n)) for n in range(1, 13))
 
 
 def _pochhammer_worst() -> float:

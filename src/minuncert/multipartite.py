@@ -282,9 +282,10 @@ def h_family(xi) -> OdeFamilyProfile:
 def functional_z(n: int, profile) -> float:
     """Expectation functional for 2n parties, by the nested route.
 
-    The integral of (sum_k b_k r^k v^(k))^2 and the norm of v are both
-    nested passes (``combo_norm``, ``rk_norm(0)``), so the result does
-    not depend on the ``normalization`` the profile was given.
+    The integral of (sum_k b_k r^k v^(k))^2 and the norm of v both come
+    from the nested pass (``combo_norm``, ``rk_norm(0)``, one chain pass
+    per profile), so the result does not depend on the
+    ``normalization`` the profile was given.
     """
     if not (isinstance(n, int) and 1 <= n <= 12):
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")

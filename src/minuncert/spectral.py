@@ -63,22 +63,25 @@ def quadratic_form_value(form: BandedSymmetricForm, vec) -> float:
     return total + 2.0 * float(np.dot(form.off_diagonal, v[:-1] * v[1:]))
 
 
-def _count_below(diag: list, squares: list, x: float) -> int:
-    """Number of eigenvalues below x of the tridiagonal (diag, squared couplings)."""
-    pivmin = 1e-30 * max(1.0, max(squares, default=1.0))
-    count = 0
+def _any_below(diag: list, squares: list, x: float, pivmin: float) -> bool:
+    """Whether the tridiagonal (diag, squared couplings) has an eigenvalue below x.
+
+    Sylvester's law of inertia: there is one exactly when some pivot of
+    the LDL^T factorization of T - x is negative, so the Sturm sequence
+    stops at the first.  Pivots smaller than ``pivmin`` count as -pivmin.
+    """
     q = diag[0] - x
     if abs(q) < pivmin:
         q = -pivmin
     if q < 0.0:
-        count += 1
+        return True
     for dk, sk in zip(diag[1:], squares):
         q = dk - x - sk / q
         if abs(q) < pivmin:
             q = -pivmin
         if q < 0.0:
-            count += 1
-    return count
+            return True
+    return False
 
 
 def _tridiag_min_eig(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
@@ -92,11 +95,12 @@ def _tridiag_min_eig(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarr
     scale = max(abs(lo), abs(hi), 1.0)
     diag_list = diag.tolist()
     squares = (off * off).tolist()
+    pivmin = 1e-30 * max(1.0, max(squares, default=1.0))
     for _ in range(200):
         if hi - lo <= 1e-14 * scale:
             break
         mid = 0.5 * (lo + hi)
-        if _count_below(diag_list, squares, mid) >= 1:
+        if _any_below(diag_list, squares, mid, pivmin):
             hi = mid
         else:
             lo = mid

@@ -312,3 +312,18 @@ def test_csv_floats_roundtrip(tmp_path, monkeypatch):
     _, rows = read_csv(tmp_path / "overlap.csv")
     val = [float(r[2]) for r in rows if r[0] != r[1]][0]
     assert val == overlap(0.3, 0.7)
+
+
+def test_pascal_check_counts_a_corrupted_entry():
+    # the integer check of fwd @ inv must see one wrong entry, whether it
+    # still scales to an integer or not
+    assert cli._pascal_mismatches() == 0
+    for n, which, (i, j), value in (
+        (5, 0, (3, 1), Fraction(1, 3)),
+        (5, 1, (4, 2), Fraction(1, 13)),
+        (12, 0, (11, 0), Fraction(2, math.factorial(11))),
+    ):
+        pair = multipartite.pascal_matrix_pair(n)
+        assert cli._pair_mismatches(*pair) == 0
+        pair[which][i][j] = value
+        assert cli._pair_mismatches(*pair) > 0

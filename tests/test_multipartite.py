@@ -23,7 +23,7 @@ from minuncert.multipartite import (
 )
 import minuncert.bipartite as bipartite
 import minuncert.multipartite as multipartite
-from minuncert.specfun import upper_gamma
+from minuncert.specfun import ellip_k, upper_gamma
 
 from oracles import (
     G2_NORM,
@@ -408,8 +408,9 @@ def test_radial_rule_orders_agree(xi, monkeypatch):
     # route (1 for f, the swapped order for g and h; to ~4e-15).  The
     # second check also sees the first radial panel [0, lo], which the
     # orders do not resolve: with lo ten thousand times larger it put
-    # 1.3e-13 into ||h|| at xi = 0.01.  combo_norm is rk_norm without its
-    # per-profile cache, which must not keep an order-24 value
+    # 1.3e-13 into ||h|| at xi = 0.01.  The profile keeps its radial rows
+    # per rule order, so each order here is a pass of its own
+    # (test_nested_norms_share_one_chain_pass)
     for fam in (f_profile(xi), g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
         for k in range(4):
             coefs = tuple([0.0] * k + [1.0])
@@ -420,6 +421,68 @@ def test_radial_rule_orders_agree(xi, monkeypatch):
             assert lo == pytest.approx(hi, rel=1e-14, abs=0.0)
             if k == 0:
                 assert lo == pytest.approx(fam.normalization, rel=5e-14, abs=0.0)
+
+
+def test_nested_norms_share_one_chain_pass(monkeypatch):
+    # rk_norm(0..3) and functional_z of one profile combine the rows of a
+    # single reduction of its chain on the radial rule.  A changed rule
+    # order is a fresh pass, which test_radial_rule_orders_agree relies
+    # on, and the first order's rows are still there afterwards
+    xi = 0.5
+    fam = g_family(xi, 2.0)
+    radii = []
+
+    def counted(x):
+        radii.append(x.shape[0])
+        return multipartite._g_kernel_chain(2.0, x)
+
+    prof = bipartite.AngularProfile(xi, counted, norm=fam.normalization)
+    n16 = len(bipartite.radial_rule(xi)[0])
+    norms = [prof.rk_norm(k) for k in range(4)]
+    z = functional_z(2, prof)
+    assert sum(radii) == n16
+    assert norms == [fam.rk_norm(k) for k in range(4)]
+    assert z == functional_z(2, fam)
+
+    monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
+    n24 = len(bipartite.radial_rule(xi)[0])
+    assert n24 != n16
+    hi = prof.rk_norm(0)
+    assert sum(radii) == n16 + n24
+    assert hi == pytest.approx(norms[0], rel=1e-14, abs=0.0)
+
+    monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
+    assert prof.rk_norm(0) == norms[0]
+    assert sum(radii) == n16 + n24
+
+
+def _per_cell_norms(prof, coefs_list):
+    # the nested norms with each combination taken per cell of
+    # radial_rule x angular_rule before the angular reduction
+    xi = prof.xi.value
+    r, wr = bipartite.radial_rule(xi)
+    gamma, wt = bipartite.angular_rule(xi)
+    den = math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
+    sq = np.zeros(len(coefs_list))
+    for start in range(0, len(r), 32):
+        kernels = prof._chain(np.outer(r[start:start + 32], gamma))
+        for i, coefs in enumerate(coefs_list):
+            cell = sum(c * kernels[k] for k, c in enumerate(coefs))
+            v = prof._scale * np.sum(wt * cell, axis=-1) / den
+            sq[i] += np.sum(wr[start:start + 32] * v * v)
+    return np.sqrt(sq)
+
+
+@pytest.mark.parametrize("xi", [0.01, 0.5, 1.0 - 1e-9])
+def test_combo_norm_rows_match_per_cell_combination(xi):
+    # combining the cached radial rows after the angular reduction gives
+    # the norms of combining per cell, for the unit vectors of rk_norm and
+    # the b combinations of functional_z
+    coefs_list = [tuple([0.0] * k + [1.0]) for k in range(4)]
+    coefs_list += [(0.0,) + tuple(float(b) for b in b_coefficients(n).b) for n in (2, 3)]
+    for prof in (f_profile(xi), g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
+        got = [prof.combo_norm(coefs) for coefs in coefs_list]
+        np.testing.assert_allclose(got, _per_cell_norms(prof, coefs_list), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("rho", [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0])

@@ -5,6 +5,7 @@ import pytest
 
 from minuncert.spectral import (
     BandedSymmetricForm,
+    _any_below,
     build_q_form,
     min_eigenpair,
     quadratic_form_value,
@@ -117,3 +118,20 @@ def test_malformed_form_rejected():
         BandedSymmetricForm(4, np.arange(4.0), np.ones(2))
     with pytest.raises(ValueError):
         BandedSymmetricForm(4, np.arange(3.0), np.ones(3))
+
+
+def test_any_below_matches_eigvalsh():
+    # the early-exit Sturm test against a dense solver, on random
+    # tridiagonal matrices and shifts on both sides of the minimum
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        diag = 10.0 * rng.standard_normal(n)
+        off = rng.standard_normal(n - 1)
+        lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        squares = (off * off).tolist()
+        pivmin = 1e-30 * max(1.0, max(squares))
+        shifts = np.concatenate((rng.uniform(lam[0] - 5.0, lam[-1] + 5.0, 10),
+                                 lam[0] + np.array([-1e-6, 1e-6])))
+        for x in shifts:
+            assert _any_below(diag.tolist(), squares, float(x), pivmin) == (lam[0] < x)
