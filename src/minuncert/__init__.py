@@ -22,7 +22,6 @@ from .bipartite import (
     shell_identity_check,
     shell_sum,
     uncertainty_product,
-    wavefunction,
 )
 from .multipartite import (
     PRODUCT_INFIMUM_4,
@@ -47,7 +46,6 @@ from .spectral import (
     EigenPair,
     build_q_form,
     min_eigenpair,
-    quadratic_form_value,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +66,6 @@ __all__ = [
     "residual_norm_sq",
     "f_closed",
     "f_profile",
-    "wavefunction",
     "overlap",
     "fock_coeff",
     "fock_normalization_defect",
@@ -93,6 +90,5 @@ __all__ = [
     "EigenPair",
     "build_q_form",
     "min_eigenpair",
-    "quadratic_form_value",
     "__version__",
 ]

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .quadrature import graded_rule
 from .specfun import binom, central_binomial, ellip_e, ellip_k, log_bessel_i0
 
@@ -31,7 +30,6 @@ __all__ = [
     "residual_norm_sq",
     "f_closed",
     "f_profile",
-    "wavefunction",
     "overlap",
     "fock_coeff",
     "fock_normalization_defect",
@@ -400,15 +398,6 @@ def f_profile(xi) -> AngularProfile:
     from this route only.
     """
     return AngularProfile(xi, _exp_chain, norm=1.0)
-
-
-def wavefunction(x, y, xi):
-    """Position wave function psi(x, y) = f(x^2 + y^2) / sqrt(pi)."""
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    s = xv * xv + yv * yv
-    out = np.asarray(f_closed(xi, s)) / math.sqrt(math.pi)
-    return float(out) if out.ndim == 0 else out
 
 
 def _xi_or_zero(v) -> float:

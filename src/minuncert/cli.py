@@ -17,9 +17,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import multipartite
+from ._numpy import np
 from .bipartite import (
     f_closed,
     f_profile,
@@ -72,6 +71,8 @@ class RunConfig:
             raise UsageError(f"format must be csv or json, got {self.format!r}")
         if self.truncation < 1:
             raise UsageError(f"order must be positive, got {self.truncation}")
+        if self.command in ("verify", "minimize-q") and self.truncation < 2:
+            raise UsageError(f"{self.command} needs order >= 2, got {self.truncation}")
         prev = 0.0
         for x in self.xi_grid:
             if not (0.0 < x < 1.0):
@@ -471,7 +472,7 @@ def run_profile(config: RunConfig) -> int:
     points = max(config.truncation, 2)
     r_grid = np.linspace(0.0, 4.0, points)
     front = math.sqrt(math.factorial(n) / math.pi**n)
-    columns = ["r"] + [f"psi_xi={x:g}" for x in config.xi_grid]
+    columns = ["r"] + [f"psi_xi={x:.15g}" for x in config.xi_grid]
     table = [r_grid] + [front * _profile_column(config.parties, x, r_grid)
                         for x in config.xi_grid]
     write_table(config, columns, np.column_stack(table).tolist())

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
+from ._numpy import np
 from .bipartite import AngularProfile, UncertaintyReport, _swapped_norm, as_xi, r_closed
 from .quadrature import panel_rule
 from .specfun import binom, tabulated_upper_gamma

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
+from ._numpy import np
 
 __all__ = ["panel_rule", "graded_rule"]
 

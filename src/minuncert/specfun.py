@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "ellip_k",

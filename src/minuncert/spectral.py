@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "BandedSymmetricForm",
     "EigenPair",
     "build_q_form",
     "min_eigenpair",
-    "quadratic_form_value",
 ]
 
 
@@ -52,15 +51,6 @@ def build_q_form(order: int) -> BandedSymmetricForm:
     m = n[:-1]
     off = -0.5 * (m + 1) * (2 * m + 1)
     return BandedSymmetricForm(order, diag, off)
-
-
-def quadratic_form_value(form: BandedSymmetricForm, vec) -> float:
-    """Evaluate v^T M v."""
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (form.order,):
-        raise ValueError(f"vector length must be {form.order}, got {v.shape}")
-    total = float(np.dot(form.diagonal, v * v))
-    return total + 2.0 * float(np.dot(form.off_diagonal, v[:-1] * v[1:]))
 
 
 def _any_below(diag: list, squares: list, x: float, pivmin: float) -> bool:

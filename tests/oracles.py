@@ -13,6 +13,8 @@ import math
 import numpy as np
 import scipy.special as sps
 
+from minuncert.bipartite import f_closed
+
 # ---------------------------------------------------------------------------
 # frozen scalars
 
@@ -225,3 +227,25 @@ def fd_rk_derivative(fun, k: int, r: float, h: float = 1e-2) -> float:
     order = 2
     rich = fine + (fine - crude) / (2**order - 1)
     return r**k * rich
+
+
+# ---------------------------------------------------------------------------
+# evaluation helpers over library objects (no independent route)
+
+
+def wavefunction(x, y, xi):
+    """Position wave function psi(x, y) = f(x^2 + y^2) / sqrt(pi)."""
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    s = xv * xv + yv * yv
+    out = np.asarray(f_closed(xi, s)) / math.sqrt(math.pi)
+    return float(out) if out.ndim == 0 else out
+
+
+def quadratic_form_value(form, vec) -> float:
+    """Evaluate v^T M v for a ``spectral.BandedSymmetricForm`` M."""
+    v = np.asarray(vec, dtype=float)
+    if v.shape != (form.order,):
+        raise ValueError(f"vector length must be {form.order}, got {v.shape}")
+    total = float(np.dot(form.diagonal, v * v))
+    return total + 2.0 * float(np.dot(form.off_diagonal, v[:-1] * v[1:]))

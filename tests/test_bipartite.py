@@ -24,7 +24,6 @@ from minuncert.bipartite import (
     shell_identity_check,
     shell_sum,
     uncertainty_product,
-    wavefunction,
 )
 from minuncert.multipartite import g_family, h_family
 from minuncert.specfun import _BESSEL_CROSSOVER, binom, ellip_k
@@ -46,6 +45,7 @@ from oracles import (
     merged_convolution,
     r_series,
     shell_class_sums,
+    wavefunction,
 )
 
 

@@ -14,10 +14,10 @@ import minuncert
 import minuncert.bipartite as bipartite
 import minuncert.cli as cli
 import minuncert.multipartite as multipartite
-from minuncert.bipartite import fock_coeff, overlap, wavefunction
+from minuncert.bipartite import fock_coeff, overlap
 from minuncert.multipartite import OperatorCoefficients, b_coefficients
 
-from oracles import LAMBDA_MIN_200, OVERLAP_03_07, C00_HALF
+from oracles import LAMBDA_MIN_200, OVERLAP_03_07, C00_HALF, wavefunction
 
 
 def read_csv(path):
@@ -29,17 +29,63 @@ def read_csv(path):
 # --- argument handling ----------------------------------------------------
 
 
+def run_fresh(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
+    src = str(Path(minuncert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return out.stdout
+
+
 def test_import_builds_no_kernel_table():
     # the incomplete-gamma tables and the Gauss-Legendre nodes are built on
     # first use, never at import, so commands that never touch them pay
     # nothing for them (numpy.polynomial alone costs ~5 ms to import)
-    src = str(Path(minuncert.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, minuncert.cli, minuncert.specfun as s; "
             "print(s._gamma_table.cache_info().currsize, 'numpy.polynomial' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.split() == ["0", "False"]
+    assert run_fresh(code).split() == ["0", "False"]
+
+
+# numpy's compiled core, under its numpy 2 and numpy 1 names: sys.modules
+# holds the lazily bound 'numpy' itself before it is loaded
+_NUMPY_CORE = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
+
+
+def test_closed_form_commands_never_load_numpy(tmp_path):
+    # numpy is bound lazily, so the two-party closed forms run on math
+    # alone; the first array operation (here the profile grid) loads it
+    code = f"""
+import sys
+import minuncert.cli as cli
+loaded = lambda: any(m in sys.modules for m in {_NUMPY_CORE!r})
+out = sys.argv[1]
+print("import", loaded())
+for argv in (["scan", "--parties", "2", "--xi", "0.1:0.9:0.1"], ["overlap"], ["fock"],
+             ["profile", "--parties", "2", "--order", "5"]):
+    status = cli.main(["--command", *argv, "--out", out])
+    print(argv[0], status, loaded())
+"""
+    lines = run_fresh(code, str(tmp_path / "table.csv")).splitlines()
+    assert lines == ["import False", "scan 0 False", "overlap 0 False", "fock 0 False",
+                     "profile 0 True"]
+
+
+def test_missing_numpy_raises_import_error_on_first_use(tmp_path):
+    # None in sys.modules makes 'import numpy' fail as if it were not installed
+    code = """
+import sys
+sys.modules["numpy"] = None
+import minuncert.cli as cli
+out = sys.argv[1]
+print(cli.main(["--command", "overlap", "--out", out]))
+try:
+    cli.main(["--command", "profile", "--out", out])
+except ImportError as exc:
+    print(type(exc).__name__, exc.name)
+"""
+    lines = run_fresh(code, str(tmp_path / "table.csv")).splitlines()
+    assert lines == ["0", "ModuleNotFoundError numpy"]
 
 
 def test_parse_defaults(tmp_path, monkeypatch):
@@ -83,11 +129,15 @@ def test_explicit_out_wins_over_env(tmp_path, monkeypatch):
         ["--parties", "3"],
         ["--xi", "0.1:0.9:0"],
         ["--order", "0"],
+        ["--command", "verify", "--order", "1"],
+        ["--command", "minimize-q", "--order", "1"],
     ],
 )
-def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
+def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("minuncert: ") and err.count("\n") == 1
 
 
 def test_unknown_command_rejected():
@@ -229,6 +279,22 @@ def test_profile_origin_grows_with_xi(tmp_path, monkeypatch):
     assert float(r1[2]) == pytest.approx(
         wavefunction(float(r1[0]), 0.0, 0.5), rel=1e-9
     )
+
+
+def test_profile_headers_name_each_xi_exactly(tmp_path):
+    # 15 significant digits: xi values that agree to 6 digits keep apart,
+    # and one just below 1 is not printed as 1
+    out = tmp_path / "profile.csv"
+    for xis, names in (
+        (("0.1234561", "0.1234562"), ["psi_xi=0.1234561", "psi_xi=0.1234562"]),
+        (("0.999999999999",), ["psi_xi=0.999999999999"]),
+    ):
+        argv = ["--command", "profile", "--order", "3", "--out", str(out)]
+        for x in xis:
+            argv += ["--xi", x]
+        assert cli.main(argv) == 0
+        header, _ = read_csv(out)
+        assert header == ["r"] + names
 
 
 def test_two_party_profile_one_call_per_column(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minuncert.simple_state import SimpleStateSolution, c1_c2, minimize_q0, q0
-from minuncert.spectral import build_q_form, min_eigenpair, quadratic_form_value
+from minuncert.spectral import build_q_form, min_eigenpair
 
 from oracles import (
     LAMBDA_MIN_200,
@@ -14,6 +14,7 @@ from oracles import (
     ansatz_coefficients,
     phi_scan_min,
     q_form_series,
+    quadratic_form_value,
 )
 
 

@@ -8,10 +8,9 @@ from minuncert.spectral import (
     _any_below,
     build_q_form,
     min_eigenpair,
-    quadratic_form_value,
 )
 
-from oracles import LAMBDA_MIN_200, q_dense_min
+from oracles import LAMBDA_MIN_200, q_dense_min, quadratic_form_value
 
 
 def test_q_form_entries():
