@@ -11,7 +11,7 @@ with its exact combinatorial identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._numpy import np
 from .quadrature import graded_rule
@@ -50,16 +50,15 @@ _ANGULAR_ORDER = 16
 _RULE_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class XiParameter:
+class XiParameter(namedtuple("XiParameter", "value")):
     """Family parameter, strictly inside (0, 1)."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = self.value
-        if not (isinstance(v, float) and math.isfinite(v) and 0.0 < v < 1.0):
-            raise ValueError(f"xi must be a finite real strictly in (0, 1), got {v!r}")
+    def __new__(cls, value):
+        if not (isinstance(value, float) and math.isfinite(value) and 0.0 < value < 1.0):
+            raise ValueError(f"xi must be a finite real strictly in (0, 1), got {value!r}")
+        return super().__new__(cls, value)
 
 
 def as_xi(xi) -> XiParameter:
@@ -68,40 +67,36 @@ def as_xi(xi) -> XiParameter:
     return XiParameter(float(xi))
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(namedtuple(
+        "UncertaintyReport",
+        "parties xi product separable_bound infimum violation_ratio route")):
     """One evaluated uncertainty product with its bounds.
 
-    ``separable_bound`` is the threshold every separable state obeys,
+    ``xi`` is the ``XiParameter`` it was evaluated at,
+    ``separable_bound`` the threshold every separable state obeys,
     ``infimum`` the unreachable lower limit of the construction, and
     ``violation_ratio`` = separable_bound / product measures how strongly
     the bound is beaten.
     """
 
-    parties: int
-    xi: XiParameter
-    product: float
-    separable_bound: float
-    infimum: float
-    violation_ratio: float
-    route: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.parties % 2 != 0 or self.parties < 2:
-            raise ValueError(f"parties must be a positive even integer, got {self.parties}")
-        if not self.product > self.infimum:
-            raise ValueError(
-                f"product {self.product!r} at or below the infimum {self.infimum!r}"
-            )
+    def __new__(cls, parties, xi, product, separable_bound, infimum, violation_ratio, route):
+        if parties % 2 != 0 or parties < 2:
+            raise ValueError(f"parties must be a positive even integer, got {parties}")
+        if not product > infimum:
+            raise ValueError(f"product {product!r} at or below the infimum {infimum!r}")
         # The two-party product provably stays under the separable bound;
         # the larger families exceed it at small xi, so no upper check there.
-        if self.parties == 2 and not self.product < self.separable_bound:
+        if parties == 2 and not product < separable_bound:
             raise ValueError(
-                f"two-party product {self.product!r} must stay below {self.separable_bound!r}"
+                f"two-party product {product!r} must stay below {separable_bound!r}"
             )
-        expected = self.separable_bound / self.product
-        if abs(self.violation_ratio - expected) > 1e-12 * abs(expected):
+        expected = separable_bound / product
+        if abs(violation_ratio - expected) > 1e-12 * abs(expected):
             raise ValueError("violation_ratio inconsistent with separable_bound / product")
+        return super().__new__(cls, parties, xi, product, separable_bound, infimum,
+                               violation_ratio, route)
 
 
 def angular_rule(xi: float):
@@ -416,7 +411,13 @@ def overlap(xi, xi_prime) -> float:
     """
     a = _xi_or_zero(xi)
     b = _xi_or_zero(xi_prime)
-    return ellip_k(math.sqrt(a * b)) / math.sqrt(ellip_k(a) * ellip_k(b))
+    return _overlap(a, b, ellip_k(a), ellip_k(b))
+
+
+def _overlap(a: float, b: float, ka: float, kb: float) -> float:
+    # K(sqrt(ab)) / sqrt(K(a) K(b)), with ka = K(a) and kb = K(b) given, so
+    # a table over a grid takes K once per grid value
+    return ellip_k(math.sqrt(a * b)) / math.sqrt(ka * kb)
 
 
 def fock_coeff(n: int, m: int, xi) -> float:

@@ -10,16 +10,15 @@ anchors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import multipartite
 from ._numpy import np
 from .bipartite import (
+    _overlap,
     f_closed,
     f_profile,
     fock_coeff,
@@ -47,39 +46,45 @@ _DEFAULT_SCAN_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 _DEFAULT_PROFILE_GRID = (0.1, 0.5, 0.9)
 _DEFAULT_OVERLAP_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _DEFAULT_FOCK_GRID = (0.5,)
+# the commands with a table per party count; the others are two-party only
+_PARTY_COMMANDS = ("scan", "profile")
+# the commands whose order must be at least 2: a form of order 2 or more,
+# or at least the two end radii of the profile
+_ORDER_2_COMMANDS = ("verify", "minimize-q", "profile")
 
 
 class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    parties: int
-    xi_grid: tuple
-    truncation: int
-    output_path: str
-    format: str
+class RunConfig(namedtuple(
+        "RunConfig", "command parties xi_grid truncation output_path format")):
+    """One validated invocation; an invalid one raises ``UsageError``."""
 
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
-        if self.parties not in (2, 4, 6):
-            raise UsageError(f"parties must be 2, 4 or 6, got {self.parties}")
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"format must be csv or json, got {self.format!r}")
-        if self.truncation < 1:
-            raise UsageError(f"order must be positive, got {self.truncation}")
-        if self.command in ("verify", "minimize-q") and self.truncation < 2:
-            raise UsageError(f"{self.command} needs order >= 2, got {self.truncation}")
+    __slots__ = ()
+
+    def __new__(cls, command, parties, xi_grid, truncation, output_path, format):
+        if command not in _COMMANDS:
+            raise UsageError(f"unknown command {command!r}")
+        if parties not in (2, 4, 6):
+            raise UsageError(f"parties must be 2, 4 or 6, got {parties}")
+        if parties != 2 and command not in _PARTY_COMMANDS:
+            raise UsageError(f"{command} is two-party only, got parties {parties}")
+        if format not in ("csv", "json"):
+            raise UsageError(f"format must be csv or json, got {format!r}")
+        if truncation < 1:
+            raise UsageError(f"order must be positive, got {truncation}")
+        if command in _ORDER_2_COMMANDS and truncation < 2:
+            raise UsageError(f"{command} needs order >= 2, got {truncation}")
         prev = 0.0
-        for x in self.xi_grid:
+        for x in xi_grid:
             if not (0.0 < x < 1.0):
                 raise UsageError(f"xi values must lie strictly inside (0, 1), got {x!r}")
             if x <= prev:
                 raise UsageError("xi grid must be strictly increasing")
             prev = x
+        return super().__new__(cls, command, parties, xi_grid, truncation, output_path,
+                               format)
 
 
 def _expand_xi_token(token: str):
@@ -189,15 +194,29 @@ def _json_safe(v):
     return v
 
 
+def _csv_lines(columns, rows):
+    """The header and one line per row; ``_cell`` formats each value.
+
+    A row of floats only is one %-format call, "%.17g,...,%.17g", which
+    writes what ``_cell`` writes for each of them.
+    """
+    yield ",".join(columns)
+    for row in rows:
+        if all(isinstance(v, float) for v in row):
+            yield ",".join(["%.17g"] * len(row)) % tuple(row)
+        else:
+            yield ",".join(_cell(v) for v in row)
+
+
 def write_table(config: RunConfig, columns, rows) -> None:
     parent = os.path.dirname(config.output_path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     if config.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_cell(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_csv_lines(columns, rows)) + "\n"
     else:
+        import json  # only this branch writes JSON
+
         doc = {
             "command": config.command,
             "parties": config.parties,
@@ -231,6 +250,8 @@ def _run_checks(checks):
 
 
 def _b_table_mismatches() -> int:
+    from fractions import Fraction
+
     expected = {
         1: ((Fraction(1),), Fraction(1, 2)),
         2: ((Fraction(1), Fraction(2)), Fraction(1, 30)),
@@ -256,6 +277,8 @@ def _pair_mismatches(fwd, inv) -> int:
     scale to an integer counts as a mismatch itself.  The scaled product
     must then equal _PASCAL_SCALE^2 times the identity.
     """
+    from fractions import Fraction
+
     bad = 0
     scaled = []
     for matrix in (fwd, inv):
@@ -284,6 +307,8 @@ def _pascal_mismatches() -> int:
 
 
 def _pochhammer_worst() -> float:
+    from fractions import Fraction
+
     worst = Fraction(0)
     for n in range(1, 9):
         for j in range(n):
@@ -469,8 +494,7 @@ def _profile_column(parties: int, x: float, r_grid):
 
 def run_profile(config: RunConfig) -> int:
     n = config.parties // 2
-    points = max(config.truncation, 2)
-    r_grid = np.linspace(0.0, 4.0, points)
+    r_grid = np.linspace(0.0, 4.0, config.truncation)
     front = math.sqrt(math.factorial(n) / math.pi**n)
     columns = ["r"] + [f"psi_xi={x:.15g}" for x in config.xi_grid]
     table = [r_grid] + [front * _profile_column(config.parties, x, r_grid)
@@ -517,11 +541,15 @@ def run_fock(config: RunConfig) -> int:
 
 
 def run_overlap(config: RunConfig) -> int:
+    # the grid is validated, so each K(xi) is taken once and no pair
+    # builds an XiParameter; the values are those of overlap(a, b)
     columns = ("xi_a", "xi_b", "overlap")
+    grid = config.xi_grid
+    ks = [ellip_k(x) for x in grid]
     rows = []
-    for i, a in enumerate(config.xi_grid):
-        for b in config.xi_grid[i:]:
-            rows.append([a, b, overlap(a, b)])
+    for i, (a, ka) in enumerate(zip(grid, ks)):
+        for b, kb in zip(grid[i:], ks[i:]):
+            rows.append([a, b, _overlap(a, b, ka, kb)])
     write_table(config, columns, rows)
     return 0
 

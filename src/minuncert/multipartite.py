@@ -18,8 +18,7 @@ independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from ._numpy import np
@@ -51,19 +50,21 @@ SEPARABLE_BOUND_6 = 1.0 / 64.0
 PRODUCT_INFIMUM_6 = 35.0 / 4096.0
 
 
-@dataclass(frozen=True)
-class OperatorCoefficients:
-    """Exact coefficient table of the order-n differential operator."""
+class OperatorCoefficients(namedtuple("OperatorCoefficients", "n b prefactor")):
+    """Exact coefficient table of the order-n differential operator.
 
-    n: int
-    b: tuple
-    prefactor: Fraction
+    ``b`` is the tuple b_1, ..., b_n and ``prefactor`` a ``Fraction``.
+    """
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=16)
 def b_coefficients(n: int) -> OperatorCoefficients:
     if not (isinstance(n, int) and 1 <= n <= 12):
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
+    from fractions import Fraction  # exact tables only; it loads decimal too
+
     table = []
     for k in range(1, n + 1):
         acc = Fraction(0)
@@ -81,6 +82,8 @@ def pascal_matrix_pair(n: int):
     """Lower-triangular factorial matrix and its signed inverse, exactly."""
     if not (isinstance(n, int) and 1 <= n <= 12):
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
+    from fractions import Fraction
+
     fwd = [
         [Fraction(1, math.factorial(i - j)) if i >= j else Fraction(0) for j in range(n)]
         for i in range(n)
@@ -95,8 +98,8 @@ def pascal_matrix_pair(n: int):
     return fwd, inv
 
 
-def pochhammer_root_residual(n: int, j: int) -> Fraction:
-    """sum_k b_k (j/n)(j/n - 1)...(j/n - k + 1); exactly zero for 0 <= j < n.
+def pochhammer_root_residual(n: int, j: int):
+    """sum_k b_k (j/n)(j/n - 1)...(j/n - k + 1) as a Fraction; exactly zero for 0 <= j < n.
 
     The vanishing falling-factorial sums are precisely why the monomials
     r^(j/n) are annihilated by the operator, so no non-normalizable
@@ -106,6 +109,8 @@ def pochhammer_root_residual(n: int, j: int) -> Fraction:
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
     if not (isinstance(j, int) and 0 <= j < n):
         raise ValueError(f"j must be an integer in [0, n), got {j!r}")
+    from fractions import Fraction
+
     ops = b_coefficients(n)
     alpha = Fraction(j, n)
     total = Fraction(0)

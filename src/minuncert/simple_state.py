@@ -10,7 +10,7 @@ reconstructs the state coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bipartite import XiParameter, as_xi
 from .specfun import dilog
@@ -23,21 +23,19 @@ _SCAN_POINTS = 1000
 _TRUNCATION_TAIL = 1e-16
 
 
-@dataclass(frozen=True)
-class SimpleStateSolution:
+class SimpleStateSolution(namedtuple(
+        "SimpleStateSolution", "xi phi q_value coefficients tail_norm_sq")):
     """Minimizing state of the ansatz.
 
-    ``coefficients`` holds (c_0, c_1, ..., c_m) truncated where the
-    neglected terms are below the tail bound; ``tail_norm_sq`` is the
-    exact analytic mass of everything beyond the truncation, so that
-    sum(c^2) + tail_norm_sq = 1 up to roundoff.
+    ``xi`` is the minimizing ``XiParameter``, ``phi`` the ellipse angle
+    and ``q_value`` the minimum of the form.  ``coefficients`` holds
+    (c_0, c_1, ..., c_m) truncated where the neglected terms are below
+    the tail bound; ``tail_norm_sq`` is the exact analytic mass of
+    everything beyond the truncation, so that sum(c^2) + tail_norm_sq = 1
+    up to roundoff.
     """
 
-    xi: XiParameter
-    phi: float
-    q_value: float
-    coefficients: tuple
-    tail_norm_sq: float
+    __slots__ = ()
 
 
 def c1_c2(xi):

@@ -7,7 +7,7 @@ so no dense matrix is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._numpy import np
 
@@ -19,27 +19,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BandedSymmetricForm:
+class BandedSymmetricForm(namedtuple("BandedSymmetricForm", "order diagonal off_diagonal")):
     """Symmetric tridiagonal matrix: the diagonal and the (n, n+1) couplings."""
 
-    order: int
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
-        if len(self.diagonal) != self.order:
+    def __new__(cls, order, diagonal, off_diagonal):
+        if order < 2:
+            raise ValueError(f"order must be >= 2, got {order}")
+        if len(diagonal) != order:
             raise ValueError("diagonal length must equal order")
-        if len(self.off_diagonal) != self.order - 1:
+        if len(off_diagonal) != order - 1:
             raise ValueError("off-diagonal length must equal order - 1")
+        return super().__new__(cls, order, diagonal, off_diagonal)
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    eigenvalue: float
-    eigenvector: np.ndarray
+class EigenPair(namedtuple("EigenPair", "eigenvalue eigenvector")):
+    """A float eigenvalue and its eigenvector, a numpy array."""
+
+    __slots__ = ()
 
 
 def build_q_form(order: int) -> BandedSymmetricForm:

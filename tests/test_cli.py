@@ -14,8 +14,10 @@ import minuncert
 import minuncert.bipartite as bipartite
 import minuncert.cli as cli
 import minuncert.multipartite as multipartite
-from minuncert.bipartite import fock_coeff, overlap
+from minuncert.bipartite import UncertaintyReport, XiParameter, fock_coeff, overlap
 from minuncert.multipartite import OperatorCoefficients, b_coefficients
+from minuncert.simple_state import SimpleStateSolution
+from minuncert.spectral import BandedSymmetricForm, EigenPair
 
 from oracles import LAMBDA_MIN_200, OVERLAP_03_07, C00_HALF, wavefunction
 
@@ -69,6 +71,56 @@ for argv in (["scan", "--parties", "2", "--xi", "0.1:0.9:0.1"], ["overlap"], ["f
     lines = run_fresh(code, str(tmp_path / "table.csv")).splitlines()
     assert lines == ["import False", "scan 0 False", "overlap 0 False", "fock 0 False",
                      "profile 0 True"]
+
+
+def test_start_up_loads_no_dataclasses_fractions_or_json(tmp_path):
+    # the records are plain tuples, and the exact tables and JSON writing
+    # import fractions and json where they are used; verify's exact
+    # checks are the first use of fractions
+    code = """
+import sys
+import minuncert.cli as cli
+slow = ("dataclasses", "inspect", "fractions", "decimal", "json")
+print(*[m for m in slow if m in sys.modules])
+cli.main(["--command", "scan", "--parties", "2", "--xi", "0.1:0.9:0.1", "--out", sys.argv[1]])
+print(*[m for m in slow if m in sys.modules])
+cli.main(["--command", "verify", "--out", sys.argv[1]])
+print("fractions" in sys.modules)
+"""
+    assert run_fresh(code, str(tmp_path / "table.csv")).splitlines() == ["", "", "True"]
+
+
+_RECORDS = [
+    (XiParameter, ("value",), (0.5,)),
+    (UncertaintyReport,
+     ("parties", "xi", "product", "separable_bound", "infimum", "violation_ratio", "route"),
+     (2, XiParameter(0.5), 0.2, 0.25, 0.125, 1.25, "closed_form")),
+    (cli.RunConfig,
+     ("command", "parties", "xi_grid", "truncation", "output_path", "format"),
+     ("scan", 4, (0.5,), 200, "scan.csv", "csv")),
+    (OperatorCoefficients, ("n", "b", "prefactor"),
+     (2, (Fraction(1), Fraction(2)), Fraction(1, 30))),
+    (SimpleStateSolution, ("xi", "phi", "q_value", "coefficients", "tail_norm_sq"),
+     (XiParameter(0.3), 0.1, -0.04, (0.9, 0.1), 1e-17)),
+    (BandedSymmetricForm, ("order", "diagonal", "off_diagonal"),
+     (3, np.arange(3.0), np.ones(2))),
+    (EigenPair, ("eigenvalue", "eigenvector"), (-0.04, np.ones(3))),
+]
+
+
+@pytest.mark.parametrize("cls,fields,values", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+def test_records_build_by_position_and_keyword(cls, fields, values):
+    # the positional order of the fields is part of each record's interface
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    assert by_position == by_keyword
+    for name, value in zip(fields, values):
+        assert getattr(by_keyword, name) is value
+    with pytest.raises(AttributeError):
+        setattr(by_position, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        by_position.extra = 1
+    assert repr(by_position).startswith(cls.__name__ + "(" + fields[0] + "=")
 
 
 def test_missing_numpy_raises_import_error_on_first_use(tmp_path):
@@ -131,6 +183,11 @@ def test_explicit_out_wins_over_env(tmp_path, monkeypatch):
         ["--order", "0"],
         ["--command", "verify", "--order", "1"],
         ["--command", "minimize-q", "--order", "1"],
+        ["--command", "overlap", "--parties", "4", "--format", "json"],
+        ["--command", "fock", "--parties", "6"],
+        ["--command", "verify", "--parties", "4"],
+        ["--command", "minimize-q", "--parties", "6"],
+        ["--command", "profile", "--order", "1"],
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
@@ -369,6 +426,35 @@ def test_overlap_table(tmp_path, monkeypatch):
         assert v == pytest.approx(overlap(a, b), rel=1e-13)
         if a == b:
             assert v == pytest.approx(1.0, abs=1e-13)
+
+
+def test_overlap_table_is_overlap_bit_for_bit(monkeypatch):
+    # run_overlap takes K once per grid value; every cell must still be
+    # exactly the value overlap(a, b) returns
+    written = []
+    monkeypatch.setattr(cli, "write_table", lambda config, columns, rows: written.extend(rows))
+    grid = (1e-9, 0.1, 0.3, 0.5, 0.7, 0.999, 1.0 - 1e-12)
+    config = cli.RunConfig("overlap", 2, grid, 200, "overlap.csv", "csv")
+    assert cli.run_overlap(config) == 0
+    expected = [[a, b, overlap(a, b)] for i, a in enumerate(grid) for b in grid[i:]]
+    assert written == expected
+
+
+@pytest.mark.parametrize("rows", [
+    [[-0.0, 0.0, float("nan"), float("inf"), -float("inf")],
+     [5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]],
+    [[None, True, False, 3, -0.0], ["name", 1e300, 10**20, float("nan"), None]],
+    [[0.5, 7], [0.25, 0.125]],
+])
+def test_csv_rows_match_per_cell_formatting(rows, tmp_path):
+    # all-float rows take one format call, the rest one _cell per value;
+    # either way the bytes are those of the per-cell join
+    out = tmp_path / "table.csv"
+    config = cli.RunConfig("scan", 2, (0.5,), 200, str(out), "csv")
+    columns = [f"c{i}" for i in range(len(rows[0]))]
+    cli.write_table(config, columns, rows)
+    lines = [",".join(columns)] + [",".join(cli._cell(v) for v in row) for row in rows]
+    assert out.read_text(encoding="ascii") == "\n".join(lines) + "\n"
 
 
 def test_csv_floats_roundtrip(tmp_path, monkeypatch):
