@@ -150,6 +150,30 @@ def radial_rule(xi: float):
 _PAIR_BLOCK = 1024
 
 
+def _swapped_norms(xi: float, m):
+    """||v|| / |scale| of each kernel whose m(rho) ``m`` returns, from one pass over the pairs.
+
+    ``m`` returns a tuple of m(rho) arrays, one per kernel, so kernels
+    that share their work share one call per block of pairs.  See
+    ``_swapped_norm``.
+    """
+    gam, wt = angular_rule(xi)
+    # M is symmetric: pairs j > i count twice, the diagonal once
+    n = len(gam)
+    rows = max(1, _PAIR_BLOCK // n)
+    totals = None
+    for start in range(0, n, rows):
+        i = np.arange(start, min(start + rows, n))[:, None]
+        j = np.arange(start, n)
+        g_lo = np.minimum(gam[i], gam[j])
+        g_hi = np.maximum(gam[i], gam[j])
+        pair_w = wt[i] * wt[j] * np.where(j > i, 2.0, np.where(j == i, 1.0, 0.0))
+        parts = [float(np.sum(pair_w * mk / g_hi)) for mk in m(g_lo / g_hi)]
+        totals = parts if totals is None else [t + p for t, p in zip(totals, parts)]
+    density = 2.0 * math.pi * ellip_k(xi) * (1.0 - xi)
+    return tuple(math.sqrt(t / density) for t in totals)
+
+
 def _swapped_norm(xi: float, m, scale: float) -> float:
     """||v|| of v(r) = scale int w(theta) K(gamma(theta) r) dtheta, radial integral first.
 
@@ -159,19 +183,7 @@ def _swapped_norm(xi: float, m, scale: float) -> float:
     ||v||^2 = scale^2 / (2 pi K (1 - xi)) iint_0^pi M(gamma, gamma') dphi dphi',
     taken with the tensor product of that rule.
     """
-    gam, wt = angular_rule(xi)
-    # M is symmetric: pairs j > i count twice, the diagonal once
-    n = len(gam)
-    rows = max(1, _PAIR_BLOCK // n)
-    total = 0.0
-    for start in range(0, n, rows):
-        i = np.arange(start, min(start + rows, n))[:, None]
-        j = np.arange(start, n)
-        g_lo = np.minimum(gam[i], gam[j])
-        g_hi = np.maximum(gam[i], gam[j])
-        pair_w = wt[i] * wt[j] * np.where(j > i, 2.0, np.where(j == i, 1.0, 0.0))
-        total += float(np.sum(pair_w * m(g_lo / g_hi) / g_hi))
-    return abs(scale) * math.sqrt(total / (2.0 * math.pi * ellip_k(xi) * (1.0 - xi)))
+    return abs(scale) * _swapped_norms(xi, lambda rho: (m(rho),))[0]
 
 
 def _angular_kernel_integral(xi: float, r, chain, ks):

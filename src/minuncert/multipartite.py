@@ -22,9 +22,10 @@ from collections import namedtuple
 from functools import lru_cache
 
 from ._numpy import np
-from .bipartite import AngularProfile, UncertaintyReport, _swapped_norm, as_xi, r_closed
+from .bipartite import (
+    AngularProfile, UncertaintyReport, _swapped_norm, _swapped_norms, as_xi, r_closed)
 from .quadrature import panel_rule
-from .specfun import binom, tabulated_upper_gamma
+from .specfun import binom, scaled_upper_gamma
 
 __all__ = [
     "OperatorCoefficients",
@@ -131,34 +132,33 @@ def pochhammer_root_residual(n: int, j: int):
 # with no cancellation-prone numerics.
 
 
-def _t_kernel(c: float, x):
+def _t_kernel(c: float, x, e):
     # x^c Gamma(-c, x) for c > 0; tends to 1/c at the origin
     out = np.empty_like(x)
     zero = x == 0.0
     out[zero] = 1.0 / c
     pos = ~zero
     if np.any(pos):
-        xp = x[pos]
-        out[pos] = xp**c * tabulated_upper_gamma(-c, xp)
+        out[pos] = scaled_upper_gamma(-c, x[pos], e[pos])
     return out
 
 
-def _u_kernel(x):
-    # x^{2/3} Gamma(1/3, x); vanishes at the origin
+def _u_kernel(x, e):
+    # x^{2/3} Gamma(1/3, x) = x (x^{-1/3} Gamma(1/3, x)); vanishes at the origin
     out = np.empty_like(x)
     zero = x == 0.0
     out[zero] = 0.0
     pos = ~zero
     if np.any(pos):
         xp = x[pos]
-        out[pos] = xp ** (2.0 / 3.0) * tabulated_upper_gamma(1.0 / 3.0, xp)
+        out[pos] = xp * scaled_upper_gamma(1.0 / 3.0, xp, e[pos])
     return out
 
 
 def _g_kernel_chain(a: float, x):
     c = (a - 1.0) / a
     e = np.exp(-x)
-    t = _t_kernel(c, x)
+    t = _t_kernel(c, x, e)
     k0 = -t / a
     k1 = (e - (1.0 - a) * k0) / a
     k2 = -(x * e + k1) / a
@@ -168,8 +168,8 @@ def _g_kernel_chain(a: float, x):
 
 def _h_kernel_chain(x):
     e = np.exp(-x)
-    t = _t_kernel(1.0 / 3.0, x)
-    u = _u_kernel(x)
+    t = _t_kernel(1.0 / 3.0, x, e)
+    u = _u_kernel(x, e)
     k0 = 1.5 * e - 1.5 * u - t
     k1 = e - u - t / 3.0
     k2 = u / 3.0 + 2.0 * t / 9.0 - 2.0 * e / 3.0
@@ -213,6 +213,16 @@ def _m_g2(rho):
 _CUBE_ROOT_POINTS = 16
 
 
+@lru_cache(maxsize=1)
+def _p_rule():
+    """(p, p^3 w): the read-only p rule of the cube-root kernels."""
+    p, w = panel_rule((0.0, 1.0), _CUBE_ROOT_POINTS)
+    p3w = p**3 * w
+    p.flags.writeable = False
+    p3w.flags.writeable = False
+    return p, p3w
+
+
 def _cube_root_parts(rho):
     """(p, p^3 w, beta, F0, F1) on the p rule, for the q integrals at B = beta^3 = rho p^3.
 
@@ -221,30 +231,39 @@ def _cube_root_parts(rho):
     from the elementary antiderivatives of 1/(t^3 + 1) and t/(t^3 + 1),
     arranged without cancellation for small beta.
     """
-    p, w = panel_rule((0.0, 1.0), _CUBE_ROOT_POINTS)
+    p, p3w = _p_rule()
     beta = np.cbrt(rho)[..., None] * p
     log_part = np.log1p(3.0 * beta / (1.0 - beta + beta * beta)) / 6.0
     root3 = math.sqrt(3.0)
     atan_part = (2.0 * math.pi / 3.0 - np.arctan(root3 * beta / (2.0 - beta))) / root3
-    return p, p**3 * w, beta, atan_part + log_part, atan_part - log_part
+    return p, p3w, beta, atan_part + log_part, atan_part - log_part
 
 
-def _m_g32(rho):
-    _, p3w, beta, f0, _ = _cube_root_parts(rho)
-    return 9.0 * np.sum(p3w * (1.0 - beta * f0), axis=-1)
-
-
-def _m_h(rho):
+def _m_g32_h(rho):
+    """(m of g_3/2, m of h) at rho, from one ``_cube_root_parts``."""
     p, p3w, beta, f0, f1 = _cube_root_parts(rho)
-    return 9.0 * np.sum((p - 1.0) * p3w * (-0.5 - beta * (beta * f1 - f0)), axis=-1)
+    return (9.0 * np.sum(p3w * (1.0 - beta * f0), axis=-1),
+            9.0 * np.sum((p - 1.0) * p3w * (-0.5 - beta * (beta * f1 - f0)), axis=-1))
 
 
 # the g and h families are angular-kernel profiles like f
 OdeFamilyProfile = AngularProfile
 
-# m(rho) of each g family, by its order a: the four-party product takes
-# a = 2, the six-party one a = 3/2
-_G_KERNELS = {2.0: _m_g2, 1.5: _m_g32}
+# m(rho) of the a = 2 family, which the four-party product takes; the
+# a = 3/2 family of the six-party product shares its pass with h
+_G_KERNELS = {2.0: _m_g2}
+
+
+@lru_cache(maxsize=32)
+def _cube_root_norms(xi_value: float):
+    # (||g_3/2||, ||h||) / |scale|: the cube-root kernels share one pass
+    return _swapped_norms(xi_value, _m_g32_h)
+
+
+def _g_norm(xi_value: float, a: float) -> float:
+    if a == 1.5:
+        return (1.0 / a) * _cube_root_norms(xi_value)[0]
+    return _swapped_norm(xi_value, _G_KERNELS[a], 1.0 / a)
 
 
 @lru_cache(maxsize=32)
@@ -252,7 +271,7 @@ def _g_family_cached(xi_value: float, a: float) -> OdeFamilyProfile:
     return AngularProfile(
         xi_value,
         chain=lambda x: _g_kernel_chain(a, x),
-        norm=_swapped_norm(xi_value, _G_KERNELS[a], 1.0 / a),
+        norm=_g_norm(xi_value, a),
     )
 
 
@@ -260,7 +279,7 @@ def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:
     """Family member solving (1 - a) g + a r g' = f for the given xi, a = 2 or 3/2."""
     v = as_xi(xi).value
     a = float(a)
-    if a not in _G_KERNELS:
+    if a not in (2.0, 1.5):
         raise ValueError(f"a must be 2 or 3/2, got {a!r}")
     return _g_family_cached(v, a)
 
@@ -274,7 +293,7 @@ def _h_family_cached(xi_value: float) -> OdeFamilyProfile:
         xi_value,
         chain=_h_kernel_chain,
         scale=scale,
-        norm=_swapped_norm(xi_value, _m_h, scale),
+        norm=abs(scale) * _cube_root_norms(xi_value)[1],
     )
 
 

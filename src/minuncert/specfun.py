@@ -8,12 +8,16 @@ binomials.
 
 Scalar arguments are Python floats.  The functions that appear inside
 integration kernels (``log_bessel_i0``, ``upper_gamma``,
-``tabulated_upper_gamma``) also accept numpy arrays and evaluate
-elementwise.
+``tabulated_upper_gamma``, ``scaled_upper_gamma``) also accept numpy
+arrays and evaluate elementwise.
 
-The integration kernels take the incomplete gamma from
-``tabulated_upper_gamma``: a piecewise Chebyshev table per order, built
-on first use from ``upper_gamma``, which stays the reference route.
+The integration kernels take the incomplete gamma as the atom
+x^-s Gamma(s, x) from ``scaled_upper_gamma``: a piecewise Chebyshev
+table per order on [0, 768), times the kernel's own e^-x on the panels
+[1.5, 768), and exactly 0 from 768 on, where e^-x is 0.  So no angular
+pass reaches the continued fraction.  The table is built on first use
+from the continued fraction and the power series, and ``upper_gamma``
+stays the reference route.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "log_bessel_i0",
     "upper_gamma",
     "tabulated_upper_gamma",
+    "scaled_upper_gamma",
     "binom",
     "central_binomial",
 ]
@@ -51,12 +56,13 @@ _MAX_ORDER = 5.0
 _SERIES_EDGE = 1.5
 # exp(-x + s ln x) underflows to 0 from here on for every s <= _MAX_ORDER
 _UNDERFLOW_X = 800.0
-# tabulated_upper_gamma: geometric panels [1.5 * 2^k, 1.5 * 2^(k+1)] up to
-# x = 384 and the Chebyshev degree of every panel.  The branch point x = 0
-# lies 3 half-widths from each geometric panel's centre, so the Bernstein
-# ellipse parameter is 3 + sqrt(8) = 5.8 and the degree-24 truncation
-# error (~5.8^-24 = 4e-19) sits far below rounding
-_TABLE_PANELS = 8
+# the gamma table: geometric panels [1.5 * 2^k, 1.5 * 2^(k+1)] up to
+# x = 768, where e^-x is exactly 0, and the Chebyshev degree of every
+# panel.  The branch point x = 0 lies 3 half-widths from each geometric
+# panel's centre, so the Bernstein ellipse parameter is 3 + sqrt(8) = 5.8
+# and the degree-24 truncation error (~5.8^-24 = 4e-19) sits far below
+# rounding
+_TABLE_PANELS = 9
 _TABLE_DEGREE = 24
 
 
@@ -191,8 +197,9 @@ def log_bessel_i0(z):
 # ---------------------------------------------------------------------------
 
 def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for Gamma(s, x) at x >= 1.5.
+    """Continued fraction for the scaled e^x x^-s Gamma(s, x) at x >= 1.5.
 
+    The scaled value stays a normal float where Gamma(s, x) underflows.
     The library uses -1 < s <= 1/3 and the tests cover -1 < s <= 5;
     ``upper_gamma`` rejects larger orders.  Each element stops at its
     own first converged step, so its value depends on its own x alone,
@@ -220,8 +227,7 @@ def _upper_gamma_cf(s: float, x: np.ndarray) -> np.ndarray:
             break
     else:
         raise RuntimeError(f"incomplete gamma continued fraction at s={s!r} not converged")
-    with np.errstate(under="ignore"):
-        return np.exp(-x + s * np.log(x)) * h
+    return h
 
 
 def _series_tail(s: float, x: np.ndarray) -> np.ndarray:
@@ -289,7 +295,7 @@ def upper_gamma(s: float, x):
     near x = 1.5.  Accepts array x.
 
     This is the reference route; the integration kernels use
-    ``tabulated_upper_gamma``.
+    ``scaled_upper_gamma``.
     """
     s, arr = _checked(s, x)
     out = np.zeros_like(arr)
@@ -298,7 +304,9 @@ def upper_gamma(s: float, x):
     if np.any(small):
         out[small] = _upper_gamma_series(s, arr[small])
     if np.any(mid):
-        out[mid] = _upper_gamma_cf(s, arr[mid])
+        xm = arr[mid]
+        with np.errstate(under="ignore"):
+            out[mid] = np.exp(-xm + s * np.log(xm)) * _upper_gamma_cf(s, xm)
     if arr.ndim == 0:
         return float(out)
     return out
@@ -310,12 +318,12 @@ def _gamma_table(s: float) -> np.ndarray:
 
     Column 0 interpolates the series tail divided by its leading term
     -x/(s + 1) on [0, 1.5]; column k >= 1 the ratio e^x x^-s Gamma(s, x)
-    on [1.5 * 2^(k-1), 1.5 * 2^k], taken from ``upper_gamma`` at the
-    first-kind Chebyshev points.  Below 1.5 the head and the tail cancel,
+    on [1.5 * 2^(k-1), 1.5 * 2^k], taken from the continued fraction at
+    the first-kind Chebyshev points.  Below 1.5 the head and the tail cancel,
     by up to a factor ~200 as s -> -1, so the tail must be held to a few
     ulp: the quotient is close to 1, and its transform takes every cosine
     at an angle reduced exactly to [0, 2 pi).  The panels need no such
-    care, since the ~3e-14 error of ``upper_gamma`` dominates theirs.
+    care, since the ~3e-14 error of the continued fraction dominates theirs.
     """
     n = _TABLE_DEGREE + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
@@ -325,7 +333,7 @@ def _gamma_table(s: float) -> np.ndarray:
     values[0] = _series_tail(s, x0) * (-(s + 1.0) / x0)
     lo = _SERIES_EDGE * 2.0 ** np.arange(_TABLE_PANELS)
     x = lo[:, None] * 0.5 * (t + 3.0)
-    values[1:] = upper_gamma(s, x) * np.exp(x - s * np.log(x))
+    values[1:] = _upper_gamma_cf(s, x)
     coef = (2.0 / n) * values @ np.cos(np.outer(theta, np.arange(n)))
     # cos(theta_j k) = cos(pi m / 2n) with m = (2j + 1) k mod 4n
     m = np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
@@ -338,43 +346,85 @@ def _gamma_table(s: float) -> np.ndarray:
 
 def _clenshaw(table: np.ndarray, panel, t: np.ndarray) -> np.ndarray:
     """sum_k table[k, panel] T_k(t), elementwise in (panel, t)."""
+    coef = table[:, panel]
     t2 = 2.0 * t
     b1 = np.zeros_like(t)
     b2 = np.zeros_like(t)
     for k in range(table.shape[0] - 1, 0, -1):
-        b1, b2 = table[k][panel] + t2 * b1 - b2, b1
-    return table[0][panel] + t * b1 - b2
+        b1, b2 = coef[k] + t2 * b1 - b2, b1
+    return coef[0] + t * b1 - b2
+
+
+def _table_walk(s: float, arr: np.ndarray, panel_factor):
+    """(out, inner): the order-s table at every x of ``arr``.
+
+    ``out`` holds Gamma(s, x) below x = 1.5 (the cells ``inner``), where
+    the table replaces the series tail and the exact head is kept; on
+    [1.5, 768) the table value e^x x^-s Gamma(s, x) of one of 9 geometric
+    panels, found with ``frexp``, times ``panel_factor(mid)`` at the
+    cells ``mid``; and 0 from 768 on.  Each value depends on its own x
+    alone.
+    """
+    table = _gamma_table(s)
+    q = arr / _SERIES_EDGE
+    out = np.zeros_like(arr)
+    inner = q < 1.0
+    mid = ~inner & (q < 2.0**_TABLE_PANELS)
+    if np.any(inner):
+        xs = arr[inner]
+        tail = _clenshaw(table, 0, 2.0 * q[inner] - 1.0) * (-xs / (s + 1.0))
+        out[inner] = _series_value(s, xs, tail)
+    if np.any(mid):
+        # q = m 2^k with m in [0.5, 1): panel k, local coordinate 4m - 3 in [-1, 1)
+        m, k = np.frexp(q[mid])
+        out[mid] = _clenshaw(table, k, 4.0 * m - 3.0) * panel_factor(mid)
+    return out, inner
 
 
 def tabulated_upper_gamma(s: float, x):
     """Gamma(s, x) from a piecewise Chebyshev table of order s.
 
     Accepts the orders and arguments ``upper_gamma`` accepts and agrees
-    with it to ~1e-13 relative.  Below x = 1.5 the table replaces the
-    series tail and keeps the exact head; on [1.5, 384) it replaces the
-    continued fraction by one of 8 geometric panels, found with
-    ``frexp``; beyond that ``upper_gamma`` itself is called.  The table
-    for each order is built on first use.  Each value depends on its own
-    x alone.
+    with it to ~1e-13 relative where Gamma(s, x) is a normal float, and
+    to one unit in the last place where it is subnormal (x above ~700
+    for the kernel orders).  Below x = 1.5 the table replaces the
+    series tail and keeps the exact head; on [1.5, 768) it replaces the
+    continued fraction by one of 9 geometric panels; from 768 on
+    ``upper_gamma`` itself is called, which is nonzero there only for
+    orders above 1.  The table for each order is built on first use.
+    Each value depends on its own x alone.
     """
     s, arr = _checked(s, x)
-    table = _gamma_table(s)
-    q = arr / _SERIES_EDGE
-    out = np.empty_like(arr)
-    inner = q < 1.0
-    far = q >= 2.0**_TABLE_PANELS
-    mid = ~(inner | far)
-    if np.any(inner):
-        xs = arr[inner]
-        tail = _clenshaw(table, 0, 2.0 * q[inner] - 1.0) * (-xs / (s + 1.0))
-        out[inner] = _series_value(s, xs, tail)
-    if np.any(mid):
-        # q = m 2^e with m in [0.5, 1): panel e, local coordinate 4m - 3 in [-1, 1)
-        m, e = np.frexp(q[mid])
+
+    def panel_factor(mid):
         xm = arr[mid]
-        out[mid] = _clenshaw(table, e, 4.0 * m - 3.0) * np.exp(-xm + s * np.log(xm))
+        return np.exp(-xm + s * np.log(xm))
+
+    out, _ = _table_walk(s, arr, panel_factor)
+    far = arr >= _SERIES_EDGE * 2.0**_TABLE_PANELS
     if np.any(far):
         out[far] = upper_gamma(s, arr[far])
+    if arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def scaled_upper_gamma(s: float, x, e):
+    """The kernel atom x^-s Gamma(s, x), given e = e^-x at the same x.
+
+    From the table of ``tabulated_upper_gamma``: below x = 1.5 the
+    table's Gamma(s, x) times x^-s; on [1.5, 768) the panel value
+    e^x x^-s Gamma(s, x) times ``e``, with no log, exp or power; from 768
+    on exactly 0, as ``e`` is.  Agrees with x^-s ``upper_gamma(s, x)`` to
+    ~1e-13 relative wherever both and e^-x are normal floats.  Takes the
+    orders ``upper_gamma`` takes; ``e`` has the shape of ``x``.  Each
+    value depends on its own x alone.
+    """
+    s, arr = _checked(s, x)
+    e = np.asarray(e, dtype=float)
+    out, inner = _table_walk(s, arr, lambda mid: e[mid])
+    if np.any(inner):
+        out[inner] *= arr[inner] ** -s
     if arr.ndim == 0:
         return float(out)
     return out

@@ -367,10 +367,22 @@ def test_products_near_xi_one(product, infimum, bound):
     assert vals[-1] > infimum
 
 
+def _m_g32(rho):
+    # m(rho) of g_3/2 alone, from its own pass of the cube-root parts
+    _, p3w, beta, f0, _ = multipartite._cube_root_parts(rho)
+    return 9.0 * np.sum(p3w * (1.0 - beta * f0), axis=-1)
+
+
+def _m_h(rho):
+    # m(rho) of h alone, from its own pass of the cube-root parts
+    p, p3w, beta, f0, f1 = multipartite._cube_root_parts(rho)
+    return 9.0 * np.sum((p - 1.0) * p3w * (-0.5 - beta * (beta * f1 - f0)), axis=-1)
+
+
 @pytest.mark.parametrize("m, scale", [
     (multipartite._m_g2, 0.5),
-    (multipartite._m_g32, 2.0 / 3.0),
-    (multipartite._m_h, 1.0),
+    (_m_g32, 2.0 / 3.0),
+    (_m_h, 1.0),
 ], ids=["g2", "g32", "h"])
 @pytest.mark.parametrize("xi", [0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
 def test_swapped_norm_rule_orders_agree(m, scale, xi, monkeypatch):
@@ -507,9 +519,54 @@ def test_swapped_kernels_vs_mpmath(rho):
         h = 9 * mp.quad(
             lambda p: (p - 1) * p**3 * (q_int(4, r * p**3) - q_int(3, r * p**3)), [0, 1])
     rv = np.array([rho])
+    m_g32, m_h = multipartite._m_g32_h(rv)
     assert multipartite._m_g2(rv)[0] == pytest.approx(float(g2), rel=2e-15)
-    assert multipartite._m_g32(rv)[0] == pytest.approx(float(g32), rel=2e-15)
-    assert multipartite._m_h(rv)[0] == pytest.approx(float(h), rel=2e-15)
+    assert m_g32[0] == pytest.approx(float(g32), rel=2e-15)
+    assert m_h[0] == pytest.approx(float(h), rel=2e-15)
+    assert np.array_equal(m_g32, _m_g32(rv)) and np.array_equal(m_h, _m_h(rv))
+
+
+@pytest.mark.parametrize("xi", [0.01, 0.5, 0.9, 1.0 - 1e-9])
+def test_shared_cube_root_pass_matches_separate_norms(xi):
+    # one pass over the pairs for both cube-root kernels gives the norms
+    # of one pass per kernel bit for bit
+    g32 = g_family(xi, 1.5)
+    h = h_family(xi)
+    assert g32.normalization == bipartite._swapped_norm(xi, _m_g32, 2.0 / 3.0)
+    assert h.normalization == bipartite._swapped_norm(xi, _m_h, abs(h._scale))
+
+
+def test_z6_takes_one_cube_root_pass(monkeypatch):
+    # z6 at a fresh xi: one _cube_root_parts call per block of pairs, for
+    # the g_3/2 and h norms together
+    xi = 0.4321
+    calls = []
+    real = multipartite._cube_root_parts
+
+    def counted(rho):
+        calls.append(rho.shape)
+        return real(rho)
+
+    monkeypatch.setattr(multipartite, "_cube_root_parts", counted)
+    multipartite._cube_root_norms.cache_clear()
+    multipartite._g_family_cached.cache_clear()
+    multipartite._h_family_cached.cache_clear()
+    z6_product(xi)
+    n = len(bipartite.angular_rule(xi)[0])
+    rows = max(1, bipartite._PAIR_BLOCK // n)
+    assert len(calls) == len(range(0, n, rows))
+    assert sum(shape[0] for shape in calls) == n
+    z6_product(xi)
+    assert len(calls) == len(range(0, n, rows))
+
+
+def test_cube_root_p_rule_is_read_only():
+    p, p3w = multipartite._p_rule()
+    assert multipartite._p_rule()[0] is p
+    for arr in (p, p3w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
 
 
 @pytest.mark.parametrize("xi", [1.0 - 1e-4, 1.0 - 1e-6])
@@ -526,8 +583,14 @@ def test_nested_route_near_xi_one(xi):
 
 
 def test_products_match_reference_kernels(monkeypatch):
-    # the tabulated kernels against the continued fraction they were
+    # the tabulated kernel atoms against the continued fraction they were
     # tabulated from, through the whole nested product
+    calls = []
+
+    def reference_atom(s, x, e):
+        calls.append(s)
+        return x**-s * upper_gamma(s, x)
+
     def clear_families():
         multipartite._g_family_cached.cache_clear()
         multipartite._h_family_cached.cache_clear()
@@ -538,12 +601,13 @@ def test_products_match_reference_kernels(monkeypatch):
     cases = [(n, xi) for n in (2, 3) for xi in (0.5, 0.9)]
     clear_families()
     tabulated = [nested(n, xi) for n, xi in cases]
-    monkeypatch.setattr(multipartite, "tabulated_upper_gamma", upper_gamma)
+    monkeypatch.setattr(multipartite, "scaled_upper_gamma", reference_atom)
     clear_families()
     try:
         reference = [nested(n, xi) for n, xi in cases]
     finally:
         clear_families()
+    assert set(calls) == {-0.5, -1.0 / 3.0, 1.0 / 3.0}
     for value, ref in zip(tabulated, reference):
         assert value == pytest.approx(ref, rel=1e-12)
 

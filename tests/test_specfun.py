@@ -15,6 +15,7 @@ from minuncert.specfun import (
     ellip_e,
     ellip_k,
     log_bessel_i0,
+    scaled_upper_gamma,
     tabulated_upper_gamma,
     upper_gamma,
 )
@@ -129,8 +130,8 @@ def test_upper_gamma_highest_order():
 
 @pytest.mark.parametrize("s", [-0.5, -1.0 / 3.0, 0.0, 1.0 / 3.0])
 def test_upper_gamma_kernel_orders_dense(s):
-    # the orders the ODE kernels use, over the continued-fraction range
-    # the angular passes reach
+    # the orders the ODE kernels use, over most of the range the gamma
+    # table takes from the continued fraction
     x = np.geomspace(1.5, 400.0, 601)
     out = upper_gamma(s, x)
     rel = 5e-13 if s >= 0.0 else 1e-10
@@ -197,15 +198,43 @@ def test_tabulated_upper_gamma_below_series_edge_vs_mpmath(s):
 
 @pytest.mark.parametrize("s", [-0.5, 1.0 / 3.0])
 def test_tabulated_upper_gamma_panel_edges(s):
-    # the series edge 1.5, every geometric panel edge, and the hand-over
-    # to upper_gamma at 384
-    for edge in 1.5 * 2.0 ** np.arange(9):
+    # the series edge 1.5, every geometric panel edge, and the end of the
+    # table at 768, where tabulated_upper_gamma hands over to upper_gamma
+    # and scaled_upper_gamma turns 0
+    for edge in 1.5 * 2.0 ** np.arange(10):
         x = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
         table = tabulated_upper_gamma(s, x)
         ref = upper_gamma(s, x)
         assert np.all(np.abs(table - ref) <= 1e-13 * ref)
         # no jump across the edge beyond the function's own change
         assert abs(table[2] - table[0]) <= 1e-13 * table[1] + abs(ref[2] - ref[0])
+        atom = scaled_upper_gamma(s, x, np.exp(-x))
+        atom_ref = x**-s * ref
+        assert np.all(np.abs(atom - atom_ref) <= 1e-13 * atom_ref)
+    assert scaled_upper_gamma(s, 768.0, math.exp(-768.0)) == 0.0
+
+
+@pytest.mark.parametrize("s, rel", _TABLE_BOUNDS)
+def test_scaled_upper_gamma_certified(s, rel):
+    # the kernel atom x^-s Gamma(s, x) against the reference route, off the
+    # Chebyshev nodes over [1e-9, 800]
+    rng = np.random.default_rng(7)
+    x = np.sort(np.concatenate([np.geomspace(1e-9, 800.0, 4001), rng.uniform(1e-9, 1.5, 1000),
+                                rng.uniform(1.5, 768.0, 2000)]))
+    e = np.exp(-x)
+    atom = scaled_upper_gamma(s, x, e)
+    ref = x**-s * upper_gamma(s, x)
+    tiny = np.finfo(float).tiny
+    normal = (ref >= tiny) & (e >= tiny)
+    assert np.count_nonzero(normal) > 6000
+    assert np.all(np.abs(atom[normal] - ref[normal]) <= rel * ref[normal])
+    assert np.all(atom >= 0.0)
+    assert not np.any(atom[x >= 768.0])
+    pieces = np.concatenate([scaled_upper_gamma(s, x[i:i + 7], e[i:i + 7])
+                             for i in range(0, x.size, 7)])
+    assert np.array_equal(atom, pieces)
+    for i in (17, 5000, 6800):
+        assert scaled_upper_gamma(s, float(x[i]), float(e[i])) == atom[i]
 
 
 def test_iteration_caps_raise():
