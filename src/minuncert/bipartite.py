@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .quadrature import graded_rule
+from .quadrature import graded_rule, log_rule
 from .specfun import binom, central_binomial, ellip_e, ellip_k, log_bessel_i0
 
 __all__ = [
@@ -127,21 +127,23 @@ def radial_rule(xi: float):
     The angular kernels are functions of x = gamma r with gamma between
     gamma(0) = eps / (2 (1 + s)) and gamma(pi) = (1 + s) / (2 eps),
     s = sqrt(xi), eps = 1 - s.  In between lo = 1e-12 / gamma(pi) and
-    hi = 24 / gamma(0), geometric panels of ratio at most 2 follow the
-    integrand through its scales, each with ``_ANGULAR_ORDER``
-    Gauss-Legendre points like ``angular_rule``.  Beyond hi every x
-    exceeds 24 and the squared combinations are gone to ~1e-14 of their
-    mass.  One panel takes [0, lo], where every x is under 1e-12; the
-    cube-root kernels are not analytic at x = 0 (terms in x^(1/3)), so
-    that panel's error, which a second rule order does not see, grows
-    like (lo gamma(pi))^(4/3): at 1e-8 instead of 1e-12 it put 1.3e-13
-    into ||h|| at xi = 0.01, here it is below rounding.
+    hi = 24 / gamma(0), ``quadrature.log_rule`` takes Gauss-Legendre
+    points in u = ln r on equal u-panels of ratio at most 4, each with
+    ``_ANGULAR_ORDER`` points like ``angular_rule``: the integrand varies
+    on the scale of ln r, and most of those decades lie where every x is
+    small, so this takes half the radii of geometric r-panels of ratio 2.
+    Beyond hi every x exceeds 24 and the squared combinations are gone
+    to ~1e-14 of their mass.  One panel takes [0, lo], where every x is
+    under 1e-12; the cube-root kernels are not analytic at x = 0 (terms
+    in x^(1/3)), so that panel's error, which a second rule order does
+    not see, grows like (lo gamma(pi))^(4/3): at 1e-8 instead of 1e-12
+    it put 1.3e-13 into ||h|| at xi = 0.01, here it is below rounding.
     """
     sq = math.sqrt(xi)
     eps = (1.0 - xi) / (1.0 + sq)
     gamma_lo = 0.5 * eps / (1.0 + sq)
     gamma_hi = 0.5 * (1.0 + sq) / eps
-    return graded_rule(1e-12 / gamma_hi, 24.0 / gamma_lo, _ANGULAR_ORDER)
+    return log_rule(1e-12 / gamma_hi, 24.0 / gamma_lo, _ANGULAR_ORDER)
 
 
 # kernel pairs per block of the tensor rule: with the 16 p points of the

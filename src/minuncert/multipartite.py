@@ -25,7 +25,7 @@ from ._numpy import np
 from .bipartite import (
     AngularProfile, UncertaintyReport, _swapped_norm, _swapped_norms, as_xi, r_closed)
 from .quadrature import panel_rule
-from .specfun import binom, scaled_upper_gamma
+from .specfun import binom, scaled_upper_gamma, scaled_upper_gammas
 
 __all__ = [
     "OperatorCoefficients",
@@ -143,16 +143,21 @@ def _t_kernel(c: float, x, e):
     return out
 
 
-def _u_kernel(x, e):
-    # x^{2/3} Gamma(1/3, x) = x (x^{-1/3} Gamma(1/3, x)); vanishes at the origin
-    out = np.empty_like(x)
+def _h_atoms(x, e):
+    # t = x^(1/3) Gamma(-1/3, x), 3 at the origin, and
+    # u = x^(2/3) Gamma(1/3, x) = x (x^(-1/3) Gamma(1/3, x)), 0 there,
+    # from one walk of the two gamma tables
+    t = np.empty_like(x)
+    u = np.empty_like(x)
     zero = x == 0.0
-    out[zero] = 0.0
+    t[zero] = 3.0
+    u[zero] = 0.0
     pos = ~zero
     if np.any(pos):
         xp = x[pos]
-        out[pos] = xp * scaled_upper_gamma(1.0 / 3.0, xp, e[pos])
-    return out
+        t[pos], u_atom = scaled_upper_gammas((-1.0 / 3.0, 1.0 / 3.0), xp, e[pos])
+        u[pos] = xp * u_atom
+    return t, u
 
 
 def _g_kernel_chain(a: float, x):
@@ -168,8 +173,7 @@ def _g_kernel_chain(a: float, x):
 
 def _h_kernel_chain(x):
     e = np.exp(-x)
-    t = _t_kernel(1.0 / 3.0, x, e)
-    u = _u_kernel(x, e)
+    t, u = _h_atoms(x, e)
     k0 = 1.5 * e - 1.5 * u - t
     k1 = e - u - t / 3.0
     k2 = u / 3.0 + 2.0 * t / 9.0 - 2.0 * e / 3.0

@@ -6,8 +6,11 @@ edges, for integrands whose structure is known in advance.
 scale spans many decades above a singular point at 0: one panel
 [0, lo], then geometric panels of ratio at most 2 up to hi, so every
 panel sits at least its own width away from the singularity and the
-rule converges geometrically with the points per panel.  Every integral
-of the package is taken on such a rule; the tests certify each one by
+rule converges geometrically with the points per panel.  ``log_rule``
+keeps the panel [0, lo] and takes the rest in u = ln r instead, on equal
+u-panels of ratio at most 4, for integrands that are smooth in ln r and
+spend most decades near their singular point.  Every integral of the
+package is taken on one of the two; the tests certify each one by
 comparing two rule orders.
 
 Everything here is deterministic: identical inputs produce bit-identical
@@ -21,7 +24,7 @@ from functools import lru_cache
 
 from ._numpy import np
 
-__all__ = ["panel_rule", "graded_rule"]
+__all__ = ["panel_rule", "graded_rule", "log_rule"]
 
 
 @lru_cache(maxsize=8)
@@ -82,3 +85,27 @@ def graded_rule(lo: float, hi: float, order: int):
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     panels = max(1, math.ceil(math.log2(hi / lo)))
     return panel_rule(np.concatenate(([0.0], np.geomspace(lo, hi, panels + 1))), order)
+
+
+# hi/lo of each u-panel of ``log_rule``.  A function analytic for Re r > 0
+# is analytic in u = ln r on the strip |Im u| < pi/2; a u-panel of width
+# ln 4 then has a Bernstein ellipse of parameter 4.7 inside that strip
+# (16 points: ~4.7^-32 = 2e-22), against 3.3 at ratio 8 (2e-17, seen as
+# 1.2e-14 in a nested z4 at xi = 1e-6) and 5.8 for r-panels of ratio 2
+_LOG_PANEL_RATIO = 4.0
+
+
+def log_rule(lo: float, hi: float, order: int):
+    """``panel_rule`` on [0, lo], then Gauss-Legendre in u = ln r from lo to hi.
+
+    The log part takes the fewest equal u-panels of ratio at most
+    ``_LOG_PANEL_RATIO``, with weights w r: half the panels of
+    ``graded_rule`` over the same decades.
+    """
+    if not 0.0 < lo < hi:
+        raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
+    panels = max(1, math.ceil(math.log2(hi / lo) / math.log2(_LOG_PANEL_RATIO)))
+    r0, w0 = panel_rule((0.0, lo), order)
+    u, wu = panel_rule(np.linspace(math.log(lo), math.log(hi), panels + 1), order)
+    r = np.exp(u)
+    return np.concatenate((r0, r)), np.concatenate((w0, wu * r))

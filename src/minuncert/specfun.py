@@ -35,6 +35,7 @@ __all__ = [
     "upper_gamma",
     "tabulated_upper_gamma",
     "scaled_upper_gamma",
+    "scaled_upper_gammas",
     "binom",
     "central_binomial",
 ]
@@ -64,6 +65,14 @@ _UNDERFLOW_X = 800.0
 # rounding
 _TABLE_PANELS = 9
 _TABLE_DEGREE = 24
+# the series column (tail over its leading term on [0, 1.5]) is entire,
+# and its Chebyshev coefficients fall ~40-fold per degree: for every
+# order up to 5 the exact ones are below 4e-19 of the first at k = 14
+# and 8e-21 at k = 15.  The stored ones from k ~ 12 on are the
+# transform's rounding alone, ~1e-16 each, and add noise to every sum.
+# So the column is summed to degree 14, the lowest that leaves out
+# nothing above 1e-20; the table keeps all 25 rows for the panels
+_SERIES_DEGREE = 14
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +278,24 @@ def _upper_gamma_series(s: float, x: np.ndarray) -> np.ndarray:
     return _series_value(s, x, _series_tail(s, x))
 
 
-def _checked(s, x):
+def _checked_order(s) -> float:
     s = float(s)
     if s < 0.0 and s.is_integer():
         raise ValueError(f"negative integer order is not supported, got {s!r}")
     if s > _MAX_ORDER:
         raise ValueError(f"order above {_MAX_ORDER} is not supported, got {s!r}")
+    return s
+
+
+def _checked_x(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("x must be positive")
-    return s, arr
+    return arr
+
+
+def _checked(s, x):
+    return _checked_order(s), _checked_x(x)
 
 
 def upper_gamma(s: float, x):
@@ -344,41 +361,51 @@ def _gamma_table(s: float) -> np.ndarray:
     return table
 
 
-def _clenshaw(table: np.ndarray, panel, t: np.ndarray) -> np.ndarray:
-    """sum_k table[k, panel] T_k(t), elementwise in (panel, t)."""
-    coef = table[:, panel]
+def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(t), elementwise; ``coef`` rows are scalars or per-element."""
     t2 = 2.0 * t
     b1 = np.zeros_like(t)
     b2 = np.zeros_like(t)
-    for k in range(table.shape[0] - 1, 0, -1):
+    for k in range(len(coef) - 1, 0, -1):
         b1, b2 = coef[k] + t2 * b1 - b2, b1
     return coef[0] + t * b1 - b2
 
 
-def _table_walk(s: float, arr: np.ndarray, panel_factor):
-    """(out, inner): the order-s table at every x of ``arr``.
+def _table_cells(arr: np.ndarray):
+    """(inner, mid, x_inner, t_inner, panel, t_mid): where the tables hold each x.
 
-    ``out`` holds Gamma(s, x) below x = 1.5 (the cells ``inner``), where
-    the table replaces the series tail and the exact head is kept; on
-    [1.5, 768) the table value e^x x^-s Gamma(s, x) of one of 9 geometric
-    panels, found with ``frexp``, times ``panel_factor(mid)`` at the
-    cells ``mid``; and 0 from 768 on.  Each value depends on its own x
-    alone.
+    ``inner`` marks x below 1.5, with the values ``x_inner`` and their
+    coordinate ``t_inner`` on the series column; ``mid`` marks
+    [1.5, 768), with the geometric ``panel`` (a column index) and its
+    local coordinate ``t_mid``, found with ``frexp``.  Every order's
+    table has the same layout, so one walk serves several orders.
     """
-    table = _gamma_table(s)
     q = arr / _SERIES_EDGE
-    out = np.zeros_like(arr)
     inner = q < 1.0
     mid = ~inner & (q < 2.0**_TABLE_PANELS)
-    if np.any(inner):
-        xs = arr[inner]
-        tail = _clenshaw(table, 0, 2.0 * q[inner] - 1.0) * (-xs / (s + 1.0))
+    # q = m 2^k with m in [0.5, 1): panel k, local coordinate 4m - 3 in [-1, 1)
+    m, panel = np.frexp(q[mid])
+    return inner, mid, arr[inner], 2.0 * q[inner] - 1.0, panel, 4.0 * m - 3.0
+
+
+def _table_walk(s: float, arr: np.ndarray, cells, factor) -> np.ndarray:
+    """The order-s table at every x of ``arr``, at the ``cells`` of ``_table_cells``.
+
+    Gamma(s, x) below x = 1.5, where the table replaces the series tail
+    and the exact head is kept; on [1.5, 768) the table value
+    e^x x^-s Gamma(s, x) of one of 9 geometric panels times ``factor``
+    (one value per ``mid`` cell); and 0 from 768 on.  Each value depends
+    on its own x alone.
+    """
+    inner, mid, xs, t_inner, panel, t_mid = cells
+    table = _gamma_table(s)
+    out = np.zeros_like(arr)
+    if xs.size:
+        tail = _clenshaw(table[:_SERIES_DEGREE + 1, 0], t_inner) * (-xs / (s + 1.0))
         out[inner] = _series_value(s, xs, tail)
-    if np.any(mid):
-        # q = m 2^k with m in [0.5, 1): panel k, local coordinate 4m - 3 in [-1, 1)
-        m, k = np.frexp(q[mid])
-        out[mid] = _clenshaw(table, k, 4.0 * m - 3.0) * panel_factor(mid)
-    return out, inner
+    if t_mid.size:
+        out[mid] = _clenshaw(table[:, panel], t_mid) * factor
+    return out
 
 
 def tabulated_upper_gamma(s: float, x):
@@ -395,18 +422,36 @@ def tabulated_upper_gamma(s: float, x):
     Each value depends on its own x alone.
     """
     s, arr = _checked(s, x)
-
-    def panel_factor(mid):
-        xm = arr[mid]
-        return np.exp(-xm + s * np.log(xm))
-
-    out, _ = _table_walk(s, arr, panel_factor)
+    cells = _table_cells(arr)
+    xm = arr[cells[1]]
+    out = _table_walk(s, arr, cells, np.exp(-xm + s * np.log(xm)))
     far = arr >= _SERIES_EDGE * 2.0**_TABLE_PANELS
     if np.any(far):
         out[far] = upper_gamma(s, arr[far])
     if arr.ndim == 0:
         return float(out)
     return out
+
+
+def scaled_upper_gammas(orders, x, e):
+    """The kernel atoms x^-s Gamma(s, x) for each s in ``orders``, from one table walk.
+
+    Each is bit for bit ``scaled_upper_gamma(s, x, e)``; the panel of
+    every x, its masks and its local coordinate are found once for all
+    orders.  Returns a tuple, one array (or float) per order.
+    """
+    orders = [_checked_order(s) for s in orders]
+    arr = _checked_x(x)
+    cells = _table_cells(arr)
+    inner, mid, xs = cells[:3]
+    factor = np.asarray(e, dtype=float)[mid]
+    atoms = []
+    for s in orders:
+        out = _table_walk(s, arr, cells, factor)
+        if xs.size:
+            out[inner] *= xs ** -s
+        atoms.append(float(out) if arr.ndim == 0 else out)
+    return tuple(atoms)
 
 
 def scaled_upper_gamma(s: float, x, e):
@@ -420,14 +465,7 @@ def scaled_upper_gamma(s: float, x, e):
     orders ``upper_gamma`` takes; ``e`` has the shape of ``x``.  Each
     value depends on its own x alone.
     """
-    s, arr = _checked(s, x)
-    e = np.asarray(e, dtype=float)
-    out, inner = _table_walk(s, arr, lambda mid: e[mid])
-    if np.any(inner):
-        out[inner] *= arr[inner] ** -s
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return scaled_upper_gammas((s,), x, e)[0]
 
 
 # ---------------------------------------------------------------------------

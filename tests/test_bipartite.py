@@ -173,6 +173,30 @@ def test_profile_unit_norm():
         assert np.sum(weight * f_closed(xi, r) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("xi", [1e-6, 0.01, 0.5, 1.0 - 1e-12, 1.0 - 1e-15])
+def test_radial_rule_layout(xi):
+    # [0, lo] and the fewest equal ln r panels of ratio at most 4 from
+    # lo = 1e-12 / gamma(pi) to hi = 24 / gamma(0), 16 points each
+    s = math.sqrt(xi)
+    eps = (1.0 - xi) / (1.0 + s)
+    lo = 1e-12 / (0.5 * (1.0 + s) / eps)
+    hi = 24.0 / (0.5 * eps / (1.0 + s))
+    r, weight = radial_rule(xi)
+    assert len(r) == len(weight) == 16 * (1 + math.ceil(math.log(hi / lo, 4)))
+    assert np.all(np.diff(r) > 0.0) and np.all(weight > 0.0)
+    assert r[0] > 0.0 and r[15] < lo < r[16] and r[-1] < hi
+
+
+@pytest.mark.parametrize("xi", [0.01, 0.5, 1.0 - 1e-12])
+def test_radial_rule_gamma_moments(xi):
+    # int_0^inf r^beta e^-r dr = Gamma(beta + 1) for the powers the
+    # cube-root kernels carry at the origin
+    r, weight = radial_rule(xi)
+    for beta in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0, 5.0 / 3.0):
+        value = np.sum(weight * r**beta * np.exp(-r))
+        assert value == pytest.approx(math.gamma(beta + 1.0), rel=1e-15, abs=0.0)
+
+
 def test_profile_vectorized():
     r = np.array([0.0, 1.0, 3.0])
     vals = f_closed(0.5, r)

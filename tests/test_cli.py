@@ -219,6 +219,30 @@ def test_verify_passes(tmp_path, monkeypatch):
     assert len(rows) >= 25
 
 
+def test_verify_angular_pass_radii(tmp_path, monkeypatch):
+    # the angular passes of verify, cold: the nested norms of g_2, g_3/2
+    # and h on radial_rule(0.5) (416 radii each), of f on
+    # radial_rule(0.7) (432) and one point value of f; the count changes
+    # only with the radial rule or the battery
+    monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
+    radii = []
+    real = bipartite._angular_kernel_integral
+
+    def counted(xi, r, chain, ks):
+        radii.append(np.size(r))
+        return real(xi, r, chain, ks)
+
+    monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted)
+    multipartite._g_family_cached.cache_clear()
+    multipartite._h_family_cached.cache_clear()
+    try:
+        assert cli.main(["--command", "verify"]) == 0
+    finally:
+        multipartite._g_family_cached.cache_clear()
+        multipartite._h_family_cached.cache_clear()
+    assert sum(radii) == 1681
+
+
 def test_verify_negative_control(tmp_path, monkeypatch, capsys):
     # corrupt one exact coefficient table entry; the battery must go red
     # and name the failing check

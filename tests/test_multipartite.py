@@ -23,7 +23,7 @@ from minuncert.multipartite import (
 )
 import minuncert.bipartite as bipartite
 import minuncert.multipartite as multipartite
-from minuncert.specfun import ellip_k, upper_gamma
+from minuncert.specfun import ellip_k, scaled_upper_gamma, upper_gamma
 
 from oracles import (
     G2_NORM,
@@ -412,10 +412,10 @@ def test_family_chains_rule_orders_agree(xi, monkeypatch):
             assert np.max(np.abs(lo - hi)) <= 5e-15 * np.max(np.abs(lo))
 
 
-@pytest.mark.parametrize("xi", [0.01, 0.5, 0.999, 1.0 - 1e-9])
+@pytest.mark.parametrize("xi", [1e-6, 0.01, 0.5, 0.999, 1.0 - 1e-9, 1.0 - 1e-15])
 def test_radial_rule_orders_agree(xi, monkeypatch):
     # the nested norms rk_norm(k) are converged on radial_rule x
-    # angular_rule: two orders per panel agree (to ~4e-16), and
+    # angular_rule: two orders per panel agree (to ~2e-16), and
     # rk_norm(0) meets the norm each profile was given by an independent
     # route (1 for f, the swapped order for g and h; to ~4e-15).  The
     # second check also sees the first radial panel [0, lo], which the
@@ -572,7 +572,7 @@ def test_cube_root_p_rule_is_read_only():
 @pytest.mark.parametrize("xi", [1.0 - 1e-4, 1.0 - 1e-6])
 def test_nested_route_near_xi_one(xi):
     # the squared combinations fall off like 1/r over many decades below
-    # r ~ 1/gamma(0); the geometric panels of radial_rule follow them, so
+    # r ~ 1/gamma(0); the ln r panels of radial_rule follow them, so
     # the nested route confirms both products to the digits of the
     # swapped order where strong squeezing leaves the products closest
     # to their infima
@@ -580,6 +580,29 @@ def test_nested_route_near_xi_one(xi):
     z6 = z6_product(xi).product
     assert functional_z(2, g_family(xi, 2.0)) == pytest.approx(z4, rel=1e-12, abs=0.0)
     assert functional_z(3, h_family(xi)) == pytest.approx(z6, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("xi", [0.01, 0.5, 1.0 - 1e-9])
+def test_h_chain_walks_tables_once(xi):
+    # the two h atoms from one walk of the gamma tables are bit for bit
+    # the two separate scaled_upper_gamma calls, on cells of every table
+    # region: x = 0, the series column, the panels and beyond 768
+    gamma, _ = bipartite.angular_rule(xi)
+    r, _ = bipartite.radial_rule(xi)
+    x = np.outer(np.concatenate(([0.0], r[::7], [100.0 * r[-1]])), gamma)
+    e = np.exp(-x)
+    t = np.full_like(x, 3.0)
+    u = np.zeros_like(x)
+    pos = x != 0.0
+    t[pos] = scaled_upper_gamma(-1.0 / 3.0, x[pos], e[pos])
+    u[pos] = x[pos] * scaled_upper_gamma(1.0 / 3.0, x[pos], e[pos])
+    expected = (1.5 * e - 1.5 * u - t, e - u - t / 3.0,
+                u / 3.0 + 2.0 * t / 9.0 - 2.0 * e / 3.0,
+                -(4.0 / 9.0) * u - (10.0 / 27.0) * t + (10.0 / 9.0) * e + x * e / 3.0)
+    for got, want in zip(multipartite._h_kernel_chain(x), expected):
+        assert got.tobytes() == want.tobytes()
+    assert np.any((x > 0.0) & (x < 1.5)) and np.any((x >= 1.5) & (x < 768.0))
+    assert np.any(x >= 768.0)
 
 
 def test_products_match_reference_kernels(monkeypatch):
@@ -590,6 +613,9 @@ def test_products_match_reference_kernels(monkeypatch):
     def reference_atom(s, x, e):
         calls.append(s)
         return x**-s * upper_gamma(s, x)
+
+    def reference_atoms(orders, x, e):
+        return tuple(reference_atom(s, x, e) for s in orders)
 
     def clear_families():
         multipartite._g_family_cached.cache_clear()
@@ -602,6 +628,7 @@ def test_products_match_reference_kernels(monkeypatch):
     clear_families()
     tabulated = [nested(n, xi) for n, xi in cases]
     monkeypatch.setattr(multipartite, "scaled_upper_gamma", reference_atom)
+    monkeypatch.setattr(multipartite, "scaled_upper_gammas", reference_atoms)
     clear_families()
     try:
         reference = [nested(n, xi) for n, xi in cases]

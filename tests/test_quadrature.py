@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from minuncert.quadrature import graded_rule, panel_rule
+from minuncert.quadrature import graded_rule, log_rule, panel_rule
 
 
 def test_polynomial_exactness():
@@ -84,8 +84,25 @@ def test_panel_rule(order):
 
 def test_interval_validation():
     for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0)):
-        with pytest.raises(ValueError):
-            graded_rule(lo, hi, 4)
+        for rule in (graded_rule, log_rule):
+            with pytest.raises(ValueError):
+                rule(lo, hi, 4)
+
+
+def test_log_rule_layout():
+    # [0, lo], then the fewest equal ln r panels of ratio at most 4, each
+    # exact for polynomials in ln r of degree 2 order - 1
+    lo, hi = 1e-3, 5.0
+    r, w = log_rule(lo, hi, 8)
+    assert len(r) == 8 * (1 + math.ceil(math.log(hi / lo, 4))) == 64
+    assert np.all(np.diff(r) > 0.0) and r[7] < lo < r[8] and r[-1] < hi
+    assert np.sum(w[:8]) == pytest.approx(lo, rel=1e-15)
+    u, wu = np.log(r[8:]), w[8:] / r[8:]
+    a, b = math.log(lo), math.log(hi)
+    for k in range(16):
+        assert np.sum(wu * (u - a) ** k) == pytest.approx((b - a) ** (k + 1) / (k + 1), rel=1e-13)
+    assert len(log_rule(1.0, 4.0, 16)[0]) == 32
+    assert len(log_rule(1.0, 4.000001, 16)[0]) == 48
 
 
 def test_deterministic():

@@ -6,6 +6,8 @@ import scipy.special as sps
 from hypothesis import given, settings, strategies as st
 
 from minuncert.specfun import (
+    _SERIES_DEGREE,
+    _gamma_table,
     _i0_series,
     _upper_gamma_cf,
     _upper_gamma_series,
@@ -16,6 +18,7 @@ from minuncert.specfun import (
     ellip_k,
     log_bessel_i0,
     scaled_upper_gamma,
+    scaled_upper_gammas,
     tabulated_upper_gamma,
     upper_gamma,
 )
@@ -194,6 +197,32 @@ def test_tabulated_upper_gamma_below_series_edge_vs_mpmath(s):
     worst_table = np.max(np.abs(tabulated_upper_gamma(s, x) / ref - 1.0))
     worst_reference = np.max(np.abs(upper_gamma(s, x) / ref - 1.0))
     assert worst_table <= 2.5 * worst_reference
+
+
+@pytest.mark.parametrize("s", [-0.99, -0.9, -2.0 / 3.0, -0.5, -1.0 / 3.0, 0.0, 1.0 / 3.0,
+                               0.5, 1.0, 2.0, 3.5, 5.0])
+def test_series_column_cut_at_rounding(s):
+    # the series column is summed to degree 14: every stored coefficient
+    # past it is the transform's rounding, not the function
+    column = _gamma_table(s)[:, 0]
+    assert _SERIES_DEGREE == 14
+    assert np.max(np.abs(column[_SERIES_DEGREE + 1:])) <= 1e-15 * abs(column[0])
+
+
+def test_scaled_upper_gammas_one_walk():
+    # several orders from one table walk are bit for bit one call per
+    # order, on arrays and on scalars
+    x = np.concatenate([np.geomspace(1e-9, 800.0, 301), [1.5, 768.0]])
+    e = np.exp(-x)
+    orders = (-1.0 / 3.0, 1.0 / 3.0, -0.5)
+    for atom, s in zip(scaled_upper_gammas(orders, x, e), orders):
+        assert atom.tobytes() == scaled_upper_gamma(s, x, e).tobytes()
+    pair = scaled_upper_gammas(orders[:2], 0.7, math.exp(-0.7))
+    assert pair == tuple(scaled_upper_gamma(s, 0.7, math.exp(-0.7)) for s in orders[:2])
+    with pytest.raises(ValueError):
+        scaled_upper_gammas((0.5, -1.0), x, e)
+    with pytest.raises(ValueError):
+        scaled_upper_gammas((0.5,), np.array([1.0, 0.0]), np.ones(2))
 
 
 @pytest.mark.parametrize("s", [-0.5, 1.0 / 3.0])
