@@ -54,23 +54,33 @@ def test_import_builds_no_kernel_table():
 _NUMPY_CORE = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
 
 
-def test_closed_form_commands_never_load_numpy(tmp_path):
-    # numpy is bound lazily, so the two-party closed forms run on math
-    # alone; the first array operation (here the profile grid) loads it
+def _numpy_loaded_after(commands, out):
+    """Run ``commands`` in turn in one fresh interpreter; whether numpy's core
+    is loaded after the import and after each command."""
     code = f"""
 import sys
 import minuncert.cli as cli
 loaded = lambda: any(m in sys.modules for m in {_NUMPY_CORE!r})
 out = sys.argv[1]
 print("import", loaded())
-for argv in (["scan", "--parties", "2", "--xi", "0.1:0.9:0.1"], ["overlap"], ["fock"],
-             ["profile", "--parties", "2", "--order", "5"]):
+for argv in {commands!r}:
     status = cli.main(["--command", *argv, "--out", out])
     print(argv[0], status, loaded())
 """
-    lines = run_fresh(code, str(tmp_path / "table.csv")).splitlines()
-    assert lines == ["import False", "scan 0 False", "overlap 0 False", "fock 0 False",
-                     "profile 0 True"]
+    return run_fresh(code, out).splitlines()
+
+
+def test_closed_form_commands_never_load_numpy(tmp_path):
+    # numpy is bound lazily, so the two-party closed forms and the
+    # tridiagonal eigen-solve run on math alone; the first array operation
+    # (here the profile grid, or verify's quadratures) loads it
+    out = str(tmp_path / "table.csv")
+    commands = [["scan", "--parties", "2", "--xi", "0.1:0.9:0.1"], ["overlap"], ["fock"],
+                ["minimize-q", "--order", "4000"], ["profile", "--parties", "2", "--order", "5"]]
+    assert _numpy_loaded_after(commands, out) == [
+        "import False", "scan 0 False", "overlap 0 False", "fock 0 False",
+        "minimize-q 0 False", "profile 0 True"]
+    assert _numpy_loaded_after([["verify"]], out) == ["import False", "verify 0 True"]
 
 
 def test_start_up_loads_no_dataclasses_fractions_or_json(tmp_path):
@@ -131,13 +141,14 @@ sys.modules["numpy"] = None
 import minuncert.cli as cli
 out = sys.argv[1]
 print(cli.main(["--command", "overlap", "--out", out]))
+print(cli.main(["--command", "minimize-q", "--out", out]))
 try:
     cli.main(["--command", "profile", "--out", out])
 except ImportError as exc:
     print(type(exc).__name__, exc.name)
 """
     lines = run_fresh(code, str(tmp_path / "table.csv")).splitlines()
-    assert lines == ["0", "ModuleNotFoundError numpy"]
+    assert lines == ["0", "0", "ModuleNotFoundError numpy"]
 
 
 def test_parse_defaults(tmp_path, monkeypatch):

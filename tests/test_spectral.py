@@ -1,11 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from minuncert.spectral import (
     BandedSymmetricForm,
     _any_below,
+    _tridiag_min_eig,
     build_q_form,
     min_eigenpair,
 )
@@ -43,6 +46,19 @@ def test_q_min_vs_eigvalsh(order):
     assert min_eigenpair(form).eigenvalue == pytest.approx(ref, abs=1e-14)
 
 
+@pytest.mark.parametrize("order", [4000, 20000])
+def test_q_min_vs_eigvalsh_tridiagonal(order):
+    # LAPACK's bisection (stebz) at the benchmark's minimize-q order and
+    # beyond; its default tolerance, eps times the matrix norm, would leave
+    # 5e-8 at order 20000, so it bisects down to the smallest normal float
+    form = build_q_form(order)
+    ref = scipy.linalg.eigvalsh_tridiagonal(
+        np.asarray(form.diagonal), np.asarray(form.off_diagonal), select="i",
+        select_range=(0, 0), lapack_driver="stebz", tol=np.finfo(float).tiny,
+    )[0]
+    assert min_eigenpair(form).eigenvalue == pytest.approx(ref, abs=1e-14)
+
+
 def test_large_order_stays_linear():
     # a dense copy at this order would take 3.2 GB; the inverse iteration
     # must stay O(n) in memory and still deliver a true eigenpair
@@ -55,11 +71,13 @@ def test_large_order_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 200 * 8 * order
-    v = pair.eigenvector
-    mv = form.diagonal * v
-    mv[:-1] += form.off_diagonal * v[1:]
-    mv[1:] += form.off_diagonal * v[:-1]
-    norm = np.max(np.abs(form.diagonal)) + 2.0 * np.max(np.abs(form.off_diagonal))
+    v = np.asarray(pair.eigenvector)
+    diag = np.asarray(form.diagonal)
+    off = np.asarray(form.off_diagonal)
+    mv = diag * v
+    mv[:-1] += off * v[1:]
+    mv[1:] += off * v[:-1]
+    norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
     assert np.linalg.norm(mv - pair.eigenvalue * v) <= 1e-10 * norm
     assert pair.eigenvalue == pytest.approx(min_eigenpair(build_q_form(2000)).eigenvalue, abs=1e-8)
 
@@ -67,7 +85,7 @@ def test_large_order_stays_linear():
 def test_eigenvector_residual():
     form = build_q_form(80)
     pair = min_eigenpair(form)
-    v = pair.eigenvector
+    v = np.asarray(pair.eigenvector)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     # dense reconstruction of M v
     m = np.diag(form.diagonal)
@@ -117,6 +135,61 @@ def test_malformed_form_rejected():
         BandedSymmetricForm(4, np.arange(4.0), np.ones(2))
     with pytest.raises(ValueError):
         BandedSymmetricForm(4, np.arange(3.0), np.ones(3))
+
+
+def test_form_is_tuples_of_python_floats():
+    form = build_q_form(6)
+    for entries in (form.diagonal, form.off_diagonal):
+        assert type(entries) is tuple
+        assert all(type(x) is float for x in entries)
+    pair = min_eigenpair(form)
+    assert type(pair.eigenvector) is tuple
+    assert all(type(x) is float for x in pair.eigenvector)
+    # numpy arrays are accepted and give the same pair
+    arrays = BandedSymmetricForm(6, np.asarray(form.diagonal), np.asarray(form.off_diagonal))
+    assert min_eigenpair(arrays) == pair
+
+
+_NAN = math.nan
+_INF = math.inf
+
+
+@pytest.mark.parametrize("diagonal,off_diagonal", [
+    ((0.0, _NAN, 2.0), (1.0, 1.0)),
+    ((0.0, _INF, 2.0), (1.0, 1.0)),
+    ((0.0, 1.0, 2.0), (_NAN, 1.0)),
+    ((0.0, 1.0, 2.0), (1.0, -_INF)),
+], ids=["nan-diagonal", "inf-diagonal", "nan-coupling", "inf-coupling"])
+def test_non_finite_form_rejected(diagonal, off_diagonal):
+    # once returned nan or inf as the minimal eigenvalue, with no error
+    with pytest.raises(ValueError, match="finite"):
+        BandedSymmetricForm(3, diagonal, off_diagonal)
+    with pytest.raises(ValueError, match="finite"):
+        BandedSymmetricForm(3, np.array(diagonal), np.array(off_diagonal))
+
+
+def test_nan_residual_counts_as_stalled():
+    # a NaN inside the diagonal leaves the Gershgorin bracket finite, so the
+    # bisection converges; the residuals are NaN and must fail the stall test
+    with pytest.raises(RuntimeError, match="stalled"):
+        _tridiag_min_eig([0.0, _NAN, 2.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("diag,off", [
+    ([_NAN, 1.0, 2.0], [1.0, 1.0]),
+    ([0.0, 1.0, 2.0], [_NAN, 1.0]),
+], ids=["nan-first-pivot", "nan-coupling"])
+def test_exhausted_bisection_raises(diag, off):
+    # a NaN bracket never narrows, so all 200 steps run
+    with pytest.raises(RuntimeError, match="bisection"):
+        _tridiag_min_eig(diag, off)
+
+
+def test_overflowing_bounds_raise():
+    # finite entries, but diagonal + radius overflows
+    form = BandedSymmetricForm(3, (0.0, 1e308, 1.7e308), (1e308, 1e308))
+    with pytest.raises(OverflowError):
+        min_eigenpair(form)
 
 
 def test_any_below_matches_eigvalsh():
