@@ -1,9 +1,10 @@
 """Two-party minimum-uncertainty family parametrized by xi in (0, 1).
 
 Closed forms for the expectation functional and the uncertainty product,
-the radial profile both in closed form and as the angular-kernel integral
-that the four- and six-party families share, with the fixed angular and
-radial rules every integral is taken on, the position wave function,
+the radial profile in closed form, as the angular-kernel integral and as
+the cancellation-free C i0e(beta r) e^(-gamma0 r) that the four- and
+six-party families average, with the fixed angular and radial rules
+every integral is taken on, the position wave function,
 overlaps between family members, and the number-basis coefficient layer
 with its exact combinatorial identities.
 """
@@ -15,7 +16,7 @@ from collections import namedtuple
 
 from ._numpy import np
 from .quadrature import graded_rule, log_rule
-from .specfun import binom, central_binomial, ellip_e, ellip_k, log_bessel_i0
+from .specfun import binom, central_binomial, ellip_e, ellip_k, i0e, log_bessel_i0
 
 __all__ = [
     "XiParameter",
@@ -40,10 +41,11 @@ __all__ = [
 SEPARABLE_BOUND_2 = 0.25
 PRODUCT_INFIMUM_2 = 0.125
 
-# Gauss-Legendre points per panel of the angular and radial rules.  On the
-# angular rule 8 and 16 agree to ~7e-13 on the norms but only to ~1e-8 of
-# a column's maximum on point values out to large r; 16 and 24 agree to
-# ~1e-15 on both, and to ~4e-16 on the nested norms of the radial rule
+# Gauss-Legendre points per panel of the angular, radial and dilation
+# rules.  On the angular rule 8 and 16 agree to ~7e-13 on the norms but
+# only to ~1e-8 of a column's maximum on point values out to large r; 16
+# and 24 agree to ~1e-15 on both, to ~4e-16 on the nested norms of the
+# radial rule, and to ~1e-15 on the Laplace averages
 _ANGULAR_ORDER = 16
 # cells (radii x nodes) per kernel call of an angular pass: whole columns
 # at once raise the peak memory of `profile --parties 6` by ~6 MB (~18%)
@@ -188,37 +190,59 @@ def _swapped_norm(xi: float, m, scale: float) -> float:
     return abs(scale) * _swapped_norms(xi, lambda rho: (m(rho),))[0]
 
 
-def _angular_kernel_integral(xi: float, r, chain, ks):
-    """int w(theta) K_k(gamma(theta) r) dtheta over [0, pi] for each k in ``ks``.
+def _angular_kernel_integral(xi: float, r, ks):
+    """r^k f^(k)(r) = int w(theta) (-x)^k e^(-x) dtheta, x = gamma(theta) r, for each k in ``ks``.
 
     w(theta) = 1 / (sqrt(2 pi K) (1 + sqrt(xi) cos theta)) and
     gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)),
-    taken on ``angular_rule``.  ``chain`` receives blocks
-    x[i, j] = r[i] * gamma_j of about ``_RULE_BLOCK`` cells and returns
-    (K_0, ..., K_3) on them; each requested kernel is reduced row by row,
-    so a value depends on its own r alone.  One row per k, one column
-    per r.
+    taken on ``angular_rule`` at the 1-D array of radii ``r`` in blocks
+    x[i, j] = r[i] * gamma_j of about ``_RULE_BLOCK`` cells; each requested
+    row is reduced row by row, so a value depends on its own r alone.
+    One row per k, one column per r.
     """
-    rv = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(rv < 0.0):
-        raise ValueError("r must be nonnegative")
     gamma, weight = angular_rule(xi)
     rows = max(1, _RULE_BLOCK // len(gamma))
-    values = np.empty((len(ks), len(rv)))
-    for start in range(0, len(rv), rows):
-        block = rv[start:start + rows]
-        kernels = chain(np.outer(block, gamma))
+    values = np.empty((len(ks), len(r)))
+    for start in range(0, len(r), rows):
+        block = r[start:start + rows]
+        kernels = _exp_chain(np.outer(block, gamma))
         for i, k in enumerate(ks):
             values[i, start:start + len(block)] = np.sum(weight * kernels[k], axis=-1)
     return values / math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
 
 
+def _gamma0(xi: float):
+    """gamma(0) = (1 - xi) / (2 (1 + sqrt(xi))^2) as hi + lo, from integer arithmetic.
+
+    e^(-gamma0 x) reaches gamma0 x ~ 50 within the profiles' range, where
+    the one ulp a float evaluation may lose would cost 6e-15 relative.
+    """
+    n, d = xi.as_integer_ratio()
+    bits = 1 << 128
+    root = math.isqrt(n * d * bits * bits)  # sqrt(xi) d 2^128
+    num = (d - n) * d * bits * bits
+    den = 2 * (d * bits + root) ** 2
+    hi = num / den  # int division rounds correctly
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+def _f_i0e(xi: float, x):
+    """The unit-norm f at the radii ``x`` as C i0e(beta x) e^(-gamma0 x), free of cancellation."""
+    gap = 1.0 - xi
+    front = math.sqrt(math.pi / (2.0 * ellip_k(xi) * gap))
+    hi, lo = _gamma0(xi)
+    return front * i0e((math.sqrt(xi) / gap) * x) * np.exp(-(hi * x + lo * x))
+
+
 class AngularProfile:
     """Radial profile v(r) = scale * int w(theta) K(gamma(theta) r) dtheta.
 
-    ``chain(x)`` returns (K_0, ..., K_3) at x = gamma r, where K_k is the
-    kernel of r^k v^(k): each d/dr of K(gamma r), multiplied by r, stays a
-    function of x alone.
+    ``rows(r, ks)`` returns the rows r^k v^(k) / scale, k in ``ks``, at
+    the radii ``r`` (one column per radius), and all four rows k = 0..3
+    at the nodes of ``radial_rule`` when ``r`` is None.  For f the rows
+    are angular passes of the kernels (-x)^k e^(-x); the g and h families
+    take theirs from their ODEs and keep those on ``radial_rule``.
 
     ``value`` and ``derivative_combo`` refer to the normalized profile
     v/||v||, with ||v|| given as ``norm`` from a route independent of the
@@ -228,19 +252,16 @@ class AngularProfile:
     the origin for the plain ODE families), which is what makes a defining
     ODE hold verbatim; consumers that want a positive plot flip the sign.
 
-    The nested norms evaluate the chain once per profile and rule order:
-    ``_radial_rows`` reduces all four kernels on ``radial_rule`` and keeps
-    the rows, and every ``combo_norm`` combines them.
+    The nested norms combine the four rows on ``radial_rule``.
     """
 
     max_derivative_order = 3
 
-    def __init__(self, xi, chain, norm: float, scale: float = 1.0):
+    def __init__(self, xi, rows, norm: float, scale: float = 1.0):
         self.xi = as_xi(xi)
-        self._chain = chain
+        self._rows = rows
         self._scale = float(scale)
         self._norm = float(norm)
-        self._rows = {}
 
     def _combine(self, coefs, rows):
         # scale * sum_k coefs[k] rows[k] over the nonzero coefficients.
@@ -257,29 +278,17 @@ class AngularProfile:
         return [float(c) for c in coefs]
 
     def raw_derivative_combo(self, coefs, r):
-        """sum_k coefs[k] * r^k v^(k) for the unnormalized profile, in one angular pass.
+        """sum_k coefs[k] * r^k v^(k) for the unnormalized profile.
 
-        Only the kernels with a nonzero coefficient are reduced.
+        Only the rows with a nonzero coefficient are asked for.
         """
         terms = [(k, c) for k, c in enumerate(self._coefs(coefs)) if c != 0.0]
-        ks = [k for k, _ in terms]
-        rows = _angular_kernel_integral(self.xi.value, r, self._chain, ks)
+        rv = np.atleast_1d(np.asarray(r, dtype=float))
+        if np.any(rv < 0.0):
+            raise ValueError("r must be nonnegative")
+        rows = self._rows(rv, [k for k, _ in terms])
         values = self._combine([c for _, c in terms], rows)
         return float(values[0]) if np.ndim(r) == 0 else values
-
-    def _radial_rows(self):
-        """(weight, rows): ``radial_rule`` weights and r^k v^(k) / scale at its nodes.
-
-        One angular pass of the whole chain, kept per rule order
-        (``_ANGULAR_ORDER`` sets both rules), so a changed order is a
-        fresh pass and never a cached one.
-        """
-        order = _ANGULAR_ORDER
-        if order not in self._rows:
-            r, weight = radial_rule(self.xi.value)
-            self._rows[order] = weight, _angular_kernel_integral(
-                self.xi.value, r, self._chain, range(4))
-        return self._rows[order]
 
     @property
     def normalization(self) -> float:
@@ -289,12 +298,11 @@ class AngularProfile:
     def combo_norm(self, coefs) -> float:
         """L2 norm of sum_k coefs[k] r^k v^(k) on [0, inf), unnormalized, by the nested pass.
 
-        The nested pass sums the squared combination on ``radial_rule``,
-        with an angular pass on ``angular_rule`` at every radius; the
-        combination is taken from the rows of ``_radial_rows``.
+        The nested pass sums the squared combination of the rows on
+        ``radial_rule``.
         """
-        weight, rows = self._radial_rows()
-        vals = self._combine(self._coefs(coefs), rows)
+        weight = radial_rule(self.xi.value)[1]
+        vals = self._combine(self._coefs(coefs), self._rows(None, range(4)))
         return math.sqrt(float(np.sum(weight * vals * vals)))
 
     def value(self, r):
@@ -406,7 +414,12 @@ def f_profile(xi) -> AngularProfile:
     Independent of ``f_closed``; derivative combinations r^k f^(k) come
     from this route only.
     """
-    return AngularProfile(xi, _exp_chain, norm=1.0)
+    v = as_xi(xi).value
+
+    def rows(r, ks):
+        return _angular_kernel_integral(v, radial_rule(v)[0] if r is None else r, ks)
+
+    return AngularProfile(v, rows, norm=1.0)
 
 
 def _xi_or_zero(v) -> float:

@@ -3,16 +3,17 @@
 The expectation functional for 2n parties is a prefactored integral of
 (sum_k b_k r^k f^(k))^2.  The b table, the factorial matrix pair behind
 it, and the vanishing Pochhammer residuals run in exact rational
-arithmetic.  The near-optimal families solve (1 - a) v + a r v' = base
-through incomplete-gamma kernels under the same angular integral as the
-two-party profile; every derivative is chained algebraically through
-the ODE, never taken numerically.
+arithmetic.  The near-optimal families solve (1 - a) v + a r v' = base.
+Each point value is a Laplace average int_1^inf mu(u) f(u r) du of the
+two-party profile f, taken on a rule of its own per radius; every
+derivative r^k v^(k) follows algebraically from the ODE and the
+derivatives of f, never taken numerically.
 
 The family norms are computed with the integration order swapped (the
 radial integral first, in closed form), and the products z4 and z6 come
 from the shortcut identities on those norms.  The nested route,
-``functional_z``, a fixed radial rule over angular values, stays as the
-independent check.
+``functional_z``, a fixed radial rule over the rows of one shared
+Laplace pass, stays as the independent check.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
+from . import bipartite
 from ._numpy import np
 from .bipartite import (
-    AngularProfile, UncertaintyReport, _swapped_norm, _swapped_norms, as_xi, r_closed)
-from .quadrature import panel_rule
-from .specfun import binom, scaled_upper_gamma, scaled_upper_gammas
+    AngularProfile, UncertaintyReport, _f_i0e, _swapped_norm, _swapped_norms, as_xi, r_closed)
+from .quadrature import dilation_rule, panel_rule
+from .specfun import binom
 
 __all__ = [
     "OperatorCoefficients",
@@ -124,78 +126,118 @@ def pochhammer_root_residual(n: int, j: int):
 
 
 # ---------------------------------------------------------------------------
-# kernel algebra
+# the families as Laplace averages of f
 #
-# With x = gamma(theta) r and e = e^{-x}, each angular kernel K below
-# satisfies (1 - a) K + a (r K') = driving term, and multiplying the
-# differentiated relations by r gives closed expressions for r^k K^(k)
-# with no cancellation-prone numerics.
+# Each family member is a dilation average v(r) = int_1^inf mu(u) f(u r) du
+# of the two-party profile (DLMF 8.6.4 under the angular integral) and
+# solves (1 - a) v + a r v' = b:
+#   g_2:    mu = -(1/2) u^(-3/2),     a = 2,   b = f;
+#   g_3/2:  mu = -(2/3) u^(-4/3),     a = 3/2, b = f;
+#   h:      mu = u^(-5/3) - u^(-4/3), a = 3,   b = int_1^inf u^(-4/3) f(u r) du
+#           = -(3/2) g_3/2, and h carries ``scale``.
+# At r = 0 the average is f(0) int mu = -f(0), -2 f(0), -(3/2) f(0).
+# Applying D = r d/dr k times to (1 - a) V_0 + a D V_0 = B_0 gives
+# (1 + (k - 1) a) V_k + a V_(k+1) = B_k for the rows V_k = r^k v^(k) and
+# B_k of b, so every V_k with k >= 1 follows from V_0 and the rows of f.
+
+_G2, _G32, _H = range(3)
+_LAPLACE_AT_ORIGIN = (-1.0, -2.0, -1.5)
+# nodes per block of a Laplace pass: at 4096 the per-call overhead of i0e's
+# Horner steps made a pass 15-40% slower; at 32768 the peak RSS of
+# `profile --parties 6` grew by 1.7 MB, at 16384 it stays where it was
+_LAPLACE_BLOCK = 16384
 
 
-def _t_kernel(c: float, x, e):
-    # x^c Gamma(-c, x) for c > 0; tends to 1/c at the origin
-    out = np.empty_like(x)
-    zero = x == 0.0
-    out[zero] = 1.0 / c
-    pos = ~zero
-    if np.any(pos):
-        out[pos] = scaled_upper_gamma(-c, x[pos], e[pos])
+def _dilation_weights(y):
+    """mu(1 + y) of g_2, g_3/2 and h, the h weight without cancellation near u = 1."""
+    lu = np.log1p(y)
+    u43 = np.exp((-4.0 / 3.0) * lu)
+    return -0.5 * np.exp(-1.5 * lu), (-2.0 / 3.0) * u43, u43 * np.expm1(-lu / 3.0)
+
+
+def _laplace(xi: float, r):
+    """int_1^inf mu(u) f(u r) du of g_2, g_3/2 and h at the radii r, rows (3, len(r)).
+
+    One ``dilation_rule`` and one evaluation of f serve the three
+    weights.  Each value depends on its own r alone.
+    """
+    out = np.empty((3, len(r)))
+    t = bipartite._gamma0(xi)[0] * r
+    # below t = 1e-300 (800 / t overflows) an average is its value at 0 to 1e-100
+    origin = t < 1e-300
+    out[:, origin] = np.multiply.outer(_LAPLACE_AT_ORIGIN, _f_i0e(xi, r[origin]))
+    pos = np.flatnonzero(~origin)
+    for index, counts, y, weight in dilation_rule(t[pos], bipartite._ANGULAR_ORDER,
+                                                  _LAPLACE_BLOCK):
+        cols = pos[index]
+        wf = weight * _f_i0e(xi, (1.0 + y) * np.repeat(r[cols], counts))
+        starts = np.cumsum(counts) - counts
+        for row, mu in zip(out, _dilation_weights(y)):
+            row[cols] = np.add.reduceat(mu * wf, starts)
     return out
 
 
-def _h_atoms(x, e):
-    # t = x^(1/3) Gamma(-1/3, x), 3 at the origin, and
-    # u = x^(2/3) Gamma(1/3, x) = x (x^(-1/3) Gamma(1/3, x)), 0 there,
-    # from one walk of the two gamma tables
-    t = np.empty_like(x)
-    u = np.empty_like(x)
-    zero = x == 0.0
-    t[zero] = 3.0
-    u[zero] = 0.0
-    pos = ~zero
-    if np.any(pos):
-        xp = x[pos]
-        t[pos], u_atom = scaled_upper_gammas((-1.0 / 3.0, 1.0 / 3.0), xp, e[pos])
-        u[pos] = xp * u_atom
-    return t, u
+def _ode_rows(a: float, v0, base):
+    """[V_0, ..., V_n] of (1 - a) v + a r v' = b, from V_0 and the rows B_0..B_(n-1) of b."""
+    rows = [v0]
+    for k, bk in enumerate(base):
+        rows.append((bk - (1.0 + (k - 1) * a) * rows[-1]) / a)
+    return rows
 
 
-def _g_kernel_chain(a: float, x):
-    c = (a - 1.0) / a
-    e = np.exp(-x)
-    t = _t_kernel(c, x, e)
-    k0 = -t / a
-    k1 = (e - (1.0 - a) * k0) / a
-    k2 = -(x * e + k1) / a
-    k3 = (x * x * e - (1.0 + a) * k2) / a
-    return k0, k1, k2, k3
+def _family_rows(xi: float, r, depth: int):
+    """(g_2, g_3/2, h): each the rows r^k v^(k) / scale, k <= depth, at the radii r.
+
+    f itself comes from the same closed form as the averages and r^k f^(k),
+    k >= 1, from its angular pass: the first ODE step cancels as r -> 0,
+    and exactly so at r = 0, where every r^k v^(k) with k >= 1 vanishes.
+    """
+    g2, g32, h = _laplace(xi, r)
+    f_rows = [_f_i0e(xi, r)] if depth else []
+    if depth > 1:
+        f_rows += list(bipartite._angular_kernel_integral(xi, r, range(1, depth)))
+    g32_rows = _ode_rows(1.5, g32, f_rows)
+    h_base = [-1.5 * row for row in g32_rows[:depth]]
+    return (np.array(_ode_rows(2.0, g2, f_rows)), np.array(g32_rows),
+            np.array(_ode_rows(3.0, h, h_base)))
 
 
-def _h_kernel_chain(x):
-    e = np.exp(-x)
-    t, u = _h_atoms(x, e)
-    k0 = 1.5 * e - 1.5 * u - t
-    k1 = e - u - t / 3.0
-    k2 = u / 3.0 + 2.0 * t / 9.0 - 2.0 * e / 3.0
-    k3 = -(4.0 / 9.0) * u - (10.0 / 27.0) * t + (10.0 / 9.0) * e + x * e / 3.0
-    return k0, k1, k2, k3
+@lru_cache(maxsize=32)
+def _radial_family_rows(xi: float, order: int):
+    """``_family_rows`` of the three families on ``radial_rule(xi)``, read-only.
+
+    One pass per xi and rule order (``_ANGULAR_ORDER``, which sets every
+    rule): a changed order is a fresh pass, never a cached one.
+    """
+    rows = _family_rows(xi, bipartite.radial_rule(xi)[0], 3)
+    for family in rows:
+        family.flags.writeable = False
+    return rows
+
+
+def _family_profile(xi: float, family: int, norm: float, scale: float = 1.0):
+    def rows(r, ks):
+        if r is None:
+            return _radial_family_rows(xi, bipartite._ANGULAR_ORDER)[family]
+        ks = list(ks)
+        return _family_rows(xi, r, max(ks, default=0))[family][ks]
+
+    return AngularProfile(xi, rows, norm=norm, scale=scale)
 
 
 # ---------------------------------------------------------------------------
 # swapped-order norms
 #
-# Every kernel atom is a Laplace transform of a measure on [1, inf)
-# (DLMF 8.6.4): x^c Gamma(-c, x) = int_1^inf u^(-c-1) e^(-x u) du, and by
-# parts x^(2/3) Gamma(1/3, x) = e^-x - (2/3) int_1^inf v^(-5/3) e^(-x v) dv.
-# Integrating the product of two kernels over r first therefore gives
+# Every family is an angular integral of the kernel
+# K(x) = int_1^inf mu(u) e^(-x u) du of its Laplace average above, so
+# integrating the product of two kernels over r first gives
 #     M(gamma, gamma') = iint mu(u) mu(v) / (gamma u + gamma' v) du dv,
 # homogeneous of degree -1: M = m(rho) / max(gamma, gamma') with
 # rho = min / max <= 1.  u = p^(-1/c) maps u^(-c-1) du to dp / c on [0, 1]:
 #   a = 2 (c = 1/2):    m = 4 iint p^2 q^2 / (q^2 + rho p^2), in closed form;
 #   a = 3/2 (c = 1/3):  m = 9 iint p^3 q^3 / (q^3 + rho p^3);
-#   h, whose e^-x masses cancel (mu = v^(-5/3) - v^(-4/3)):
+#   h (mu = u^(-5/3) - u^(-4/3), without the scale):
 #                       m = 9 iint (p - 1)(q - 1) p^3 q^3 / (q^3 + rho p^3).
-# No incomplete gamma is involved.
 
 # (k - atan k) / k^3 = sum_n (-1)^n k^(2n) / (2n + 3), highest power first;
 # 30 terms reach 1e-20 at k = 1/2
@@ -272,11 +314,7 @@ def _g_norm(xi_value: float, a: float) -> float:
 
 @lru_cache(maxsize=32)
 def _g_family_cached(xi_value: float, a: float) -> OdeFamilyProfile:
-    return AngularProfile(
-        xi_value,
-        chain=lambda x: _g_kernel_chain(a, x),
-        norm=_g_norm(xi_value, a),
-    )
+    return _family_profile(xi_value, _G2 if a == 2.0 else _G32, _g_norm(xi_value, a))
 
 
 def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:
@@ -293,12 +331,7 @@ def _h_family_cached(xi_value: float) -> OdeFamilyProfile:
     base = g_family(xi_value, 1.5)
     # scale chosen so -2 h + 3 r h' reproduces the normalized base exactly
     scale = -2.0 / (3.0 * base.normalization)
-    return AngularProfile(
-        xi_value,
-        chain=_h_kernel_chain,
-        scale=scale,
-        norm=abs(scale) * _cube_root_norms(xi_value)[1],
-    )
+    return _family_profile(xi_value, _H, abs(scale) * _cube_root_norms(xi_value)[1], scale)
 
 
 def h_family(xi) -> OdeFamilyProfile:
@@ -310,9 +343,9 @@ def functional_z(n: int, profile) -> float:
     """Expectation functional for 2n parties, by the nested route.
 
     The integral of (sum_k b_k r^k v^(k))^2 and the norm of v both come
-    from the nested pass (``combo_norm``, ``rk_norm(0)``, one chain pass
-    per profile), so the result does not depend on the
-    ``normalization`` the profile was given.
+    from the nested pass (``combo_norm``, ``rk_norm(0)``, the rows of one
+    Laplace pass per xi and rule order), so the result does not depend on
+    the ``normalization`` the profile was given.
     """
     if not (isinstance(n, int) and 1 <= n <= 12):
         raise ValueError(f"n must be an integer in [1, 12], got {n!r}")

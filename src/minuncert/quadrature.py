@@ -9,9 +9,11 @@ panel sits at least its own width away from the singularity and the
 rule converges geometrically with the points per panel.  ``log_rule``
 keeps the panel [0, lo] and takes the rest in u = ln r instead, on equal
 u-panels of ratio at most 4, for integrands that are smooth in ln r and
-spend most decades near their singular point.  Every integral of the
-package is taken on one of the two; the tests certify each one by
-comparing two rule orders.
+spend most decades near their singular point.  ``dilation_rule`` gives
+each radius r its own rule of a Laplace average over u = 1 + y in
+[1, inf), whose integrand decays on the scale y ~ 1 / (gamma0 r).  Every
+integral of the package is taken on one of the three; the tests certify
+each one by comparing two rule orders.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results.
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 from ._numpy import np
 
-__all__ = ["panel_rule", "graded_rule", "log_rule"]
+__all__ = ["panel_rule", "graded_rule", "log_rule", "dilation_rule"]
 
 
 @lru_cache(maxsize=8)
@@ -109,3 +111,36 @@ def log_rule(lo: float, hi: float, order: int):
     u, wu = panel_rule(np.linspace(math.log(lo), math.log(hi), panels + 1), order)
     r = np.exp(u)
     return np.concatenate((r0, r)), np.concatenate((w0, wu * r))
+
+
+def dilation_rule(t, order: int, block: int):
+    """Blocks (index, counts, y, weight) of the per-radius rule of int_0^inf g(y) dy.
+
+    For each t = gamma0 r > 0 of the 1-D array ``t``: one panel [0, lo],
+    lo = min(1/4, 1/(2t)), then the fewest geometric panels of ratio at
+    most 4 from lo to 800 / t, each with ``order`` Gauss-Legendre points.
+    The integrand g(y) = mu(1 + y) F((1 + y) r) may be singular at
+    u = 1 + y = 0 and decays like e^(-t y): the centre of every panel lies
+    at least 5/3 of its half-widths from y = -1, the first spans at most
+    a factor e^(1/2) of the decay, and e^(-t y) underflows at 800 / t.
+    A block holds the rules of the consecutive radii ``index`` (positions
+    in ``t``), about ``block`` nodes in all, one radius after the other:
+    ``counts`` nodes each.  The rule of a radius depends on its own t alone.
+    """
+    t = np.asarray(t, dtype=float)
+    lo = np.minimum(0.25, 0.5 / t)
+    ratio = 800.0 / (t * lo)
+    geometric = np.maximum(1, np.ceil(np.log(ratio) / math.log(4.0))).astype(int)
+    panels = geometric + 1
+    chunk = (np.cumsum(panels) - panels) * order // block
+    x, w = _gauss_legendre(order)
+    for index in np.split(np.arange(len(t)), np.flatnonzero(np.diff(chunk)) + 1):
+        n = panels[index]
+        radius = np.repeat(index, n)
+        j = np.arange(len(radius)) - np.repeat(np.cumsum(n) - n, n)  # panel within its radius
+        top = lo[radius] * ratio[radius] ** (j / geometric[radius])
+        bottom = np.concatenate(([0.0], top[:-1]))
+        bottom[j == 0] = 0.0
+        centers = 0.5 * (top + bottom)[:, None]
+        halves = 0.5 * (top - bottom)[:, None]
+        yield index, n * order, (centers + halves * x).ravel(), (halves * w).ravel()

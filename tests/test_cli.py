@@ -41,12 +41,14 @@ def run_fresh(code, *args):
 
 
 def test_import_builds_no_kernel_table():
-    # the incomplete-gamma tables and the Gauss-Legendre nodes are built on
-    # first use, never at import, so commands that never touch them pay
-    # nothing for them (numpy.polynomial alone costs ~5 ms to import)
-    code = ("import sys, minuncert.cli, minuncert.specfun as s; "
-            "print(s._gamma_table.cache_info().currsize, 'numpy.polynomial' in sys.modules)")
-    assert run_fresh(code).split() == ["0", "False"]
+    # nothing is built at import: the Gauss-Legendre nodes and the cached
+    # radial rows are built on first use, so commands that never touch
+    # them pay nothing for them (numpy.polynomial alone costs ~5 ms to
+    # import)
+    code = ("import sys, minuncert.cli, minuncert.multipartite as m, minuncert.quadrature as q; "
+            "print(*(f.cache_info().currsize for f in (q._gauss_legendre, m._radial_family_rows, "
+            "m._p_rule)), 'numpy.polynomial' in sys.modules)")
+    assert run_fresh(code).split() == ["0", "0", "0", "False"]
 
 
 # numpy's compiled core, under its numpy 2 and numpy 1 names: sys.modules
@@ -231,27 +233,26 @@ def test_verify_passes(tmp_path, monkeypatch):
 
 
 def test_verify_angular_pass_radii(tmp_path, monkeypatch):
-    # the angular passes of verify, cold: the nested norms of g_2, g_3/2
-    # and h on radial_rule(0.5) (416 radii each), of f on
-    # radial_rule(0.7) (432) and one point value of f; the count changes
-    # only with the radial rule or the battery
+    # the angular passes of verify, cold: one pass on radial_rule(0.5)
+    # (416 radii) for the rows of f that the nested norms of g_2, g_3/2 and
+    # h share, one for the nested norm of f on radial_rule(0.7) (432) and
+    # one point value of f; the count changes only with the radial rule or
+    # the battery
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
     radii = []
     real = bipartite._angular_kernel_integral
 
-    def counted(xi, r, chain, ks):
+    def counted(xi, r, ks):
         radii.append(np.size(r))
-        return real(xi, r, chain, ks)
+        return real(xi, r, ks)
 
     monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted)
-    multipartite._g_family_cached.cache_clear()
-    multipartite._h_family_cached.cache_clear()
+    multipartite._radial_family_rows.cache_clear()
     try:
         assert cli.main(["--command", "verify"]) == 0
     finally:
-        multipartite._g_family_cached.cache_clear()
-        multipartite._h_family_cached.cache_clear()
-    assert sum(radii) == 1681
+        multipartite._radial_family_rows.cache_clear()
+    assert sum(radii) == 849
 
 
 def test_verify_negative_control(tmp_path, monkeypatch, capsys):
@@ -416,6 +417,36 @@ def test_profile_higher_families_positive_at_origin(tmp_path, monkeypatch):
         _, rows = read_csv(tmp_path / "profile.csv")
         assert float(rows[0][1]) > 0.0
         assert len(rows) == 5
+
+
+def _clear_family_caches():
+    multipartite._g_family_cached.cache_clear()
+    multipartite._h_family_cached.cache_clear()
+    multipartite._cube_root_norms.cache_clear()
+
+
+@pytest.mark.parametrize("xi", ["1e-12", "0.999999999999", "0.9999999999999999"])
+@pytest.mark.parametrize("parties", [4, 6])
+def test_profile_sweep_rule_orders_agree(tmp_path, xi, parties, monkeypatch):
+    # at the ends of the xi range the four- and six-party profiles come
+    # out, and every cell, norm included, matches the one of a second
+    # rule order to a few ulps of the column maximum
+    out = tmp_path / "profile.csv"
+    argv = ["--command", "profile", "--parties", str(parties), "--xi", xi,
+            "--order", "41", "--out", str(out)]
+    columns = []
+    try:
+        for order in (16, 24):
+            monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", order)
+            _clear_family_caches()
+            assert cli.main(argv) == 0
+            _, rows = read_csv(out)
+            columns.append(np.array([float(row[1]) for row in rows]))
+    finally:
+        _clear_family_caches()
+    lo, hi = columns
+    assert np.all(np.isfinite(lo)) and lo[0] > 0.0
+    assert np.max(np.abs(lo - hi)) <= 5e-15 * np.max(np.abs(lo))
 
 
 # --- the remaining commands -----------------------------------------------

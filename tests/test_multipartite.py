@@ -23,7 +23,7 @@ from minuncert.multipartite import (
 )
 import minuncert.bipartite as bipartite
 import minuncert.multipartite as multipartite
-from minuncert.specfun import ellip_k, scaled_upper_gamma, upper_gamma
+from minuncert.specfun import ellip_k
 
 from oracles import (
     G2_NORM,
@@ -146,6 +146,11 @@ def test_g_value_at_origin_analytic():
     assert g2 == pytest.approx(-f0, rel=1e-10)
     assert g32 == pytest.approx(-2.0 * f0, rel=1e-10)
     assert g2 == pytest.approx(G2_RAW0_HALF, rel=1e-11)
+    # where 800 / (gamma0 r) overflows, the averages take their value at 0
+    h = h_family(0.5)
+    for r in (1e-310, 1e-305):
+        assert g_family(0.5, 2.0).raw_derivative_combo((1.0,), r) == g2
+        assert h.raw_derivative_combo((1.0,), r) == h.raw_derivative_combo((1.0,), 0.0)
 
 
 def test_h_value_at_origin_analytic():
@@ -420,8 +425,8 @@ def test_radial_rule_orders_agree(xi, monkeypatch):
     # route (1 for f, the swapped order for g and h; to ~4e-15).  The
     # second check also sees the first radial panel [0, lo], which the
     # orders do not resolve: with lo ten thousand times larger it put
-    # 1.3e-13 into ||h|| at xi = 0.01.  The profile keeps its radial rows
-    # per rule order, so each order here is a pass of its own
+    # 1.3e-13 into ||h|| at xi = 0.01.  The families keep their radial
+    # rows per xi and rule order, so each order here is a pass of its own
     # (test_nested_norms_share_one_chain_pass)
     for fam in (f_profile(xi), g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
         for k in range(4):
@@ -436,65 +441,76 @@ def test_radial_rule_orders_agree(xi, monkeypatch):
 
 
 def test_nested_norms_share_one_chain_pass(monkeypatch):
-    # rk_norm(0..3) and functional_z of one profile combine the rows of a
-    # single reduction of its chain on the radial rule.  A changed rule
-    # order is a fresh pass, which test_radial_rule_orders_agree relies
-    # on, and the first order's rows are still there afterwards
-    xi = 0.5
-    fam = g_family(xi, 2.0)
-    radii = []
+    # rk_norm(0..3) and functional_z of g_2, g_3/2 and h at one xi combine
+    # the rows of a single Laplace pass on the radial rule, shared by the
+    # three families: one dilation rule, one evaluation of f.  A changed
+    # rule order is a fresh pass, which test_radial_rule_orders_agree
+    # relies on, and the first order's rows are still there afterwards
+    xi = 0.4321
+    passes = []
+    real = multipartite._laplace
 
-    def counted(x):
-        radii.append(x.shape[0])
-        return multipartite._g_kernel_chain(2.0, x)
+    def counted(x, r):
+        passes.append((x, len(r), bipartite._ANGULAR_ORDER))
+        return real(x, r)
 
-    prof = bipartite.AngularProfile(xi, counted, norm=fam.normalization)
+    monkeypatch.setattr(multipartite, "_laplace", counted)
+    multipartite._radial_family_rows.cache_clear()
+    fams = (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi))
     n16 = len(bipartite.radial_rule(xi)[0])
-    norms = [prof.rk_norm(k) for k in range(4)]
-    z = functional_z(2, prof)
-    assert sum(radii) == n16
-    assert norms == [fam.rk_norm(k) for k in range(4)]
-    assert z == functional_z(2, fam)
+    norms = [[fam.rk_norm(k) for k in range(4)] for fam in fams]
+    z = (functional_z(2, fams[0]), functional_z(3, fams[2]))
+    assert passes == [(xi, n16, 16)]
+    assert z == (functional_z(2, fams[0]), functional_z(3, fams[2]))
 
     monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
     n24 = len(bipartite.radial_rule(xi)[0])
     assert n24 != n16
-    hi = prof.rk_norm(0)
-    assert sum(radii) == n16 + n24
-    assert hi == pytest.approx(norms[0], rel=1e-14, abs=0.0)
+    for fam, fam_norms in zip(fams, norms):
+        assert fam.rk_norm(0) == pytest.approx(fam_norms[0], rel=1e-14, abs=0.0)
+    assert passes == [(xi, n16, 16), (xi, n24, 24)]
 
     monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
-    assert prof.rk_norm(0) == norms[0]
-    assert sum(radii) == n16 + n24
+    assert [fam.rk_norm(0) for fam in fams] == [fam_norms[0] for fam_norms in norms]
+    assert len(passes) == 2
 
 
-def _per_cell_norms(prof, coefs_list):
-    # the nested norms with each combination taken per cell of
-    # radial_rule x angular_rule before the angular reduction
+def _per_cell_norms(prof, coefs_list, angular):
+    # the nested norms with each combination taken per cell before any
+    # reduction on the radial rule: per cell of radial_rule x angular_rule
+    # for f (``angular``), per radius of their point route
+    # (raw_derivative_combo) for the families, in blocks of 32 radii
     xi = prof.xi.value
     r, wr = bipartite.radial_rule(xi)
     gamma, wt = bipartite.angular_rule(xi)
     den = math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
     sq = np.zeros(len(coefs_list))
     for start in range(0, len(r), 32):
-        kernels = prof._chain(np.outer(r[start:start + 32], gamma))
+        block = r[start:start + 32]
+        kernels = bipartite._exp_chain(np.outer(block, gamma)) if angular else None
         for i, coefs in enumerate(coefs_list):
-            cell = sum(c * kernels[k] for k, c in enumerate(coefs))
-            v = prof._scale * np.sum(wt * cell, axis=-1) / den
+            if angular:
+                cell = sum(c * kernels[k] for k, c in enumerate(coefs))
+                v = np.sum(wt * cell, axis=-1) / den
+            else:
+                v = prof.raw_derivative_combo(coefs, block)
             sq[i] += np.sum(wr[start:start + 32] * v * v)
     return np.sqrt(sq)
 
 
 @pytest.mark.parametrize("xi", [0.01, 0.5, 1.0 - 1e-9])
 def test_combo_norm_rows_match_per_cell_combination(xi):
-    # combining the cached radial rows after the angular reduction gives
-    # the norms of combining per cell, for the unit vectors of rk_norm and
-    # the b combinations of functional_z
+    # combining the cached radial rows gives the norms of combining per
+    # cell, each profile on its own cells, for the unit vectors of rk_norm
+    # and the b combinations of functional_z
     coefs_list = [tuple([0.0] * k + [1.0]) for k in range(4)]
     coefs_list += [(0.0,) + tuple(float(b) for b in b_coefficients(n).b) for n in (2, 3)]
-    for prof in (f_profile(xi), g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
+    profiles = ((f_profile(xi), True), (g_family(xi, 2.0), False), (g_family(xi, 1.5), False),
+                (h_family(xi), False))
+    for prof, angular in profiles:
         got = [prof.combo_norm(coefs) for coefs in coefs_list]
-        np.testing.assert_allclose(got, _per_cell_norms(prof, coefs_list), rtol=1e-14, atol=0.0)
+        want = _per_cell_norms(prof, coefs_list, angular)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("rho", [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0])
@@ -582,61 +598,61 @@ def test_nested_route_near_xi_one(xi):
     assert functional_z(3, h_family(xi)) == pytest.approx(z6, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("xi", [0.01, 0.5, 1.0 - 1e-9])
-def test_h_chain_walks_tables_once(xi):
-    # the two h atoms from one walk of the gamma tables are bit for bit
-    # the two separate scaled_upper_gamma calls, on cells of every table
-    # region: x = 0, the series column, the panels and beyond 768
-    gamma, _ = bipartite.angular_rule(xi)
-    r, _ = bipartite.radial_rule(xi)
-    x = np.outer(np.concatenate(([0.0], r[::7], [100.0 * r[-1]])), gamma)
-    e = np.exp(-x)
-    t = np.full_like(x, 3.0)
-    u = np.zeros_like(x)
-    pos = x != 0.0
-    t[pos] = scaled_upper_gamma(-1.0 / 3.0, x[pos], e[pos])
-    u[pos] = x[pos] * scaled_upper_gamma(1.0 / 3.0, x[pos], e[pos])
-    expected = (1.5 * e - 1.5 * u - t, e - u - t / 3.0,
-                u / 3.0 + 2.0 * t / 9.0 - 2.0 * e / 3.0,
-                -(4.0 / 9.0) * u - (10.0 / 27.0) * t + (10.0 / 9.0) * e + x * e / 3.0)
-    for got, want in zip(multipartite._h_kernel_chain(x), expected):
-        assert got.tobytes() == want.tobytes()
-    assert np.any((x > 0.0) & (x < 1.5)) and np.any((x >= 1.5) & (x < 768.0))
-    assert np.any(x >= 768.0)
+def _laplace_references(xi, r):
+    # g_2 and h / scale at r: int_1^inf mu(u) f(u r) du at 30 digits, with
+    # f = C I0(beta x) e^(-alpha x) from mpmath's own Bessel function, on
+    # u = 1 + y.  The integrand is divided by f(r), since mp.quad's
+    # tolerance is absolute and f(r) falls to 1e-80 here (undivided, the
+    # reference is off by up to 3.5e-7 at xi = 0.5, r >= 1000); the
+    # breakpoints follow its decay, algebraic in y up to 1/(gamma0 r) and
+    # like e^(-gamma0 r y) beyond.  Returns the two values and the larger
+    # relative error estimate
+    import mpmath as mp
+
+    with mp.workdps(30):
+        x_, r_ = mp.mpf(xi), mp.mpf(r)
+        s, gap = mp.sqrt(x_), 1 - x_
+        alpha, beta = (1 + x_) / (2 * gap), s / gap
+        front = mp.sqrt(mp.pi / (2 * mp.ellipk(x_**2) * gap))
+        decay = 2 * (1 + s) ** 2 / (gap * r_)  # 1 / (gamma0 r)
+        f_r = mp.besseli(0, beta * r_) * mp.exp(-alpha * r_)
+        memo = {}
+
+        def f_ratio(y):  # f((1 + y) r) / f(r), shared by both weights
+            if y not in memo:
+                x = (1 + y) * r_
+                memo[y] = mp.besseli(0, beta * x) * mp.exp(-alpha * x) / f_r
+            return memo[y]
+
+        pts = ([mp.mpf(0)] + [mp.mpf(64) ** j for j in range(20) if 64**j < decay / 8]
+               + [decay * 8**k for k in range(-1, 3)] + [mp.inf])
+        values, worst = [], 0.0
+        for mu in (lambda u: -u ** mp.mpf(-1.5) / 2,
+                   lambda u: u ** (-mp.mpf(5) / 3) - u ** (-mp.mpf(4) / 3)):
+            v, err = mp.quad(lambda y: mu(1 + y) * f_ratio(y), pts, error=True, maxdegree=4)
+            values.append(float(front * f_r * v))
+            worst = max(worst, float(abs(err / v)))
+    return values, worst
 
 
-def test_products_match_reference_kernels(monkeypatch):
-    # the tabulated kernel atoms against the continued fraction they were
-    # tabulated from, through the whole nested product
-    calls = []
-
-    def reference_atom(s, x, e):
-        calls.append(s)
-        return x**-s * upper_gamma(s, x)
-
-    def reference_atoms(orders, x, e):
-        return tuple(reference_atom(s, x, e) for s in orders)
-
-    def clear_families():
-        multipartite._g_family_cached.cache_clear()
-        multipartite._h_family_cached.cache_clear()
-
-    def nested(n, xi):
-        return functional_z(n, g_family(xi, 2.0) if n == 2 else h_family(xi))
-
-    cases = [(n, xi) for n in (2, 3) for xi in (0.5, 0.9)]
-    clear_families()
-    tabulated = [nested(n, xi) for n, xi in cases]
-    monkeypatch.setattr(multipartite, "scaled_upper_gamma", reference_atom)
-    monkeypatch.setattr(multipartite, "scaled_upper_gammas", reference_atoms)
-    clear_families()
-    try:
-        reference = [nested(n, xi) for n, xi in cases]
-    finally:
-        clear_families()
-    assert set(calls) == {-0.5, -1.0 / 3.0, 1.0 / 3.0}
-    for value, ref in zip(tabulated, reference):
-        assert value == pytest.approx(ref, rel=1e-12)
+@pytest.mark.parametrize("xi, radii", [
+    (0.5, (1e-6, 0.01, 1.0, 10.0, 100.0, 300.0)),
+    (0.9, (1e-6, 0.01, 1.0, 10.0, 100.0, 300.0, 1000.0, 4096.0)),
+])
+def test_laplace_point_values_vs_mpmath(xi, radii):
+    # point values of g_2 and h against their Laplace averages in mpmath,
+    # out to r = 4096, where gamma0 r = 54 at xi = 0.9: to a few ulps
+    # relative (the incomplete-gamma kernels lost 1.9e-12 of h at xi = 0.5,
+    # r = 300, and 6.2e-11 at xi = 0.9, r = 4096)
+    h = h_family(xi)
+    r = np.array(radii)
+    g2_values = g_family(xi, 2.0).raw_derivative_combo((1.0,), r)
+    h_values = h.raw_derivative_combo((1.0,), r) / h._scale
+    for i, radius in enumerate(radii):
+        (g2_ref, h_ref), err = _laplace_references(xi, radius)
+        assert err <= 1e-20
+        assert g2_values[i] == pytest.approx(g2_ref, rel=5e-15, abs=0.0)
+        assert h_values[i] == pytest.approx(h_ref, rel=5e-15, abs=0.0)
 
 
 def test_functional_z_validation():

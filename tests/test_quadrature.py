@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from minuncert.quadrature import graded_rule, log_rule, panel_rule
+from minuncert.quadrature import dilation_rule, graded_rule, log_rule, panel_rule
 
 
 def test_polynomial_exactness():
@@ -103,6 +103,27 @@ def test_log_rule_layout():
         assert np.sum(wu * (u - a) ** k) == pytest.approx((b - a) ** (k + 1) / (k + 1), rel=1e-13)
     assert len(log_rule(1.0, 4.0, 16)[0]) == 32
     assert len(log_rule(1.0, 4.000001, 16)[0]) == 48
+
+
+def test_dilation_rule_moments():
+    # each radius' own rule integrates e^(-t y) and y e^(-t y) over
+    # [0, inf) to rounding, from t = 1e-30 (56 geometric panels) through
+    # the switch of the first panel at t = 2; every t gets exactly one
+    # rule, the same whatever the block size
+    t = np.geomspace(1e-30, 1e4, 171)
+    moments = []
+    for block in (1, 4096):
+        m = np.full((2, t.size), np.nan)
+        for index, counts, y, w in dilation_rule(t, 16, block):
+            assert np.all(np.isnan(m[0, index])) and y.shape == w.shape == (np.sum(counts),)
+            starts = np.cumsum(counts) - counts
+            decay = w * np.exp(-np.repeat(t[index], counts) * y)
+            m[0, index] = np.add.reduceat(decay, starts)
+            m[1, index] = np.add.reduceat(y * decay, starts)
+        moments.append(m)
+    np.testing.assert_allclose(moments[0][0] * t, 1.0, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(moments[0][1] * t * t, 1.0, rtol=1e-14, atol=0.0)
+    assert np.array_equal(moments[0], moments[1])
 
 
 def test_deterministic():
