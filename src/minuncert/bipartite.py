@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from ._numpy import np
 from .quadrature import graded_rule, log_rule
-from .specfun import binom, central_binomial, ellip_e, ellip_k, i0e, log_bessel_i0
+from .specfun import binom, central_binomial, ellip_e, ellip_k, i0e, log_i0e
 
 __all__ = [
     "XiParameter",
@@ -155,11 +155,13 @@ _PAIR_BLOCK = 1024
 
 
 def _swapped_norms(xi: float, m):
-    """||v|| / |scale| of each kernel whose m(rho) ``m`` returns, from one pass over the pairs.
+    """||v|| / |scale| of each kernel whose m(rho) ``m`` returns, radial integral first.
 
-    ``m`` returns a tuple of m(rho) arrays, one per kernel, so kernels
-    that share their work share one call per block of pairs.  See
-    ``_swapped_norm``.
+    For v(r) = scale int w(theta) K(gamma(theta) r) dtheta with
+    int_0^inf K(gamma r) K(gamma' r) dr = m(rho) / max(gamma, gamma'), rho = min / max,
+    ||v||^2 = scale^2 / (2 pi K (1 - xi)) iint_0^pi M dphi dphi' on the tensor product of
+    ``angular_rule`` (w dtheta = dphi / sqrt(2 pi K (1 - xi))).  ``m`` returns one m(rho)
+    array per kernel, so kernels that share their work share one call per block of pairs.
     """
     gam, wt = angular_rule(xi)
     # M is symmetric: pairs j > i count twice, the diagonal once
@@ -176,18 +178,6 @@ def _swapped_norms(xi: float, m):
         totals = parts if totals is None else [t + p for t, p in zip(totals, parts)]
     density = 2.0 * math.pi * ellip_k(xi) * (1.0 - xi)
     return tuple(math.sqrt(t / density) for t in totals)
-
-
-def _swapped_norm(xi: float, m, scale: float) -> float:
-    """||v|| of v(r) = scale int w(theta) K(gamma(theta) r) dtheta, radial integral first.
-
-    ``m`` is the kernel's m(rho): int_0^inf K(gamma r) K(gamma' r) dr
-    = m(rho) / max(gamma, gamma'), rho = min / max.  On the substituted
-    angle of ``angular_rule``, where w dtheta = dphi / sqrt(2 pi K (1 - xi)),
-    ||v||^2 = scale^2 / (2 pi K (1 - xi)) iint_0^pi M(gamma, gamma') dphi dphi',
-    taken with the tensor product of that rule.
-    """
-    return abs(scale) * _swapped_norms(xi, lambda rho: (m(rho),))[0]
 
 
 def _angular_kernel_integral(xi: float, r, ks):
@@ -354,7 +344,7 @@ def uncertainty_product(xi, route: str = "closed_form") -> UncertaintyReport:
     The product is ||r f'||^2 / 2.  The quadrature route takes it as the
     double angular integral (1/(8 pi K)) iint (1 - xi cos^2 t)
     (1 - xi cos^2 t') / (1 - xi cos t cos t')^3 dt dt' over [0, pi]^2,
-    which is ``_swapped_norm`` of the r f' kernel, on the tensor product
+    which is ``_swapped_norms`` of the r f' kernel, on the tensor product
     of ``angular_rule``.
     """
     p = as_xi(xi)
@@ -362,7 +352,7 @@ def uncertainty_product(xi, route: str = "closed_form") -> UncertaintyReport:
     if route == "closed_form":
         product = 0.25 + 0.25 * r_closed(v)
     elif route == "quadrature":
-        product = 0.5 * _swapped_norm(v, _m_rf, 1.0) ** 2
+        product = 0.5 * _swapped_norms(v, lambda rho: (_m_rf(rho),))[0] ** 2
     else:
         raise ValueError(f"unknown route {route!r}")
     return UncertaintyReport(
@@ -386,17 +376,17 @@ def residual_norm_sq(xi) -> float:
 def f_closed(xi, r):
     """Unit-norm two-party radial profile f(r) in closed form.
 
-    The modified-Bessel factor and the exponential are combined in log
-    space, which stays stable up to xi very close to 1.
+    Taken as C exp(log i0e(beta r) - gamma0 r): the growth of I0 and the decay
+    e^(-alpha r), each of size r / (1 - xi), never meet, so nothing cancels as xi -> 1.
     """
     v = as_xi(xi).value
     rv = np.asarray(r, dtype=float)
     if np.any(rv < 0.0):
         raise ValueError("r must be nonnegative")
-    alpha = 0.5 * (1.0 + v) / (1.0 - v)
     beta = math.sqrt(v) / (1.0 - v)
+    hi, lo = _gamma0(v)
     log_front = 0.5 * (math.log(math.pi) - math.log(2.0 * ellip_k(v) * (1.0 - v)))
-    out = np.exp(log_front + log_bessel_i0(beta * rv) - alpha * rv)
+    out = np.exp(log_front + log_i0e(beta * rv) - (hi * rv + lo * rv))
     return float(out) if rv.ndim == 0 else out
 
 

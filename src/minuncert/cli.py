@@ -492,11 +492,17 @@ def _profile_column(parties: int, x: float, r_grid):
     return orient * fam.value(r_grid ** parties)
 
 
+def _xi_label(x: float) -> str:
+    # 15 digits name each xi as typed; one they would round up to 1 keeps all of its
+    label = f"{x:.15g}"
+    return repr(x) if label == "1" else label
+
+
 def run_profile(config: RunConfig) -> int:
     n = config.parties // 2
     r_grid = np.linspace(0.0, 4.0, config.truncation)
     front = math.sqrt(math.factorial(n) / math.pi**n)
-    columns = ["r"] + [f"psi_xi={x:.15g}" for x in config.xi_grid]
+    columns = ["r"] + [f"psi_xi={_xi_label(x)}" for x in config.xi_grid]
     table = [r_grid] + [front * _profile_column(config.parties, x, r_grid)
                         for x in config.xi_grid]
     write_table(config, columns, np.column_stack(table).tolist())

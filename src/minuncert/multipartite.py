@@ -25,7 +25,7 @@ from functools import lru_cache
 from . import bipartite
 from ._numpy import np
 from .bipartite import (
-    AngularProfile, UncertaintyReport, _f_i0e, _swapped_norm, _swapped_norms, as_xi, r_closed)
+    AngularProfile, UncertaintyReport, _f_i0e, _swapped_norms, as_xi, r_closed)
 from .quadrature import dilation_rule, panel_rule
 from .specfun import binom
 
@@ -295,9 +295,11 @@ def _m_g32_h(rho):
 # the g and h families are angular-kernel profiles like f
 OdeFamilyProfile = AngularProfile
 
-# m(rho) of the a = 2 family, which the four-party product takes; the
-# a = 3/2 family of the six-party product shares its pass with h
-_G_KERNELS = {2.0: _m_g2}
+
+@lru_cache(maxsize=32)
+def _g2_norm(xi_value: float) -> float:
+    # ||g_2||, the four-party product's norm
+    return 0.5 * _swapped_norms(xi_value, lambda rho: (_m_g2(rho),))[0]
 
 
 @lru_cache(maxsize=32)
@@ -306,37 +308,24 @@ def _cube_root_norms(xi_value: float):
     return _swapped_norms(xi_value, _m_g32_h)
 
 
-def _g_norm(xi_value: float, a: float) -> float:
-    if a == 1.5:
-        return (1.0 / a) * _cube_root_norms(xi_value)[0]
-    return _swapped_norm(xi_value, _G_KERNELS[a], 1.0 / a)
-
-
-@lru_cache(maxsize=32)
-def _g_family_cached(xi_value: float, a: float) -> OdeFamilyProfile:
-    return _family_profile(xi_value, _G2 if a == 2.0 else _G32, _g_norm(xi_value, a))
-
-
 def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:
     """Family member solving (1 - a) g + a r g' = f for the given xi, a = 2 or 3/2."""
     v = as_xi(xi).value
     a = float(a)
-    if a not in (2.0, 1.5):
-        raise ValueError(f"a must be 2 or 3/2, got {a!r}")
-    return _g_family_cached(v, a)
-
-
-@lru_cache(maxsize=32)
-def _h_family_cached(xi_value: float) -> OdeFamilyProfile:
-    base = g_family(xi_value, 1.5)
-    # scale chosen so -2 h + 3 r h' reproduces the normalized base exactly
-    scale = -2.0 / (3.0 * base.normalization)
-    return _family_profile(xi_value, _H, abs(scale) * _cube_root_norms(xi_value)[1], scale)
+    if a == 2.0:
+        return _family_profile(v, _G2, _g2_norm(v))
+    if a == 1.5:
+        return _family_profile(v, _G32, (1.0 / a) * _cube_root_norms(v)[0])
+    raise ValueError(f"a must be 2 or 3/2, got {a!r}")
 
 
 def h_family(xi) -> OdeFamilyProfile:
     """Second-layer family: -2 h + 3 r h' equals the normalized a = 3/2 member."""
-    return _h_family_cached(as_xi(xi).value)
+    v = as_xi(xi).value
+    g32, h = _cube_root_norms(v)
+    # scale chosen so -2 h + 3 r h' reproduces the normalized base exactly
+    scale = -2.0 / (3.0 * ((1.0 / 1.5) * g32))
+    return _family_profile(v, _H, abs(scale) * h, scale)
 
 
 def functional_z(n: int, profile) -> float:

@@ -249,3 +249,16 @@ def quadratic_form_value(form, vec) -> float:
         raise ValueError(f"vector length must be {form.order}, got {v.shape}")
     total = float(np.dot(form.diagonal, v * v))
     return total + 2.0 * float(np.dot(form.off_diagonal, v[:-1] * v[1:]))
+
+
+def f_scipy(xi: float, r):
+    """The unit-norm two-party profile C i0e(beta r) e^(-gamma0 r) from scipy.
+
+    C = sqrt(pi / (2 K (1 - xi))) with K from ``ellipkm1`` at
+    1 - xi^2 = (1 - xi)(1 + xi), beta = sqrt(xi) / (1 - xi) and
+    gamma0 = (1 - xi) / (2 (1 + sqrt(xi))^2): nothing cancels as xi -> 1.
+    """
+    s = math.sqrt(xi)
+    gap = 1.0 - xi
+    front = math.sqrt(math.pi / (2.0 * sps.ellipkm1(gap * (1.0 + xi)) * gap))
+    return front * sps.i0e((s / gap) * r) * np.exp(-(0.5 * gap / (1.0 + s) ** 2) * r)

@@ -40,6 +40,7 @@ from oracles import (
     RF_PRIME_NORM_SQ_HALF,
     SHELL1_HALF,
     VIOLATION_2_HALF,
+    f_scipy,
     fd_rk_derivative,
     fock_projection,
     merged_convolution,
@@ -242,6 +243,20 @@ def test_f_profile_point_values_certified(xi):
     live = ref > 1e-8 * ref.max()
     assert np.count_nonzero(live) > 100
     assert np.max(np.abs(value[live] / ref[live] - 1.0)) <= 1e-14
+
+
+# xi up to the last float below 1, where log I0(beta r) - alpha r lost
+# every digit (r / (1 - xi) ~ 1e17)
+@pytest.mark.parametrize(
+    "xi", [0.5, 0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 0.9999999999999999])
+def test_f_closed_against_scipy_near_one(xi):
+    # the closed form on the profile table's radii, r = linspace(0, 4)^2,
+    # against scipy's i0e arrangement; 1e-11 leaves room for the ~8e-12
+    # of the asymptotic sum just above the crossover z = 12
+    r = np.linspace(0.0, 4.0, 81) ** 2
+    ref = f_scipy(xi, r)
+    assert np.all(ref > 0.0)
+    assert np.all(np.abs(f_closed(xi, r) - ref) <= 1e-11 * ref)
 
 
 def test_f_prime_at_zero():

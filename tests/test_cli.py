@@ -19,7 +19,7 @@ from minuncert.multipartite import OperatorCoefficients, b_coefficients
 from minuncert.simple_state import SimpleStateSolution
 from minuncert.spectral import BandedSymmetricForm, EigenPair
 
-from oracles import LAMBDA_MIN_200, OVERLAP_03_07, C00_HALF, wavefunction
+from oracles import LAMBDA_MIN_200, OVERLAP_03_07, C00_HALF, f_scipy, wavefunction
 
 
 def read_csv(path):
@@ -381,6 +381,8 @@ def test_profile_headers_name_each_xi_exactly(tmp_path):
     for xis, names in (
         (("0.1234561", "0.1234562"), ["psi_xi=0.1234561", "psi_xi=0.1234562"]),
         (("0.999999999999",), ["psi_xi=0.999999999999"]),
+        # 15 digits would print "1"; the last float below 1 keeps all of its
+        (("0.9999999999999999",), ["psi_xi=0.9999999999999999"]),
     ):
         argv = ["--command", "profile", "--order", "3", "--out", str(out)]
         for x in xis:
@@ -393,18 +395,37 @@ def test_profile_headers_name_each_xi_exactly(tmp_path):
 def test_two_party_profile_one_call_per_column(tmp_path, monkeypatch):
     # the closed form is elementwise, so each xi column is one call
     calls = []
-    kernel = bipartite.log_bessel_i0
+    kernel = bipartite.log_i0e
 
     def counted(z):
         calls.append(np.size(z))
         return kernel(z)
 
-    monkeypatch.setattr(bipartite, "log_bessel_i0", counted)
+    monkeypatch.setattr(bipartite, "log_i0e", counted)
     assert cli.main([
         "--command", "profile", "--parties", "2", "--xi", "0.1", "--xi", "0.5",
         "--order", "4001", "--out", str(tmp_path / "profile.csv"),
     ]) == 0
     assert calls == [4001, 4001]
+
+
+def test_two_party_profile_near_xi_one(tmp_path):
+    # up to the last float below 1 the two-party table exits 0 with every
+    # cell on scipy's i0e arrangement of f, to the bound of the closed form
+    xis = ["0.5", "0.999", "0.999999", "0.999999999", "0.999999999999", "0.9999999999999999"]
+    out = tmp_path / "profile.csv"
+    argv = ["--command", "profile", "--parties", "2", "--order", "81", "--out", str(out)]
+    for x in xis:
+        argv += ["--xi", x]
+    assert cli.main(argv) == 0
+    header, rows = read_csv(out)
+    assert header == ["r"] + [f"psi_xi={x}" for x in xis]
+    cells = np.array(rows, dtype=float)
+    r = np.linspace(0.0, 4.0, 81)
+    assert np.array_equal(cells[:, 0], r)
+    for col, x in enumerate(xis, start=1):
+        ref = f_scipy(float(x), r**2) / math.sqrt(math.pi)
+        assert np.all(np.abs(cells[:, col] - ref) <= 1e-11 * ref)
 
 
 def test_profile_higher_families_positive_at_origin(tmp_path, monkeypatch):
@@ -420,8 +441,7 @@ def test_profile_higher_families_positive_at_origin(tmp_path, monkeypatch):
 
 
 def _clear_family_caches():
-    multipartite._g_family_cached.cache_clear()
-    multipartite._h_family_cached.cache_clear()
+    multipartite._g2_norm.cache_clear()
     multipartite._cube_root_norms.cache_clear()
 
 

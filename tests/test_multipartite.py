@@ -384,6 +384,11 @@ def _m_h(rho):
     return 9.0 * np.sum((p - 1.0) * p3w * (-0.5 - beta * (beta * f1 - f0)), axis=-1)
 
 
+def _one_kernel_norm(xi, m, scale):
+    # ||v|| of one kernel from its own pass over the pairs
+    return abs(scale) * bipartite._swapped_norms(xi, lambda rho: (m(rho),))[0]
+
+
 @pytest.mark.parametrize("m, scale", [
     (multipartite._m_g2, 0.5),
     (_m_g32, 2.0 / 3.0),
@@ -393,9 +398,9 @@ def _m_h(rho):
 def test_swapped_norm_rule_orders_agree(m, scale, xi, monkeypatch):
     # the tensor rule is converged on its mesh: two orders per panel agree
     monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
-    lo = bipartite._swapped_norm(xi, m, scale)
+    lo = _one_kernel_norm(xi, m, scale)
     monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
-    hi = bipartite._swapped_norm(xi, m, scale)
+    hi = _one_kernel_norm(xi, m, scale)
     assert lo == pytest.approx(hi, rel=1e-12)
 
 
@@ -548,32 +553,51 @@ def test_shared_cube_root_pass_matches_separate_norms(xi):
     # of one pass per kernel bit for bit
     g32 = g_family(xi, 1.5)
     h = h_family(xi)
-    assert g32.normalization == bipartite._swapped_norm(xi, _m_g32, 2.0 / 3.0)
-    assert h.normalization == bipartite._swapped_norm(xi, _m_h, abs(h._scale))
+    assert g32.normalization == _one_kernel_norm(xi, _m_g32, 2.0 / 3.0)
+    assert h.normalization == _one_kernel_norm(xi, _m_h, abs(h._scale))
 
 
 def test_z6_takes_one_cube_root_pass(monkeypatch):
-    # z6 at a fresh xi: one _cube_root_parts call per block of pairs, for
-    # the g_3/2 and h norms together
+    # at a fresh xi, z4, z6, the g_3/2 member and h, each asked for twice,
+    # take one pass over the pairs for the g_2 norm and one for the g_3/2
+    # and h norms together: one kernel call per block of pairs each
     xi = 0.4321
-    calls = []
-    real = multipartite._cube_root_parts
+    passes, g2_calls, cube_calls = [], [], []
+    real_norms = multipartite._swapped_norms
+    real_g2 = multipartite._m_g2
+    real_parts = multipartite._cube_root_parts
 
-    def counted(rho):
-        calls.append(rho.shape)
-        return real(rho)
+    def counted_norms(v, m):
+        passes.append(v)
+        return real_norms(v, m)
 
-    monkeypatch.setattr(multipartite, "_cube_root_parts", counted)
+    def counted_g2(rho):
+        g2_calls.append(rho.shape)
+        return real_g2(rho)
+
+    def counted_parts(rho):
+        cube_calls.append(rho.shape)
+        return real_parts(rho)
+
+    monkeypatch.setattr(multipartite, "_swapped_norms", counted_norms)
+    monkeypatch.setattr(multipartite, "_m_g2", counted_g2)
+    monkeypatch.setattr(multipartite, "_cube_root_parts", counted_parts)
+    multipartite._g2_norm.cache_clear()
     multipartite._cube_root_norms.cache_clear()
-    multipartite._g_family_cached.cache_clear()
-    multipartite._h_family_cached.cache_clear()
-    z6_product(xi)
     n = len(bipartite.angular_rule(xi)[0])
-    rows = max(1, bipartite._PAIR_BLOCK // n)
-    assert len(calls) == len(range(0, n, rows))
-    assert sum(shape[0] for shape in calls) == n
-    z6_product(xi)
-    assert len(calls) == len(range(0, n, rows))
+    blocks = len(range(0, n, max(1, bipartite._PAIR_BLOCK // n)))
+    try:
+        for _ in range(2):
+            z4_product(xi)
+            z6_product(xi)
+            g_family(xi, 1.5)
+            h_family(xi)
+    finally:
+        multipartite._g2_norm.cache_clear()
+        multipartite._cube_root_norms.cache_clear()
+    assert passes == [xi, xi]
+    assert len(g2_calls) == blocks and sum(shape[0] for shape in g2_calls) == n
+    assert len(cube_calls) == blocks and sum(shape[0] for shape in cube_calls) == n
 
 
 def test_cube_root_p_rule_is_read_only():
@@ -699,10 +723,10 @@ def test_perturbed_kernel_shifts_z4(monkeypatch):
     # kernel by 5 percent must move the product through the norm
     clean = z4_product(0.5).product
     real = multipartite._m_g2
-    monkeypatch.setitem(multipartite._G_KERNELS, 2.0, lambda rho: 1.05 * real(rho))
-    multipartite._g_family_cached.cache_clear()
+    monkeypatch.setattr(multipartite, "_m_g2", lambda rho: 1.05 * real(rho))
+    multipartite._g2_norm.cache_clear()
     try:
         dirty = z4_product(0.5).product
     finally:
-        multipartite._g_family_cached.cache_clear()
+        multipartite._g2_norm.cache_clear()
     assert dirty == pytest.approx(clean / 1.05, rel=1e-12)

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from minuncert.quadrature import dilation_rule
 from minuncert.specfun import (
     _I0E_CROSSOVER,
-    _i0_series,
     binom,
     central_binomial,
     dilog,
     ellip_e,
     ellip_k,
     i0e,
-    log_bessel_i0,
+    log_i0e,
 )
 
 # scipy's complete elliptic integrals take the parameter m = k^2; ours
@@ -72,15 +71,13 @@ def test_dilog_values():
 
 def test_bessel_against_scipy():
     for x in [0.0, 0.1, 1.0, 3.7, 10.0, 25.0, 80.0, 300.0]:
-        assert log_bessel_i0(x) == pytest.approx(
-            math.log(sps.i0e(x)) + x, rel=1e-13, abs=1e-13
-        )
+        assert log_i0e(x) == pytest.approx(math.log(sps.i0e(x)), rel=1e-13, abs=1e-13)
 
 
 def test_log_bessel_i0_no_overflow():
-    # i0(900) overflows in direct evaluation; the log route must not
-    v = log_bessel_i0(900.0)
-    assert v == pytest.approx(900.0 + math.log(sps.i0e(900.0)), rel=1e-12)
+    # i0(900) overflows in direct evaluation; log i0e never forms it
+    v = log_i0e(900.0)
+    assert v == pytest.approx(math.log(sps.i0e(900.0)), rel=1e-12)
 
 
 def test_i0e_against_scipy():
@@ -241,13 +238,6 @@ def test_scaled_upper_gamma_certified(s, rel):
     assert np.array_equal(atom, pieces)
     for i in (17, 500, 680):
         assert _laplace_atom(s, float(x[i])) == atom[i]
-
-
-def test_iteration_caps_raise():
-    # the I0 series of log_bessel_i0 is only used up to its crossover 12;
-    # beyond it the step cap must raise instead of returning a value
-    with pytest.raises(RuntimeError):
-        _i0_series(np.array([100.0]))
 
 
 def test_binomials_exact():
