@@ -3,92 +3,74 @@
 Closed forms, quadrature oracles and spectral tools for the family of
 states minimizing products of quadrature-combination variances, with
 entanglement detection thresholds for two, four and six parties.
+
+Importing the package executes none of its submodules: each exported
+name is looked up in its submodule at first access (PEP 562), so a
+command compiles only the modules it calls.
 """
 
-from .bipartite import (
-    PRODUCT_INFIMUM_2,
-    SEPARABLE_BOUND_2,
-    AngularProfile,
-    UncertaintyReport,
-    XiParameter,
-    coeff,
-    f_closed,
-    f_profile,
-    fock_coeff,
-    fock_normalization_defect,
-    overlap,
-    r_closed,
-    residual_norm_sq,
-    shell_identity_check,
-    shell_sum,
-    uncertainty_product,
-)
-from .multipartite import (
-    PRODUCT_INFIMUM_4,
-    PRODUCT_INFIMUM_6,
-    SEPARABLE_BOUND_4,
-    SEPARABLE_BOUND_6,
-    OdeFamilyProfile,
-    OperatorCoefficients,
-    alpha_beta_certificate,
-    b_coefficients,
-    functional_z,
-    g_family,
-    h_family,
-    pascal_matrix_pair,
-    pochhammer_root_residual,
-    z4_product,
-    z6_product,
-)
-from .simple_state import SimpleStateSolution, c1_c2, minimize_q0, q0
-from .spectral import (
-    BandedSymmetricForm,
-    EigenPair,
-    build_q_form,
-    min_eigenpair,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "XiParameter",
-    "AngularProfile",
-    "UncertaintyReport",
-    "SEPARABLE_BOUND_2",
-    "PRODUCT_INFIMUM_2",
-    "SEPARABLE_BOUND_4",
-    "PRODUCT_INFIMUM_4",
-    "SEPARABLE_BOUND_6",
-    "PRODUCT_INFIMUM_6",
-    "coeff",
-    "r_closed",
-    "uncertainty_product",
-    "residual_norm_sq",
-    "f_closed",
-    "f_profile",
-    "overlap",
-    "fock_coeff",
-    "fock_normalization_defect",
-    "shell_sum",
-    "shell_identity_check",
-    "OperatorCoefficients",
-    "OdeFamilyProfile",
-    "b_coefficients",
-    "pascal_matrix_pair",
-    "pochhammer_root_residual",
-    "functional_z",
-    "g_family",
-    "h_family",
-    "z4_product",
-    "z6_product",
-    "alpha_beta_certificate",
-    "SimpleStateSolution",
-    "c1_c2",
-    "q0",
-    "minimize_q0",
-    "BandedSymmetricForm",
-    "EigenPair",
-    "build_q_form",
-    "min_eigenpair",
-    "__version__",
-]
+# exported name -> the submodule that defines it
+_HOME = {
+    "XiParameter": "bipartite",
+    "AngularProfile": "bipartite",
+    "UncertaintyReport": "bipartite",
+    "SEPARABLE_BOUND_2": "bipartite",
+    "PRODUCT_INFIMUM_2": "bipartite",
+    "SEPARABLE_BOUND_4": "multipartite",
+    "PRODUCT_INFIMUM_4": "multipartite",
+    "SEPARABLE_BOUND_6": "multipartite",
+    "PRODUCT_INFIMUM_6": "multipartite",
+    "coeff": "bipartite",
+    "r_closed": "bipartite",
+    "uncertainty_product": "bipartite",
+    "residual_norm_sq": "bipartite",
+    "f_closed": "bipartite",
+    "f_profile": "bipartite",
+    "overlap": "bipartite",
+    "fock_coeff": "bipartite",
+    "fock_normalization_defect": "bipartite",
+    "shell_sum": "bipartite",
+    "shell_identity_check": "bipartite",
+    "OperatorCoefficients": "multipartite",
+    "OdeFamilyProfile": "multipartite",
+    "b_coefficients": "multipartite",
+    "pascal_matrix_pair": "multipartite",
+    "pochhammer_root_residual": "multipartite",
+    "functional_z": "multipartite",
+    "g_family": "multipartite",
+    "h_family": "multipartite",
+    "z4_product": "multipartite",
+    "z6_product": "multipartite",
+    "alpha_beta_certificate": "multipartite",
+    "SimpleStateSolution": "simple_state",
+    "c1_c2": "simple_state",
+    "q0": "simple_state",
+    "minimize_q0": "simple_state",
+    "BandedSymmetricForm": "spectral",
+    "EigenPair": "spectral",
+    "build_q_form": "spectral",
+    "min_eigenpair": "spectral",
+}
+
+# the submodules reachable as attributes of the package, imported or not
+_SUBMODULES = ("bipartite", "checks", "cli", "multipartite", "quadrature", "simple_state",
+               "specfun", "spectral")
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._numpy import np
+from ._lazy import np
 from .quadrature import graded_rule, log_rule
 from .specfun import binom, central_binomial, ellip_e, ellip_k, i0e, log_i0e
 

@@ -1,10 +1,10 @@
-"""Command-line front end: verification battery, scans and table emission.
+"""Command-line front end: argument handling, the commands and table emission.
 
 Every command writes one deterministic flat file (CSV or JSON) and
 reports through the exit code: 0 all good, 1 a check or grid point
 failed, 2 the invocation itself was invalid.  Identical configurations
 produce byte-identical files, so the outputs are safe regression
-anchors.
+anchors.  The checks of ``verify`` live in ``minuncert.checks``.
 """
 
 from __future__ import annotations
@@ -14,27 +14,18 @@ import math
 import os
 import sys
 from collections import namedtuple
+from itertools import chain
 
-from . import multipartite
-from ._numpy import np
-from .bipartite import (
-    _overlap,
-    f_closed,
-    f_profile,
-    fock_coeff,
-    fock_normalization_defect,
-    overlap,
-    r_closed,
-    radial_rule,
-    residual_norm_sq,
-    shell_identity_check,
-    shell_sum,
-    uncertainty_product,
-)
-from .multipartite import g_family, h_family, z4_product, z6_product
-from .simple_state import minimize_q0, q0
-from .spectral import build_q_form, min_eigenpair
-from .specfun import binom, ellip_k
+from ._lazy import lazy_import, np
+
+# each command executes only the modules it calls: these are registered in
+# sys.modules now and run at their first attribute read
+bipartite = lazy_import(f"{__package__}.bipartite")
+checks = lazy_import(f"{__package__}.checks")
+multipartite = lazy_import(f"{__package__}.multipartite")
+simple_state = lazy_import(f"{__package__}.simple_state")
+specfun = lazy_import(f"{__package__}.specfun")
+spectral = lazy_import(f"{__package__}.spectral")
 
 __all__ = ["RunConfig", "main", "run_verify", "run_scan", "run_profile",
            "run_minimize_q", "run_fock", "run_overlap"]
@@ -46,6 +37,8 @@ _DEFAULT_SCAN_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
 _DEFAULT_PROFILE_GRID = (0.1, 0.5, 0.9)
 _DEFAULT_OVERLAP_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 _DEFAULT_FOCK_GRID = (0.5,)
+# the most points of one --xi a:b:step range
+_XI_RANGE_MAX_POINTS = 10**6
 # the commands with a table per party count; the others are two-party only
 _PARTY_COMMANDS = ("scan", "profile")
 # the commands whose order must be at least 2: a form of order 2 or more,
@@ -100,17 +93,20 @@ def _expand_xi_token(token: str):
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"bad --xi range {token!r}") from None
-    if step <= 0.0 or hi < lo:
-        raise UsageError(f"--xi range needs a <= b and step > 0, got {token!r}")
-    out = []
-    k = 0
-    while True:
-        x = lo + k * step
-        if x > hi + 1e-12 * step:
-            break
-        out.append(x)
-        k += 1
-    return out
+    if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
+        raise UsageError(f"--xi range needs finite a <= b and step > 0, got {token!r}")
+    # the points lo + k step up to hi + 1e-12 step: lo + k step never
+    # decreases in k, so the last one is found by stepping from the
+    # quotient's floor, and never beyond the cap
+    end = hi + 1e-12 * step
+    last = int(min((hi - lo) / step, _XI_RANGE_MAX_POINTS))
+    while last > 0 and lo + last * step > end:
+        last -= 1
+    while last < _XI_RANGE_MAX_POINTS and lo + (last + 1) * step <= end:
+        last += 1
+    if last >= _XI_RANGE_MAX_POINTS:
+        raise UsageError(f"--xi range {token!r} has more than {_XI_RANGE_MAX_POINTS} points")
+    return [lo + k * step for k in range(last + 1)]
 
 
 def _default_grid(command: str):
@@ -194,18 +190,20 @@ def _json_safe(v):
     return v
 
 
-def _csv_lines(columns, rows):
+def _csv_text(columns, rows) -> str:
     """The header and one line per row; ``_cell`` formats each value.
 
-    A row of floats only is one %-format call, "%.17g,...,%.17g", which
-    writes what ``_cell`` writes for each of them.
+    A table of floats only, with rows as wide as the header, is one
+    %-format call: the line "%.17g,...,%.17g" and its newline, repeated
+    once per row, which writes what ``_cell`` writes for each value.
     """
-    yield ",".join(columns)
-    for row in rows:
-        if all(isinstance(v, float) for v in row):
-            yield ",".join(["%.17g"] * len(row)) % tuple(row)
-        else:
-            yield ",".join(_cell(v) for v in row)
+    header = ",".join(columns) + "\n"
+    width = len(columns)
+    cells = tuple(chain.from_iterable(rows))
+    if all(len(row) == width for row in rows) and set(map(type, cells)) <= {float}:
+        line = ",".join(["%.17g"] * width) + "\n"
+        return header + (line * len(rows)) % cells
+    return header + "".join(",".join([_cell(v) for v in row]) + "\n" for row in rows)
 
 
 def write_table(config: RunConfig, columns, rows) -> None:
@@ -213,7 +211,7 @@ def write_table(config: RunConfig, columns, rows) -> None:
     if parent:
         os.makedirs(parent, exist_ok=True)
     if config.format == "csv":
-        text = "\n".join(_csv_lines(columns, rows)) + "\n"
+        text = _csv_text(columns, rows)
     else:
         import json  # only this branch writes JSON
 
@@ -232,203 +230,8 @@ def write_table(config: RunConfig, columns, rows) -> None:
 # verify
 
 
-def _run_checks(checks):
-    rows = []
-    all_ok = True
-    for name, thunk in checks:
-        try:
-            value, reference, tol, passed = thunk()
-            if passed is None:
-                passed = abs(value - reference) <= tol
-        except Exception as exc:
-            print(f"verify: {name}: {exc}", file=sys.stderr)
-            value, reference, tol, passed = float("nan"), float("nan"), 0.0, False
-        if not passed:
-            all_ok = False
-        rows.append([name, float(value), float(reference), float(tol), bool(passed)])
-    return rows, all_ok
-
-
-def _b_table_mismatches() -> int:
-    from fractions import Fraction
-
-    expected = {
-        1: ((Fraction(1),), Fraction(1, 2)),
-        2: ((Fraction(1), Fraction(2)), Fraction(1, 30)),
-        3: ((Fraction(1), Fraction(9), Fraction(9, 2)), Fraction(1, 560)),
-    }
-    bad = 0
-    for n, (table, prefactor) in expected.items():
-        ops = multipartite.b_coefficients(n)
-        if tuple(ops.b) != table or ops.prefactor != prefactor:
-            bad += 1
-    return bad
-
-
-# a common denominator of every entry of the pairs up to n = 12, whose
-# entries are +-1/(i - j)!
-_PASCAL_SCALE = math.factorial(11)
-
-
-def _pair_mismatches(fwd, inv) -> int:
-    """Entries of fwd @ inv that differ from the identity, checked on integers.
-
-    Every entry is scaled by ``_PASCAL_SCALE``; an entry that does not
-    scale to an integer counts as a mismatch itself.  The scaled product
-    must then equal _PASCAL_SCALE^2 times the identity.
-    """
-    from fractions import Fraction
-
-    bad = 0
-    scaled = []
-    for matrix in (fwd, inv):
-        rows = []
-        for row in matrix:
-            out = []
-            for v in row:
-                v = Fraction(v)
-                num, rem = divmod(v.numerator * _PASCAL_SCALE, v.denominator)
-                bad += rem != 0
-                out.append(num)
-            rows.append(out)
-        scaled.append(rows)
-    a, b = scaled
-    n = len(a)
-    one = _PASCAL_SCALE * _PASCAL_SCALE
-    for i in range(n):
-        for j in range(n):
-            acc = sum(a[i][k] * b[k][j] for k in range(n))
-            bad += acc != (one if i == j else 0)
-    return bad
-
-
-def _pascal_mismatches() -> int:
-    return sum(_pair_mismatches(*multipartite.pascal_matrix_pair(n)) for n in range(1, 13))
-
-
-def _pochhammer_worst() -> float:
-    from fractions import Fraction
-
-    worst = Fraction(0)
-    for n in range(1, 9):
-        for j in range(n):
-            res = abs(multipartite.pochhammer_root_residual(n, j))
-            if res > worst:
-                worst = res
-    return float(worst)
-
-
-def _fock_selection_leak() -> float:
-    leak = 0.0
-    for n in range(0, 11):
-        for m in range(0, 11 - n):
-            if n % 4 == m % 4 and n % 4 in (0, 2):
-                continue
-            leak = max(leak, abs(fock_coeff(n, m, 0.5)))
-    return leak
-
-
-def _shell_structure_error() -> float:
-    v = 0.5
-    kv = ellip_k(v)
-    worst = 0.0
-    for big_n in range(0, 7):
-        closed = (math.pi / (2.0 * kv)) * binom(2 * big_n, big_n) ** 2 * (
-            v * v / 16.0
-        ) ** big_n
-        worst = max(worst, abs(shell_sum(big_n, v) - closed))
-    return worst
-
-
-def _residual_route_gap() -> float:
-    # the unit-norm f on radial_rule(0.7) against the closed form
-    quad = f_profile(0.7).combo_norm((0.5, 1.0)) ** 2
-    return abs(quad - residual_norm_sq(0.7))
-
-
-def _overlap_route_gap() -> float:
-    # radial_rule of the larger xi spans both profiles' scales
-    r, weight = radial_rule(0.7)
-    quad = float(np.sum(weight * f_closed(0.3, r) * f_closed(0.7, r)))
-    return abs(quad - overlap(0.3, 0.7))
-
-
 def run_verify(config: RunConfig) -> int:
-    sol = minimize_q0()
-    pair = min_eigenpair(build_q_form(config.truncation))
-    product2 = 0.25 + sol.q_value
-
-    def one_sided(value, bound, above):
-        passed = value > bound if above else value < bound
-        return value, bound, 0.0, passed
-
-    checks = [
-        ("q_min_eigenvalue", lambda: (pair.eigenvalue, -0.04495, 5e-4, None)),
-        ("q_min_route_agreement",
-         lambda: (abs(pair.eigenvalue - sol.q_value), 0.0, 1e-4, None)),
-        ("xi_min", lambda: (sol.xi.value, 0.318674, 1e-3, None)),
-        ("simple_state_product", lambda: (product2, 0.20505, 1e-3, None)),
-        ("simple_state_violation", lambda: (0.25 / product2, 1.2192, 1e-3, None)),
-        ("b_coefficients",
-         lambda: (float(_b_table_mismatches()), 0.0, 0.0, None)),
-        ("pascal_inverse", lambda: (float(_pascal_mismatches()), 0.0, 0.0, None)),
-        ("pochhammer_roots", lambda: (_pochhammer_worst(), 0.0, 0.0, None)),
-        ("shell_identity_check",
-         lambda: (float(shell_identity_check(12)), 1.0, 0.0, None)),
-        ("bipartite_product",
-         lambda: (uncertainty_product(0.5).product, 0.18006, 1e-4, None)),
-        ("bipartite_route_agreement",
-         lambda: (abs(uncertainty_product(0.5).product
-                      - uncertainty_product(0.5, "quadrature").product),
-                  0.0, 1e-6, None)),
-        ("f_route_agreement",
-         lambda: (abs(f_closed(0.5, 1.0) - f_profile(0.5).value(1.0)),
-                  0.0, 1e-10, None)),
-        ("residual_route_agreement",
-         lambda: (_residual_route_gap(), 0.0, 1e-7, None)),
-        ("overlap_identity", lambda: (overlap(0.3, 0.3), 1.0, 1e-10, None)),
-        ("overlap_vacuum",
-         lambda: (abs(overlap(0.5, 0.0) - fock_coeff(0, 0, 0.5)), 0.0, 1e-10, None)),
-        ("overlap_route_agreement",
-         lambda: (_overlap_route_gap(), 0.0, 1e-8, None)),
-        ("fock_selection", lambda: (_fock_selection_leak(), 0.0, 0.0, None)),
-        ("fock_defect",
-         lambda: (fock_normalization_defect(0.5, 200), 0.0, 1e-6, None)),
-        ("shell_sum_structure", lambda: (_shell_structure_error(), 0.0, 1e-12, None)),
-    ]
-
-    g2 = g_family(0.5, 2.0)
-    g32 = g_family(0.5, 1.5)
-    h = h_family(0.5)
-    checks += [
-        ("g_identity_a2",
-         lambda: (abs(3.0 * g2.rk_norm(0) ** 2 + 4.0 * g2.rk_norm(1) ** 2 - 1.0),
-                  0.0, 1e-12, None)),
-        ("g_identity_a32",
-         lambda: (abs(g32.rk_norm(0) ** 2 + 2.25 * g32.rk_norm(1) ** 2 - 1.0),
-                  0.0, 1e-12, None)),
-        ("h_identity",
-         lambda: (abs(10.0 * h.rk_norm(0) ** 2 + 9.0 * h.rk_norm(1) ** 2 - 1.0),
-                  0.0, 1e-12, None)),
-        ("z4_above_infimum",
-         lambda: one_sided(z4_product(0.5).product, 1.0 / 30.0, True)),
-        ("z4_below_bound",
-         lambda: one_sided(z4_product(0.5).product, 1.0 / 16.0, False)),
-        ("z4_shortcut_agreement",
-         lambda: (abs(z4_product(0.5).product - multipartite.functional_z(2, g2)),
-                  0.0, 1e-12, None)),
-        ("z6_above_infimum",
-         lambda: one_sided(z6_product(0.5).product, 35.0 / 4096.0, True)),
-        ("z6_below_bound",
-         lambda: one_sided(z6_product(0.5).product, 1.0 / 64.0, False)),
-        ("z6_shortcut_agreement",
-         lambda: (abs(z6_product(0.5).product - multipartite.functional_z(3, h)),
-                  0.0, 1e-12, None)),
-        ("alpha_beta_certificate",
-         lambda: (multipartite.alpha_beta_certificate(), 0.0, 1e-10, None)),
-    ]
-
-    rows, all_ok = _run_checks(checks)
+    rows, all_ok = checks.run_battery(config.truncation)
     write_table(config, ("check", "value", "reference", "tolerance", "passed"), rows)
     if not all_ok:
         failed = [row[0] for row in rows if not row[4]]
@@ -443,10 +246,10 @@ def run_verify(config: RunConfig) -> int:
 
 def _product_for(parties: int, x: float):
     if parties == 2:
-        return uncertainty_product(x)
+        return bipartite.uncertainty_product(x)
     if parties == 4:
-        return z4_product(x)
-    return z6_product(x)
+        return multipartite.z4_product(x)
+    return multipartite.z6_product(x)
 
 
 def run_scan(config: RunConfig) -> int:
@@ -466,7 +269,7 @@ def run_scan(config: RunConfig) -> int:
             break
         row = [x, rep.product, rep.separable_bound, rep.infimum, rep.violation_ratio]
         if two:
-            row += [r_closed(x), q0(x)]
+            row += [bipartite.r_closed(x), simple_state.q0(x)]
         rows.append(row)
     write_table(config, columns, rows)
     if hard_failure:
@@ -486,8 +289,8 @@ def _profile_column(parties: int, x: float, r_grid):
     call.  The ODE families are oriented positive at the origin.
     """
     if parties == 2:
-        return f_closed(x, r_grid ** parties)
-    fam = g_family(x) if parties == 4 else h_family(x)
+        return bipartite.f_closed(x, r_grid ** parties)
+    fam = multipartite.g_family(x) if parties == 4 else multipartite.h_family(x)
     orient = 1.0 if fam.value(0.0) >= 0.0 else -1.0
     return orient * fam.value(r_grid ** parties)
 
@@ -514,8 +317,8 @@ def run_profile(config: RunConfig) -> int:
 
 
 def run_minimize_q(config: RunConfig) -> int:
-    pair = min_eigenpair(build_q_form(config.truncation))
-    sol = minimize_q0()
+    pair = spectral.min_eigenpair(spectral.build_q_form(config.truncation))
+    sol = simple_state.minimize_q0()
     columns = ("route", "order", "xi_min", "q_min", "product", "violation_ratio")
     rows = []
     for route, order, xi_min, q_min in (
@@ -541,7 +344,7 @@ def run_fock(config: RunConfig) -> int:
                 m = total - n
                 if n % 4 != m % 4 or n % 4 not in (0, 2):
                     continue
-                rows.append([x, n, m, n % 4, fock_coeff(n, m, x)])
+                rows.append([x, n, m, n % 4, bipartite.fock_coeff(n, m, x)])
     write_table(config, columns, rows)
     return 0
 
@@ -551,11 +354,11 @@ def run_overlap(config: RunConfig) -> int:
     # builds an XiParameter; the values are those of overlap(a, b)
     columns = ("xi_a", "xi_b", "overlap")
     grid = config.xi_grid
-    ks = [ellip_k(x) for x in grid]
+    ks = [specfun.ellip_k(x) for x in grid]
     rows = []
     for i, (a, ka) in enumerate(zip(grid, ks)):
         for b, kb in zip(grid[i:], ks[i:]):
-            rows.append([a, b, _overlap(a, b, ka, kb)])
+            rows.append([a, b, bipartite._overlap(a, b, ka, kb)])
     write_table(config, columns, rows)
     return 0
 

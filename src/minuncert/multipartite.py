@@ -23,7 +23,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import bipartite
-from ._numpy import np
+from ._lazy import np
 from .bipartite import (
     AngularProfile, UncertaintyReport, _f_i0e, _swapped_norms, as_xi, r_closed)
 from .quadrature import dilation_rule, panel_rule

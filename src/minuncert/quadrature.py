@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ._numpy import np
+from ._lazy import np
 
 __all__ = ["panel_rule", "graded_rule", "log_rule", "dilation_rule"]
 

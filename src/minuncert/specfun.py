@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from ._numpy import np
+from ._lazy import np
 
 __all__ = [
     "ellip_k",

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import minuncert
 import minuncert.bipartite as bipartite
+import minuncert.checks as checks
 import minuncert.cli as cli
 import minuncert.multipartite as multipartite
 from minuncert.bipartite import UncertaintyReport, XiParameter, fock_coeff, overlap
@@ -57,19 +59,27 @@ _NUMPY_CORE = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
 
 
 def _numpy_loaded_after(commands, out):
-    """Run ``commands`` in turn in one fresh interpreter; whether numpy's core
-    is loaded after the import and after each command."""
+    """Run ``commands`` in turn in one fresh interpreter; after the import
+    and after each command, whether numpy's core is loaded and which
+    modules of the package have run.
+
+    A module bound lazily is in sys.modules before it runs, and reading
+    any of its attributes would run it; ``type`` reads none.
+    """
     code = f"""
-import sys
+import sys, types
 import minuncert.cli as cli
 loaded = lambda: any(m in sys.modules for m in {_NUMPY_CORE!r})
+ran = lambda: ",".join(sorted(n.partition(".")[2] or n for n, m in sys.modules.items()
+                              if n.split(".")[0] == "minuncert" and type(m) is types.ModuleType))
 out = sys.argv[1]
-print("import", loaded())
+print("import", loaded(), ran())
 for argv in {commands!r}:
     status = cli.main(["--command", *argv, "--out", out])
-    print(argv[0], status, loaded())
+    print(argv[0], status, loaded(), ran())
 """
-    return run_fresh(code, out).splitlines()
+    lines = run_fresh(code, out).splitlines()
+    return [line.rsplit(" ", 1)[0] for line in lines], [line.rsplit(" ", 1)[1] for line in lines]
 
 
 def test_closed_form_commands_never_load_numpy(tmp_path):
@@ -79,10 +89,41 @@ def test_closed_form_commands_never_load_numpy(tmp_path):
     out = str(tmp_path / "table.csv")
     commands = [["scan", "--parties", "2", "--xi", "0.1:0.9:0.1"], ["overlap"], ["fock"],
                 ["minimize-q", "--order", "4000"], ["profile", "--parties", "2", "--order", "5"]]
-    assert _numpy_loaded_after(commands, out) == [
+    assert _numpy_loaded_after(commands, out)[0] == [
         "import False", "scan 0 False", "overlap 0 False", "fock 0 False",
         "minimize-q 0 False", "profile 0 True"]
-    assert _numpy_loaded_after([["verify"]], out) == ["import False", "verify 0 True"]
+    assert _numpy_loaded_after([["verify"]], out)[0] == ["import False", "verify 0 True"]
+
+
+_CLOSED_FORM_MODULES = "bipartite,cli,minuncert,quadrature,specfun"
+_COMMAND_MODULES = [
+    (["scan", "--parties", "2", "--xi", "0.1:0.9:0.1"], "bipartite,cli,minuncert,quadrature,"
+                                                        "simple_state,specfun"),
+    (["profile", "--parties", "2", "--order", "5"], _CLOSED_FORM_MODULES),
+    (["overlap"], _CLOSED_FORM_MODULES),
+    (["fock"], _CLOSED_FORM_MODULES),
+    (["minimize-q", "--order", "40"], "bipartite,cli,minuncert,quadrature,simple_state,"
+                                      "specfun,spectral"),
+    (["scan", "--parties", "4", "--xi", "0.5"], "bipartite,cli,minuncert,multipartite,"
+                                                "quadrature,specfun"),
+    (["scan", "--parties", "6", "--xi", "0.5"], "bipartite,cli,minuncert,multipartite,"
+                                                "quadrature,specfun"),
+]
+
+
+@pytest.mark.parametrize("argv,modules", _COMMAND_MODULES,
+                         ids=[" ".join(argv[:3]) for argv, _ in _COMMAND_MODULES])
+def test_each_command_runs_only_the_modules_it_calls(argv, modules, tmp_path):
+    # the import runs the package, the loader and the front end only; each
+    # command then runs the modules it calls, and none it does not
+    _, ran = _numpy_loaded_after([argv], str(tmp_path / "table.csv"))
+    assert ran == ["_lazy,cli,minuncert", "_lazy," + modules]
+
+
+def test_verify_runs_every_module(tmp_path):
+    _, ran = _numpy_loaded_after([["verify"]], str(tmp_path / "table.csv"))
+    every = sorted(info.name for info in pkgutil.iter_modules(minuncert.__path__))
+    assert ran[1] == ",".join(sorted(every + ["minuncert"]))
 
 
 def test_start_up_loads_no_dataclasses_fractions_or_json(tmp_path):
@@ -169,6 +210,44 @@ def test_parse_xi_tokens():
     # duplicates collapse
     config = cli.parse_args(["--command", "scan", "--xi", "0.5", "--xi", "0.5"])
     assert config.xi_grid == (0.5,)
+
+
+def _stepped_range(lo, hi, step):
+    # the points of a:b:step, one at a time, for ranges known to be short
+    out = []
+    while lo + len(out) * step <= hi + 1e-12 * step:
+        out.append(lo + len(out) * step)
+    return out
+
+
+@pytest.mark.parametrize("lo,hi,step", [
+    (0.1, 0.9, 0.1), (0.05, 0.95, 0.05), (0.001, 0.999, 0.001), (0.0, 1.0, 1.0 / 3.0),
+    (0.5, 0.5, 0.1), (0.1, 0.7, 0.2), (0.3, 0.3 + 1e-15, 1e-17), (0.2, 0.9, 0.7000000000001),
+])
+def test_xi_range_counts_the_stepped_points(lo, hi, step):
+    # the count comes from the quotient, the points and the last one
+    # admitted are those of stepping until one passes b
+    assert cli._expand_xi_token(f"{lo!r}:{hi!r}:{step!r}") == _stepped_range(lo, hi, step)
+
+
+@pytest.mark.parametrize("token", [
+    "0.1:0.9:1e-300", "0.1:0.9:7.9e-7", "0.5:0.5:1e-300", "-1e308:1e308:1",
+    "0.1:inf:0.1", "0.1:0.9:inf", "nan:0.9:0.1", "0.1:0.9:nan",
+])
+def test_xi_range_without_end_is_a_usage_error(token, tmp_path, capsys):
+    # a range of more points than the cap (or with no end at all) is
+    # refused before a single point is built
+    with pytest.raises(cli.UsageError):
+        cli._expand_xi_token(token)
+    assert cli.main(["--command", "scan", f"--xi={token}", "--out", str(tmp_path / "t.csv")]) == 2
+    assert "--xi range" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_xi_range_cap_admits_a_million_points():
+    assert len(cli._expand_xi_token("0:0.999999:1e-6")) == 10**6
+    with pytest.raises(cli.UsageError, match="more than 1000000 points"):
+        cli._expand_xi_token("0:1:1e-6")
 
 
 def test_parse_output_dir_env(tmp_path, monkeypatch):
@@ -531,10 +610,11 @@ def test_overlap_table_is_overlap_bit_for_bit(monkeypatch):
      [5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]],
     [[None, True, False, 3, -0.0], ["name", 1e300, 10**20, float("nan"), None]],
     [[0.5, 7], [0.25, 0.125]],
+    [[0.5, 0.25], [0.125]],
 ])
 def test_csv_rows_match_per_cell_formatting(rows, tmp_path):
-    # all-float rows take one format call, the rest one _cell per value;
-    # either way the bytes are those of the per-cell join
+    # an all-float table of full rows takes one format call, any other
+    # one _cell per value; either way the bytes are those of the per-cell join
     out = tmp_path / "table.csv"
     config = cli.RunConfig("scan", 2, (0.5,), 200, str(out), "csv")
     columns = [f"c{i}" for i in range(len(rows[0]))]
@@ -555,13 +635,13 @@ def test_csv_floats_roundtrip(tmp_path, monkeypatch):
 def test_pascal_check_counts_a_corrupted_entry():
     # the integer check of fwd @ inv must see one wrong entry, whether it
     # still scales to an integer or not
-    assert cli._pascal_mismatches() == 0
+    assert checks._pascal_mismatches() == 0
     for n, which, (i, j), value in (
         (5, 0, (3, 1), Fraction(1, 3)),
         (5, 1, (4, 2), Fraction(1, 13)),
         (12, 0, (11, 0), Fraction(2, math.factorial(11))),
     ):
         pair = multipartite.pascal_matrix_pair(n)
-        assert cli._pair_mismatches(*pair) == 0
+        assert checks._pair_mismatches(*pair) == 0
         pair[which][i][j] = value
-        assert cli._pair_mismatches(*pair) > 0
+        assert checks._pair_mismatches(*pair) > 0

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +19,39 @@ def test_exported_names_resolve(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_package_import_runs_no_submodule():
+    # the package serves its exports on first access, so importing it
+    # runs none of its submodules; the first exported name runs only the
+    # submodules that name needs
+    code = """
+import sys
+import minuncert
+ran = lambda: sorted(n for n in sys.modules if n.startswith("minuncert."))
+print(*ran(), sep=",")
+minuncert.q0
+print(*ran(), sep=",")
+"""
+    src = str(Path(minuncert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout.splitlines()
+    assert out == ["", "minuncert._lazy,minuncert.bipartite,minuncert.quadrature,"
+                       "minuncert.simple_state,minuncert.specfun"]
+
+
+def test_package_dir_and_unknown_names():
+    names = dir(minuncert)
+    assert set(minuncert.__all__) <= set(names)
+    assert names == sorted(names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        minuncert.no_such_name
+    assert not hasattr(minuncert, "no_such_name")
+    assert hasattr(minuncert, "z6_product")
+
+
+@pytest.mark.parametrize("name", [m for m in SUBMODULES if not m.startswith("_")])
+def test_submodules_are_package_attributes(name):
+    # as after an eager import, every public submodule is an attribute
+    assert getattr(minuncert, name) is importlib.import_module(f"minuncert.{name}")
