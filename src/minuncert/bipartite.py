@@ -148,10 +148,10 @@ def radial_rule(xi: float):
     return log_rule(1e-12 / gamma_hi, 24.0 / gamma_lo, _ANGULAR_ORDER)
 
 
-# kernel pairs per block of the tensor rule: with the 16 p points of the
-# cube-root kernels every temporary stays at 128 kB, so the rule leaves
-# the peak memory of a run where it was
-_PAIR_BLOCK = 1024
+# kernel pairs per chunk of the pair triangle: with the 16 points of the
+# kernels' upper-triangle rule every temporary stays at 128 kB, so the
+# pass leaves the peak memory of a run where it was
+_PAIR_CHUNK = 1024
 
 
 def _swapped_norms(xi: float, m):
@@ -161,20 +161,22 @@ def _swapped_norms(xi: float, m):
     int_0^inf K(gamma r) K(gamma' r) dr = m(rho) / max(gamma, gamma'), rho = min / max,
     ||v||^2 = scale^2 / (2 pi K (1 - xi)) iint_0^pi M dphi dphi' on the tensor product of
     ``angular_rule`` (w dtheta = dphi / sqrt(2 pi K (1 - xi))).  ``m`` returns one m(rho)
-    array per kernel, so kernels that share their work share one call per block of pairs.
+    array per kernel, so kernels that share their work share one call per chunk of pairs.
     """
     gam, wt = angular_rule(xi)
-    # M is symmetric: pairs j > i count twice, the diagonal once
+    # gamma rises along the rule and M is symmetric: each pair i <= j is
+    # visited once, row after row, at rho = gamma_i / gamma_j, twice off the diagonal
     n = len(gam)
-    rows = max(1, _PAIR_BLOCK // n)
+    lengths = np.arange(n, 0, -1)
+    row_start = np.cumsum(lengths) - lengths
+    pairs = n * (n + 1) // 2
     totals = None
-    for start in range(0, n, rows):
-        i = np.arange(start, min(start + rows, n))[:, None]
-        j = np.arange(start, n)
-        g_lo = np.minimum(gam[i], gam[j])
-        g_hi = np.maximum(gam[i], gam[j])
-        pair_w = wt[i] * wt[j] * np.where(j > i, 2.0, np.where(j == i, 1.0, 0.0))
-        parts = [float(np.sum(pair_w * mk / g_hi)) for mk in m(g_lo / g_hi)]
+    for start in range(0, pairs, _PAIR_CHUNK):
+        k = np.arange(start, min(start + _PAIR_CHUNK, pairs))
+        i = np.searchsorted(row_start, k, side="right") - 1
+        j = k - row_start[i] + i
+        pair_w = (2.0 - (i == j)) * wt[i] * wt[j] / gam[j]
+        parts = [float(np.sum(pair_w * mk)) for mk in m(gam[i] / gam[j])]
         totals = parts if totals is None else [t + p for t, p in zip(totals, parts)]
     density = 2.0 * math.pi * ellip_k(xi) * (1.0 - xi)
     return tuple(math.sqrt(t / density) for t in totals)

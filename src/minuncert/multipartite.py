@@ -234,62 +234,58 @@ def _family_profile(xi: float, family: int, norm: float, scale: float = 1.0):
 #     M(gamma, gamma') = iint mu(u) mu(v) / (gamma u + gamma' v) du dv,
 # homogeneous of degree -1: M = m(rho) / max(gamma, gamma') with
 # rho = min / max <= 1.  u = p^(-1/c) maps u^(-c-1) du to dp / c on [0, 1]:
-#   a = 2 (c = 1/2):    m = 4 iint p^2 q^2 / (q^2 + rho p^2), in closed form;
+#   a = 2 (c = 1/2):    m = 4 iint p^2 q^2 / (q^2 + rho p^2);
 #   a = 3/2 (c = 1/3):  m = 9 iint p^3 q^3 / (q^3 + rho p^3);
 #   h (mu = u^(-5/3) - u^(-4/3), without the scale):
 #                       m = 9 iint (p - 1)(q - 1) p^3 q^3 / (q^3 + rho p^3).
-
-# (k - atan k) / k^3 = sum_n (-1)^n k^(2n) / (2n + 3), highest power first;
-# 30 terms reach 1e-20 at k = 1/2
-_ATAN_TAIL = tuple((-1.0) ** n / (2 * n + 3) for n in range(29, -1, -1))
-
-
-def _m_g2(rho):
-    """m(k) = 1 - k pi/2 + k atan k + (k - atan k)/k^3 at k = sqrt(rho)."""
-    k = np.sqrt(rho)
-    at = np.arctan(k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail = np.where(k < 0.5, np.polyval(_ATAN_TAIL, k * k), (k - at) / k**3)
-    return 1.0 - 0.5 * math.pi * k + k * at + tail
-
-
-# Gauss-Legendre points of the p integral of the cube-root kernels: the
-# integrand is analytic in p within |p| < rho^(-1/3), and 16 points agree
-# with mpmath to ~1e-15 at every rho in (0, 1]
-_CUBE_ROOT_POINTS = 16
+# Each integrand is homogeneous in (p, q): the square splits at its diagonal
+# (q = p s below, p = q s above) into int_0^1 s^k / (s^j + rho) ds, in closed
+# form, and int_0^1 s^k / (1 + rho s^j) ds, analytic on [0, 1] for rho <= 1.
 
 
 @lru_cache(maxsize=1)
-def _p_rule():
-    """(p, p^3 w): the read-only p rule of the cube-root kernels."""
-    p, w = panel_rule((0.0, 1.0), _CUBE_ROOT_POINTS)
-    p3w = p**3 * w
-    p.flags.writeable = False
-    p3w.flags.writeable = False
-    return p, p3w
+def _upper_rule():
+    """(s, w): the Gauss-Legendre rule of the upper triangle on [0, 1], as tuples of floats.
 
-
-def _cube_root_parts(rho):
-    """(p, p^3 w, beta, F0, F1) on the p rule, for the q integrals at B = beta^3 = rho p^3.
-
-    int_0^1 q^3 / (q^3 + B) dq = 1 - beta F0 and
-    int_0^1 (q - 1) q^3 / (q^3 + B) dq = -1/2 - beta (beta F1 - F0),
-    from the elementary antiderivatives of 1/(t^3 + 1) and t/(t^3 + 1),
-    arranged without cancellation for small beta.
+    The poles of 1 / (1 + rho s^j) lie at |s| >= 1, nearest at e^(+-i pi/3):
+    16 points agree with 24 to ~6e-16 of every kernel at rho in [1e-300, 1].
     """
-    p, p3w = _p_rule()
-    beta = np.cbrt(rho)[..., None] * p
-    log_part = np.log1p(3.0 * beta / (1.0 - beta + beta * beta)) / 6.0
-    root3 = math.sqrt(3.0)
-    atan_part = (2.0 * math.pi / 3.0 - np.arctan(root3 * beta / (2.0 - beta))) / root3
-    return p, p3w, beta, atan_part + log_part, atan_part - log_part
+    s, w = panel_rule((0.0, 1.0), 16)
+    return tuple(s.tolist()), tuple(w.tolist())
+
+
+def _m_g2(rho):
+    """m = 1 - k atan(1/k) + int_0^1 s^2 / (1 + rho s^2) ds at k = sqrt(rho).
+
+    The rule is summed node after node: each m depends on its own rho alone.
+    """
+    k = np.sqrt(rho)
+    total = 1.0 - k * np.arctan(1.0 / k)
+    for s, w in zip(*_upper_rule()):
+        total += w / (rho + 1.0 / (s * s))
+    return total
 
 
 def _m_g32_h(rho):
-    """(m of g_3/2, m of h) at rho, from one ``_cube_root_parts``."""
-    p, p3w, beta, f0, f1 = _cube_root_parts(rho)
-    return (9.0 * np.sum(p3w * (1.0 - beta * f0), axis=-1),
-            9.0 * np.sum((p - 1.0) * p3w * (-0.5 - beta * (beta * f1 - f0)), axis=-1))
+    """(m of g_3/2, m of h) at rho: (9/5) T_3 and (3/10) T_3 - (3/14) T_4.
+
+    T_k = int_0^1 s^k / (s^3 + rho) ds + int_0^1 s^k / (1 + rho s^3) ds.
+    With c = rho^(1/3) the lower parts are 1 - c F0 and 1/2 - c^2 F1, from
+    the elementary antiderivatives of 1/(t^3 + 1) and t/(t^3 + 1),
+    arranged without cancellation for small c.  The upper parts are summed
+    node after node, as in ``_m_g2``, h's as one positive integrand.
+    """
+    c = np.cbrt(rho)
+    log_part = np.log1p(3.0 * c / (1.0 - c + c * c)) / 6.0
+    root3 = math.sqrt(3.0)
+    atan_part = (2.0 * math.pi / 3.0 - np.arctan(root3 * c / (2.0 - c))) / root3
+    third = 1.0 - c * (atan_part + log_part)
+    h = 0.3 * third - (3.0 / 14.0) * (0.5 - c * c * (atan_part - log_part))
+    for s, w in zip(*_upper_rule()):
+        term = w / (rho + 1.0 / (s * s * s))
+        third += term
+        h += (0.3 - (3.0 / 14.0) * s) * term
+    return 1.8 * third, h
 
 
 # the g and h families are angular-kernel profiles like f

@@ -19,7 +19,7 @@ __all__ = ["SimpleStateSolution", "c1_c2", "q0", "minimize_q0"]
 
 _GOLDEN_BRACKET = (0.05, 0.9)
 _GOLDEN_TOL = 1e-8
-_SCAN_POINTS = 1000
+_SCAN_POINTS = 64
 _TRUNCATION_TAIL = 1e-16
 
 

@@ -49,7 +49,7 @@ def test_import_builds_no_kernel_table():
     # import)
     code = ("import sys, minuncert.cli, minuncert.multipartite as m, minuncert.quadrature as q; "
             "print(*(f.cache_info().currsize for f in (q._gauss_legendre, m._radial_family_rows, "
-            "m._p_rule)), 'numpy.polynomial' in sys.modules)")
+            "m._upper_rule)), 'numpy.polynomial' in sys.modules)")
     assert run_fresh(code).split() == ["0", "0", "0", "False"]
 
 

@@ -23,6 +23,7 @@ from minuncert.multipartite import (
 )
 import minuncert.bipartite as bipartite
 import minuncert.multipartite as multipartite
+import minuncert.quadrature as quadrature
 from minuncert.specfun import ellip_k
 
 from oracles import (
@@ -373,15 +374,13 @@ def test_products_near_xi_one(product, infimum, bound):
 
 
 def _m_g32(rho):
-    # m(rho) of g_3/2 alone, from its own pass of the cube-root parts
-    _, p3w, beta, f0, _ = multipartite._cube_root_parts(rho)
-    return 9.0 * np.sum(p3w * (1.0 - beta * f0), axis=-1)
+    # m(rho) of g_3/2 alone, from its own call of the shared kernel
+    return multipartite._m_g32_h(rho)[0]
 
 
 def _m_h(rho):
-    # m(rho) of h alone, from its own pass of the cube-root parts
-    p, p3w, beta, f0, f1 = multipartite._cube_root_parts(rho)
-    return 9.0 * np.sum((p - 1.0) * p3w * (-0.5 - beta * (beta * f1 - f0)), axis=-1)
+    # m(rho) of h alone, from its own call of the shared kernel
+    return multipartite._m_g32_h(rho)[1]
 
 
 def _one_kernel_norm(xi, m, scale):
@@ -518,7 +517,7 @@ def test_combo_norm_rows_match_per_cell_combination(xi):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("rho", [1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("rho", [1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.25, 0.5, 0.9, 1.0])
 def test_swapped_kernels_vs_mpmath(rho):
     # each kernel against its defining double integral over the substituted
     # measure, with the q integral taken independently of the library's
@@ -559,13 +558,13 @@ def test_shared_cube_root_pass_matches_separate_norms(xi):
 
 def test_z6_takes_one_cube_root_pass(monkeypatch):
     # at a fresh xi, z4, z6, the g_3/2 member and h, each asked for twice,
-    # take one pass over the pairs for the g_2 norm and one for the g_3/2
-    # and h norms together: one kernel call per block of pairs each
+    # take one pass over the pair triangle for the g_2 norm and one for the
+    # g_3/2 and h norms together: one kernel call per chunk of pairs each
     xi = 0.4321
     passes, g2_calls, cube_calls = [], [], []
     real_norms = multipartite._swapped_norms
     real_g2 = multipartite._m_g2
-    real_parts = multipartite._cube_root_parts
+    real_cube = multipartite._m_g32_h
 
     def counted_norms(v, m):
         passes.append(v)
@@ -575,17 +574,18 @@ def test_z6_takes_one_cube_root_pass(monkeypatch):
         g2_calls.append(rho.shape)
         return real_g2(rho)
 
-    def counted_parts(rho):
+    def counted_cube(rho):
         cube_calls.append(rho.shape)
-        return real_parts(rho)
+        return real_cube(rho)
 
     monkeypatch.setattr(multipartite, "_swapped_norms", counted_norms)
     monkeypatch.setattr(multipartite, "_m_g2", counted_g2)
-    monkeypatch.setattr(multipartite, "_cube_root_parts", counted_parts)
+    monkeypatch.setattr(multipartite, "_m_g32_h", counted_cube)
     multipartite._g2_norm.cache_clear()
     multipartite._cube_root_norms.cache_clear()
     n = len(bipartite.angular_rule(xi)[0])
-    blocks = len(range(0, n, max(1, bipartite._PAIR_BLOCK // n)))
+    pairs = n * (n + 1) // 2
+    chunks = -(-pairs // bipartite._PAIR_CHUNK)
     try:
         for _ in range(2):
             z4_product(xi)
@@ -596,17 +596,43 @@ def test_z6_takes_one_cube_root_pass(monkeypatch):
         multipartite._g2_norm.cache_clear()
         multipartite._cube_root_norms.cache_clear()
     assert passes == [xi, xi]
-    assert len(g2_calls) == blocks and sum(shape[0] for shape in g2_calls) == n
-    assert len(cube_calls) == blocks and sum(shape[0] for shape in cube_calls) == n
+    for calls in (g2_calls, cube_calls):
+        assert len(calls) == chunks and sum(shape[0] for shape in calls) == pairs
+        assert max(shape[0] for shape in calls) == bipartite._PAIR_CHUNK
 
 
 def test_cube_root_p_rule_is_read_only():
-    p, p3w = multipartite._p_rule()
-    assert multipartite._p_rule()[0] is p
-    for arr in (p, p3w):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
+    # the upper-triangle rule of the kernels is built once, as tuples
+    s, w = multipartite._upper_rule()
+    assert multipartite._upper_rule()[0] is s
+    assert len(s) == len(w) == 16 and math.fsum(w) == pytest.approx(1.0, rel=1e-15)
+    for arr in (s, w):
+        with pytest.raises(TypeError):
             arr[0] = 0.5
+
+
+_KERNEL_RHO = np.concatenate((np.geomspace(1e-300, 1.0, 301), np.linspace(0.5, 1.0, 101)))
+
+
+def test_upper_triangle_rule_orders_agree(monkeypatch):
+    # the upper-triangle integrals are converged on their 16 points: 24
+    # points change no kernel by more than 1e-15 anywhere in [1e-300, 1]
+    lo = [multipartite._m_g2(_KERNEL_RHO), *multipartite._m_g32_h(_KERNEL_RHO)]
+    s, w = quadrature.panel_rule((0.0, 1.0), 24)
+    monkeypatch.setattr(multipartite, "_upper_rule", lambda: (tuple(s.tolist()), tuple(w.tolist())))
+    hi = [multipartite._m_g2(_KERNEL_RHO), *multipartite._m_g32_h(_KERNEL_RHO)]
+    for a, b in zip(lo, hi):
+        np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
+
+
+def test_kernels_depend_on_their_own_rho_alone():
+    # a kernel value on a whole chunk of pairs is the value of its rho
+    # alone, bit for bit, wherever the rho sits in the chunk
+    whole = [multipartite._m_g2(_KERNEL_RHO), *multipartite._m_g32_h(_KERNEL_RHO)]
+    for i, rho in enumerate(_KERNEL_RHO):
+        alone = [multipartite._m_g2(_KERNEL_RHO[i:i + 1]),
+                 *multipartite._m_g32_h(_KERNEL_RHO[i:i + 1])]
+        assert [m[i] for m in whole] == [m[0] for m in alone], rho
 
 
 @pytest.mark.parametrize("xi", [1.0 - 1e-4, 1.0 - 1e-6])

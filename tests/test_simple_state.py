@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from minuncert import simple_state
 from minuncert.simple_state import SimpleStateSolution, c1_c2, minimize_q0, q0
 from minuncert.spectral import build_q_form, min_eigenpair
 
@@ -104,3 +105,26 @@ def test_q0_rejects_bad_xi():
         q0(1.0)
     with pytest.raises(ValueError):
         q0(-0.5)
+
+
+def test_minimizer_evaluation_count(monkeypatch):
+    # the bracket-guard scan only has to see an interior minimum, and the
+    # golden section never reads it: 65 scan points, about 40 golden steps
+    calls = []
+
+    def counted(xi):
+        calls.append(xi)
+        return q0(xi)
+
+    monkeypatch.setattr(simple_state, "q0", counted)
+    sol = minimize_q0()
+    assert sol.xi.value == pytest.approx(XI_MIN, abs=2e-8)
+    assert len(calls) <= 110
+
+
+def test_minimizer_edge_guard_raises(monkeypatch):
+    # q0 falls all the way across (0.05, 0.2), so the scan finds its
+    # minimum on the bracket edge and the golden section is never started
+    monkeypatch.setattr(simple_state, "_GOLDEN_BRACKET", (0.05, 0.2))
+    with pytest.raises(RuntimeError, match="bracket edge"):
+        minimize_q0()
