@@ -10,6 +10,7 @@ anchors.  The checks of ``verify`` live in ``minuncert.checks``.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -374,16 +375,30 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command on ``argv`` (default ``sys.argv[1:]``); return its exit code.
+
+    Called as the program, with ``argv`` None (``python -m minuncert.cli``
+    and the ``minuncert`` script both run ``sys.exit(main())``), it
+    freezes the heap on the way out, on every path, usage errors and
+    hard failures included: ``gc.freeze()`` moves every object alive at
+    that point out of the collector's reach, so the full collections of
+    interpreter shutdown no longer walk the objects of ``site``, numpy
+    and the package, nor free their reference cycles one by one.  That
+    is safe because the process is about to exit: atexit handlers still
+    run, the std streams are still flushed, and the table was closed by
+    its ``with`` block.  ``main(argv)`` with an explicit list never
+    freezes: the caller's process goes on, and a reference cycle frozen
+    there would never be collected once it turned to garbage.
+    """
     try:
         config = parse_args(argv)
-    except UsageError as exc:
-        print(f"minuncert: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _RUNNERS[config.command](config)
     except UsageError as exc:
         print(f"minuncert: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

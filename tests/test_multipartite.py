@@ -56,6 +56,13 @@ def test_b_tables():
         assert isinstance(ops, OperatorCoefficients)
 
 
+def test_float_prefactor_is_the_exact_one_rounded():
+    # z4_product and z6_product take the prefactor without fractions; the
+    # int true division must round the exact Fraction bit for bit
+    for n in range(1, 13):
+        assert multipartite._float_prefactor(n) == float(b_coefficients(n).prefactor)
+
+
 def test_b_leading_coefficient_is_one():
     for n in range(1, 13):
         assert b_coefficients(n).b[0] == 1
