@@ -183,7 +183,7 @@ def _swapped_norms(xi: float, m):
 
 
 def _angular_kernel_integral(xi: float, r, ks):
-    """r^k f^(k)(r) = int w(theta) (-x)^k e^(-x) dtheta, x = gamma(theta) r, for each k in ``ks``.
+    """r^k f^(k)(r) = int w(theta) (-x)^k e^(-x) dtheta, x = gamma(theta) r, for k <= 1 in ``ks``.
 
     w(theta) = 1 / (sqrt(2 pi K) (1 + sqrt(xi) cos theta)) and
     gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)),
@@ -230,11 +230,12 @@ def _f_i0e(xi: float, x):
 class AngularProfile:
     """Radial profile v(r) = scale * int w(theta) K(gamma(theta) r) dtheta.
 
-    ``rows(r, ks)`` returns the rows r^k v^(k) / scale, k in ``ks``, at
-    the radii ``r`` (one column per radius), and all four rows k = 0..3
-    at the nodes of ``radial_rule`` when ``r`` is None.  For f the rows
-    are angular passes of the kernels (-x)^k e^(-x); the g and h families
-    take theirs from their ODEs and keep those on ``radial_rule``.
+    ``rows(r)`` returns the rows v / scale and r v' / scale at the radii
+    ``r`` (one column per radius), or at the nodes of ``radial_rule`` when
+    ``r`` is None.  For f they are angular passes of the kernels e^(-x)
+    and -x e^(-x); the g and h families take r v' from their ODEs and
+    keep both rows on ``radial_rule``.  No product needs a higher row
+    (``functional_z``).
 
     ``value`` and ``derivative_combo`` refer to the normalized profile
     v/||v||, with ||v|| given as ``norm`` from a route independent of the
@@ -244,10 +245,8 @@ class AngularProfile:
     the origin for the plain ODE families), which is what makes a defining
     ODE hold verbatim; consumers that want a positive plot flip the sign.
 
-    The nested norms combine the four rows on ``radial_rule``.
+    The nested norms combine the two rows on ``radial_rule``.
     """
-
-    max_derivative_order = 3
 
     def __init__(self, xi, rows, norm: float, scale: float = 1.0):
         self.xi = as_xi(xi)
@@ -265,21 +264,14 @@ class AngularProfile:
         return self._scale * sum(terms[1:], terms[0])
 
     def _coefs(self, coefs):
-        if len(coefs) > self.max_derivative_order + 1:
-            raise ValueError("combination exceeds the supported derivative order")
+        if len(coefs) > 2:
+            raise ValueError("a combination takes the rows k <= 1 only")
         return [float(c) for c in coefs]
 
     def raw_derivative_combo(self, coefs, r):
-        """sum_k coefs[k] * r^k v^(k) for the unnormalized profile.
-
-        Only the rows with a nonzero coefficient are asked for.
-        """
-        terms = [(k, c) for k, c in enumerate(self._coefs(coefs)) if c != 0.0]
-        rv = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(rv < 0.0):
-            raise ValueError("r must be nonnegative")
-        rows = self._rows(rv, [k for k, _ in terms])
-        values = self._combine([c for _, c in terms], rows)
+        """sum_k coefs[k] * r^k v^(k) for the unnormalized profile."""
+        coefs = self._coefs(coefs)
+        values = self._combine(coefs, self._rows(np.atleast_1d(_radii(r))))
         return float(values[0]) if np.ndim(r) == 0 else values
 
     @property
@@ -294,7 +286,7 @@ class AngularProfile:
         ``radial_rule``.
         """
         weight = radial_rule(self.xi.value)[1]
-        vals = self._combine(self._coefs(coefs), self._rows(None, range(4)))
+        vals = self._combine(self._coefs(coefs), self._rows(None))
         return math.sqrt(float(np.sum(weight * vals * vals)))
 
     def value(self, r):
@@ -308,8 +300,8 @@ class AngularProfile:
         These norms are what the closed identities constrain (e.g. the
         a = 2 family satisfies 3 rk_norm(0)^2 + 4 rk_norm(1)^2 = 1).
         """
-        if not (isinstance(k, int) and 0 <= k <= self.max_derivative_order):
-            raise ValueError(f"derivative order must be an integer in [0, 3], got {k!r}")
+        if not (isinstance(k, int) and k in (0, 1)):
+            raise ValueError(f"derivative order must be 0 or 1, got {k!r}")
         return self.combo_norm(tuple([0.0] * k + [1.0]))
 
     def derivative_combo(self, coefs, r):
@@ -375,6 +367,14 @@ def residual_norm_sq(xi) -> float:
     return (2.0 * ellip_e(v) - (1.0 - v * v) * kv) / (4.0 * (1.0 + v) ** 2 * kv)
 
 
+def _radii(r):
+    """``r`` as a float array, refused unless every radius is finite and >= 0."""
+    rv = np.asarray(r, dtype=float)
+    if not np.all((rv >= 0.0) & (rv < math.inf)):
+        raise ValueError("r must be finite and nonnegative")
+    return rv
+
+
 def f_closed(xi, r):
     """Unit-norm two-party radial profile f(r) in closed form.
 
@@ -382,9 +382,7 @@ def f_closed(xi, r):
     e^(-alpha r), each of size r / (1 - xi), never meet, so nothing cancels as xi -> 1.
     """
     v = as_xi(xi).value
-    rv = np.asarray(r, dtype=float)
-    if np.any(rv < 0.0):
-        raise ValueError("r must be nonnegative")
+    rv = _radii(r)
     beta = math.sqrt(v) / (1.0 - v)
     hi, lo = _gamma0(v)
     log_front = 0.5 * (math.log(math.pi) - math.log(2.0 * ellip_k(v) * (1.0 - v)))
@@ -393,23 +391,20 @@ def f_closed(xi, r):
 
 
 def _exp_chain(x):
-    # r^k d^k/dr^k e^{-gamma r} = (-x)^k e^{-x} at x = gamma r
-    # products, not float powers: an array pow costs several times the rest
+    # r^k d^k/dr^k e^{-gamma r} = (-x)^k e^{-x} at x = gamma r, k <= 1
     e = np.exp(-x)
-    m = -x
-    return e, m * e, (m * m) * e, (m * m * m) * e
+    return e, -x * e
 
 
 def f_profile(xi) -> AngularProfile:
     """The two-party profile f as an angular integral of e^{-gamma r}.
 
-    Independent of ``f_closed``; derivative combinations r^k f^(k) come
-    from this route only.
+    Independent of ``f_closed``; r f' comes from this route only.
     """
     v = as_xi(xi).value
 
-    def rows(r, ks):
-        return _angular_kernel_integral(v, radial_rule(v)[0] if r is None else r, ks)
+    def rows(r):
+        return _angular_kernel_integral(v, radial_rule(v)[0] if r is None else r, (0, 1))
 
     return AngularProfile(v, rows, norm=1.0)
 

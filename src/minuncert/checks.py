@@ -220,14 +220,14 @@ def run_battery(order: int):
         ("z4_below_bound",
          lambda: one_sided(z4_product(0.5).product, 1.0 / 16.0, False)),
         ("z4_shortcut_agreement",
-         lambda: (abs(z4_product(0.5).product - multipartite.functional_z(2, g2)),
+         lambda: (abs(z4_product(0.5).product - multipartite.functional_z(2, 0.5)),
                   0.0, 1e-12, None)),
         ("z6_above_infimum",
          lambda: one_sided(z6_product(0.5).product, 35.0 / 4096.0, True)),
         ("z6_below_bound",
          lambda: one_sided(z6_product(0.5).product, 1.0 / 64.0, False)),
         ("z6_shortcut_agreement",
-         lambda: (abs(z6_product(0.5).product - multipartite.functional_z(3, h)),
+         lambda: (abs(z6_product(0.5).product - multipartite.functional_z(3, 0.5)),
                   0.0, 1e-12, None)),
         ("alpha_beta_certificate",
          lambda: (multipartite.alpha_beta_certificate(), 0.0, 1e-10, None)),

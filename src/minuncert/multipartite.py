@@ -1,19 +1,20 @@
 """Four- and six-party functionals and their ODE-constructed families.
 
-The expectation functional for 2n parties is a prefactored integral of
-(sum_k b_k r^k f^(k))^2.  The b table, the factorial matrix pair behind
-it, and the vanishing Pochhammer residuals run in exact rational
-arithmetic.  The near-optimal families solve (1 - a) v + a r v' = base.
-Each point value is a Laplace average int_1^inf mu(u) f(u r) du of the
-two-party profile f, taken on a rule of its own per radius; every
-derivative r^k v^(k) follows algebraically from the ODE and the
-derivatives of f, never taken numerically.
+The expectation functional for 2n parties is
+z_2n = prefactor_n ||P_n(D) v||^2 / ||v||^2 with D = r d/dr and
+P_n(D) = sum_k b_k D (D - 1) ... (D - k + 1) = (n^n / n!) prod_(j<n) (D - j/n).
+The b table, the factorial matrix pair behind it, and the vanishing
+Pochhammer residuals run in exact rational arithmetic.  The near-optimal
+families solve (1 - a) v + a r v' = base.  Each point value is a Laplace
+average int_1^inf mu(u) f(u r) du of the two-party profile f, taken on a
+rule of its own per radius; r v' follows algebraically from the ODE.
 
 The family norms are computed with the integration order swapped (the
 radial integral first, in closed form), and the products z4 and z6 come
 from the shortcut identities on those norms.  The nested route,
-``functional_z``, a fixed radial rule over the rows of one shared
-Laplace pass, stays as the independent check.
+``functional_z``, stays as the independent check: the ODEs make
+P_n(D) v a multiple of D f, so it takes ||r f'|| and ||v|| on the radial
+rule and no derivative of the family.
 """
 
 from __future__ import annotations
@@ -145,11 +146,12 @@ def pochhammer_root_residual(n: int, j: int):
 #   h:      mu = u^(-5/3) - u^(-4/3), a = 3,   b = int_1^inf u^(-4/3) f(u r) du
 #           = -(3/2) g_3/2, and h carries ``scale``.
 # At r = 0 the average is f(0) int mu = -f(0), -2 f(0), -(3/2) f(0).
-# Applying D = r d/dr k times to (1 - a) V_0 + a D V_0 = B_0 gives
-# (1 + (k - 1) a) V_k + a V_(k+1) = B_k for the rows V_k = r^k v^(k) and
-# B_k of b, so every V_k with k >= 1 follows from V_0 and the rows of f.
+# With D = r d/dr the ODE reads (1 - a) v + a D v = b, so the row
+# D v = (b - (1 - a) v) / a follows from v and b, and no higher row is
+# ever needed: (D - 1/2) g_2 = f / 2, (D - 1/3) g_3/2 = 2 f / 3 and
+# (D - 2/3) h = -g_3/2 / 2 turn every P_n(D) v into a multiple of D f.
 
-_G2, _G32, _H = range(3)
+_G2, _G32, _H, _RF = range(4)
 _LAPLACE_AT_ORIGIN = (-1.0, -2.0, -1.5)
 # nodes per block of a Laplace pass: at 4096 the per-call overhead of i0e's
 # Horner steps made a pass 15-40% slower; at 32768 the peak RSS of
@@ -186,50 +188,42 @@ def _laplace(xi: float, r):
     return out
 
 
-def _ode_rows(a: float, v0, base):
-    """[V_0, ..., V_n] of (1 - a) v + a r v' = b, from V_0 and the rows B_0..B_(n-1) of b."""
-    rows = [v0]
-    for k, bk in enumerate(base):
-        rows.append((bk - (1.0 + (k - 1) * a) * rows[-1]) / a)
-    return rows
+def _ode_step(a: float, v, b):
+    """[v, r v'] of (1 - a) v + a r v' = b, from v and b."""
+    return np.array([v, (b - (1.0 - a) * v) / a])
 
 
-def _family_rows(xi: float, r, depth: int):
-    """(g_2, g_3/2, h): each the rows r^k v^(k) / scale, k <= depth, at the radii r.
+def _family_rows(xi: float, r):
+    """(g_2, g_3/2, h): each the rows v / scale and r v' / scale at the radii r.
 
-    f itself comes from the same closed form as the averages and r^k f^(k),
-    k >= 1, from its angular pass: the first ODE step cancels as r -> 0,
-    and exactly so at r = 0, where every r^k v^(k) with k >= 1 vanishes.
+    f comes from the same closed form as the averages: the ODE step
+    cancels as r -> 0, and exactly so at r = 0, where r v' vanishes.
     """
     g2, g32, h = _laplace(xi, r)
-    f_rows = [_f_i0e(xi, r)] if depth else []
-    if depth > 1:
-        f_rows += list(bipartite._angular_kernel_integral(xi, r, range(1, depth)))
-    g32_rows = _ode_rows(1.5, g32, f_rows)
-    h_base = [-1.5 * row for row in g32_rows[:depth]]
-    return (np.array(_ode_rows(2.0, g2, f_rows)), np.array(g32_rows),
-            np.array(_ode_rows(3.0, h, h_base)))
+    f = _f_i0e(xi, r)
+    return _ode_step(2.0, g2, f), _ode_step(1.5, g32, f), _ode_step(3.0, h, -1.5 * g32)
 
 
 @lru_cache(maxsize=32)
 def _radial_family_rows(xi: float, order: int):
-    """``_family_rows`` of the three families on ``radial_rule(xi)``, read-only.
+    """(g_2, g_3/2, h, r f') on ``radial_rule(xi)``, read-only.
 
-    One pass per xi and rule order (``_ANGULAR_ORDER``, which sets every
-    rule): a changed order is a fresh pass, never a cached one.
+    The ``_family_rows`` and f's angular row r f': one pass per xi and
+    rule order (``_ANGULAR_ORDER``, which sets every rule), so a changed
+    order is a fresh pass, never a cached one.
     """
-    rows = _family_rows(xi, bipartite.radial_rule(xi)[0], 3)
-    for family in rows:
-        family.flags.writeable = False
+    r = bipartite.radial_rule(xi)[0]
+    rows = (*_family_rows(xi, r), bipartite._angular_kernel_integral(xi, r, (1,))[0])
+    for row in rows:
+        row.flags.writeable = False
     return rows
 
 
 def _family_profile(xi: float, family: int, norm: float, scale: float = 1.0):
-    def rows(r, ks):
+    def rows(r):
         if r is None:
             return _radial_family_rows(xi, bipartite._ANGULAR_ORDER)[family]
-        ks = list(ks)
-        return _family_rows(xi, r, max(ks, default=0))[family][ks]
+        return _family_rows(xi, r)[family]
 
     return AngularProfile(xi, rows, norm=norm, scale=scale)
 
@@ -333,22 +327,26 @@ def h_family(xi) -> OdeFamilyProfile:
     return _family_profile(v, _H, abs(scale) * h, scale)
 
 
-def functional_z(n: int, profile) -> float:
-    """Expectation functional for 2n parties, by the nested route.
+# the family of z_2n and c^2 with P_n(D) v = c D f: P_2(D) g_2 = D f and,
+# on the unscaled h, P_3(D) h = (9/2) D (D - 1/3)(D - 2/3) h = -(3/2) D f
+_NESTED = {2: (_G2, 1.0), 3: (_H, 2.25)}
 
-    The integral of (sum_k b_k r^k v^(k))^2 and the norm of v both come
-    from the nested pass (``combo_norm``, ``rk_norm(0)``, the rows of one
-    Laplace pass per xi and rule order), so the result does not depend on
-    the ``normalization`` the profile was given.
+
+def functional_z(n: int, xi) -> float:
+    """z_2n = prefactor_n c^2 ||r f'||^2 / ||v||^2 by the nested route, n = 2 or 3.
+
+    v is g_2 or h / scale.  Both norms are sums over ``radial_rule(xi)``
+    of one cached pass, so no swapped-order norm enters.
     """
-    if not (isinstance(n, int) and 1 <= n <= 12):
-        raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
-    if getattr(profile, "max_derivative_order", 0) < n:
-        raise ValueError(f"profile does not expose derivatives up to order {n}")
-    ops = b_coefficients(n)
-    coefs = (0.0,) + tuple(float(bk) for bk in ops.b)
-    norm = profile.rk_norm(0)
-    return float(ops.prefactor) * (profile.combo_norm(coefs) / norm) ** 2
+    if not (isinstance(n, int) and n in _NESTED):
+        raise ValueError(f"n must be 2 or 3, got {n!r}")
+    v = as_xi(xi).value
+    family, c2 = _NESTED[n]
+    rows = _radial_family_rows(v, bipartite._ANGULAR_ORDER)
+    weight = bipartite.radial_rule(v)[1]
+    rf, base = rows[_RF], rows[family][0]
+    return (_float_prefactor(n) * c2 * float(np.sum(weight * rf * rf))
+            / float(np.sum(weight * base * base)))
 
 
 def _report(parties, p, value, bound, infimum) -> UncertaintyReport:

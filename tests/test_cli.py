@@ -400,10 +400,10 @@ def test_verify_passes(tmp_path, monkeypatch):
 
 def test_verify_angular_pass_radii(tmp_path, monkeypatch):
     # the angular passes of verify, cold: one pass on radial_rule(0.5)
-    # (416 radii) for the rows of f that the nested norms of g_2, g_3/2 and
-    # h share, one for the nested norm of f on radial_rule(0.7) (432) and
-    # one point value of f; the count changes only with the radial rule or
-    # the battery
+    # (416 radii) for the row r f' that functional_z reads beside the
+    # cached rows of g_2, g_3/2 and h, one for the nested norm of f on
+    # radial_rule(0.7) (432) and one point value of f; the count changes
+    # only with the radial rule or the battery
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
     radii = []
     real = bipartite._angular_kernel_integral
@@ -665,6 +665,26 @@ def test_xi_sweep_tables_are_finite(command, parties, xi, tmp_path):
         assert product > infimum
     else:
         assert len(cells) == 81 and cells[0][1] > 0.0
+
+
+@pytest.mark.parametrize("xi", [1e-12, 1.0 - 1e-15, 0.9999999999999999])
+@pytest.mark.parametrize("command", ["overlap", "fock"])
+def test_xi_sweep_overlap_and_fock_tables(command, xi, tmp_path):
+    # the same ends of the xi range for the two remaining tables: each
+    # comes out with every cell finite and equal to the library's own
+    # overlap or number-basis coefficient at its row
+    out = tmp_path / "table.csv"
+    assert cli.main(["--command", command, "--xi", repr(xi), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    cells = [[float(v) for v in row] for row in rows]
+    assert cells and all(math.isfinite(v) for row in cells for v in row)
+    for row in cells:
+        if command == "overlap":
+            a, b, value = row
+            assert (a, b, value) == (xi, xi, overlap(a, b))
+        else:
+            x, n, m, _, value = row
+            assert x == xi and value == fock_coeff(int(n), int(m), x)
 
 
 # --- the remaining commands -----------------------------------------------

@@ -53,3 +53,25 @@ def test_package_dir_and_unknown_names():
     assert not hasattr(minuncert, "no_such_name")
     assert hasattr(minuncert, "z6_product")
 
+
+
+# entry points that the benchmark's traced run (bench/layers.py) wraps by
+# name; a refactor that renames one turns its per-layer metric "absent"
+_PROBED = [
+    ("minuncert.bipartite", "_angular_kernel_integral"),
+    ("minuncert.multipartite", "functional_z"),
+    ("minuncert.multipartite", "OdeFamilyProfile.normalization"),
+    ("minuncert.multipartite", "OdeFamilyProfile.rk_norm"),
+]
+
+
+@pytest.mark.parametrize("module,attr", _PROBED, ids=[attr for _, attr in _PROBED])
+def test_benchmark_probes_resolve(module, attr):
+    # resolved as the tracer resolves them: on a class through its
+    # __dict__, so a property is seen as one
+    owner = importlib.import_module(module)
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    target = owner.__dict__.get(leaf) if isinstance(owner, type) else getattr(owner, leaf, None)
+    assert callable(target) or (isinstance(target, property) and target.fget is not None)

@@ -21,6 +21,7 @@ from minuncert.multipartite import (
     z4_product,
     z6_product,
 )
+from minuncert.bipartite import PRODUCT_INFIMUM_2
 import minuncert.bipartite as bipartite
 import minuncert.multipartite as multipartite
 import minuncert.quadrature as quadrature
@@ -206,34 +207,41 @@ def test_norm_limits_ordering():
 def test_rk_derivative_vs_finite_differences():
     prof = g_family(0.5, 2.0)
     for r in (0.8, 2.1):
-        for k in (1, 2):
-            fd = fd_rk_derivative(prof.value, k, r, h=1e-3)
-            rk = prof.derivative_combo([0.0] * k + [1.0], r)
-            assert rk == pytest.approx(fd, rel=1e-6, abs=1e-9)
-        fd3 = fd_rk_derivative(prof.value, 3, r, h=1e-2)
-        rk3 = prof.derivative_combo((0.0, 0.0, 0.0, 1.0), r)
-        assert rk3 == pytest.approx(fd3, rel=1e-3, abs=1e-5)
+        fd = fd_rk_derivative(prof.value, 1, r, h=1e-3)
+        assert prof.derivative_combo((0.0, 1.0), r) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+    # no product needs a higher row, and none is served
     with pytest.raises(ValueError):
-        prof.rk_norm(4)
+        prof.rk_norm(2)
 
 
 def test_first_derivative_of_ode_pointwise():
     # differentiating (1 - a) g + a r g' = f once and multiplying by r:
-    # r g' + a r^2 g'' = r f', exactly, at every radius
+    # (1 - a) D g + a D^2 g = D f with D = r d/dr, i.e. r g' + a r^2 g''
+    # = r f'.  D g is row 1, D^2 g its central difference, and D f comes
+    # from f's own angular row
     f = f_profile(0.5)
     for a in (1.5, 2.0):
         prof = g_family(0.5, a)
+
+        def row1(x, prof=prof):
+            return prof.raw_derivative_combo((0.0, 1.0), x)
+
         for r in (0.5, 1.7, 4.2):
-            lhs = prof.raw_derivative_combo((0.0, 1.0, a), r)
+            lhs = (1.0 - a) * row1(r) + a * fd_rk_derivative(row1, 1, r, h=1e-3)
             rf = f.derivative_combo((0.0, 1.0), r)
             assert lhs == pytest.approx(rf, rel=1e-10, abs=1e-12)
 
 
 def test_first_derivative_of_h_ode_pointwise():
+    # the same for -2 h + 3 r h' = b: -2 D h + 3 D^2 h = D b
     h = h_family(0.5)
     base = g_family(0.5, 1.5)
+
+    def row1(x):
+        return h.raw_derivative_combo((0.0, 1.0), x)
+
     for r in (0.6, 2.3):
-        lhs = h.raw_derivative_combo((0.0, 1.0, 3.0), r)
+        lhs = -2.0 * row1(r) + 3.0 * fd_rk_derivative(row1, 1, r, h=1e-3)
         rg = base.derivative_combo((0.0, 1.0), r)
         assert lhs == pytest.approx(rg, rel=1e-9, abs=1e-12)
 
@@ -250,35 +258,32 @@ def _raw_dot(profile, ca, cb):
 
 
 def test_h_scalar_product_relations():
-    # integration by parts on the half line couples neighboring norms
-    h = h_family(0.5)
-    n1 = h.rk_norm(1)
-    n2 = h.rk_norm(2)
-    d12 = _raw_dot(h, (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
-    assert d12 == pytest.approx(-1.5 * n1 * n1, rel=1e-12, abs=0.0)
-    d23 = _raw_dot(h, (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-    assert d23 == pytest.approx(-2.5 * n2 * n2, rel=1e-12, abs=0.0)
-    d13 = _raw_dot(h, (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-    assert d13 == pytest.approx(6.0 * n1 * n1 - n2 * n2, rel=1e-12, abs=0.0)
+    # integration by parts on the half line couples the two rows:
+    # (h, r h') = int r (h^2 / 2)' dr = -||h||^2 / 2
+    for xi in (0.01, 0.5, 0.9):
+        h = h_family(xi)
+        n0 = h.rk_norm(0)
+        d01 = _raw_dot(h, (1.0, 0.0), (0.0, 1.0))
+        assert d01 == pytest.approx(-0.5 * n0 * n0, rel=1e-12, abs=0.0)
 
 
 def test_h_cauchy_schwarz_consequence():
+    # |(h, r h')| <= ||h|| ||r h'|| with (h, r h') = -||h||^2 / 2
     h = h_family(0.5)
-    assert h.rk_norm(2) >= 1.5 * h.rk_norm(1) - 1e-9
+    assert h.rk_norm(1) >= 0.5 * h.rk_norm(0) - 1e-9
 
 
 def test_h_norms_tie_back_to_base():
-    # 28 ||r h'||^2 - (261/2) ||r^2 h''||^2 + (81/4) ||r^3 h'''||^2
-    # equals the squared norm of r b' + (3/2) r^2 b'' on the normalized base
-    h = h_family(0.5)
-    base = g_family(0.5, 1.5)
-    lhs = (
-        28.0 * h.rk_norm(1) ** 2
-        - 130.5 * h.rk_norm(2) ** 2
-        + 20.25 * h.rk_norm(3) ** 2
-    )
-    rhs = (base.combo_norm((0.0, 1.0, 1.5)) / base.normalization) ** 2
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+    # ||-2 h + 3 r h'||^2 = 10 ||h||^2 + 9 ||r h'||^2 by the scalar product
+    # relation, and both equal the squared norm of the normalized base,
+    # each side by its own nested pass
+    for xi in (0.01, 0.5, 0.9):
+        h = h_family(xi)
+        base = g_family(xi, 1.5)
+        rhs = (base.rk_norm(0) / base.normalization) ** 2
+        expanded = 10.0 * h.rk_norm(0) ** 2 + 9.0 * h.rk_norm(1) ** 2
+        assert expanded == pytest.approx(rhs, rel=1e-12, abs=0.0)
+        assert h.combo_norm((-2.0, 3.0)) ** 2 == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_family_validation():
@@ -290,7 +295,7 @@ def test_family_validation():
         g_family(1.5, 2.0)
     prof = g_family(0.5, 2.0)
     with pytest.raises(ValueError):
-        prof.raw_derivative_combo((1.0, 0.0, 0.0, 0.0, 1.0), 1.0)
+        prof.raw_derivative_combo((1.0, 0.0, 1.0), 1.0)
 
 
 # --- products -------------------------------------------------------------
@@ -357,10 +362,21 @@ def test_z6_shortcut_identity():
 
 def test_products_match_nested_functional():
     # the primary products against the fully nested route they replaced
-    nested_z4 = functional_z(2, g_family(0.5, 2.0))
-    nested_z6 = functional_z(3, h_family(0.5))
-    assert z4_product(0.5).product == pytest.approx(nested_z4, rel=1e-12, abs=0.0)
-    assert z6_product(0.5).product == pytest.approx(nested_z6, rel=1e-12, abs=0.0)
+    assert z4_product(0.5).product == pytest.approx(functional_z(2, 0.5), rel=1e-12, abs=0.0)
+    assert z6_product(0.5).product == pytest.approx(functional_z(3, 0.5), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("xi", [0.01, 0.5, 1.0 - 1e-9])
+def test_functional_z_is_the_norm_ratio(xi):
+    # z_2n = prefactor_n c^2 ||r f'||^2 / ||v||^2, with the nested norms of
+    # f's row k = 1 and of the family: c^2 = 1 for g_2 and 9/4 for h, whose
+    # norm the nested pass takes with the scale
+    rf = f_profile(xi).combo_norm((0.0, 1.0))
+    g2 = g_family(xi, 2.0).rk_norm(0)
+    h = h_family(xi)
+    h_raw = h.rk_norm(0) / abs(h._scale)
+    assert functional_z(2, xi) == pytest.approx(PRODUCT_INFIMUM_4 * (rf / g2) ** 2, rel=2e-15)
+    assert functional_z(3, xi) == pytest.approx(2.25 / 560.0 * (rf / h_raw) ** 2, rel=2e-15)
 
 
 _NEAR_ONE = (0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
@@ -419,8 +435,7 @@ def test_family_chains_rule_orders_agree(xi, monkeypatch):
     gamma0 = 0.5 * (1.0 - xi) / (1.0 + s) ** 2
     r = np.concatenate(([0.0], np.geomspace(1e-3, max(4096.0, 40.0 / gamma0), 200)))
     for fam in (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
-        for k in range(4):
-            coefs = tuple([0.0] * k + [1.0])
+        for coefs in ((1.0,), (0.0, 1.0)):
             monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
             lo = fam.raw_derivative_combo(coefs, r)
             monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
@@ -440,50 +455,59 @@ def test_radial_rule_orders_agree(xi, monkeypatch):
     # rows per xi and rule order, so each order here is a pass of its own
     # (test_nested_norms_share_one_chain_pass)
     for fam in (f_profile(xi), g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
-        for k in range(4):
-            coefs = tuple([0.0] * k + [1.0])
+        for coefs in ((1.0,), (0.0, 1.0)):
             monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
             lo = fam.combo_norm(coefs)
             monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
             hi = fam.combo_norm(coefs)
             assert lo == pytest.approx(hi, rel=1e-14, abs=0.0)
-            if k == 0:
+            if coefs == (1.0,):
                 assert lo == pytest.approx(fam.normalization, rel=5e-14, abs=0.0)
 
 
 def test_nested_norms_share_one_chain_pass(monkeypatch):
-    # rk_norm(0..3) and functional_z of g_2, g_3/2 and h at one xi combine
-    # the rows of a single Laplace pass on the radial rule, shared by the
-    # three families: one dilation rule, one evaluation of f.  A changed
-    # rule order is a fresh pass, which test_radial_rule_orders_agree
-    # relies on, and the first order's rows are still there afterwards
+    # rk_norm(0) and rk_norm(1) of g_2, g_3/2 and h and functional_z(2)
+    # and (3) at one xi combine the rows of a single pass on the radial
+    # rule, shared by the three families and both products: one Laplace
+    # pass (one dilation rule, one evaluation of f) and one angular pass
+    # for r f'.  A changed rule order is a fresh pass, which
+    # test_radial_rule_orders_agree relies on, and the first order's rows
+    # are still there afterwards
     xi = 0.4321
     passes = []
     real = multipartite._laplace
+    real_angular = bipartite._angular_kernel_integral
 
     def counted(x, r):
-        passes.append((x, len(r), bipartite._ANGULAR_ORDER))
+        passes.append(("laplace", x, len(r), bipartite._ANGULAR_ORDER))
         return real(x, r)
 
+    def counted_angular(x, r, ks):
+        passes.append(("angular", x, len(r), bipartite._ANGULAR_ORDER))
+        return real_angular(x, r, ks)
+
     monkeypatch.setattr(multipartite, "_laplace", counted)
+    monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted_angular)
     multipartite._radial_family_rows.cache_clear()
     fams = (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi))
     n16 = len(bipartite.radial_rule(xi)[0])
-    norms = [[fam.rk_norm(k) for k in range(4)] for fam in fams]
-    z = (functional_z(2, fams[0]), functional_z(3, fams[2]))
-    assert passes == [(xi, n16, 16)]
-    assert z == (functional_z(2, fams[0]), functional_z(3, fams[2]))
+    norms = [[fam.rk_norm(k) for k in range(2)] for fam in fams]
+    z = (functional_z(2, xi), functional_z(3, xi))
+    first = [("laplace", xi, n16, 16), ("angular", xi, n16, 16)]
+    assert passes == first
+    assert z == (functional_z(2, xi), functional_z(3, xi))
 
     monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
     n24 = len(bipartite.radial_rule(xi)[0])
     assert n24 != n16
     for fam, fam_norms in zip(fams, norms):
         assert fam.rk_norm(0) == pytest.approx(fam_norms[0], rel=1e-14, abs=0.0)
-    assert passes == [(xi, n16, 16), (xi, n24, 24)]
+    assert passes == first + [("laplace", xi, n24, 24), ("angular", xi, n24, 24)]
 
     monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
     assert [fam.rk_norm(0) for fam in fams] == [fam_norms[0] for fam_norms in norms]
-    assert len(passes) == 2
+    assert z == (functional_z(2, xi), functional_z(3, xi))
+    assert len(passes) == 4
 
 
 def _per_cell_norms(prof, coefs_list, angular):
@@ -513,9 +537,8 @@ def _per_cell_norms(prof, coefs_list, angular):
 def test_combo_norm_rows_match_per_cell_combination(xi):
     # combining the cached radial rows gives the norms of combining per
     # cell, each profile on its own cells, for the unit vectors of rk_norm
-    # and the b combinations of functional_z
-    coefs_list = [tuple([0.0] * k + [1.0]) for k in range(4)]
-    coefs_list += [(0.0,) + tuple(float(b) for b in b_coefficients(n).b) for n in (2, 3)]
+    # and the combinations of the ODEs
+    coefs_list = [(1.0,), (0.0, 1.0), (-1.0, 2.0), (-0.5, 1.5), (-2.0, 3.0)]
     profiles = ((f_profile(xi), True), (g_family(xi, 2.0), False), (g_family(xi, 1.5), False),
                 (h_family(xi), False))
     for prof, angular in profiles:
@@ -651,8 +674,8 @@ def test_nested_route_near_xi_one(xi):
     # to their infima
     z4 = z4_product(xi).product
     z6 = z6_product(xi).product
-    assert functional_z(2, g_family(xi, 2.0)) == pytest.approx(z4, rel=1e-12, abs=0.0)
-    assert functional_z(3, h_family(xi)) == pytest.approx(z6, rel=1e-12, abs=0.0)
+    assert functional_z(2, xi) == pytest.approx(z4, rel=1e-12, abs=0.0)
+    assert functional_z(3, xi) == pytest.approx(z6, rel=1e-12, abs=0.0)
 
 
 def _laplace_references(xi, r):
@@ -713,11 +736,12 @@ def test_laplace_point_values_vs_mpmath(xi, radii):
 
 
 def test_functional_z_validation():
-    prof = g_family(0.5, 2.0)
+    # the nested route knows the families of z4 and z6 only
+    for n in (0, 1, 4, 12, 2.0, True):
+        with pytest.raises(ValueError, match="n must be 2 or 3"):
+            functional_z(n, 0.5)
     with pytest.raises(ValueError):
-        functional_z(0, prof)
-    with pytest.raises(ValueError):
-        functional_z(4, prof)  # profile only exposes three derivatives
+        functional_z(2, 1.5)
 
 
 def test_alpha_beta_certificate():
@@ -733,33 +757,77 @@ def test_alpha_beta_certificate():
         assert abs(r2) < 1e-10
 
 
-def test_perturbed_coefficients_shift_z4(monkeypatch):
-    # sensitivity control: corrupting b_2 by 5 percent must move the
-    # nested product, proving the functional actually consumes the table
-    prof = g_family(0.5, 2.0)
-    clean = functional_z(2, prof)
-    real = b_coefficients(2)
-    fake = OperatorCoefficients(
-        n=2, b=(real.b[0], real.b[1] * Fraction(21, 20)), prefactor=real.prefactor
-    )
+def _times_root(poly, root):
+    # the coefficients, constant first, of poly(x) (x - root)
+    out = [Fraction(0)] + list(poly)
+    for i, c in enumerate(poly):
+        out[i] -= root * c
+    return out
 
-    def patched(n):
-        return fake if n == 2 else b_coefficients(n)
 
-    monkeypatch.setattr(multipartite, "b_coefficients", patched)
-    dirty = multipartite.functional_z(2, prof)
-    assert abs(dirty - clean) > 1e-4
+def test_b_table_is_the_factored_operator():
+    # r^k d^k/dr^k = D (D - 1)...(D - k + 1) for D = r d/dr, so the b
+    # combination of the rows is P_n(D) with P_n(x) = sum_k b_k x(x - 1)
+    # ...(x - k + 1).  Exactly, as polynomials, P_n(x) = (n^n/n!)
+    # prod_(j<n) (x - j/n): the factored operator that the nested route
+    # applies to each family in closed form, as a multiple of D f.  Its
+    # value at x = -1/2 gives the infima, prefactor_n P_n(-1/2)^2
+    # = 3 n! / (3n)! (prod_(k<n) (n/2 + k))^2
+    infima = {}
+    for n in range(1, 13):
+        ops = b_coefficients(n)
+        table = [Fraction(0)] * (n + 1)
+        falling = [Fraction(1)]
+        for bk in ops.b:
+            falling = _times_root(falling, len(falling) - 1)
+            for i, c in enumerate(falling):
+                table[i] += bk * c
+        factored = [Fraction(n**n, math.factorial(n))]
+        for j in range(n):
+            factored = _times_root(factored, Fraction(j, n))
+        assert table == factored
+        at_half = sum(c * Fraction(-1, 2) ** i for i, c in enumerate(table))
+        rising = math.prod(Fraction(n, 2) + k for k in range(n))
+        infima[n] = ops.prefactor * at_half**2
+        assert infima[n] == Fraction(3 * math.factorial(n), math.factorial(3 * n)) * rising**2
+    assert [float(infima[n]) for n in (1, 2, 3)] == [
+        PRODUCT_INFIMUM_2, PRODUCT_INFIMUM_4, PRODUCT_INFIMUM_6]
 
 
 def test_perturbed_kernel_shifts_z4(monkeypatch):
     # the same control for the primary route: corrupting the swapped-order
-    # kernel by 5 percent must move the product through the norm
+    # kernel by 5 percent must move the product through the norm, and
+    # leave the nested route, which never reads the kernel, where it was
     clean = z4_product(0.5).product
+    nested = functional_z(2, 0.5)
     real = multipartite._m_g2
     monkeypatch.setattr(multipartite, "_m_g2", lambda rho: 1.05 * real(rho))
     multipartite._g2_norm.cache_clear()
+    multipartite._radial_family_rows.cache_clear()
     try:
         dirty = z4_product(0.5).product
+        dirty_nested = functional_z(2, 0.5)
     finally:
         multipartite._g2_norm.cache_clear()
     assert dirty == pytest.approx(clean / 1.05, rel=1e-12)
+    assert dirty_nested == nested
+
+
+def test_perturbed_laplace_shifts_nested_z4(monkeypatch):
+    # the converse: scaling the Laplace averages by 5 percent must move
+    # the nested product through ||g_2|| alone, by 1/1.05^2, and leave the
+    # shortcut, which never reads them, where it was
+    clean = z4_product(0.5).product
+    nested = functional_z(2, 0.5)
+    real = multipartite._laplace
+    monkeypatch.setattr(multipartite, "_laplace", lambda xi, r: 1.05 * real(xi, r))
+    multipartite._g2_norm.cache_clear()
+    multipartite._radial_family_rows.cache_clear()
+    try:
+        dirty = z4_product(0.5).product
+        dirty_nested = functional_z(2, 0.5)
+    finally:
+        multipartite._g2_norm.cache_clear()
+        multipartite._radial_family_rows.cache_clear()
+    assert dirty_nested == pytest.approx(nested / 1.05**2, rel=1e-12)
+    assert dirty == clean
