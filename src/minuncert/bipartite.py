@@ -4,18 +4,20 @@ Closed forms for the expectation functional and the uncertainty product,
 the radial profile in closed form, as the angular-kernel integral and as
 the cancellation-free C i0e(beta r) e^(-gamma0 r) that the four- and
 six-party families average, with the fixed angular and radial rules
-every integral is taken on, the position wave function,
-overlaps between family members, and the number-basis coefficient layer
-with its exact combinatorial identities.
+every integral is taken on, the Mellin density rho_xi of f that gives
+the quadrature route of the product and every family norm, the position
+wave function, overlaps between family members, and the number-basis
+coefficient layer with its exact combinatorial identities.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from ._lazy import np
-from .quadrature import graded_rule, log_rule
+from .quadrature import graded_rule, log_rule, panel_rule
 from .specfun import binom, central_binomial, ellip_e, ellip_k, i0e, log_i0e
 
 __all__ = [
@@ -41,8 +43,8 @@ __all__ = [
 SEPARABLE_BOUND_2 = 0.25
 PRODUCT_INFIMUM_2 = 0.125
 
-# Gauss-Legendre points per panel of the angular, radial and dilation
-# rules.  On the angular rule 8 and 16 agree to ~7e-13 on the norms but
+# Gauss-Legendre points per panel of the angular, radial, dilation and
+# t-rules.  On the angular rule 8 and 16 agree to ~7e-13 on the norms but
 # only to ~1e-8 of a column's maximum on point values out to large r; 16
 # and 24 agree to ~1e-15 on both, to ~4e-16 on the nested norms of the
 # radial rule, and to ~1e-15 on the Laplace averages
@@ -148,40 +150,6 @@ def radial_rule(xi: float):
     return log_rule(1e-12 / gamma_hi, 24.0 / gamma_lo, _ANGULAR_ORDER)
 
 
-# kernel pairs per chunk of the pair triangle: with the 16 points of the
-# kernels' upper-triangle rule every temporary stays at 128 kB, so the
-# pass leaves the peak memory of a run where it was
-_PAIR_CHUNK = 1024
-
-
-def _swapped_norms(xi: float, m):
-    """||v|| / |scale| of each kernel whose m(rho) ``m`` returns, radial integral first.
-
-    For v(r) = scale int w(theta) K(gamma(theta) r) dtheta with
-    int_0^inf K(gamma r) K(gamma' r) dr = m(rho) / max(gamma, gamma'), rho = min / max,
-    ||v||^2 = scale^2 / (2 pi K (1 - xi)) iint_0^pi M dphi dphi' on the tensor product of
-    ``angular_rule`` (w dtheta = dphi / sqrt(2 pi K (1 - xi))).  ``m`` returns one m(rho)
-    array per kernel, so kernels that share their work share one call per chunk of pairs.
-    """
-    gam, wt = angular_rule(xi)
-    # gamma rises along the rule and M is symmetric: each pair i <= j is
-    # visited once, row after row, at rho = gamma_i / gamma_j, twice off the diagonal
-    n = len(gam)
-    lengths = np.arange(n, 0, -1)
-    row_start = np.cumsum(lengths) - lengths
-    pairs = n * (n + 1) // 2
-    totals = None
-    for start in range(0, pairs, _PAIR_CHUNK):
-        k = np.arange(start, min(start + _PAIR_CHUNK, pairs))
-        i = np.searchsorted(row_start, k, side="right") - 1
-        j = k - row_start[i] + i
-        pair_w = (2.0 - (i == j)) * wt[i] * wt[j] / gam[j]
-        parts = [float(np.sum(pair_w * mk)) for mk in m(gam[i] / gam[j])]
-        totals = parts if totals is None else [t + p for t, p in zip(totals, parts)]
-    density = 2.0 * math.pi * ellip_k(xi) * (1.0 - xi)
-    return tuple(math.sqrt(t / density) for t in totals)
-
-
 def _angular_kernel_integral(xi: float, r, ks):
     """r^k f^(k)(r) = int w(theta) (-x)^k e^(-x) dtheta, x = gamma(theta) r, for k <= 1 in ``ks``.
 
@@ -201,6 +169,46 @@ def _angular_kernel_integral(xi: float, r, ks):
         for i, k in enumerate(ks):
             values[i, start:start + len(block)] = np.sum(weight * kernels[k], axis=-1)
     return values / math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
+
+
+# beyond t = 13, rho_xi(t) <= rho_xi(0) sech(pi t) < 4e-18 rho_xi(0), and
+# |W_xi|^2 oscillates at frequencies up to span = ln(gamma_max / gamma_min):
+# 2 span + 16 equal panels of [0, 13] agree with 6.5 span + 40 panels of 24
+# points to 2.2e-16 on the family norms at nine xi from 1e-6 to 1 - 1e-15
+_T_MAX = 13.0
+
+
+@lru_cache(maxsize=32)
+def _mellin_density(xi: float, order: int):
+    """(t, weight rho) of route A: rho_xi(t) = sech(pi t) |W_xi(t)|^2 on its t-rule, read-only.
+
+    On the Mellin line s = 1/2 + it, f^(s) = Gamma(s) W_xi(t) with
+    W_xi(t) = int w gamma^(-1/2 - it) dtheta, taken on ``angular_rule``, and
+    |Gamma(s)|^2 = pi sech(pi t).  D = r d/dr acts as -s, so by Parseval a
+    profile with P(D) v = c f has ||v||^2 = c^2 int_0^inf rho / |P(-s)|^2 dt:
+    int rho = ||f||^2 = 1 and int (1/4 + t^2) rho = ||D f||^2.  rho is a
+    squared conical function, pi sech(pi t) P_(-1/2+it)(Z)^2 / (K (1 - xi))
+    with Z = (1 + xi) / (1 - xi) (DLMF 14.20).  The t-rule has ``order``
+    points on each panel; t runs in blocks of about ``_RULE_BLOCK`` cells,
+    each row reduced on its own, so a value depends on its own t alone.
+    One pass per xi and rule order (``_ANGULAR_ORDER``), like the radial rows.
+    """
+    gamma, weight = angular_rule(xi)
+    log_gamma = np.log(gamma)
+    amp = weight / np.sqrt(gamma)
+    panels = math.ceil(2.0 * (log_gamma[-1] - log_gamma[0])) + 16
+    t, wt = panel_rule(np.linspace(0.0, _T_MAX, panels + 1), order)
+    rows = max(1, _RULE_BLOCK // len(gamma))
+    w2 = np.empty(len(t))
+    for start in range(0, len(t), rows):
+        phase = np.outer(t[start:start + rows], log_gamma)
+        re = np.sum(amp * np.cos(phase), axis=-1)
+        im = np.sum(amp * np.sin(phase), axis=-1)
+        w2[start:start + rows] = re * re + im * im
+    wrho = wt * w2 / (np.cosh(math.pi * t) * (2.0 * math.pi * ellip_k(xi) * (1.0 - xi)))
+    t.flags.writeable = False
+    wrho.flags.writeable = False
+    return t, wrho
 
 
 def _gamma0(xi: float):
@@ -239,8 +247,8 @@ class AngularProfile:
 
     ``value`` and ``derivative_combo`` refer to the normalized profile
     v/||v||, with ||v|| given as ``norm`` from a route independent of the
-    nested pass (the closed form for f, the swapped integration order for
-    the g and h families); the ``raw_`` accessor exposes the unnormalized
+    nested pass (the closed form for f, the Mellin density for the g and
+    h families); the ``raw_`` accessor exposes the unnormalized
     v.  The raw solution keeps the sign the kernel dictates (negative at
     the origin for the plain ODE families), which is what makes a defining
     ODE hold verbatim; consumers that want a positive plot flip the sign.
@@ -326,27 +334,19 @@ def r_closed(xi) -> float:
     return -1.0 / (1.0 + v) + ellip_e(v) / ((1.0 + v) ** 2 * ellip_k(v))
 
 
-def _m_rf(rho):
-    # m(rho) of r f', kernel -x e^-x: gamma gamma' int r^2 e^(-(gamma + gamma') r) dr
-    # = 2 gamma gamma' / (gamma + gamma')^3 = m(rho) / max(gamma, gamma')
-    return 2.0 * rho / (1.0 + rho) ** 3
-
-
 def uncertainty_product(xi, route: str = "closed_form") -> UncertaintyReport:
-    """Two-party uncertainty product, by closed form or by 2-D quadrature.
+    """Two-party uncertainty product, by closed form or by quadrature.
 
-    The product is ||r f'||^2 / 2.  The quadrature route takes it as the
-    double angular integral (1/(8 pi K)) iint (1 - xi cos^2 t)
-    (1 - xi cos^2 t') / (1 - xi cos t cos t')^3 dt dt' over [0, pi]^2,
-    which is ``_swapped_norms`` of the r f' kernel, on the tensor product
-    of ``angular_rule``.
+    The product is ||r f'||^2 / 2.  The quadrature route takes it on the
+    Mellin line as (1/2) int (1/4 + t^2) rho_xi(t) dt (``_mellin_density``).
     """
     p = as_xi(xi)
     v = p.value
     if route == "closed_form":
         product = 0.25 + 0.25 * r_closed(v)
     elif route == "quadrature":
-        product = 0.5 * _swapped_norms(v, lambda rho: (_m_rf(rho),))[0] ** 2
+        t, wrho = _mellin_density(v, _ANGULAR_ORDER)
+        product = 0.5 * float(np.sum(wrho * (0.25 + t * t)))
     else:
         raise ValueError(f"unknown route {route!r}")
     return UncertaintyReport(

@@ -185,7 +185,7 @@ def run_battery(order: int):
         ("bipartite_route_agreement",
          lambda: (abs(uncertainty_product(0.5).product
                       - uncertainty_product(0.5, "quadrature").product),
-                  0.0, 1e-6, None)),
+                  0.0, 1e-12, None)),
         ("f_route_agreement",
          lambda: (abs(f_closed(0.5, 1.0) - f_profile(0.5).value(1.0)),
                   0.0, 1e-10, None)),
@@ -219,6 +219,8 @@ def run_battery(order: int):
          lambda: one_sided(z4_product(0.5).product, 1.0 / 30.0, True)),
         ("z4_below_bound",
          lambda: one_sided(z4_product(0.5).product, 1.0 / 16.0, False)),
+        # the *_shortcut_agreement rows: route A (the Mellin norms of the
+        # products) against route B (the nested functional_z)
         ("z4_shortcut_agreement",
          lambda: (abs(z4_product(0.5).product - multipartite.functional_z(2, 0.5)),
                   0.0, 1e-12, None)),

@@ -9,12 +9,13 @@ families solve (1 - a) v + a r v' = base.  Each point value is a Laplace
 average int_1^inf mu(u) f(u r) du of the two-party profile f, taken on a
 rule of its own per radius; r v' follows algebraically from the ODE.
 
-The family norms are computed with the integration order swapped (the
-radial integral first, in closed form), and the products z4 and z6 come
-from the shortcut identities on those norms.  The nested route,
-``functional_z``, stays as the independent check: the ODEs make
-P_n(D) v a multiple of D f, so it takes ||r f'|| and ||v|| on the radial
-rule and no derivative of the family.
+The family norms come from route A, the Mellin density rho_xi of f
+(``bipartite._mellin_density``): on the Mellin line D is a
+multiplication, so each norm is one sum of rho_xi against a rational
+function of t.  The products z4 and z6 take the closed-form ||D f|| over
+those norms.  The nested route, ``functional_z``, stays as the
+independent check: the ODEs make P_n(D) v a multiple of D f, so it takes
+||r f'|| and ||v|| on the radial rule and no derivative of the family.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from functools import lru_cache
 
 from . import bipartite
 from ._lazy import np
-from .bipartite import (
-    AngularProfile, UncertaintyReport, _f_i0e, _swapped_norms, as_xi, r_closed)
-from .quadrature import dilation_rule, panel_rule
+from .bipartite import AngularProfile, UncertaintyReport, _f_i0e, as_xi, r_closed
+from .quadrature import dilation_rule
 from .specfun import binom
 
 __all__ = [
@@ -228,102 +228,45 @@ def _family_profile(xi: float, family: int, norm: float, scale: float = 1.0):
     return AngularProfile(xi, rows, norm=norm, scale=scale)
 
 
-# ---------------------------------------------------------------------------
-# swapped-order norms
-#
-# Every family is an angular integral of the kernel
-# K(x) = int_1^inf mu(u) e^(-x u) du of its Laplace average above, so
-# integrating the product of two kernels over r first gives
-#     M(gamma, gamma') = iint mu(u) mu(v) / (gamma u + gamma' v) du dv,
-# homogeneous of degree -1: M = m(rho) / max(gamma, gamma') with
-# rho = min / max <= 1.  u = p^(-1/c) maps u^(-c-1) du to dp / c on [0, 1]:
-#   a = 2 (c = 1/2):    m = 4 iint p^2 q^2 / (q^2 + rho p^2);
-#   a = 3/2 (c = 1/3):  m = 9 iint p^3 q^3 / (q^3 + rho p^3);
-#   h (mu = u^(-5/3) - u^(-4/3), without the scale):
-#                       m = 9 iint (p - 1)(q - 1) p^3 q^3 / (q^3 + rho p^3).
-# Each integrand is homogeneous in (p, q): the square splits at its diagonal
-# (q = p s below, p = q s above) into int_0^1 s^k / (s^j + rho) ds, in closed
-# form, and int_0^1 s^k / (1 + rho s^j) ds, analytic on [0, 1] for rho <= 1.
-
-
-@lru_cache(maxsize=1)
-def _upper_rule():
-    """(s, w): the Gauss-Legendre rule of the upper triangle on [0, 1], as tuples of floats.
-
-    The poles of 1 / (1 + rho s^j) lie at |s| >= 1, nearest at e^(+-i pi/3):
-    16 points agree with 24 to ~6e-16 of every kernel at rho in [1e-300, 1].
-    """
-    s, w = panel_rule((0.0, 1.0), 16)
-    return tuple(s.tolist()), tuple(w.tolist())
-
-
-def _m_g2(rho):
-    """m = 1 - k atan(1/k) + int_0^1 s^2 / (1 + rho s^2) ds at k = sqrt(rho).
-
-    The rule is summed node after node: each m depends on its own rho alone.
-    """
-    k = np.sqrt(rho)
-    total = 1.0 - k * np.arctan(1.0 / k)
-    for s, w in zip(*_upper_rule()):
-        total += w / (rho + 1.0 / (s * s))
-    return total
-
-
-def _m_g32_h(rho):
-    """(m of g_3/2, m of h) at rho: (9/5) T_3 and (3/10) T_3 - (3/14) T_4.
-
-    T_k = int_0^1 s^k / (s^3 + rho) ds + int_0^1 s^k / (1 + rho s^3) ds.
-    With c = rho^(1/3) the lower parts are 1 - c F0 and 1/2 - c^2 F1, from
-    the elementary antiderivatives of 1/(t^3 + 1) and t/(t^3 + 1),
-    arranged without cancellation for small c.  The upper parts are summed
-    node after node, as in ``_m_g2``, h's as one positive integrand.
-    """
-    c = np.cbrt(rho)
-    log_part = np.log1p(3.0 * c / (1.0 - c + c * c)) / 6.0
-    root3 = math.sqrt(3.0)
-    atan_part = (2.0 * math.pi / 3.0 - np.arctan(root3 * c / (2.0 - c))) / root3
-    third = 1.0 - c * (atan_part + log_part)
-    h = 0.3 * third - (3.0 / 14.0) * (0.5 - c * c * (atan_part - log_part))
-    for s, w in zip(*_upper_rule()):
-        term = w / (rho + 1.0 / (s * s * s))
-        third += term
-        h += (0.3 - (3.0 / 14.0) * s) * term
-    return 1.8 * third, h
-
-
 # the g and h families are angular-kernel profiles like f
 OdeFamilyProfile = AngularProfile
 
 
 @lru_cache(maxsize=32)
-def _g2_norm(xi_value: float) -> float:
-    # ||g_2||, the four-party product's norm
-    return 0.5 * _swapped_norms(xi_value, lambda rho: (_m_g2(rho),))[0]
+def _family_norms(xi: float, order: int):
+    """(||g_2||, ||g_3/2||, ||h / scale||) at xi, each one sum over route A's density.
 
-
-@lru_cache(maxsize=32)
-def _cube_root_norms(xi_value: float):
-    # (||g_3/2||, ||h||) / |scale|: the cube-root kernels share one pass
-    return _swapped_norms(xi_value, _m_g32_h)
+    (D - 1/2) g_2 = f / 2, (D - 1/3) g_3/2 = 2 f / 3 and (D - 2/3) h = -g_3/2 / 2,
+    and D acts as -(1/2 + it) on the Mellin line (``bipartite._mellin_density``),
+    so ||g_2||^2 = (1/4) int rho / (1 + t^2),
+    ||g_3/2||^2 = (4/9) int rho / ((5/6)^2 + t^2) and
+    ||h / scale||^2 = (1/9) int rho / (((5/6)^2 + t^2) ((7/6)^2 + t^2)).
+    One set per xi and rule order (``_ANGULAR_ORDER``).
+    """
+    t, wrho = bipartite._mellin_density(xi, order)
+    t2 = t * t
+    g32 = wrho / ((5.0 / 6.0) ** 2 + t2)
+    return (0.5 * math.sqrt(float(np.sum(wrho / (1.0 + t2)))),
+            (2.0 / 3.0) * math.sqrt(float(np.sum(g32))),
+            (1.0 / 3.0) * math.sqrt(float(np.sum(g32 / ((7.0 / 6.0) ** 2 + t2)))))
 
 
 def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:
     """Family member solving (1 - a) g + a r g' = f for the given xi, a = 2 or 3/2."""
     v = as_xi(xi).value
     a = float(a)
-    if a == 2.0:
-        return _family_profile(v, _G2, _g2_norm(v))
-    if a == 1.5:
-        return _family_profile(v, _G32, (1.0 / a) * _cube_root_norms(v)[0])
-    raise ValueError(f"a must be 2 or 3/2, got {a!r}")
+    if a not in (2.0, 1.5):
+        raise ValueError(f"a must be 2 or 3/2, got {a!r}")
+    g2, g32, _ = _family_norms(v, bipartite._ANGULAR_ORDER)
+    return _family_profile(v, _G2, g2) if a == 2.0 else _family_profile(v, _G32, g32)
 
 
 def h_family(xi) -> OdeFamilyProfile:
     """Second-layer family: -2 h + 3 r h' equals the normalized a = 3/2 member."""
     v = as_xi(xi).value
-    g32, h = _cube_root_norms(v)
+    _, g32, h = _family_norms(v, bipartite._ANGULAR_ORDER)
     # scale chosen so -2 h + 3 r h' reproduces the normalized base exactly
-    scale = -2.0 / (3.0 * ((1.0 / 1.5) * g32))
+    scale = -2.0 / (3.0 * g32)
     return _family_profile(v, _H, abs(scale) * h, scale)
 
 
@@ -336,7 +279,7 @@ def functional_z(n: int, xi) -> float:
     """z_2n = prefactor_n c^2 ||r f'||^2 / ||v||^2 by the nested route, n = 2 or 3.
 
     v is g_2 or h / scale.  Both norms are sums over ``radial_rule(xi)``
-    of one cached pass, so no swapped-order norm enters.
+    of one cached pass, so no Mellin density enters.
     """
     if not (isinstance(n, int) and n in _NESTED):
         raise ValueError(f"n must be 2 or 3, got {n!r}")
@@ -357,16 +300,15 @@ def _report(parties, p, value, bound, infimum) -> UncertaintyReport:
         separable_bound=bound,
         infimum=infimum,
         violation_ratio=bound / value,
-        route="shortcut",
+        route="mellin",
     )
 
 
 def z4_product(xi) -> UncertaintyReport:
     """Four-party product on the a = 2 family; approaches 1/30 as xi -> 1.
 
-    From the shortcut identity z4 = (1/30) (1 + R)/2 / ||g_2||^2 with the
-    closed-form R and the swapped-order norm: about 14 digits, at every
-    xi up to 1 - 1e-12.
+    z4 = (1/30) (1 + R)/2 / ||g_2||^2 with the closed-form R and the
+    norm of route A: about 14 digits, at every xi from 1e-6 to 1 - 1e-15.
     """
     p = as_xi(xi)
     norm = g_family(p, 2.0).normalization
@@ -378,8 +320,8 @@ def z4_product(xi) -> UncertaintyReport:
 def z6_product(xi) -> UncertaintyReport:
     """Six-party product on the layered family; approaches 35/4096 as xi -> 1.
 
-    From the shortcut identity z6 = (1/560) (1 + R)/2 / (||g_3/2||^2 ||h||^2)
-    with the swapped-order norms, to the same digits as ``z4_product``.
+    z6 = (1/560) (1 + R)/2 / (||g_3/2||^2 ||h||^2) with the norms of
+    route A, to the same digits as ``z4_product``.
     """
     p = as_xi(xi)
     g_norm = g_family(p, 1.5).normalization

@@ -12,8 +12,9 @@ u-panels of ratio at most 4, for integrands that are smooth in ln r and
 spend most decades near their singular point.  ``dilation_rule`` gives
 each radius r its own rule of a Laplace average over u = 1 + y in
 [1, inf), whose integrand decays on the scale y ~ 1 / (gamma0 r).  Every
-integral of the package is taken on one of the three; the tests certify
-each one by comparing two rule orders.
+integral of the package is taken on one of the three or on equal
+panels of ``panel_rule`` (the t-rule of the Mellin density); the tests
+certify each one by comparing two rule orders.
 
 Everything here is deterministic: identical inputs produce bit-identical
 results.

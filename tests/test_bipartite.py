@@ -26,6 +26,7 @@ from minuncert.bipartite import (
     uncertainty_product,
 )
 from minuncert.multipartite import g_family, h_family
+import minuncert.bipartite as bipartite
 from minuncert.specfun import _BESSEL_CROSSOVER, binom, ellip_k
 
 from oracles import (
@@ -101,7 +102,9 @@ def test_product_closed_vs_quadrature():
 
 
 def test_product_third_route_dblquad():
-    # fully external evaluation of the same double integral
+    # fully external evaluation of the product as the double angular
+    # integral (1/(8 pi K)) iint (1 - xi cos^2 t)(1 - xi cos^2 t')
+    # / (1 - xi cos t cos t')^3 dt dt' over [0, pi]^2
     xi = 0.5
 
     def integrand(tp, t):
@@ -112,6 +115,61 @@ def test_product_third_route_dblquad():
     val, err = scipy.integrate.dblquad(integrand, 0.0, math.pi, 0.0, math.pi)
     product = val / (8.0 * math.pi * ellip_k(xi))
     assert product == pytest.approx(PRODUCT_2_HALF, abs=1e-9)
+
+
+# --- route A: the Mellin density of f ---------------------------------------
+
+
+@pytest.mark.parametrize("xi", [0.3, 0.9, 0.999])
+def test_density_is_a_squared_conical_function(xi, monkeypatch):
+    # rho_xi(t) = pi sech(pi t) P_(-1/2+it)(Z)^2 / (K (1 - xi)) with
+    # Z = (1 + xi) / (1 - xi), from mpmath's Legendre function of the
+    # conical kind (DLMF 14.20), which shares nothing with the angular
+    # rule.  A t-rule of unit weights gives the density at chosen t.  At
+    # xi = 0.9, t = 0.7 lies near a zero of P, where rho is 1.8e-6 of
+    # rho(0) and meets the reference to 4e-14 relative
+    import mpmath as mp
+
+    ts = (0.0, 0.7, 3.1, 8.9)
+    monkeypatch.setattr(bipartite, "panel_rule",
+                        lambda edges, order: (np.array(ts), np.ones(len(ts))))
+    rho = bipartite._mellin_density.__wrapped__(xi, 16)[1]
+    with mp.workdps(30):
+        x = mp.mpf(xi)
+        big_z, front = (1 + x) / (1 - x), mp.pi / (mp.ellipk(x * x) * (1 - x))
+        for t, value in zip(ts, rho):
+            p = mp.legenp(mp.mpc(-0.5, t), 0, big_z, type=3)
+            ref = float(mp.re(front * mp.sech(mp.pi * t) * p * p))
+            assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("xi", [1e-6, 0.5, 1.0 - 1e-12])
+def test_density_moments(xi):
+    # int rho = ||f||^2 = 1 (the Mehler-Fock normalisation) and
+    # int (1/4 + t^2) rho = ||D f||^2 = (1 + R) / 2, on the t-rule
+    t, wrho = bipartite._mellin_density(xi, bipartite._ANGULAR_ORDER)
+    assert float(np.sum(wrho)) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+    assert float(np.sum(wrho * (0.25 + t * t))) == pytest.approx(
+        0.5 * (1.0 + r_closed(xi)), rel=1e-14, abs=0.0)
+
+
+def test_mellin_density_is_read_only():
+    # one density per xi and rule order, shared read-only by every consumer
+    t, wrho = bipartite._mellin_density(0.5, 16)
+    assert bipartite._mellin_density(0.5, 16)[1] is wrho
+    for arr in (t, wrho):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_density_depends_on_its_own_t_alone(monkeypatch):
+    # blocks of a single t give the density of the default blocks bit for bit
+    xis = (0.01, 0.9, 1.0 - 1e-12)
+    whole = [bipartite._mellin_density.__wrapped__(xi, 16) for xi in xis]
+    monkeypatch.setattr(bipartite, "_RULE_BLOCK", 1)
+    for xi, (t, wrho) in zip(xis, whole):
+        t1, wrho1 = bipartite._mellin_density.__wrapped__(xi, 16)
+        assert np.array_equal(t, t1) and np.array_equal(wrho, wrho1)
 
 
 def test_product_frozen_and_window():

@@ -53,14 +53,14 @@ def run_program(*argv):
 
 
 def test_import_builds_no_kernel_table():
-    # nothing is built at import: the Gauss-Legendre nodes and the cached
-    # radial rows are built on first use, so commands that never touch
-    # them pay nothing for them (numpy.polynomial alone costs ~5 ms to
-    # import)
+    # nothing is built at import: the Gauss-Legendre nodes, the cached
+    # radial rows and the Mellin density are built on first use, so
+    # commands that never touch them pay nothing for them
+    # (numpy.polynomial alone costs ~5 ms to import)
     code = ("import sys, minuncert.cli, minuncert.multipartite as m, minuncert.quadrature as q; "
             "print(*(f.cache_info().currsize for f in (q._gauss_legendre, m._radial_family_rows, "
-            "m._upper_rule)), 'numpy.polynomial' in sys.modules)")
-    assert run_fresh(code).split() == ["0", "0", "0", "False"]
+            "m.bipartite._mellin_density, m._family_norms)), 'numpy.polynomial' in sys.modules)")
+    assert run_fresh(code).split() == ["0", "0", "0", "0", "False"]
 
 
 # numpy's compiled core, under its numpy 2 and numpy 1 names: sys.modules
@@ -395,6 +395,8 @@ def test_verify_passes(tmp_path, monkeypatch):
     assert lam == pytest.approx(LAMBDA_MIN_200, abs=1e-12)
     assert by_name["shell_identity_check"][1] == "1"
     assert "alpha_beta_certificate" in by_name
+    for name in ("bipartite_route_agreement", "z4_shortcut_agreement", "z6_shortcut_agreement"):
+        assert float(by_name[name][3]) == 1e-12
     assert len(rows) >= 25
 
 
@@ -477,6 +479,23 @@ def test_scan_four_party_above_infimum(tmp_path, monkeypatch):
     for r in rows:
         assert float(r[1]) > 1.0 / 30.0
         assert float(r[2]) == 1.0 / 16.0
+
+
+@pytest.mark.parametrize("parties, n, infimum", [(4, 2, 1.0 / 30.0), (6, 3, 35.0 / 4096.0)],
+                         ids=["z4", "z6"])
+def test_scan_default_grid_meets_nested_route(parties, n, infimum, tmp_path, monkeypatch):
+    # over the default grid (19 xi) the products of route A fall strictly,
+    # stay above the infimum and meet the nested route B to 4e-15
+    monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
+    assert cli.main(["--command", "scan", "--parties", str(parties)]) == 0
+    _, rows = read_csv(tmp_path / "scan.csv")
+    xis = [float(r[0]) for r in rows]
+    products = [float(r[1]) for r in rows]
+    assert xis == [round(0.05 * k, 2) for k in range(1, 20)]
+    assert all(a > b for a, b in zip(products, products[1:]))
+    assert products[-1] > infimum
+    for xi, product in zip(xis, products):
+        assert product == pytest.approx(multipartite.functional_z(n, xi), rel=4e-15, abs=0.0)
 
 
 def test_scan_byte_deterministic(tmp_path, monkeypatch):
@@ -606,30 +625,22 @@ def test_profile_higher_families_positive_at_origin(tmp_path, monkeypatch):
         assert len(rows) == 5
 
 
-def _clear_family_caches():
-    multipartite._g2_norm.cache_clear()
-    multipartite._cube_root_norms.cache_clear()
-
-
 @pytest.mark.parametrize("xi", ["1e-12", "0.999999999999", "0.9999999999999999"])
 @pytest.mark.parametrize("parties", [4, 6])
 def test_profile_sweep_rule_orders_agree(tmp_path, xi, parties, monkeypatch):
     # at the ends of the xi range the four- and six-party profiles come
     # out, and every cell, norm included, matches the one of a second
-    # rule order to a few ulps of the column maximum
+    # rule order to a few ulps of the column maximum (the norms are kept
+    # per xi and rule order, so each order is a pass of its own)
     out = tmp_path / "profile.csv"
     argv = ["--command", "profile", "--parties", str(parties), "--xi", xi,
             "--order", "41", "--out", str(out)]
     columns = []
-    try:
-        for order in (16, 24):
-            monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", order)
-            _clear_family_caches()
-            assert cli.main(argv) == 0
-            _, rows = read_csv(out)
-            columns.append(np.array([float(row[1]) for row in rows]))
-    finally:
-        _clear_family_caches()
+    for order in (16, 24):
+        monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", order)
+        assert cli.main(argv) == 0
+        _, rows = read_csv(out)
+        columns.append(np.array([float(row[1]) for row in rows]))
     lo, hi = columns
     assert np.all(np.isfinite(lo)) and lo[0] > 0.0
     assert np.max(np.abs(lo - hi)) <= 5e-15 * np.max(np.abs(lo))

@@ -59,9 +59,18 @@ def test_package_dir_and_unknown_names():
 # name; a refactor that renames one turns its per-layer metric "absent"
 _PROBED = [
     ("minuncert.bipartite", "_angular_kernel_integral"),
+    ("minuncert.bipartite", "uncertainty_product"),
     ("minuncert.multipartite", "functional_z"),
     ("minuncert.multipartite", "OdeFamilyProfile.normalization"),
     ("minuncert.multipartite", "OdeFamilyProfile.rk_norm"),
+    ("minuncert.multipartite", "z4_product"),
+    ("minuncert.multipartite", "z6_product"),
+    ("minuncert.multipartite", "g_family"),
+    ("minuncert.multipartite", "h_family"),
+    ("minuncert.spectral", "min_eigenpair"),
+    ("minuncert.simple_state", "minimize_q0"),
+    ("minuncert.cli", "write_table"),
+    ("minuncert.cli", "main"),
 ]
 
 

@@ -24,7 +24,6 @@ from minuncert.multipartite import (
 from minuncert.bipartite import PRODUCT_INFIMUM_2
 import minuncert.bipartite as bipartite
 import minuncert.multipartite as multipartite
-import minuncert.quadrature as quadrature
 from minuncert.specfun import ellip_k
 
 from oracles import (
@@ -304,7 +303,7 @@ def test_family_validation():
 def test_z4_frozen_and_window():
     rep = z4_product(0.5)
     assert rep.parties == 4
-    assert rep.route == "shortcut"
+    assert rep.route == "mellin"
     assert rep.product == pytest.approx(Z4[0.5], rel=1e-6)
     assert PRODUCT_INFIMUM_4 < rep.product < SEPARABLE_BOUND_4
     assert rep.separable_bound == SEPARABLE_BOUND_4
@@ -328,7 +327,7 @@ def test_z4_monotone_decreasing():
 
 def test_z4_shortcut_identity():
     # z4 = (1/30) (1 + R)/2 / ||g_2||^2, eliminating the full integrand;
-    # the product takes the swapped-order norm, the check the nested one
+    # the product takes the norm of route A, the check the nested one
     for xi in (0.5, 0.9):
         norm = g_family(xi, 2.0).rk_norm(0)
         shortcut = PRODUCT_INFIMUM_4 * 0.5 * (1.0 + r_closed(xi)) / (norm * norm)
@@ -338,7 +337,7 @@ def test_z4_shortcut_identity():
 def test_z6_frozen_and_window():
     rep = z6_product(0.5)
     assert rep.parties == 6
-    assert rep.route == "shortcut"
+    assert rep.route == "mellin"
     assert rep.product == pytest.approx(Z6[0.5], rel=1e-6)
     assert PRODUCT_INFIMUM_6 < rep.product < SEPARABLE_BOUND_6
     assert rep.separable_bound == SEPARABLE_BOUND_6
@@ -396,34 +395,19 @@ def test_products_near_xi_one(product, infimum, bound):
     assert vals[-1] > infimum
 
 
-def _m_g32(rho):
-    # m(rho) of g_3/2 alone, from its own call of the shared kernel
-    return multipartite._m_g32_h(rho)[0]
-
-
-def _m_h(rho):
-    # m(rho) of h alone, from its own call of the shared kernel
-    return multipartite._m_g32_h(rho)[1]
-
-
-def _one_kernel_norm(xi, m, scale):
-    # ||v|| of one kernel from its own pass over the pairs
-    return abs(scale) * bipartite._swapped_norms(xi, lambda rho: (m(rho),))[0]
-
-
-@pytest.mark.parametrize("m, scale", [
-    (multipartite._m_g2, 0.5),
-    (_m_g32, 2.0 / 3.0),
-    (_m_h, 1.0),
-], ids=["g2", "g32", "h"])
-@pytest.mark.parametrize("xi", [0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
-def test_swapped_norm_rule_orders_agree(m, scale, xi, monkeypatch):
-    # the tensor rule is converged on its mesh: two orders per panel agree
-    monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
-    lo = _one_kernel_norm(xi, m, scale)
-    monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
-    hi = _one_kernel_norm(xi, m, scale)
-    assert lo == pytest.approx(hi, rel=1e-12)
+@pytest.mark.parametrize("family", ["g2", "g32", "h"])
+@pytest.mark.parametrize("xi", [1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15])
+def test_family_norm_rule_orders_agree(family, xi, monkeypatch):
+    # route A's norms (of g_2, g_3/2 and h / scale) are converged on the
+    # angular rule and the t-rule together: two orders per panel of both
+    # agree.  The norms are kept per xi and rule order, so each order is a
+    # pass of its own
+    index = ("g2", "g32", "h").index(family)
+    norms = []
+    for order in (16, 24):
+        monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", order)
+        norms.append(multipartite._family_norms(xi, order)[index])
+    assert norms[0] == pytest.approx(norms[1], rel=2e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("xi", [0.01, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12])
@@ -448,7 +432,7 @@ def test_radial_rule_orders_agree(xi, monkeypatch):
     # the nested norms rk_norm(k) are converged on radial_rule x
     # angular_rule: two orders per panel agree (to ~2e-16), and
     # rk_norm(0) meets the norm each profile was given by an independent
-    # route (1 for f, the swapped order for g and h; to ~4e-15).  The
+    # route (1 for f, the Mellin density for g and h; to ~4e-15).  The
     # second check also sees the first radial panel [0, lo], which the
     # orders do not resolve: with lo ten thousand times larger it put
     # 1.3e-13 into ||h|| at xi = 0.01.  The families keep their radial
@@ -547,130 +531,36 @@ def test_combo_norm_rows_match_per_cell_combination(xi):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("rho", [1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.25, 0.5, 0.9, 1.0])
-def test_swapped_kernels_vs_mpmath(rho):
-    # each kernel against its defining double integral over the substituted
-    # measure, with the q integral taken independently of the library's
-    # closed forms: arctangent for a = 2, Gauss hypergeometric for the
-    # cube-root kernels,
-    # int_0^1 q^j / (q^3 + B) dq = 2F1(1, a; a + 1; -1/B) / (3 a B), a = (j + 1)/3
-    import mpmath as mp
-
-    with mp.workdps(20):
-        r = mp.mpf(rho)
-
-        def q_int(j, big_b):
-            a = mp.mpf(j + 1) / 3
-            return mp.hyp2f1(1, a, a + 1, -1 / big_b) / (3 * a * big_b)
-
-        k = mp.sqrt(r)
-        g2 = 4 * mp.quad(lambda p: p**2 * (1 - k * p * mp.atan(1 / (k * p))), [0, 1])
-        g32 = 9 * mp.quad(lambda p: p**3 * q_int(3, r * p**3), [0, 1])
-        h = 9 * mp.quad(
-            lambda p: (p - 1) * p**3 * (q_int(4, r * p**3) - q_int(3, r * p**3)), [0, 1])
-    rv = np.array([rho])
-    m_g32, m_h = multipartite._m_g32_h(rv)
-    assert multipartite._m_g2(rv)[0] == pytest.approx(float(g2), rel=2e-15)
-    assert m_g32[0] == pytest.approx(float(g32), rel=2e-15)
-    assert m_h[0] == pytest.approx(float(h), rel=2e-15)
-    assert np.array_equal(m_g32, _m_g32(rv)) and np.array_equal(m_h, _m_h(rv))
-
-
-@pytest.mark.parametrize("xi", [0.01, 0.5, 0.9, 1.0 - 1e-9])
-def test_shared_cube_root_pass_matches_separate_norms(xi):
-    # one pass over the pairs for both cube-root kernels gives the norms
-    # of one pass per kernel bit for bit
-    g32 = g_family(xi, 1.5)
-    h = h_family(xi)
-    assert g32.normalization == _one_kernel_norm(xi, _m_g32, 2.0 / 3.0)
-    assert h.normalization == _one_kernel_norm(xi, _m_h, abs(h._scale))
-
-
-def test_z6_takes_one_cube_root_pass(monkeypatch):
-    # at a fresh xi, z4, z6, the g_3/2 member and h, each asked for twice,
-    # take one pass over the pair triangle for the g_2 norm and one for the
-    # g_3/2 and h norms together: one kernel call per chunk of pairs each
+def test_products_build_the_density_once(monkeypatch):
+    # at a fresh xi, z4, z6, the g_3/2 member, h and the two-party
+    # quadrature route, each asked for twice, build route A's density once
+    # (one angular rule); every norm and product then reads the cached one
     xi = 0.4321
-    passes, g2_calls, cube_calls = [], [], []
-    real_norms = multipartite._swapped_norms
-    real_g2 = multipartite._m_g2
-    real_cube = multipartite._m_g32_h
+    builds = []
+    real = bipartite.angular_rule
 
-    def counted_norms(v, m):
-        passes.append(v)
-        return real_norms(v, m)
+    def counted(x):
+        builds.append(x)
+        return real(x)
 
-    def counted_g2(rho):
-        g2_calls.append(rho.shape)
-        return real_g2(rho)
-
-    def counted_cube(rho):
-        cube_calls.append(rho.shape)
-        return real_cube(rho)
-
-    monkeypatch.setattr(multipartite, "_swapped_norms", counted_norms)
-    monkeypatch.setattr(multipartite, "_m_g2", counted_g2)
-    monkeypatch.setattr(multipartite, "_m_g32_h", counted_cube)
-    multipartite._g2_norm.cache_clear()
-    multipartite._cube_root_norms.cache_clear()
-    n = len(bipartite.angular_rule(xi)[0])
-    pairs = n * (n + 1) // 2
-    chunks = -(-pairs // bipartite._PAIR_CHUNK)
-    try:
-        for _ in range(2):
-            z4_product(xi)
-            z6_product(xi)
-            g_family(xi, 1.5)
-            h_family(xi)
-    finally:
-        multipartite._g2_norm.cache_clear()
-        multipartite._cube_root_norms.cache_clear()
-    assert passes == [xi, xi]
-    for calls in (g2_calls, cube_calls):
-        assert len(calls) == chunks and sum(shape[0] for shape in calls) == pairs
-        assert max(shape[0] for shape in calls) == bipartite._PAIR_CHUNK
-
-
-def test_cube_root_p_rule_is_read_only():
-    # the upper-triangle rule of the kernels is built once, as tuples
-    s, w = multipartite._upper_rule()
-    assert multipartite._upper_rule()[0] is s
-    assert len(s) == len(w) == 16 and math.fsum(w) == pytest.approx(1.0, rel=1e-15)
-    for arr in (s, w):
-        with pytest.raises(TypeError):
-            arr[0] = 0.5
-
-
-_KERNEL_RHO = np.concatenate((np.geomspace(1e-300, 1.0, 301), np.linspace(0.5, 1.0, 101)))
-
-
-def test_upper_triangle_rule_orders_agree(monkeypatch):
-    # the upper-triangle integrals are converged on their 16 points: 24
-    # points change no kernel by more than 1e-15 anywhere in [1e-300, 1]
-    lo = [multipartite._m_g2(_KERNEL_RHO), *multipartite._m_g32_h(_KERNEL_RHO)]
-    s, w = quadrature.panel_rule((0.0, 1.0), 24)
-    monkeypatch.setattr(multipartite, "_upper_rule", lambda: (tuple(s.tolist()), tuple(w.tolist())))
-    hi = [multipartite._m_g2(_KERNEL_RHO), *multipartite._m_g32_h(_KERNEL_RHO)]
-    for a, b in zip(lo, hi):
-        np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
-
-
-def test_kernels_depend_on_their_own_rho_alone():
-    # a kernel value on a whole chunk of pairs is the value of its rho
-    # alone, bit for bit, wherever the rho sits in the chunk
-    whole = [multipartite._m_g2(_KERNEL_RHO), *multipartite._m_g32_h(_KERNEL_RHO)]
-    for i, rho in enumerate(_KERNEL_RHO):
-        alone = [multipartite._m_g2(_KERNEL_RHO[i:i + 1]),
-                 *multipartite._m_g32_h(_KERNEL_RHO[i:i + 1])]
-        assert [m[i] for m in whole] == [m[0] for m in alone], rho
+    monkeypatch.setattr(bipartite, "angular_rule", counted)
+    bipartite._mellin_density.cache_clear()
+    multipartite._family_norms.cache_clear()
+    for _ in range(2):
+        z4_product(xi)
+        z6_product(xi)
+        g_family(xi, 1.5)
+        h_family(xi)
+        bipartite.uncertainty_product(xi, "quadrature")
+    assert builds == [xi]
 
 
 @pytest.mark.parametrize("xi", [1.0 - 1e-4, 1.0 - 1e-6])
 def test_nested_route_near_xi_one(xi):
     # the squared combinations fall off like 1/r over many decades below
     # r ~ 1/gamma(0); the ln r panels of radial_rule follow them, so
-    # the nested route confirms both products to the digits of the
-    # swapped order where strong squeezing leaves the products closest
+    # the nested route confirms both products to the digits of route A
+    # where strong squeezing leaves the products closest
     # to their infima
     z4 = z4_product(xi).product
     z6 = z6_product(xi).product
@@ -795,39 +685,45 @@ def test_b_table_is_the_factored_operator():
 
 
 def test_perturbed_kernel_shifts_z4(monkeypatch):
-    # the same control for the primary route: corrupting the swapped-order
-    # kernel by 5 percent must move the product through the norm, and
-    # leave the nested route, which never reads the kernel, where it was
+    # the same control for the primary route: scaling the weights of route
+    # A's density by 5 percent must move the product through ||g_2||^2 by
+    # exactly 1/1.05, and leave the nested route, which never reads the
+    # density, where it was
     clean = z4_product(0.5).product
     nested = functional_z(2, 0.5)
-    real = multipartite._m_g2
-    monkeypatch.setattr(multipartite, "_m_g2", lambda rho: 1.05 * real(rho))
-    multipartite._g2_norm.cache_clear()
+    real = bipartite._mellin_density
+
+    def scaled(xi, order):
+        t, wrho = real(xi, order)
+        return t, 1.05 * wrho
+
+    monkeypatch.setattr(bipartite, "_mellin_density", scaled)
+    multipartite._family_norms.cache_clear()
     multipartite._radial_family_rows.cache_clear()
     try:
         dirty = z4_product(0.5).product
         dirty_nested = functional_z(2, 0.5)
     finally:
-        multipartite._g2_norm.cache_clear()
+        multipartite._family_norms.cache_clear()
     assert dirty == pytest.approx(clean / 1.05, rel=1e-12)
     assert dirty_nested == nested
 
 
 def test_perturbed_laplace_shifts_nested_z4(monkeypatch):
     # the converse: scaling the Laplace averages by 5 percent must move
-    # the nested product through ||g_2|| alone, by 1/1.05^2, and leave the
-    # shortcut, which never reads them, where it was
+    # the nested product through ||g_2|| alone, by 1/1.05^2, and leave
+    # route A, which never reads them, where it was
     clean = z4_product(0.5).product
     nested = functional_z(2, 0.5)
     real = multipartite._laplace
     monkeypatch.setattr(multipartite, "_laplace", lambda xi, r: 1.05 * real(xi, r))
-    multipartite._g2_norm.cache_clear()
+    multipartite._family_norms.cache_clear()
     multipartite._radial_family_rows.cache_clear()
     try:
         dirty = z4_product(0.5).product
         dirty_nested = functional_z(2, 0.5)
     finally:
-        multipartite._g2_norm.cache_clear()
+        multipartite._family_norms.cache_clear()
         multipartite._radial_family_rows.cache_clear()
     assert dirty_nested == pytest.approx(nested / 1.05**2, rel=1e-12)
     assert dirty == clean
