@@ -24,7 +24,6 @@ _HOME = {
     "PRODUCT_INFIMUM_4": "multipartite",
     "SEPARABLE_BOUND_6": "multipartite",
     "PRODUCT_INFIMUM_6": "multipartite",
-    "coeff": "bipartite",
     "r_closed": "bipartite",
     "uncertainty_product": "bipartite",
     "residual_norm_sq": "bipartite",

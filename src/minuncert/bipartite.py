@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from ._lazy import np
 from .quadrature import graded_rule, log_rule, panel_rule
-from .specfun import binom, central_binomial, ellip_e, ellip_k, i0e, log_i0e
+from .specfun import ellip_e, ellip_k, i0e, log_i0e
 
 __all__ = [
     "XiParameter",
@@ -27,7 +27,6 @@ __all__ = [
     "UncertaintyReport",
     "SEPARABLE_BOUND_2",
     "PRODUCT_INFIMUM_2",
-    "coeff",
     "r_closed",
     "uncertainty_product",
     "residual_norm_sq",
@@ -71,36 +70,50 @@ def as_xi(xi) -> XiParameter:
     return XiParameter(float(xi))
 
 
-class UncertaintyReport(namedtuple(
-        "UncertaintyReport",
-        "parties xi product separable_bound infimum violation_ratio route")):
-    """One evaluated uncertainty product with its bounds.
+class UncertaintyReport(namedtuple("UncertaintyReport", "parties xi product route")):
+    """One evaluated uncertainty product; its bounds follow from ``parties``.
 
-    ``xi`` is the ``XiParameter`` it was evaluated at,
-    ``separable_bound`` the threshold every separable state obeys,
-    ``infimum`` the unreachable lower limit of the construction, and
-    ``violation_ratio`` = separable_bound / product measures how strongly
-    the bound is beaten.
+    ``xi`` is the ``XiParameter`` it was evaluated at and ``route`` how the
+    product was taken.  For N = 2n parties, ``separable_bound`` = 2^(-N) is
+    the threshold every separable state obeys, ``infimum`` the unreachable
+    lower limit of the construction, and ``violation_ratio`` =
+    separable_bound / product measures how strongly the bound is beaten.
     """
 
     __slots__ = ()
 
-    def __new__(cls, parties, xi, product, separable_bound, infimum, violation_ratio, route):
+    def __new__(cls, parties, xi, product, route):
         if parties % 2 != 0 or parties < 2:
             raise ValueError(f"parties must be a positive even integer, got {parties}")
-        if not product > infimum:
-            raise ValueError(f"product {product!r} at or below the infimum {infimum!r}")
+        report = super().__new__(cls, parties, xi, product, route)
+        if not product > report.infimum:
+            raise ValueError(f"product {product!r} at or below the infimum {report.infimum!r}")
         # The two-party product provably stays under the separable bound;
         # the larger families exceed it at small xi, so no upper check there.
-        if parties == 2 and not product < separable_bound:
+        if parties == 2 and not product < report.separable_bound:
             raise ValueError(
-                f"two-party product {product!r} must stay below {separable_bound!r}"
+                f"two-party product {product!r} must stay below {report.separable_bound!r}"
             )
-        expected = separable_bound / product
-        if abs(violation_ratio - expected) > 1e-12 * abs(expected):
-            raise ValueError("violation_ratio inconsistent with separable_bound / product")
-        return super().__new__(cls, parties, xi, product, separable_bound, infimum,
-                               violation_ratio, route)
+        return report
+
+    @property
+    def separable_bound(self) -> float:
+        return 2.0 ** -self.parties
+
+    @property
+    def infimum(self) -> float:
+        """3 n! prod_(k<n) (n + 2k)^2 / ((3n)! 4^n) for n = parties / 2, rounded once.
+
+        That is prefactor_n P_n(-1/2)^2 (``multipartite``): 1/8, 1/30 and
+        35/4096 for 2, 4 and 6 parties, as one int true division.
+        """
+        n = self.parties // 2
+        num = 3 * math.factorial(n) * math.prod(n + 2 * k for k in range(n)) ** 2
+        return num / (math.factorial(3 * n) * 4**n)
+
+    @property
+    def violation_ratio(self) -> float:
+        return self.separable_bound / self.product
 
 
 def angular_rule(xi: float):
@@ -236,13 +249,14 @@ def _f_i0e(xi: float, x):
 
 
 class AngularProfile:
-    """Radial profile v(r) = scale * int w(theta) K(gamma(theta) r) dtheta.
+    """Radial profile v(r), given by its rows v / scale and r v' / scale.
 
-    ``rows(r)`` returns the rows v / scale and r v' / scale at the radii
-    ``r`` (one column per radius), or at the nodes of ``radial_rule`` when
-    ``r`` is None.  For f they are angular passes of the kernels e^(-x)
-    and -x e^(-x); the g and h families take r v' from their ODEs and
-    keep both rows on ``radial_rule``.  No product needs a higher row
+    ``rows(r)`` returns the two rows at the radii ``r`` (one column per
+    radius), or at the nodes of ``radial_rule`` when ``r`` is None.  For f
+    they are angular passes of the kernels e^(-x) and -x e^(-x),
+    x = gamma(theta) r; the g and h families are Laplace averages
+    int_1^inf mu(u) f(u r) du of f, take r v' from their ODEs and keep
+    both rows on ``radial_rule``.  No product needs a higher row
     (``functional_z``).
 
     ``value`` and ``derivative_combo`` refer to the normalized profile
@@ -317,17 +331,6 @@ class AngularProfile:
         return self.raw_derivative_combo(coefs, r) / self.normalization
 
 
-def coeff(n: int, xi) -> float:
-    """Series coefficient c_n of the two-party family."""
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    v = as_xi(xi).value
-    c0 = math.sqrt(math.pi / (2.0 * ellip_k(v)))
-    if n == 0:
-        return c0
-    return c0 * central_binomial(n) * (v / 4.0) ** n
-
-
 def r_closed(xi) -> float:
     """Closed form of the expectation functional R; negative on (0, 1)."""
     v = as_xi(xi).value
@@ -349,15 +352,7 @@ def uncertainty_product(xi, route: str = "closed_form") -> UncertaintyReport:
         product = 0.5 * float(np.sum(wrho * (0.25 + t * t)))
     else:
         raise ValueError(f"unknown route {route!r}")
-    return UncertaintyReport(
-        parties=2,
-        xi=p,
-        product=product,
-        separable_bound=SEPARABLE_BOUND_2,
-        infimum=PRODUCT_INFIMUM_2,
-        violation_ratio=SEPARABLE_BOUND_2 / product,
-        route=route,
-    )
+    return UncertaintyReport(2, p, product, route)
 
 
 def residual_norm_sq(xi) -> float:
@@ -448,8 +443,8 @@ def fock_coeff(n: int, m: int, xi) -> float:
         return 0.0
     q = (n + m) // 2
     c0 = math.sqrt(math.pi / (2.0 * ellip_k(v)))
-    inner = binom(n, n // 2) * binom(m, m // 2)
-    return c0 * math.sqrt(inner) * binom(q, q // 2) * (v / 16.0) ** (q // 2)
+    inner = math.comb(n, n // 2) * math.comb(m, m // 2)
+    return c0 * math.sqrt(inner) * math.comb(q, q // 2) * (v / 16.0) ** (q // 2)
 
 
 def shell_sum(big_n: int, xi) -> float:
@@ -457,7 +452,7 @@ def shell_sum(big_n: int, xi) -> float:
     if not (isinstance(big_n, int) and big_n >= 0):
         raise ValueError(f"N must be a nonnegative integer, got {big_n!r}")
     v = as_xi(xi).value
-    c = binom(2 * big_n, big_n)
+    c = math.comb(2 * big_n, big_n)
     return math.pi / (2.0 * ellip_k(v)) * float(c * c) * (v * v / 16.0) ** big_n
 
 
@@ -503,11 +498,12 @@ def shell_identity_check(n_max: int) -> bool:
         raise ValueError(f"N_max must be an integer >= 1, got {n_max!r}")
     for big_n in range(n_max + 1):
         even = sum(
-            binom(4 * k, 2 * k) * binom(4 * big_n - 4 * k, 2 * big_n - 2 * k)
+            math.comb(4 * k, 2 * k) * math.comb(4 * big_n - 4 * k, 2 * big_n - 2 * k)
             for k in range(big_n + 1)
         )
         odd = sum(
-            binom(4 * k + 2, 2 * k + 1) * binom(4 * big_n - 4 * k - 2, 2 * big_n - 2 * k - 1)
+            math.comb(4 * k + 2, 2 * k + 1)
+            * math.comb(4 * big_n - 4 * k - 2, 2 * big_n - 2 * k - 1)
             for k in range(big_n)
         )
         if even + odd != 2 ** (4 * big_n):

@@ -31,20 +31,9 @@ spectral = lazy_import(f"{__package__}.spectral")
 __all__ = ["RunConfig", "main", "run_verify", "run_scan", "run_profile",
            "run_minimize_q", "run_fock", "run_overlap"]
 
-_COMMANDS = ("verify", "scan", "profile", "minimize-q", "fock", "overlap")
 _OUTPUT_DIR_ENV = "MINUNCERT_OUTPUT_DIR"
-
-_DEFAULT_SCAN_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
-_DEFAULT_PROFILE_GRID = (0.1, 0.5, 0.9)
-_DEFAULT_OVERLAP_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
-_DEFAULT_FOCK_GRID = (0.5,)
 # the most points of one --xi a:b:step range
 _XI_RANGE_MAX_POINTS = 10**6
-# the commands with a table per party count; the others are two-party only
-_PARTY_COMMANDS = ("scan", "profile")
-# the commands whose order must be at least 2: a form of order 2 or more,
-# or at least the two end radii of the profile
-_ORDER_2_COMMANDS = ("verify", "minimize-q", "profile")
 
 
 class UsageError(Exception):
@@ -53,23 +42,28 @@ class UsageError(Exception):
 
 class RunConfig(namedtuple(
         "RunConfig", "command parties xi_grid truncation output_path format")):
-    """One validated invocation; an invalid one raises ``UsageError``."""
+    """One validated invocation; an invalid one raises ``UsageError``.
+
+    ``truncation`` is the --order, None for the commands that take none.
+    """
 
     __slots__ = ()
 
     def __new__(cls, command, parties, xi_grid, truncation, output_path, format):
-        if command not in _COMMANDS:
+        spec = _COMMAND_TABLE.get(command)
+        if spec is None:
             raise UsageError(f"unknown command {command!r}")
         if parties not in (2, 4, 6):
             raise UsageError(f"parties must be 2, 4 or 6, got {parties}")
-        if parties != 2 and command not in _PARTY_COMMANDS:
+        if parties != 2 and not spec.multiparty:
             raise UsageError(f"{command} is two-party only, got parties {parties}")
         if format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {format!r}")
-        if truncation < 1:
-            raise UsageError(f"order must be positive, got {truncation}")
-        if command in _ORDER_2_COMMANDS and truncation < 2:
-            raise UsageError(f"{command} needs order >= 2, got {truncation}")
+        if spec.least_order is None:
+            if truncation is not None:
+                raise UsageError(f"{command} takes no --order, got {truncation}")
+        elif truncation < spec.least_order:
+            raise UsageError(f"{command} needs order >= {spec.least_order}, got {truncation}")
         prev = 0.0
         for x in xi_grid:
             if not (0.0 < x < 1.0):
@@ -110,42 +104,22 @@ def _expand_xi_token(token: str):
     return [lo + k * step for k in range(last + 1)]
 
 
-def _default_grid(command: str):
-    if command == "scan":
-        return _DEFAULT_SCAN_GRID
-    if command == "profile":
-        return _DEFAULT_PROFILE_GRID
-    if command == "overlap":
-        return _DEFAULT_OVERLAP_GRID
-    if command == "fock":
-        return _DEFAULT_FOCK_GRID
-    return (0.5,)
-
-
-def _default_order(command: str) -> int:
-    if command in ("verify", "minimize-q"):
-        return 200
-    if command == "fock":
-        return 8
-    if command == "profile":
-        return 81  # radial sample count over [0, 4]
-    return 200
-
-
 def parse_args(argv) -> RunConfig:
     parser = argparse.ArgumentParser(
         prog="minuncert",
         description="Minimum-uncertainty product verification and table emission.",
     )
-    parser.add_argument("--command", choices=_COMMANDS, default="verify")
+    parser.add_argument("--command", choices=tuple(_COMMAND_TABLE), default="verify")
     parser.add_argument("--parties", type=int, default=2)
     parser.add_argument("--xi", action="append", metavar="X|A:B:STEP",
                         help="xi value or inclusive range; repeatable")
     parser.add_argument("--order", type=int, default=None,
-                        help="truncation / sample-count knob of the command")
+                        help="truncation / sample-count knob of verify, profile, "
+                        "minimize-q and fock")
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     ns = parser.parse_args(argv)
+    spec = _COMMAND_TABLE[ns.command]
 
     if ns.xi:
         values = []
@@ -153,7 +127,7 @@ def parse_args(argv) -> RunConfig:
             values.extend(_expand_xi_token(token))
         grid = tuple(sorted(set(values)))
     else:
-        grid = _default_grid(ns.command)
+        grid = spec.grid
 
     out = ns.out
     if out is None:
@@ -165,7 +139,7 @@ def parse_args(argv) -> RunConfig:
         command=ns.command,
         parties=ns.parties,
         xi_grid=grid,
-        truncation=ns.order if ns.order is not None else _default_order(ns.command),
+        truncation=spec.order if ns.order is None else ns.order,
         output_path=out,
         format=ns.format,
     )
@@ -208,9 +182,7 @@ def _csv_text(columns, rows) -> str:
 
 
 def write_table(config: RunConfig, columns, rows) -> None:
-    parent = os.path.dirname(config.output_path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    """Write the table to ``config.output_path``; an unwritable path is a usage error."""
     if config.format == "csv":
         text = _csv_text(columns, rows)
     else:
@@ -223,8 +195,14 @@ def write_table(config: RunConfig, columns, rows) -> None:
             "rows": [[_json_safe(v) for v in row] for row in rows],
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    with open(config.output_path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+    parent = os.path.dirname(config.output_path)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(config.output_path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {config.output_path!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +342,20 @@ def run_overlap(config: RunConfig) -> int:
     return 0
 
 
-_RUNNERS = {
-    "verify": run_verify,
-    "scan": run_scan,
-    "profile": run_profile,
-    "minimize-q": run_minimize_q,
-    "fock": run_fock,
-    "overlap": run_overlap,
+_Command = namedtuple("_Command", "run grid order least_order multiparty")
+# each command: its runner, its default xi grid, its default --order (None
+# where the command takes none), the least --order it accepts (a form of
+# order 2 or more, at least the two end radii of a profile, a positive
+# largest n + m for fock) and whether it takes --parties 4|6 (one table per
+# party count)
+_COMMAND_TABLE = {
+    "verify": _Command(run_verify, (0.5,), 200, 2, False),
+    "scan": _Command(run_scan, tuple(round(0.05 * k, 2) for k in range(1, 20)),
+                     None, None, True),
+    "profile": _Command(run_profile, (0.1, 0.5, 0.9), 81, 2, True),  # radii over [0, 4]
+    "minimize-q": _Command(run_minimize_q, (0.5,), 200, 2, False),
+    "fock": _Command(run_fock, (0.5,), 8, 1, False),
+    "overlap": _Command(run_overlap, (0.1, 0.3, 0.5, 0.7, 0.9), None, None, False),
 }
 
 
@@ -392,7 +377,7 @@ def main(argv=None) -> int:
     """
     try:
         config = parse_args(argv)
-        return _RUNNERS[config.command](config)
+        return _COMMAND_TABLE[config.command].run(config)
     except UsageError as exc:
         print(f"minuncert: {exc}", file=sys.stderr)
         return 2

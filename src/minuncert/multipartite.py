@@ -28,7 +28,6 @@ from . import bipartite
 from ._lazy import np
 from .bipartite import AngularProfile, UncertaintyReport, _f_i0e, as_xi, r_closed
 from .quadrature import dilation_rule
-from .specfun import binom
 
 __all__ = [
     "OperatorCoefficients",
@@ -54,13 +53,17 @@ SEPARABLE_BOUND_6 = 1.0 / 64.0
 PRODUCT_INFIMUM_6 = 35.0 / 4096.0
 
 
-class OperatorCoefficients(namedtuple("OperatorCoefficients", "n b prefactor")):
+class OperatorCoefficients(namedtuple("OperatorCoefficients", "b prefactor")):
     """Exact coefficient table of the order-n differential operator.
 
     ``b`` is the tuple b_1, ..., b_n and ``prefactor`` a ``Fraction``.
     """
 
     __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return len(self.b)
 
 
 @lru_cache(maxsize=16)
@@ -73,10 +76,9 @@ def b_coefficients(n: int) -> OperatorCoefficients:
     for k in range(1, n + 1):
         acc = Fraction(0)
         for j in range(1, k + 1):
-            acc += Fraction((-1) ** j * binom(k, j) * binom(j * n, n))
+            acc += Fraction((-1) ** j * math.comb(k, j) * math.comb(j * n, n))
         table.append(Fraction((-1) ** k, math.factorial(k)) * acc)
     return OperatorCoefficients(
-        n=n,
         b=tuple(table),
         prefactor=Fraction(3 * math.factorial(n) ** 3, math.factorial(3 * n)),
     )
@@ -228,7 +230,7 @@ def _family_profile(xi: float, family: int, norm: float, scale: float = 1.0):
     return AngularProfile(xi, rows, norm=norm, scale=scale)
 
 
-# the g and h families are angular-kernel profiles like f
+# the g and h families share f's profile class
 OdeFamilyProfile = AngularProfile
 
 
@@ -292,18 +294,6 @@ def functional_z(n: int, xi) -> float:
             / float(np.sum(weight * base * base)))
 
 
-def _report(parties, p, value, bound, infimum) -> UncertaintyReport:
-    return UncertaintyReport(
-        parties=parties,
-        xi=p,
-        product=value,
-        separable_bound=bound,
-        infimum=infimum,
-        violation_ratio=bound / value,
-        route="mellin",
-    )
-
-
 def z4_product(xi) -> UncertaintyReport:
     """Four-party product on the a = 2 family; approaches 1/30 as xi -> 1.
 
@@ -314,7 +304,7 @@ def z4_product(xi) -> UncertaintyReport:
     norm = g_family(p, 2.0).normalization
     half_rf = 0.5 * (1.0 + r_closed(p))  # ||r f'||^2 of the two-party profile
     value = _float_prefactor(2) * half_rf / (norm * norm)
-    return _report(4, p, value, SEPARABLE_BOUND_4, PRODUCT_INFIMUM_4)
+    return UncertaintyReport(4, p, value, "mellin")
 
 
 def z6_product(xi) -> UncertaintyReport:
@@ -328,7 +318,7 @@ def z6_product(xi) -> UncertaintyReport:
     h_norm = h_family(p).normalization
     half_rf = 0.5 * (1.0 + r_closed(p))
     value = _float_prefactor(3) * half_rf / (g_norm * g_norm * h_norm * h_norm)
-    return _report(6, p, value, SEPARABLE_BOUND_6, PRODUCT_INFIMUM_6)
+    return UncertaintyReport(6, p, value, "mellin")
 
 
 def alpha_beta_certificate() -> float:

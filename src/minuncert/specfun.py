@@ -2,8 +2,7 @@
 
 Complete elliptic integrals in the modulus convention (the squared modulus
 multiplies sin^2 in the defining integral), the dilogarithm on [0, 1],
-the scaled Bessel function i0e(z) = e^-z I0(z) and its logarithm, and
-exact integer binomials.
+and the scaled Bessel function i0e(z) = e^-z I0(z) and its logarithm.
 
 Scalar arguments are Python floats.  The functions that appear inside
 integration kernels (``i0e``, ``log_i0e``) also accept numpy arrays and
@@ -26,8 +25,6 @@ __all__ = [
     "dilog",
     "i0e",
     "log_i0e",
-    "binom",
-    "central_binomial",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -188,17 +185,3 @@ def log_i0e(z):
     zb = arr[~small]
     out[~small] = np.log(_i0_asymptotic_sum(zb)) - 0.5 * np.log(2.0 * math.pi * zb)
     return float(out) if arr.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# exact combinatorics
-# ---------------------------------------------------------------------------
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient as an exact integer (n >= 0)."""
-    return math.comb(n, k)
-
-
-def central_binomial(n: int) -> int:
-    """Central binomial coefficient C(2n, n) as an exact integer."""
-    return math.comb(2 * n, n)

@@ -21,25 +21,27 @@ __all__ = [
 ]
 
 
-class BandedSymmetricForm(namedtuple("BandedSymmetricForm", "order diagonal off_diagonal")):
+class BandedSymmetricForm(namedtuple("BandedSymmetricForm", "diagonal off_diagonal")):
     """Symmetric tridiagonal matrix: the diagonal and the (n, n+1) couplings.
 
     Both are sequences of finite floats (``build_q_form`` gives tuples);
-    they are stored as given.
+    they are stored as given.  ``order`` is the length of the diagonal.
     """
 
     __slots__ = ()
 
-    def __new__(cls, order, diagonal, off_diagonal):
-        if order < 2:
-            raise ValueError(f"order must be >= 2, got {order}")
-        if len(diagonal) != order:
-            raise ValueError("diagonal length must equal order")
-        if len(off_diagonal) != order - 1:
+    def __new__(cls, diagonal, off_diagonal):
+        if len(diagonal) < 2:
+            raise ValueError(f"order must be >= 2, got {len(diagonal)}")
+        if len(off_diagonal) != len(diagonal) - 1:
             raise ValueError("off-diagonal length must equal order - 1")
         if not (all(map(math.isfinite, diagonal)) and all(map(math.isfinite, off_diagonal))):
             raise ValueError("form entries must be finite")
-        return super().__new__(cls, order, diagonal, off_diagonal)
+        return super().__new__(cls, diagonal, off_diagonal)
+
+    @property
+    def order(self) -> int:
+        return len(self.diagonal)
 
 
 class EigenPair(namedtuple("EigenPair", "eigenvalue eigenvector")):
@@ -55,7 +57,7 @@ def build_q_form(order: int) -> BandedSymmetricForm:
     # integer products, exact below 2^53, so each entry is rounded once
     diag = tuple([float(2 * n * (2 * n + 1)) for n in range(order)])
     off = tuple([-0.5 * ((m + 1) * (2 * m + 1)) for m in range(order - 1)])
-    return BandedSymmetricForm(order, diag, off)
+    return BandedSymmetricForm(diag, off)
 
 
 def _any_below(diag: list, squares: list, x: float, pivmin: float) -> bool:

@@ -15,7 +15,6 @@ import scipy.special as sps
 
 import minuncert.cli as cli
 from minuncert.bipartite import (
-    coeff,
     f_closed,
     fock_coeff,
     fock_normalization_defect,
@@ -107,7 +106,7 @@ def test_criterion_4_overlap(criterion_report):
     quad = float(np.sum(weight * f_closed(0.3, r) * f_closed(0.7, r)))
     formula_gap = abs(overlap(0.3, 0.7) - quad)
     self_gap = max(abs(overlap(x, x) - 1.0) for x in (0.2, 0.5, 0.8))
-    vac_gap = max(abs(overlap(x, 0.0) - coeff(0, x)) for x in (0.2, 0.5, 0.8))
+    vac_gap = max(abs(overlap(x, 0.0) - fock_coeff(0, 0, x)) for x in (0.2, 0.5, 0.8))
     ok = formula_gap < 1e-12 and self_gap < 1e-10 and vac_gap < 1e-10
     criterion_report(
         4, ok,

@@ -12,7 +12,6 @@ from minuncert.bipartite import (
     UncertaintyReport,
     XiParameter,
     as_xi,
-    coeff,
     f_closed,
     f_profile,
     fock_coeff,
@@ -27,7 +26,7 @@ from minuncert.bipartite import (
 )
 from minuncert.multipartite import g_family, h_family
 import minuncert.bipartite as bipartite
-from minuncert.specfun import _BESSEL_CROSSOVER, binom, ellip_k
+from minuncert.specfun import _BESSEL_CROSSOVER, ellip_k
 
 from oracles import (
     C00_HALF,
@@ -58,27 +57,6 @@ def test_xi_parameter_validation():
             XiParameter(bad)
     assert as_xi(XiParameter(0.3)).value == 0.3
     assert as_xi(0.3).value == 0.3
-
-
-def test_coeff_closed_form():
-    # c_n = c_0 binom(2n, n) (xi/4)^n and the recurrence ratio
-    xi = 0.6
-    c0 = math.sqrt(math.pi / (2.0 * ellip_k(xi)))
-    assert coeff(0, xi) == pytest.approx(c0, rel=1e-15)
-    for n in range(1, 8):
-        closed = c0 * binom(2 * n, n) * (xi / 4.0) ** n
-        assert coeff(n, xi) == pytest.approx(closed, rel=1e-14)
-        ratio = coeff(n, xi) / coeff(n - 1, xi)
-        assert ratio == pytest.approx(xi * (2 * n - 1) / (2 * n), rel=1e-13)
-    with pytest.raises(ValueError):
-        coeff(-1, xi)
-
-
-def test_coeff_normalization():
-    # 500 terms leave a tail below 1e-40 even at xi = 0.9
-    for xi in (0.2, 0.5, 0.9):
-        total = sum(coeff(n, xi) ** 2 for n in range(500))
-        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("xi", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -191,24 +169,16 @@ def test_product_strictly_decreasing():
 
 
 def test_report_invariants_enforced():
+    # the bound, the infimum and the ratio follow from the party count
+    report = UncertaintyReport(parties=2, xi=XiParameter(0.5), product=0.2, route="closed_form")
+    assert (report.separable_bound, report.infimum) == (SEPARABLE_BOUND_2, PRODUCT_INFIMUM_2)
+    assert report.violation_ratio == 0.25 / 0.2
     with pytest.raises(ValueError):
-        UncertaintyReport(
-            parties=3, xi=XiParameter(0.5), product=0.2,
-            separable_bound=0.25, infimum=0.125,
-            violation_ratio=1.25, route="closed_form",
-        )
-    with pytest.raises(ValueError):
-        UncertaintyReport(
-            parties=2, xi=XiParameter(0.5), product=0.12,
-            separable_bound=0.25, infimum=0.125,
-            violation_ratio=0.25 / 0.12, route="closed_form",
-        )
-    with pytest.raises(ValueError):
-        UncertaintyReport(
-            parties=2, xi=XiParameter(0.5), product=0.2,
-            separable_bound=0.25, infimum=0.125,
-            violation_ratio=1.0, route="closed_form",
-        )
+        UncertaintyReport(parties=3, xi=XiParameter(0.5), product=0.2, route="closed_form")
+    with pytest.raises(ValueError, match="infimum"):
+        UncertaintyReport(parties=2, xi=XiParameter(0.5), product=0.12, route="closed_form")
+    with pytest.raises(ValueError, match="below"):
+        UncertaintyReport(parties=2, xi=XiParameter(0.5), product=0.25, route="closed_form")
 
 
 # --- radial profile -------------------------------------------------------

@@ -161,17 +161,17 @@ print("fractions" in sys.modules)
 _RECORDS = [
     (XiParameter, ("value",), (0.5,)),
     (UncertaintyReport,
-     ("parties", "xi", "product", "separable_bound", "infimum", "violation_ratio", "route"),
-     (2, XiParameter(0.5), 0.2, 0.25, 0.125, 1.25, "closed_form")),
+     ("parties", "xi", "product", "route"),
+     (2, XiParameter(0.5), 0.2, "closed_form")),
     (cli.RunConfig,
      ("command", "parties", "xi_grid", "truncation", "output_path", "format"),
-     ("scan", 4, (0.5,), 200, "scan.csv", "csv")),
-    (OperatorCoefficients, ("n", "b", "prefactor"),
-     (2, (Fraction(1), Fraction(2)), Fraction(1, 30))),
+     ("scan", 4, (0.5,), None, "scan.csv", "csv")),
+    (OperatorCoefficients, ("b", "prefactor"),
+     ((Fraction(1), Fraction(2)), Fraction(1, 30))),
     (SimpleStateSolution, ("xi", "phi", "q_value", "coefficients", "tail_norm_sq"),
      (XiParameter(0.3), 0.1, -0.04, (0.9, 0.1), 1e-17)),
-    (BandedSymmetricForm, ("order", "diagonal", "off_diagonal"),
-     (3, np.arange(3.0), np.ones(2))),
+    (BandedSymmetricForm, ("diagonal", "off_diagonal"),
+     (np.arange(3.0), np.ones(2))),
     (EigenPair, ("eigenvalue", "eigenvector"), (-0.04, np.ones(3))),
 ]
 
@@ -295,6 +295,8 @@ def test_explicit_out_wins_over_env(tmp_path, monkeypatch):
         ["--command", "verify", "--parties", "4"],
         ["--command", "minimize-q", "--parties", "6"],
         ["--command", "profile", "--order", "1"],
+        ["--command", "scan", "--order", "5"],
+        ["--command", "overlap", "--order", "5"],
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
@@ -302,6 +304,18 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("minuncert: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["dir", "file/table.csv"], ids=["directory", "under-a-file"])
+def test_unwritable_out_exits_2(out, tmp_path, capsys):
+    # a path that cannot be written is a bad invocation, not a failed check
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    argv = ["--command", "scan", "--xi", "0.5", "--out", str(tmp_path / out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("minuncert: cannot write ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_unknown_command_rejected():
@@ -429,7 +443,6 @@ def test_verify_negative_control(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
     real = b_coefficients
     fake2 = OperatorCoefficients(
-        n=2,
         b=(Fraction(1), Fraction(201, 100)),
         prefactor=Fraction(1, 30),
     )
@@ -445,6 +458,28 @@ def test_verify_negative_control(tmp_path, monkeypatch, capsys):
     header, rows = read_csv(tmp_path / "verify.csv")
     by_name = {row[0]: row for row in rows}
     assert by_name["b_coefficients"][4] == "false"
+
+
+# the rows that read a family norm: the families themselves and the products
+_FAMILY_ROWS = {"g_identity_a2", "g_identity_a32", "h_identity", "z4_above_infimum",
+                "z4_below_bound", "z4_shortcut_agreement", "z6_above_infimum",
+                "z6_below_bound", "z6_shortcut_agreement"}
+
+
+def test_verify_reports_a_raising_layer_as_red_rows(tmp_path, monkeypatch, capsys):
+    # a layer that raises fails only the rows that read it: the battery
+    # still runs every other check and writes its table
+    def broken(xi, order):
+        raise RuntimeError("family norms unavailable")
+
+    monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
+    monkeypatch.setattr(multipartite, "_family_norms", broken)
+    assert cli.main(["--command", "verify"]) == 1
+    assert "family norms unavailable" in capsys.readouterr().err
+    _, rows = read_csv(tmp_path / "verify.csv")
+    red = {row[0] for row in rows if row[4] == "false"}
+    assert red == _FAMILY_ROWS
+    assert len(rows) == 29
 
 
 # --- scan -----------------------------------------------------------------
@@ -749,7 +784,7 @@ def test_overlap_table_is_overlap_bit_for_bit(monkeypatch):
     written = []
     monkeypatch.setattr(cli, "write_table", lambda config, columns, rows: written.extend(rows))
     grid = (1e-9, 0.1, 0.3, 0.5, 0.7, 0.999, 1.0 - 1e-12)
-    config = cli.RunConfig("overlap", 2, grid, 200, "overlap.csv", "csv")
+    config = cli.RunConfig("overlap", 2, grid, None, "overlap.csv", "csv")
     assert cli.run_overlap(config) == 0
     expected = [[a, b, overlap(a, b)] for i, a in enumerate(grid) for b in grid[i:]]
     assert written == expected
@@ -766,7 +801,7 @@ def test_csv_rows_match_per_cell_formatting(rows, tmp_path):
     # an all-float table of full rows takes one format call, any other
     # one _cell per value; either way the bytes are those of the per-cell join
     out = tmp_path / "table.csv"
-    config = cli.RunConfig("scan", 2, (0.5,), 200, str(out), "csv")
+    config = cli.RunConfig("scan", 2, (0.5,), None, str(out), "csv")
     columns = [f"c{i}" for i in range(len(rows[0]))]
     cli.write_table(config, columns, rows)
     lines = [",".join(columns)] + [",".join(cli._cell(v) for v in row) for row in rows]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minuncert.bipartite import f_closed, f_profile, r_closed
+from minuncert.bipartite import XiParameter, f_closed, f_profile, r_closed
 from minuncert.multipartite import (
     PRODUCT_INFIMUM_4,
     PRODUCT_INFIMUM_6,
@@ -680,6 +680,9 @@ def test_b_table_is_the_factored_operator():
         rising = math.prod(Fraction(n, 2) + k for k in range(n))
         infima[n] = ops.prefactor * at_half**2
         assert infima[n] == Fraction(3 * math.factorial(n), math.factorial(3 * n)) * rising**2
+        # a report takes its infimum from its party count, rounded once
+        report = bipartite.UncertaintyReport(2 * n, XiParameter(0.5), 1.5 * float(infima[n]), "")
+        assert report.infimum == float(infima[n])
     assert [float(infima[n]) for n in (1, 2, 3)] == [
         PRODUCT_INFIMUM_2, PRODUCT_INFIMUM_4, PRODUCT_INFIMUM_6]
 

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from minuncert.quadrature import dilation_rule
 from minuncert.specfun import (
     _I0E_CROSSOVER,
-    binom,
-    central_binomial,
     dilog,
     ellip_e,
     ellip_k,
@@ -238,11 +236,4 @@ def test_scaled_upper_gamma_certified(s, rel):
     assert np.array_equal(atom, pieces)
     for i in (17, 500, 680):
         assert _laplace_atom(s, float(x[i])) == atom[i]
-
-
-def test_binomials_exact():
-    assert binom(12, 5) == math.comb(12, 5)
-    assert binom(40, 20) == math.comb(40, 20)
-    assert central_binomial(17) == math.comb(34, 17)
-    assert binom(5, 9) == 0
 

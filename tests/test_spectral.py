@@ -130,11 +130,13 @@ def test_truncation_converged_by_200():
 
 
 def test_malformed_form_rejected():
-    BandedSymmetricForm(4, np.arange(4.0), np.ones(3))
+    assert BandedSymmetricForm(np.arange(4.0), np.ones(3)).order == 4
     with pytest.raises(ValueError):
-        BandedSymmetricForm(4, np.arange(4.0), np.ones(2))
+        BandedSymmetricForm(np.arange(4.0), np.ones(2))
     with pytest.raises(ValueError):
-        BandedSymmetricForm(4, np.arange(3.0), np.ones(3))
+        BandedSymmetricForm(np.arange(3.0), np.ones(3))
+    with pytest.raises(ValueError):
+        BandedSymmetricForm(np.arange(1.0), ())
 
 
 def test_form_is_tuples_of_python_floats():
@@ -146,7 +148,7 @@ def test_form_is_tuples_of_python_floats():
     assert type(pair.eigenvector) is tuple
     assert all(type(x) is float for x in pair.eigenvector)
     # numpy arrays are accepted and give the same pair
-    arrays = BandedSymmetricForm(6, np.asarray(form.diagonal), np.asarray(form.off_diagonal))
+    arrays = BandedSymmetricForm(np.asarray(form.diagonal), np.asarray(form.off_diagonal))
     assert min_eigenpair(arrays) == pair
 
 
@@ -163,9 +165,9 @@ _INF = math.inf
 def test_non_finite_form_rejected(diagonal, off_diagonal):
     # once returned nan or inf as the minimal eigenvalue, with no error
     with pytest.raises(ValueError, match="finite"):
-        BandedSymmetricForm(3, diagonal, off_diagonal)
+        BandedSymmetricForm(diagonal, off_diagonal)
     with pytest.raises(ValueError, match="finite"):
-        BandedSymmetricForm(3, np.array(diagonal), np.array(off_diagonal))
+        BandedSymmetricForm(np.array(diagonal), np.array(off_diagonal))
 
 
 def test_nan_residual_counts_as_stalled():
@@ -187,7 +189,7 @@ def test_exhausted_bisection_raises(diag, off):
 
 def test_overflowing_bounds_raise():
     # finite entries, but diagonal + radius overflows
-    form = BandedSymmetricForm(3, (0.0, 1e308, 1.7e308), (1e308, 1e308))
+    form = BandedSymmetricForm((0.0, 1e308, 1.7e308), (1e308, 1e308))
     with pytest.raises(OverflowError):
         min_eigenpair(form)
 
