@@ -163,24 +163,25 @@ def radial_rule(xi: float):
     return log_rule(1e-12 / gamma_hi, 24.0 / gamma_lo, _ANGULAR_ORDER)
 
 
-def _angular_kernel_integral(xi: float, r, ks):
-    """r^k f^(k)(r) = int w(theta) (-x)^k e^(-x) dtheta, x = gamma(theta) r, for k <= 1 in ``ks``.
+def _angular_kernel_integral(xi: float, r):
+    """The rows (f, r f') at the 1-D array of radii ``r``, one column per radius.
 
-    w(theta) = 1 / (sqrt(2 pi K) (1 + sqrt(xi) cos theta)) and
-    gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)),
-    taken on ``angular_rule`` at the 1-D array of radii ``r`` in blocks
-    x[i, j] = r[i] * gamma_j of about ``_RULE_BLOCK`` cells; each requested
-    row is reduced row by row, so a value depends on its own r alone.
-    One row per k, one column per r.
+    r^k f^(k)(r) = int w(theta) (-x)^k e^(-x) dtheta for k = 0, 1, with
+    x = gamma(theta) r, w(theta) = 1 / (sqrt(2 pi K) (1 + sqrt(xi) cos theta))
+    and gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)),
+    taken on ``angular_rule`` in blocks x[i, j] = r[i] * gamma_j of about
+    ``_RULE_BLOCK`` cells; both rows share each block's e^(-x) and are
+    reduced row by row, so a value depends on its own r alone.
     """
     gamma, weight = angular_rule(xi)
     rows = max(1, _RULE_BLOCK // len(gamma))
-    values = np.empty((len(ks), len(r)))
+    values = np.empty((2, len(r)))
     for start in range(0, len(r), rows):
         block = r[start:start + rows]
-        kernels = _exp_chain(np.outer(block, gamma))
-        for i, k in enumerate(ks):
-            values[i, start:start + len(block)] = np.sum(weight * kernels[k], axis=-1)
+        x = np.outer(block, gamma)
+        e = np.exp(-x)
+        values[0, start:start + len(block)] = np.sum(weight * e, axis=-1)
+        values[1, start:start + len(block)] = np.sum(weight * (-x * e), axis=-1)
     return values / math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
 
 
@@ -249,86 +250,63 @@ def _f_i0e(xi: float, x):
 
 
 class AngularProfile:
-    """Radial profile v(r), given by its rows v / scale and r v' / scale.
+    """Radial profile v(r), given by its two rows v and r v'.
 
-    ``rows(r)`` returns the two rows at the radii ``r`` (one column per
-    radius), or at the nodes of ``radial_rule`` when ``r`` is None.  For f
-    they are angular passes of the kernels e^(-x) and -x e^(-x),
-    x = gamma(theta) r; the g and h families are Laplace averages
-    int_1^inf mu(u) f(u r) du of f, take r v' from their ODEs and keep
-    both rows on ``radial_rule``.  No product needs a higher row
-    (``functional_z``).
+    ``rows(r)`` gives (v, r v') of the unnormalized profile at the radii
+    ``r``, or on ``radial_rule`` when ``r`` is None.  For f they are one
+    angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r; the g and h
+    families are Laplace averages int_1^inf mu(u) f(u r) du of f, take
+    r v' from their ODEs and keep both rows on ``radial_rule``.  Every
+    identity of the paper links ||v|| and ||r v'|| only, so no product
+    needs another row (``functional_z``).
 
-    ``value`` and ``derivative_combo`` refer to the normalized profile
-    v/||v||, with ||v|| given as ``norm`` from a route independent of the
-    nested pass (the closed form for f, the Mellin density for the g and
-    h families); the ``raw_`` accessor exposes the unnormalized
-    v.  The raw solution keeps the sign the kernel dictates (negative at
-    the origin for the plain ODE families), which is what makes a defining
-    ODE hold verbatim; consumers that want a positive plot flip the sign.
-
-    The nested norms combine the two rows on ``radial_rule``.
+    ``normalization`` is ||v||, given at construction by a route
+    independent of the nested pass (the closed form for f, the Mellin
+    density for the g and h families), and ``value`` the normalized
+    profile v / ||v||.  The raw rows keep the sign the kernel dictates
+    (negative at the origin for the plain ODE families), which is what
+    makes a defining ODE hold verbatim; consumers that want a positive
+    plot flip the sign.
     """
 
-    def __init__(self, xi, rows, norm: float, scale: float = 1.0):
+    def __init__(self, xi, rows, norm: float):
         self.xi = as_xi(xi)
         self._rows = rows
-        self._scale = float(scale)
         self._norm = float(norm)
 
-    def _combine(self, coefs, rows):
-        # scale * sum_k coefs[k] rows[k] over the nonzero coefficients.
-        # No zero start and the scale last: a single term then keeps the
-        # digits and the sign of zero a per-cell combination gave
-        terms = [c * row for c, row in zip(coefs, rows) if c != 0.0]
-        if not terms:
-            return np.zeros(rows.shape[1])
-        return self._scale * sum(terms[1:], terms[0])
-
-    def _coefs(self, coefs):
-        if len(coefs) > 2:
-            raise ValueError("a combination takes the rows k <= 1 only")
-        return [float(c) for c in coefs]
-
-    def raw_derivative_combo(self, coefs, r):
-        """sum_k coefs[k] * r^k v^(k) for the unnormalized profile."""
-        coefs = self._coefs(coefs)
-        values = self._combine(coefs, self._rows(np.atleast_1d(_radii(r))))
-        return float(values[0]) if np.ndim(r) == 0 else values
+    def rows(self, r=None):
+        """(v, r v') of the unnormalized profile at the radii ``r`` (a scalar or 1-D array)."""
+        if r is None:
+            return self._rows(None)
+        rv = _radii(r)
+        if rv.ndim > 1:
+            raise ValueError(f"r must be a scalar or a 1-D array, got {rv.ndim} dimensions")
+        out = self._rows(np.atleast_1d(rv))
+        return out[:, 0] if rv.ndim == 0 else out
 
     @property
     def normalization(self) -> float:
         """||v|| of the unnormalized profile, as given at construction."""
         return self._norm
 
-    def combo_norm(self, coefs) -> float:
-        """L2 norm of sum_k coefs[k] r^k v^(k) on [0, inf), unnormalized, by the nested pass.
-
-        The nested pass sums the squared combination of the rows on
-        ``radial_rule``.
-        """
-        weight = radial_rule(self.xi.value)[1]
-        vals = self._combine(self._coefs(coefs), self._rows(None))
-        return math.sqrt(float(np.sum(weight * vals * vals)))
-
     def value(self, r):
-        return self.derivative_combo((1.0,), r)
+        """v(r) / ||v||: a float for a scalar ``r``, else an array."""
+        v = self.rows(r)[0] / self._norm
+        return float(v) if np.ndim(r) == 0 else v
 
     def rk_norm(self, k: int) -> float:
-        """L2 norm of r^k v^(k) on [0, inf) for the unnormalized profile.
+        """L2 norm of row ``k`` (v or r v') on [0, inf), by the nested pass on ``radial_rule``.
 
-        Always the nested pass, rk_norm(0) included, so it stays an
-        independent check of a ``normalization`` given at construction.
-        These norms are what the closed identities constrain (e.g. the
-        a = 2 family satisfies 3 rk_norm(0)^2 + 4 rk_norm(1)^2 = 1).
+        Taken for k = 0 too, so it stays an independent check of the
+        ``normalization`` given at construction.  These norms are what the
+        closed identities constrain (e.g. the a = 2 family satisfies
+        3 rk_norm(0)^2 + 4 rk_norm(1)^2 = 1).
         """
         if not (isinstance(k, int) and k in (0, 1)):
             raise ValueError(f"derivative order must be 0 or 1, got {k!r}")
-        return self.combo_norm(tuple([0.0] * k + [1.0]))
-
-    def derivative_combo(self, coefs, r):
-        """sum_k coefs[k] * r^k v^(k)(r) for the normalized profile."""
-        return self.raw_derivative_combo(coefs, r) / self.normalization
+        weight = radial_rule(self.xi.value)[1]
+        row = self._rows(None)[k]
+        return math.sqrt(float(np.sum(weight * row * row)))
 
 
 def r_closed(xi) -> float:
@@ -385,12 +363,6 @@ def f_closed(xi, r):
     return float(out) if rv.ndim == 0 else out
 
 
-def _exp_chain(x):
-    # r^k d^k/dr^k e^{-gamma r} = (-x)^k e^{-x} at x = gamma r, k <= 1
-    e = np.exp(-x)
-    return e, -x * e
-
-
 def f_profile(xi) -> AngularProfile:
     """The two-party profile f as an angular integral of e^{-gamma r}.
 
@@ -399,7 +371,7 @@ def f_profile(xi) -> AngularProfile:
     v = as_xi(xi).value
 
     def rows(r):
-        return _angular_kernel_integral(v, radial_rule(v)[0] if r is None else r, (0, 1))
+        return _angular_kernel_integral(v, radial_rule(v)[0] if r is None else r)
 
     return AngularProfile(v, rows, norm=1.0)
 
@@ -443,8 +415,18 @@ def fock_coeff(n: int, m: int, xi) -> float:
         return 0.0
     q = (n + m) // 2
     c0 = math.sqrt(math.pi / (2.0 * ellip_k(v)))
+    # c0 sqrt(inner) central (xi/16)^(q/2) with the powers of two kept apart:
+    # (xi/16)^(q/2) underflows long before the value, and the binomials pass
+    # the float range at n + m = 1032, so inner is scaled below 2^1000 and
+    # central below 2^500.  Where every factor is a normal double this is the
+    # plain product bit for bit, as powers of two move no rounding
     inner = math.comb(n, n // 2) * math.comb(m, m // 2)
-    return c0 * math.sqrt(inner) * math.comb(q, q // 2) * (v / 16.0) ** (q // 2)
+    central = math.comb(q, q // 2)
+    half = max(0, inner.bit_length() - 1000) // 2
+    shift = max(0, central.bit_length() - 500)
+    mant, exp = math.frexp(v / 16.0)
+    value = c0 * math.sqrt(inner / (1 << 2 * half)) * (central / (1 << shift)) * mant ** (q // 2)
+    return math.ldexp(value, half + shift + exp * (q // 2))
 
 
 def shell_sum(big_n: int, xi) -> float:

@@ -143,8 +143,11 @@ def _shell_structure_error() -> float:
 
 
 def _residual_route_gap() -> float:
-    # the unit-norm f on radial_rule(0.7) against the closed form
-    quad = f_profile(0.7).combo_norm((0.5, 1.0)) ** 2
+    # ||f/2 + r f'||^2 of the unit-norm f's rows on radial_rule(0.7)
+    # against the closed form
+    f, rf = f_profile(0.7).rows()
+    residual = 0.5 * f + rf
+    quad = float(np.sum(radial_rule(0.7)[1] * residual * residual))
     return abs(quad - residual_norm_sq(0.7))
 
 

@@ -265,13 +265,14 @@ def _profile_column(parties: int, x: float, r_grid):
     """The family's radial profile at xi = x, at r**parties for each r in r_grid.
 
     Every value depends on its own radius alone, so each column is one
-    call.  The ODE families are oriented positive at the origin.
+    call.  The ODE families are oriented positive at the origin, which
+    is the first radius of every grid.
     """
     if parties == 2:
         return bipartite.f_closed(x, r_grid ** parties)
     fam = multipartite.g_family(x) if parties == 4 else multipartite.h_family(x)
-    orient = 1.0 if fam.value(0.0) >= 0.0 else -1.0
-    return orient * fam.value(r_grid ** parties)
+    column = fam.value(r_grid ** parties)
+    return column if column[0] >= 0.0 else -column
 
 
 def _xi_label(x: float) -> str:

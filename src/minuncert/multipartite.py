@@ -5,9 +5,11 @@ z_2n = prefactor_n ||P_n(D) v||^2 / ||v||^2 with D = r d/dr and
 P_n(D) = sum_k b_k D (D - 1) ... (D - k + 1) = (n^n / n!) prod_(j<n) (D - j/n).
 The b table, the factorial matrix pair behind it, and the vanishing
 Pochhammer residuals run in exact rational arithmetic.  The near-optimal
-families solve (1 - a) v + a r v' = base.  Each point value is a Laplace
-average int_1^inf mu(u) f(u r) du of the two-party profile f, taken on a
-rule of its own per radius; r v' follows algebraically from the ODE.
+families solve (1 - a) v + a r v' = base.  Each is an ``AngularProfile``
+of its two rows v and r v' (h's times its scale): every point value is a
+Laplace average int_1^inf mu(u) f(u r) du of the two-party profile f,
+taken on a rule of its own per radius, and r v' follows algebraically
+from the ODE.
 
 The family norms come from route A, the Mellin density rho_xi of f
 (``bipartite._mellin_density``): on the Mellin line D is a
@@ -215,7 +217,7 @@ def _radial_family_rows(xi: float, order: int):
     order is a fresh pass, never a cached one.
     """
     r = bipartite.radial_rule(xi)[0]
-    rows = (*_family_rows(xi, r), bipartite._angular_kernel_integral(xi, r, (1,))[0])
+    rows = (*_family_rows(xi, r), bipartite._angular_kernel_integral(xi, r)[1])
     for row in rows:
         row.flags.writeable = False
     return rows
@@ -224,10 +226,10 @@ def _radial_family_rows(xi: float, order: int):
 def _family_profile(xi: float, family: int, norm: float, scale: float = 1.0):
     def rows(r):
         if r is None:
-            return _radial_family_rows(xi, bipartite._ANGULAR_ORDER)[family]
-        return _family_rows(xi, r)[family]
+            return scale * _radial_family_rows(xi, bipartite._ANGULAR_ORDER)[family]
+        return scale * _family_rows(xi, r)[family]
 
-    return AngularProfile(xi, rows, norm=norm, scale=scale)
+    return AngularProfile(xi, rows, norm=norm)
 
 
 # the g and h families share f's profile class

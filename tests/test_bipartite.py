@@ -237,6 +237,13 @@ def test_profile_vectorized():
         f_closed(0.5, -1.0)
     with pytest.raises(ValueError):
         f_profile(0.5).value(-1.0)
+    # a profile takes a scalar or a 1-D array of radii and says so
+    for prof in (f_profile(0.5), g_family(0.5), h_family(0.5)):
+        assert prof.rows(r).shape == (2, 3)
+        assert prof.rows(1.0).shape == (2,)
+        for route in (prof.value, prof.rows):
+            with pytest.raises(ValueError, match="scalar or a 1-D array"):
+                route([[1.0, 2.0], [3.0, 4.0]])
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
@@ -316,20 +323,19 @@ def test_rk_derivative_vs_finite_differences():
 
     for r in (0.7, 1.8):
         fd = fd_rk_derivative(closed, 1, r, h=1e-3)
-        assert p.derivative_combo((0.0, 1.0), r) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+        assert p.rows(r)[1] == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
-def test_derivative_combo_linearity():
+def test_rows_are_the_profile_and_its_r_derivative():
+    # f has unit norm, so its row v is its value; the rows of a whole
+    # array are the rows of each radius, and no row above r v' exists
     p = f_profile(0.6)
-    r = 1.3
-    combo = p.derivative_combo((0.5, -2.0), r)
-    parts = 0.5 * p.value(r) - 2.0 * p.derivative_combo((0.0, 1.0), r)
-    assert combo == pytest.approx(parts, rel=1e-11)
-    # the profiles serve the rows k <= 1 only
-    with pytest.raises(ValueError):
-        p.derivative_combo((1.0, 0.0, 1.0), r)
-    with pytest.raises(ValueError):
-        p.combo_norm((1.0, 0.0, 1.0))
+    r = np.array([0.0, 1.3, 5.0])
+    rows = p.rows(r)
+    assert np.array_equal(rows[0], p.value(r))
+    for i, radius in enumerate(r):
+        assert np.array_equal(p.rows(radius), rows[:, i])
+    assert p.rows(0.0)[1] == 0.0
     with pytest.raises(ValueError):
         p.rk_norm(2)
 
@@ -337,13 +343,14 @@ def test_derivative_combo_linearity():
 def test_residual_norm_closed_vs_quadrature():
     assert residual_norm_sq(0.7) == pytest.approx(RESIDUAL_07, abs=1e-14)
     # the unit-norm angular route, summed on the radial rule
-    value = f_profile(0.7).combo_norm((0.5, 1.0)) ** 2
+    f, rf = f_profile(0.7).rows()
+    value = float(np.sum(radial_rule(0.7)[1] * (0.5 * f + rf) ** 2))
     assert value == pytest.approx(RESIDUAL_07, abs=1e-13)
 
 
 def test_rf_prime_norm_equals_r_combination():
     # int (r f')^2 dr = (1 + R)/2, tying the profile to the closed R
-    value = f_profile(0.5).combo_norm((0.0, 1.0)) ** 2
+    value = f_profile(0.5).rk_norm(1) ** 2
     assert value == pytest.approx(RF_PRIME_NORM_SQ_HALF, abs=1e-13)
     assert value == pytest.approx(0.5 * (1.0 + r_closed(0.5)), abs=1e-13)
 
@@ -415,6 +422,26 @@ def test_fock_coeffs_vs_hermite_projection():
     assert abs(fock_projection(psi, 1, 0)) < 1e-12
     assert abs(fock_projection(psi, 2, 0)) < 1e-12
     assert fock_coeff(2, 2, xi) == pytest.approx(FOCK22_HALF, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, m, xi", [
+    (864, 0, 0.5), (432, 432, 0.5), (100, 0, 1e-12), (50, 50, 1e-12), (98, 2, 1e-12),
+    (1032, 0, 0.5), (516, 516, 0.999), (2000, 2000, 0.999), (4096, 4, 0.999999),
+    (1028, 0, 0.3), (512, 512, 0.9),
+])
+def test_fock_coeff_vs_mpmath_at_large_order(n, m, xi):
+    # (xi / 16)^(q/2) underflows from (864, 0) at xi = 0.5 and from
+    # n + m = 100 at xi = 1e-12, and the binomials outgrow a float from
+    # n + m = 1032, while every coefficient here is a normal double
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x, q = mp.mpf(xi), (n + m) // 2
+        ref = (mp.sqrt(mp.pi / (2 * mp.ellipk(x * x)))
+               * mp.sqrt(mp.binomial(n, n // 2) * mp.binomial(m, m // 2))
+               * mp.binomial(q, q // 2) * (x / 16) ** (q // 2))
+        assert ref > mp.mpf(2) ** -1022
+        assert fock_coeff(n, m, xi) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
 
 def test_shell_sum_matches_coefficients():

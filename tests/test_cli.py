@@ -424,9 +424,9 @@ def test_verify_angular_pass_radii(tmp_path, monkeypatch):
     radii = []
     real = bipartite._angular_kernel_integral
 
-    def counted(xi, r, ks):
+    def counted(xi, r):
         radii.append(np.size(r))
-        return real(xi, r, ks)
+        return real(xi, r)
 
     monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted)
     multipartite._radial_family_rows.cache_clear()
@@ -731,6 +731,18 @@ def test_xi_sweep_overlap_and_fock_tables(command, xi, tmp_path):
         else:
             x, n, m, _, value = row
             assert x == xi and value == fock_coeff(int(n), int(m), x)
+
+
+def test_fock_table_past_the_float_range_of_the_binomials(tmp_path):
+    # from n + m = 1032 on the central binomials exceed a double; the
+    # table still comes out whole, every cell positive and finite
+    out = tmp_path / "fock.csv"
+    assert cli.main(["--command", "fock", "--order", "1100", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 76176
+    assert all(0.0 < float(row[-1]) < 1.0 for row in rows)
+    x, n, m, _, value = rows[-1]
+    assert (int(n) + int(m), float(value)) == (1100, fock_coeff(int(n), int(m), float(x)))
 
 
 # --- the remaining commands -----------------------------------------------

@@ -133,8 +133,8 @@ def test_g_ode_residual(a, xi):
     # (1 - a) g + a r g' = f
     prof = g_family(xi, a)
     for r in (0.0, 0.3, 1.1, 2.6, 5.0):
-        lhs = prof.raw_derivative_combo((1.0 - a, a), r)
-        assert abs(lhs - f_closed(xi, r)) < 1e-10
+        g, rg = prof.rows(r)
+        assert abs((1.0 - a) * g + a * rg - f_closed(xi, r)) < 1e-10
 
 
 def test_h_ode_residual():
@@ -142,27 +142,27 @@ def test_h_ode_residual():
     prof = h_family(0.5)
     base = g_family(0.5, 1.5)
     for r in (0.0, 0.4, 1.3, 3.0):
-        lhs = prof.raw_derivative_combo((-2.0, 3.0), r)
-        assert abs(lhs - base.value(r)) < 1e-10
+        h, rh = prof.rows(r)
+        assert abs(-2.0 * h + 3.0 * rh - base.value(r)) < 1e-10
 
 
 def test_g_value_at_origin_analytic():
     # (1 - a) g(0) = f(0), so the raw solution starts at -f(0)/(a - 1)
     f0 = f_closed(0.5, 0.0)
-    g2 = g_family(0.5, 2.0).raw_derivative_combo((1.0,), 0.0)
-    g32 = g_family(0.5, 1.5).raw_derivative_combo((1.0,), 0.0)
+    g2 = g_family(0.5, 2.0).rows(0.0)[0]
+    g32 = g_family(0.5, 1.5).rows(0.0)[0]
     assert g2 == pytest.approx(-f0, rel=1e-10)
     assert g32 == pytest.approx(-2.0 * f0, rel=1e-10)
     assert g2 == pytest.approx(G2_RAW0_HALF, rel=1e-11)
     # where 800 / (gamma0 r) overflows, the averages take their value at 0
     h = h_family(0.5)
     for r in (1e-310, 1e-305):
-        assert g_family(0.5, 2.0).raw_derivative_combo((1.0,), r) == g2
-        assert h.raw_derivative_combo((1.0,), r) == h.raw_derivative_combo((1.0,), 0.0)
+        assert g_family(0.5, 2.0).rows(r)[0] == g2
+        assert h.rows(r)[0] == h.rows(0.0)[0]
 
 
 def test_h_value_at_origin_analytic():
-    h0 = h_family(0.5).raw_derivative_combo((1.0,), 0.0)
+    h0 = h_family(0.5).rows(0.0)[0]
     base = g_family(0.5, 1.5)
     assert h0 == pytest.approx(-0.5 * base.value(0.0), rel=1e-10)
     # the raw scale carries 1/||base||, so the frozen value is only as
@@ -207,7 +207,8 @@ def test_rk_derivative_vs_finite_differences():
     prof = g_family(0.5, 2.0)
     for r in (0.8, 2.1):
         fd = fd_rk_derivative(prof.value, 1, r, h=1e-3)
-        assert prof.derivative_combo((0.0, 1.0), r) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        rg = prof.rows(r)[1] / prof.normalization
+        assert rg == pytest.approx(fd, rel=1e-6, abs=1e-9)
     # no product needs a higher row, and none is served
     with pytest.raises(ValueError):
         prof.rk_norm(2)
@@ -223,11 +224,11 @@ def test_first_derivative_of_ode_pointwise():
         prof = g_family(0.5, a)
 
         def row1(x, prof=prof):
-            return prof.raw_derivative_combo((0.0, 1.0), x)
+            return prof.rows(x)[1]
 
         for r in (0.5, 1.7, 4.2):
             lhs = (1.0 - a) * row1(r) + a * fd_rk_derivative(row1, 1, r, h=1e-3)
-            rf = f.derivative_combo((0.0, 1.0), r)
+            rf = f.rows(r)[1]
             assert lhs == pytest.approx(rf, rel=1e-10, abs=1e-12)
 
 
@@ -237,23 +238,19 @@ def test_first_derivative_of_h_ode_pointwise():
     base = g_family(0.5, 1.5)
 
     def row1(x):
-        return h.raw_derivative_combo((0.0, 1.0), x)
+        return h.rows(x)[1]
 
     for r in (0.6, 2.3):
         lhs = -2.0 * row1(r) + 3.0 * fd_rk_derivative(row1, 1, r, h=1e-3)
-        rg = base.derivative_combo((0.0, 1.0), r)
+        rg = base.rows(r)[1] / base.normalization
         assert lhs == pytest.approx(rg, rel=1e-9, abs=1e-12)
 
 
-def _raw_norm_sq(profile, coefs):
-    return profile.combo_norm(coefs) ** 2
-
-
-def _raw_dot(profile, ca, cb):
-    # polarization: (A, B) = (||A+B||^2 - ||A-B||^2) / 4
-    plus = tuple(x + y for x, y in zip(ca, cb))
-    minus = tuple(x - y for x, y in zip(ca, cb))
-    return 0.25 * (_raw_norm_sq(profile, plus) - _raw_norm_sq(profile, minus))
+def _combo_norm(profile, coefs):
+    # ||coefs[0] v + coefs[1] r v'|| of the raw rows, summed on the radial rule
+    weight = bipartite.radial_rule(profile.xi.value)[1]
+    v = sum(c * row for c, row in zip(coefs, profile.rows()))
+    return math.sqrt(float(np.sum(weight * v * v)))
 
 
 def test_h_scalar_product_relations():
@@ -262,7 +259,8 @@ def test_h_scalar_product_relations():
     for xi in (0.01, 0.5, 0.9):
         h = h_family(xi)
         n0 = h.rk_norm(0)
-        d01 = _raw_dot(h, (1.0, 0.0), (0.0, 1.0))
+        v, rv = h.rows()
+        d01 = float(np.sum(bipartite.radial_rule(xi)[1] * v * rv))
         assert d01 == pytest.approx(-0.5 * n0 * n0, rel=1e-12, abs=0.0)
 
 
@@ -282,7 +280,7 @@ def test_h_norms_tie_back_to_base():
         rhs = (base.rk_norm(0) / base.normalization) ** 2
         expanded = 10.0 * h.rk_norm(0) ** 2 + 9.0 * h.rk_norm(1) ** 2
         assert expanded == pytest.approx(rhs, rel=1e-12, abs=0.0)
-        assert h.combo_norm((-2.0, 3.0)) ** 2 == pytest.approx(rhs, rel=1e-12, abs=0.0)
+        assert _combo_norm(h, (-2.0, 3.0)) ** 2 == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_family_validation():
@@ -294,7 +292,7 @@ def test_family_validation():
         g_family(1.5, 2.0)
     prof = g_family(0.5, 2.0)
     with pytest.raises(ValueError):
-        prof.raw_derivative_combo((1.0, 0.0, 1.0), 1.0)
+        prof.rk_norm(2)
 
 
 # --- products -------------------------------------------------------------
@@ -369,11 +367,11 @@ def test_products_match_nested_functional():
 def test_functional_z_is_the_norm_ratio(xi):
     # z_2n = prefactor_n c^2 ||r f'||^2 / ||v||^2, with the nested norms of
     # f's row k = 1 and of the family: c^2 = 1 for g_2 and 9/4 for h, whose
-    # norm the nested pass takes with the scale
-    rf = f_profile(xi).combo_norm((0.0, 1.0))
+    # rows carry the scale -2 / (3 ||g_3/2||)
+    rf = f_profile(xi).rk_norm(1)
     g2 = g_family(xi, 2.0).rk_norm(0)
-    h = h_family(xi)
-    h_raw = h.rk_norm(0) / abs(h._scale)
+    scale = -2.0 / (3.0 * g_family(xi, 1.5).normalization)
+    h_raw = h_family(xi).rk_norm(0) / abs(scale)
     assert functional_z(2, xi) == pytest.approx(PRODUCT_INFIMUM_4 * (rf / g2) ** 2, rel=2e-15)
     assert functional_z(3, xi) == pytest.approx(2.25 / 560.0 * (rf / h_raw) ** 2, rel=2e-15)
 
@@ -419,11 +417,10 @@ def test_family_chains_rule_orders_agree(xi, monkeypatch):
     gamma0 = 0.5 * (1.0 - xi) / (1.0 + s) ** 2
     r = np.concatenate(([0.0], np.geomspace(1e-3, max(4096.0, 40.0 / gamma0), 200)))
     for fam in (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
-        for coefs in ((1.0,), (0.0, 1.0)):
-            monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
-            lo = fam.raw_derivative_combo(coefs, r)
-            monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
-            hi = fam.raw_derivative_combo(coefs, r)
+        monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
+        lo_rows = fam.rows(r)
+        monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
+        for lo, hi in zip(lo_rows, fam.rows(r)):
             assert np.max(np.abs(lo - hi)) <= 5e-15 * np.max(np.abs(lo))
 
 
@@ -439,13 +436,13 @@ def test_radial_rule_orders_agree(xi, monkeypatch):
     # rows per xi and rule order, so each order here is a pass of its own
     # (test_nested_norms_share_one_chain_pass)
     for fam in (f_profile(xi), g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
-        for coefs in ((1.0,), (0.0, 1.0)):
+        for k in (0, 1):
             monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
-            lo = fam.combo_norm(coefs)
+            lo = fam.rk_norm(k)
             monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
-            hi = fam.combo_norm(coefs)
+            hi = fam.rk_norm(k)
             assert lo == pytest.approx(hi, rel=1e-14, abs=0.0)
-            if coefs == (1.0,):
+            if k == 0:
                 assert lo == pytest.approx(fam.normalization, rel=5e-14, abs=0.0)
 
 
@@ -466,9 +463,9 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
         passes.append(("laplace", x, len(r), bipartite._ANGULAR_ORDER))
         return real(x, r)
 
-    def counted_angular(x, r, ks):
+    def counted_angular(x, r):
         passes.append(("angular", x, len(r), bipartite._ANGULAR_ORDER))
-        return real_angular(x, r, ks)
+        return real_angular(x, r)
 
     monkeypatch.setattr(multipartite, "_laplace", counted)
     monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted_angular)
@@ -497,8 +494,8 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
 def _per_cell_norms(prof, coefs_list, angular):
     # the nested norms with each combination taken per cell before any
     # reduction on the radial rule: per cell of radial_rule x angular_rule
-    # for f (``angular``), per radius of their point route
-    # (raw_derivative_combo) for the families, in blocks of 32 radii
+    # for f (``angular``), per radius of their point route (``rows(r)``)
+    # for the families, in blocks of 32 radii
     xi = prof.xi.value
     r, wr = bipartite.radial_rule(xi)
     gamma, wt = bipartite.angular_rule(xi)
@@ -506,13 +503,17 @@ def _per_cell_norms(prof, coefs_list, angular):
     sq = np.zeros(len(coefs_list))
     for start in range(0, len(r), 32):
         block = r[start:start + 32]
-        kernels = bipartite._exp_chain(np.outer(block, gamma)) if angular else None
+        if angular:
+            x = np.outer(block, gamma)
+            kernels = (np.exp(-x), -x * np.exp(-x))
+        else:
+            rows = prof.rows(block)
         for i, coefs in enumerate(coefs_list):
             if angular:
                 cell = sum(c * kernels[k] for k, c in enumerate(coefs))
                 v = np.sum(wt * cell, axis=-1) / den
             else:
-                v = prof.raw_derivative_combo(coefs, block)
+                v = sum(c * row for c, row in zip(coefs, rows))
             sq[i] += np.sum(wr[start:start + 32] * v * v)
     return np.sqrt(sq)
 
@@ -526,7 +527,7 @@ def test_combo_norm_rows_match_per_cell_combination(xi):
     profiles = ((f_profile(xi), True), (g_family(xi, 2.0), False), (g_family(xi, 1.5), False),
                 (h_family(xi), False))
     for prof, angular in profiles:
-        got = [prof.combo_norm(coefs) for coefs in coefs_list]
+        got = [_combo_norm(prof, coefs) for coefs in coefs_list]
         want = _per_cell_norms(prof, coefs_list, angular)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -614,10 +615,9 @@ def test_laplace_point_values_vs_mpmath(xi, radii):
     # out to r = 4096, where gamma0 r = 54 at xi = 0.9: to a few ulps
     # relative (the incomplete-gamma kernels lost 1.9e-12 of h at xi = 0.5,
     # r = 300, and 6.2e-11 at xi = 0.9, r = 4096)
-    h = h_family(xi)
     r = np.array(radii)
-    g2_values = g_family(xi, 2.0).raw_derivative_combo((1.0,), r)
-    h_values = h.raw_derivative_combo((1.0,), r) / h._scale
+    g2_values = g_family(xi, 2.0).rows(r)[0]
+    h_values = h_family(xi).rows(r)[0] / (-2.0 / (3.0 * g_family(xi, 1.5).normalization))
     for i, radius in enumerate(radii):
         (g2_ref, h_ref), err = _laplace_references(xi, radius)
         assert err <= 1e-20
