@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
 from ._lazy import np
-from .quadrature import graded_rule, log_rule, panel_rule
+from .quadrature import _gauss_legendre, graded_rule, log_rule
 from .specfun import ellip_e, ellip_k, i0e, log_i0e
 
 __all__ = [
@@ -48,8 +49,9 @@ PRODUCT_INFIMUM_2 = 0.125
 # and 24 agree to ~1e-15 on both, to ~4e-16 on the nested norms of the
 # radial rule, and to ~1e-15 on the Laplace averages
 _ANGULAR_ORDER = 16
-# cells (radii x nodes) per kernel call of an angular pass: whole columns
-# at once raise the peak memory of `profile --parties 6` by ~6 MB (~18%)
+# cells (radii x nodes) per kernel call of an angular pass (the rows of f
+# only; the Mellin density runs on floats): whole columns at once raise
+# the peak memory of `profile --parties 6` by ~6 MB (~18%)
 _RULE_BLOCK = 4096
 
 
@@ -127,14 +129,15 @@ def angular_rule(xi: float):
     analytic on each panel of a geometric phi-mesh from eps/8 to pi, and
     a Gauss-Legendre rule of ``_ANGULAR_ORDER`` points per panel converges
     geometrically on it.  ``weight`` carries dphi only; each consumer
-    applies the density 1 / (2 pi K (1 - xi)) itself.
+    applies the density 1 / (2 pi K (1 - xi)) itself.  Both are tuples
+    of floats, gamma ascending.
     """
     sq = math.sqrt(xi)
     gap = 1.0 - xi
     eps = gap / (1.0 + sq)  # 1 - sqrt(xi) without the cancellation
     phi, weight = graded_rule(0.125 * eps, math.pi, _ANGULAR_ORDER)
-    half = np.sin(0.5 * phi)
-    gamma = (eps * eps + 4.0 * sq * half * half) / (2.0 * gap)
+    halves = [math.sin(0.5 * p) for p in phi]
+    gamma = tuple((eps * eps + 4.0 * sq * h * h) / (2.0 * gap) for h in halves)
     return gamma, weight
 
 
@@ -173,7 +176,7 @@ def _angular_kernel_integral(xi: float, r):
     ``_RULE_BLOCK`` cells; both rows share each block's e^(-x) and are
     reduced row by row, so a value depends on its own r alone.
     """
-    gamma, weight = angular_rule(xi)
+    gamma, weight = map(np.asarray, angular_rule(xi))
     rows = max(1, _RULE_BLOCK // len(gamma))
     values = np.empty((2, len(r)))
     for start in range(0, len(r), rows):
@@ -187,14 +190,16 @@ def _angular_kernel_integral(xi: float, r):
 
 # beyond t = 13, rho_xi(t) <= rho_xi(0) sech(pi t) < 4e-18 rho_xi(0), and
 # |W_xi|^2 oscillates at frequencies up to span = ln(gamma_max / gamma_min):
-# 2 span + 16 equal panels of [0, 13] agree with 6.5 span + 40 panels of 24
-# points to 2.2e-16 on the family norms at nine xi from 1e-6 to 1 - 1e-15
+# span + 16 equal panels of [0, 13] agree with 6.5 span + 40 panels of 24
+# points to 4.4e-16 on int rho, int (1/4 + t^2) rho, ||g_2||^2 and ||h||^2 at
+# seven xi from 1e-6 to 1 - 1e-15 (test_t_rule_meets_a_heavy_rule); span + 12
+# is off by 1.3e-14 at xi = 0.05
 _T_MAX = 13.0
 
 
 @lru_cache(maxsize=32)
 def _mellin_density(xi: float, order: int):
-    """(t, weight rho) of route A: rho_xi(t) = sech(pi t) |W_xi(t)|^2 on its t-rule, read-only.
+    """(t, weight rho) of route A: rho_xi(t) = sech(pi t) |W_xi(t)|^2 on its t-rule, as tuples.
 
     On the Mellin line s = 1/2 + it, f^(s) = Gamma(s) W_xi(t) with
     W_xi(t) = int w gamma^(-1/2 - it) dtheta, taken on ``angular_rule``, and
@@ -202,27 +207,44 @@ def _mellin_density(xi: float, order: int):
     profile with P(D) v = c f has ||v||^2 = c^2 int_0^inf rho / |P(-s)|^2 dt:
     int rho = ||f||^2 = 1 and int (1/4 + t^2) rho = ||D f||^2.  rho is a
     squared conical function, pi sech(pi t) P_(-1/2+it)(Z)^2 / (K (1 - xi))
-    with Z = (1 + xi) / (1 - xi) (DLMF 14.20).  The t-rule has ``order``
-    points on each panel; t runs in blocks of about ``_RULE_BLOCK`` cells,
-    each row reduced on its own, so a value depends on its own t alone.
-    One pass per xi and rule order (``_ANGULAR_ORDER``), like the radial rows.
+    with Z = (1 + xi) / (1 - xi) (DLMF 14.20).
+
+    The t-rule has equal panels of half-width h with ``order``
+    Gauss-Legendre points each, t = c_p + h x_k, so cos and sin of
+    t ln gamma_j follow by angle addition from one row of c_p ln gamma_j
+    per panel and one row of h x_k ln gamma_j per node x_k > 0, built once
+    per xi: about 1/16 of the transcendental calls of a (t x gamma) grid,
+    on Python floats.  The nodes +-x_k share the four dot products of a
+    panel's row with the node's.  One density per xi and rule order
+    (``_ANGULAR_ORDER``), like the radial rows; tuples keep it read-only.
     """
     gamma, weight = angular_rule(xi)
-    log_gamma = np.log(gamma)
-    amp = weight / np.sqrt(gamma)
-    panels = math.ceil(2.0 * (log_gamma[-1] - log_gamma[0])) + 16
-    t, wt = panel_rule(np.linspace(0.0, _T_MAX, panels + 1), order)
-    rows = max(1, _RULE_BLOCK // len(gamma))
-    w2 = np.empty(len(t))
-    for start in range(0, len(t), rows):
-        phase = np.outer(t[start:start + rows], log_gamma)
-        re = np.sum(amp * np.cos(phase), axis=-1)
-        im = np.sum(amp * np.sin(phase), axis=-1)
-        w2[start:start + rows] = re * re + im * im
-    wrho = wt * w2 / (np.cosh(math.pi * t) * (2.0 * math.pi * ellip_k(xi) * (1.0 - xi)))
-    t.flags.writeable = False
-    wrho.flags.writeable = False
-    return t, wrho
+    log_gamma = [math.log(g) for g in gamma]
+    amp = [w / math.sqrt(g) for w, g in zip(weight, gamma)]
+    panels = math.ceil(log_gamma[-1] - log_gamma[0]) + 16
+    h = 0.5 * _T_MAX / panels
+    x, w = _gauss_legendre(order)
+    mid = order // 2  # x[mid:] >= 0 (x[mid] = 0 for an odd order); -x_k mirror them
+    nodes = [(h * xk, h * wk, [math.cos(h * xk * lg) for lg in log_gamma],
+              [math.sin(h * xk * lg) for lg in log_gamma]) for xk, wk in zip(x[mid:], w[mid:])]
+    norm = 2.0 * math.pi * ellip_k(xi) * (1.0 - xi)
+    t, wrho = [], []
+    for p in range(panels):
+        c = (2 * p + 1) * h
+        ca = [a * math.cos(c * lg) for a, lg in zip(amp, log_gamma)]
+        sa = [a * math.sin(c * lg) for a, lg in zip(amp, log_gamma)]
+        lower, upper = [], []
+        for hx, hw, cos_row, sin_row in nodes:
+            # sum amp cos and sum amp sin of (c +- hx) ln gamma, by angle addition
+            cc, ss = sum(map(mul, ca, cos_row)), sum(map(mul, sa, sin_row))
+            sc, cs = sum(map(mul, sa, cos_row)), sum(map(mul, ca, sin_row))
+            upper.append((c + hx, hw, (cc - ss) ** 2 + (sc + cs) ** 2))
+            if hx > 0.0:
+                lower.append((c - hx, hw, (cc + ss) ** 2 + (sc - cs) ** 2))
+        for tk, hw, w2 in (*reversed(lower), *upper):
+            t.append(tk)
+            wrho.append(hw * w2 / (math.cosh(math.pi * tk) * norm))
+    return tuple(t), tuple(wrho)
 
 
 def _gamma0(xi: float):
@@ -327,7 +349,7 @@ def uncertainty_product(xi, route: str = "closed_form") -> UncertaintyReport:
         product = 0.25 + 0.25 * r_closed(v)
     elif route == "quadrature":
         t, wrho = _mellin_density(v, _ANGULAR_ORDER)
-        product = 0.5 * float(np.sum(wrho * (0.25 + t * t)))
+        product = 0.5 * math.fsum(w * (0.25 + s * s) for s, w in zip(t, wrho))
     else:
         raise ValueError(f"unknown route {route!r}")
     return UncertaintyReport(2, p, product, route)
@@ -411,17 +433,25 @@ def fock_coeff(n: int, m: int, xi) -> float:
         if not (isinstance(val, int) and val >= 0):
             raise ValueError(f"{label} must be a nonnegative integer, got {val!r}")
     v = as_xi(xi).value
+    q = (n + m) // 2
+    binom = {j: math.comb(j, j // 2) for j in (n, m, q)}
+    return _fock_coeff(n, m, v, math.sqrt(math.pi / (2.0 * ellip_k(v))), binom)
+
+
+def _fock_coeff(n: int, m: int, v: float, c0: float, binom) -> float:
+    # fock_coeff with c0 = sqrt(pi / (2 K(v))) and binom[j] = C(j, j // 2)
+    # given, so a table takes K once per grid value and each central
+    # binomial once
     if (n % 4, m % 4) not in ((0, 0), (2, 2)):
         return 0.0
     q = (n + m) // 2
-    c0 = math.sqrt(math.pi / (2.0 * ellip_k(v)))
     # c0 sqrt(inner) central (xi/16)^(q/2) with the powers of two kept apart:
     # (xi/16)^(q/2) underflows long before the value, and the binomials pass
     # the float range at n + m = 1032, so inner is scaled below 2^1000 and
     # central below 2^500.  Where every factor is a normal double this is the
     # plain product bit for bit, as powers of two move no rounding
-    inner = math.comb(n, n // 2) * math.comb(m, m // 2)
-    central = math.comb(q, q // 2)
+    inner = binom[n] * binom[m]
+    central = binom[q]
     half = max(0, inner.bit_length() - 1000) // 2
     shift = max(0, central.bit_length() - 500)
     mant, exp = math.frexp(v / 16.0)

@@ -316,15 +316,19 @@ def run_minimize_q(config: RunConfig) -> int:
 
 
 def run_fock(config: RunConfig) -> int:
+    # the grid is validated, so K(xi) is taken once per grid value and each
+    # central binomial C(j, j // 2) once; the values are those of fock_coeff
     columns = ("xi", "n", "m", "mod4_class", "coeff")
+    binom = [math.comb(j, j // 2) for j in range(config.truncation + 1)]
     rows = []
     for x in config.xi_grid:
+        c0 = math.sqrt(math.pi / (2.0 * specfun.ellip_k(x)))
         for total in range(0, config.truncation + 1):
             for n in range(0, total + 1):
                 m = total - n
                 if n % 4 != m % 4 or n % 4 not in (0, 2):
                     continue
-                rows.append([x, n, m, n % 4, bipartite.fock_coeff(n, m, x)])
+                rows.append([x, n, m, n % 4, bipartite._fock_coeff(n, m, x, c0, binom)])
     write_table(config, columns, rows)
     return 0
 

@@ -248,11 +248,12 @@ def _family_norms(xi: float, order: int):
     One set per xi and rule order (``_ANGULAR_ORDER``).
     """
     t, wrho = bipartite._mellin_density(xi, order)
-    t2 = t * t
-    g32 = wrho / ((5.0 / 6.0) ** 2 + t2)
-    return (0.5 * math.sqrt(float(np.sum(wrho / (1.0 + t2)))),
-            (2.0 / 3.0) * math.sqrt(float(np.sum(g32))),
-            (1.0 / 3.0) * math.sqrt(float(np.sum(g32 / ((7.0 / 6.0) ** 2 + t2)))))
+    t2 = [s * s for s in t]
+    g32 = [w / ((5.0 / 6.0) ** 2 + s2) for s2, w in zip(t2, wrho)]
+    return (0.5 * math.sqrt(math.fsum(w / (1.0 + s2) for s2, w in zip(t2, wrho))),
+            (2.0 / 3.0) * math.sqrt(math.fsum(g32)),
+            (1.0 / 3.0) * math.sqrt(math.fsum(w / ((7.0 / 6.0) ** 2 + s2)
+                                              for s2, w in zip(t2, g32))))
 
 
 def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:

@@ -13,11 +13,14 @@ spend most decades near their singular point.  ``dilation_rule`` gives
 each radius r its own rule of a Laplace average over u = 1 + y in
 [1, inf), whose integrand decays on the scale y ~ 1 / (gamma0 r).  Every
 integral of the package is taken on one of the three or on equal
-panels of ``panel_rule`` (the t-rule of the Mellin density); the tests
-certify each one by comparing two rule orders.
+panels of the Gauss-Legendre points (the t-rule of the Mellin density);
+the tests certify each one by comparing two rule orders.
 
-Everything here is deterministic: identical inputs produce bit-identical
-results.
+``panel_rule`` and ``graded_rule`` (and the Gauss-Legendre points under
+them) are tuples of Python floats built with ``math``, so route A of the
+products never loads numpy; ``log_rule`` and ``dilation_rule`` feed the
+array passes of route B and return numpy arrays.  Everything here is
+deterministic: identical inputs produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -35,48 +38,49 @@ def _gauss_legendre(order: int):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], built on first use.
 
     Newton's method on P_order from the asymptotic root estimates, with
-    P and P' from the three-term recurrence; numpy.polynomial would do
-    the same at the price of ~5 ms and ~0.7 MB to import.
+    P and P' from the three-term recurrence, on Python floats: the same
+    operations as an elementwise numpy pass, so the same bits, without
+    numpy (numpy.polynomial alone costs ~5 ms and ~0.7 MB to import).
+    The nodes of orders 16 and 24 are exactly antisymmetric.
     """
     def legendre(x):
         # (P_order(x), P_order'(x))
-        p_prev, p = np.ones_like(x), x
+        p_prev, p = 1.0, x
         for j in range(2, order + 1):
             p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
         return p, order * (x * p - p_prev) / (x * x - 1.0)
 
-    x = np.cos(np.pi * (np.arange(order, 0, -1) - 0.25) / (order + 0.5))
+    x = [math.cos(math.pi * (k - 0.25) / (order + 0.5)) for k in range(order, 0, -1)]
     for _ in range(100):
-        p, dp = legendre(x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15:
+        steps = [p / dp for p, dp in map(legendre, x)]
+        x = [node - step for node, step in zip(x, steps)]
+        if max(map(abs, steps)) < 1e-15:
             break
     else:
         raise RuntimeError(f"Gauss-Legendre nodes of order {order} not converged")
-    dp = legendre(x)[1]
-    weights = 2.0 / ((1.0 - x * x) * dp * dp)
-    x.flags.writeable = False
-    weights.flags.writeable = False
-    return x, weights
+    dps = [legendre(node)[1] for node in x]
+    return tuple(x), tuple(2.0 / ((1.0 - node * node) * dp * dp) for node, dp in zip(x, dps))
 
 
 def panel_rule(edges, order: int):
     """Composite Gauss-Legendre rule with ``order`` points on each panel.
 
     ``edges`` are the increasing panel boundaries.  Returns (nodes,
-    weights), nodes ascending.  The rule is exact for polynomials of
-    degree 2 order - 1 on every panel.
+    weights), tuples of floats, nodes ascending.  The rule is exact for
+    polynomials of degree 2 order - 1 on every panel.
     """
     if not (isinstance(order, int) and order >= 1):
         raise ValueError(f"order must be a positive integer, got {order!r}")
-    e = np.asarray(edges, dtype=float)
-    if e.ndim != 1 or len(e) < 2 or not np.all(np.diff(e) > 0.0):
+    e = tuple(map(float, edges))
+    if len(e) < 2 or not all(a < b for a, b in zip(e, e[1:])):
         raise ValueError("edges must be at least two strictly increasing values")
     x, w = _gauss_legendre(order)
-    centers = 0.5 * (e[1:] + e[:-1])[:, None]
-    halves = 0.5 * (e[1:] - e[:-1])[:, None]
-    return (centers + halves * x).ravel(), (halves * w).ravel()
+    nodes, weights = [], []
+    for a, b in zip(e, e[1:]):
+        center, half = 0.5 * (b + a), 0.5 * (b - a)
+        nodes += [center + half * node for node in x]
+        weights += [half * weight for weight in w]
+    return tuple(nodes), tuple(weights)
 
 
 def graded_rule(lo: float, hi: float, order: int):
@@ -87,7 +91,9 @@ def graded_rule(lo: float, hi: float, order: int):
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     panels = max(1, math.ceil(math.log2(hi / lo)))
-    return panel_rule(np.concatenate(([0.0], np.geomspace(lo, hi, panels + 1))), order)
+    ratio = hi / lo
+    inner = [lo * ratio ** (k / panels) for k in range(1, panels)]
+    return panel_rule([0.0, lo, *inner, hi], order)
 
 
 # hi/lo of each u-panel of ``log_rule``.  A function analytic for Re r > 0
@@ -109,7 +115,8 @@ def log_rule(lo: float, hi: float, order: int):
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     panels = max(1, math.ceil(math.log2(hi / lo) / math.log2(_LOG_PANEL_RATIO)))
     r0, w0 = panel_rule((0.0, lo), order)
-    u, wu = panel_rule(np.linspace(math.log(lo), math.log(hi), panels + 1), order)
+    u, wu = map(np.asarray, panel_rule(np.linspace(math.log(lo), math.log(hi), panels + 1),
+                                       order))
     r = np.exp(u)
     return np.concatenate((r0, r)), np.concatenate((w0, wu * r))
 
@@ -134,7 +141,7 @@ def dilation_rule(t, order: int, block: int):
     geometric = np.maximum(1, np.ceil(np.log(ratio) / math.log(4.0))).astype(int)
     panels = geometric + 1
     chunk = (np.cumsum(panels) - panels) * order // block
-    x, w = _gauss_legendre(order)
+    x, w = map(np.asarray, _gauss_legendre(order))
     for index in np.split(np.arange(len(t)), np.flatnonzero(np.diff(chunk)) + 1):
         n = panels[index]
         radius = np.repeat(index, n)

@@ -26,6 +26,7 @@ from minuncert.bipartite import (
 )
 from minuncert.multipartite import g_family, h_family
 import minuncert.bipartite as bipartite
+from minuncert.quadrature import _gauss_legendre, panel_rule
 from minuncert.specfun import _BESSEL_CROSSOVER, ellip_k
 
 from oracles import (
@@ -98,27 +99,42 @@ def test_product_third_route_dblquad():
 # --- route A: the Mellin density of f ---------------------------------------
 
 
+def _density_rho(xi, order=16):
+    """(t, rule weight, rho) of route A's density, as arrays.
+
+    The density returns the products (t-rule weight) x rho; the weights
+    are rebuilt from its layout, equal panels of [0, 13] with ``order``
+    Gauss-Legendre points each, whose nodes the test checks first.
+    """
+    t, wrho = map(np.asarray, bipartite._mellin_density(xi, order))
+    x, w = map(np.asarray, _gauss_legendre(order))
+    panels = len(t) // order
+    half = 0.5 * bipartite._T_MAX / panels
+    centers = (2 * np.arange(panels) + 1) * half
+    np.testing.assert_allclose(t, np.ravel(centers[:, None] + half * x), rtol=0.0, atol=1e-14)
+    wt = np.tile(half * w, panels)
+    return t, wt, wrho / wt
+
+
 @pytest.mark.parametrize("xi", [0.3, 0.9, 0.999])
-def test_density_is_a_squared_conical_function(xi, monkeypatch):
+def test_density_is_a_squared_conical_function(xi):
     # rho_xi(t) = pi sech(pi t) P_(-1/2+it)(Z)^2 / (K (1 - xi)) with
     # Z = (1 + xi) / (1 - xi), from mpmath's Legendre function of the
     # conical kind (DLMF 14.20), which shares nothing with the angular
-    # rule.  A t-rule of unit weights gives the density at chosen t.  At
-    # xi = 0.9, t = 0.7 lies near a zero of P, where rho is 1.8e-6 of
-    # rho(0) and meets the reference to 4e-14 relative
+    # rule, at the rule's own nodes nearest t = 0, 0.7, 3.1 and 8.9.  At
+    # xi = 0.9 the node t = 0.688 lies near a zero of P, where rho is
+    # 1.2e-4 of rho(0) and meets the reference to 1.8e-14 relative
     import mpmath as mp
 
-    ts = (0.0, 0.7, 3.1, 8.9)
-    monkeypatch.setattr(bipartite, "panel_rule",
-                        lambda edges, order: (np.array(ts), np.ones(len(ts))))
-    rho = bipartite._mellin_density.__wrapped__(xi, 16)[1]
+    t, _, rho = _density_rho(xi)
+    nearest = [int(np.argmin(np.abs(t - target))) for target in (0.0, 0.7, 3.1, 8.9)]
     with mp.workdps(30):
         x = mp.mpf(xi)
         big_z, front = (1 + x) / (1 - x), mp.pi / (mp.ellipk(x * x) * (1 - x))
-        for t, value in zip(ts, rho):
-            p = mp.legenp(mp.mpc(-0.5, t), 0, big_z, type=3)
-            ref = float(mp.re(front * mp.sech(mp.pi * t) * p * p))
-            assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+        for i in nearest:
+            p = mp.legenp(mp.mpc(-0.5, t[i]), 0, big_z, type=3)
+            ref = float(mp.re(front * mp.sech(mp.pi * t[i]) * p * p))
+            assert rho[i] == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("xi", [1e-6, 0.5, 1.0 - 1e-12])
@@ -126,28 +142,74 @@ def test_density_moments(xi):
     # int rho = ||f||^2 = 1 (the Mehler-Fock normalisation) and
     # int (1/4 + t^2) rho = ||D f||^2 = (1 + R) / 2, on the t-rule
     t, wrho = bipartite._mellin_density(xi, bipartite._ANGULAR_ORDER)
-    assert float(np.sum(wrho)) == pytest.approx(1.0, rel=1e-14, abs=0.0)
-    assert float(np.sum(wrho * (0.25 + t * t))) == pytest.approx(
+    assert math.fsum(wrho) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+    assert math.fsum(w * (0.25 + s * s) for s, w in zip(t, wrho)) == pytest.approx(
         0.5 * (1.0 + r_closed(xi)), rel=1e-14, abs=0.0)
 
 
 def test_mellin_density_is_read_only():
-    # one density per xi and rule order, shared read-only by every consumer
+    # one density per xi and rule order, shared by every consumer as
+    # tuples of floats, which no consumer can write to
     t, wrho = bipartite._mellin_density(0.5, 16)
     assert bipartite._mellin_density(0.5, 16)[1] is wrho
-    for arr in (t, wrho):
-        with pytest.raises(ValueError):
-            arr[0] = 0.5
+    for values in (t, wrho):
+        assert type(values) is tuple and {type(v) for v in values} == {float}
+        with pytest.raises(TypeError):
+            values[0] = 0.5
 
 
-def test_density_depends_on_its_own_t_alone(monkeypatch):
-    # blocks of a single t give the density of the default blocks bit for bit
-    xis = (0.01, 0.9, 1.0 - 1e-12)
-    whole = [bipartite._mellin_density.__wrapped__(xi, 16) for xi in xis]
-    monkeypatch.setattr(bipartite, "_RULE_BLOCK", 1)
-    for xi, (t, wrho) in zip(xis, whole):
-        t1, wrho1 = bipartite._mellin_density.__wrapped__(xi, 16)
-        assert np.array_equal(t, t1) and np.array_equal(wrho, wrho1)
+@pytest.mark.parametrize("xi", [0.01, 0.5, 0.9, 1.0 - 1e-12])
+def test_density_is_the_direct_sum_at_every_node(xi):
+    # the shared cos/sin tables give, at every node, the density summed
+    # directly at that t alone: sech(pi t) |sum_j amp_j e^(-i t ln gamma_j)|^2
+    # / (2 pi K (1 - xi)) with amp = weight / sqrt(gamma) on the angular
+    # rule, each sum taken with math.fsum
+    t, _, rho = _density_rho(xi)
+    gamma, weight = bipartite.angular_rule(xi)
+    terms = [(w / math.sqrt(g), math.log(g)) for g, w in zip(gamma, weight)]
+    norm = 2.0 * math.pi * ellip_k(xi) * (1.0 - xi)
+    direct = []
+    for s in t:
+        re = math.fsum(a * math.cos(s * lg) for a, lg in terms)
+        im = math.fsum(a * math.sin(s * lg) for a, lg in terms)
+        direct.append((re * re + im * im) / (math.cosh(math.pi * s) * norm))
+    assert np.max(np.abs(rho - direct)) <= 2e-15 * np.max(rho)
+
+
+def _heavy_sums(xi):
+    # the four sums of the density on 6.5 span + 40 equal panels of 24
+    # points, with W summed naively over (t x gamma) blocks
+    gamma, weight = map(np.asarray, bipartite.angular_rule(xi))
+    log_gamma, amp = np.log(gamma), weight / np.sqrt(gamma)
+    panels = math.ceil(6.5 * (log_gamma[-1] - log_gamma[0])) + 40
+    t, wt = map(np.asarray, panel_rule(np.linspace(0.0, 13.0, panels + 1), 24))
+    w2 = np.empty(len(t))
+    for start in range(0, len(t), 256):
+        phase = np.outer(t[start:start + 256], log_gamma)
+        w2[start:start + 256] = (np.sum(amp * np.cos(phase), axis=-1) ** 2
+                                 + np.sum(amp * np.sin(phase), axis=-1) ** 2)
+    wrho = wt * w2 / (np.cosh(math.pi * t) * 2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
+    return _four_sums(t, wrho)
+
+
+def _four_sums(t, wrho):
+    # int rho, int (1/4 + t^2) rho, ||g_2||^2 and ||h / scale||^2
+    t2 = np.asarray(t) ** 2
+    wrho = np.asarray(wrho)
+    return np.array([math.fsum(wrho), math.fsum(wrho * (0.25 + t2)),
+                     0.25 * math.fsum(wrho / (1.0 + t2)),
+                     math.fsum(wrho / ((25.0 / 36.0 + t2) * (49.0 / 36.0 + t2))) / 9.0])
+
+
+@pytest.mark.parametrize("xi", [1e-6, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-15])
+def test_t_rule_meets_a_heavy_rule(xi):
+    # span + 16 panels of 16 points resolve |W_xi|^2, which oscillates at
+    # frequencies up to span = ln(gamma_max / gamma_min): the four sums
+    # the products read meet those of a rule with 6.5 span + 40 panels of
+    # 24 points.  Fewer panels (span + 12) miss by 1.3e-14 at xi = 0.05
+    got = _four_sums(*bipartite._mellin_density(xi, 16))
+    want = _heavy_sums(xi)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_product_frozen_and_window():

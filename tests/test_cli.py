@@ -94,16 +94,22 @@ for argv in {commands!r}:
 
 
 def test_closed_form_commands_never_load_numpy(tmp_path):
-    # numpy is bound lazily, so the two-party closed forms and the
-    # tridiagonal eigen-solve run on math alone; the first array operation
-    # (here the profile grid, or verify's quadratures) loads it
+    # numpy is bound lazily, so the two-party closed forms, the
+    # tridiagonal eigen-solve and route A of the products (the Mellin
+    # density on Python floats) run on math alone; the first array
+    # operation (here the profile grid, or verify's quadratures) loads it
     out = str(tmp_path / "table.csv")
     commands = [["scan", "--parties", "2", "--xi", "0.1:0.9:0.1"], ["overlap"], ["fock"],
-                ["minimize-q", "--order", "4000"], ["profile", "--parties", "2", "--order", "5"]]
+                ["minimize-q", "--order", "4000"],
+                ["scan", "--parties", "4", "--xi", "0.5", "--xi", "0.9"],
+                ["scan", "--parties", "6"], ["profile", "--parties", "2", "--order", "5"]]
     assert _numpy_loaded_after(commands, out)[0] == [
         "import False", "scan 0 False", "overlap 0 False", "fock 0 False",
-        "minimize-q 0 False", "profile 0 True"]
+        "minimize-q 0 False", "scan 0 False", "scan 0 False", "profile 0 True"]
     assert _numpy_loaded_after([["verify"]], out)[0] == ["import False", "verify 0 True"]
+    code = (f"import sys, minuncert.bipartite as b; b.uncertainty_product(0.5, 'quadrature'); "
+            f"print(any(m in sys.modules for m in {_NUMPY_CORE!r}))")
+    assert run_fresh(code).split() == ["False"]
 
 
 _CLOSED_FORM_MODULES = "bipartite,cli,minuncert,quadrature,specfun"

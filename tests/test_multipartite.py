@@ -698,7 +698,7 @@ def test_perturbed_kernel_shifts_z4(monkeypatch):
 
     def scaled(xi, order):
         t, wrho = real(xi, order)
-        return t, 1.05 * wrho
+        return t, tuple(1.05 * w for w in wrho)
 
     monkeypatch.setattr(bipartite, "_mellin_density", scaled)
     multipartite._family_norms.cache_clear()
