@@ -8,10 +8,10 @@ attributes is first read.  ``scan --parties 2|4|6``, ``overlap``,
 ``fock`` and ``minimize-q`` need only ``math`` (the two-party closed
 forms, route A's Mellin density and the tridiagonal eigen-solve run on
 Python floats), so they never load numpy; every module of the package
-takes ``np`` from here instead of importing numpy itself.  A module that is not installed comes back
-as a stand-in whose first attribute read raises ImportError.  Before
-Python 3.12 a first read must not race another thread's, so the package
-starts no thread.
+takes ``np`` from here instead of importing numpy itself.  A module
+that is not installed comes back as a stand-in whose first attribute
+read raises ImportError.  Before Python 3.12 a first read must not race
+another thread's, so the package starts no thread.
 """
 
 from __future__ import annotations

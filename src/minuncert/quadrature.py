@@ -38,10 +38,9 @@ def _gauss_legendre(order: int):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], built on first use.
 
     Newton's method on P_order from the asymptotic root estimates, with
-    P and P' from the three-term recurrence, on Python floats: the same
-    operations as an elementwise numpy pass, so the same bits, without
-    numpy (numpy.polynomial alone costs ~5 ms and ~0.7 MB to import).
-    The nodes of orders 16 and 24 are exactly antisymmetric.
+    P and P' from the three-term recurrence, on Python floats;
+    numpy.polynomial would do the same at the price of numpy and ~5 ms
+    and ~0.7 MB more to import.
     """
     def legendre(x):
         # (P_order(x), P_order'(x))
@@ -91,8 +90,7 @@ def graded_rule(lo: float, hi: float, order: int):
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     panels = max(1, math.ceil(math.log2(hi / lo)))
-    ratio = hi / lo
-    inner = [lo * ratio ** (k / panels) for k in range(1, panels)]
+    inner = [lo * (hi / lo) ** (k / panels) for k in range(1, panels)]
     return panel_rule([0.0, lo, *inner, hi], order)
 
 
