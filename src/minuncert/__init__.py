@@ -18,12 +18,6 @@ _HOME = {
     "XiParameter": "bipartite",
     "AngularProfile": "bipartite",
     "UncertaintyReport": "bipartite",
-    "SEPARABLE_BOUND_2": "bipartite",
-    "PRODUCT_INFIMUM_2": "bipartite",
-    "SEPARABLE_BOUND_4": "multipartite",
-    "PRODUCT_INFIMUM_4": "multipartite",
-    "SEPARABLE_BOUND_6": "multipartite",
-    "PRODUCT_INFIMUM_6": "multipartite",
     "r_closed": "bipartite",
     "uncertainty_product": "bipartite",
     "residual_norm_sq": "bipartite",

@@ -26,8 +26,6 @@ __all__ = [
     "AngularProfile",
     "radial_rule",
     "UncertaintyReport",
-    "SEPARABLE_BOUND_2",
-    "PRODUCT_INFIMUM_2",
     "r_closed",
     "uncertainty_product",
     "residual_norm_sq",
@@ -39,9 +37,6 @@ __all__ = [
     "shell_sum",
     "shell_identity_check",
 ]
-
-SEPARABLE_BOUND_2 = 0.25
-PRODUCT_INFIMUM_2 = 0.125
 
 # Gauss-Legendre points per panel of the angular, radial, dilation and
 # t-rules.  On the angular rule 8 and 16 agree to ~7e-13 on the norms but
@@ -278,9 +273,9 @@ class AngularProfile:
     ``r``, or on ``radial_rule`` when ``r`` is None.  For f they are one
     angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r; the g and h
     families are Laplace averages int_1^inf mu(u) f(u r) du of f, take
-    r v' from their ODEs and keep both rows on ``radial_rule``.  Every
-    identity of the paper links ||v|| and ||r v'|| only, so no product
-    needs another row (``functional_z``).
+    r v' = p_last v + (D - p_last) v from their poles and keep both rows
+    on ``radial_rule``.  Every identity of the paper links ||v|| and
+    ||r v'|| only, so no product needs another row (``functional_z``).
 
     ``normalization`` is ||v||, given at construction by a route
     independent of the nested pass (the closed form for f, the Mellin

@@ -1,23 +1,22 @@
-"""Four- and six-party functionals and their ODE-constructed families.
+"""Multipartite functionals and the families that approach their infima.
 
 The expectation functional for 2n parties is
 z_2n = prefactor_n ||P_n(D) v||^2 / ||v||^2 with D = r d/dr and
 P_n(D) = sum_k b_k D (D - 1) ... (D - k + 1) = (n^n / n!) prod_(j<n) (D - j/n).
 The b table, the factorial matrix pair behind it, and the vanishing
-Pochhammer residuals run in exact rational arithmetic.  The near-optimal
-families solve (1 - a) v + a r v' = base.  Each is an ``AngularProfile``
-of its two rows v and r v' (h's times its scale): every point value is a
-Laplace average int_1^inf mu(u) f(u r) du of the two-party profile f,
-taken on a rule of its own per radius, and r v' follows algebraically
-from the ODE.
+Pochhammer residuals run in exact rational arithmetic.
 
-The family norms come from route A, the Mellin density rho_xi of f
-(``bipartite._mellin_density``): on the Mellin line D is a
-multiplication, so each norm is one sum of rho_xi against a rational
-function of t.  The products z4 and z6 take the closed-form ||D f|| over
-those norms.  The nested route, ``functional_z``, stays as the
-independent check: the ODEs make P_n(D) v a multiple of D f, so it takes
-||r f'|| and ||v|| on the radial rule and no derivative of the family.
+Every family is the two-party profile f under factors (D - p_j)^(-1),
+keyed by its poles (``Poles``), and v_n = prod_(j=1)^(n-1) (D - j/n)^(-1) f
+makes P_n(D) v_n = (n^n / n!) D f, so z_2n = prefactor_n (n^n / n!)^2
+||D f||^2 / ||v_n||^2 for every n.  Route A (``z4_product``,
+``z6_product``) takes ||D f||^2 = (1 + R)/2 in closed form and
+||v||^2 = c^2 int rho_xi / prod_j ((1/2 + p_j)^2 + t^2) dt over the Mellin
+density of f (``bipartite._mellin_density``), where D acts as -(1/2 + it).
+Route B (``functional_z``) takes both norms on the radial rule, with every
+point value of v a Laplace average int_1^inf mu(u) f(u r) du on a rule of
+its own per radius.  A family is an ``AngularProfile`` of its two rows v
+and r v' = p_last v + (D - p_last) v.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ from .quadrature import dilation_rule
 __all__ = [
     "OperatorCoefficients",
     "OdeFamilyProfile",
-    "SEPARABLE_BOUND_4",
-    "PRODUCT_INFIMUM_4",
-    "SEPARABLE_BOUND_6",
-    "PRODUCT_INFIMUM_6",
     "b_coefficients",
     "pascal_matrix_pair",
     "pochhammer_root_residual",
@@ -48,12 +43,6 @@ __all__ = [
     "z6_product",
     "alpha_beta_certificate",
 ]
-
-SEPARABLE_BOUND_4 = 1.0 / 16.0
-PRODUCT_INFIMUM_4 = 1.0 / 30.0
-SEPARABLE_BOUND_6 = 1.0 / 64.0
-PRODUCT_INFIMUM_6 = 35.0 / 4096.0
-
 
 class OperatorCoefficients(namedtuple("OperatorCoefficients", "b prefactor")):
     """Exact coefficient table of the order-n differential operator.
@@ -84,15 +73,6 @@ def b_coefficients(n: int) -> OperatorCoefficients:
         b=tuple(table),
         prefactor=Fraction(3 * math.factorial(n) ** 3, math.factorial(3 * n)),
     )
-
-
-def _float_prefactor(n: int) -> float:
-    """``float(b_coefficients(n).prefactor)`` without importing fractions.
-
-    The true division of two ints is correctly rounded, so this is the
-    exact prefactor rounded once, bit for bit the float of the Fraction.
-    """
-    return 3 * math.factorial(n) ** 3 / math.factorial(3 * n)
 
 
 def pascal_matrix_pair(n: int):
@@ -140,94 +120,127 @@ def pochhammer_root_residual(n: int, j: int):
 
 
 # ---------------------------------------------------------------------------
-# the families as Laplace averages of f
-#
-# Each family member is a dilation average v(r) = int_1^inf mu(u) f(u r) du
-# of the two-party profile (DLMF 8.6.4 under the angular integral) and
-# solves (1 - a) v + a r v' = b:
-#   g_2:    mu = -(1/2) u^(-3/2),     a = 2,   b = f;
-#   g_3/2:  mu = -(2/3) u^(-4/3),     a = 3/2, b = f;
-#   h:      mu = u^(-5/3) - u^(-4/3), a = 3,   b = int_1^inf u^(-4/3) f(u r) du
-#           = -(3/2) g_3/2, and h carries ``scale``.
-# At r = 0 the average is f(0) int mu = -f(0), -2 f(0), -(3/2) f(0).
-# With D = r d/dr the ODE reads (1 - a) v + a D v = b, so the row
-# D v = (b - (1 - a) v) / a follows from v and b, and no higher row is
-# ever needed: (D - 1/2) g_2 = f / 2, (D - 1/3) g_3/2 = 2 f / 3 and
-# (D - 2/3) h = -g_3/2 / 2 turn every P_n(D) v into a multiple of D f.
+# the families, keyed by their poles: g_2 = (1/2, 1/2, 1/2, 1),
+# g_3/2 = (2/3, 1/3, 1/3, 1), h = (2 / (9 ||g_3/2||), 1/3, 1/3, 2) and
+# v_n = (1, 1/n, 1/n, n - 1)
 
-_G2, _G32, _H, _RF = range(4)
-_LAPLACE_AT_ORIGIN = (-1.0, -2.0, -1.5)
+
+class Poles(namedtuple("Poles", "c p d k")):
+    """The family v = c prod_(j<k) (D - p - j d)^(-1) f; k = 0 is c f."""
+
+    __slots__ = ()
+
+    @property
+    def poles(self):
+        return tuple(self.p + j * self.d for j in range(self.k))
+
+    @property
+    def unit(self):
+        """The key with c = 1: the passes keep their rows under it."""
+        return self._replace(c=1.0)
+
+    @property
+    def sibling(self):
+        """(D - p_last) v / c: the unit key with k - 1, and f itself below k = 1."""
+        return Poles(1.0, self.p, self.d, self.k - 1) if self.k > 1 else _F
+
+
+_F = Poles(1.0, 0.0, 0.0, 0)
+
+
+def _v_key(n: int) -> Poles:
+    return Poles(1.0, 1.0 / n, 1.0 / n, n - 1)
+
+
+def _at_origin(key: Poles) -> float:
+    """v(0) / f(0) = c prod 1/(-p_j), the mass of mu."""
+    return key.c * math.prod(-1.0 / p for p in key.poles)
+
+
 # nodes per block of a Laplace pass: at 4096 the per-call overhead of i0e's
 # Horner steps made a pass 15-40% slower; at 32768 the peak RSS of
 # `profile --parties 6` grew by 1.7 MB, at 16384 it stays where it was
 _LAPLACE_BLOCK = 16384
 
 
-def _dilation_weights(y):
-    """mu(1 + y) of g_2, g_3/2 and h, the h weight without cancellation near u = 1."""
-    lu = np.log1p(y)
-    u43 = np.exp((-4.0 / 3.0) * lu)
-    return -0.5 * np.exp(-1.5 * lu), (-2.0 / 3.0) * u43, u43 * np.expm1(-lu / 3.0)
+def _weights(lu, keys):
+    """(key, mu(u)) of each key at the nodes u = e^lu: the Laplace weight
+    c (-1)^k / ((k - 1)! d^(k - 1)) u^(-1 - p) (1 - u^(-d))^(k - 1).
 
-
-def _laplace(xi: float, r):
-    """int_1^inf mu(u) f(u r) du of g_2, g_3/2 and h at the radii r, rows (3, len(r)).
-
-    One ``dilation_rule`` and one evaluation of f serve the three
-    weights.  Each value depends on its own r alone.
+    Its Mellin transform int_1^inf mu(u) u^(-s) du is c prod 1/(-s - p_j)
+    (the Beta integral), so int_1^inf mu(u) f(u r) du is the family (DLMF
+    8.6.4 under the angular integral).  1 - u^(-d) is taken as -expm1, so
+    nothing cancels near u = 1; keys that share p or d share its power.
     """
-    out = np.empty((3, len(r)))
+    power, gap = {}, {}
+    for key in keys:
+        if key.p not in power:
+            power[key.p] = np.exp((-1.0 - key.p) * lu)
+        mu = (key.c * (-1) ** key.k / (math.factorial(key.k - 1) * key.d ** (key.k - 1))
+              * power[key.p])
+        if key.k > 1:
+            if key.d not in gap:
+                gap[key.d] = -np.expm1(-key.d * lu)
+            mu = mu * gap[key.d] ** (key.k - 1)
+        yield key, mu
+
+
+def _laplace(xi: float, r, keys):
+    """{key: v at the radii r} of the unit keys asked for and of their siblings only.
+
+    One ``dilation_rule`` and one evaluation of f serve every weight.  Each
+    value depends on its own r alone.
+    """
+    wanted = {*keys, *(key.sibling for key in keys)}
+    out = {key: np.empty(len(r)) for key in wanted if key.k > 0}
+    averages = list(out)
+    if _F in wanted:
+        out[_F] = _f_i0e(xi, r)
     t = bipartite._gamma0(xi)[0] * r
     # below t = 1e-300 (800 / t overflows) an average is its value at 0 to 1e-100
     origin = t < 1e-300
-    out[:, origin] = np.multiply.outer(_LAPLACE_AT_ORIGIN, _f_i0e(xi, r[origin]))
+    f0 = _f_i0e(xi, r[origin])
+    for key in averages:
+        out[key][origin] = _at_origin(key) * f0
     pos = np.flatnonzero(~origin)
     for index, counts, y, weight in dilation_rule(t[pos], bipartite._ANGULAR_ORDER,
                                                   _LAPLACE_BLOCK):
         cols = pos[index]
         wf = weight * _f_i0e(xi, (1.0 + y) * np.repeat(r[cols], counts))
         starts = np.cumsum(counts) - counts
-        for row, mu in zip(out, _dilation_weights(y)):
-            row[cols] = np.add.reduceat(mu * wf, starts)
+        for key, mu in _weights(np.log1p(y), averages):
+            out[key][cols] = np.add.reduceat(mu * wf, starts)
     return out
 
 
-def _ode_step(a: float, v, b):
-    """[v, r v'] of (1 - a) v + a r v' = b, from v and b."""
-    return np.array([v, (b - (1.0 - a) * v) / a])
-
-
-def _family_rows(xi: float, r):
-    """(g_2, g_3/2, h): each the rows v / scale and r v' / scale at the radii r.
-
-    f comes from the same closed form as the averages: the ODE step
-    cancels as r -> 0, and exactly so at r = 0, where r v' vanishes.
-    """
-    g2, g32, h = _laplace(xi, r)
-    f = _f_i0e(xi, r)
-    return _ode_step(2.0, g2, f), _ode_step(1.5, g32, f), _ode_step(3.0, h, -1.5 * g32)
+# every pass on the radial rule holds v_2 and v_3 (g_2, h and, as v_3's
+# sibling, g_3/2): verify's families and products share one pass
+_FAMILY_TOP = 3
 
 
 @lru_cache(maxsize=32)
-def _radial_family_rows(xi: float, order: int):
-    """(g_2, g_3/2, h, r f') on ``radial_rule(xi)``, read-only.
+def _radial_family_rows(xi: float, order: int, top: int):
+    """({key: v} of v_2 ... v_top and their siblings, r f') on ``radial_rule(xi)``, read-only.
 
-    The ``_family_rows`` and f's angular row r f': one pass per xi and
-    rule order (``_ANGULAR_ORDER``, which sets every rule), so a changed
-    order is a fresh pass, never a cached one.
+    One pass per xi, rule order (``_ANGULAR_ORDER``, which sets every
+    rule) and top, so a changed order is a fresh pass, never a cached one.
     """
     r = bipartite.radial_rule(xi)[0]
-    rows = (*_family_rows(xi, r), bipartite._angular_kernel_integral(xi, r)[1])
-    for row in rows:
+    values = _laplace(xi, r, [_v_key(n) for n in range(2, top + 1)])
+    rf = bipartite._angular_kernel_integral(xi, r)[1]
+    for row in (*values.values(), rf):
         row.flags.writeable = False
-    return rows
+    return values, rf
 
 
-def _family_profile(xi: float, family: int, norm: float, scale: float = 1.0):
+def _family_profile(xi: float, key: Poles, norm: float):
     def rows(r):
         if r is None:
-            return scale * _radial_family_rows(xi, bipartite._ANGULAR_ORDER)[family]
-        return scale * _family_rows(xi, r)[family]
+            values = _radial_family_rows(xi, bipartite._ANGULAR_ORDER, _FAMILY_TOP)[0]
+        else:
+            values = _laplace(xi, r, [key.unit])
+        v = values[key.unit]
+        return key.c * np.array([v, key.poles[-1] * v + values[key.sibling]])
 
     return AngularProfile(xi, rows, norm=norm)
 
@@ -236,24 +249,21 @@ def _family_profile(xi: float, family: int, norm: float, scale: float = 1.0):
 OdeFamilyProfile = AngularProfile
 
 
-@lru_cache(maxsize=32)
-def _family_norms(xi: float, order: int):
-    """(||g_2||, ||g_3/2||, ||h / scale||) at xi, each one sum over route A's density.
+@lru_cache(maxsize=64)
+def _family_norms(xi: float, order: int, poles):
+    """||v / c||^2 = int rho / prod_j ((1/2 + p_j)^2 + t^2) dt on route A.
 
-    (D - 1/2) g_2 = f / 2, (D - 1/3) g_3/2 = 2 f / 3 and (D - 2/3) h = -g_3/2 / 2,
-    and D acts as -(1/2 + it) on the Mellin line (``bipartite._mellin_density``),
-    so ||g_2||^2 = (1/4) int rho / (1 + t^2),
-    ||g_3/2||^2 = (4/9) int rho / ((5/6)^2 + t^2) and
-    ||h / scale||^2 = (1/9) int rho / (((5/6)^2 + t^2) ((7/6)^2 + t^2)).
-    One set per xi and rule order (``_ANGULAR_ORDER``).
+    One sum per xi, rule order (``_ANGULAR_ORDER``) and tuple of poles.
     """
-    t, wrho = bipartite._mellin_density(xi, order)
-    t2 = [s * s for s in t]
-    g32 = [w / ((5.0 / 6.0) ** 2 + s2) for s2, w in zip(t2, wrho)]
-    return (0.5 * math.sqrt(math.fsum(w / (1.0 + s2) for s2, w in zip(t2, wrho))),
-            (2.0 / 3.0) * math.sqrt(math.fsum(g32)),
-            (1.0 / 3.0) * math.sqrt(math.fsum(w / ((7.0 / 6.0) ** 2 + s2)
-                                              for s2, w in zip(t2, g32))))
+    t, terms = bipartite._mellin_density(xi, order)
+    for p in poles:
+        a2 = (0.5 + p) ** 2
+        terms = [w / (a2 + s * s) for s, w in zip(t, terms)]
+    return math.fsum(terms)
+
+
+def _norm(xi: float, key: Poles) -> float:
+    return abs(key.c) * math.sqrt(_family_norms(xi, bipartite._ANGULAR_ORDER, key.poles))
 
 
 def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:
@@ -262,66 +272,61 @@ def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:
     a = float(a)
     if a not in (2.0, 1.5):
         raise ValueError(f"a must be 2 or 3/2, got {a!r}")
-    g2, g32, _ = _family_norms(v, bipartite._ANGULAR_ORDER)
-    return _family_profile(v, _G2, g2) if a == 2.0 else _family_profile(v, _G32, g32)
+    # g = (1/a) (D - p)^(-1) f; d = p makes its unit key v_2 (a = 2) or
+    # v_3's sibling (a = 3/2), which the radial pass already holds
+    p = (a - 1.0) / a
+    key = Poles(1.0 / a, p, p, 1)
+    return _family_profile(v, key, _norm(v, key))
 
 
 def h_family(xi) -> OdeFamilyProfile:
     """Second-layer family: -2 h + 3 r h' equals the normalized a = 3/2 member."""
     v = as_xi(xi).value
-    _, g32, h = _family_norms(v, bipartite._ANGULAR_ORDER)
-    # scale chosen so -2 h + 3 r h' reproduces the normalized base exactly
-    scale = -2.0 / (3.0 * g32)
-    return _family_profile(v, _H, abs(scale) * h, scale)
+    # 3 (D - 2/3) h = g_3/2 / ||g_3/2|| with g_3/2 = (2/3) (D - 1/3)^(-1) f
+    key = _v_key(3)._replace(c=2.0 / (9.0 * g_family(v, 1.5).normalization))
+    return _family_profile(v, key, _norm(v, key))
 
 
-# the family of z_2n and c^2 with P_n(D) v = c D f: P_2(D) g_2 = D f and,
-# on the unscaled h, P_3(D) h = (9/2) D (D - 1/3)(D - 2/3) h = -(3/2) D f
-_NESTED = {2: (_G2, 1.0), 3: (_H, 2.25)}
+def _z(n: int, df2: float, v2: float) -> float:
+    """z_2n from ||D f||^2 and ||v_n||^2: the factor prefactor_n (n^n / n!)^2
+    = 3 n! n^(2n) / (3n)! is one int true division, the exact one rounded once.
+    """
+    return 3 * math.factorial(n) * n ** (2 * n) / math.factorial(3 * n) * df2 / v2
+
+
+def _z_product(n: int, xi) -> UncertaintyReport:
+    """The 2n-party product on route A, with ||D f||^2 = (1 + R)/2 in closed form."""
+    p = as_xi(xi)
+    v2 = _family_norms(p.value, bipartite._ANGULAR_ORDER, _v_key(n).poles)
+    return UncertaintyReport(2 * n, p, _z(n, 0.5 * (1.0 + r_closed(p)), v2), "mellin")
 
 
 def functional_z(n: int, xi) -> float:
-    """z_2n = prefactor_n c^2 ||r f'||^2 / ||v||^2 by the nested route, n = 2 or 3.
+    """z_2n by the nested route: ||r f'|| and ||v_n|| on ``radial_rule(xi)``, n = 2..5.
 
-    v is g_2 or h / scale.  Both norms are sums over ``radial_rule(xi)``
-    of one cached pass, so no Mellin density enters.
+    Both norms are sums over one cached pass, so no Mellin density enters.
+    Beyond n = 5, v_n tends to v_n(0) only like r^(1/n), and the mass it
+    keeps below the rule's lower end 1e-12 / gamma(pi) shows in z (1.1e-13
+    at n = 6, 1.6e-11 at n = 8).
     """
-    if not (isinstance(n, int) and n in _NESTED):
-        raise ValueError(f"n must be 2 or 3, got {n!r}")
+    if not (isinstance(n, int) and 2 <= n <= 5):
+        raise ValueError(f"n must be an integer in [2, 5], got {n!r}: beyond, "
+                         "v_n keeps mass below the radial rule's lower end")
     v = as_xi(xi).value
-    family, c2 = _NESTED[n]
-    rows = _radial_family_rows(v, bipartite._ANGULAR_ORDER)
+    values, rf = _radial_family_rows(v, bipartite._ANGULAR_ORDER, max(n, _FAMILY_TOP))
     weight = bipartite.radial_rule(v)[1]
-    rf, base = rows[_RF], rows[family][0]
-    return (_float_prefactor(n) * c2 * float(np.sum(weight * rf * rf))
-            / float(np.sum(weight * base * base)))
+    base = values[_v_key(n)]
+    return _z(n, float(np.sum(weight * rf * rf)), float(np.sum(weight * base * base)))
 
 
 def z4_product(xi) -> UncertaintyReport:
-    """Four-party product on the a = 2 family; approaches 1/30 as xi -> 1.
-
-    z4 = (1/30) (1 + R)/2 / ||g_2||^2 with the closed-form R and the
-    norm of route A: about 14 digits, at every xi from 1e-6 to 1 - 1e-15.
-    """
-    p = as_xi(xi)
-    norm = g_family(p, 2.0).normalization
-    half_rf = 0.5 * (1.0 + r_closed(p))  # ||r f'||^2 of the two-party profile
-    value = _float_prefactor(2) * half_rf / (norm * norm)
-    return UncertaintyReport(4, p, value, "mellin")
+    """Four-party product on g_2 = v_2 / 2; approaches 1/30 as xi -> 1."""
+    return _z_product(2, xi)
 
 
 def z6_product(xi) -> UncertaintyReport:
-    """Six-party product on the layered family; approaches 35/4096 as xi -> 1.
-
-    z6 = (1/560) (1 + R)/2 / (||g_3/2||^2 ||h||^2) with the norms of
-    route A, to the same digits as ``z4_product``.
-    """
-    p = as_xi(xi)
-    g_norm = g_family(p, 1.5).normalization
-    h_norm = h_family(p).normalization
-    half_rf = 0.5 * (1.0 + r_closed(p))
-    value = _float_prefactor(3) * half_rf / (g_norm * g_norm * h_norm * h_norm)
-    return UncertaintyReport(6, p, value, "mellin")
+    """Six-party product on h, a multiple of v_3; approaches 35/4096 as xi -> 1."""
+    return _z_product(3, xi)
 
 
 def alpha_beta_certificate() -> float:

@@ -475,7 +475,7 @@ _FAMILY_ROWS = {"g_identity_a2", "g_identity_a32", "h_identity", "z4_above_infim
 def test_verify_reports_a_raising_layer_as_red_rows(tmp_path, monkeypatch, capsys):
     # a layer that raises fails only the rows that read it: the battery
     # still runs every other check and writes its table
-    def broken(xi, order):
+    def broken(*args):
         raise RuntimeError("family norms unavailable")
 
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))

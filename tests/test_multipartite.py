@@ -6,10 +6,6 @@ import pytest
 
 from minuncert.bipartite import XiParameter, f_closed, f_profile, r_closed
 from minuncert.multipartite import (
-    PRODUCT_INFIMUM_4,
-    PRODUCT_INFIMUM_6,
-    SEPARABLE_BOUND_4,
-    SEPARABLE_BOUND_6,
     OperatorCoefficients,
     alpha_beta_certificate,
     b_coefficients,
@@ -21,7 +17,6 @@ from minuncert.multipartite import (
     z4_product,
     z6_product,
 )
-from minuncert.bipartite import PRODUCT_INFIMUM_2
 import minuncert.bipartite as bipartite
 import minuncert.multipartite as multipartite
 from minuncert.specfun import ellip_k
@@ -37,6 +32,11 @@ from oracles import (
     Z6,
     fd_rk_derivative,
 )
+
+# the exact windows as literals, independent of the report's derivation
+PRODUCT_INFIMUM_2 = 0.125
+PRODUCT_INFIMUM_4, SEPARABLE_BOUND_4 = 1.0 / 30.0, 1.0 / 16.0
+PRODUCT_INFIMUM_6, SEPARABLE_BOUND_6 = 35.0 / 4096.0, 1.0 / 64.0
 
 
 # --- exact coefficient layer ----------------------------------------------
@@ -57,10 +57,11 @@ def test_b_tables():
 
 
 def test_float_prefactor_is_the_exact_one_rounded():
-    # z4_product and z6_product take the prefactor without fractions; the
-    # int true division must round the exact Fraction bit for bit
+    # the products take prefactor_n (n^n/n!)^2 without fractions; the int
+    # true division must round the exact Fraction bit for bit
     for n in range(1, 13):
-        assert multipartite._float_prefactor(n) == float(b_coefficients(n).prefactor)
+        exact = b_coefficients(n).prefactor * Fraction(n**n, math.factorial(n)) ** 2
+        assert multipartite._z(n, 1.0, 1.0) == float(exact)
 
 
 def test_b_leading_coefficient_is_one():
@@ -400,11 +401,11 @@ def test_family_norm_rule_orders_agree(family, xi, monkeypatch):
     # angular rule and the t-rule together: two orders per panel of both
     # agree.  The norms are kept per xi and rule order, so each order is a
     # pass of its own
-    index = ("g2", "g32", "h").index(family)
+    poles = {"g2": (0.5,), "g32": (1.0 / 3.0,), "h": (1.0 / 3.0, 2.0 / 3.0)}[family]
     norms = []
     for order in (16, 24):
         monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", order)
-        norms.append(multipartite._family_norms(xi, order)[index])
+        norms.append(multipartite._family_norms(xi, order, poles))
     assert norms[0] == pytest.approx(norms[1], rel=2e-15, abs=0.0)
 
 
@@ -459,9 +460,9 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
     real = multipartite._laplace
     real_angular = bipartite._angular_kernel_integral
 
-    def counted(x, r):
+    def counted(x, r, keys):
         passes.append(("laplace", x, len(r), bipartite._ANGULAR_ORDER))
-        return real(x, r)
+        return real(x, r, keys)
 
     def counted_angular(x, r):
         passes.append(("angular", x, len(r), bipartite._ANGULAR_ORDER))
@@ -625,10 +626,81 @@ def test_laplace_point_values_vs_mpmath(xi, radii):
         assert h_values[i] == pytest.approx(h_ref, rel=5e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_routes_agree_for_every_nested_n(n):
+    # one product formula on both routes: route A's density norm of v_n and
+    # route B's radial norms of v_n and r f', for every n the nested route
+    # serves, through xi -> 1
+    for xi in (1e-6, 0.01, 0.5, 0.9, 1.0 - 1e-12, 1.0 - 1e-15):
+        report = multipartite._z_product(n, xi)
+        assert report.parties == 2 * n
+        assert functional_z(n, xi) == pytest.approx(report.product, rel=1e-13, abs=0.0)
+
+
+def test_laplace_pass_evaluates_only_the_keys_asked(monkeypatch):
+    # a profile on caller-given radii asks the Laplace pass for its own key
+    # alone, and the pass adds only that key's sibling (f itself below
+    # k = 1): g_2 needs no weight of g_3/2 or h, and h none of g_2
+    calls = []
+    real = multipartite._laplace
+
+    def recorded(xi, r, keys):
+        out = real(xi, r, keys)
+        calls.append((list(keys), sorted(out)))
+        return out
+
+    monkeypatch.setattr(multipartite, "_laplace", recorded)
+    r = np.linspace(0.0, 4.0, 9)
+    g_family(0.9).rows(r)
+    h_family(0.9).rows(r)
+    v2, v3 = multipartite._v_key(2), multipartite._v_key(3)
+    assert calls == [([v2], sorted([v2, v2.sibling])), ([v3], sorted([v3, v3.sibling]))]
+    assert v2.sibling.k == 0 and v3.sibling == v3._replace(k=1)
+
+
+# g_2, g_3/2, -(1/3) v_3 (h up to its factor c), then v_4 and v_5
+_WEIGHT_KEYS = [multipartite.Poles(0.5, 0.5, 0.5, 1),
+                multipartite.Poles(2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 1),
+                multipartite.Poles(-1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 2),
+                multipartite._v_key(4), multipartite._v_key(5)]
+
+
+def test_laplace_weight_is_its_partial_fractions():
+    # c prod 1/(-s - p_j) = c sum_j A_j / (-s - p_j), A_j = prod_(i != j)
+    # 1/(p_j - p_i), and 1/(-s - p) is the Mellin transform of -u^(-1-p):
+    # the Beta form of the weight must equal c sum_j A_j (-u^(-1-p_j)), in
+    # mpmath at 30 digits, where the partial fractions cancel near u = 1,
+    # and the library's floats must meet it to a few ulps.  Its mass, the
+    # value at the origin over f(0), is c prod 1/(-p_j)
+    import mpmath as mp
+
+    y = np.array([1e-3, 1.0, 9.0, 999999.0])
+    with mp.workdps(30):
+        for key, mu in multipartite._weights(np.log1p(y), _WEIGHT_KEYS):
+            c, p, d, k = map(mp.mpf, key)
+            poles = [p + j * d for j in range(key.k)]
+            amp = [mp.fprod(1 / (pj - pi) for pi in poles if pi is not pj) for pj in poles]
+            mass = c * mp.fprod(-1 / pj for pj in poles)
+            assert abs(c * mp.fsum(a * -1 / pj for a, pj in zip(amp, poles)) / mass - 1) < 1e-25
+            assert multipartite._at_origin(key) == pytest.approx(float(mass), rel=2e-16, abs=0.0)
+            for yi, got in zip(y, mu):
+                u = 1 + mp.mpf(yi)
+                fractions = c * mp.fsum(a * -u ** (-1 - pj) for a, pj in zip(amp, poles))
+                beta = (c * (-1) ** key.k / (mp.factorial(key.k - 1) * d ** (key.k - 1))
+                        * u ** (-1 - p) * (1 - u ** -d) ** (key.k - 1))
+                # the sum cancels to y^(k - 1) of its terms A_j u^(-1-p_j):
+                # 12 of the 30 digits for v_5 at u = 1 + 1e-3
+                assert abs(beta / fractions - 1) < 1e-17
+                assert got == pytest.approx(float(fractions), rel=4e-15, abs=0.0)
+    # the library's three keys keep the masses -1, -2 and -3/2 exactly
+    assert [multipartite._at_origin(key) for key in _WEIGHT_KEYS[:3]] == [-1.0, -2.0, -1.5]
+
+
 def test_functional_z_validation():
-    # the nested route knows the families of z4 and z6 only
-    for n in (0, 1, 4, 12, 2.0, True):
-        with pytest.raises(ValueError, match="n must be 2 or 3"):
+    # the nested route holds route A's digits for n = 2..5 only: beyond, the
+    # radial rule's lower end leaves out mass of v_n
+    for n in (0, 1, 6, 12, 2.0, True):
+        with pytest.raises(ValueError, match=r"n must be an integer in \[2, 5\].*lower end"):
             functional_z(n, 0.5)
     with pytest.raises(ValueError):
         functional_z(2, 1.5)
@@ -719,7 +791,8 @@ def test_perturbed_laplace_shifts_nested_z4(monkeypatch):
     clean = z4_product(0.5).product
     nested = functional_z(2, 0.5)
     real = multipartite._laplace
-    monkeypatch.setattr(multipartite, "_laplace", lambda xi, r: 1.05 * real(xi, r))
+    monkeypatch.setattr(multipartite, "_laplace", lambda xi, r, keys: {
+        key: 1.05 * row for key, row in real(xi, r, keys).items()})
     multipartite._family_norms.cache_clear()
     multipartite._radial_family_rows.cache_clear()
     try:
