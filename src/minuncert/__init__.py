@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 _HOME = {
     "XiParameter": "bipartite",
     "AngularProfile": "bipartite",
+    "radial_rule": "bipartite",
     "UncertaintyReport": "bipartite",
     "r_closed": "bipartite",
     "uncertainty_product": "bipartite",
@@ -31,8 +32,6 @@ _HOME = {
     "OperatorCoefficients": "multipartite",
     "OdeFamilyProfile": "multipartite",
     "b_coefficients": "multipartite",
-    "pascal_matrix_pair": "multipartite",
-    "pochhammer_root_residual": "multipartite",
     "functional_z": "multipartite",
     "g_family": "multipartite",
     "h_family": "multipartite",

@@ -19,7 +19,7 @@ from operator import mul
 
 from ._lazy import np
 from .quadrature import _gauss_legendre, graded_rule, log_rule
-from .specfun import ellip_e, ellip_k, i0e, log_i0e
+from .specfun import _ellip_k_complement, ellip_e, ellip_k, i0e, log_i0e
 
 __all__ = [
     "XiParameter",
@@ -414,8 +414,12 @@ def overlap(xi, xi_prime) -> float:
 
 def _overlap(a: float, b: float, ka: float, kb: float) -> float:
     # K(sqrt(ab)) / sqrt(K(a) K(b)), with ka = K(a) and kb = K(b) given, so
-    # a table over a grid takes K once per grid value
-    return ellip_k(math.sqrt(a * b)) / math.sqrt(ka * kb)
+    # a table over a grid takes K once per grid value.  K(sqrt(ab)) starts
+    # from its complementary modulus sqrt(1 - ab) = sqrt((1 - lo) + lo (1 - hi)),
+    # a sum of positive terms, taken in one order so the value is symmetric;
+    # rounding sqrt(ab) first would lose up to 1.1e-11 of it near a, b -> 1
+    lo, hi = sorted((a, b))
+    return _ellip_k_complement(math.sqrt((1.0 - lo) + lo * (1.0 - hi))) / math.sqrt(ka * kb)
 
 
 def fock_coeff(n: int, m: int, xi) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from functools import cache, partial
 
 from . import multipartite
@@ -52,8 +53,6 @@ def _run_checks(checks):
 
 
 def _b_table_mismatches() -> int:
-    from fractions import Fraction
-
     expected = {
         1: ((Fraction(1),), Fraction(1, 2)),
         2: ((Fraction(1), Fraction(2)), Fraction(1, 30)),
@@ -67,57 +66,13 @@ def _b_table_mismatches() -> int:
     return bad
 
 
-# a common denominator of every entry of the pairs up to n = 12, whose
-# entries are +-1/(i - j)!
-_PASCAL_SCALE = math.factorial(11)
-
-
-def _pair_mismatches(fwd, inv) -> int:
-    """Entries of fwd @ inv that differ from the identity, checked on integers.
-
-    Every entry is scaled by ``_PASCAL_SCALE``; an entry that does not
-    scale to an integer counts as a mismatch itself.  The scaled product
-    must then equal _PASCAL_SCALE^2 times the identity.
-    """
-    from fractions import Fraction
-
-    bad = 0
-    scaled = []
-    for matrix in (fwd, inv):
-        rows = []
-        for row in matrix:
-            out = []
-            for v in row:
-                v = Fraction(v)
-                num, rem = divmod(v.numerator * _PASCAL_SCALE, v.denominator)
-                bad += rem != 0
-                out.append(num)
-            rows.append(out)
-        scaled.append(rows)
-    a, b = scaled
-    n = len(a)
-    one = _PASCAL_SCALE * _PASCAL_SCALE
-    for i in range(n):
-        for j in range(n):
-            acc = sum(a[i][k] * b[k][j] for k in range(n))
-            bad += acc != (one if i == j else 0)
-    return bad
-
-
-def _pascal_mismatches() -> int:
-    return sum(_pair_mismatches(*multipartite.pascal_matrix_pair(n)) for n in range(1, 13))
-
-
-def _pochhammer_worst() -> float:
-    from fractions import Fraction
-
-    worst = Fraction(0)
-    for n in range(1, 9):
-        for j in range(n):
-            res = abs(multipartite.pochhammer_root_residual(n, j))
-            if res > worst:
-                worst = res
-    return float(worst)
+def _operator_at(n: int, x):
+    """P_n(x) = sum_k b_k x (x - 1) ... (x - k + 1) of the b table, exactly."""
+    total, falling = 0, 1
+    for k, bk in enumerate(multipartite.b_coefficients(n).b):
+        falling *= x - k
+        total += bk * falling
+    return total
 
 
 def _fock_selection_leak() -> float:
@@ -189,8 +144,15 @@ def run_battery(order: int):
          lambda: (0.25 / (0.25 + sol().q_value), 1.2192, 1e-3, None)),
         ("b_coefficients",
          lambda: (float(_b_table_mismatches()), 0.0, 0.0, None)),
-        ("pascal_inverse", lambda: (float(_pascal_mismatches()), 0.0, 0.0, None)),
-        ("pochhammer_roots", lambda: (_pochhammer_worst(), 0.0, 0.0, None)),
+        # P_n(j) = C(jn, n) at the n + 1 points j = 0..n, the factorial-matrix
+        # relation that b's alternating sum inverts, pins the degree-n P_n to
+        # (n^n / n!) prod_(j<n) (x - j/n); its roots j/n are the families' poles
+        ("pascal_inverse",
+         lambda: (float(sum(_operator_at(n, j) != math.comb(j * n, n)
+                            for n in range(1, 13) for j in range(n + 1))), 0.0, 0.0, None)),
+        ("pochhammer_roots",
+         lambda: (float(max(abs(_operator_at(n, Fraction(j, n)))
+                            for n in range(1, 9) for j in range(n))), 0.0, 0.0, None)),
         ("shell_identity_check",
          lambda: (float(shell_identity_check(12)), 1.0, 0.0, None)),
         ("bipartite_product",

@@ -3,20 +3,21 @@
 The expectation functional for 2n parties is
 z_2n = prefactor_n ||P_n(D) v||^2 / ||v||^2 with D = r d/dr and
 P_n(D) = sum_k b_k D (D - 1) ... (D - k + 1) = (n^n / n!) prod_(j<n) (D - j/n).
-The b table, the factorial matrix pair behind it, and the vanishing
-Pochhammer residuals run in exact rational arithmetic.
+The b table runs in exact rational arithmetic; ``checks`` evaluates P_n
+from it at the integers and at its roots.
 
-Every family is the two-party profile f under factors (D - p_j)^(-1),
-keyed by its poles (``Poles``), and v_n = prod_(j=1)^(n-1) (D - j/n)^(-1) f
+Every family is the two-party profile f under the first k factors
+(D - j/n)^(-1), j = 1..k, of P_n, keyed by its roots (``Poles(n, k)``)
+and scaled by c, and v_n = (n, n - 1) = prod_(j=1)^(n-1) (D - j/n)^(-1) f
 makes P_n(D) v_n = (n^n / n!) D f, so z_2n = prefactor_n (n^n / n!)^2
 ||D f||^2 / ||v_n||^2 for every n.  Route A (``z4_product``,
 ``z6_product``) takes ||D f||^2 = (1 + R)/2 in closed form and
-||v||^2 = c^2 int rho_xi / prod_j ((1/2 + p_j)^2 + t^2) dt over the Mellin
+||v||^2 = int rho_xi / prod_j ((1/2 + j/n)^2 + t^2) dt over the Mellin
 density of f (``bipartite._mellin_density``), where D acts as -(1/2 + it).
 Route B (``functional_z``) takes both norms on the radial rule, with every
 point value of v a Laplace average int_1^inf mu(u) f(u r) du on a rule of
-its own per radius.  A family is an ``AngularProfile`` of its two rows v
-and r v' = p_last v + (D - p_last) v.
+its own per radius.  A family is an ``AngularProfile`` of its two rows c v
+and c r v' = c ((k/n) v + (D - k/n) v).
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ __all__ = [
     "OperatorCoefficients",
     "OdeFamilyProfile",
     "b_coefficients",
-    "pascal_matrix_pair",
-    "pochhammer_root_residual",
     "functional_z",
     "g_family",
     "h_family",
@@ -75,86 +74,37 @@ def b_coefficients(n: int) -> OperatorCoefficients:
     )
 
 
-def pascal_matrix_pair(n: int):
-    """Lower-triangular factorial matrix and its signed inverse, exactly."""
-    if not (isinstance(n, int) and 1 <= n <= 12):
-        raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
-    from fractions import Fraction
-
-    fwd = [
-        [Fraction(1, math.factorial(i - j)) if i >= j else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    inv = [
-        [
-            Fraction((-1) ** (i - j), math.factorial(i - j)) if i >= j else Fraction(0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return fwd, inv
-
-
-def pochhammer_root_residual(n: int, j: int):
-    """sum_k b_k (j/n)(j/n - 1)...(j/n - k + 1) as a Fraction; exactly zero for 0 <= j < n.
-
-    The vanishing falling-factorial sums are precisely why the monomials
-    r^(j/n) are annihilated by the operator, so no non-normalizable
-    kernel element can masquerade as a profile.
-    """
-    if not (isinstance(n, int) and 1 <= n <= 12):
-        raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
-    if not (isinstance(j, int) and 0 <= j < n):
-        raise ValueError(f"j must be an integer in [0, n), got {j!r}")
-    from fractions import Fraction
-
-    ops = b_coefficients(n)
-    alpha = Fraction(j, n)
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        falling = Fraction(1)
-        for i in range(k):
-            falling *= alpha - i
-        total += ops.b[k - 1] * falling
-    return total
-
-
 # ---------------------------------------------------------------------------
-# the families, keyed by their poles: g_2 = (1/2, 1/2, 1/2, 1),
-# g_3/2 = (2/3, 1/3, 1/3, 1), h = (2 / (9 ||g_3/2||), 1/3, 1/3, 2) and
-# v_n = (1, 1/n, 1/n, n - 1)
+# the families, keyed by the roots of P_n they invert and scaled by c:
+# g_2 = (1/2) (2, 1), g_3/2 = (2/3) (3, 1), h = (2 / (9 ||g_3/2||)) (3, 2)
+# and v_n = (n, n - 1)
 
 
-class Poles(namedtuple("Poles", "c p d k")):
-    """The family v = c prod_(j<k) (D - p - j d)^(-1) f; k = 0 is c f."""
+class Poles(namedtuple("Poles", "n k")):
+    """The family prod_(j=1)^k (D - j/n)^(-1) f; k = 0 is f itself."""
 
     __slots__ = ()
 
     @property
     def poles(self):
-        return tuple(self.p + j * self.d for j in range(self.k))
-
-    @property
-    def unit(self):
-        """The key with c = 1: the passes keep their rows under it."""
-        return self._replace(c=1.0)
+        return tuple(j / self.n for j in range(1, self.k + 1))
 
     @property
     def sibling(self):
-        """(D - p_last) v / c: the unit key with k - 1, and f itself below k = 1."""
-        return Poles(1.0, self.p, self.d, self.k - 1) if self.k > 1 else _F
+        """(D - k/n) v: the key with k - 1, and f itself below k = 1."""
+        return Poles(self.n, self.k - 1) if self.k > 1 else _F
 
 
-_F = Poles(1.0, 0.0, 0.0, 0)
+_F = Poles(1, 0)
 
 
 def _v_key(n: int) -> Poles:
-    return Poles(1.0, 1.0 / n, 1.0 / n, n - 1)
+    return Poles(n, n - 1)
 
 
 def _at_origin(key: Poles) -> float:
-    """v(0) / f(0) = c prod 1/(-p_j), the mass of mu."""
-    return key.c * math.prod(-1.0 / p for p in key.poles)
+    """v(0) / f(0) = prod_j (-n/j) = (-n)^k / k!, the mass of mu, rounded once."""
+    return (-key.n) ** key.k / math.factorial(key.k)
 
 
 # nodes per block of a Laplace pass: at 4096 the per-call overhead of i0e's
@@ -165,28 +115,28 @@ _LAPLACE_BLOCK = 16384
 
 def _weights(lu, keys):
     """(key, mu(u)) of each key at the nodes u = e^lu: the Laplace weight
-    c (-1)^k / ((k - 1)! d^(k - 1)) u^(-1 - p) (1 - u^(-d))^(k - 1).
+    (-1)^k n^(k - 1) / (k - 1)! u^(-1 - 1/n) (1 - u^(-1/n))^(k - 1).
 
-    Its Mellin transform int_1^inf mu(u) u^(-s) du is c prod 1/(-s - p_j)
+    Its Mellin transform int_1^inf mu(u) u^(-s) du is prod_j 1/(-s - j/n)
     (the Beta integral), so int_1^inf mu(u) f(u r) du is the family (DLMF
-    8.6.4 under the angular integral).  1 - u^(-d) is taken as -expm1, so
-    nothing cancels near u = 1; keys that share p or d share its power.
+    8.6.4 under the angular integral).  1 - u^(-1/n) is taken as -expm1, so
+    nothing cancels near u = 1; keys that share n share both powers.
     """
-    power, gap = {}, {}
+    powers = {}
     for key in keys:
-        if key.p not in power:
-            power[key.p] = np.exp((-1.0 - key.p) * lu)
-        mu = (key.c * (-1) ** key.k / (math.factorial(key.k - 1) * key.d ** (key.k - 1))
-              * power[key.p])
-        if key.k > 1:
-            if key.d not in gap:
-                gap[key.d] = -np.expm1(-key.d * lu)
-            mu = mu * gap[key.d] ** (key.k - 1)
+        n, k = key
+        power, gap = powers.get(n) or (np.exp((-1.0 - 1.0 / n) * lu), None)
+        mu = (-1) ** k * n ** (k - 1) / math.factorial(k - 1) * power
+        if k > 1:
+            if gap is None:
+                gap = -np.expm1(-lu / n)
+            mu = mu * gap ** (k - 1)
+        powers[n] = power, gap
         yield key, mu
 
 
 def _laplace(xi: float, r, keys):
-    """{key: v at the radii r} of the unit keys asked for and of their siblings only.
+    """{key: v at the radii r} of the keys asked for and of their siblings only.
 
     One ``dilation_rule`` and one evaluation of f serve every weight.  Each
     value depends on its own r alone.
@@ -233,15 +183,17 @@ def _radial_family_rows(xi: float, order: int, top: int):
     return values, rf
 
 
-def _family_profile(xi: float, key: Poles, norm: float):
+def _family_profile(xi: float, c: float, key: Poles):
+    """c times the family ``key``: rows v and r v' = (k/n) v + sibling, norm on route A."""
     def rows(r):
         if r is None:
             values = _radial_family_rows(xi, bipartite._ANGULAR_ORDER, _FAMILY_TOP)[0]
         else:
-            values = _laplace(xi, r, [key.unit])
-        v = values[key.unit]
-        return key.c * np.array([v, key.poles[-1] * v + values[key.sibling]])
+            values = _laplace(xi, r, [key])
+        v = values[key]
+        return c * np.array([v, key.k / key.n * v + values[key.sibling]])
 
+    norm = abs(c) * math.sqrt(_family_norms(xi, bipartite._ANGULAR_ORDER, key.poles))
     return AngularProfile(xi, rows, norm=norm)
 
 
@@ -251,7 +203,7 @@ OdeFamilyProfile = AngularProfile
 
 @lru_cache(maxsize=64)
 def _family_norms(xi: float, order: int, poles):
-    """||v / c||^2 = int rho / prod_j ((1/2 + p_j)^2 + t^2) dt on route A.
+    """||v||^2 = int rho / prod_j ((1/2 + p_j)^2 + t^2) dt on route A.
 
     One sum per xi, rule order (``_ANGULAR_ORDER``) and tuple of poles.
     """
@@ -262,29 +214,22 @@ def _family_norms(xi: float, order: int, poles):
     return math.fsum(terms)
 
 
-def _norm(xi: float, key: Poles) -> float:
-    return abs(key.c) * math.sqrt(_family_norms(xi, bipartite._ANGULAR_ORDER, key.poles))
-
-
 def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:
     """Family member solving (1 - a) g + a r g' = f for the given xi, a = 2 or 3/2."""
     v = as_xi(xi).value
     a = float(a)
     if a not in (2.0, 1.5):
         raise ValueError(f"a must be 2 or 3/2, got {a!r}")
-    # g = (1/a) (D - p)^(-1) f; d = p makes its unit key v_2 (a = 2) or
-    # v_3's sibling (a = 3/2), which the radial pass already holds
-    p = (a - 1.0) / a
-    key = Poles(1.0 / a, p, p, 1)
-    return _family_profile(v, key, _norm(v, key))
+    # g = (1/a) (D - (a - 1)/a)^(-1) f: the key v_2 = (2, 1) (a = 2) or
+    # v_3's sibling (3, 1) (a = 3/2), which the radial pass already holds
+    return _family_profile(v, 1.0 / a, Poles(2 if a == 2.0 else 3, 1))
 
 
 def h_family(xi) -> OdeFamilyProfile:
     """Second-layer family: -2 h + 3 r h' equals the normalized a = 3/2 member."""
     v = as_xi(xi).value
     # 3 (D - 2/3) h = g_3/2 / ||g_3/2|| with g_3/2 = (2/3) (D - 1/3)^(-1) f
-    key = _v_key(3)._replace(c=2.0 / (9.0 * g_family(v, 1.5).normalization))
-    return _family_profile(v, key, _norm(v, key))
+    return _family_profile(v, 2.0 / (9.0 * g_family(v, 1.5).normalization), _v_key(3))
 
 
 def _z(n: int, df2: float, v2: float) -> float:

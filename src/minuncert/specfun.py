@@ -59,9 +59,17 @@ def ellip_k(xi: float) -> float:
     """
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {xi!r}")
-    a = 1.0
     # (1-xi)(1+xi) avoids cancellation in 1 - xi^2 for xi near 1
-    b = math.sqrt((1.0 - xi) * (1.0 + xi))
+    return _ellip_k_complement(math.sqrt((1.0 - xi) * (1.0 + xi)))
+
+
+def _ellip_k_complement(b: float) -> float:
+    """ellip_k of the modulus sqrt(1 - b^2), from the complementary modulus b in (0, 1].
+
+    K = pi / (2 AGM(1, b)); a caller that knows 1 - xi^2 without
+    cancellation passes its root, since xi itself would round it away.
+    """
+    a = 1.0
     while abs(a - b) > _EPS * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (2.0 * a)

@@ -458,6 +458,25 @@ def test_overlap_vs_radial_quadrature():
     assert value == pytest.approx(overlap(a, b), abs=1e-12)
 
 
+_OVERLAP_XI = (1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15,
+               0.9999999999999999)
+
+
+def test_overlap_vs_mpmath_near_xi_one():
+    # K(sqrt(ab)) / sqrt(K(a) K(b)) at 40 digits for every pair: near a, b
+    # -> 1 a rounded modulus sqrt(ab) loses most of 1 - ab, up to 1.06e-11
+    # of the overlap at (1 - 1e-9, 1 - 1e-15), so K(sqrt(ab)) must start
+    # from its complementary modulus
+    import mpmath as mp
+
+    with mp.workdps(40):
+        for a in _OVERLAP_XI:
+            for b in _OVERLAP_XI:
+                x, y = mp.mpf(a), mp.mpf(b)
+                ref = mp.ellipk(x * y) / mp.sqrt(mp.ellipk(x * x) * mp.ellipk(y * y))
+                assert overlap(a, b) == pytest.approx(float(ref), rel=2e-15, abs=0.0)
+
+
 def test_fock_selection_rule():
     xi = 0.5
     for n in range(11):
@@ -490,12 +509,14 @@ def test_fock_coeffs_vs_hermite_projection():
 @pytest.mark.parametrize("n, m, xi", [
     (864, 0, 0.5), (432, 432, 0.5), (100, 0, 1e-12), (50, 50, 1e-12), (98, 2, 1e-12),
     (1032, 0, 0.5), (516, 516, 0.999), (2000, 2000, 0.999), (4096, 4, 0.999999),
-    (1028, 0, 0.3), (512, 512, 0.9),
+    (1028, 0, 0.3), (512, 512, 0.9), (4, 0, 1.0 - 1e-15), (512, 512, 1.0 - 1e-15),
+    (2, 2, 0.9999999999999999), (2000, 2000, 0.9999999999999999),
 ])
 def test_fock_coeff_vs_mpmath_at_large_order(n, m, xi):
     # (xi / 16)^(q/2) underflows from (864, 0) at xi = 0.5 and from
     # n + m = 100 at xi = 1e-12, and the binomials outgrow a float from
-    # n + m = 1032, while every coefficient here is a normal double
+    # n + m = 1032, while every coefficient here is a normal double; the
+    # last four cells sit at the extreme xi of the command's sweep
     import mpmath as mp
 
     with mp.workdps(40):

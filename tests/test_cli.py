@@ -463,7 +463,9 @@ def test_verify_negative_control(tmp_path, monkeypatch, capsys):
     assert "b_coefficients" in err
     header, rows = read_csv(tmp_path / "verify.csv")
     by_name = {row[0]: row for row in rows}
-    assert by_name["b_coefficients"][4] == "false"
+    # the table, P_n at the integers and P_n at its roots all read b_2
+    for name in ("b_coefficients", "pascal_inverse", "pochhammer_roots"):
+        assert by_name[name][4] == "false"
 
 
 # the rows that read a family norm: the families themselves and the products
@@ -835,16 +837,19 @@ def test_csv_floats_roundtrip(tmp_path, monkeypatch):
     assert val == overlap(0.3, 0.7)
 
 
-def test_pascal_check_counts_a_corrupted_entry():
-    # the integer check of fwd @ inv must see one wrong entry, whether it
-    # still scales to an integer or not
-    assert checks._pascal_mismatches() == 0
-    for n, which, (i, j), value in (
-        (5, 0, (3, 1), Fraction(1, 3)),
-        (5, 1, (4, 2), Fraction(1, 13)),
-        (12, 0, (11, 0), Fraction(2, math.factorial(11))),
-    ):
-        pair = multipartite.pascal_matrix_pair(n)
-        assert checks._pair_mismatches(*pair) == 0
-        pair[which][i][j] = value
-        assert checks._pair_mismatches(*pair) > 0
+def test_operator_at_sees_a_corrupted_entry(monkeypatch):
+    # P_n of the b table meets C(jn, n) at j = 0..n and vanishes at its
+    # roots j/n; one wrong entry b_k, the first or the last, must break both
+    real = b_coefficients
+    for n in (1, 5, 12):
+        assert [checks._operator_at(n, j) for j in range(n + 1)] == [
+            math.comb(j * n, n) for j in range(n + 1)]
+        assert all(checks._operator_at(n, Fraction(j, n)) == 0 for j in range(n))
+    for n, k in ((5, 0), (5, 4), (12, 11)):
+        b = list(real(n).b)
+        b[k] += Fraction(1, 10**6)
+        bad = real(n)._replace(b=tuple(b))
+        monkeypatch.setattr(multipartite, "b_coefficients",
+                            lambda m, n=n, bad=bad: bad if m == n else real(m))
+        assert any(checks._operator_at(n, j) != math.comb(j * n, n) for j in range(n + 1))
+        assert any(checks._operator_at(n, Fraction(j, n)) != 0 for j in range(n))

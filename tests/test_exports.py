@@ -44,6 +44,14 @@ print(*[m for m in sys.argv[1:] if getattr(minuncert, m) is not sys.modules["min
                        "minuncert.simple_state,minuncert.specfun", ""]
 
 
+def test_export_table_is_the_library_modules_all():
+    # the package exports exactly the public names of its library modules,
+    # each from the module that defines it
+    want = {name: home for home in ("bipartite", "multipartite", "simple_state", "spectral")
+            for name in importlib.import_module(f"minuncert.{home}").__all__}
+    assert minuncert._HOME == want
+
+
 def test_package_dir_and_unknown_names():
     names = dir(minuncert)
     assert set(minuncert.__all__) <= set(names)

@@ -12,8 +12,6 @@ from minuncert.multipartite import (
     functional_z,
     g_family,
     h_family,
-    pascal_matrix_pair,
-    pochhammer_root_residual,
     z4_product,
     z6_product,
 )
@@ -80,36 +78,6 @@ def test_b_validation():
     for bad in (0, 13, -1, 2.0):
         with pytest.raises(ValueError):
             b_coefficients(bad)
-
-
-def test_pascal_pair_inverse():
-    for n in (1, 5, 12):
-        fwd, inv = pascal_matrix_pair(n)
-        for i in range(n):
-            for j in range(n):
-                acc = sum(fwd[i][k] * inv[k][j] for k in range(n))
-                assert acc == (1 if i == j else 0)
-    with pytest.raises(ValueError):
-        pascal_matrix_pair(0)
-
-
-def test_pascal_entries():
-    fwd, inv = pascal_matrix_pair(4)
-    assert fwd[3][0] == Fraction(1, 6)
-    assert inv[3][0] == Fraction(-1, 6)
-    assert fwd[2][2] == 1
-    assert fwd[1][2] == 0
-
-
-def test_pochhammer_roots_vanish():
-    # r^(j/n) spans the operator kernel: every residual is exactly zero
-    for n in range(1, 9):
-        for j in range(n):
-            assert pochhammer_root_residual(n, j) == 0
-    with pytest.raises(ValueError):
-        pochhammer_root_residual(3, 3)
-    with pytest.raises(ValueError):
-        pochhammer_root_residual(3, -1)
 
 
 def test_pochhammer_nonroot_does_not_vanish():
@@ -658,42 +626,40 @@ def test_laplace_pass_evaluates_only_the_keys_asked(monkeypatch):
     assert v2.sibling.k == 0 and v3.sibling == v3._replace(k=1)
 
 
-# g_2, g_3/2, -(1/3) v_3 (h up to its factor c), then v_4 and v_5
-_WEIGHT_KEYS = [multipartite.Poles(0.5, 0.5, 0.5, 1),
-                multipartite.Poles(2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 1),
-                multipartite.Poles(-1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 2),
+# g_2 / c, g_3/2 / c, v_3 (h up to its factor c), then v_4 and v_5
+_WEIGHT_KEYS = [multipartite.Poles(2, 1), multipartite.Poles(3, 1), multipartite.Poles(3, 2),
                 multipartite._v_key(4), multipartite._v_key(5)]
 
 
 def test_laplace_weight_is_its_partial_fractions():
-    # c prod 1/(-s - p_j) = c sum_j A_j / (-s - p_j), A_j = prod_(i != j)
+    # prod 1/(-s - p_j) = sum_j A_j / (-s - p_j), A_j = prod_(i != j)
     # 1/(p_j - p_i), and 1/(-s - p) is the Mellin transform of -u^(-1-p):
-    # the Beta form of the weight must equal c sum_j A_j (-u^(-1-p_j)), in
-    # mpmath at 30 digits, where the partial fractions cancel near u = 1,
-    # and the library's floats must meet it to a few ulps.  Its mass, the
-    # value at the origin over f(0), is c prod 1/(-p_j)
+    # the Beta form of the weight must equal sum_j A_j (-u^(-1-p_j)) for the
+    # poles p_j = j/n, in mpmath at 30 digits, where the partial fractions
+    # cancel near u = 1, and the library's floats must meet it to a few
+    # ulps.  Its mass, the value at the origin over f(0), is prod 1/(-p_j)
     import mpmath as mp
 
     y = np.array([1e-3, 1.0, 9.0, 999999.0])
     with mp.workdps(30):
         for key, mu in multipartite._weights(np.log1p(y), _WEIGHT_KEYS):
-            c, p, d, k = map(mp.mpf, key)
-            poles = [p + j * d for j in range(key.k)]
+            n, k = key
+            poles = [mp.mpf(j) / n for j in range(1, k + 1)]
             amp = [mp.fprod(1 / (pj - pi) for pi in poles if pi is not pj) for pj in poles]
-            mass = c * mp.fprod(-1 / pj for pj in poles)
-            assert abs(c * mp.fsum(a * -1 / pj for a, pj in zip(amp, poles)) / mass - 1) < 1e-25
-            assert multipartite._at_origin(key) == pytest.approx(float(mass), rel=2e-16, abs=0.0)
+            mass = mp.fprod(-1 / pj for pj in poles)
+            assert abs(mp.fsum(a * -1 / pj for a, pj in zip(amp, poles)) / mass - 1) < 1e-25
+            assert multipartite._at_origin(key) == float(mass)
             for yi, got in zip(y, mu):
                 u = 1 + mp.mpf(yi)
-                fractions = c * mp.fsum(a * -u ** (-1 - pj) for a, pj in zip(amp, poles))
-                beta = (c * (-1) ** key.k / (mp.factorial(key.k - 1) * d ** (key.k - 1))
-                        * u ** (-1 - p) * (1 - u ** -d) ** (key.k - 1))
+                fractions = mp.fsum(a * -u ** (-1 - pj) for a, pj in zip(amp, poles))
+                beta = ((-1) ** k * mp.mpf(n) ** (k - 1) / mp.factorial(k - 1)
+                        * u ** (-1 - poles[0]) * (1 - u ** -poles[0]) ** (k - 1))
                 # the sum cancels to y^(k - 1) of its terms A_j u^(-1-p_j):
                 # 12 of the 30 digits for v_5 at u = 1 + 1e-3
                 assert abs(beta / fractions - 1) < 1e-17
                 assert got == pytest.approx(float(fractions), rel=4e-15, abs=0.0)
-    # the library's three keys keep the masses -1, -2 and -3/2 exactly
-    assert [multipartite._at_origin(key) for key in _WEIGHT_KEYS[:3]] == [-1.0, -2.0, -1.5]
+    # the masses (-n)^k / k! of g_2 / c, g_3/2 / c and v_3, exactly
+    assert [multipartite._at_origin(key) for key in _WEIGHT_KEYS[:3]] == [-2.0, -3.0, 4.5]
 
 
 def test_functional_z_validation():
@@ -757,6 +723,22 @@ def test_b_table_is_the_factored_operator():
         assert report.infimum == float(infima[n])
     assert [float(infima[n]) for n in (1, 2, 3)] == [
         PRODUCT_INFIMUM_2, PRODUCT_INFIMUM_4, PRODUCT_INFIMUM_6]
+
+
+def test_scaled_infimum_rises_below_one_over_root_three():
+    # 4^n inf_n = 3 n! prod_(k<n) (n + 2k)^2 / (3n)! rises strictly with n
+    # and stays below its limit 1/sqrt(3), exactly through n = 300: the
+    # separable bound 4^(-n) exceeds the infimum by a factor between sqrt(3)
+    # and 2 for every party count.  A report rounds that infimum once
+    last = Fraction(0)
+    for n in range(1, 301):
+        scaled = Fraction(3 * math.factorial(n) * math.prod(n + 2 * k for k in range(n)) ** 2,
+                          math.factorial(3 * n))
+        assert last < scaled and 3 * scaled * scaled < 1
+        last = scaled
+        infimum = float(scaled / 4**n)
+        assert bipartite.UncertaintyReport(2 * n, XiParameter(0.5), 1.5 * infimum,
+                                           "").infimum == infimum
 
 
 def test_perturbed_kernel_shifts_z4(monkeypatch):
