@@ -46,7 +46,8 @@ __all__ = [
 _ANGULAR_ORDER = 16
 # cells (radii x nodes) per kernel call of an angular pass (the rows of f
 # only; the Mellin density runs on floats): whole columns at once raise
-# the peak memory of `profile --parties 6` by ~6 MB (~18%)
+# the peak RSS of `verify`, whose two passes are the only ones, from 30.7
+# to 32.0 MB
 _RULE_BLOCK = 4096
 
 

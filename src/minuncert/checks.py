@@ -29,7 +29,6 @@ from .bipartite import (
 )
 from .multipartite import g_family, h_family, z4_product, z6_product
 from .simple_state import minimize_q0
-from .specfun import ellip_k
 from .spectral import build_q_form, min_eigenpair
 
 __all__ = ["run_battery"]
@@ -86,15 +85,11 @@ def _fock_selection_leak() -> float:
 
 
 def _shell_structure_error() -> float:
-    v = 0.5
-    kv = ellip_k(v)
-    worst = 0.0
-    for big_n in range(0, 7):
-        closed = (math.pi / (2.0 * kv)) * math.comb(2 * big_n, big_n) ** 2 * (
-            v * v / 16.0
-        ) ** big_n
-        worst = max(worst, abs(shell_sum(big_n, v) - closed))
-    return worst
+    # the shell identity: the closed shell sum against the squared
+    # coefficients it sums, so a wrong coefficient on a shell shows
+    return max(abs(shell_sum(big_n, 0.5) - math.fsum(
+        fock_coeff(n, 4 * big_n - n, 0.5) ** 2 for n in range(4 * big_n + 1)))
+        for big_n in range(0, 7))
 
 
 def _residual_route_gap() -> float:

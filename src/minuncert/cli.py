@@ -168,16 +168,17 @@ def _json_safe(v):
 def _csv_text(columns, rows) -> str:
     """The header and one line per row; ``_cell`` formats each value.
 
-    A table of floats only, with rows as wide as the header, is one
-    %-format call: the line "%.17g,...,%.17g" and its newline, repeated
-    once per row, which writes what ``_cell`` writes for each value.
+    A table of floats and ints only, whose rows are as wide as the header
+    and share the first row's cell types, is one %-format call: the line
+    of "%.17g" per float column and "%d" per int column and its newline,
+    repeated once per row, which writes what ``_cell`` writes for each value.
     """
     header = ",".join(columns) + "\n"
-    width = len(columns)
-    cells = tuple(chain.from_iterable(rows))
-    if all(len(row) == width for row in rows) and set(map(type, cells)) <= {float}:
-        line = ",".join(["%.17g"] * width) + "\n"
-        return header + (line * len(rows)) % cells
+    kinds = tuple(map(type, rows[0])) if rows else ()
+    if (len(kinds) == len(columns) and set(kinds) <= {float, int}
+            and all(tuple(map(type, row)) == kinds for row in rows)):
+        line = ",".join(["%.17g" if kind is float else "%d" for kind in kinds]) + "\n"
+        return header + (line * len(rows)) % tuple(chain.from_iterable(rows))
     return header + "".join(",".join([_cell(v) for v in row]) + "\n" for row in rows)
 
 

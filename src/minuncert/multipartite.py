@@ -86,10 +86,6 @@ class Poles(namedtuple("Poles", "n k")):
     __slots__ = ()
 
     @property
-    def poles(self):
-        return tuple(j / self.n for j in range(1, self.k + 1))
-
-    @property
     def sibling(self):
         """(D - k/n) v: the key with k - 1, and f itself below k = 1."""
         return Poles(self.n, self.k - 1) if self.k > 1 else _F
@@ -113,26 +109,18 @@ def _at_origin(key: Poles) -> float:
 _LAPLACE_BLOCK = 16384
 
 
-def _weights(lu, keys):
-    """(key, mu(u)) of each key at the nodes u = e^lu: the Laplace weight
+def _weight(lu, key: Poles):
+    """mu(u) of ``key`` at the nodes u = e^lu: the Laplace weight
     (-1)^k n^(k - 1) / (k - 1)! u^(-1 - 1/n) (1 - u^(-1/n))^(k - 1).
 
     Its Mellin transform int_1^inf mu(u) u^(-s) du is prod_j 1/(-s - j/n)
     (the Beta integral), so int_1^inf mu(u) f(u r) du is the family (DLMF
     8.6.4 under the angular integral).  1 - u^(-1/n) is taken as -expm1, so
-    nothing cancels near u = 1; keys that share n share both powers.
+    nothing cancels near u = 1.
     """
-    powers = {}
-    for key in keys:
-        n, k = key
-        power, gap = powers.get(n) or (np.exp((-1.0 - 1.0 / n) * lu), None)
-        mu = (-1) ** k * n ** (k - 1) / math.factorial(k - 1) * power
-        if k > 1:
-            if gap is None:
-                gap = -np.expm1(-lu / n)
-            mu = mu * gap ** (k - 1)
-        powers[n] = power, gap
-        yield key, mu
+    n, k = key
+    mu = (-1) ** k * n ** (k - 1) / math.factorial(k - 1) * np.exp((-1.0 - 1.0 / n) * lu)
+    return mu * (-np.expm1(-lu / n)) ** (k - 1) if k > 1 else mu
 
 
 def _laplace(xi: float, r, keys):
@@ -158,25 +146,23 @@ def _laplace(xi: float, r, keys):
         cols = pos[index]
         wf = weight * _f_i0e(xi, (1.0 + y) * np.repeat(r[cols], counts))
         starts = np.cumsum(counts) - counts
-        for key, mu in _weights(np.log1p(y), averages):
-            out[key][cols] = np.add.reduceat(mu * wf, starts)
+        lu = np.log1p(y)
+        for key in averages:
+            out[key][cols] = np.add.reduceat(_weight(lu, key) * wf, starts)
     return out
 
 
-# every pass on the radial rule holds v_2 and v_3 (g_2, h and, as v_3's
-# sibling, g_3/2): verify's families and products share one pass
-_FAMILY_TOP = 3
-
-
 @lru_cache(maxsize=32)
-def _radial_family_rows(xi: float, order: int, top: int):
-    """({key: v} of v_2 ... v_top and their siblings, r f') on ``radial_rule(xi)``, read-only.
+def _radial_family_rows(xi: float, order: int):
+    """({key: v} of v_2, v_3 and their siblings, r f') on ``radial_rule(xi)``, read-only.
 
-    One pass per xi, rule order (``_ANGULAR_ORDER``, which sets every
-    rule) and top, so a changed order is a fresh pass, never a cached one.
+    The pass holds g_2, h and, as v_3's sibling, g_3/2, so verify's
+    families and products share it.  One pass per xi and rule order
+    (``_ANGULAR_ORDER``, which sets every rule), so a changed order is a
+    fresh pass, never a cached one.
     """
     r = bipartite.radial_rule(xi)[0]
-    values = _laplace(xi, r, [_v_key(n) for n in range(2, top + 1)])
+    values = _laplace(xi, r, [_v_key(2), _v_key(3)])
     rf = bipartite._angular_kernel_integral(xi, r)[1]
     for row in (*values.values(), rf):
         row.flags.writeable = False
@@ -187,13 +173,13 @@ def _family_profile(xi: float, c: float, key: Poles):
     """c times the family ``key``: rows v and r v' = (k/n) v + sibling, norm on route A."""
     def rows(r):
         if r is None:
-            values = _radial_family_rows(xi, bipartite._ANGULAR_ORDER, _FAMILY_TOP)[0]
+            values = _radial_family_rows(xi, bipartite._ANGULAR_ORDER)[0]
         else:
             values = _laplace(xi, r, [key])
         v = values[key]
         return c * np.array([v, key.k / key.n * v + values[key.sibling]])
 
-    norm = abs(c) * math.sqrt(_family_norms(xi, bipartite._ANGULAR_ORDER, key.poles))
+    norm = abs(c) * math.sqrt(_family_norms(xi, key))
     return AngularProfile(xi, rows, norm=norm)
 
 
@@ -201,15 +187,15 @@ def _family_profile(xi: float, c: float, key: Poles):
 OdeFamilyProfile = AngularProfile
 
 
-@lru_cache(maxsize=64)
-def _family_norms(xi: float, order: int, poles):
-    """||v||^2 = int rho / prod_j ((1/2 + p_j)^2 + t^2) dt on route A.
+def _family_norms(xi: float, key: Poles):
+    """||v||^2 = int rho / prod_j ((1/2 + j/n)^2 + t^2) dt of the family ``key`` on route A.
 
-    One sum per xi, rule order (``_ANGULAR_ORDER``) and tuple of poles.
+    One sum over the density of xi at the rule order ``_ANGULAR_ORDER``,
+    which is cached; the sum itself is not.
     """
-    t, terms = bipartite._mellin_density(xi, order)
-    for p in poles:
-        a2 = (0.5 + p) ** 2
+    t, terms = bipartite._mellin_density(xi, bipartite._ANGULAR_ORDER)
+    for j in range(1, key.k + 1):
+        a2 = (0.5 + j / key.n) ** 2
         terms = [w / (a2 + s * s) for s, w in zip(t, terms)]
     return math.fsum(terms)
 
@@ -242,25 +228,29 @@ def _z(n: int, df2: float, v2: float) -> float:
 def _z_product(n: int, xi) -> UncertaintyReport:
     """The 2n-party product on route A, with ||D f||^2 = (1 + R)/2 in closed form."""
     p = as_xi(xi)
-    v2 = _family_norms(p.value, bipartite._ANGULAR_ORDER, _v_key(n).poles)
+    v2 = _family_norms(p.value, _v_key(n))
     return UncertaintyReport(2 * n, p, _z(n, 0.5 * (1.0 + r_closed(p)), v2), "mellin")
 
 
 def functional_z(n: int, xi) -> float:
     """z_2n by the nested route: ||r f'|| and ||v_n|| on ``radial_rule(xi)``, n = 2..5.
 
-    Both norms are sums over one cached pass, so no Mellin density enters.
-    Beyond n = 5, v_n tends to v_n(0) only like r^(1/n), and the mass it
-    keeps below the rule's lower end 1e-12 / gamma(pi) shows in z (1.1e-13
-    at n = 6, 1.6e-11 at n = 8).
+    Both norms are sums on that rule, so no Mellin density enters: r f',
+    v_2 and v_3 come from the cached pass, v_4 and v_5 from a Laplace pass
+    of their own.  Beyond n = 5, v_n tends to v_n(0) only like r^(1/n), and
+    the mass it keeps below the rule's lower end 1e-12 / gamma(pi) shows in
+    z (1.1e-13 at n = 6, 1.6e-11 at n = 8).
     """
     if not (isinstance(n, int) and 2 <= n <= 5):
         raise ValueError(f"n must be an integer in [2, 5], got {n!r}: beyond, "
                          "v_n keeps mass below the radial rule's lower end")
     v = as_xi(xi).value
-    values, rf = _radial_family_rows(v, bipartite._ANGULAR_ORDER, max(n, _FAMILY_TOP))
-    weight = bipartite.radial_rule(v)[1]
-    base = values[_v_key(n)]
+    key = _v_key(n)
+    r, weight = bipartite.radial_rule(v)
+    values, rf = _radial_family_rows(v, bipartite._ANGULAR_ORDER)
+    if key not in values:
+        values = _laplace(v, r, [key])
+    base = values[key]
     return _z(n, float(np.sum(weight * rf * rf)), float(np.sum(weight * base * base)))
 
 

@@ -53,14 +53,25 @@ def run_program(*argv):
 
 
 def test_import_builds_no_kernel_table():
-    # nothing is built at import: the Gauss-Legendre nodes, the cached
-    # radial rows and the Mellin density are built on first use, so
-    # commands that never touch them pay nothing for them
-    # (numpy.polynomial alone costs ~5 ms to import)
-    code = ("import sys, minuncert.cli, minuncert.multipartite as m, minuncert.quadrature as q; "
-            "print(*(f.cache_info().currsize for f in (q._gauss_legendre, m._radial_family_rows, "
-            "m.bipartite._mellin_density, m._family_norms)), 'numpy.polynomial' in sys.modules)")
-    assert run_fresh(code).split() == ["0", "0", "0", "0", "False"]
+    # nothing is built at import: every cache of the library (the
+    # Gauss-Legendre nodes, the b tables, the Mellin density, the radial
+    # rows and any cache added later) is filled on first use, so commands
+    # that never touch one pay nothing for it (numpy.polynomial alone
+    # costs ~5 ms to import).  The caches are found among the modules'
+    # own attributes; ``type`` reads no attribute of the lazily bound numpy
+    code = """
+import importlib, pkgutil, sys
+import minuncert, minuncert.cli
+for info in pkgutil.iter_modules(minuncert.__path__):
+    module = importlib.import_module(f"minuncert.{info.name}")
+    for name, value in vars(module).items():
+        if hasattr(type(value), "cache_info") and value.__module__ == module.__name__:
+            print(f"{module.__name__}.{name}", value.cache_info().currsize)
+print("numpy.polynomial", "numpy.polynomial" in sys.modules)
+"""
+    found = dict(line.split() for line in run_fresh(code).splitlines())
+    assert found.pop("numpy.polynomial") == "False"
+    assert found and set(found.values()) == {"0"}, found
 
 
 # numpy's compiled core, under its numpy 2 and numpy 1 names: sys.modules
@@ -468,6 +479,23 @@ def test_verify_negative_control(tmp_path, monkeypatch, capsys):
         assert by_name[name][4] == "false"
 
 
+def test_verify_shell_row_reads_the_coefficients(tmp_path, monkeypatch, capsys):
+    # the shell identity sums the squared coefficients of each shell
+    # n + m = 4N against the closed shell sum: coefficients off by 1e-6
+    # beyond the vacuum must turn that row red, and no other
+    monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
+    real = checks.fock_coeff
+
+    def scaled(n, m, xi):
+        return real(n, m, xi) * (1.0 + 1e-6 if n + m >= 4 else 1.0)
+
+    monkeypatch.setattr(checks, "fock_coeff", scaled)
+    assert cli.main(["--command", "verify"]) == 1
+    assert "FAILED shell_sum_structure\n" in capsys.readouterr().err
+    _, rows = read_csv(tmp_path / "verify.csv")
+    assert [row[0] for row in rows if row[4] == "false"] == ["shell_sum_structure"]
+
+
 # the rows that read a family norm: the families themselves and the products
 _FAMILY_ROWS = {"g_identity_a2", "g_identity_a32", "h_identity", "z4_above_infimum",
                 "z4_below_bound", "z4_shortcut_agreement", "z6_above_infimum",
@@ -816,16 +844,36 @@ def test_overlap_table_is_overlap_bit_for_bit(monkeypatch):
     [[None, True, False, 3, -0.0], ["name", 1e300, 10**20, float("nan"), None]],
     [[0.5, 7], [0.25, 0.125]],
     [[0.5, 0.25], [0.125]],
+    [[0.5, 7, 10**20], [-0.0, -3, 0]],
+    [[True, 1], [False, 2]],
 ])
 def test_csv_rows_match_per_cell_formatting(rows, tmp_path):
-    # an all-float table of full rows takes one format call, any other
-    # one _cell per value; either way the bytes are those of the per-cell join
+    # a table of floats and ints whose full rows share the first row's
+    # cell types takes one format call, any other one _cell per value;
+    # either way the bytes are those of the per-cell join
     out = tmp_path / "table.csv"
     config = cli.RunConfig("scan", 2, (0.5,), None, str(out), "csv")
     columns = [f"c{i}" for i in range(len(rows[0]))]
     cli.write_table(config, columns, rows)
     lines = [",".join(columns)] + [",".join(cli._cell(v) for v in row) for row in rows]
     assert out.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", command] for command in cli._COMMAND_TABLE] + [
+    ["--command", command, "--parties", parties]
+    for command in ("scan", "profile") for parties in ("4", "6")] + [
+    ["--command", "fock", "--order", "1100"]], ids=" ".join)
+def test_command_tables_match_per_cell_formatting(argv, monkeypatch):
+    # each command's default table, and the int columns of a large fock
+    # table, come out of _csv_text as the per-cell join would write them
+    tables = []
+    monkeypatch.setattr(cli, "write_table", lambda config, columns, rows: tables.append(
+        (columns, rows)))
+    cli.main(argv)
+    [(columns, rows)] = tables
+    lines = [",".join(columns)] + [",".join(cli._cell(v) for v in row) for row in rows]
+    assert cli._csv_text(columns, rows) == "\n".join(lines) + "\n"
 
 
 def test_csv_floats_roundtrip(tmp_path, monkeypatch):

@@ -367,13 +367,13 @@ def test_products_near_xi_one(product, infimum, bound):
 def test_family_norm_rule_orders_agree(family, xi, monkeypatch):
     # route A's norms (of g_2, g_3/2 and h / scale) are converged on the
     # angular rule and the t-rule together: two orders per panel of both
-    # agree.  The norms are kept per xi and rule order, so each order is a
+    # agree.  The density is kept per xi and rule order, so each order is a
     # pass of its own
-    poles = {"g2": (0.5,), "g32": (1.0 / 3.0,), "h": (1.0 / 3.0, 2.0 / 3.0)}[family]
+    key = multipartite.Poles(*{"g2": (2, 1), "g32": (3, 1), "h": (3, 2)}[family])
     norms = []
     for order in (16, 24):
         monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", order)
-        norms.append(multipartite._family_norms(xi, order, poles))
+        norms.append(multipartite._family_norms(xi, key))
     assert norms[0] == pytest.approx(norms[1], rel=2e-15, abs=0.0)
 
 
@@ -515,7 +515,6 @@ def test_products_build_the_density_once(monkeypatch):
 
     monkeypatch.setattr(bipartite, "angular_rule", counted)
     bipartite._mellin_density.cache_clear()
-    multipartite._family_norms.cache_clear()
     for _ in range(2):
         z4_product(xi)
         z6_product(xi)
@@ -626,6 +625,34 @@ def test_laplace_pass_evaluates_only_the_keys_asked(monkeypatch):
     assert v2.sibling.k == 0 and v3.sibling == v3._replace(k=1)
 
 
+def test_nested_z8_z10_ask_for_their_own_key_alone(monkeypatch):
+    # functional_z(4) and (5) take v_4 and v_5 from a Laplace pass of their
+    # own key alone, on the rule of the cached radial pass, and leave that
+    # pass at its one entry per xi and rule order, which the nested z4 and
+    # z6 still read
+    xi = 0.2345
+    calls = []
+    real = multipartite._laplace
+
+    def recorded(x, r, keys):
+        out = real(x, r, keys)
+        calls.append((len(r), list(keys), sorted(out)))
+        return out
+
+    monkeypatch.setattr(multipartite, "_laplace", recorded)
+    multipartite._radial_family_rows.cache_clear()
+    z = [functional_z(n, xi) for n in (4, 5, 2, 3, 4)]
+    assert z[4] == z[0]
+    size = len(bipartite.radial_rule(xi)[0])
+    v2, v3, v4, v5 = (multipartite._v_key(n) for n in range(2, 6))
+    assert calls == [(size, [v2, v3], sorted([v2, v2.sibling, v3, v3.sibling])),
+                     (size, [v4], sorted([v4, v4.sibling])),
+                     (size, [v5], sorted([v5, v5.sibling])),
+                     (size, [v4], sorted([v4, v4.sibling]))]
+    info = multipartite._radial_family_rows.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 4)
+
+
 # g_2 / c, g_3/2 / c, v_3 (h up to its factor c), then v_4 and v_5
 _WEIGHT_KEYS = [multipartite.Poles(2, 1), multipartite.Poles(3, 1), multipartite.Poles(3, 2),
                 multipartite._v_key(4), multipartite._v_key(5)]
@@ -642,7 +669,8 @@ def test_laplace_weight_is_its_partial_fractions():
 
     y = np.array([1e-3, 1.0, 9.0, 999999.0])
     with mp.workdps(30):
-        for key, mu in multipartite._weights(np.log1p(y), _WEIGHT_KEYS):
+        for key in _WEIGHT_KEYS:
+            mu = multipartite._weight(np.log1p(y), key)
             n, k = key
             poles = [mp.mpf(j) / n for j in range(1, k + 1)]
             amp = [mp.fprod(1 / (pj - pi) for pi in poles if pi is not pj) for pj in poles]
@@ -755,13 +783,9 @@ def test_perturbed_kernel_shifts_z4(monkeypatch):
         return t, tuple(1.05 * w for w in wrho)
 
     monkeypatch.setattr(bipartite, "_mellin_density", scaled)
-    multipartite._family_norms.cache_clear()
     multipartite._radial_family_rows.cache_clear()
-    try:
-        dirty = z4_product(0.5).product
-        dirty_nested = functional_z(2, 0.5)
-    finally:
-        multipartite._family_norms.cache_clear()
+    dirty = z4_product(0.5).product
+    dirty_nested = functional_z(2, 0.5)
     assert dirty == pytest.approx(clean / 1.05, rel=1e-12)
     assert dirty_nested == nested
 
@@ -775,13 +799,11 @@ def test_perturbed_laplace_shifts_nested_z4(monkeypatch):
     real = multipartite._laplace
     monkeypatch.setattr(multipartite, "_laplace", lambda xi, r, keys: {
         key: 1.05 * row for key, row in real(xi, r, keys).items()})
-    multipartite._family_norms.cache_clear()
     multipartite._radial_family_rows.cache_clear()
     try:
         dirty = z4_product(0.5).product
         dirty_nested = functional_z(2, 0.5)
     finally:
-        multipartite._family_norms.cache_clear()
         multipartite._radial_family_rows.cache_clear()
     assert dirty_nested == pytest.approx(nested / 1.05**2, rel=1e-12)
     assert dirty == clean
