@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import mul
 
 from ._lazy import np
-from .quadrature import _gauss_legendre, graded_rule, log_rule
+from .quadrature import _gauss_legendre, log_rule
 from .specfun import _ellip_k_complement, ellip_e, ellip_k, i0e, log_i0e
 
 __all__ = [
@@ -121,17 +121,21 @@ def angular_rule(xi: float):
     s = sqrt(xi), makes the weight of the theta integral uniform,
     w dtheta = dphi / sqrt(2 pi K (1 - xi)), and gives
     gamma = (eps^2 + 4 s sin^2(phi/2)) / (2 (1 - xi)) with eps = 1 - s.
-    gamma vanishes at phi = +-i eps, so every kernel in gamma r is
-    analytic on each panel of a geometric phi-mesh from eps/8 to pi, and
-    a Gauss-Legendre rule of ``_ANGULAR_ORDER`` points per panel converges
-    geometrically on it.  ``weight`` carries dphi only; each consumer
-    applies the density 1 / (2 pi K (1 - xi)) itself.  Both are tuples
-    of floats, gamma ascending.
+    gamma vanishes near phi = +-i eps, so every kernel in gamma r is
+    analytic on a strip about the real axis of u = ln phi, and
+    ``quadrature.log_rule`` takes [0, eps/8], then ``_ANGULAR_ORDER``
+    Gauss-Legendre points on equal u-panels of ratio at most 2.5 up to
+    pi.  The ratio is set by W_xi(t) of route A, whose phase t ln gamma
+    it resolves up to t ~ 11: there the density meets mpmath's conical
+    function to 7e-14, while ratio 3 misses by 6e-11 and ratio 4 already
+    by 1.8e-11 at t = 8.9.  ``weight`` carries dphi only; each consumer
+    applies the density 1 / (2 pi K (1 - xi)) itself.  Both are tuples of
+    floats, gamma ascending.
     """
     sq = math.sqrt(xi)
     gap = 1.0 - xi
     eps = gap / (1.0 + sq)  # 1 - sqrt(xi) without the cancellation
-    phi, weight = graded_rule(0.125 * eps, math.pi, _ANGULAR_ORDER)
+    phi, weight = log_rule(0.125 * eps, math.pi, _ANGULAR_ORDER, 2.5)
     halves = [math.sin(0.5 * p) for p in phi]
     gamma = tuple((eps * eps + 4.0 * sq * h * h) / (2.0 * gap) for h in halves)
     return gamma, weight
@@ -148,18 +152,24 @@ def radial_rule(xi: float):
     ``_ANGULAR_ORDER`` points like ``angular_rule``: the integrand varies
     on the scale of ln r, and most of those decades lie where every x is
     small, so this takes half the radii of geometric r-panels of ratio 2.
+    The ratio comes from the strip |Im u| < pi/2 on which a function
+    analytic for Re r > 0 is analytic in u: a u-panel of width ln 4 has a
+    Bernstein ellipse of parameter 4.7 inside it (16 points:
+    ~4.7^-32 = 2e-22), against 3.3 at ratio 8 (2e-17, seen as 1.2e-14 in
+    a nested z4 at xi = 1e-6).
     Beyond hi every x exceeds 24 and the squared combinations are gone
     to ~1e-14 of their mass.  One panel takes [0, lo], where every x is
     under 1e-12; the cube-root kernels are not analytic at x = 0 (terms
     in x^(1/3)), so that panel's error, which a second rule order does
     not see, grows like (lo gamma(pi))^(4/3): at 1e-8 instead of 1e-12
     it put 1.3e-13 into ||h|| at xi = 0.01, here it is below rounding.
+    Both are numpy arrays.
     """
     sq = math.sqrt(xi)
     eps = (1.0 - xi) / (1.0 + sq)
     gamma_lo = 0.5 * eps / (1.0 + sq)
     gamma_hi = 0.5 * (1.0 + sq) / eps
-    return log_rule(1e-12 / gamma_hi, 24.0 / gamma_lo, _ANGULAR_ORDER)
+    return tuple(map(np.asarray, log_rule(1e-12 / gamma_hi, 24.0 / gamma_lo, _ANGULAR_ORDER, 4.0)))
 
 
 def _angular_kernel_integral(xi: float, r):

@@ -1,26 +1,24 @@
 """Fixed composite Gauss-Legendre rules.
 
 ``panel_rule`` gives a composite Gauss-Legendre rule on given panel
-edges, for integrands whose structure is known in advance.
-``graded_rule`` lays those edges out for an integrand on [0, hi] whose
-scale spans many decades above a singular point at 0: one panel
-[0, lo], then geometric panels of ratio at most 2 up to hi, so every
-panel sits at least its own width away from the singularity and the
-rule converges geometrically with the points per panel.  ``log_rule``
-keeps the panel [0, lo] and takes the rest in u = ln r instead, on equal
-u-panels of ratio at most 4, for integrands that are smooth in ln r and
-spend most decades near their singular point.  ``dilation_rule`` gives
-each radius r its own rule of a Laplace average over u = 1 + y in
-[1, inf), whose integrand decays on the scale y ~ 1 / (gamma0 r).  Every
-integral of the package is taken on one of the three or on equal
-panels of the Gauss-Legendre points (the t-rule of the Mellin density);
-the tests certify each one by comparing two rule orders.
+edges, for integrands whose structure is known in advance.  ``log_rule``
+lays those edges out for an integrand on [0, hi] that is smooth in ln r
+and spans many decades above a singular point at 0: one panel [0, lo],
+then equal panels in u = ln r up to hi, whose hi/lo ratio the caller
+takes from the integrand's analyticity in u.  The angular rule (in
+ln phi, ratio 2.5) and the radial rule (ratio 4) are both built on it.
+``dilation_rule`` gives each radius r its own rule of a Laplace average
+over u = 1 + y in [1, inf), whose integrand decays on the scale
+y ~ 1 / (gamma0 r).  Every integral of the package is taken on one of
+the three or on equal panels of the Gauss-Legendre points (the t-rule of
+the Mellin density); the tests certify each one by comparing two rule
+orders.
 
-``panel_rule`` and ``graded_rule`` (and the Gauss-Legendre points under
+``panel_rule`` and ``log_rule`` (and the Gauss-Legendre points under
 them) are tuples of Python floats built with ``math``, so route A of the
-products never loads numpy; ``log_rule`` and ``dilation_rule`` feed the
-array passes of route B and return numpy arrays.  Everything here is
-deterministic: identical inputs produce bit-identical results.
+products never loads numpy; ``dilation_rule`` feeds the array passes of
+route B and returns numpy arrays.  Everything here is deterministic:
+identical inputs produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from functools import lru_cache
 
 from ._lazy import np
 
-__all__ = ["panel_rule", "graded_rule", "log_rule", "dilation_rule"]
+__all__ = ["panel_rule", "log_rule", "dilation_rule"]
 
 
 @lru_cache(maxsize=8)
@@ -82,41 +80,22 @@ def panel_rule(edges, order: int):
     return tuple(nodes), tuple(weights)
 
 
-def graded_rule(lo: float, hi: float, order: int):
-    """``panel_rule`` on [0, lo] followed by geometric panels from lo to hi.
-
-    The geometric part takes the fewest panels whose ratio is at most 2.
-    """
-    if not 0.0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
-    panels = max(1, math.ceil(math.log2(hi / lo)))
-    inner = [lo * (hi / lo) ** (k / panels) for k in range(1, panels)]
-    return panel_rule([0.0, lo, *inner, hi], order)
-
-
-# hi/lo of each u-panel of ``log_rule``.  A function analytic for Re r > 0
-# is analytic in u = ln r on the strip |Im u| < pi/2; a u-panel of width
-# ln 4 then has a Bernstein ellipse of parameter 4.7 inside that strip
-# (16 points: ~4.7^-32 = 2e-22), against 3.3 at ratio 8 (2e-17, seen as
-# 1.2e-14 in a nested z4 at xi = 1e-6) and 5.8 for r-panels of ratio 2
-_LOG_PANEL_RATIO = 4.0
-
-
-def log_rule(lo: float, hi: float, order: int):
+def log_rule(lo: float, hi: float, order: int, ratio: float):
     """``panel_rule`` on [0, lo], then Gauss-Legendre in u = ln r from lo to hi.
 
-    The log part takes the fewest equal u-panels of ratio at most
-    ``_LOG_PANEL_RATIO``, with weights w r: half the panels of
-    ``graded_rule`` over the same decades.
+    The log part takes the fewest equal u-panels whose hi/lo is at most
+    ``ratio``, with weights w r.  Returns (r, weight), tuples of floats,
+    r ascending.
     """
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
-    panels = max(1, math.ceil(math.log2(hi / lo) / math.log2(_LOG_PANEL_RATIO)))
+    panels = max(1, math.ceil(math.log2(hi / lo) / math.log2(ratio)))
+    a, b = math.log(lo), math.log(hi)
+    step = (b - a) / panels
     r0, w0 = panel_rule((0.0, lo), order)
-    u, wu = map(np.asarray, panel_rule(np.linspace(math.log(lo), math.log(hi), panels + 1),
-                                       order))
-    r = np.exp(u)
-    return np.concatenate((r0, r)), np.concatenate((w0, wu * r))
+    u, wu = panel_rule([a + k * step for k in range(panels)] + [b], order)
+    r = tuple(map(math.exp, u))
+    return r0 + r, w0 + tuple(w * x for w, x in zip(wu, r))
 
 
 def dilation_rule(t, order: int, block: int):

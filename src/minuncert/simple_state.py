@@ -10,6 +10,7 @@ reconstructs the state coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .bipartite import XiParameter, as_xi
@@ -41,6 +42,10 @@ class SimpleStateSolution(namedtuple(
 def c1_c2(xi):
     """Coefficient pair of the reduced form -C1 sin(2 phi) + C2 (1 - cos(2 phi))."""
     v = as_xi(xi).value
+    if v * v < sys.float_info.min:
+        # xi^2 has lost precision or underflowed: the limits
+        # dilog(xi^2) / xi^2 -> 1 and log1p(-xi^2) / xi^2 -> -1
+        return 0.5, 3.0
     li = dilog(v * v)
     c1 = 0.5 * v / math.sqrt(li)
     c2 = (

@@ -33,6 +33,9 @@ _EPS = 2.220446049250313e-16
 # the asymptotic remainder at the crossover is ~8e-12 relative
 _BESSEL_CROSSOVER = 12.0
 
+# terms of the dilogarithm's power series before it raises
+_DILOG_TERMS = 100
+
 # i0e switches from the power series to the asymptotic series here.  At
 # z = 20 the 37th term of the power series in z^2/4 is 1.7e-19 of the sum
 # and the 32nd of the asymptotic series in 1/z 1.8e-18, so both sums are
@@ -104,7 +107,8 @@ def ellip_e(xi: float) -> float:
 def dilog(z: float) -> float:
     """Dilogarithm sum_{n>=1} z^n / n^2 for z in [0, 1].
 
-    Power series below 1/2; the reflection through 1 - z otherwise.
+    Power series below 1/2, summed until a term stops adding (43 terms at
+    z = 1/2); the reflection through 1 - z otherwise.
     dilog(1) = pi^2 / 6 exactly.
     """
     if not 0.0 <= z <= 1.0:
@@ -115,17 +119,15 @@ def dilog(z: float) -> float:
         return (math.pi * math.pi / 6.0
                 - math.log(z) * math.log1p(-z)
                 - dilog(1.0 - z))
-    if z == 0.0:
-        return 0.0
     total = 0.0
     term = z  # z^n
-    n = 1
-    while True:
-        total += term / (n * n)
-        n += 1
-        term *= z
-        if term / (n * n) < 0.25 * _EPS * total:
+    for n in range(1, _DILOG_TERMS):
+        step = term / (n * n)
+        if total + step == total:  # also once z^n underflows
             return total
+        total += step
+        term *= z
+    raise RuntimeError(f"dilog series at z={z!r} not converged in {_DILOG_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,8 @@ def i0e(z):
     zs = arr[small]
     out[small] = _horner(_I0E_SERIES, 0.25 * zs * zs) * np.exp(-zs)
     zb = arr[~small]
-    out[~small] = _horner(_I0E_ASYMPTOTIC, 1.0 / zb) / np.sqrt(2.0 * math.pi * zb)
+    # sqrt(2 pi z) as 4 sqrt(pi z / 8): the same bits, and finite at every z
+    out[~small] = _horner(_I0E_ASYMPTOTIC, 1.0 / zb) / (4.0 * np.sqrt(0.125 * math.pi * zb))
     return float(out) if arr.ndim == 0 else out
 
 

@@ -122,13 +122,16 @@ def test_density_is_a_squared_conical_function(xi):
     # rho_xi(t) = pi sech(pi t) P_(-1/2+it)(Z)^2 / (K (1 - xi)) with
     # Z = (1 + xi) / (1 - xi), from mpmath's Legendre function of the
     # conical kind (DLMF 14.20), which shares nothing with the angular
-    # rule, at the rule's own nodes nearest t = 0, 0.7, 3.1 and 8.9.  At
+    # rule, at the rule's own nodes nearest t = 0, 0.7, 3.1, 8.9 and 11.  At
     # xi = 0.9 the node t = 0.688 lies near a zero of P, where rho is
-    # 1.2e-4 of rho(0) and meets the reference to 1.8e-14 relative
+    # 1.2e-4 of rho(0) and meets the reference to 1.8e-14 relative.  At
+    # t ~ 11 the phase t ln gamma is the fastest the angular rule must
+    # resolve: ln phi panels of ratio 2.5 meet the reference to 7e-14,
+    # ratio 3 misses it by 6e-11
     import mpmath as mp
 
     t, _, rho = _density_rho(xi)
-    nearest = [int(np.argmin(np.abs(t - target))) for target in (0.0, 0.7, 3.1, 8.9)]
+    nearest = [int(np.argmin(np.abs(t - target))) for target in (0.0, 0.7, 3.1, 8.9, 11.0)]
     with mp.workdps(30):
         x = mp.mpf(xi)
         big_z, front = (1 + x) / (1 - x), mp.pi / (mp.ellipk(x * x) * (1 - x))

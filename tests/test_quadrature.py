@@ -5,7 +5,8 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from minuncert.quadrature import dilation_rule, graded_rule, log_rule, panel_rule
+from minuncert import bipartite
+from minuncert.quadrature import dilation_rule, log_rule, panel_rule
 
 
 def arrays(rule):
@@ -13,23 +14,15 @@ def arrays(rule):
     return tuple(map(np.asarray, rule))
 
 
-def test_polynomial_exactness():
-    # every panel of a graded rule is exact through degree 2 order - 1,
-    # so the whole rule integrates x^k over [0, hi] exactly
-    x, w = arrays(graded_rule(1e-3, 2.0, 8))
-    for k in range(16):
-        assert np.sum(w * x**k) == pytest.approx(2.0 ** (k + 1) / (k + 1), rel=1e-14)
-
-
 def test_sin_integral():
-    x, w = arrays(graded_rule(1e-3, math.pi, 16))
+    x, w = arrays(log_rule(1e-3, math.pi, 16, 2.5))
     assert np.sum(w * np.sin(x)) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_near_singular_edge():
-    # 1/sqrt(x) is singular at 0: the geometric panels keep every panel
-    # one width away from it, and the first panel [0, lo] holds ~sqrt(lo)
-    x, w = arrays(graded_rule(1e-20, 2.0, 16))
+    # 1/sqrt(x) is singular at 0: the ln x panels keep every panel one
+    # width away from it, and the first panel [0, lo] holds ~sqrt(lo)
+    x, w = arrays(log_rule(1e-20, 2.0, 16, 2.5))
     assert np.all(x > 0.0)
     assert np.sum(w / np.sqrt(x)) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-11)
 
@@ -41,16 +34,17 @@ def test_error_estimate_honest():
     # error of order 8 (up to rounding)
     for f, hi, exact in [
         (np.exp, 1.0, math.e - 1.0),
-        (lambda x: np.cos(10.0 * x), 3.0, math.sin(30.0) / 10.0),
+        (lambda x: np.cos(3.0 * x), 3.0, math.sin(9.0) / 3.0),
     ]:
-        q8, q16 = (np.sum(w * f(x)) for x, w in (arrays(graded_rule(1e-3, hi, order)) for order in (8, 16)))
+        q8, q16 = (np.sum(w * f(x))
+                   for x, w in (arrays(log_rule(1e-3, hi, order, 2.5)) for order in (8, 16)))
         assert abs(q8 - exact) <= abs(q8 - q16) + 1e-15
         assert q16 == pytest.approx(exact, abs=1e-15)
 
 
 def test_semi_infinite_vs_scipy():
-    # a graded rule up to a cutoff where the integrand is gone, e^-40
-    x, w = arrays(graded_rule(1e-6, 20.0, 16))
+    # a log mesh up to a cutoff where the integrand is gone, e^-40
+    x, w = arrays(log_rule(1e-6, 20.0, 16, 2.5))
     value = np.sum(w * np.exp(-2.0 * x) * np.cos(3.0 * x))
     ref, _ = scipy.integrate.quad(lambda r: math.exp(-2.0 * r) * math.cos(3.0 * r), 0.0, np.inf)
     assert value == pytest.approx(ref, abs=1e-11)
@@ -59,7 +53,7 @@ def test_semi_infinite_vs_scipy():
 
 
 def test_semi_infinite_gaussian():
-    x, w = arrays(graded_rule(1e-8, 7.0, 16))
+    x, w = arrays(log_rule(1e-8, 7.0, 16, 2.5))
     assert np.sum(w * np.exp(-x * x)) == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-15)
 
 
@@ -89,16 +83,15 @@ def test_panel_rule(order):
 
 def test_interval_validation():
     for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0)):
-        for rule in (graded_rule, log_rule):
-            with pytest.raises(ValueError):
-                rule(lo, hi, 4)
+        with pytest.raises(ValueError):
+            log_rule(lo, hi, 4, 2.5)
 
 
 def test_log_rule_layout():
     # [0, lo], then the fewest equal ln r panels of ratio at most 4, each
     # exact for polynomials in ln r of degree 2 order - 1
     lo, hi = 1e-3, 5.0
-    r, w = log_rule(lo, hi, 8)
+    r, w = arrays(log_rule(lo, hi, 8, 4.0))
     assert len(r) == 8 * (1 + math.ceil(math.log(hi / lo, 4))) == 64
     assert np.all(np.diff(r) > 0.0) and r[7] < lo < r[8] and r[-1] < hi
     assert np.sum(w[:8]) == pytest.approx(lo, rel=1e-15)
@@ -106,8 +99,8 @@ def test_log_rule_layout():
     a, b = math.log(lo), math.log(hi)
     for k in range(16):
         assert np.sum(wu * (u - a) ** k) == pytest.approx((b - a) ** (k + 1) / (k + 1), rel=1e-13)
-    assert len(log_rule(1.0, 4.0, 16)[0]) == 32
-    assert len(log_rule(1.0, 4.000001, 16)[0]) == 48
+    assert len(log_rule(1.0, 4.0, 16, 4.0)[0]) == 32
+    assert len(log_rule(1.0, 4.000001, 16, 4.0)[0]) == 48
 
 
 def test_dilation_rule_moments():
@@ -132,13 +125,28 @@ def test_dilation_rule_moments():
 
 
 def test_deterministic():
-    # the rule depends on (lo, hi, order) alone: [0, lo], then the fewest
-    # geometric panels of ratio at most 2, built bit-identically each time
-    # as tuples of floats
-    a = graded_rule(1e-3, 5.0, 16)
-    b = graded_rule(1e-3, 5.0, 16)
+    # the rule depends on (lo, hi, order, ratio) alone: [0, lo], then the
+    # fewest equal ln r panels of at most the ratio, built bit-identically
+    # each time as tuples of floats
+    a = log_rule(1e-3, 5.0, 16, 2.5)
+    b = log_rule(1e-3, 5.0, 16, 2.5)
     assert a == b and {type(v) for part in a for v in part} == {float}
-    assert len(a[0]) == 16 * (1 + math.ceil(math.log2(5.0 / 1e-3))) == 224
+    assert len(a[0]) == 16 * (1 + math.ceil(math.log(5.0 / 1e-3, 2.5))) == 176
+
+
+@pytest.mark.parametrize("xi, angular, t_rule, radial", [
+    (0.01, 80, 272, 384), (0.5, 96, 320, 416), (0.9, 128, 384, 464),
+    (1.0 - 1e-12, 576, 1200, 1056)])
+def test_rule_sizes(xi, angular, t_rule, radial):
+    # the angular rule takes ln phi panels of ratio 2.5, the t-rule
+    # ceil(span) + 16 panels of its extreme gammas, the radial rule ln r
+    # panels of ratio 4; route A's cost follows the angular and t-rules
+    gamma, weight = bipartite.angular_rule(xi)
+    assert len(gamma) == len(weight) == angular
+    assert len(bipartite._mellin_density(xi, bipartite._ANGULAR_ORDER)[0]) == t_rule
+    r, w = bipartite.radial_rule(xi)
+    assert isinstance(r, np.ndarray) and isinstance(w, np.ndarray)
+    assert len(r) == len(w) == radial
 
 
 @given(

@@ -32,6 +32,13 @@ def test_q0_negative_on_open_interval():
         assert q0(xi) < 0.0
 
 
+@pytest.mark.parametrize("xi", [1e-155, 1e-300, 5e-324])
+def test_q0_as_xi_squared_underflows(xi):
+    # the limits dilog(xi^2) / xi^2 -> 1 and log1p(-xi^2) / xi^2 -> -1
+    # give C1 = 1/2 and C2 = 3, the value q0(1e-100) reaches already
+    assert q0(xi) == q0(1e-100) == 3.0 - math.hypot(0.5, 3.0) == -0.04138126514910967
+
+
 def test_c1_c2_positive():
     c1, c2 = c1_c2(0.4)
     assert c1 > 0.0

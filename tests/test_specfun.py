@@ -67,6 +67,14 @@ def test_dilog_values():
         dilog(1.2)
 
 
+def test_dilog_below_the_smallest_normal():
+    # the series ends once a term stops adding, also below the smallest
+    # normal float, where z^2 underflows; there dilog(z) = z
+    assert dilog(1e-310) == 1e-310
+    assert dilog(4e-308) == 4e-308
+    assert dilog(5e-324) == 5e-324
+
+
 def test_bessel_against_scipy():
     for x in [0.0, 0.1, 1.0, 3.7, 10.0, 25.0, 80.0, 300.0]:
         assert log_i0e(x) == pytest.approx(math.log(sps.i0e(x)), rel=1e-13, abs=1e-13)
@@ -87,6 +95,17 @@ def test_i0e_against_scipy():
     ref = sps.i0e(z)
     assert np.all(np.abs(out - ref) <= 1e-14 * ref)
     assert i0e(0.0) == 1.0
+
+
+def test_i0e_at_the_largest_arguments():
+    # e^-z I0(z) ~ (2 pi z)^(-1/2) stays finite, with no overflow warning
+    # (an error in this suite), where 2 pi z overflows
+    import mpmath as mp
+
+    for z in (1e308, 1.7976931348623157e308):
+        with mp.workdps(30):
+            ref = float(mp.besseli(0, mp.mpf(z)) * mp.exp(-mp.mpf(z)))
+        assert i0e(z) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 def test_i0e_elementwise():
