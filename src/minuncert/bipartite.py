@@ -19,7 +19,7 @@ from operator import mul
 
 from ._lazy import np
 from .quadrature import _gauss_legendre, log_rule
-from .specfun import _ellip_k_complement, ellip_e, ellip_k, i0e, log_i0e
+from .specfun import _ellip_ke, ellip_k, i0e, log_i0e
 
 __all__ = [
     "XiParameter",
@@ -340,7 +340,8 @@ class AngularProfile:
 def r_closed(xi) -> float:
     """Closed form of the expectation functional R; negative on (0, 1)."""
     v = as_xi(xi).value
-    return -1.0 / (1.0 + v) + ellip_e(v) / ((1.0 + v) ** 2 * ellip_k(v))
+    kv, ev = _ellip_ke(v)
+    return -1.0 / (1.0 + v) + ev / ((1.0 + v) ** 2 * kv)
 
 
 def uncertainty_product(xi, route: str = "closed_form") -> UncertaintyReport:
@@ -364,8 +365,8 @@ def uncertainty_product(xi, route: str = "closed_form") -> UncertaintyReport:
 def residual_norm_sq(xi) -> float:
     """Squared norm of r f' + f/2; tends to 0 as xi approaches 1."""
     v = as_xi(xi).value
-    kv = ellip_k(v)
-    return (2.0 * ellip_e(v) - (1.0 - v * v) * kv) / (4.0 * (1.0 + v) ** 2 * kv)
+    kv, ev = _ellip_ke(v)
+    return (2.0 * ev - (1.0 - v * v) * kv) / (4.0 * (1.0 + v) ** 2 * kv)
 
 
 def _radii(r):
@@ -427,10 +428,15 @@ def _overlap(a: float, b: float, ka: float, kb: float) -> float:
     # K(sqrt(ab)) / sqrt(K(a) K(b)), with ka = K(a) and kb = K(b) given, so
     # a table over a grid takes K once per grid value.  K(sqrt(ab)) starts
     # from its complementary modulus sqrt(1 - ab) = sqrt((1 - lo) + lo (1 - hi)),
-    # a sum of positive terms, taken in one order so the value is symmetric;
-    # rounding sqrt(ab) first would lose up to 1.1e-11 of it near a, b -> 1
+    # a sum of positive terms in one order, so the value is symmetric (K reads
+    # it alone); rounding sqrt(ab) first would lose up to 1.1e-11 near a, b -> 1
     lo, hi = sorted((a, b))
-    return _ellip_k_complement(math.sqrt((1.0 - lo) + lo * (1.0 - hi))) / math.sqrt(ka * kb)
+    return _ellip_ke(0.0, math.sqrt((1.0 - lo) + lo * (1.0 - hi)))[0] / math.sqrt(ka * kb)
+
+
+def _central(k: int) -> float:
+    """b_k = C(2k, k) / 4^k in (0, 1], as one correctly rounded int true division."""
+    return math.comb(2 * k, k) / 4**k
 
 
 def fock_coeff(n: int, m: int, xi) -> float:
@@ -444,38 +450,26 @@ def fock_coeff(n: int, m: int, xi) -> float:
             raise ValueError(f"{label} must be a nonnegative integer, got {val!r}")
     v = as_xi(xi).value
     q = (n + m) // 2
-    binom = {j: math.comb(j, j // 2) for j in (n, m, q)}
-    return _fock_coeff(n, m, v, math.sqrt(math.pi / (2.0 * ellip_k(v))), binom)
+    central = {k: _central(k) for k in (n // 2, m // 2, q // 2)}
+    return _fock_coeff(n, m, v, math.sqrt(math.pi / (2.0 * ellip_k(v))), central)
 
 
-def _fock_coeff(n: int, m: int, v: float, c0: float, binom) -> float:
-    # fock_coeff with c0 = sqrt(pi / (2 K(v))) and binom[j] = C(j, j // 2)
-    # given, so a table takes K once per grid value and each central
-    # binomial once
+def _fock_coeff(n: int, m: int, v: float, c0: float, central) -> float:
+    # fock_coeff with c0 = sqrt(pi / (2 K(v))) and central[k] = b_k given,
+    # so a table takes K once per grid value and each b_k once; every factor
+    # but xi^(q/2) lies in (0, 1], so it underflows only where the value does
     if (n % 4, m % 4) not in ((0, 0), (2, 2)):
         return 0.0
     q = (n + m) // 2
-    # c0 sqrt(inner) central (xi/16)^(q/2) with the powers of two kept apart:
-    # (xi/16)^(q/2) underflows long before the value, and the binomials pass
-    # the float range at n + m = 1032, so inner is scaled below 2^1000 and
-    # central below 2^500.  Where every factor is a normal double this is the
-    # plain product bit for bit, as powers of two move no rounding
-    inner = binom[n] * binom[m]
-    central = binom[q]
-    half = max(0, inner.bit_length() - 1000) // 2
-    shift = max(0, central.bit_length() - 500)
-    mant, exp = math.frexp(v / 16.0)
-    value = c0 * math.sqrt(inner / (1 << 2 * half)) * (central / (1 << shift)) * mant ** (q // 2)
-    return math.ldexp(value, half + shift + exp * (q // 2))
+    return c0 * math.sqrt(central[n // 2] * central[m // 2]) * central[q // 2] * v ** (q // 2)
 
 
 def shell_sum(big_n: int, xi) -> float:
-    """Total squared coefficient mass on the shell n + m = 4N."""
+    """Total squared coefficient mass on the shell n + m = 4N: (pi / (2K)) (b_N xi^N)^2."""
     if not (isinstance(big_n, int) and big_n >= 0):
         raise ValueError(f"N must be a nonnegative integer, got {big_n!r}")
     v = as_xi(xi).value
-    c = math.comb(2 * big_n, big_n)
-    return math.pi / (2.0 * ellip_k(v)) * float(c * c) * (v * v / 16.0) ** big_n
+    return math.pi / (2.0 * ellip_k(v)) * (_central(big_n) * v**big_n) ** 2
 
 
 _MAX_TAIL_SHELLS = 100000
@@ -490,18 +484,16 @@ def fock_normalization_defect(xi, max_total: int) -> float:
     if not (isinstance(max_total, int) and max_total >= 4):
         raise ValueError(f"max_total must be an integer >= 4, got {max_total!r}")
     v = as_xi(xi).value
-    u = v * v / 4.0
-    full_shells = max_total // 4
-    # term_N = binom(2N, N)^2 (xi^2/16)^N via its ratio recurrence
-    term = 1.0
-    for n in range(full_shells + 1):
-        term *= ((2 * n + 1) / (n + 1)) ** 2 * u
+    first = max_total // 4 + 1
+    # (b_N xi^N)^2 from the first shell left out, then by the shell ratio,
+    # which tends to xi^2 (so the count grows like 1 / (1 - xi)); a term
+    # that underflows ends the sum
+    term = (_central(first) * v**first) ** 2
     total = 0.0
-    # shell ratios tend to xi^2, so the shell count needed grows like 1 / (1 - xi)
-    for n in range(full_shells + 1, full_shells + 1 + _MAX_TAIL_SHELLS):
+    for n in range(first, first + _MAX_TAIL_SHELLS):
         total += term
-        term *= ((2 * n + 1) / (n + 1)) ** 2 * u
-        if term < 1e-30 * total:
+        term *= ((2 * n + 1) / (2 * n + 2) * v) ** 2
+        if term <= 1e-30 * total:
             break
     else:
         raise RuntimeError(

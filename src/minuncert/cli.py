@@ -318,9 +318,9 @@ def run_minimize_q(config: RunConfig) -> int:
 
 def run_fock(config: RunConfig) -> int:
     # the grid is validated, so K(xi) is taken once per grid value and each
-    # central binomial C(j, j // 2) once; the values are those of fock_coeff
+    # b_k = C(2k, k) / 4^k once; the values are those of fock_coeff
     columns = ("xi", "n", "m", "mod4_class", "coeff")
-    binom = [math.comb(j, j // 2) for j in range(config.truncation + 1)]
+    central = [bipartite._central(k) for k in range(config.truncation // 2 + 1)]
     rows = []
     for x in config.xi_grid:
         c0 = math.sqrt(math.pi / (2.0 * specfun.ellip_k(x)))
@@ -329,7 +329,7 @@ def run_fock(config: RunConfig) -> int:
                 m = total - n
                 if n % 4 != m % 4 or n % 4 not in (0, 2):
                     continue
-                rows.append([x, n, m, n % 4, bipartite._fock_coeff(n, m, x, c0, binom)])
+                rows.append([x, n, m, n % 4, bipartite._fock_coeff(n, m, x, c0, central)])
     write_table(config, columns, rows)
     return 0
 

@@ -62,20 +62,7 @@ def ellip_k(xi: float) -> float:
     """
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {xi!r}")
-    # (1-xi)(1+xi) avoids cancellation in 1 - xi^2 for xi near 1
-    return _ellip_k_complement(math.sqrt((1.0 - xi) * (1.0 + xi)))
-
-
-def _ellip_k_complement(b: float) -> float:
-    """ellip_k of the modulus sqrt(1 - b^2), from the complementary modulus b in (0, 1].
-
-    K = pi / (2 AGM(1, b)); a caller that knows 1 - xi^2 without
-    cancellation passes its root, since xi itself would round it away.
-    """
-    a = 1.0
-    while abs(a - b) > _EPS * a:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return _ellip_ke(xi)[0]
 
 
 def ellip_e(xi: float) -> float:
@@ -88,8 +75,19 @@ def ellip_e(xi: float) -> float:
         raise ValueError(f"modulus must lie in [0, 1], got {xi!r}")
     if xi == 1.0:
         return 1.0
+    return _ellip_ke(xi)[1]
+
+
+def _ellip_ke(xi: float, b: float | None = None):
+    """(K, E) at the modulus xi in [0, 1) from one AGM pass, unchecked.
+
+    K = pi / (2 AGM(1, b)) reads the complementary modulus b = sqrt(1 - xi^2)
+    alone, by default from (1 - xi)(1 + xi), free of cancellation; a caller
+    that knows 1 - xi^2 better passes its root, as xi would round it away.
+    """
     a = 1.0
-    b = math.sqrt((1.0 - xi) * (1.0 + xi))
+    if b is None:
+        b = math.sqrt((1.0 - xi) * (1.0 + xi))
     csum = 0.5 * xi * xi  # 2^{-1} c_0^2 with c_0 = xi
     scale = 0.5
     while abs(a - b) > _EPS * a:
@@ -97,7 +95,8 @@ def ellip_e(xi: float) -> float:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         scale *= 2.0
         csum += scale * c * c
-    return math.pi / (2.0 * a) * (1.0 - csum)
+    k = math.pi / (2.0 * a)
+    return k, k * (1.0 - csum)
 
 
 # ---------------------------------------------------------------------------
@@ -194,5 +193,10 @@ def log_i0e(z):
     zs = arr[small]
     out[small] = np.log(_horner(_I0E_SERIES, 0.25 * zs * zs)) - zs
     zb = arr[~small]
-    out[~small] = np.log(_i0_asymptotic_sum(zb)) - 0.5 * np.log(2.0 * math.pi * zb)
+    # 8 k z and 2 pi z overflow near the largest float; the sum is 1 to
+    # rounding long before, so both take z clamped at 2^1000 and the rest of
+    # -ln(z)/2 follows as -ln(z / 2^1000)/2, which is 0 below the clamp
+    zc = np.minimum(zb, 2.0**1000)
+    out[~small] = (np.log(_i0_asymptotic_sum(zc)) - 0.5 * np.log(2.0 * math.pi * zc)
+                   - 0.5 * np.log(zb / zc))
     return float(out) if arr.ndim == 0 else out

@@ -373,6 +373,13 @@ def test_f_closed_against_scipy_near_one(xi):
     assert np.all(np.abs(f_closed(xi, r) - ref) <= 1e-11 * ref)
 
 
+def test_f_closed_at_the_largest_radii():
+    # beta r = 1.4e308: log_i0e must form neither 8 k z nor 2 pi z there
+    # (an overflow warning is an error in this suite), and the profile,
+    # e^(-gamma0 r) small, underflows to 0.0
+    assert f_closed(0.5, 1e308) == 0.0
+
+
 def test_f_prime_at_zero():
     for xi in (0.3, 0.7):
         exact = -math.sqrt(math.pi / (8.0 * ellip_k(xi))) * (1.0 + xi) / (1.0 - xi) ** 1.5
@@ -516,10 +523,11 @@ def test_fock_coeffs_vs_hermite_projection():
     (2, 2, 0.9999999999999999), (2000, 2000, 0.9999999999999999),
 ])
 def test_fock_coeff_vs_mpmath_at_large_order(n, m, xi):
-    # (xi / 16)^(q/2) underflows from (864, 0) at xi = 0.5 and from
-    # n + m = 100 at xi = 1e-12, and the binomials outgrow a float from
-    # n + m = 1032, while every coefficient here is a normal double; the
-    # last four cells sit at the extreme xi of the command's sweep
+    # the reference is the binomial form, whose (xi / 16)^(q/2) alone
+    # underflows from (864, 0) at xi = 0.5 and from n + m = 100 at
+    # xi = 1e-12 and whose binomials outgrow a float from n + m = 1032;
+    # every coefficient here is a normal double, which the b_k form must
+    # meet; the last four cells sit at the extreme xi of the command's sweep
     import mpmath as mp
 
     with mp.workdps(40):
@@ -543,6 +551,18 @@ def test_shell_sum_matches_coefficients():
         shell_sum(-1, xi)
 
 
+@pytest.mark.parametrize("big_n, xi", [(300, 0.99), (1000, 0.99), (5000, 0.999)])
+def test_shell_sum_vs_mpmath_at_large_shells(big_n, xi):
+    # C(2N, N)^2 passes the float range from N = 259, while the shell mass
+    # (pi / (2K)) (b_N xi^N)^2 stays a normal double
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(xi)
+        ref = mp.pi / (2 * mp.ellipk(x * x)) * mp.binomial(2 * big_n, big_n) ** 2 * (x * x / 16) ** big_n
+    assert shell_sum(big_n, xi) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
+
 def test_shell_sums_exhaust_the_norm():
     # shell masses scale like xi^(2N); 150 shells leave < 1e-40
     xi = 0.7
@@ -562,6 +582,31 @@ def test_normalization_defect():
     # 1 - 1e-6 is 0.7529, and stopping at the cap would report 0.676
     with pytest.raises(RuntimeError):
         fock_normalization_defect(1.0 - 1e-6, 4)
+
+
+@pytest.mark.parametrize("xi, max_total", [(0.5, 1928), (0.7, 3748), (0.9, 12656)])
+def test_normalization_defect_vs_mpmath_far_out(xi, max_total):
+    # tails below ~5e-294, where 1e-30 of the running sum underflows: the
+    # sum must still end, at the value of a direct sum over the shells
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(xi)
+        n = max_total // 4 + 1
+        term = mp.binomial(2 * n, n) ** 2 * (x * x / 16) ** n
+        total = mp.mpf(0)
+        while term > mp.mpf(10) ** -40 * total:
+            total += term
+            term *= ((2 * n + 1) * x / (2 * n + 2)) ** 2
+            n += 1
+        ref = mp.pi / (2 * mp.ellipk(x * x)) * total
+    assert fock_normalization_defect(xi, max_total) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+def test_normalization_defect_below_the_float_range():
+    # the true tail at (0.5, 4000) is 8.6e-607: the first term left out
+    # underflows, and so does the defect
+    assert fock_normalization_defect(0.5, 4000) == 0.0
 
 
 def test_shell_identity():

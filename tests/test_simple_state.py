@@ -67,6 +67,20 @@ def test_minimizer_coefficient_structure():
     assert 0.0 <= sol.tail_norm_sq < 1e-15
 
 
+def test_minimizer_tail_vs_mpmath():
+    # the mass beyond the kept coefficients, c_1^2 / xi^2 sum_(n>m) xi^(2n) / n^2,
+    # 4.9e-19, which the dilogarithm remainder li - partial cancels to 0.0
+    import mpmath as mp
+
+    sol = minimize_q0()
+    m = len(sol.coefficients) - 1
+    with mp.workdps(40):
+        x = mp.mpf(sol.xi.value)
+        c1 = mp.mpf(sol.coefficients[1])
+        ref = c1 * c1 / (x * x) * mp.nsum(lambda n: x ** (2 * n) / (n * n), [m + 1, mp.inf])
+    assert sol.tail_norm_sq == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
 def test_minimizer_matches_independent_coefficients():
     sol = minimize_q0()
     ref = ansatz_coefficients(sol.xi.value, sol.phi, terms=len(sol.coefficients))

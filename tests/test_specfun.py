@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -84,6 +85,17 @@ def test_log_bessel_i0_no_overflow():
     # i0(900) overflows in direct evaluation; log i0e never forms it
     v = log_i0e(900.0)
     assert v == pytest.approx(math.log(sps.i0e(900.0)), rel=1e-12)
+
+
+def test_log_i0e_at_the_largest_arguments():
+    # 8 k z and 2 pi z overflow near the largest float (a warning, an
+    # error in this suite); log(e^-z I0(z)) ~ -ln(2 pi z) / 2 stays finite
+    import mpmath as mp
+
+    for z in (1e300, 1e308, sys.float_info.max):
+        with mp.workdps(30):
+            ref = float(mp.log(mp.besseli(0, mp.mpf(z)) * mp.exp(-mp.mpf(z))))
+        assert log_i0e(z) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 def test_i0e_against_scipy():
