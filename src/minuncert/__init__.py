@@ -32,9 +32,11 @@ _HOME = {
     "OperatorCoefficients": "multipartite",
     "OdeFamilyProfile": "multipartite",
     "b_coefficients": "multipartite",
+    "family": "multipartite",
     "functional_z": "multipartite",
     "g_family": "multipartite",
     "h_family": "multipartite",
+    "z_product": "multipartite",
     "z4_product": "multipartite",
     "z6_product": "multipartite",
     "alpha_beta_certificate": "multipartite",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from . import multipartite
 from ._lazy import np
@@ -27,7 +27,7 @@ from .bipartite import (
     shell_sum,
     uncertainty_product,
 )
-from .multipartite import g_family, h_family, z4_product, z6_product
+from .multipartite import Poles, z4_product, z6_product
 from .simple_state import minimize_q0
 from .spectral import build_q_form, min_eigenpair
 
@@ -36,7 +36,6 @@ __all__ = ["run_battery"]
 
 def _run_checks(checks):
     rows = []
-    all_ok = True
     for name, thunk in checks:
         try:
             value, reference, tol, passed = thunk()
@@ -45,24 +44,14 @@ def _run_checks(checks):
         except Exception as exc:
             print(f"verify: {name}: {exc}", file=sys.stderr)
             value, reference, tol, passed = float("nan"), float("nan"), 0.0, False
-        if not passed:
-            all_ok = False
         rows.append([name, float(value), float(reference), float(tol), bool(passed)])
-    return rows, all_ok
+    return rows, all(row[4] for row in rows)
 
 
 def _b_table_mismatches() -> int:
-    expected = {
-        1: ((Fraction(1),), Fraction(1, 2)),
-        2: ((Fraction(1), Fraction(2)), Fraction(1, 30)),
-        3: ((Fraction(1), Fraction(9), Fraction(9, 2)), Fraction(1, 560)),
-    }
-    bad = 0
-    for n, (table, prefactor) in expected.items():
-        ops = multipartite.b_coefficients(n)
-        if tuple(ops.b) != table or ops.prefactor != prefactor:
-            bad += 1
-    return bad
+    expected = {1: ((1,), Fraction(1, 2)), 2: ((1, 2), Fraction(1, 30)),
+                3: ((1, 9, Fraction(9, 2)), Fraction(1, 560))}
+    return sum(tuple(multipartite.b_coefficients(n)) != ops for n, ops in expected.items())
 
 
 def _operator_at(n: int, x):
@@ -75,13 +64,8 @@ def _operator_at(n: int, x):
 
 
 def _fock_selection_leak() -> float:
-    leak = 0.0
-    for n in range(0, 11):
-        for m in range(0, 11 - n):
-            if n % 4 == m % 4 and n % 4 in (0, 2):
-                continue
-            leak = max(leak, abs(fock_coeff(n, m, 0.5)))
-    return leak
+    return max(abs(fock_coeff(n, m, 0.5)) for n in range(11) for m in range(11 - n)
+               if (n % 4, m % 4) not in ((0, 0), (2, 2)))
 
 
 def _shell_structure_error() -> float:
@@ -108,19 +92,33 @@ def _overlap_route_gap() -> float:
     return abs(quad - overlap(0.3, 0.7))
 
 
+def _vacuum_route_gap() -> float:
+    # <f, vacuum> on radial_rule(0.5), the vacuum's profile e^(-r/2), against c(0, 0)
+    r, weight = radial_rule(0.5)
+    return abs(float(np.sum(weight * f_closed(0.5, r) * np.exp(-0.5 * r))) - fock_coeff(0, 0, 0.5))
+
+
+def _identity_gap(key) -> float:
+    # <Dv, v> = -||v||^2 / 2 gives ||Dv||^2 + a (1 + a) ||v||^2 = ||(D - a) v||^2,
+    # a = k/n, for every family v; its relative gap on route B's rows at xi = 0.5
+    weight = radial_rule(0.5)[1]
+    values = multipartite._rule_rows(0.5, key)[0]
+    a = key.k / key.n
+    v, sibling = values[key], values[key.sibling]
+    dv2, v2, s2 = (float(np.sum(weight * row * row)) for row in (a * v + sibling, v, sibling))
+    return abs(dv2 + a * (1.0 + a) * v2 - s2) / s2
+
+
 def run_battery(order: int):
     """The rows (check, value, reference, tolerance, passed) and whether all passed.
 
     ``order`` is the order of the quadratic form of the eigen route.  The
-    solution, the eigenpair and the three families are each built once,
-    inside the first check that reads them, so a layer that raises turns
-    only the rows that read it red.
+    solution and the eigenpair are each built once, inside the first check
+    that reads them, so a layer that raises turns only the rows that read
+    it red.
     """
     sol = cache(minimize_q0)
     pair = cache(lambda: min_eigenpair(build_q_form(order)))
-    g2 = cache(partial(g_family, 0.5, 2.0))
-    g32 = cache(partial(g_family, 0.5, 1.5))
-    h = cache(partial(h_family, 0.5))
 
     def above_infimum(report):
         return report.product, report.infimum, 0.0, report.product > report.infimum
@@ -137,8 +135,7 @@ def run_battery(order: int):
         ("simple_state_product", lambda: (0.25 + sol().q_value, 0.20505, 1e-3, None)),
         ("simple_state_violation",
          lambda: (0.25 / (0.25 + sol().q_value), 1.2192, 1e-3, None)),
-        ("b_coefficients",
-         lambda: (float(_b_table_mismatches()), 0.0, 0.0, None)),
+        ("b_coefficients", lambda: (float(_b_table_mismatches()), 0.0, 0.0, None)),
         # P_n(j) = C(jn, n) at the n + 1 points j = 0..n, the factorial-matrix
         # relation that b's alternating sum inverts, pins the degree-n P_n to
         # (n^n / n!) prod_(j<n) (x - j/n); its roots j/n are the families' poles
@@ -162,23 +159,17 @@ def run_battery(order: int):
         ("residual_route_agreement",
          lambda: (_residual_route_gap(), 0.0, 1e-7, None)),
         ("overlap_identity", lambda: (overlap(0.3, 0.3), 1.0, 1e-10, None)),
-        ("overlap_vacuum",
-         lambda: (abs(overlap(0.5, 0.0) - fock_coeff(0, 0, 0.5)), 0.0, 1e-10, None)),
+        ("overlap_vacuum", lambda: (_vacuum_route_gap(), 0.0, 1e-10, None)),
         ("overlap_route_agreement",
          lambda: (_overlap_route_gap(), 0.0, 1e-8, None)),
         ("fock_selection", lambda: (_fock_selection_leak(), 0.0, 0.0, None)),
         ("fock_defect",
          lambda: (fock_normalization_defect(0.5, 200), 0.0, 1e-6, None)),
         ("shell_sum_structure", lambda: (_shell_structure_error(), 0.0, 1e-12, None)),
-        ("g_identity_a2",
-         lambda: (abs(3.0 * g2().rk_norm(0) ** 2 + 4.0 * g2().rk_norm(1) ** 2 - 1.0),
-                  0.0, 1e-12, None)),
-        ("g_identity_a32",
-         lambda: (abs(g32().rk_norm(0) ** 2 + 2.25 * g32().rk_norm(1) ** 2 - 1.0),
-                  0.0, 1e-12, None)),
-        ("h_identity",
-         lambda: (abs(10.0 * h().rk_norm(0) ** 2 + 9.0 * h().rk_norm(1) ** 2 - 1.0),
-                  0.0, 1e-12, None)),
+        # one identity of every family, keyed by its roots: g_2, g_3/2 and h
+        ("g_identity_a2", lambda: (_identity_gap(Poles(2, 1)), 0.0, 1e-12, None)),
+        ("g_identity_a32", lambda: (_identity_gap(Poles(3, 1)), 0.0, 1e-12, None)),
+        ("h_identity", lambda: (_identity_gap(Poles(3, 2)), 0.0, 1e-12, None)),
         ("z4_above_infimum", lambda: above_infimum(z4_product(0.5))),
         ("z4_below_bound", lambda: below_bound(z4_product(0.5))),
         # the *_shortcut_agreement rows: route A (the Mellin norms of the

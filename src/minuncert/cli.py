@@ -53,10 +53,13 @@ class RunConfig(namedtuple(
         spec = _COMMAND_TABLE.get(command)
         if spec is None:
             raise UsageError(f"unknown command {command!r}")
-        if parties not in (2, 4, 6):
-            raise UsageError(f"parties must be 2, 4 or 6, got {parties}")
-        if parties != 2 and not spec.multiparty:
-            raise UsageError(f"{command} is two-party only, got parties {parties}")
+        if parties != 2:
+            if not spec.multiparty:
+                raise UsageError(f"{command} is two-party only, got parties {parties}")
+            top = 2 * multipartite.ROUTE_B_MAX_N
+            if parties % 2 or not 2 < parties <= top:
+                raise UsageError(f"parties must be an even number from 2 to {top} "
+                                 f"(route B's cap), got {parties}")
         if format not in ("csv", "json"):
             raise UsageError(f"format must be csv or json, got {format!r}")
         if spec.least_order is None:
@@ -224,14 +227,6 @@ def run_verify(config: RunConfig) -> int:
 # scan
 
 
-def _product_for(parties: int, x: float):
-    if parties == 2:
-        return bipartite.uncertainty_product(x)
-    if parties == 4:
-        return multipartite.z4_product(x)
-    return multipartite.z6_product(x)
-
-
 def run_scan(config: RunConfig) -> int:
     two = config.parties == 2
     columns = ["xi", "product", "separable_bound", "infimum", "violation_ratio"]
@@ -241,7 +236,8 @@ def run_scan(config: RunConfig) -> int:
     hard_failure = None
     for x in config.xi_grid:
         try:
-            rep = _product_for(config.parties, x)
+            rep = (bipartite.uncertainty_product(x) if two
+                   else multipartite.z_product(config.parties // 2, x))
         except ValueError as exc:
             # a product outside its hard bounds is a broken invariant,
             # not a data point
@@ -266,13 +262,12 @@ def _profile_column(parties: int, x: float, r_grid):
     """The family's radial profile at xi = x, at r**parties for each r in r_grid.
 
     Every value depends on its own radius alone, so each column is one
-    call.  The ODE families are oriented positive at the origin, which
+    call.  The families v_n are oriented positive at the origin, which
     is the first radius of every grid.
     """
     if parties == 2:
         return bipartite.f_closed(x, r_grid ** parties)
-    fam = multipartite.g_family(x) if parties == 4 else multipartite.h_family(x)
-    column = fam.value(r_grid ** parties)
+    column = multipartite.family(parties // 2, x).value(r_grid ** parties)
     return column if column[0] >= 0.0 else -column
 
 
@@ -352,8 +347,8 @@ _Command = namedtuple("_Command", "run grid order least_order multiparty")
 # each command: its runner, its default xi grid, its default --order (None
 # where the command takes none), the least --order it accepts (a form of
 # order 2 or more, at least the two end radii of a profile, a positive
-# largest n + m for fock) and whether it takes --parties 4|6 (one table per
-# party count)
+# largest n + m for fock) and whether it takes an even --parties above 2 (one
+# table per party count)
 _COMMAND_TABLE = {
     "verify": _Command(run_verify, (0.5,), 200, 2, False),
     "scan": _Command(run_scan, tuple(round(0.05 * k, 2) for k in range(1, 20)),

@@ -10,14 +10,15 @@ Every family is the two-party profile f under the first k factors
 (D - j/n)^(-1), j = 1..k, of P_n, keyed by its roots (``Poles(n, k)``)
 and scaled by c, and v_n = (n, n - 1) = prod_(j=1)^(n-1) (D - j/n)^(-1) f
 makes P_n(D) v_n = (n^n / n!) D f, so z_2n = prefactor_n (n^n / n!)^2
-||D f||^2 / ||v_n||^2 for every n.  Route A (``z4_product``,
-``z6_product``) takes ||D f||^2 = (1 + R)/2 in closed form and
+||D f||^2 / ||v_n||^2 for every n.  Route A (``z_product``) takes
+||D f||^2 = (1 + R)/2 in closed form and
 ||v||^2 = int rho_xi / prod_j ((1/2 + j/n)^2 + t^2) dt over the Mellin
 density of f (``bipartite._mellin_density``), where D acts as -(1/2 + it).
-Route B (``functional_z``) takes both norms on the radial rule, with every
-point value of v a Laplace average int_1^inf mu(u) f(u r) du on a rule of
-its own per radius.  A family is an ``AngularProfile`` of its two rows c v
-and c r v' = c ((k/n) v + (D - k/n) v).
+Route B (``functional_z``, n <= ``ROUTE_B_MAX_N``) takes both norms on the
+radial rule, with every point value of v a Laplace average
+int_1^inf mu(u) f(u r) du on a rule of its own per radius.  A family is an
+``AngularProfile`` of its two rows c v and c r v' = c ((k/n) v + (D - k/n) v);
+``family(n, xi)`` is v_n's, with c = 1.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ __all__ = [
     "OperatorCoefficients",
     "OdeFamilyProfile",
     "b_coefficients",
+    "family",
     "functional_z",
     "g_family",
     "h_family",
+    "z_product",
     "z4_product",
     "z6_product",
     "alpha_beta_certificate",
@@ -76,7 +79,7 @@ def b_coefficients(n: int) -> OperatorCoefficients:
 
 # ---------------------------------------------------------------------------
 # the families, keyed by the roots of P_n they invert and scaled by c:
-# g_2 = (1/2) (2, 1), g_3/2 = (2/3) (3, 1), h = (2 / (9 ||g_3/2||)) (3, 2)
+# g_2 = (1/2) (2, 1), g_3/2 = (2/3) (3, 1), h = (3, 2) / (3 ||(3, 1)||)
 # and v_n = (n, n - 1)
 
 
@@ -107,6 +110,9 @@ def _at_origin(key: Poles) -> float:
 # Horner steps made a pass 15-40% slower; at 32768 the peak RSS of
 # `profile --parties 6` grew by 1.7 MB, at 16384 it stays where it was
 _LAPLACE_BLOCK = 16384
+
+# the largest n of route B, ``functional_z``, and so of ``--parties`` / 2
+ROUTE_B_MAX_N = 5
 
 
 def _weight(lu, key: Poles):
@@ -169,13 +175,18 @@ def _radial_family_rows(xi: float, order: int):
     return values, rf
 
 
+def _rule_rows(xi: float, key: Poles):
+    """({key: v} with ``key`` and its sibling, r f') on ``radial_rule(xi)``, cached if it can."""
+    values, rf = _radial_family_rows(xi, bipartite._ANGULAR_ORDER)
+    if key not in values:
+        values = _laplace(xi, bipartite.radial_rule(xi)[0], [key])
+    return values, rf
+
+
 def _family_profile(xi: float, c: float, key: Poles):
     """c times the family ``key``: rows v and r v' = (k/n) v + sibling, norm on route A."""
     def rows(r):
-        if r is None:
-            values = _radial_family_rows(xi, bipartite._ANGULAR_ORDER)[0]
-        else:
-            values = _laplace(xi, r, [key])
+        values = _rule_rows(xi, key)[0] if r is None else _laplace(xi, r, [key])
         v = values[key]
         return c * np.array([v, key.k / key.n * v + values[key.sibling]])
 
@@ -200,22 +211,25 @@ def _family_norms(xi: float, key: Poles):
     return math.fsum(terms)
 
 
+def family(n: int, xi) -> AngularProfile:
+    """The profile of v_n = prod_(j=1)^(n-1) (D - j/n)^(-1) f, n >= 2, its norm on route A."""
+    if not (isinstance(n, int) and n >= 2):
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    return _family_profile(as_xi(xi).value, 1.0, _v_key(n))
+
+
 def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:
-    """Family member solving (1 - a) g + a r g' = f for the given xi, a = 2 or 3/2."""
-    v = as_xi(xi).value
-    a = float(a)
-    if a not in (2.0, 1.5):
+    """(1/a) (D - 1/n)^(-1) f, n = a / (a - 1): (1 - a) g + a r g' = f for a = 2 or 3/2."""
+    key = {2.0: Poles(2, 1), 1.5: Poles(3, 1)}.get(float(a))
+    if key is None:
         raise ValueError(f"a must be 2 or 3/2, got {a!r}")
-    # g = (1/a) (D - (a - 1)/a)^(-1) f: the key v_2 = (2, 1) (a = 2) or
-    # v_3's sibling (3, 1) (a = 3/2), which the radial pass already holds
-    return _family_profile(v, 1.0 / a, Poles(2 if a == 2.0 else 3, 1))
+    return _family_profile(as_xi(xi).value, 1.0 / a, key)
 
 
 def h_family(xi) -> OdeFamilyProfile:
-    """Second-layer family: -2 h + 3 r h' equals the normalized a = 3/2 member."""
+    """(3, 2) / (3 ||(3, 1)||): -2 h + 3 r h' = (3, 1) / ||(3, 1)||, the normalized g_3/2."""
     v = as_xi(xi).value
-    # 3 (D - 2/3) h = g_3/2 / ||g_3/2|| with g_3/2 = (2/3) (D - 1/3)^(-1) f
-    return _family_profile(v, 2.0 / (9.0 * g_family(v, 1.5).normalization), _v_key(3))
+    return _family_profile(v, 1.0 / (3.0 * math.sqrt(_family_norms(v, Poles(3, 1)))), _v_key(3))
 
 
 def _z(n: int, df2: float, v2: float) -> float:
@@ -225,7 +239,7 @@ def _z(n: int, df2: float, v2: float) -> float:
     return 3 * math.factorial(n) * n ** (2 * n) / math.factorial(3 * n) * df2 / v2
 
 
-def _z_product(n: int, xi) -> UncertaintyReport:
+def z_product(n: int, xi) -> UncertaintyReport:
     """The 2n-party product on route A, with ||D f||^2 = (1 + R)/2 in closed form."""
     p = as_xi(xi)
     v2 = _family_norms(p.value, _v_key(n))
@@ -237,31 +251,28 @@ def functional_z(n: int, xi) -> float:
 
     Both norms are sums on that rule, so no Mellin density enters: r f',
     v_2 and v_3 come from the cached pass, v_4 and v_5 from a Laplace pass
-    of their own.  Beyond n = 5, v_n tends to v_n(0) only like r^(1/n), and
-    the mass it keeps below the rule's lower end 1e-12 / gamma(pi) shows in
-    z (1.1e-13 at n = 6, 1.6e-11 at n = 8).
+    of their own.  Beyond ``ROUTE_B_MAX_N`` = 5, v_n tends to v_n(0) only like
+    r^(1/n), and the mass it keeps below the rule's lower end 1e-12 / gamma(pi)
+    shows in z (1.1e-13 at n = 6, 1.6e-11 at n = 8).
     """
-    if not (isinstance(n, int) and 2 <= n <= 5):
-        raise ValueError(f"n must be an integer in [2, 5], got {n!r}: beyond, "
+    if not (isinstance(n, int) and 2 <= n <= ROUTE_B_MAX_N):
+        raise ValueError(f"n must be an integer in [2, {ROUTE_B_MAX_N}], got {n!r}: beyond, "
                          "v_n keeps mass below the radial rule's lower end")
     v = as_xi(xi).value
-    key = _v_key(n)
-    r, weight = bipartite.radial_rule(v)
-    values, rf = _radial_family_rows(v, bipartite._ANGULAR_ORDER)
-    if key not in values:
-        values = _laplace(v, r, [key])
-    base = values[key]
+    weight = bipartite.radial_rule(v)[1]
+    values, rf = _rule_rows(v, _v_key(n))
+    base = values[_v_key(n)]
     return _z(n, float(np.sum(weight * rf * rf)), float(np.sum(weight * base * base)))
 
 
 def z4_product(xi) -> UncertaintyReport:
     """Four-party product on g_2 = v_2 / 2; approaches 1/30 as xi -> 1."""
-    return _z_product(2, xi)
+    return z_product(2, xi)
 
 
 def z6_product(xi) -> UncertaintyReport:
     """Six-party product on h, a multiple of v_3; approaches 35/4096 as xi -> 1."""
-    return _z_product(3, xi)
+    return z_product(3, xi)
 
 
 def alpha_beta_certificate() -> float:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -113,10 +114,12 @@ def test_closed_form_commands_never_load_numpy(tmp_path):
     commands = [["scan", "--parties", "2", "--xi", "0.1:0.9:0.1"], ["overlap"], ["fock"],
                 ["minimize-q", "--order", "4000"],
                 ["scan", "--parties", "4", "--xi", "0.5", "--xi", "0.9"],
-                ["scan", "--parties", "6"], ["profile", "--parties", "2", "--order", "5"]]
+                ["scan", "--parties", "6"], ["scan", "--parties", "10", "--xi", "0.5"],
+                ["profile", "--parties", "2", "--order", "5"]]
     assert _numpy_loaded_after(commands, out)[0] == [
         "import False", "scan 0 False", "overlap 0 False", "fock 0 False",
-        "minimize-q 0 False", "scan 0 False", "scan 0 False", "profile 0 True"]
+        "minimize-q 0 False", "scan 0 False", "scan 0 False", "scan 0 False",
+        "profile 0 True"]
     assert _numpy_loaded_after([["verify"]], out)[0] == ["import False", "verify 0 True"]
     code = (f"import sys, minuncert.bipartite as b; b.uncertainty_product(0.5, 'quadrature'); "
             f"print(any(m in sys.modules for m in {_NUMPY_CORE!r}))")
@@ -135,6 +138,8 @@ _COMMAND_MODULES = [
     (["scan", "--parties", "4", "--xi", "0.5"], "bipartite,cli,minuncert,multipartite,"
                                                 "quadrature,specfun"),
     (["scan", "--parties", "6", "--xi", "0.5"], "bipartite,cli,minuncert,multipartite,"
+                                                "quadrature,specfun"),
+    (["scan", "--parties", "8", "--xi", "0.5"], "bipartite,cli,minuncert,multipartite,"
                                                 "quadrature,specfun"),
 ]
 
@@ -323,6 +328,17 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert err.startswith("minuncert: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("parties", ["7", "12", "0"])
+def test_parties_beyond_route_b_cap_exit_2(parties, tmp_path, capsys):
+    # every even N from 2 to twice route B's reach, and no other, names the cap
+    out = str(tmp_path / "table.csv")
+    assert cli.main(["--command", "scan", "--parties", parties, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert multipartite.ROUTE_B_MAX_N == 5
+    assert err == f"minuncert: parties must be an even number from 2 to 10 (route B's cap), " \
+                  f"got {parties}\n"
+
+
 @pytest.mark.parametrize("out", ["dir", "file/table.csv"], ids=["directory", "under-a-file"])
 def test_unwritable_out_exits_2(out, tmp_path, capsys):
     # a path that cannot be written is a bad invocation, not a failed check
@@ -496,10 +512,30 @@ def test_verify_shell_row_reads_the_coefficients(tmp_path, monkeypatch, capsys):
     assert [row[0] for row in rows if row[4] == "false"] == ["shell_sum_structure"]
 
 
-# the rows that read a family norm: the families themselves and the products
-_FAMILY_ROWS = {"g_identity_a2", "g_identity_a32", "h_identity", "z4_above_infimum",
-                "z4_below_bound", "z4_shortcut_agreement", "z6_above_infimum",
-                "z6_below_bound", "z6_shortcut_agreement"}
+def test_verify_vacuum_row_reads_the_coefficients(tmp_path, monkeypatch, capsys):
+    # the vacuum coefficient c(0, 0) = c0 meets <f, vacuum> on the radial
+    # rule: c0 off by 1e-9 in the coefficients turns that row red, and
+    # the shell row that sums the same coefficients, and no other
+    real = bipartite._fock_coeff
+
+    def perturbed(n, m, v, c0, central):
+        return real(n, m, v, c0 * (1.0 + 1e-9), central)
+
+    monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
+    monkeypatch.setattr(bipartite, "_fock_coeff", perturbed)
+    assert cli.main(["--command", "verify"]) == 1
+    _, rows = read_csv(tmp_path / "verify.csv")
+    assert [row[0] for row in rows if row[4] == "false"] == ["overlap_vacuum",
+                                                              "shell_sum_structure"]
+
+
+# the rows that read a family norm on route A: the products; the identity
+# rows read route B's rows alone
+_FAMILY_ROWS = {"z4_above_infimum", "z4_below_bound", "z4_shortcut_agreement",
+                "z6_above_infimum", "z6_below_bound", "z6_shortcut_agreement"}
+# the rows that read route B's cached radial pass
+_RADIAL_ROWS = {"g_identity_a2", "g_identity_a32", "h_identity", "z4_shortcut_agreement",
+                "z6_shortcut_agreement"}
 
 
 def test_verify_reports_a_raising_layer_as_red_rows(tmp_path, monkeypatch, capsys):
@@ -516,6 +552,45 @@ def test_verify_reports_a_raising_layer_as_red_rows(tmp_path, monkeypatch, capsy
     red = {row[0] for row in rows if row[4] == "false"}
     assert red == _FAMILY_ROWS
     assert len(rows) == 29
+
+
+def test_verify_reports_a_raising_radial_pass_as_red_rows(tmp_path, monkeypatch, capsys):
+    # route B's pass feeds the identity rows and route B of the products only
+    def broken(*args):
+        raise RuntimeError("radial pass unavailable")
+
+    monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
+    monkeypatch.setattr(multipartite, "_radial_family_rows", broken)
+    assert cli.main(["--command", "verify"]) == 1
+    assert "radial pass unavailable" in capsys.readouterr().err
+    _, rows = read_csv(tmp_path / "verify.csv")
+    assert {row[0] for row in rows if row[4] == "false"} == _RADIAL_ROWS
+
+
+@pytest.mark.parametrize("key", [(2, 1), (3, 1), (3, 2)])
+def test_identity_row_sees_a_perturbed_sibling(key, tmp_path, monkeypatch, capsys):
+    # the sibling row (D - k/n) v of the cached pass off by 1e-9 relative
+    # must turn the identity row of that family red, and no row but the
+    # identities that read the same row (f is g_2's and g_3/2's sibling,
+    # g_3/2's key h's)
+    names = {multipartite.Poles(*k): name for k, name in [
+        ((2, 1), "g_identity_a2"), ((3, 1), "g_identity_a32"), ((3, 2), "h_identity")]}
+    key = multipartite.Poles(*key)
+    real = multipartite._radial_family_rows
+
+    def perturbed(xi, order):
+        values, rf = real(xi, order)
+        values = dict(values)
+        values[key.sibling] = values[key.sibling] * (1.0 + 1e-9)
+        return values, rf
+
+    monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
+    monkeypatch.setattr(multipartite, "_radial_family_rows", perturbed)
+    assert cli.main(["--command", "verify"]) == 1
+    _, rows = read_csv(tmp_path / "verify.csv")
+    red = {row[0] for row in rows if row[4] == "false"}
+    assert names[key] in red
+    assert red == {name for k, name in names.items() if key.sibling in (k, k.sibling)}
 
 
 # --- scan -----------------------------------------------------------------
@@ -567,6 +642,40 @@ def test_scan_default_grid_meets_nested_route(parties, n, infimum, tmp_path, mon
     assert products[-1] > infimum
     for xi, product in zip(xis, products):
         assert product == pytest.approx(multipartite.functional_z(n, xi), rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("parties", [8, 10])
+def test_scan_beyond_six_parties_meets_nested_route(parties, tmp_path):
+    # every even N up to route B's cap: each row is route A's z_product and
+    # meets route B's functional_z to 1e-13 through both ends of the xi range
+    n = parties // 2
+    grid = [1e-12, 0.5, 0.9, 1.0 - 1e-12]
+    out = tmp_path / "scan.csv"
+    argv = ["--command", "scan", "--parties", str(parties), "--out", str(out)]
+    assert cli.main(argv + [arg for xi in grid for arg in ("--xi", repr(xi))]) == 0
+    _, rows = read_csv(out)
+    assert [float(row[0]) for row in rows] == grid
+    for xi, *cells in ([float(v) for v in row] for row in rows):
+        rep = multipartite.z_product(n, xi)
+        assert cells == [rep.product, rep.separable_bound, rep.infimum, rep.violation_ratio]
+        assert rep.product == pytest.approx(multipartite.functional_z(n, xi), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("parties", [8, 10])
+def test_profile_beyond_six_parties_is_the_family(parties, tmp_path):
+    # each column is v_n / ||v_n|| at r^N, sign fixed at the origin, times
+    # the front factor: finite, positive at r = 0
+    n = parties // 2
+    out = tmp_path / "profile.csv"
+    assert cli.main(["--command", "profile", "--parties", str(parties), "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["r", "psi_xi=0.1", "psi_xi=0.5", "psi_xi=0.9"]
+    cells = np.array(rows, dtype=float)
+    front = math.sqrt(math.factorial(n) / math.pi**n)
+    for x, column in zip((0.1, 0.5, 0.9), cells[:, 1:].T):
+        assert np.all(np.isfinite(column)) and column[0] > 0.0
+        value = multipartite.family(n, x).value(cells[:, 0] ** parties)
+        assert np.array_equal(column, front * (value if value[0] >= 0.0 else -value))
 
 
 def test_scan_byte_deterministic(tmp_path, monkeypatch):
@@ -719,12 +828,12 @@ def test_profile_sweep_rule_orders_agree(tmp_path, xi, parties, monkeypatch):
 
 # --- the ends of the xi range --------------------------------------------
 
-_LIBRARY_PRODUCT = {2: bipartite.uncertainty_product, 4: multipartite.z4_product,
-                    6: multipartite.z6_product}
+_LIBRARY_PRODUCT = {2: bipartite.uncertainty_product,
+                    **{2 * n: partial(multipartite.z_product, n) for n in range(2, 6)}}
 
 
 @pytest.mark.parametrize("xi", [1e-12, 1.0 - 1e-15, 0.9999999999999999])
-@pytest.mark.parametrize("parties", [2, 4, 6])
+@pytest.mark.parametrize("parties", [2, 4, 6, 8, 10])
 @pytest.mark.parametrize("command", ["scan", "profile"])
 def test_xi_sweep_tables_are_finite(command, parties, xi, tmp_path):
     # at both ends of the xi range each table comes out with every cell

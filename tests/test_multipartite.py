@@ -9,9 +9,11 @@ from minuncert.multipartite import (
     OperatorCoefficients,
     alpha_beta_certificate,
     b_coefficients,
+    family,
     functional_z,
     g_family,
     h_family,
+    z_product,
     z4_product,
     z6_product,
 )
@@ -593,13 +595,37 @@ def test_laplace_point_values_vs_mpmath(xi, radii):
         assert h_values[i] == pytest.approx(h_ref, rel=5e-15, abs=0.0)
 
 
+def test_one_surface_keyed_by_n():
+    # family(n) is v_n with scale 1 and its norm on route A; g_2 = v_2 / 2
+    # and h = v_3 / (3 ||(3, 1)||) are multiples of it, so their normalized
+    # profiles are its own; z_product(n) is the report of z4/z6 and, at
+    # n = 1, the two-party product on route A; route B stops at its cap
+    r = np.linspace(0.0, 4.0, 9)
+    for n in range(2, 7):
+        fam = family(n, 0.5)
+        key = multipartite.Poles(n, n - 1)
+        assert fam.normalization == math.sqrt(multipartite._family_norms(0.5, key))
+        assert np.all(np.isfinite(fam.value(r)))
+    assert np.array_equal(family(2, 0.5).value(r), g_family(0.5).value(r))
+    np.testing.assert_allclose(family(3, 0.5).value(r), h_family(0.5).value(r), rtol=1e-15)
+    for bad in (1, 2.0, "3"):
+        with pytest.raises(ValueError):
+            family(bad, 0.5)
+    assert z_product(2, 0.9) == z4_product(0.9) and z_product(3, 0.9) == z6_product(0.9)
+    for xi in (0.01, 0.5, 0.9):
+        assert z_product(1, xi).product == pytest.approx(
+            bipartite.uncertainty_product(xi).product, rel=2e-15, abs=0.0)
+    with pytest.raises(ValueError, match=r"\[2, 5\]"):
+        functional_z(multipartite.ROUTE_B_MAX_N + 1, 0.5)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_routes_agree_for_every_nested_n(n):
     # one product formula on both routes: route A's density norm of v_n and
     # route B's radial norms of v_n and r f', for every n the nested route
     # serves, through xi -> 1
     for xi in (1e-6, 0.01, 0.5, 0.9, 1.0 - 1e-12, 1.0 - 1e-15):
-        report = multipartite._z_product(n, xi)
+        report = multipartite.z_product(n, xi)
         assert report.parties == 2 * n
         assert functional_z(n, xi) == pytest.approx(report.product, rel=1e-13, abs=0.0)
 
