@@ -4,10 +4,11 @@ A command should compile and run only the code it calls, so numpy and
 the package's own submodules come from one loader, ``lazy_import``: it
 registers the module in ``sys.modules`` (and binds a submodule on its
 package, as ``import`` does), but executes it only when one of its
-attributes is first read.  ``scan`` at any ``--parties``, ``overlap``,
-``fock`` and ``minimize-q`` need only ``math`` (the two-party closed
-forms, route A's Mellin density and the tridiagonal eigen-solve run on
-Python floats), so they never load numpy; every module of the package
+attributes is first read.  ``verify``, ``scan`` at any ``--parties``,
+``overlap``, ``fock`` and ``minimize-q`` need only ``math`` (the
+two-party closed forms, both routes of the products on the radial rule
+and the Mellin density, and the tridiagonal eigen-solve run on Python
+floats), so they never load numpy; every module of the package
 takes ``np`` from here instead of importing numpy itself.  A module
 that is not installed comes back as a stand-in whose first attribute
 read raises ImportError.  Before Python 3.12 a first read must not race

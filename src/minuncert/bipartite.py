@@ -44,11 +44,6 @@ __all__ = [
 # and 24 agree to ~1e-15 on both, to ~4e-16 on the nested norms of the
 # radial rule, and to ~1e-15 on the Laplace averages
 _ANGULAR_ORDER = 16
-# cells (radii x nodes) per kernel call of an angular pass (the rows of f
-# only; the Mellin density runs on floats): whole columns at once raise
-# the peak RSS of `verify`, whose two passes are the only ones, from 30.7
-# to 32.0 MB
-_RULE_BLOCK = 4096
 
 
 class XiParameter(namedtuple("XiParameter", "value")):
@@ -163,35 +158,37 @@ def radial_rule(xi: float):
     in x^(1/3)), so that panel's error, which a second rule order does
     not see, grows like (lo gamma(pi))^(4/3): at 1e-8 instead of 1e-12
     it put 1.3e-13 into ||h|| at xi = 0.01, here it is below rounding.
-    Both are numpy arrays.
+    Both are tuples of floats, r ascending.
     """
+    return log_rule(*_radial_span(xi), _ANGULAR_ORDER, 4.0)
+
+
+def _radial_span(xi: float):
+    """(lo, hi) = (1e-12 / gamma(pi), 24 / gamma(0)) of ``radial_rule``."""
     sq = math.sqrt(xi)
     eps = (1.0 - xi) / (1.0 + sq)
     gamma_lo = 0.5 * eps / (1.0 + sq)
     gamma_hi = 0.5 * (1.0 + sq) / eps
-    return tuple(map(np.asarray, log_rule(1e-12 / gamma_hi, 24.0 / gamma_lo, _ANGULAR_ORDER, 4.0)))
+    return 1e-12 / gamma_hi, 24.0 / gamma_lo
 
 
 def _angular_kernel_integral(xi: float, r):
-    """The rows (f, r f') at the 1-D array of radii ``r``, one column per radius.
+    """The rows (f, r f') at the radii ``r``, floats, as two tuples.
 
     r^k f^(k)(r) = int w(theta) (-x)^k e^(-x) dtheta for k = 0, 1, with
     x = gamma(theta) r, w(theta) = 1 / (sqrt(2 pi K) (1 + sqrt(xi) cos theta))
     and gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)),
-    taken on ``angular_rule`` in blocks x[i, j] = r[i] * gamma_j of about
-    ``_RULE_BLOCK`` cells; both rows share each block's e^(-x) and are
-    reduced row by row, so a value depends on its own r alone.
+    taken on ``angular_rule`` radius by radius on Python floats; both rows
+    share the radius's terms w e^(-x), so a value depends on its own r alone.
     """
-    gamma, weight = map(np.asarray, angular_rule(xi))
-    rows = max(1, _RULE_BLOCK // len(gamma))
-    values = np.empty((2, len(r)))
-    for start in range(0, len(r), rows):
-        block = r[start:start + rows]
-        x = np.outer(block, gamma)
-        e = np.exp(-x)
-        values[0, start:start + len(block)] = np.sum(weight * e, axis=-1)
-        values[1, start:start + len(block)] = np.sum(weight * (-x * e), axis=-1)
-    return values / math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
+    gamma, weight = angular_rule(xi)
+    norm = math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
+    f, rf = [], []
+    for radius in r:
+        terms = [w * math.exp(-g * radius) for g, w in zip(gamma, weight)]
+        f.append(sum(terms) / norm)
+        rf.append(-radius * sum(map(mul, terms, gamma)) / norm)
+    return tuple(f), tuple(rf)
 
 
 # beyond t = 13, rho_xi(t) <= rho_xi(0) sech(pi t) < 4e-18 rho_xi(0), and
@@ -270,11 +267,17 @@ def _gamma0(xi: float):
 
 
 def _f_i0e(xi: float, x):
-    """The unit-norm f at the radii ``x`` as C i0e(beta x) e^(-gamma0 x), free of cancellation."""
+    """The unit-norm f at the radii ``x`` as C i0e(beta x) e^(-gamma0 x), free of cancellation.
+
+    ``x`` is an array, or a tuple of floats, which gives a list of floats.
+    """
     gap = 1.0 - xi
     front = math.sqrt(math.pi / (2.0 * ellip_k(xi) * gap))
+    beta = math.sqrt(xi) / gap
     hi, lo = _gamma0(xi)
-    return front * i0e((math.sqrt(xi) / gap) * x) * np.exp(-(hi * x + lo * x))
+    if isinstance(x, tuple):
+        return [front * i0e(beta * r) * math.exp(-(hi * r + lo * r)) for r in x]
+    return front * i0e(beta * x) * np.exp(-(hi * x + lo * x))
 
 
 class AngularProfile:
@@ -283,10 +286,11 @@ class AngularProfile:
     ``rows(r)`` gives (v, r v') of the unnormalized profile at the radii
     ``r``, or on ``radial_rule`` when ``r`` is None.  For f they are one
     angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r; the g and h
-    families are Laplace averages int_1^inf mu(u) f(u r) du of f, take
-    r v' = p_last v + (D - p_last) v from their poles and keep both rows
-    on ``radial_rule``.  Every identity of the paper links ||v|| and
-    ||r v'|| only, so no product needs another row (``functional_z``).
+    families take r v' = p_last v + (D - p_last) v from their poles, on
+    ``radial_rule`` from route B's running integrals of f and at other
+    radii from Laplace averages int_1^inf mu(u) f(u r) du of f.  Every
+    identity of the paper links ||v|| and ||r v'|| only, so no product
+    needs another row (``functional_z``).
 
     ``normalization`` is ||v||, given at construction by a route
     independent of the nested pass (the closed form for f, the Mellin
@@ -303,13 +307,15 @@ class AngularProfile:
         self._norm = float(norm)
 
     def rows(self, r=None):
-        """(v, r v') of the unnormalized profile at the radii ``r`` (a scalar or 1-D array)."""
+        """(v, r v') of the unnormalized profile at the radii ``r`` (a scalar or
+        1-D array) as an array, or on ``radial_rule`` as two tuples of floats.
+        """
         if r is None:
             return self._rows(None)
         rv = _radii(r)
         if rv.ndim > 1:
             raise ValueError(f"r must be a scalar or a 1-D array, got {rv.ndim} dimensions")
-        out = self._rows(np.atleast_1d(rv))
+        out = np.array(self._rows(np.atleast_1d(rv).tolist()))
         return out[:, 0] if rv.ndim == 0 else out
 
     @property
@@ -319,6 +325,11 @@ class AngularProfile:
 
     def value(self, r):
         """v(r) / ||v||: a float for a scalar ``r``, else an array."""
+        if isinstance(r, (int, float)):
+            # on floats alone: f's angular pass then loads no numpy
+            if not 0.0 <= r < math.inf:
+                raise ValueError("r must be finite and nonnegative")
+            return float(self._rows([float(r)])[0][0]) / self._norm
         v = self.rows(r)[0] / self._norm
         return float(v) if np.ndim(r) == 0 else v
 
@@ -332,9 +343,12 @@ class AngularProfile:
         """
         if not (isinstance(k, int) and k in (0, 1)):
             raise ValueError(f"derivative order must be 0 or 1, got {k!r}")
-        weight = radial_rule(self.xi.value)[1]
-        row = self._rows(None)[k]
-        return math.sqrt(float(np.sum(weight * row * row)))
+        return math.sqrt(_norm_sq(radial_rule(self.xi.value)[1], self._rows(None)[k]))
+
+
+def _norm_sq(weight, row) -> float:
+    """sum weight row^2 of a row on ``radial_rule``, on floats, correctly rounded."""
+    return math.fsum(w * y * y for w, y in zip(weight, row))
 
 
 def r_closed(xi) -> float:
@@ -382,12 +396,17 @@ def f_closed(xi, r):
 
     Taken as C exp(log i0e(beta r) - gamma0 r): the growth of I0 and the decay
     e^(-alpha r), each of size r / (1 - xi), never meet, so nothing cancels as xi -> 1.
+    A Python float ``r`` gives a float from ``math`` alone.
     """
     v = as_xi(xi).value
-    rv = _radii(r)
     beta = math.sqrt(v) / (1.0 - v)
     hi, lo = _gamma0(v)
     log_front = 0.5 * (math.log(math.pi) - math.log(2.0 * ellip_k(v) * (1.0 - v)))
+    if isinstance(r, (int, float)):
+        if not 0.0 <= r < math.inf:
+            raise ValueError("r must be finite and nonnegative")
+        return math.exp(log_front + log_i0e(beta * r) - (hi * r + lo * r))
+    rv = _radii(r)
     out = np.exp(log_front + log_i0e(beta * rv) - (hi * rv + lo * rv))
     return float(out) if rv.ndim == 0 else out
 
@@ -431,7 +450,8 @@ def _overlap(a: float, b: float, ka: float, kb: float) -> float:
     # a sum of positive terms in one order, so the value is symmetric (K reads
     # it alone); rounding sqrt(ab) first would lose up to 1.1e-11 near a, b -> 1
     lo, hi = sorted((a, b))
-    return _ellip_ke(0.0, math.sqrt((1.0 - lo) + lo * (1.0 - hi)))[0] / math.sqrt(ka * kb)
+    k = _ellip_ke(0.0, math.sqrt((1.0 - lo) + lo * (1.0 - hi)), with_e=False)[0]
+    return k / math.sqrt(ka * kb)
 
 
 def _central(k: int) -> float:

@@ -14,8 +14,9 @@ from fractions import Fraction
 from functools import cache
 
 from . import multipartite
-from ._lazy import np
 from .bipartite import (
+    _f_i0e,
+    _norm_sq,
     f_closed,
     f_profile,
     fock_coeff,
@@ -76,26 +77,30 @@ def _shell_structure_error() -> float:
         for big_n in range(0, 7))
 
 
+# the quadrature rows sum on radial_rule's floats, with f in closed form as
+# C i0e(beta r) e^(-gamma0 r), the f of route B's pass
+
+
 def _residual_route_gap() -> float:
     # ||f/2 + r f'||^2 of the unit-norm f's rows on radial_rule(0.7)
     # against the closed form
     f, rf = f_profile(0.7).rows()
-    residual = 0.5 * f + rf
-    quad = float(np.sum(radial_rule(0.7)[1] * residual * residual))
+    quad = _norm_sq(radial_rule(0.7)[1], [0.5 * a + b for a, b in zip(f, rf)])
     return abs(quad - residual_norm_sq(0.7))
 
 
 def _overlap_route_gap() -> float:
     # radial_rule of the larger xi spans both profiles' scales
     r, weight = radial_rule(0.7)
-    quad = float(np.sum(weight * f_closed(0.3, r) * f_closed(0.7, r)))
+    quad = math.fsum(w * a * b for w, a, b in zip(weight, _f_i0e(0.3, r), _f_i0e(0.7, r)))
     return abs(quad - overlap(0.3, 0.7))
 
 
 def _vacuum_route_gap() -> float:
     # <f, vacuum> on radial_rule(0.5), the vacuum's profile e^(-r/2), against c(0, 0)
     r, weight = radial_rule(0.5)
-    return abs(float(np.sum(weight * f_closed(0.5, r) * np.exp(-0.5 * r))) - fock_coeff(0, 0, 0.5))
+    quad = math.fsum(w * a * math.exp(-0.5 * x) for w, a, x in zip(weight, _f_i0e(0.5, r), r))
+    return abs(quad - fock_coeff(0, 0, 0.5))
 
 
 def _identity_gap(key) -> float:
@@ -105,7 +110,8 @@ def _identity_gap(key) -> float:
     values = multipartite._rule_rows(0.5, key)[0]
     a = key.k / key.n
     v, sibling = values[key], values[key.sibling]
-    dv2, v2, s2 = (float(np.sum(weight * row * row)) for row in (a * v + sibling, v, sibling))
+    dv2, v2, s2 = (_norm_sq(weight, row)
+                   for row in ([a * y + s for y, s in zip(v, sibling)], v, sibling))
     return abs(dv2 + a * (1.0 + a) * v2 - s2) / s2
 
 

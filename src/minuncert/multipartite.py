@@ -15,8 +15,11 @@ makes P_n(D) v_n = (n^n / n!) D f, so z_2n = prefactor_n (n^n / n!)^2
 ||v||^2 = int rho_xi / prod_j ((1/2 + j/n)^2 + t^2) dt over the Mellin
 density of f (``bipartite._mellin_density``), where D acts as -(1/2 + it).
 Route B (``functional_z``, n <= ``ROUTE_B_MAX_N``) takes both norms on the
-radial rule, with every point value of v a Laplace average
-int_1^inf mu(u) f(u r) du on a rule of its own per radius.  A family is an
+radial rule, on Python floats: v there comes from one cumulative pass
+down the rule's ln r panels, which solves (D - k/n) v_k = v_(k-1) from
+v_0 = f by running integrals (``_cumulative``).  At other radii a point
+value of v is a Laplace average int_1^inf mu(u) f(u r) du on a rule of its
+own per radius (``_laplace``, on numpy).  A family is an
 ``AngularProfile`` of its two rows c v and c r v' = c ((k/n) v + (D - k/n) v);
 ``family(n, xi)`` is v_n's, with c = 1.
 """
@@ -26,11 +29,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
+from types import MappingProxyType
 
 from . import bipartite
 from ._lazy import np
-from .bipartite import AngularProfile, UncertaintyReport, _f_i0e, as_xi, r_closed
-from .quadrature import dilation_rule
+from .bipartite import AngularProfile, UncertaintyReport, _f_i0e, _norm_sq, as_xi, r_closed
+from .quadrature import _gauss_legendre, dilation_rule, panel_rule, tail_matrix
 
 __all__ = [
     "OperatorCoefficients",
@@ -132,6 +137,7 @@ def _weight(lu, key: Poles):
 def _laplace(xi: float, r, keys):
     """{key: v at the radii r} of the keys asked for and of their siblings only.
 
+    The point values of the families off the radial rule, on numpy arrays.
     One ``dilation_rule`` and one evaluation of f serve every weight.  Each
     value depends on its own r alone.
     """
@@ -158,37 +164,101 @@ def _laplace(xi: float, r, keys):
     return out
 
 
+# gamma0 r beyond which f has underflowed, so the running integrals start at 0
+_F_UNDERFLOW = 800.0
+
+
+def _cumulative(xi: float, keys):
+    """{key: v on ``radial_rule(xi)``}, tuples of floats, of f and of each
+    family (n, 1..k) up to every key (n, k) asked for.
+
+    (D - c) v_k = v_(k-1), c = k/n, has the decaying solution
+    v_k(u) = -int_u^inf e^(-c (s - u)) v_(k-1)(s) ds in u = ln r.  The pass
+    runs down the rule's equal u-panels of half-width h from panels of the
+    same width continued until gamma0 r passes 800, where f has underflowed
+    and v_k starts at 0.  On a panel with nodes u_i and top b,
+    v_k(u_i) = e^(-c (b - u_i)) v_k(b) - h sum_j T_ij e^(-c (u_j - u_i)) v_(k-1)(u_j)
+    with T = ``tail_matrix``, and the weights in place of T's row carry
+    v_k to the panel below.  On [0, lo] every family is a polynomial in
+    tau = (r / lo)^(1/n): f = f(0) (1 - alpha lo tau^n) to (alpha lo)^2,
+    below 1e-24, and the solution maps tau^m to n tau^m / (m - k) (no m
+    equals k < n) plus the tau^k that meets v_k(lo).  f on the rule is
+    C i0e(beta r) e^(-gamma0 r) on floats.
+    """
+    order = bipartite._ANGULAR_ORDER
+    x, w = _gauss_legendre(order)
+    r = bipartite.radial_rule(xi)[0]
+    lo, hi = bipartite._radial_span(xi)
+    top = math.log(hi)
+    step = (top - math.log(lo)) / (len(r) // order - 1)
+    extra = math.ceil(math.log(_F_UNDERFLOW / (bipartite._gamma0(xi)[0] * hi)) / step)
+    beyond = panel_rule([top + p * step for p in range(extra + 1)], order)[0]
+    f = _f_i0e(xi, r + tuple(map(math.exp, beyond)))
+    tau_n = [radius / lo for radius in r[:order]]  # tau^n
+    f0 = _f_i0e(xi, (0.0,))[0]
+    alpha = (1.0 + xi) / (2.0 * (1.0 - xi))
+    tail = tail_matrix(order)
+    h = 0.5 * step
+    out = {_F: tuple(f[:len(r)])}
+    for n in sorted({key.n for key in keys}):
+        tau = [t ** (1.0 / n) for t in tau_n]
+        poly = {0: f0, n: -alpha * lo * f0}
+        prev = f
+        for k in range(1, max(key.k for key in keys if key.n == n) + 1):
+            c = k / n
+            rows = [[h * t * math.exp(c * h * (xa - xb)) for t, xb in zip(row, x)]
+                    for row, xa in zip(tail, x)]
+            rows.append([h * wb * math.exp(-c * h * (1.0 + xb)) for wb, xb in zip(w, x)])
+            decay = [math.exp(-c * h * (1.0 - xa)) for xa in x] + [math.exp(-c * step)]
+            v = [0.0] * len(f)
+            edge = 0.0  # v_k at the top of the panel
+            for start in range(len(f) - order, 0, -order):
+                g = prev[start:start + order]
+                col = [edge * d - sum(map(mul, row, g)) for d, row in zip(decay, rows)]
+                edge = col.pop()
+                v[start:start + order] = col
+            poly = {m: n * a / (m - k) for m, a in poly.items()}
+            poly[k] = edge - sum(poly.values())
+            v[:order] = [sum(a * t ** m for m, a in poly.items()) for t in tau]
+            out[Poles(n, k)] = tuple(v[:len(r)])
+            prev = v
+    return out
+
+
 @lru_cache(maxsize=32)
 def _radial_family_rows(xi: float, order: int):
-    """({key: v} of v_2, v_3 and their siblings, r f') on ``radial_rule(xi)``, read-only.
+    """({key: v} of f, v_2, v_3 and their siblings, r f') on ``radial_rule(xi)``, read-only.
 
     The pass holds g_2, h and, as v_3's sibling, g_3/2, so verify's
     families and products share it.  One pass per xi and rule order
     (``_ANGULAR_ORDER``, which sets every rule), so a changed order is a
     fresh pass, never a cached one.
     """
-    r = bipartite.radial_rule(xi)[0]
-    values = _laplace(xi, r, [_v_key(2), _v_key(3)])
-    rf = bipartite._angular_kernel_integral(xi, r)[1]
-    for row in (*values.values(), rf):
-        row.flags.writeable = False
-    return values, rf
+    values = MappingProxyType(_cumulative(xi, [_v_key(2), _v_key(3)]))
+    return values, bipartite._angular_kernel_integral(xi, bipartite.radial_rule(xi)[0])[1]
 
 
 def _rule_rows(xi: float, key: Poles):
     """({key: v} with ``key`` and its sibling, r f') on ``radial_rule(xi)``, cached if it can."""
     values, rf = _radial_family_rows(xi, bipartite._ANGULAR_ORDER)
     if key not in values:
-        values = _laplace(xi, bipartite.radial_rule(xi)[0], [key])
+        values = _cumulative(xi, [key])
     return values, rf
 
 
 def _family_profile(xi: float, c: float, key: Poles):
     """c times the family ``key``: rows v and r v' = (k/n) v + sibling, norm on route A."""
+    a = key.k / key.n
+
     def rows(r):
-        values = _rule_rows(xi, key)[0] if r is None else _laplace(xi, r, [key])
+        if r is None:
+            values = _rule_rows(xi, key)[0]
+            v = values[key]
+            return (tuple(c * y for y in v),
+                    tuple(c * (a * y + s) for y, s in zip(v, values[key.sibling])))
+        values = _laplace(xi, np.asarray(r), [key])
         v = values[key]
-        return c * np.array([v, key.k / key.n * v + values[key.sibling]])
+        return c * np.array([v, a * v + values[key.sibling]])
 
     norm = abs(c) * math.sqrt(_family_norms(xi, key))
     return AngularProfile(xi, rows, norm=norm)
@@ -249,11 +319,13 @@ def z_product(n: int, xi) -> UncertaintyReport:
 def functional_z(n: int, xi) -> float:
     """z_2n by the nested route: ||r f'|| and ||v_n|| on ``radial_rule(xi)``, n = 2..5.
 
-    Both norms are sums on that rule, so no Mellin density enters: r f',
-    v_2 and v_3 come from the cached pass, v_4 and v_5 from a Laplace pass
-    of their own.  Beyond ``ROUTE_B_MAX_N`` = 5, v_n tends to v_n(0) only like
-    r^(1/n), and the mass it keeps below the rule's lower end 1e-12 / gamma(pi)
-    shows in z (1.1e-13 at n = 6, 1.6e-11 at n = 8).
+    Both norms are sums on that rule, on floats, so no Mellin density
+    enters: r f', v_2 and v_3 come from the cached pass, v_4 and v_5 from a
+    cumulative pass of their own.  Beyond ``ROUTE_B_MAX_N`` = 5, v_n tends
+    to v_n(0) only like r^(1/n), which the rule's Gauss-Legendre panel on
+    [0, lo], lo = 1e-12 / gamma(pi), does not integrate: the error shows in
+    z (1.3e-13 at n = 6, 1.9e-11 at n = 8), though the pass's values there
+    are exact.
     """
     if not (isinstance(n, int) and 2 <= n <= ROUTE_B_MAX_N):
         raise ValueError(f"n must be an integer in [2, {ROUTE_B_MAX_N}], got {n!r}: beyond, "
@@ -261,8 +333,7 @@ def functional_z(n: int, xi) -> float:
     v = as_xi(xi).value
     weight = bipartite.radial_rule(v)[1]
     values, rf = _rule_rows(v, _v_key(n))
-    base = values[_v_key(n)]
-    return _z(n, float(np.sum(weight * rf * rf)), float(np.sum(weight * base * base)))
+    return _z(n, _norm_sq(weight, rf), _norm_sq(weight, values[_v_key(n)]))
 
 
 def z4_product(xi) -> UncertaintyReport:

@@ -12,13 +12,16 @@ over u = 1 + y in [1, inf), whose integrand decays on the scale
 y ~ 1 / (gamma0 r).  Every integral of the package is taken on one of
 the three or on equal panels of the Gauss-Legendre points (the t-rule of
 the Mellin density); the tests certify each one by comparing two rule
-orders.
+orders.  ``tail_matrix`` integrates from each Gauss-Legendre point of a
+panel to the panel's end, which turns a sweep down the panels of
+``log_rule`` into the running integrals of route B's families.
 
-``panel_rule`` and ``log_rule`` (and the Gauss-Legendre points under
-them) are tuples of Python floats built with ``math``, so route A of the
-products never loads numpy; ``dilation_rule`` feeds the array passes of
-route B and returns numpy arrays.  Everything here is deterministic:
-identical inputs produce bit-identical results.
+``panel_rule``, ``log_rule`` and ``tail_matrix`` (and the
+Gauss-Legendre points under them) are tuples of Python floats built with
+``math``, so neither route of the products loads numpy; ``dilation_rule``
+feeds the array passes of the families' point values off the radial rule
+and returns numpy arrays.  Everything here is deterministic: identical
+inputs produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 
 from ._lazy import np
 
-__all__ = ["panel_rule", "log_rule", "dilation_rule"]
+__all__ = ["panel_rule", "log_rule", "tail_matrix", "dilation_rule"]
 
 
 @lru_cache(maxsize=8)
@@ -96,6 +99,33 @@ def log_rule(lo: float, hi: float, order: int, ratio: float):
     u, wu = panel_rule([a + k * step for k in range(panels)] + [b], order)
     r = tuple(map(math.exp, u))
     return r0 + r, w0 + tuple(w * x for w, x in zip(wu, r))
+
+
+@lru_cache(maxsize=8)
+def tail_matrix(order: int):
+    """Rows T[i][j] = int_(x_i)^1 l_j(x) dx of the Lagrange basis l_j on the
+    Gauss-Legendre points x_i of ``order``, built on first use.
+
+    sum_j T[i][j] p(x_j) = int_(x_i)^1 p for every polynomial p of degree
+    below ``order``.  l_j = w_j sum_(m<order) (m + 1/2) P_m(x_j) P_m by the
+    rule's exactness, and int_x^1 P_m = (P_(m-1)(x) - P_(m+1)(x)) / (2m + 1)
+    for m >= 1.  A tuple of row tuples.
+    """
+    x, w = _gauss_legendre(order)
+
+    def legendre(t):
+        # P_0(t) .. P_order(t)
+        p = [1.0, t]
+        for j in range(2, order + 1):
+            p.append(((2 * j - 1) * t * p[-1] - (j - 1) * p[-2]) / j)
+        return p
+
+    at = [legendre(t) for t in x]
+    return tuple(
+        tuple(wb * (0.5 * (1.0 - xa) + 0.5 * sum(pb[m] * (pa[m - 1] - pa[m + 1])
+                                                 for m in range(1, order)))
+              for wb, pb in zip(w, at))
+        for xa, pa in zip(x, at))
 
 
 def dilation_rule(t, order: int, block: int):

@@ -6,7 +6,8 @@ and the scaled Bessel function i0e(z) = e^-z I0(z) and its logarithm.
 
 Scalar arguments are Python floats.  The functions that appear inside
 integration kernels (``i0e``, ``log_i0e``) also accept numpy arrays and
-evaluate elementwise.
+evaluate elementwise; on a Python float they run on ``math`` alone, so a
+scalar never loads numpy.
 
 ``i0e`` is the kernel of the four- and six-party families: each of them
 is a Laplace average of the two-party profile C i0e(beta r) e^(-gamma0 r),
@@ -62,7 +63,7 @@ def ellip_k(xi: float) -> float:
     """
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {xi!r}")
-    return _ellip_ke(xi)[0]
+    return _ellip_ke(xi, with_e=False)[0]
 
 
 def ellip_e(xi: float) -> float:
@@ -78,12 +79,14 @@ def ellip_e(xi: float) -> float:
     return _ellip_ke(xi)[1]
 
 
-def _ellip_ke(xi: float, b: float | None = None):
+def _ellip_ke(xi: float, b: float | None = None, with_e: bool = True):
     """(K, E) at the modulus xi in [0, 1) from one AGM pass, unchecked.
 
     K = pi / (2 AGM(1, b)) reads the complementary modulus b = sqrt(1 - xi^2)
     alone, by default from (1 - xi)(1 + xi), free of cancellation; a caller
     that knows 1 - xi^2 better passes its root, as xi would round it away.
+    With ``with_e`` False the pass skips E's sum of squared gaps and gives
+    (K, None); the means are the same steps, so K keeps its bits.
     """
     a = 1.0
     if b is None:
@@ -91,12 +94,13 @@ def _ellip_ke(xi: float, b: float | None = None):
     csum = 0.5 * xi * xi  # 2^{-1} c_0^2 with c_0 = xi
     scale = 0.5
     while abs(a - b) > _EPS * a:
-        c = 0.5 * (a - b)
+        if with_e:
+            c = 0.5 * (a - b)
+            scale *= 2.0
+            csum += scale * c * c
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-        scale *= 2.0
-        csum += scale * c * c
     k = math.pi / (2.0 * a)
-    return k, k * (1.0 - csum)
+    return k, k * (1.0 - csum) if with_e else None
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +137,19 @@ def dilog(z: float) -> float:
 # modified Bessel function I0
 # ---------------------------------------------------------------------------
 
-def _i0_asymptotic_sum(z: np.ndarray) -> np.ndarray:
+def _i0_asymptotic_sum(z):
     # sum_k prod_{j<=k} (2j-1)^2 / (k! (8z)^k), truncated at the smallest term
+    if isinstance(z, float):
+        total = term = 1.0
+        for k in range(1, 40):
+            step = (2 * k - 1) ** 2 / (8.0 * k * z)
+            if step >= 1.0:
+                break
+            term *= step
+            total += term
+            if term < 1e-18:
+                break
+        return total
     total = np.ones_like(z)
     term = np.ones_like(z)
     for k in range(1, 40):
@@ -149,7 +164,13 @@ def _i0_asymptotic_sum(z: np.ndarray) -> np.ndarray:
 
 
 def _horner(coefs, t):
-    # in place: numpy.polyval allocates per term and takes a quarter longer
+    # a float step by step; an array in place: numpy.polyval allocates per
+    # term and takes a quarter longer
+    if isinstance(t, float):
+        out = coefs[0]
+        for c in coefs[1:]:
+            out = out * t + c
+        return out
     out = np.full_like(t, coefs[0])
     for c in coefs[1:]:
         out *= t
@@ -165,6 +186,13 @@ def i0e(z):
     rule.  All terms are positive, so nothing cancels: within ~1e-15
     relative at every z.  Each value depends on its own z alone.
     """
+    if isinstance(z, (int, float)):
+        z = float(z)
+        if z < 0.0:
+            raise ValueError("argument must be non-negative")
+        if z < _I0E_CROSSOVER:
+            return _horner(_I0E_SERIES, 0.25 * z * z) * math.exp(-z)
+        return _horner(_I0E_ASYMPTOTIC, 1.0 / z) / (4.0 * math.sqrt(0.125 * math.pi * z))
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("argument must be non-negative")
@@ -185,6 +213,15 @@ def log_i0e(z):
     of the asymptotic sum cut at its smallest term over sqrt(2 pi z).  e^z never
     enters, so nothing overflows or cancels against a -z taken outside.
     """
+    if isinstance(z, (int, float)):
+        z = float(z)
+        if z < 0.0:
+            raise ValueError("argument must be non-negative")
+        if z <= _BESSEL_CROSSOVER:
+            return math.log(_horner(_I0E_SERIES, 0.25 * z * z)) - z
+        zc = min(z, 2.0**1000)  # as below
+        return (math.log(_i0_asymptotic_sum(zc)) - 0.5 * math.log(2.0 * math.pi * zc)
+                - 0.5 * math.log(z / zc))
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("argument must be non-negative")

@@ -276,7 +276,7 @@ def test_radial_rule_layout(xi):
     eps = (1.0 - xi) / (1.0 + s)
     lo = 1e-12 / (0.5 * (1.0 + s) / eps)
     hi = 24.0 / (0.5 * eps / (1.0 + s))
-    r, weight = radial_rule(xi)
+    r, weight = map(np.asarray, radial_rule(xi))
     assert len(r) == len(weight) == 16 * (1 + math.ceil(math.log(hi / lo, 4)))
     assert np.all(np.diff(r) > 0.0) and np.all(weight > 0.0)
     assert r[0] > 0.0 and r[15] < lo < r[16] and r[-1] < hi
@@ -286,7 +286,7 @@ def test_radial_rule_layout(xi):
 def test_radial_rule_gamma_moments(xi):
     # int_0^inf r^beta e^-r dr = Gamma(beta + 1) for the powers the
     # cube-root kernels carry at the origin
-    r, weight = radial_rule(xi)
+    r, weight = map(np.asarray, radial_rule(xi))
     for beta in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0, 5.0 / 3.0):
         value = np.sum(weight * r**beta * np.exp(-r))
         assert value == pytest.approx(math.gamma(beta + 1.0), rel=1e-15, abs=0.0)
@@ -416,7 +416,7 @@ def test_rows_are_the_profile_and_its_r_derivative():
 def test_residual_norm_closed_vs_quadrature():
     assert residual_norm_sq(0.7) == pytest.approx(RESIDUAL_07, abs=1e-14)
     # the unit-norm angular route, summed on the radial rule
-    f, rf = f_profile(0.7).rows()
+    f, rf = map(np.asarray, f_profile(0.7).rows())
     value = float(np.sum(radial_rule(0.7)[1] * (0.5 * f + rf) ** 2))
     assert value == pytest.approx(RESIDUAL_07, abs=1e-13)
 
@@ -458,6 +458,16 @@ def test_overlap_basic_properties():
     assert overlap(0.5, 0.0) == pytest.approx(C00_HALF, rel=1e-13)
     assert overlap(0.5, 0.0) == pytest.approx(fock_coeff(0, 0, 0.5), rel=1e-13)
     assert overlap(0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_overlap_keeps_its_bits():
+    # K(sqrt(ab)) skips E's sum of squared gaps; the cells are those of the
+    # pass that summed it, to the bit, near xi -> 1 and at the vacuum too
+    golden = {(0.3, 0.7): 0.9662883570717419, (0.01, 0.99): 0.6857790975827591,
+              (0.5, 1.0 - 1e-12): 0.3705021404313682,
+              (1.0 - 1e-15, 1.0 - 1e-12): 0.9217284385263618, (0.0, 0.5): 0.9653022281246679}
+    for (a, b), value in golden.items():
+        assert overlap(a, b) == value == overlap(b, a)
 
 
 def test_overlap_vs_radial_quadrature():

@@ -107,9 +107,10 @@ for argv in {commands!r}:
 
 def test_closed_form_commands_never_load_numpy(tmp_path):
     # numpy is bound lazily, so the two-party closed forms, the
-    # tridiagonal eigen-solve and route A of the products (the Mellin
-    # density on Python floats) run on math alone; the first array
-    # operation (here the profile grid, or verify's quadratures) loads it
+    # tridiagonal eigen-solve, route A of the products (the Mellin density)
+    # and verify's battery (route B's cumulative pass, the angular pass of
+    # r f' and every quadrature on the radial rule) run on Python floats
+    # alone; the first array operation (here the profile grid) loads it
     out = str(tmp_path / "table.csv")
     commands = [["scan", "--parties", "2", "--xi", "0.1:0.9:0.1"], ["overlap"], ["fock"],
                 ["minimize-q", "--order", "4000"],
@@ -120,7 +121,7 @@ def test_closed_form_commands_never_load_numpy(tmp_path):
         "import False", "scan 0 False", "overlap 0 False", "fock 0 False",
         "minimize-q 0 False", "scan 0 False", "scan 0 False", "scan 0 False",
         "profile 0 True"]
-    assert _numpy_loaded_after([["verify"]], out)[0] == ["import False", "verify 0 True"]
+    assert _numpy_loaded_after([["verify"]], out)[0] == ["import False", "verify 0 False"]
     code = (f"import sys, minuncert.bipartite as b; b.uncertainty_product(0.5, 'quadrature'); "
             f"print(any(m in sys.modules for m in {_NUMPY_CORE!r}))")
     assert run_fresh(code).split() == ["False"]
@@ -229,6 +230,21 @@ except ImportError as exc:
 """
     lines = run_fresh(code, str(tmp_path / "table.csv")).splitlines()
     assert lines == ["0", "0", "ModuleNotFoundError numpy"]
+
+
+def test_verify_passes_without_numpy(tmp_path):
+    # verify runs on Python floats alone: with numpy blocked as if it were
+    # not installed it exits 0, and every row of its table passes
+    code = """
+import sys
+sys.modules["numpy"] = None
+import minuncert.cli as cli
+print(cli.main(["--command", "verify", "--out", sys.argv[1]]))
+"""
+    out = tmp_path / "verify.csv"
+    assert run_fresh(code, str(out)).split() == ["0"]
+    _, rows = read_csv(out)
+    assert len(rows) == 29 and all(row[4] == "true" for row in rows)
 
 
 def test_parse_defaults(tmp_path, monkeypatch):
@@ -581,7 +597,7 @@ def test_identity_row_sees_a_perturbed_sibling(key, tmp_path, monkeypatch, capsy
     def perturbed(xi, order):
         values, rf = real(xi, order)
         values = dict(values)
-        values[key.sibling] = values[key.sibling] * (1.0 + 1e-9)
+        values[key.sibling] = tuple(y * (1.0 + 1e-9) for y in values[key.sibling])
         return values, rf
 
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))

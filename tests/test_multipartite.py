@@ -220,7 +220,7 @@ def test_first_derivative_of_h_ode_pointwise():
 def _combo_norm(profile, coefs):
     # ||coefs[0] v + coefs[1] r v'|| of the raw rows, summed on the radial rule
     weight = bipartite.radial_rule(profile.xi.value)[1]
-    v = sum(c * row for c, row in zip(coefs, profile.rows()))
+    v = sum(c * np.asarray(row) for c, row in zip(coefs, profile.rows()))
     return math.sqrt(float(np.sum(weight * v * v)))
 
 
@@ -230,7 +230,7 @@ def test_h_scalar_product_relations():
     for xi in (0.01, 0.5, 0.9):
         h = h_family(xi)
         n0 = h.rk_norm(0)
-        v, rv = h.rows()
+        v, rv = map(np.asarray, h.rows())
         d01 = float(np.sum(bipartite.radial_rule(xi)[1] * v * rv))
         assert d01 == pytest.approx(-0.5 * n0 * n0, rel=1e-12, abs=0.0)
 
@@ -420,32 +420,32 @@ def test_radial_rule_orders_agree(xi, monkeypatch):
 def test_nested_norms_share_one_chain_pass(monkeypatch):
     # rk_norm(0) and rk_norm(1) of g_2, g_3/2 and h and functional_z(2)
     # and (3) at one xi combine the rows of a single pass on the radial
-    # rule, shared by the three families and both products: one Laplace
-    # pass (one dilation rule, one evaluation of f) and one angular pass
-    # for r f'.  A changed rule order is a fresh pass, which
-    # test_radial_rule_orders_agree relies on, and the first order's rows
-    # are still there afterwards
+    # rule, shared by the three families and both products: one cumulative
+    # pass (one evaluation of f) and one angular pass for r f'.  A changed
+    # rule order is a fresh pass, which test_radial_rule_orders_agree
+    # relies on, and the first order's rows are still there afterwards
     xi = 0.4321
     passes = []
-    real = multipartite._laplace
+    real = multipartite._cumulative
     real_angular = bipartite._angular_kernel_integral
 
-    def counted(x, r, keys):
-        passes.append(("laplace", x, len(r), bipartite._ANGULAR_ORDER))
-        return real(x, r, keys)
+    def counted(x, keys):
+        passes.append(("cumulative", x, len(bipartite.radial_rule(x)[0]),
+                       bipartite._ANGULAR_ORDER))
+        return real(x, keys)
 
     def counted_angular(x, r):
         passes.append(("angular", x, len(r), bipartite._ANGULAR_ORDER))
         return real_angular(x, r)
 
-    monkeypatch.setattr(multipartite, "_laplace", counted)
+    monkeypatch.setattr(multipartite, "_cumulative", counted)
     monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted_angular)
     multipartite._radial_family_rows.cache_clear()
     fams = (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi))
     n16 = len(bipartite.radial_rule(xi)[0])
     norms = [[fam.rk_norm(k) for k in range(2)] for fam in fams]
     z = (functional_z(2, xi), functional_z(3, xi))
-    first = [("laplace", xi, n16, 16), ("angular", xi, n16, 16)]
+    first = [("cumulative", xi, n16, 16), ("angular", xi, n16, 16)]
     assert passes == first
     assert z == (functional_z(2, xi), functional_z(3, xi))
 
@@ -454,7 +454,7 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
     assert n24 != n16
     for fam, fam_norms in zip(fams, norms):
         assert fam.rk_norm(0) == pytest.approx(fam_norms[0], rel=1e-14, abs=0.0)
-    assert passes == first + [("laplace", xi, n24, 24), ("angular", xi, n24, 24)]
+    assert passes == first + [("cumulative", xi, n24, 24), ("angular", xi, n24, 24)]
 
     monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
     assert [fam.rk_norm(0) for fam in fams] == [fam_norms[0] for fam_norms in norms]
@@ -630,6 +630,28 @@ def test_routes_agree_for_every_nested_n(n):
         assert functional_z(n, xi) == pytest.approx(report.product, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("xi", [1e-6, 0.5, 1.0 - 1e-12])
+def test_cumulative_pass_meets_the_laplace_averages(xi):
+    # route B's rows on the radial rule come from running integrals down
+    # its ln r panels and, on [0, lo], from polynomials in (r / lo)^(1/n);
+    # the Laplace averages of the point values take each radius on a rule
+    # of its own.  For every family (n, k) of n = 2..5 the two meet to
+    # 1e-13 of the column's maximum (measured: 3e-14 at most, at xi = 1e-6
+    # near the top of the rule), [0, lo] included
+    keys = [multipartite.Poles(n, k) for n in range(2, 6) for k in range(1, n)]
+    rows = multipartite._cumulative(xi, [multipartite._v_key(n) for n in range(2, 6)])
+    assert sorted(rows) == sorted([multipartite._F, *keys])
+    r = bipartite.radial_rule(xi)[0]
+    averages = multipartite._laplace(xi, np.asarray(r), keys)
+    for key in keys:
+        assert len(rows[key]) == len(r)
+        scale = np.max(np.abs(averages[key]))
+        assert np.max(np.abs(np.asarray(rows[key]) - averages[key])) <= 1e-13 * scale
+    # a pass runs the chains of the keys asked alone
+    assert sorted(multipartite._cumulative(xi, [multipartite.Poles(3, 1)])) == [
+        multipartite._F, multipartite.Poles(3, 1)]
+
+
 def test_laplace_pass_evaluates_only_the_keys_asked(monkeypatch):
     # a profile on caller-given radii asks the Laplace pass for its own key
     # alone, and the pass adds only that key's sibling (f itself below
@@ -652,29 +674,32 @@ def test_laplace_pass_evaluates_only_the_keys_asked(monkeypatch):
 
 
 def test_nested_z8_z10_ask_for_their_own_key_alone(monkeypatch):
-    # functional_z(4) and (5) take v_4 and v_5 from a Laplace pass of their
-    # own key alone, on the rule of the cached radial pass, and leave that
-    # pass at its one entry per xi and rule order, which the nested z4 and
-    # z6 still read
+    # functional_z(4) and (5) take v_4 and v_5 from a cumulative pass of
+    # their own key alone, which runs its chain (n, 1..n - 1) from f on the
+    # rule of the cached radial pass, and leave that pass at its one entry
+    # per xi and rule order, which the nested z4 and z6 still read
     xi = 0.2345
     calls = []
-    real = multipartite._laplace
+    real = multipartite._cumulative
 
-    def recorded(x, r, keys):
-        out = real(x, r, keys)
-        calls.append((len(r), list(keys), sorted(out)))
+    def recorded(x, keys):
+        out = real(x, keys)
+        calls.append(({len(row) for row in out.values()}, list(keys), sorted(out)))
         return out
 
-    monkeypatch.setattr(multipartite, "_laplace", recorded)
+    monkeypatch.setattr(multipartite, "_cumulative", recorded)
     multipartite._radial_family_rows.cache_clear()
     z = [functional_z(n, xi) for n in (4, 5, 2, 3, 4)]
     assert z[4] == z[0]
-    size = len(bipartite.radial_rule(xi)[0])
+    size = {len(bipartite.radial_rule(xi)[0])}
     v2, v3, v4, v5 = (multipartite._v_key(n) for n in range(2, 6))
-    assert calls == [(size, [v2, v3], sorted([v2, v2.sibling, v3, v3.sibling])),
-                     (size, [v4], sorted([v4, v4.sibling])),
-                     (size, [v5], sorted([v5, v5.sibling])),
-                     (size, [v4], sorted([v4, v4.sibling]))]
+
+    def chain(*ns):
+        return sorted([multipartite._F] + [multipartite.Poles(n, k)
+                                           for n in ns for k in range(1, n)])
+
+    assert calls == [(size, [v2, v3], chain(2, 3)), (size, [v4], chain(4)),
+                     (size, [v5], chain(5)), (size, [v4], chain(4))]
     info = multipartite._radial_family_rows.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 4)
 
@@ -816,15 +841,15 @@ def test_perturbed_kernel_shifts_z4(monkeypatch):
     assert dirty_nested == nested
 
 
-def test_perturbed_laplace_shifts_nested_z4(monkeypatch):
-    # the converse: scaling the Laplace averages by 5 percent must move
-    # the nested product through ||g_2|| alone, by 1/1.05^2, and leave
-    # route A, which never reads them, where it was
+def test_perturbed_rule_rows_shift_nested_z4(monkeypatch):
+    # the converse: scaling route B's rows on the radial rule by 5 percent
+    # must move the nested product through ||g_2|| alone, by 1/1.05^2, and
+    # leave route A, which never reads them, where it was
     clean = z4_product(0.5).product
     nested = functional_z(2, 0.5)
-    real = multipartite._laplace
-    monkeypatch.setattr(multipartite, "_laplace", lambda xi, r, keys: {
-        key: 1.05 * row for key, row in real(xi, r, keys).items()})
+    real = multipartite._cumulative
+    monkeypatch.setattr(multipartite, "_cumulative", lambda xi, keys: {
+        key: tuple(1.05 * y for y in row) for key, row in real(xi, keys).items()})
     multipartite._radial_family_rows.cache_clear()
     try:
         dirty = z4_product(0.5).product

@@ -6,7 +6,7 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from minuncert import bipartite
-from minuncert.quadrature import dilation_rule, log_rule, panel_rule
+from minuncert.quadrature import _gauss_legendre, dilation_rule, log_rule, panel_rule, tail_matrix
 
 
 def arrays(rule):
@@ -103,6 +103,24 @@ def test_log_rule_layout():
     assert len(log_rule(1.0, 4.000001, 16, 4.0)[0]) == 48
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 16, 24])
+def test_tail_matrix_integrates_polynomials_exactly(order):
+    # row i of the tail matrix integrates a polynomial of degree below the
+    # order from the point x_i to the end of the panel, from its values on
+    # the points; the rule's weights do the same from -1.  Mapped onto a
+    # panel of half-width h both scale by h
+    x, w = _gauss_legendre(order)
+    tail = tail_matrix(order)
+    assert len(tail) == order and {len(row) for row in tail} == {order}
+    for d in range(order):
+        values = [node**d for node in x]
+        for row, start in zip(tail, x):
+            exact = (1.0 - start ** (d + 1)) / (d + 1)
+            assert math.fsum(map(lambda t, y: t * y, row, values)) == pytest.approx(
+                exact, rel=0.0, abs=2e-15)
+    assert tail_matrix(order) is tail
+
+
 def test_dilation_rule_moments():
     # each radius' own rule integrates e^(-t y) and y e^(-t y) over
     # [0, inf) to rounding, from t = 1e-30 (56 geometric panels) through
@@ -145,7 +163,7 @@ def test_rule_sizes(xi, angular, t_rule, radial):
     assert len(gamma) == len(weight) == angular
     assert len(bipartite._mellin_density(xi, bipartite._ANGULAR_ORDER)[0]) == t_rule
     r, w = bipartite.radial_rule(xi)
-    assert isinstance(r, np.ndarray) and isinstance(w, np.ndarray)
+    assert isinstance(r, tuple) and isinstance(w, tuple)
     assert len(r) == len(w) == radial
 
 

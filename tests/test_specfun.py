@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from minuncert.quadrature import dilation_rule
 from minuncert.specfun import (
     _I0E_CROSSOVER,
+    _ellip_ke,
     dilog,
     ellip_e,
     ellip_k,
@@ -25,6 +26,23 @@ def test_elliptic_against_scipy():
     for k in (1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999):
         assert ellip_k(k) == pytest.approx(sps.ellipk(k * k), rel=1e-14)
         assert ellip_e(k) == pytest.approx(sps.ellipe(k * k), rel=1e-14)
+
+
+def test_k_alone_keeps_the_bits_of_the_pair():
+    # ellip_k and overlap's K(sqrt(ab)) skip E's sum of squared gaps inside
+    # the one AGM loop; the means take the same steps, so K keeps its bits
+    # and the overlap, fock and two-party scan tables stay byte-identical
+    moduli = [0.0, 1e-300, 1e-8, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-12, 1.0 - 2.0**-53]
+    moduli += [k / 997.0 for k in range(997)]
+    for xi in moduli:
+        k, e = _ellip_ke(xi)
+        assert _ellip_ke(xi, with_e=False) == (k, None)
+        assert ellip_k(xi) == k and ellip_e(xi) == e
+    for b in (1e-8, 1e-4, 0.25, math.sqrt(0.5), 1.0):
+        assert _ellip_ke(0.0, b, with_e=False)[0] == _ellip_ke(0.0, b)[0]
+    # values of the two-pass code, to the bit
+    assert ellip_k(0.5) == 1.685750354812596
+    assert ellip_k(1.0 - 1e-12) == 14.855242389793773
 
 
 def test_elliptic_endpoints():
