@@ -191,6 +191,13 @@ def _angular_kernel_integral(xi: float, r):
     return tuple(f), tuple(rf)
 
 
+@lru_cache(maxsize=32)
+def _f_rule_rows(xi: float, order: int):
+    """(f, r f') on ``radial_rule(xi)``: one angular pass per xi and rule order
+    (``_ANGULAR_ORDER``), kept as tuples, so read-only."""
+    return _angular_kernel_integral(xi, radial_rule(xi)[0])
+
+
 # beyond t = 13, rho_xi(t) <= rho_xi(0) sech(pi t) < 4e-18 rho_xi(0), and
 # |W_xi|^2 oscillates at frequencies up to span = ln(gamma_max / gamma_min):
 # span + 16 equal panels of [0, 13] agree with 6.5 span + 40 panels of 24
@@ -285,12 +292,14 @@ class AngularProfile:
 
     ``rows(r)`` gives (v, r v') of the unnormalized profile at the radii
     ``r``, or on ``radial_rule`` when ``r`` is None.  For f they are one
-    angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r; the g and h
-    families take r v' = p_last v + (D - p_last) v from their poles, on
-    ``radial_rule`` from route B's running integrals of f and at other
-    radii from Laplace averages int_1^inf mu(u) f(u r) du of f.  Every
-    identity of the paper links ||v|| and ||r v'|| only, so no product
-    needs another row (``functional_z``).
+    angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r, kept per xi
+    and rule order on ``radial_rule``.  A family (n, k) takes
+    r v' = (k/n) v + (D - k/n) v from the key (n, k - 1) of its chain,
+    whose (n, 0) is f: on ``radial_rule`` from route B's one cached pass
+    of running integrals per chain, and at other radii from Laplace
+    averages int_1^inf mu(u) f(u r) du of f.  Every identity of the paper
+    links ||v|| and ||r v'|| only, so no product needs another row
+    (``functional_z``).
 
     ``normalization`` is ||v||, given at construction by a route
     independent of the nested pass (the closed form for f, the Mellin
@@ -419,7 +428,7 @@ def f_profile(xi) -> AngularProfile:
     v = as_xi(xi).value
 
     def rows(r):
-        return _angular_kernel_integral(v, radial_rule(v)[0] if r is None else r)
+        return _f_rule_rows(v, _ANGULAR_ORDER) if r is None else _angular_kernel_integral(v, r)
 
     return AngularProfile(v, rows, norm=1.0)
 

@@ -107,9 +107,8 @@ def _identity_gap(key) -> float:
     # <Dv, v> = -||v||^2 / 2 gives ||Dv||^2 + a (1 + a) ||v||^2 = ||(D - a) v||^2,
     # a = k/n, for every family v; its relative gap on route B's rows at xi = 0.5
     weight = radial_rule(0.5)[1]
-    values = multipartite._rule_rows(0.5, key)[0]
+    v, sibling = multipartite._rule_rows(0.5, key)
     a = key.k / key.n
-    v, sibling = values[key], values[key.sibling]
     dv2, v2, s2 = (_norm_sq(weight, row)
                    for row in ([a * y + s for y, s in zip(v, sibling)], v, sibling))
     return abs(dv2 + a * (1.0 + a) * v2 - s2) / s2

@@ -14,13 +14,17 @@ makes P_n(D) v_n = (n^n / n!) D f, so z_2n = prefactor_n (n^n / n!)^2
 ||D f||^2 = (1 + R)/2 in closed form and
 ||v||^2 = int rho_xi / prod_j ((1/2 + j/n)^2 + t^2) dt over the Mellin
 density of f (``bipartite._mellin_density``), where D acts as -(1/2 + it).
-Route B (``functional_z``, n <= ``ROUTE_B_MAX_N``) takes both norms on the
-radial rule, on Python floats: v there comes from one cumulative pass
-down the rule's ln r panels, which solves (D - k/n) v_k = v_(k-1) from
-v_0 = f by running integrals (``_cumulative``).  At other radii a point
-value of v is a Laplace average int_1^inf mu(u) f(u r) du on a rule of its
-own per radius (``_laplace``, on numpy).  A family is an
-``AngularProfile`` of its two rows c v and c r v' = c ((k/n) v + (D - k/n) v);
+Route B (``functional_z``) takes both norms on the radial rule, on Python
+floats: r f' from f's one cached angular pass per xi
+(``bipartite._f_rule_rows``), and each family from its chain, one cached
+cumulative pass per xi and n (``_chain``) that holds (n, 0) = f, (n, 1),
+..., (n, n - 1) = v_n by solving (D - k/n) v_k = v_(k-1) down the rule's
+ln r panels with running integrals.  ``_rule_rows`` reads a key's rows
+(v, its sibling (D - k/n) v) from its chain, and is the one place that
+refuses n beyond ``ROUTE_B_MAX_N``.  At other radii the same pair of one
+key is a Laplace average int_1^inf mu(u) f(u r) du on a rule of its own
+per radius (``_laplace``, on numpy).  A family is an ``AngularProfile`` of
+its two rows c v and c r v' = c ((k/n) v + (D - k/n) v);
 ``family(n, xi)`` is v_n's, with c = 1.
 """
 
@@ -30,7 +34,6 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 from operator import mul
-from types import MappingProxyType
 
 from . import bipartite
 from ._lazy import np
@@ -89,20 +92,20 @@ def b_coefficients(n: int) -> OperatorCoefficients:
 
 
 class Poles(namedtuple("Poles", "n k")):
-    """The family prod_(j=1)^k (D - j/n)^(-1) f; k = 0 is f itself."""
+    """The family prod_(j=1)^k (D - j/n)^(-1) f of the chain n; (n, 0) is f itself."""
 
     __slots__ = ()
 
     @property
     def sibling(self):
-        """(D - k/n) v: the key with k - 1, and f itself below k = 1."""
-        return Poles(self.n, self.k - 1) if self.k > 1 else _F
+        """(D - k/n) v: the key with k - 1."""
+        return Poles(self.n, self.k - 1)
 
 
-_F = Poles(1, 0)
-
-
-def _v_key(n: int) -> Poles:
+def _v_key(n: int, least: int = 2) -> Poles:
+    """(n, n - 1), the key of v_n, for an int n >= ``least``; bools are refused."""
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= least):
+        raise ValueError(f"n must be an integer >= {least}, got {n!r}")
     return Poles(n, n - 1)
 
 
@@ -134,24 +137,21 @@ def _weight(lu, key: Poles):
     return mu * (-np.expm1(-lu / n)) ** (k - 1) if k > 1 else mu
 
 
-def _laplace(xi: float, r, keys):
-    """{key: v at the radii r} of the keys asked for and of their siblings only.
+def _laplace(xi: float, r, key: Poles):
+    """(v, (D - k/n) v) of ``key`` at the radii r, arrays: its point values off the radial rule.
 
-    The point values of the families off the radial rule, on numpy arrays.
-    One ``dilation_rule`` and one evaluation of f serve every weight.  Each
-    value depends on its own r alone.
+    One ``dilation_rule`` and one evaluation of f serve the weights of the
+    key and of its sibling, which is f itself at k = 1.  Each value
+    depends on its own r alone.
     """
-    wanted = {*keys, *(key.sibling for key in keys)}
-    out = {key: np.empty(len(r)) for key in wanted if key.k > 0}
-    averages = list(out)
-    if _F in wanted:
-        out[_F] = _f_i0e(xi, r)
+    keys = (key, key.sibling) if key.k > 1 else (key,)
+    rows = [np.empty(len(r)) for _ in keys]
     t = bipartite._gamma0(xi)[0] * r
     # below t = 1e-300 (800 / t overflows) an average is its value at 0 to 1e-100
     origin = t < 1e-300
     f0 = _f_i0e(xi, r[origin])
-    for key in averages:
-        out[key][origin] = _at_origin(key) * f0
+    for row, each in zip(rows, keys):
+        row[origin] = _at_origin(each) * f0
     pos = np.flatnonzero(~origin)
     for index, counts, y, weight in dilation_rule(t[pos], bipartite._ANGULAR_ORDER,
                                                   _LAPLACE_BLOCK):
@@ -159,18 +159,18 @@ def _laplace(xi: float, r, keys):
         wf = weight * _f_i0e(xi, (1.0 + y) * np.repeat(r[cols], counts))
         starts = np.cumsum(counts) - counts
         lu = np.log1p(y)
-        for key in averages:
-            out[key][cols] = np.add.reduceat(_weight(lu, key) * wf, starts)
-    return out
+        for row, each in zip(rows, keys):
+            row[cols] = np.add.reduceat(_weight(lu, each) * wf, starts)
+    return rows[0], (rows[1] if key.k > 1 else _f_i0e(xi, r))
 
 
 # gamma0 r beyond which f has underflowed, so the running integrals start at 0
 _F_UNDERFLOW = 800.0
 
 
-def _cumulative(xi: float, keys):
-    """{key: v on ``radial_rule(xi)``}, tuples of floats, of f and of each
-    family (n, 1..k) up to every key (n, k) asked for.
+@lru_cache(maxsize=32)
+def _chain(xi: float, n: int, order: int):
+    """(f, v_1, ..., v_(n-1)), the keys (n, 0..n - 1), on ``radial_rule(xi)``, tuples of floats.
 
     (D - c) v_k = v_(k-1), c = k/n, has the decaying solution
     v_k(u) = -int_u^inf e^(-c (s - u)) v_(k-1)(s) ds in u = ln r.  The pass
@@ -183,9 +183,10 @@ def _cumulative(xi: float, keys):
     tau = (r / lo)^(1/n): f = f(0) (1 - alpha lo tau^n) to (alpha lo)^2,
     below 1e-24, and the solution maps tau^m to n tau^m / (m - k) (no m
     equals k < n) plus the tau^k that meets v_k(lo).  f on the rule is
-    C i0e(beta r) e^(-gamma0 r) on floats.
+    C i0e(beta r) e^(-gamma0 r) on floats.  One pass per xi, n and rule
+    order ``order`` (``_ANGULAR_ORDER``, which sets every rule), so a
+    changed order is a fresh pass, never a cached one.
     """
-    order = bipartite._ANGULAR_ORDER
     x, w = _gauss_legendre(order)
     r = bipartite.radial_rule(xi)[0]
     lo, hi = bipartite._radial_span(xi)
@@ -194,56 +195,48 @@ def _cumulative(xi: float, keys):
     extra = math.ceil(math.log(_F_UNDERFLOW / (bipartite._gamma0(xi)[0] * hi)) / step)
     beyond = panel_rule([top + p * step for p in range(extra + 1)], order)[0]
     f = _f_i0e(xi, r + tuple(map(math.exp, beyond)))
-    tau_n = [radius / lo for radius in r[:order]]  # tau^n
+    tau = [(radius / lo) ** (1.0 / n) for radius in r[:order]]
     f0 = _f_i0e(xi, (0.0,))[0]
     alpha = (1.0 + xi) / (2.0 * (1.0 - xi))
+    poly = {0: f0, n: -alpha * lo * f0}
     tail = tail_matrix(order)
     h = 0.5 * step
-    out = {_F: tuple(f[:len(r)])}
-    for n in sorted({key.n for key in keys}):
-        tau = [t ** (1.0 / n) for t in tau_n]
-        poly = {0: f0, n: -alpha * lo * f0}
-        prev = f
-        for k in range(1, max(key.k for key in keys if key.n == n) + 1):
-            c = k / n
-            rows = [[h * t * math.exp(c * h * (xa - xb)) for t, xb in zip(row, x)]
-                    for row, xa in zip(tail, x)]
-            rows.append([h * wb * math.exp(-c * h * (1.0 + xb)) for wb, xb in zip(w, x)])
-            decay = [math.exp(-c * h * (1.0 - xa)) for xa in x] + [math.exp(-c * step)]
-            v = [0.0] * len(f)
-            edge = 0.0  # v_k at the top of the panel
-            for start in range(len(f) - order, 0, -order):
-                g = prev[start:start + order]
-                col = [edge * d - sum(map(mul, row, g)) for d, row in zip(decay, rows)]
-                edge = col.pop()
-                v[start:start + order] = col
-            poly = {m: n * a / (m - k) for m, a in poly.items()}
-            poly[k] = edge - sum(poly.values())
-            v[:order] = [sum(a * t ** m for m, a in poly.items()) for t in tau]
-            out[Poles(n, k)] = tuple(v[:len(r)])
-            prev = v
-    return out
-
-
-@lru_cache(maxsize=32)
-def _radial_family_rows(xi: float, order: int):
-    """({key: v} of f, v_2, v_3 and their siblings, r f') on ``radial_rule(xi)``, read-only.
-
-    The pass holds g_2, h and, as v_3's sibling, g_3/2, so verify's
-    families and products share it.  One pass per xi and rule order
-    (``_ANGULAR_ORDER``, which sets every rule), so a changed order is a
-    fresh pass, never a cached one.
-    """
-    values = MappingProxyType(_cumulative(xi, [_v_key(2), _v_key(3)]))
-    return values, bipartite._angular_kernel_integral(xi, bipartite.radial_rule(xi)[0])[1]
+    out = [tuple(f[:len(r)])]
+    prev = f
+    for k in range(1, n):
+        c = k / n
+        rows = [[h * t * math.exp(c * h * (xa - xb)) for t, xb in zip(row, x)]
+                for row, xa in zip(tail, x)]
+        rows.append([h * wb * math.exp(-c * h * (1.0 + xb)) for wb, xb in zip(w, x)])
+        decay = [math.exp(-c * h * (1.0 - xa)) for xa in x] + [math.exp(-c * step)]
+        v = [0.0] * len(f)
+        edge = 0.0  # v_k at the top of the panel
+        for start in range(len(f) - order, 0, -order):
+            g = prev[start:start + order]
+            col = [edge * d - sum(map(mul, row, g)) for d, row in zip(decay, rows)]
+            edge = col.pop()
+            v[start:start + order] = col
+        poly = {m: n * a / (m - k) for m, a in poly.items()}
+        poly[k] = edge - sum(poly.values())
+        v[:order] = [sum(a * t ** m for m, a in poly.items()) for t in tau]
+        out.append(tuple(v[:len(r)]))
+        prev = v
+    return tuple(out)
 
 
 def _rule_rows(xi: float, key: Poles):
-    """({key: v} with ``key`` and its sibling, r f') on ``radial_rule(xi)``, cached if it can."""
-    values, rf = _radial_family_rows(xi, bipartite._ANGULAR_ORDER)
-    if key not in values:
-        values = _cumulative(xi, [key])
-    return values, rf
+    """(v, (D - k/n) v) of ``key``, k >= 1, on ``radial_rule(xi)``: two rows of its chain.
+
+    Beyond ``ROUTE_B_MAX_N`` = 5, v_n tends to v_n(0) only like r^(1/n),
+    which the rule's Gauss-Legendre panel on [0, lo], lo = 1e-12 / gamma(pi),
+    does not integrate: the error shows in the norms (1.3e-13 in z at n = 6,
+    1.9e-11 at n = 8), though the pass's values there are exact.
+    """
+    if not (isinstance(key.n, int) and 2 <= key.n <= ROUTE_B_MAX_N):
+        raise ValueError(f"n must be an integer in [2, {ROUTE_B_MAX_N}], got {key.n!r}: beyond, "
+                         "v_n keeps mass below the radial rule's lower end")
+    chain = _chain(xi, key.n, bipartite._ANGULAR_ORDER)
+    return chain[key.k], chain[key.k - 1]
 
 
 def _family_profile(xi: float, c: float, key: Poles):
@@ -252,13 +245,10 @@ def _family_profile(xi: float, c: float, key: Poles):
 
     def rows(r):
         if r is None:
-            values = _rule_rows(xi, key)[0]
-            v = values[key]
-            return (tuple(c * y for y in v),
-                    tuple(c * (a * y + s) for y, s in zip(v, values[key.sibling])))
-        values = _laplace(xi, np.asarray(r), [key])
-        v = values[key]
-        return c * np.array([v, a * v + values[key.sibling]])
+            v, sibling = _rule_rows(xi, key)
+            return tuple(c * y for y in v), tuple(c * (a * y + s) for y, s in zip(v, sibling))
+        v, sibling = _laplace(xi, np.asarray(r), key)
+        return c * np.array([v, a * v + sibling])
 
     norm = abs(c) * math.sqrt(_family_norms(xi, key))
     return AngularProfile(xi, rows, norm=norm)
@@ -283,8 +273,6 @@ def _family_norms(xi: float, key: Poles):
 
 def family(n: int, xi) -> AngularProfile:
     """The profile of v_n = prod_(j=1)^(n-1) (D - j/n)^(-1) f, n >= 2, its norm on route A."""
-    if not (isinstance(n, int) and n >= 2):
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     return _family_profile(as_xi(xi).value, 1.0, _v_key(n))
 
 
@@ -310,9 +298,10 @@ def _z(n: int, df2: float, v2: float) -> float:
 
 
 def z_product(n: int, xi) -> UncertaintyReport:
-    """The 2n-party product on route A, with ||D f||^2 = (1 + R)/2 in closed form."""
+    """The 2n-party product on route A, with ||D f||^2 = (1 + R)/2 in closed form; n >= 1."""
+    key = _v_key(n, 1)
     p = as_xi(xi)
-    v2 = _family_norms(p.value, _v_key(n))
+    v2 = _family_norms(p.value, key)
     return UncertaintyReport(2 * n, p, _z(n, 0.5 * (1.0 + r_closed(p)), v2), "mellin")
 
 
@@ -320,20 +309,16 @@ def functional_z(n: int, xi) -> float:
     """z_2n by the nested route: ||r f'|| and ||v_n|| on ``radial_rule(xi)``, n = 2..5.
 
     Both norms are sums on that rule, on floats, so no Mellin density
-    enters: r f', v_2 and v_3 come from the cached pass, v_4 and v_5 from a
-    cumulative pass of their own.  Beyond ``ROUTE_B_MAX_N`` = 5, v_n tends
-    to v_n(0) only like r^(1/n), which the rule's Gauss-Legendre panel on
-    [0, lo], lo = 1e-12 / gamma(pi), does not integrate: the error shows in
-    z (1.3e-13 at n = 6, 1.9e-11 at n = 8), though the pass's values there
-    are exact.
+    enters: r f' comes from f's cached angular pass and v_n from its
+    chain's cached cumulative pass, through ``_rule_rows``, which refuses n
+    beyond ``ROUTE_B_MAX_N``.
     """
-    if not (isinstance(n, int) and 2 <= n <= ROUTE_B_MAX_N):
-        raise ValueError(f"n must be an integer in [2, {ROUTE_B_MAX_N}], got {n!r}: beyond, "
-                         "v_n keeps mass below the radial rule's lower end")
     v = as_xi(xi).value
+    # not _v_key: _rule_rows refuses every n outside 2..ROUTE_B_MAX_N with the cap's message
+    vn = _rule_rows(v, Poles(n, n - 1 if isinstance(n, int) else 0))[0]
     weight = bipartite.radial_rule(v)[1]
-    values, rf = _rule_rows(v, _v_key(n))
-    return _z(n, _norm_sq(weight, rf), _norm_sq(weight, values[_v_key(n)]))
+    rf = bipartite._f_rule_rows(v, bipartite._ANGULAR_ORDER)[1]
+    return _z(n, _norm_sq(weight, rf), _norm_sq(weight, vn))
 
 
 def z4_product(xi) -> UncertaintyReport:

@@ -22,7 +22,6 @@ from ._lazy import np
 
 __all__ = [
     "ellip_k",
-    "ellip_e",
     "dilog",
     "i0e",
     "log_i0e",
@@ -64,19 +63,6 @@ def ellip_k(xi: float) -> float:
     if not 0.0 <= xi < 1.0:
         raise ValueError(f"modulus must lie in [0, 1), got {xi!r}")
     return _ellip_ke(xi, with_e=False)[0]
-
-
-def ellip_e(xi: float) -> float:
-    """Complete elliptic integral of the second kind, modulus convention.
-
-    Valid for 0 <= xi <= 1; ellip_e(1) = 1 exactly.  Uses the AGM
-    iteration with the scaled sum of squared gap terms.
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"modulus must lie in [0, 1], got {xi!r}")
-    if xi == 1.0:
-        return 1.0
-    return _ellip_ke(xi)[1]
 
 
 def _ellip_ke(xi: float, b: float | None = None, with_e: bool = True):

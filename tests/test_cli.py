@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -465,10 +465,10 @@ def test_verify_passes(tmp_path, monkeypatch):
 
 def test_verify_angular_pass_radii(tmp_path, monkeypatch):
     # the angular passes of verify, cold: one pass on radial_rule(0.5)
-    # (416 radii) for the row r f' that functional_z reads beside the
-    # cached rows of g_2, g_3/2 and h, one for the nested norm of f on
-    # radial_rule(0.7) (432) and one point value of f; the count changes
-    # only with the radial rule or the battery
+    # (416 radii) for the row r f' that functional_z reads beside its
+    # chains' rows, one for the nested norm of f on radial_rule(0.7) (432),
+    # both kept in f's one cache of rule rows, and one point value of f;
+    # the count changes only with the radial rule or the battery
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
     radii = []
     real = bipartite._angular_kernel_integral
@@ -478,11 +478,9 @@ def test_verify_angular_pass_radii(tmp_path, monkeypatch):
         return real(xi, r)
 
     monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted)
-    multipartite._radial_family_rows.cache_clear()
-    try:
-        assert cli.main(["--command", "verify"]) == 0
-    finally:
-        multipartite._radial_family_rows.cache_clear()
+    monkeypatch.setattr(bipartite, "_f_rule_rows",
+                        lru_cache(maxsize=32)(bipartite._f_rule_rows.__wrapped__))
+    assert cli.main(["--command", "verify"]) == 0
     assert sum(radii) == 849
 
 
@@ -549,7 +547,7 @@ def test_verify_vacuum_row_reads_the_coefficients(tmp_path, monkeypatch, capsys)
 # rows read route B's rows alone
 _FAMILY_ROWS = {"z4_above_infimum", "z4_below_bound", "z4_shortcut_agreement",
                 "z6_above_infimum", "z6_below_bound", "z6_shortcut_agreement"}
-# the rows that read route B's cached radial pass
+# the rows that read route B's chains
 _RADIAL_ROWS = {"g_identity_a2", "g_identity_a32", "h_identity", "z4_shortcut_agreement",
                 "z6_shortcut_agreement"}
 
@@ -576,7 +574,7 @@ def test_verify_reports_a_raising_radial_pass_as_red_rows(tmp_path, monkeypatch,
         raise RuntimeError("radial pass unavailable")
 
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
-    monkeypatch.setattr(multipartite, "_radial_family_rows", broken)
+    monkeypatch.setattr(multipartite, "_chain", broken)
     assert cli.main(["--command", "verify"]) == 1
     assert "radial pass unavailable" in capsys.readouterr().err
     _, rows = read_csv(tmp_path / "verify.csv")
@@ -585,23 +583,24 @@ def test_verify_reports_a_raising_radial_pass_as_red_rows(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("key", [(2, 1), (3, 1), (3, 2)])
 def test_identity_row_sees_a_perturbed_sibling(key, tmp_path, monkeypatch, capsys):
-    # the sibling row (D - k/n) v of the cached pass off by 1e-9 relative
+    # the sibling row (D - k/n) v of a chain's pass off by 1e-9 relative
     # must turn the identity row of that family red, and no row but the
-    # identities that read the same row (f is g_2's and g_3/2's sibling,
-    # g_3/2's key h's)
+    # identities that read the same row (each chain holds its own f, so f
+    # is the sibling of g_2 alone in chain 2 and of g_3/2 alone in chain 3;
+    # g_3/2's key is h's sibling)
     names = {multipartite.Poles(*k): name for k, name in [
         ((2, 1), "g_identity_a2"), ((3, 1), "g_identity_a32"), ((3, 2), "h_identity")]}
     key = multipartite.Poles(*key)
-    real = multipartite._radial_family_rows
+    real = multipartite._chain
 
-    def perturbed(xi, order):
-        values, rf = real(xi, order)
-        values = dict(values)
-        values[key.sibling] = tuple(y * (1.0 + 1e-9) for y in values[key.sibling])
-        return values, rf
+    def perturbed(xi, n, order):
+        rows = list(real(xi, n, order))
+        if n == key.n:
+            rows[key.k - 1] = tuple(y * (1.0 + 1e-9) for y in rows[key.k - 1])
+        return tuple(rows)
 
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
-    monkeypatch.setattr(multipartite, "_radial_family_rows", perturbed)
+    monkeypatch.setattr(multipartite, "_chain", perturbed)
     assert cli.main(["--command", "verify"]) == 1
     _, rows = read_csv(tmp_path / "verify.csv")
     red = {row[0] for row in rows if row[4] == "false"}

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -417,35 +418,45 @@ def test_radial_rule_orders_agree(xi, monkeypatch):
                 assert lo == pytest.approx(fam.normalization, rel=5e-14, abs=0.0)
 
 
+def _fresh(monkeypatch, module, name, wrap=None):
+    """A fresh, empty copy of the cache ``module.name`` for one test, around
+    ``wrap`` of the function it caches if given; the module's own cache
+    stays as it was."""
+    function = getattr(module, name).__wrapped__
+    cached = lru_cache(maxsize=32)(wrap(function) if wrap else function)
+    monkeypatch.setattr(module, name, cached)
+    return cached
+
+
 def test_nested_norms_share_one_chain_pass(monkeypatch):
     # rk_norm(0) and rk_norm(1) of g_2, g_3/2 and h and functional_z(2)
-    # and (3) at one xi combine the rows of a single pass on the radial
-    # rule, shared by the three families and both products: one cumulative
-    # pass (one evaluation of f) and one angular pass for r f'.  A changed
-    # rule order is a fresh pass, which test_radial_rule_orders_agree
-    # relies on, and the first order's rows are still there afterwards
+    # and (3) at one xi combine the rows of one cumulative pass per chain,
+    # (2, 0..1) for g_2 and (3, 0..2) for g_3/2 and h, and of one angular
+    # pass for r f', which the nested norms of f read too.  A changed rule
+    # order is a fresh pass, which test_radial_rule_orders_agree relies
+    # on, and the first order's rows are still there afterwards
     xi = 0.4321
     passes = []
-    real = multipartite._cumulative
     real_angular = bipartite._angular_kernel_integral
 
-    def counted(x, keys):
-        passes.append(("cumulative", x, len(bipartite.radial_rule(x)[0]),
-                       bipartite._ANGULAR_ORDER))
-        return real(x, keys)
+    def counted(chain):
+        def pass_(x, n, order):
+            passes.append(("chain", x, n, order))
+            return chain(x, n, order)
+        return pass_
 
     def counted_angular(x, r):
         passes.append(("angular", x, len(r), bipartite._ANGULAR_ORDER))
         return real_angular(x, r)
 
-    monkeypatch.setattr(multipartite, "_cumulative", counted)
+    _fresh(monkeypatch, multipartite, "_chain", counted)
+    _fresh(monkeypatch, bipartite, "_f_rule_rows")
     monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted_angular)
-    multipartite._radial_family_rows.cache_clear()
-    fams = (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi))
+    fams = (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi), f_profile(xi))
     n16 = len(bipartite.radial_rule(xi)[0])
     norms = [[fam.rk_norm(k) for k in range(2)] for fam in fams]
     z = (functional_z(2, xi), functional_z(3, xi))
-    first = [("cumulative", xi, n16, 16), ("angular", xi, n16, 16)]
+    first = [("chain", xi, 2, 16), ("chain", xi, 3, 16), ("angular", xi, n16, 16)]
     assert passes == first
     assert z == (functional_z(2, xi), functional_z(3, xi))
 
@@ -454,12 +465,13 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
     assert n24 != n16
     for fam, fam_norms in zip(fams, norms):
         assert fam.rk_norm(0) == pytest.approx(fam_norms[0], rel=1e-14, abs=0.0)
-    assert passes == first + [("cumulative", xi, n24, 24), ("angular", xi, n24, 24)]
+    assert passes == first + [("chain", xi, 2, 24), ("chain", xi, 3, 24),
+                              ("angular", xi, n24, 24)]
 
     monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
     assert [fam.rk_norm(0) for fam in fams] == [fam_norms[0] for fam_norms in norms]
     assert z == (functional_z(2, xi), functional_z(3, xi))
-    assert len(passes) == 4
+    assert len(passes) == 6
 
 
 def _per_cell_norms(prof, coefs_list, angular):
@@ -635,73 +647,86 @@ def test_cumulative_pass_meets_the_laplace_averages(xi):
     # route B's rows on the radial rule come from running integrals down
     # its ln r panels and, on [0, lo], from polynomials in (r / lo)^(1/n);
     # the Laplace averages of the point values take each radius on a rule
-    # of its own.  For every family (n, k) of n = 2..5 the two meet to
-    # 1e-13 of the column's maximum (measured: 3e-14 at most, at xi = 1e-6
-    # near the top of the rule), [0, lo] included
-    keys = [multipartite.Poles(n, k) for n in range(2, 6) for k in range(1, n)]
-    rows = multipartite._cumulative(xi, [multipartite._v_key(n) for n in range(2, 6)])
-    assert sorted(rows) == sorted([multipartite._F, *keys])
+    # of its own.  For every family (n, k) of n = 2..5 the two evaluators'
+    # pairs (v, sibling) meet to 1e-13 of the column's maximum (measured:
+    # 3e-14 at most, at xi = 1e-6 near the top of the rule), [0, lo]
+    # included
     r = bipartite.radial_rule(xi)[0]
-    averages = multipartite._laplace(xi, np.asarray(r), keys)
-    for key in keys:
-        assert len(rows[key]) == len(r)
-        scale = np.max(np.abs(averages[key]))
-        assert np.max(np.abs(np.asarray(rows[key]) - averages[key])) <= 1e-13 * scale
-    # a pass runs the chains of the keys asked alone
-    assert sorted(multipartite._cumulative(xi, [multipartite.Poles(3, 1)])) == [
-        multipartite._F, multipartite.Poles(3, 1)]
+    for n in range(2, 6):
+        # a pass holds its own chain (n, 0..n - 1) alone
+        assert len(multipartite._chain(xi, n, bipartite._ANGULAR_ORDER)) == n
+        for k in range(1, n):
+            key = multipartite.Poles(n, k)
+            averages = multipartite._laplace(xi, np.asarray(r), key)
+            for row, average in zip(multipartite._rule_rows(xi, key), averages):
+                assert len(row) == len(r)
+                scale = np.max(np.abs(average))
+                assert np.max(np.abs(np.asarray(row) - average)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("xi", [1e-6, 0.5, 1.0 - 1e-12])
+def test_f_is_the_first_key_of_every_chain(xi):
+    # (n, 0) is f: the sibling of (n, 1) from both evaluators is f on its
+    # own arrangement C i0e(beta r) e^(-gamma0 r), to the bit, in every chain
+    r = bipartite.radial_rule(xi)[0]
+    for n in range(2, 6):
+        key = multipartite.Poles(n, 1)
+        assert key.sibling == (n, 0)
+        assert multipartite._rule_rows(xi, key)[1] == tuple(bipartite._f_i0e(xi, r))
+        laplace = multipartite._laplace(xi, np.asarray(r), key)[1]
+        assert np.array_equal(laplace, bipartite._f_i0e(xi, np.asarray(r)))
 
 
 def test_laplace_pass_evaluates_only_the_keys_asked(monkeypatch):
-    # a profile on caller-given radii asks the Laplace pass for its own key
-    # alone, and the pass adds only that key's sibling (f itself below
-    # k = 1): g_2 needs no weight of g_3/2 or h, and h none of g_2
-    calls = []
-    real = multipartite._laplace
+    # a profile on caller-given radii asks the Laplace pass for its own key,
+    # and the pass weighs only that key and, above k = 1, its sibling (f
+    # itself at k = 1 takes no weight): g_2 needs no weight of g_3/2 or h,
+    # and h none of g_2
+    calls, weights = [], []
+    real, real_weight = multipartite._laplace, multipartite._weight
 
-    def recorded(xi, r, keys):
-        out = real(xi, r, keys)
-        calls.append((list(keys), sorted(out)))
-        return out
+    def recorded(xi, r, key):
+        calls.append(key)
+        return real(xi, r, key)
+
+    def weighed(lu, key):
+        weights.append(key)
+        return real_weight(lu, key)
 
     monkeypatch.setattr(multipartite, "_laplace", recorded)
+    monkeypatch.setattr(multipartite, "_weight", weighed)
     r = np.linspace(0.0, 4.0, 9)
     g_family(0.9).rows(r)
     h_family(0.9).rows(r)
     v2, v3 = multipartite._v_key(2), multipartite._v_key(3)
-    assert calls == [([v2], sorted([v2, v2.sibling])), ([v3], sorted([v3, v3.sibling]))]
-    assert v2.sibling.k == 0 and v3.sibling == v3._replace(k=1)
+    assert calls == [v2, v3]
+    assert weights == [v2, v3, v3.sibling]
+    assert v2.sibling == (2, 0) and v3.sibling == v3._replace(k=1)
 
 
 def test_nested_z8_z10_ask_for_their_own_key_alone(monkeypatch):
-    # functional_z(4) and (5) take v_4 and v_5 from a cumulative pass of
-    # their own key alone, which runs its chain (n, 1..n - 1) from f on the
-    # rule of the cached radial pass, and leave that pass at its one entry
-    # per xi and rule order, which the nested z4 and z6 still read
+    # functional_z(n) reads one cached pass of its own chain (n, 0..n - 1)
+    # on the rule of the xi: z8 and z10 add the chains 4 and 5 beside
+    # those of z4 and z6 and leave them as they are, and a repeated
+    # product is a cache hit.  Each chain evaluates f, to the same bits
     xi = 0.2345
     calls = []
-    real = multipartite._cumulative
 
-    def recorded(x, keys):
-        out = real(x, keys)
-        calls.append(({len(row) for row in out.values()}, list(keys), sorted(out)))
-        return out
+    def recorded(chain):
+        def pass_(x, n, order):
+            out = chain(x, n, order)
+            calls.append((n, len(out), {len(row) for row in out}))
+            return out
+        return pass_
 
-    monkeypatch.setattr(multipartite, "_cumulative", recorded)
-    multipartite._radial_family_rows.cache_clear()
+    cached = _fresh(monkeypatch, multipartite, "_chain", recorded)
     z = [functional_z(n, xi) for n in (4, 5, 2, 3, 4)]
     assert z[4] == z[0]
     size = {len(bipartite.radial_rule(xi)[0])}
-    v2, v3, v4, v5 = (multipartite._v_key(n) for n in range(2, 6))
-
-    def chain(*ns):
-        return sorted([multipartite._F] + [multipartite.Poles(n, k)
-                                           for n in ns for k in range(1, n)])
-
-    assert calls == [(size, [v2, v3], chain(2, 3)), (size, [v4], chain(4)),
-                     (size, [v5], chain(5)), (size, [v4], chain(4))]
-    info = multipartite._radial_family_rows.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 4)
+    assert calls == [(4, 4, size), (5, 5, size), (2, 2, size), (3, 3, size)]
+    info = cached.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (4, 4, 1)
+    assert len({cached(xi, n, bipartite._ANGULAR_ORDER)[0] for n in range(2, 6)}) == 1
 
 
 # g_2 / c, g_3/2 / c, v_3 (h up to its factor c), then v_4 and v_5
@@ -744,11 +769,39 @@ def test_laplace_weight_is_its_partial_fractions():
 def test_functional_z_validation():
     # the nested route holds route A's digits for n = 2..5 only: beyond, the
     # radial rule's lower end leaves out mass of v_n
-    for n in (0, 1, 6, 12, 2.0, True):
+    for n in (0, 1, 6, 12, 2.0, True, "3", None):
         with pytest.raises(ValueError, match=r"n must be an integer in \[2, 5\].*lower end"):
             functional_z(n, 0.5)
     with pytest.raises(ValueError):
         functional_z(2, 1.5)
+
+
+def test_z_product_validation():
+    # n is checked as family and functional_z check it, before any sum:
+    # an int >= 1, bools refused, or a ValueError that names n
+    for n in (0, -1, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match=rf"n must be an integer >= 1, got {n!r}"):
+            z_product(n, 0.5)
+    assert z_product(1, 0.5).parties == 2
+
+
+def test_route_b_cap_lives_in_the_rule_rows():
+    # every nested norm reads the rule rows through one accessor, which
+    # refuses n beyond ROUTE_B_MAX_N as functional_z does: there the rule
+    # misses route A's normalization (1.5e-14 at n = 6); the point values
+    # at given radii still serve every n
+    top = multipartite.ROUTE_B_MAX_N
+    r = np.linspace(0.0, 4.0, 9)
+    for n in (top + 1, 8, 12):
+        fam = family(n, 0.5)
+        for k in (0, 1):
+            with pytest.raises(ValueError, match=rf"\[2, {top}\], got {n}.*lower end"):
+                fam.rk_norm(k)
+        assert np.all(np.isfinite(fam.value(r))) and np.all(np.isfinite(fam.rows(r)))
+    with pytest.raises(ValueError, match=r"lower end"):
+        multipartite._rule_rows(0.5, multipartite.Poles(top + 1, 1))
+    assert family(top, 0.5).rk_norm(0) == pytest.approx(family(top, 0.5).normalization,
+                                                        rel=5e-14, abs=0.0)
 
 
 def test_alpha_beta_certificate():
@@ -834,7 +887,8 @@ def test_perturbed_kernel_shifts_z4(monkeypatch):
         return t, tuple(1.05 * w for w in wrho)
 
     monkeypatch.setattr(bipartite, "_mellin_density", scaled)
-    multipartite._radial_family_rows.cache_clear()
+    _fresh(monkeypatch, multipartite, "_chain")
+    _fresh(monkeypatch, bipartite, "_f_rule_rows")
     dirty = z4_product(0.5).product
     dirty_nested = functional_z(2, 0.5)
     assert dirty == pytest.approx(clean / 1.05, rel=1e-12)
@@ -847,14 +901,10 @@ def test_perturbed_rule_rows_shift_nested_z4(monkeypatch):
     # leave route A, which never reads them, where it was
     clean = z4_product(0.5).product
     nested = functional_z(2, 0.5)
-    real = multipartite._cumulative
-    monkeypatch.setattr(multipartite, "_cumulative", lambda xi, keys: {
-        key: tuple(1.05 * y for y in row) for key, row in real(xi, keys).items()})
-    multipartite._radial_family_rows.cache_clear()
-    try:
-        dirty = z4_product(0.5).product
-        dirty_nested = functional_z(2, 0.5)
-    finally:
-        multipartite._radial_family_rows.cache_clear()
+    real = multipartite._chain
+    monkeypatch.setattr(multipartite, "_chain", lambda xi, n, order: tuple(
+        tuple(1.05 * y for y in row) for row in real(xi, n, order)))
+    dirty = z4_product(0.5).product
+    dirty_nested = functional_z(2, 0.5)
     assert dirty_nested == pytest.approx(nested / 1.05**2, rel=1e-12)
     assert dirty == clean

@@ -12,20 +12,21 @@ from minuncert.specfun import (
     _I0E_CROSSOVER,
     _ellip_ke,
     dilog,
-    ellip_e,
     ellip_k,
     i0e,
     log_i0e,
 )
 
 # scipy's complete elliptic integrals take the parameter m = k^2; ours
-# take the modulus k directly.
+# take the modulus k directly.  E has no checked entry point: its one
+# source is the pair (K, E) of _ellip_ke, which r_closed,
+# residual_norm_sq and overlap read.
 
 
 def test_elliptic_against_scipy():
     for k in (1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999):
         assert ellip_k(k) == pytest.approx(sps.ellipk(k * k), rel=1e-14)
-        assert ellip_e(k) == pytest.approx(sps.ellipe(k * k), rel=1e-14)
+        assert _ellip_ke(k)[1] == pytest.approx(sps.ellipe(k * k), rel=1e-14)
 
 
 def test_k_alone_keeps_the_bits_of_the_pair():
@@ -37,7 +38,7 @@ def test_k_alone_keeps_the_bits_of_the_pair():
     for xi in moduli:
         k, e = _ellip_ke(xi)
         assert _ellip_ke(xi, with_e=False) == (k, None)
-        assert ellip_k(xi) == k and ellip_e(xi) == e
+        assert ellip_k(xi) == k
     for b in (1e-8, 1e-4, 0.25, math.sqrt(0.5), 1.0):
         assert _ellip_ke(0.0, b, with_e=False)[0] == _ellip_ke(0.0, b)[0]
     # values of the two-pass code, to the bit
@@ -47,8 +48,7 @@ def test_k_alone_keeps_the_bits_of_the_pair():
 
 def test_elliptic_endpoints():
     assert ellip_k(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert ellip_e(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert ellip_e(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert _ellip_ke(0.0)[1] == pytest.approx(math.pi / 2, abs=1e-15)
     with pytest.raises(ValueError):
         ellip_k(1.0)
     with pytest.raises(ValueError):
@@ -60,8 +60,8 @@ def test_legendre_relation():
     k = 0.6
     kc = math.sqrt(1.0 - k * k)
     lhs = (
-        ellip_e(k) * ellip_k(kc)
-        + ellip_e(kc) * ellip_k(k)
+        _ellip_ke(k)[1] * ellip_k(kc)
+        + _ellip_ke(kc)[1] * ellip_k(k)
         - ellip_k(k) * ellip_k(kc)
     )
     assert lhs == pytest.approx(math.pi / 2, rel=1e-14)
