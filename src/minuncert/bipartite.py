@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import mul
 
 from ._lazy import np
-from .quadrature import _gauss_legendre, log_rule
+from .quadrature import _gauss_legendre, log_rule, panel_rule
 from .specfun import _ellip_ke, ellip_k, i0e, log_i0e
 
 __all__ = [
@@ -55,6 +55,14 @@ class XiParameter(namedtuple("XiParameter", "value")):
         if not (isinstance(value, float) and math.isfinite(value) and 0.0 < value < 1.0):
             raise ValueError(f"xi must be a finite real strictly in (0, 1), got {value!r}")
         return super().__new__(cls, value)
+
+
+def _count(name: str, value, least: int = 0, most: float = math.inf, why: str = "") -> int:
+    """``value`` if an int, not a bool, in [least, most]; else a ValueError naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, int) and least <= value <= most):
+        span = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}{why}")
+    return value
 
 
 def as_xi(xi) -> XiParameter:
@@ -158,18 +166,36 @@ def radial_rule(xi: float):
     in x^(1/3)), so that panel's error, which a second rule order does
     not see, grows like (lo gamma(pi))^(4/3): at 1e-8 instead of 1e-12
     it put 1.3e-13 into ||h|| at xi = 0.01, here it is below rounding.
+    Route B's ``_radial_mesh`` continues the u-panels and holds f on them.
     Both are tuples of floats, r ascending.
     """
-    return log_rule(*_radial_span(xi), _ANGULAR_ORDER, 4.0)
+    return _radial_mesh(xi, _ANGULAR_ORDER)[:2]
 
 
-def _radial_span(xi: float):
-    """(lo, hi) = (1e-12 / gamma(pi), 24 / gamma(0)) of ``radial_rule``."""
+# gamma0 r beyond which f has underflowed, so route B's running integrals start at 0
+_F_UNDERFLOW = 800.0
+_RadialMesh = namedtuple("_RadialMesh", "r weight lo step f0 f")
+
+
+@lru_cache(maxsize=32)
+def _radial_mesh(xi: float, order: int):
+    """Route B's mesh: the radial rule (r, weight) of ``order`` points per panel, its
+    lower end lo, its u-panel width step, f(0), and f = C i0e(beta r) e^(-gamma0 r)
+    on the rule and on panels of the same width continued until gamma0 r passes
+    ``_F_UNDERFLOW``.  One per xi and order, tuples of floats, so every chain and
+    row that reads f on the rule shares one evaluation of it.
+    """
     sq = math.sqrt(xi)
     eps = (1.0 - xi) / (1.0 + sq)
-    gamma_lo = 0.5 * eps / (1.0 + sq)
-    gamma_hi = 0.5 * (1.0 + sq) / eps
-    return 1e-12 / gamma_hi, 24.0 / gamma_lo
+    # lo = 1e-12 / gamma(pi) and hi = 24 / gamma(0) of ``radial_rule``
+    lo, hi = 1e-12 / (0.5 * (1.0 + sq) / eps), 24.0 / (0.5 * eps / (1.0 + sq))
+    r, weight = log_rule(lo, hi, order, 4.0)
+    top = math.log(hi)
+    step = (top - math.log(lo)) / (len(r) // order - 1)
+    extra = math.ceil(math.log(_F_UNDERFLOW / (_gamma0(xi)[0] * hi)) / step)
+    beyond = panel_rule([top + p * step for p in range(extra + 1)], order)[0]
+    f0, *f = _f_i0e(xi, (0.0,) + r + tuple(map(math.exp, beyond)))
+    return _RadialMesh(r, weight, lo, step, f0, tuple(f))
 
 
 def _angular_kernel_integral(xi: float, r):
@@ -193,9 +219,8 @@ def _angular_kernel_integral(xi: float, r):
 
 @lru_cache(maxsize=32)
 def _f_rule_rows(xi: float, order: int):
-    """(f, r f') on ``radial_rule(xi)``: one angular pass per xi and rule order
-    (``_ANGULAR_ORDER``), kept as tuples, so read-only."""
-    return _angular_kernel_integral(xi, radial_rule(xi)[0])
+    """(f, r f') on the radii of ``_radial_mesh(xi, order)``: one angular pass per mesh."""
+    return _angular_kernel_integral(xi, _radial_mesh(xi, order).r)
 
 
 # beyond t = 13, rho_xi(t) <= rho_xi(0) sech(pi t) < 4e-18 rho_xi(0), and
@@ -292,12 +317,12 @@ class AngularProfile:
 
     ``rows(r)`` gives (v, r v') of the unnormalized profile at the radii
     ``r``, or on ``radial_rule`` when ``r`` is None.  For f they are one
-    angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r, kept per xi
-    and rule order on ``radial_rule``.  A family (n, k) takes
-    r v' = (k/n) v + (D - k/n) v from the key (n, k - 1) of its chain,
-    whose (n, 0) is f: on ``radial_rule`` from route B's one cached pass
-    of running integrals per chain, and at other radii from Laplace
-    averages int_1^inf mu(u) f(u r) du of f.  Every identity of the paper
+    angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r, kept per
+    mesh (``_radial_mesh``, one per xi and rule order).  A family (n, k)
+    takes r v' = (k/n) v + (D - k/n) v from the key (n, k - 1) of its
+    chain, whose (n, 0) is f: on ``radial_rule`` from route B's one cached
+    pass of running integrals per chain on the mesh's f, and at other
+    radii from Laplace averages int_1^inf mu(u) f(u r) du of f.  Every identity of the paper
     links ||v|| and ||r v'|| only, so no product needs another row
     (``functional_z``).
 
@@ -350,8 +375,7 @@ class AngularProfile:
         closed identities constrain (e.g. the a = 2 family satisfies
         3 rk_norm(0)^2 + 4 rk_norm(1)^2 = 1).
         """
-        if not (isinstance(k, int) and k in (0, 1)):
-            raise ValueError(f"derivative order must be 0 or 1, got {k!r}")
+        k = _count("k", k, 0, 1)
         return math.sqrt(_norm_sq(radial_rule(self.xi.value)[1], self._rows(None)[k]))
 
 
@@ -474,11 +498,8 @@ def fock_coeff(n: int, m: int, xi) -> float:
     Nonzero only when n and m are both multiples of 4 or both twice an
     odd number, i.e. (n mod 4, m mod 4) in {(0, 0), (2, 2)}.
     """
-    for label, val in (("n", n), ("m", m)):
-        if not (isinstance(val, int) and val >= 0):
-            raise ValueError(f"{label} must be a nonnegative integer, got {val!r}")
+    q = (_count("n", n) + _count("m", m)) // 2
     v = as_xi(xi).value
-    q = (n + m) // 2
     central = {k: _central(k) for k in (n // 2, m // 2, q // 2)}
     return _fock_coeff(n, m, v, math.sqrt(math.pi / (2.0 * ellip_k(v))), central)
 
@@ -495,8 +516,7 @@ def _fock_coeff(n: int, m: int, v: float, c0: float, central) -> float:
 
 def shell_sum(big_n: int, xi) -> float:
     """Total squared coefficient mass on the shell n + m = 4N: (pi / (2K)) (b_N xi^N)^2."""
-    if not (isinstance(big_n, int) and big_n >= 0):
-        raise ValueError(f"N must be a nonnegative integer, got {big_n!r}")
+    _count("N", big_n)
     v = as_xi(xi).value
     return math.pi / (2.0 * ellip_k(v)) * (_central(big_n) * v**big_n) ** 2
 
@@ -510,10 +530,8 @@ def fock_normalization_defect(xi, max_total: int) -> float:
     Computed directly as the analytic tail over the remaining shells,
     which keeps full precision where the naive 1 - sum loses everything.
     """
-    if not (isinstance(max_total, int) and max_total >= 4):
-        raise ValueError(f"max_total must be an integer >= 4, got {max_total!r}")
+    first = _count("max_total", max_total, 4) // 4 + 1
     v = as_xi(xi).value
-    first = max_total // 4 + 1
     # (b_N xi^N)^2 from the first shell left out, then by the shell ratio,
     # which tends to xi^2 (so the count grows like 1 / (1 - xi)); a term
     # that underflows ends the sum
@@ -537,9 +555,7 @@ def shell_identity_check(n_max: int) -> bool:
     S_N is evaluated brute force as the two residue-class convolutions
     of central binomials.  Exact arithmetic throughout.
     """
-    if not (isinstance(n_max, int) and n_max >= 1):
-        raise ValueError(f"N_max must be an integer >= 1, got {n_max!r}")
-    for big_n in range(n_max + 1):
+    for big_n in range(_count("N_max", n_max, 1) + 1):
         even = sum(
             math.comb(4 * k, 2 * k) * math.comb(4 * big_n - 4 * k, 2 * big_n - 2 * k)
             for k in range(big_n + 1)

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from . import multipartite
+from . import bipartite, multipartite
 from .bipartite import (
     _f_i0e,
     _norm_sq,
@@ -78,7 +78,7 @@ def _shell_structure_error() -> float:
 
 
 # the quadrature rows sum on radial_rule's floats, with f in closed form as
-# C i0e(beta r) e^(-gamma0 r), the f of route B's pass
+# C i0e(beta r) e^(-gamma0 r); the overlap rows read it from route B's mesh
 
 
 def _residual_route_gap() -> float:
@@ -91,15 +91,15 @@ def _residual_route_gap() -> float:
 
 def _overlap_route_gap() -> float:
     # radial_rule of the larger xi spans both profiles' scales
-    r, weight = radial_rule(0.7)
-    quad = math.fsum(w * a * b for w, a, b in zip(weight, _f_i0e(0.3, r), _f_i0e(0.7, r)))
+    mesh = bipartite._radial_mesh(0.7, bipartite._ANGULAR_ORDER)
+    quad = math.fsum(w * a * b for w, a, b in zip(mesh.weight, _f_i0e(0.3, mesh.r), mesh.f))
     return abs(quad - overlap(0.3, 0.7))
 
 
 def _vacuum_route_gap() -> float:
     # <f, vacuum> on radial_rule(0.5), the vacuum's profile e^(-r/2), against c(0, 0)
-    r, weight = radial_rule(0.5)
-    quad = math.fsum(w * a * math.exp(-0.5 * x) for w, a, x in zip(weight, _f_i0e(0.5, r), r))
+    mesh = bipartite._radial_mesh(0.5, bipartite._ANGULAR_ORDER)
+    quad = math.fsum(w * a * math.exp(-0.5 * x) for w, a, x in zip(mesh.weight, mesh.f, mesh.r))
     return abs(quad - fock_coeff(0, 0, 0.5))
 
 

@@ -37,8 +37,9 @@ from operator import mul
 
 from . import bipartite
 from ._lazy import np
-from .bipartite import AngularProfile, UncertaintyReport, _f_i0e, _norm_sq, as_xi, r_closed
-from .quadrature import _gauss_legendre, dilation_rule, panel_rule, tail_matrix
+from .bipartite import (AngularProfile, UncertaintyReport, _count, _f_i0e, _norm_sq, as_xi,
+                        r_closed)
+from .quadrature import _gauss_legendre, dilation_rule, tail_matrix
 
 __all__ = [
     "OperatorCoefficients",
@@ -69,8 +70,7 @@ class OperatorCoefficients(namedtuple("OperatorCoefficients", "b prefactor")):
 
 @lru_cache(maxsize=16)
 def b_coefficients(n: int) -> OperatorCoefficients:
-    if not (isinstance(n, int) and 1 <= n <= 12):
-        raise ValueError(f"n must be an integer in [1, 12], got {n!r}")
+    _count("n", n, 1, 12)
     from fractions import Fraction  # exact tables only; it loads decimal too
 
     table = []
@@ -104,9 +104,7 @@ class Poles(namedtuple("Poles", "n k")):
 
 def _v_key(n: int, least: int = 2) -> Poles:
     """(n, n - 1), the key of v_n, for an int n >= ``least``; bools are refused."""
-    if isinstance(n, bool) or not (isinstance(n, int) and n >= least):
-        raise ValueError(f"n must be an integer >= {least}, got {n!r}")
-    return Poles(n, n - 1)
+    return Poles(n, _count("n", n, least) - 1)
 
 
 def _at_origin(key: Poles) -> float:
@@ -164,44 +162,32 @@ def _laplace(xi: float, r, key: Poles):
     return rows[0], (rows[1] if key.k > 1 else _f_i0e(xi, r))
 
 
-# gamma0 r beyond which f has underflowed, so the running integrals start at 0
-_F_UNDERFLOW = 800.0
-
-
 @lru_cache(maxsize=32)
 def _chain(xi: float, n: int, order: int):
-    """(f, v_1, ..., v_(n-1)), the keys (n, 0..n - 1), on ``radial_rule(xi)``, tuples of floats.
+    """(f, v_1, ..., v_(n-1)), the keys (n, 0..n - 1), on the radial rule of ``order``, tuples.
 
     (D - c) v_k = v_(k-1), c = k/n, has the decaying solution
     v_k(u) = -int_u^inf e^(-c (s - u)) v_(k-1)(s) ds in u = ln r.  The pass
-    runs down the rule's equal u-panels of half-width h from panels of the
-    same width continued until gamma0 r passes 800, where f has underflowed
-    and v_k starts at 0.  On a panel with nodes u_i and top b,
+    runs down the u-panels of half-width h of ``bipartite._radial_mesh``
+    from the top of its continuation, where f has underflowed and v_k
+    starts at 0.  On a panel with nodes u_i and top b,
     v_k(u_i) = e^(-c (b - u_i)) v_k(b) - h sum_j T_ij e^(-c (u_j - u_i)) v_(k-1)(u_j)
     with T = ``tail_matrix``, and the weights in place of T's row carry
     v_k to the panel below.  On [0, lo] every family is a polynomial in
     tau = (r / lo)^(1/n): f = f(0) (1 - alpha lo tau^n) to (alpha lo)^2,
     below 1e-24, and the solution maps tau^m to n tau^m / (m - k) (no m
-    equals k < n) plus the tau^k that meets v_k(lo).  f on the rule is
-    C i0e(beta r) e^(-gamma0 r) on floats.  One pass per xi, n and rule
-    order ``order`` (``_ANGULAR_ORDER``, which sets every rule), so a
-    changed order is a fresh pass, never a cached one.
+    equals k < n) plus the tau^k that meets v_k(lo).  r, lo, h, f and
+    f(0) come from the mesh of (xi, order), which every chain shares: one
+    pass per xi, n and order, so a changed order is a fresh pass.
     """
     x, w = _gauss_legendre(order)
-    r = bipartite.radial_rule(xi)[0]
-    lo, hi = bipartite._radial_span(xi)
-    top = math.log(hi)
-    step = (top - math.log(lo)) / (len(r) // order - 1)
-    extra = math.ceil(math.log(_F_UNDERFLOW / (bipartite._gamma0(xi)[0] * hi)) / step)
-    beyond = panel_rule([top + p * step for p in range(extra + 1)], order)[0]
-    f = _f_i0e(xi, r + tuple(map(math.exp, beyond)))
+    r, _, lo, step, f0, f = bipartite._radial_mesh(xi, order)
     tau = [(radius / lo) ** (1.0 / n) for radius in r[:order]]
-    f0 = _f_i0e(xi, (0.0,))[0]
     alpha = (1.0 + xi) / (2.0 * (1.0 - xi))
     poly = {0: f0, n: -alpha * lo * f0}
     tail = tail_matrix(order)
     h = 0.5 * step
-    out = [tuple(f[:len(r)])]
+    out = [f[:len(r)]]
     prev = f
     for k in range(1, n):
         c = k / n
@@ -232,9 +218,8 @@ def _rule_rows(xi: float, key: Poles):
     does not integrate: the error shows in the norms (1.3e-13 in z at n = 6,
     1.9e-11 at n = 8), though the pass's values there are exact.
     """
-    if not (isinstance(key.n, int) and 2 <= key.n <= ROUTE_B_MAX_N):
-        raise ValueError(f"n must be an integer in [2, {ROUTE_B_MAX_N}], got {key.n!r}: beyond, "
-                         "v_n keeps mass below the radial rule's lower end")
+    _count("n", key.n, 2, ROUTE_B_MAX_N,
+           ": beyond, v_n keeps mass below the radial rule's lower end")
     chain = _chain(xi, key.n, bipartite._ANGULAR_ORDER)
     return chain[key.k], chain[key.k - 1]
 

@@ -34,6 +34,14 @@ from ._lazy import np
 __all__ = ["panel_rule", "log_rule", "tail_matrix", "dilation_rule"]
 
 
+def _legendre(t: float, order: int):
+    """[P_0(t), ..., P_order(t)] by the three-term recurrence, order >= 1."""
+    p = [1.0, t]
+    for j in range(2, order + 1):
+        p.append(((2 * j - 1) * t * p[-1] - (j - 1) * p[-2]) / j)
+    return p
+
+
 @lru_cache(maxsize=8)
 def _gauss_legendre(order: int):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], built on first use.
@@ -45,9 +53,7 @@ def _gauss_legendre(order: int):
     """
     def legendre(x):
         # (P_order(x), P_order'(x))
-        p_prev, p = 1.0, x
-        for j in range(2, order + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        *_, p_prev, p = _legendre(x, order)
         return p, order * (x * p - p_prev) / (x * x - 1.0)
 
     x = [math.cos(math.pi * (k - 0.25) / (order + 0.5)) for k in range(order, 0, -1)]
@@ -69,7 +75,7 @@ def panel_rule(edges, order: int):
     weights), tuples of floats, nodes ascending.  The rule is exact for
     polynomials of degree 2 order - 1 on every panel.
     """
-    if not (isinstance(order, int) and order >= 1):
+    if isinstance(order, bool) or not (isinstance(order, int) and order >= 1):
         raise ValueError(f"order must be a positive integer, got {order!r}")
     e = tuple(map(float, edges))
     if len(e) < 2 or not all(a < b for a, b in zip(e, e[1:])):
@@ -112,15 +118,7 @@ def tail_matrix(order: int):
     for m >= 1.  A tuple of row tuples.
     """
     x, w = _gauss_legendre(order)
-
-    def legendre(t):
-        # P_0(t) .. P_order(t)
-        p = [1.0, t]
-        for j in range(2, order + 1):
-            p.append(((2 * j - 1) * t * p[-1] - (j - 1) * p[-2]) / j)
-        return p
-
-    at = [legendre(t) for t in x]
+    at = [_legendre(t, order) for t in x]
     return tuple(
         tuple(wb * (0.5 * (1.0 - xa) + 0.5 * sum(pb[m] * (pa[m - 1] - pa[m + 1])
                                                  for m in range(1, order)))

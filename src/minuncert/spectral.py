@@ -52,8 +52,8 @@ class EigenPair(namedtuple("EigenPair", "eigenvalue eigenvector")):
 
 def build_q_form(order: int) -> BandedSymmetricForm:
     """Tridiagonal form with diagonal 2n(2n+1), coupling -(n+1)(2n+1)/2."""
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    if isinstance(order, bool) or not (isinstance(order, int) and order >= 2):
+        raise ValueError(f"order must be an integer >= 2, got {order!r}")
     # integer products, exact below 2^53, so each entry is rounded once
     diag = tuple([float(2 * n * (2 * n + 1)) for n in range(order)])
     off = tuple([-0.5 * ((m + 1) * (2 * m + 1)) for m in range(order - 1)])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from minuncert.bipartite import (
     shell_sum,
     uncertainty_product,
 )
-from minuncert.multipartite import g_family, h_family
+from minuncert.multipartite import b_coefficients, family, g_family, h_family
 import minuncert.bipartite as bipartite
 from minuncert.quadrature import _gauss_legendre, panel_rule
+from minuncert.spectral import build_q_form
 from minuncert.specfun import _BESSEL_CROSSOVER, ellip_k
 
 from oracles import (
@@ -627,6 +629,28 @@ def test_shell_identity():
         assert even + odd == 2 ** (4 * big_n)
     for m in range(1, 17):
         assert merged_convolution(m) == 4**m
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n", b_coefficients),
+    ("k", lambda bad: f_profile(0.5).rk_norm(bad)),
+    ("N", lambda bad: shell_sum(bad, 0.5)),
+    ("n", lambda bad: fock_coeff(bad, 0, 0.5)),
+    ("m", lambda bad: fock_coeff(0, bad, 0.5)),
+    ("max_total", lambda bad: fock_normalization_defect(0.5, bad)),
+    ("N_max", shell_identity_check),
+    ("n", lambda bad: family(bad, 0.5)),
+    ("order", lambda bad: panel_rule((0.0, 1.0), bad)),
+    ("order", build_q_form),
+])
+@pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "2", None])
+def test_counts_refuse_bools_and_non_integers(name, call, bad):
+    # a count is an int that is not a bool: True is not read as 1 (it gave
+    # the n = 1 table, row 1's norm, shell 1 and a 0.0 coefficient), and
+    # every other non-integer is a ValueError naming the argument, not a
+    # TypeError from inside (build_q_form(2.5) raised one)
+    with pytest.raises(ValueError, match=rf"^{name} must be .*integer.*, got {re.escape(repr(bad))}"):
+        call(bad)
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))

@@ -474,6 +474,48 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
     assert len(passes) == 6
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_chain_reads_the_mesh_of_its_own_order(n, monkeypatch):
+    # a chain is keyed by its rule order, and so is everything it reads:
+    # the 24-point chain is the same under either module order (it read
+    # the 16-point rule as 24-point panels under 16, with no error)
+    chains = []
+    for module_order in (16, 24):
+        monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", module_order)
+        chains.append(_fresh(monkeypatch, multipartite, "_chain")(0.5, n, 24))
+    assert chains[0] == chains[1]
+    assert len(chains[0][0]) == len(bipartite._radial_mesh(0.5, 24).r)
+
+
+def test_battery_lays_out_one_mesh_per_xi(monkeypatch):
+    # on fresh caches, one verify battery builds route B's mesh once for
+    # each xi it reads (0.5 for the chains and the vacuum row, 0.7 for the
+    # residual and overlap rows), and every chain's f is the mesh's f, bit
+    # for bit
+    from minuncert import checks
+
+    built = []
+
+    def counted(mesh):
+        def build(xi, order):
+            built.append((xi, order))
+            return mesh(xi, order)
+        return build
+
+    meshes = _fresh(monkeypatch, bipartite, "_radial_mesh", counted)
+    chains = _fresh(monkeypatch, multipartite, "_chain")
+    _fresh(monkeypatch, bipartite, "_f_rule_rows")
+    rows, ok = checks.run_battery(200)
+    assert ok
+    assert sorted(built) == [(0.5, 16), (0.7, 16)]
+    assert meshes.cache_info().misses == 2
+    mesh = meshes(0.5, 16)
+    assert chains.cache_info().currsize == 2
+    for n in (2, 3):
+        assert chains(0.5, n, 16)[0] == mesh.f[:len(mesh.r)]
+    assert chains.cache_info().misses == 2
+
+
 def _per_cell_norms(prof, coefs_list, angular):
     # the nested norms with each combination taken per cell before any
     # reduction on the radial rule: per cell of radial_rule x angular_rule
