@@ -42,7 +42,8 @@ __all__ = [
 # t-rules.  On the angular rule 8 and 16 agree to ~7e-13 on the norms but
 # only to ~1e-8 of a column's maximum on point values out to large r; 16
 # and 24 agree to ~1e-15 on both, to ~4e-16 on the nested norms of the
-# radial rule, and to ~1e-15 on the Laplace averages
+# radial rule, and to ~1e-15 on the Laplace averages.  A constant: every
+# layer below the public entry points takes its order as an argument
 _ANGULAR_ORDER = 16
 
 
@@ -117,7 +118,7 @@ class UncertaintyReport(namedtuple("UncertaintyReport", "parties xi product rout
         return self.separable_bound / self.product
 
 
-def angular_rule(xi: float):
+def angular_rule(xi: float, order: int):
     """(gamma, weight): the fixed rule of every angular-kernel integral at xi.
 
     The Poisson substitution cos phi = (cos theta + s) / (1 + s cos theta),
@@ -126,7 +127,7 @@ def angular_rule(xi: float):
     gamma = (eps^2 + 4 s sin^2(phi/2)) / (2 (1 - xi)) with eps = 1 - s.
     gamma vanishes near phi = +-i eps, so every kernel in gamma r is
     analytic on a strip about the real axis of u = ln phi, and
-    ``quadrature.log_rule`` takes [0, eps/8], then ``_ANGULAR_ORDER``
+    ``quadrature.log_rule`` takes [0, eps/8], then ``order``
     Gauss-Legendre points on equal u-panels of ratio at most 2.5 up to
     pi.  The ratio is set by W_xi(t) of route A, whose phase t ln gamma
     it resolves up to t ~ 11: there the density meets mpmath's conical
@@ -138,7 +139,7 @@ def angular_rule(xi: float):
     sq = math.sqrt(xi)
     gap = 1.0 - xi
     eps = gap / (1.0 + sq)  # 1 - sqrt(xi) without the cancellation
-    phi, weight = log_rule(0.125 * eps, math.pi, _ANGULAR_ORDER, 2.5)
+    phi, weight = log_rule(0.125 * eps, math.pi, order, 2.5)
     halves = [math.sin(0.5 * p) for p in phi]
     gamma = tuple((eps * eps + 4.0 * sq * h * h) / (2.0 * gap) for h in halves)
     return gamma, weight
@@ -152,7 +153,8 @@ def radial_rule(xi: float):
     s = sqrt(xi), eps = 1 - s.  In between lo = 1e-12 / gamma(pi) and
     hi = 24 / gamma(0), ``quadrature.log_rule`` takes Gauss-Legendre
     points in u = ln r on equal u-panels of ratio at most 4, each with
-    ``_ANGULAR_ORDER`` points like ``angular_rule``: the integrand varies
+    ``_ANGULAR_ORDER`` = 16 points, the order of every public entry point
+    (``_radial_mesh`` lays out any other order): the integrand varies
     on the scale of ln r, and most of those decades lie where every x is
     small, so this takes half the radii of geometric r-panels of ratio 2.
     The ratio comes from the strip |Im u| < pi/2 on which a function
@@ -198,16 +200,16 @@ def _radial_mesh(xi: float, order: int):
     return _RadialMesh(r, weight, lo, step, f0, tuple(f))
 
 
-def _angular_kernel_integral(xi: float, r):
+def _angular_kernel_integral(xi: float, r, order: int):
     """The rows (f, r f') at the radii ``r``, floats, as two tuples.
 
     r^k f^(k)(r) = int w(theta) (-x)^k e^(-x) dtheta for k = 0, 1, with
     x = gamma(theta) r, w(theta) = 1 / (sqrt(2 pi K) (1 + sqrt(xi) cos theta))
     and gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)),
-    taken on ``angular_rule`` radius by radius on Python floats; both rows
-    share the radius's terms w e^(-x), so a value depends on its own r alone.
+    taken on ``angular_rule`` of ``order`` radius by radius on Python floats;
+    both rows share the radius's terms w e^(-x), so a value depends on its own r alone.
     """
-    gamma, weight = angular_rule(xi)
+    gamma, weight = angular_rule(xi, order)
     norm = math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
     f, rf = [], []
     for radius in r:
@@ -220,7 +222,7 @@ def _angular_kernel_integral(xi: float, r):
 @lru_cache(maxsize=32)
 def _f_rule_rows(xi: float, order: int):
     """(f, r f') on the radii of ``_radial_mesh(xi, order)``: one angular pass per mesh."""
-    return _angular_kernel_integral(xi, _radial_mesh(xi, order).r)
+    return _angular_kernel_integral(xi, _radial_mesh(xi, order).r, order)
 
 
 # beyond t = 13, rho_xi(t) <= rho_xi(0) sech(pi t) < 4e-18 rho_xi(0), and
@@ -250,10 +252,10 @@ def _mellin_density(xi: float, order: int):
     per panel and one row of h x_k ln gamma_j per node x_k > 0, built once
     per xi: about 1/16 of the transcendental calls of a (t x gamma) grid,
     on Python floats.  The nodes +-x_k share the four dot products of a
-    panel's row with the node's.  One density per xi and rule order
-    (``_ANGULAR_ORDER``), like the radial rows; tuples keep it read-only.
+    panel's row with the node's.  One density per xi and rule ``order``, which
+    the angular rule shares, like the radial rows; tuples keep it read-only.
     """
-    gamma, weight = angular_rule(xi)
+    gamma, weight = angular_rule(xi, order)
     log_gamma = [math.log(g) for g in gamma]
     amp = [w / math.sqrt(g) for w, g in zip(weight, gamma)]
     panels = math.ceil(log_gamma[-1] - log_gamma[0]) + 16
@@ -452,7 +454,9 @@ def f_profile(xi) -> AngularProfile:
     v = as_xi(xi).value
 
     def rows(r):
-        return _f_rule_rows(v, _ANGULAR_ORDER) if r is None else _angular_kernel_integral(v, r)
+        if r is None:
+            return _f_rule_rows(v, _ANGULAR_ORDER)
+        return _angular_kernel_integral(v, r, _ANGULAR_ORDER)
 
     return AngularProfile(v, rows, norm=1.0)
 

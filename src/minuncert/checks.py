@@ -97,10 +97,12 @@ def _overlap_route_gap() -> float:
 
 
 def _vacuum_route_gap() -> float:
-    # <f, vacuum> on radial_rule(0.5), the vacuum's profile e^(-r/2), against c(0, 0)
+    # <f, vacuum> / ||f|| on radial_rule(0.5), the vacuum's profile e^(-r/2),
+    # against c(0, 0) = sqrt(pi / (2K)); the rule's own ||f|| takes K out of
+    # the quadrature side, so an error in K does not cancel
     mesh = bipartite._radial_mesh(0.5, bipartite._ANGULAR_ORDER)
     quad = math.fsum(w * a * math.exp(-0.5 * x) for w, a, x in zip(mesh.weight, mesh.f, mesh.r))
-    return abs(quad - fock_coeff(0, 0, 0.5))
+    return abs(quad / math.sqrt(_norm_sq(mesh.weight, mesh.f)) - fock_coeff(0, 0, 0.5))
 
 
 def _identity_gap(key) -> float:

@@ -25,7 +25,9 @@ refuses n beyond ``ROUTE_B_MAX_N``.  At other radii the same pair of one
 key is a Laplace average int_1^inf mu(u) f(u r) du on a rule of its own
 per radius (``_laplace``, on numpy).  A family is an ``AngularProfile`` of
 its two rows c v and c r v' = c ((k/n) v + (D - k/n) v);
-``family(n, xi)`` is v_n's, with c = 1.
+``family(n, xi)`` is v_n's, with c = 1.  Every layer below the public
+names takes the rule order as an argument, and only those names read
+``bipartite._ANGULAR_ORDER``, so two orders are two calls in one process.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from operator import mul
 
 from . import bipartite
 from ._lazy import np
-from .bipartite import (AngularProfile, UncertaintyReport, _count, _f_i0e, _norm_sq, as_xi,
-                        r_closed)
+from .bipartite import (_ANGULAR_ORDER, AngularProfile, UncertaintyReport, _count, _f_i0e,
+                        _norm_sq, as_xi, r_closed)
 from .quadrature import _gauss_legendre, dilation_rule, tail_matrix
 
 __all__ = [
@@ -135,12 +137,12 @@ def _weight(lu, key: Poles):
     return mu * (-np.expm1(-lu / n)) ** (k - 1) if k > 1 else mu
 
 
-def _laplace(xi: float, r, key: Poles):
+def _laplace(xi: float, r, key: Poles, order: int):
     """(v, (D - k/n) v) of ``key`` at the radii r, arrays: its point values off the radial rule.
 
-    One ``dilation_rule`` and one evaluation of f serve the weights of the
-    key and of its sibling, which is f itself at k = 1.  Each value
-    depends on its own r alone.
+    One ``dilation_rule`` of ``order`` and one evaluation of f serve the
+    weights of the key and of its sibling, which is f itself at k = 1.
+    Each value depends on its own r alone.
     """
     keys = (key, key.sibling) if key.k > 1 else (key,)
     rows = [np.empty(len(r)) for _ in keys]
@@ -151,8 +153,7 @@ def _laplace(xi: float, r, key: Poles):
     for row, each in zip(rows, keys):
         row[origin] = _at_origin(each) * f0
     pos = np.flatnonzero(~origin)
-    for index, counts, y, weight in dilation_rule(t[pos], bipartite._ANGULAR_ORDER,
-                                                  _LAPLACE_BLOCK):
+    for index, counts, y, weight in dilation_rule(t[pos], order, _LAPLACE_BLOCK):
         cols = pos[index]
         wf = weight * _f_i0e(xi, (1.0 + y) * np.repeat(r[cols], counts))
         starts = np.cumsum(counts) - counts
@@ -220,7 +221,7 @@ def _rule_rows(xi: float, key: Poles):
     """
     _count("n", key.n, 2, ROUTE_B_MAX_N,
            ": beyond, v_n keeps mass below the radial rule's lower end")
-    chain = _chain(xi, key.n, bipartite._ANGULAR_ORDER)
+    chain = _chain(xi, key.n, _ANGULAR_ORDER)
     return chain[key.k], chain[key.k - 1]
 
 
@@ -232,10 +233,10 @@ def _family_profile(xi: float, c: float, key: Poles):
         if r is None:
             v, sibling = _rule_rows(xi, key)
             return tuple(c * y for y in v), tuple(c * (a * y + s) for y, s in zip(v, sibling))
-        v, sibling = _laplace(xi, np.asarray(r), key)
+        v, sibling = _laplace(xi, np.asarray(r), key, _ANGULAR_ORDER)
         return c * np.array([v, a * v + sibling])
 
-    norm = abs(c) * math.sqrt(_family_norms(xi, key))
+    norm = abs(c) * math.sqrt(_family_norms(xi, key, _ANGULAR_ORDER))
     return AngularProfile(xi, rows, norm=norm)
 
 
@@ -243,13 +244,13 @@ def _family_profile(xi: float, c: float, key: Poles):
 OdeFamilyProfile = AngularProfile
 
 
-def _family_norms(xi: float, key: Poles):
+def _family_norms(xi: float, key: Poles, order: int):
     """||v||^2 = int rho / prod_j ((1/2 + j/n)^2 + t^2) dt of the family ``key`` on route A.
 
-    One sum over the density of xi at the rule order ``_ANGULAR_ORDER``,
-    which is cached; the sum itself is not.
+    One sum over the density of xi at the rule ``order``, which is cached;
+    the sum itself is not.
     """
-    t, terms = bipartite._mellin_density(xi, bipartite._ANGULAR_ORDER)
+    t, terms = bipartite._mellin_density(xi, order)
     for j in range(1, key.k + 1):
         a2 = (0.5 + j / key.n) ** 2
         terms = [w / (a2 + s * s) for s, w in zip(t, terms)]
@@ -272,7 +273,8 @@ def g_family(xi, a: float = 2.0) -> OdeFamilyProfile:
 def h_family(xi) -> OdeFamilyProfile:
     """(3, 2) / (3 ||(3, 1)||): -2 h + 3 r h' = (3, 1) / ||(3, 1)||, the normalized g_3/2."""
     v = as_xi(xi).value
-    return _family_profile(v, 1.0 / (3.0 * math.sqrt(_family_norms(v, Poles(3, 1)))), _v_key(3))
+    scale = 3.0 * math.sqrt(_family_norms(v, Poles(3, 1), _ANGULAR_ORDER))
+    return _family_profile(v, 1.0 / scale, _v_key(3))
 
 
 def _z(n: int, df2: float, v2: float) -> float:
@@ -286,7 +288,7 @@ def z_product(n: int, xi) -> UncertaintyReport:
     """The 2n-party product on route A, with ||D f||^2 = (1 + R)/2 in closed form; n >= 1."""
     key = _v_key(n, 1)
     p = as_xi(xi)
-    v2 = _family_norms(p.value, key)
+    v2 = _family_norms(p.value, key, _ANGULAR_ORDER)
     return UncertaintyReport(2 * n, p, _z(n, 0.5 * (1.0 + r_closed(p)), v2), "mellin")
 
 
@@ -302,7 +304,7 @@ def functional_z(n: int, xi) -> float:
     # not _v_key: _rule_rows refuses every n outside 2..ROUTE_B_MAX_N with the cap's message
     vn = _rule_rows(v, Poles(n, n - 1 if isinstance(n, int) else 0))[0]
     weight = bipartite.radial_rule(v)[1]
-    rf = bipartite._f_rule_rows(v, bipartite._ANGULAR_ORDER)[1]
+    rf = bipartite._f_rule_rows(v, _ANGULAR_ORDER)[1]
     return _z(n, _norm_sq(weight, rf), _norm_sq(weight, vn))
 
 

@@ -171,7 +171,7 @@ def test_density_is_the_direct_sum_at_every_node(xi):
     # / (2 pi K (1 - xi)) with amp = weight / sqrt(gamma) on the angular
     # rule, each sum taken with math.fsum
     t, _, rho = _density_rho(xi)
-    gamma, weight = bipartite.angular_rule(xi)
+    gamma, weight = bipartite.angular_rule(xi, 16)
     terms = [(w / math.sqrt(g), math.log(g)) for g, w in zip(gamma, weight)]
     norm = 2.0 * math.pi * ellip_k(xi) * (1.0 - xi)
     direct = []
@@ -185,7 +185,7 @@ def test_density_is_the_direct_sum_at_every_node(xi):
 def _heavy_sums(xi):
     # the four sums of the density on 6.5 span + 40 equal panels of 24
     # points, with W summed naively over (t x gamma) blocks
-    gamma, weight = map(np.asarray, bipartite.angular_rule(xi))
+    gamma, weight = map(np.asarray, bipartite.angular_rule(xi, 16))
     log_gamma, amp = np.log(gamma), weight / np.sqrt(gamma)
     panels = math.ceil(6.5 * (log_gamma[-1] - log_gamma[0])) + 40
     t, wt = map(np.asarray, panel_rule(np.linspace(0.0, 13.0, panels + 1), 24))

@@ -473,9 +473,9 @@ def test_verify_angular_pass_radii(tmp_path, monkeypatch):
     radii = []
     real = bipartite._angular_kernel_integral
 
-    def counted(xi, r):
+    def counted(xi, r, order):
         radii.append(np.size(r))
-        return real(xi, r)
+        return real(xi, r, order)
 
     monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted)
     monkeypatch.setattr(bipartite, "_f_rule_rows",
@@ -541,6 +541,29 @@ def test_verify_vacuum_row_reads_the_coefficients(tmp_path, monkeypatch, capsys)
     _, rows = read_csv(tmp_path / "verify.csv")
     assert [row[0] for row in rows if row[4] == "false"] == ["overlap_vacuum",
                                                               "shell_sum_structure"]
+
+
+def test_verify_vacuum_row_reads_k(tmp_path, monkeypatch):
+    # the vacuum row divides <f, vacuum> by the rule's own ||f||, so its
+    # quadrature side is free of K while c0 = sqrt(pi / (2K)) is not: K off
+    # by 1e-6 everywhere, f on the radial rule included (fresh caches),
+    # turns it red with the other rows that read K on one side only
+    real = bipartite.ellip_k
+
+    def scaled(*args, **kwargs):
+        return real(*args, **kwargs) * (1.0 + 1e-6)
+
+    monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
+    monkeypatch.setattr(bipartite, "ellip_k", scaled)
+    for module, name in ((bipartite, "_radial_mesh"), (bipartite, "_f_rule_rows"),
+                         (bipartite, "_mellin_density"), (multipartite, "_chain")):
+        monkeypatch.setattr(module, name, lru_cache(maxsize=32)(getattr(module, name).__wrapped__))
+    assert cli.main(["--command", "verify"]) == 1
+    _, rows = read_csv(tmp_path / "verify.csv")
+    red = {row[0]: float(row[1]) for row in rows if row[4] == "false"}
+    assert list(red) == ["bipartite_route_agreement", "overlap_identity", "overlap_vacuum",
+                         "z4_shortcut_agreement", "z6_shortcut_agreement"]
+    assert red["overlap_vacuum"] > 4e-7
 
 
 # the rows that read a family norm on route A: the products; the identity
@@ -822,21 +845,22 @@ def test_profile_higher_families_positive_at_origin(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("xi", ["1e-12", "0.999999999999", "0.9999999999999999"])
 @pytest.mark.parametrize("parties", [4, 6])
-def test_profile_sweep_rule_orders_agree(tmp_path, xi, parties, monkeypatch):
+def test_profile_sweep_rule_orders_agree(tmp_path, xi, parties):
     # at the ends of the xi range the four- and six-party profiles come
-    # out, and every cell, norm included, matches the one of a second
-    # rule order to a few ulps of the column maximum (the norms are kept
-    # per xi and rule order, so each order is a pass of its own)
+    # out, and every cell, norm included, matches front v / ||v|| of v_n
+    # taken by the layers at a second rule order (the Laplace pass and the
+    # Mellin density, each kept per rule order) to a few ulps of the
+    # column maximum
     out = tmp_path / "profile.csv"
-    argv = ["--command", "profile", "--parties", str(parties), "--xi", xi,
-            "--order", "41", "--out", str(out)]
-    columns = []
-    for order in (16, 24):
-        monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", order)
-        assert cli.main(argv) == 0
-        _, rows = read_csv(out)
-        columns.append(np.array([float(row[1]) for row in rows]))
-    lo, hi = columns
+    assert cli.main(["--command", "profile", "--parties", str(parties), "--xi", xi,
+                     "--order", "41", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    lo = np.array([float(row[1]) for row in rows])
+    n = parties // 2
+    key = multipartite._v_key(n)
+    v = multipartite._laplace(float(xi), np.linspace(0.0, 4.0, 41) ** parties, key, 24)[0]
+    v = v / math.sqrt(multipartite._family_norms(float(xi), key, 24))
+    hi = math.sqrt(math.factorial(n) / math.pi**n) * (v if v[0] >= 0.0 else -v)
     assert np.all(np.isfinite(lo)) and lo[0] > 0.0
     assert np.max(np.abs(lo - hi)) <= 5e-15 * np.max(np.abs(lo))
 

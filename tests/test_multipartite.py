@@ -20,6 +20,7 @@ from minuncert.multipartite import (
 )
 import minuncert.bipartite as bipartite
 import minuncert.multipartite as multipartite
+import minuncert.quadrature as quadrature
 from minuncert.specfun import ellip_k
 
 from oracles import (
@@ -365,40 +366,55 @@ def test_products_near_xi_one(product, infimum, bound):
     assert vals[-1] > infimum
 
 
+# f (the key (n, 0) of every chain), then g_2 / c, g_3/2 / c and v_3 (h / c)
+_F, _G2, _G32, _H = (multipartite.Poles(2, 0), multipartite.Poles(2, 1),
+                     multipartite.Poles(3, 1), multipartite.Poles(3, 2))
+
+
 @pytest.mark.parametrize("family", ["g2", "g32", "h"])
 @pytest.mark.parametrize("xi", [1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15])
-def test_family_norm_rule_orders_agree(family, xi, monkeypatch):
+def test_family_norm_rule_orders_agree(family, xi):
     # route A's norms (of g_2, g_3/2 and h / scale) are converged on the
     # angular rule and the t-rule together: two orders per panel of both
     # agree.  The density is kept per xi and rule order, so each order is a
     # pass of its own
-    key = multipartite.Poles(*{"g2": (2, 1), "g32": (3, 1), "h": (3, 2)}[family])
-    norms = []
-    for order in (16, 24):
-        monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", order)
-        norms.append(multipartite._family_norms(xi, key))
+    key = {"g2": _G2, "g32": _G32, "h": _H}[family]
+    norms = [multipartite._family_norms(xi, key, order) for order in (16, 24)]
     assert norms[0] == pytest.approx(norms[1], rel=2e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("xi", [0.01, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12])
-def test_family_chains_rule_orders_agree(xi, monkeypatch):
+def test_family_chains_rule_orders_agree(xi):
     # point values of every kernel of the g_2, g_3/2 and h chains are
-    # converged on the angular rule: two orders per panel agree to a few
-    # ulps of the column maximum, out to where e^(-gamma(0) r) is ~e^-40
+    # converged on the dilation rule: the rows v and r v' of two orders per
+    # panel of the Laplace pass agree to a few ulps of the column maximum,
+    # out to where e^(-gamma(0) r) is ~e^-40
     s = math.sqrt(xi)
     gamma0 = 0.5 * (1.0 - xi) / (1.0 + s) ** 2
     r = np.concatenate(([0.0], np.geomspace(1e-3, max(4096.0, 40.0 / gamma0), 200)))
-    for fam in (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
-        monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
-        lo_rows = fam.rows(r)
-        monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
-        for lo, hi in zip(lo_rows, fam.rows(r)):
+    for key in (_G2, _G32, _H):
+        a = key.k / key.n
+        lo_rows, hi_rows = ((v, a * v + sibling) for v, sibling in (
+            multipartite._laplace(xi, r, key, order) for order in (16, 24)))
+        for lo, hi in zip(lo_rows, hi_rows):
             assert np.max(np.abs(lo - hi)) <= 5e-15 * np.max(np.abs(lo))
 
 
+def _rule_norms(xi, key, order):
+    """[||v||, ||r v'||] of the family ``key`` (f at k = 0) on the radial rule of ``order``."""
+    weight = bipartite._radial_mesh(xi, order).weight
+    if key.k == 0:
+        rows = bipartite._f_rule_rows(xi, order)
+    else:
+        chain = multipartite._chain(xi, key.n, order)
+        v, sibling = chain[key.k], chain[key.k - 1]
+        rows = v, [key.k / key.n * y + s for y, s in zip(v, sibling)]
+    return [math.sqrt(bipartite._norm_sq(weight, row)) for row in rows]
+
+
 @pytest.mark.parametrize("xi", [1e-6, 0.01, 0.5, 0.999, 1.0 - 1e-9, 1.0 - 1e-15])
-def test_radial_rule_orders_agree(xi, monkeypatch):
-    # the nested norms rk_norm(k) are converged on radial_rule x
+def test_radial_rule_orders_agree(xi):
+    # the nested norms of rk_norm(k) are converged on radial_rule x
     # angular_rule: two orders per panel agree (to ~2e-16), and
     # rk_norm(0) meets the norm each profile was given by an independent
     # route (1 for f, the Mellin density for g and h; to ~4e-15).  The
@@ -407,15 +423,11 @@ def test_radial_rule_orders_agree(xi, monkeypatch):
     # 1.3e-13 into ||h|| at xi = 0.01.  The families keep their radial
     # rows per xi and rule order, so each order here is a pass of its own
     # (test_nested_norms_share_one_chain_pass)
-    for fam in (f_profile(xi), g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi)):
-        for k in (0, 1):
-            monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
-            lo = fam.rk_norm(k)
-            monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
-            hi = fam.rk_norm(k)
-            assert lo == pytest.approx(hi, rel=1e-14, abs=0.0)
-            if k == 0:
-                assert lo == pytest.approx(fam.normalization, rel=5e-14, abs=0.0)
+    for key in (_F, _G2, _G32, _H):
+        lo, hi = (_rule_norms(xi, key, order) for order in (16, 24))
+        assert lo == pytest.approx(hi, rel=1e-14, abs=0.0)
+        norm = math.sqrt(multipartite._family_norms(xi, key, 16)) if key.k else 1.0
+        assert lo[0] == pytest.approx(norm, rel=5e-14, abs=0.0)
 
 
 def _fresh(monkeypatch, module, name, wrap=None):
@@ -432,7 +444,7 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
     # rk_norm(0) and rk_norm(1) of g_2, g_3/2 and h and functional_z(2)
     # and (3) at one xi combine the rows of one cumulative pass per chain,
     # (2, 0..1) for g_2 and (3, 0..2) for g_3/2 and h, and of one angular
-    # pass for r f', which the nested norms of f read too.  A changed rule
+    # pass for r f', which the nested norms of f read too.  A second rule
     # order is a fresh pass, which test_radial_rule_orders_agree relies
     # on, and the first order's rows are still there afterwards
     xi = 0.4321
@@ -445,9 +457,9 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
             return chain(x, n, order)
         return pass_
 
-    def counted_angular(x, r):
-        passes.append(("angular", x, len(r), bipartite._ANGULAR_ORDER))
-        return real_angular(x, r)
+    def counted_angular(x, r, order):
+        passes.append(("angular", x, len(r), order))
+        return real_angular(x, r, order)
 
     _fresh(monkeypatch, multipartite, "_chain", counted)
     _fresh(monkeypatch, bipartite, "_f_rule_rows")
@@ -460,31 +472,64 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
     assert passes == first
     assert z == (functional_z(2, xi), functional_z(3, xi))
 
-    monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 24)
-    n24 = len(bipartite.radial_rule(xi)[0])
+    n24 = len(bipartite._radial_mesh(xi, 24).r)
     assert n24 != n16
-    for fam, fam_norms in zip(fams, norms):
-        assert fam.rk_norm(0) == pytest.approx(fam_norms[0], rel=1e-14, abs=0.0)
+    for key in (_G2, _G32, _H, _F):
+        assert _rule_norms(xi, key, 24)[0] == pytest.approx(_rule_norms(xi, key, 16)[0],
+                                                            rel=1e-14, abs=0.0)
     assert passes == first + [("chain", xi, 2, 24), ("chain", xi, 3, 24),
                               ("angular", xi, n24, 24)]
 
-    monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", 16)
     assert [fam.rk_norm(0) for fam in fams] == [fam_norms[0] for fam_norms in norms]
     assert z == (functional_z(2, xi), functional_z(3, xi))
     assert len(passes) == 6
 
 
-@pytest.mark.parametrize("n", range(2, 6))
-def test_chain_reads_the_mesh_of_its_own_order(n, monkeypatch):
-    # a chain is keyed by its rule order, and so is everything it reads:
-    # the 24-point chain is the same under either module order (it read
-    # the 16-point rule as 24-point panels under 16, with no error)
-    chains = []
-    for module_order in (16, 24):
-        monkeypatch.setattr(bipartite, "_ANGULAR_ORDER", module_order)
-        chains.append(_fresh(monkeypatch, multipartite, "_chain")(0.5, n, 24))
-    assert chains[0] == chains[1]
-    assert len(chains[0][0]) == len(bipartite._radial_mesh(0.5, 24).r)
+# every layer cached per xi and rule order, asked for at order 24, and
+# the rules it must read: (a call, the names it asks for an order)
+_ORDER_LAYERS = {
+    "_radial_mesh": (lambda: bipartite._radial_mesh(0.5, 24),
+                     {"_radial_mesh", "_gauss_legendre"}),
+    "_chain": (lambda: [multipartite._chain(0.5, n, 24) for n in range(2, 6)],
+               {"_radial_mesh", "_gauss_legendre"}),
+    "_f_rule_rows": (lambda: bipartite._f_rule_rows(0.5, 24),
+                     {"_radial_mesh", "angular_rule", "_gauss_legendre"}),
+    "_mellin_density": (lambda: bipartite._mellin_density(0.5, 24),
+                        {"angular_rule", "_gauss_legendre"}),
+}
+
+
+@pytest.mark.parametrize("layer", list(_ORDER_LAYERS))
+def test_cached_layers_read_rules_of_their_own_order(layer, monkeypatch):
+    # a layer is cached by its rule order, so everything it reads must be
+    # of that order too: built on fresh caches at 24, it asks the angular
+    # rule, the mesh and the Gauss-Legendre nodes for 24 alone, and so is
+    # the same whatever order ran before it.  A 24-point density or f row
+    # built on the angular rule of another order differs from its own by
+    # a few ulps only, which no agreement of two orders would show
+    asked = []
+
+    def recorded(function):
+        def call(*args):
+            asked.append((function.__name__, args[-1]))
+            return function(*args)
+        return call
+
+    nodes = recorded(quadrature._gauss_legendre)
+    for module in (quadrature, bipartite, multipartite):
+        monkeypatch.setattr(module, "_gauss_legendre", nodes)
+    monkeypatch.setattr(bipartite, "angular_rule", recorded(bipartite.angular_rule))
+    _fresh(monkeypatch, bipartite, "_radial_mesh", recorded)
+    _fresh(monkeypatch, multipartite, "_chain")
+    _fresh(monkeypatch, bipartite, "_f_rule_rows")
+    _fresh(monkeypatch, bipartite, "_mellin_density")
+    build, names = _ORDER_LAYERS[layer]
+    out = build()
+    assert {name for name, _ in asked} == names
+    assert {order for _, order in asked} == {24}
+    if layer == "_chain":
+        size = len(bipartite._radial_mesh(0.5, 24).r)
+        assert {len(row) for chain in out for row in chain} == {size}
 
 
 def test_battery_lays_out_one_mesh_per_xi(monkeypatch):
@@ -523,7 +568,7 @@ def _per_cell_norms(prof, coefs_list, angular):
     # for the families, in blocks of 32 radii
     xi = prof.xi.value
     r, wr = bipartite.radial_rule(xi)
-    gamma, wt = bipartite.angular_rule(xi)
+    gamma, wt = bipartite.angular_rule(xi, 16)
     den = math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
     sq = np.zeros(len(coefs_list))
     for start in range(0, len(r), 32):
@@ -565,9 +610,9 @@ def test_products_build_the_density_once(monkeypatch):
     builds = []
     real = bipartite.angular_rule
 
-    def counted(x):
-        builds.append(x)
-        return real(x)
+    def counted(x, order):
+        builds.append((x, order))
+        return real(x, order)
 
     monkeypatch.setattr(bipartite, "angular_rule", counted)
     bipartite._mellin_density.cache_clear()
@@ -577,7 +622,7 @@ def test_products_build_the_density_once(monkeypatch):
         g_family(xi, 1.5)
         h_family(xi)
         bipartite.uncertainty_product(xi, "quadrature")
-    assert builds == [xi]
+    assert builds == [(xi, 16)]
 
 
 @pytest.mark.parametrize("xi", [1.0 - 1e-4, 1.0 - 1e-6])
@@ -658,7 +703,7 @@ def test_one_surface_keyed_by_n():
     for n in range(2, 7):
         fam = family(n, 0.5)
         key = multipartite.Poles(n, n - 1)
-        assert fam.normalization == math.sqrt(multipartite._family_norms(0.5, key))
+        assert fam.normalization == math.sqrt(multipartite._family_norms(0.5, key, 16))
         assert np.all(np.isfinite(fam.value(r)))
     assert np.array_equal(family(2, 0.5).value(r), g_family(0.5).value(r))
     np.testing.assert_allclose(family(3, 0.5).value(r), h_family(0.5).value(r), rtol=1e-15)
@@ -699,7 +744,7 @@ def test_cumulative_pass_meets_the_laplace_averages(xi):
         assert len(multipartite._chain(xi, n, bipartite._ANGULAR_ORDER)) == n
         for k in range(1, n):
             key = multipartite.Poles(n, k)
-            averages = multipartite._laplace(xi, np.asarray(r), key)
+            averages = multipartite._laplace(xi, np.asarray(r), key, 16)
             for row, average in zip(multipartite._rule_rows(xi, key), averages):
                 assert len(row) == len(r)
                 scale = np.max(np.abs(average))
@@ -715,7 +760,7 @@ def test_f_is_the_first_key_of_every_chain(xi):
         key = multipartite.Poles(n, 1)
         assert key.sibling == (n, 0)
         assert multipartite._rule_rows(xi, key)[1] == tuple(bipartite._f_i0e(xi, r))
-        laplace = multipartite._laplace(xi, np.asarray(r), key)[1]
+        laplace = multipartite._laplace(xi, np.asarray(r), key, 16)[1]
         assert np.array_equal(laplace, bipartite._f_i0e(xi, np.asarray(r)))
 
 
@@ -727,9 +772,9 @@ def test_laplace_pass_evaluates_only_the_keys_asked(monkeypatch):
     calls, weights = [], []
     real, real_weight = multipartite._laplace, multipartite._weight
 
-    def recorded(xi, r, key):
+    def recorded(xi, r, key, order):
         calls.append(key)
-        return real(xi, r, key)
+        return real(xi, r, key, order)
 
     def weighed(lu, key):
         weights.append(key)

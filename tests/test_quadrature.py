@@ -159,7 +159,7 @@ def test_rule_sizes(xi, angular, t_rule, radial):
     # the angular rule takes ln phi panels of ratio 2.5, the t-rule
     # ceil(span) + 16 panels of its extreme gammas, the radial rule ln r
     # panels of ratio 4; route A's cost follows the angular and t-rules
-    gamma, weight = bipartite.angular_rule(xi)
+    gamma, weight = bipartite.angular_rule(xi, 16)
     assert len(gamma) == len(weight) == angular
     assert len(bipartite._mellin_density(xi, bipartite._ANGULAR_ORDER)[0]) == t_rule
     r, w = bipartite.radial_rule(xi)
