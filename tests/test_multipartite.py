@@ -485,28 +485,8 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
     assert len(passes) == 6
 
 
-# every layer cached per xi and rule order, asked for at order 24, and
-# the rules it must read: (a call, the names it asks for an order)
-_ORDER_LAYERS = {
-    "_radial_mesh": (lambda: bipartite._radial_mesh(0.5, 24),
-                     {"_radial_mesh", "_gauss_legendre"}),
-    "_chain": (lambda: [multipartite._chain(0.5, n, 24) for n in range(2, 6)],
-               {"_radial_mesh", "_gauss_legendre"}),
-    "_f_rule_rows": (lambda: bipartite._f_rule_rows(0.5, 24),
-                     {"_radial_mesh", "angular_rule", "_gauss_legendre"}),
-    "_mellin_density": (lambda: bipartite._mellin_density(0.5, 24),
-                        {"angular_rule", "_gauss_legendre"}),
-}
-
-
-@pytest.mark.parametrize("layer", list(_ORDER_LAYERS))
-def test_cached_layers_read_rules_of_their_own_order(layer, monkeypatch):
-    # a layer is cached by its rule order, so everything it reads must be
-    # of that order too: built on fresh caches at 24, it asks the angular
-    # rule, the mesh and the Gauss-Legendre nodes for 24 alone, and so is
-    # the same whatever order ran before it.  A 24-point density or f row
-    # built on the angular rule of another order differs from its own by
-    # a few ulps only, which no agreement of two orders would show
+def _record_rule_orders(monkeypatch):
+    """Empty every (xi, order)-cached layer; return the (name, order) list of rules then asked for."""
     asked = []
 
     def recorded(function):
@@ -523,13 +503,52 @@ def test_cached_layers_read_rules_of_their_own_order(layer, monkeypatch):
     _fresh(monkeypatch, multipartite, "_chain")
     _fresh(monkeypatch, bipartite, "_f_rule_rows")
     _fresh(monkeypatch, bipartite, "_mellin_density")
+    return asked
+
+
+# every other layer cached per xi and rule order, asked for at order 24,
+# and the rules it must read: (a call, the names it asks for an order)
+_ORDER_LAYERS = {
+    "_radial_mesh": (lambda: bipartite._radial_mesh(0.5, 24),
+                     {"_radial_mesh", "_gauss_legendre"}),
+    "_f_rule_rows": (lambda: bipartite._f_rule_rows(0.5, 24),
+                     {"_radial_mesh", "angular_rule", "_gauss_legendre"}),
+    "_mellin_density": (lambda: bipartite._mellin_density(0.5, 24),
+                        {"angular_rule", "_gauss_legendre"}),
+}
+
+
+@pytest.mark.parametrize("layer", list(_ORDER_LAYERS))
+def test_cached_layers_read_rules_of_their_own_order(layer, monkeypatch):
+    # a layer is cached by its rule order, so everything it reads must be
+    # of that order too: built on fresh caches at 24, it asks the angular
+    # rule, the mesh and the Gauss-Legendre nodes for 24 alone, and so is
+    # the same whatever order ran before it.  A 24-point density or f row
+    # built on the angular rule of another order differs from its own by
+    # a few ulps only, which no agreement of two orders would show
+    asked = _record_rule_orders(monkeypatch)
     build, names = _ORDER_LAYERS[layer]
-    out = build()
+    build()
     assert {name for name, _ in asked} == names
     assert {order for _, order in asked} == {24}
-    if layer == "_chain":
-        size = len(bipartite._radial_mesh(0.5, 24).r)
-        assert {len(row) for chain in out for row in chain} == {size}
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_chain_reads_the_mesh_of_its_own_order(n, monkeypatch):
+    # a chain is keyed by its rule order, and so is everything it reads:
+    # on fresh caches the 24-point chain asks the mesh and the
+    # Gauss-Legendre nodes for 24 alone, its rows are the mesh's length,
+    # and it is the same, bit for bit, when a 16-point pass ran first
+    asked = _record_rule_orders(monkeypatch)
+    chain = multipartite._chain(0.5, n, 24)
+    assert {name for name, _ in asked} == {"_radial_mesh", "_gauss_legendre"}
+    assert {order for _, order in asked} == {24}
+    size = len(bipartite._radial_mesh(0.5, 24).r)
+    assert {len(row) for row in chain} == {size}
+
+    _record_rule_orders(monkeypatch)
+    multipartite._chain(0.5, n, 16)
+    assert multipartite._chain(0.5, n, 24) == chain
 
 
 def test_battery_lays_out_one_mesh_per_xi(monkeypatch):
