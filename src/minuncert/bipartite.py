@@ -3,7 +3,9 @@
 Closed forms for the expectation functional and the uncertainty product,
 the radial profile in closed form, as the angular-kernel integral and as
 the cancellation-free C i0e(beta r) e^(-gamma0 r) that the four- and
-six-party families average, with the fixed angular and radial rules
+six-party families average, with its r f' as the positive sum
+-C r e^(-gamma0 r) (beta d(beta r) + gamma0 i0e(beta r)), d = i0e - i1e,
+with the fixed angular and radial rules
 every integral is taken on, the Mellin density rho_xi of f that gives
 the quadrature route of the product and every family norm, the position
 wave function, overlaps between family members, and the number-basis
@@ -19,7 +21,7 @@ from operator import mul
 
 from ._lazy import np
 from .quadrature import _gauss_legendre, log_rule, panel_rule
-from .specfun import _ellip_ke, ellip_k, i0e, log_i0e
+from .specfun import _ellip_ke, ellip_k, i0e, i0e_minus_i1e, log_i0e
 
 __all__ = [
     "XiParameter",
@@ -168,24 +170,29 @@ def radial_rule(xi: float):
     in x^(1/3)), so that panel's error, which a second rule order does
     not see, grows like (lo gamma(pi))^(4/3): at 1e-8 instead of 1e-12
     it put 1.3e-13 into ||h|| at xi = 0.01, here it is below rounding.
-    Route B's ``_radial_mesh`` continues the u-panels and holds f on them.
-    Both are tuples of floats, r ascending.
+    Route B's ``_radial_mesh`` continues the u-panels and holds f on them,
+    and r f' in closed form on the rule.  Both are tuples of floats, r
+    ascending.
     """
     return _radial_mesh(xi, _ANGULAR_ORDER)[:2]
 
 
 # gamma0 r beyond which f has underflowed, so route B's running integrals start at 0
 _F_UNDERFLOW = 800.0
-_RadialMesh = namedtuple("_RadialMesh", "r weight lo step f0 f")
+_RadialMesh = namedtuple("_RadialMesh", "r weight lo step f0 f rf")
 
 
 @lru_cache(maxsize=32)
 def _radial_mesh(xi: float, order: int):
     """Route B's mesh: the radial rule (r, weight) of ``order`` points per panel, its
-    lower end lo, its u-panel width step, f(0), and f = C i0e(beta r) e^(-gamma0 r)
-    on the rule and on panels of the same width continued until gamma0 r passes
-    ``_F_UNDERFLOW``.  One per xi and order, tuples of floats, so every chain and
-    row that reads f on the rule shares one evaluation of it.
+    lower end lo, its u-panel width step, f(0), f = C i0e(beta r) e^(-gamma0 r) on the
+    rule and on panels of the same width continued until gamma0 r passes
+    ``_F_UNDERFLOW``, and r f' on the rule.  r f' is
+    -C r e^(-gamma0 r) (beta d(beta r) + gamma0 i0e(beta r)) with
+    d = ``specfun.i0e_minus_i1e``, a sum of two positive terms, so nothing cancels
+    at any xi; it shares each radius's i0e and exponential with f, whose bits are
+    those of ``_f_i0e``.  One per xi and order, tuples of floats, so every chain and
+    row that reads f or r f' on the rule shares one evaluation of them.
     """
     sq = math.sqrt(xi)
     eps = (1.0 - xi) / (1.0 + sq)
@@ -194,10 +201,17 @@ def _radial_mesh(xi: float, order: int):
     r, weight = log_rule(lo, hi, order, 4.0)
     top = math.log(hi)
     step = (top - math.log(lo)) / (len(r) // order - 1)
-    extra = math.ceil(math.log(_F_UNDERFLOW / (_gamma0(xi)[0] * hi)) / step)
+    front, beta, g_hi, g_lo = _f_scales(xi)
+    extra = math.ceil(math.log(_F_UNDERFLOW / (g_hi * hi)) / step)
     beyond = panel_rule([top + p * step for p in range(extra + 1)], order)[0]
-    f0, *f = _f_i0e(xi, (0.0,) + r + tuple(map(math.exp, beyond)))
-    return _RadialMesh(r, weight, lo, step, f0, tuple(f))
+    f, rf = [], []
+    for x in r + tuple(map(math.exp, beyond)):
+        i0, e = i0e(beta * x), math.exp(-(g_hi * x + g_lo * x))
+        f.append(front * i0 * e)
+        if len(rf) < len(r):
+            rf.append(-front * x * e * (beta * i0e_minus_i1e(beta * x) + g_hi * i0))
+    # f(0) = C i0e(0) e^0 = C
+    return _RadialMesh(r, weight, lo, step, front, tuple(f), tuple(rf))
 
 
 def _angular_kernel_integral(xi: float, r, order: int):
@@ -221,7 +235,9 @@ def _angular_kernel_integral(xi: float, r, order: int):
 
 @lru_cache(maxsize=32)
 def _f_rule_rows(xi: float, order: int):
-    """(f, r f') on the radii of ``_radial_mesh(xi, order)``: one angular pass per mesh."""
+    """(f, r f') of ``f_profile`` on the radii of ``_radial_mesh(xi, order)``: one angular
+    pass per mesh, the definition that the mesh's closed f and r f' are checked against.
+    """
     return _angular_kernel_integral(xi, _radial_mesh(xi, order).r, order)
 
 
@@ -300,15 +316,18 @@ def _gamma0(xi: float):
     return hi, (num * b - a * den) / (den * b)
 
 
+def _f_scales(xi: float):
+    """(C, beta, gamma0 hi, gamma0 lo) of the unit-norm f = C i0e(beta r) e^(-gamma0 r)."""
+    gap = 1.0 - xi
+    return (math.sqrt(math.pi / (2.0 * ellip_k(xi) * gap)), math.sqrt(xi) / gap) + _gamma0(xi)
+
+
 def _f_i0e(xi: float, x):
     """The unit-norm f at the radii ``x`` as C i0e(beta x) e^(-gamma0 x), free of cancellation.
 
     ``x`` is an array, or a tuple of floats, which gives a list of floats.
     """
-    gap = 1.0 - xi
-    front = math.sqrt(math.pi / (2.0 * ellip_k(xi) * gap))
-    beta = math.sqrt(xi) / gap
-    hi, lo = _gamma0(xi)
+    front, beta, hi, lo = _f_scales(xi)
     if isinstance(x, tuple):
         return [front * i0e(beta * r) * math.exp(-(hi * r + lo * r)) for r in x]
     return front * i0e(beta * x) * np.exp(-(hi * x + lo * x))
@@ -318,9 +337,11 @@ class AngularProfile:
     """Radial profile v(r), given by its two rows v and r v'.
 
     ``rows(r)`` gives (v, r v') of the unnormalized profile at the radii
-    ``r``, or on ``radial_rule`` when ``r`` is None.  For f they are one
-    angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r, kept per
-    mesh (``_radial_mesh``, one per xi and rule order).  A family (n, k)
+    ``r``, or on ``radial_rule`` when ``r`` is None.  For ``f_profile``
+    they are one angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r,
+    kept per mesh (``_f_rule_rows``): f's definition, which no product
+    reads, as route B takes f and r f' in closed form from
+    ``_radial_mesh``.  A family (n, k)
     takes r v' = (k/n) v + (D - k/n) v from the key (n, k - 1) of its
     chain, whose (n, 0) is f: on ``radial_rule`` from route B's one cached
     pass of running integrals per chain on the mesh's f, and at other
@@ -449,7 +470,8 @@ def f_closed(xi, r):
 def f_profile(xi) -> AngularProfile:
     """The two-party profile f as an angular integral of e^{-gamma r}.
 
-    Independent of ``f_closed``; r f' comes from this route only.
+    Independent of ``f_closed`` and of route B's closed f and r f' on the
+    radial rule (``_radial_mesh``), which ``verify`` checks it against.
     """
     v = as_xi(xi).value
 

@@ -78,15 +78,33 @@ def _shell_structure_error() -> float:
 
 
 # the quadrature rows sum on radial_rule's floats, with f in closed form as
-# C i0e(beta r) e^(-gamma0 r); the overlap rows read it from route B's mesh
+# C i0e(beta r) e^(-gamma0 r) and r f' as -C r e^(-gamma0 r) (beta d + gamma0 i0e),
+# both read from route B's mesh; the angular pass of f's definition checks them
+# at a few radii (f_route_agreement, rf_route_agreement)
 
 
 def _residual_route_gap() -> float:
-    # ||f/2 + r f'||^2 of the unit-norm f's rows on radial_rule(0.7)
-    # against the closed form
-    f, rf = f_profile(0.7).rows()
-    quad = _norm_sq(radial_rule(0.7)[1], [0.5 * a + b for a, b in zip(f, rf)])
+    # ||f/2 + r f'||^2 of the mesh's closed f and r f' on radial_rule(0.7)
+    # against the closed form in K and E
+    mesh = bipartite._radial_mesh(0.7, bipartite._ANGULAR_ORDER)
+    quad = _norm_sq(mesh.weight, [0.5 * a + b for a, b in zip(mesh.f, mesh.rf)])
     return abs(quad - residual_norm_sq(0.7))
+
+
+def _rf_route_gap() -> float:
+    # the mesh's closed r f' against the angular pass of f's definition at
+    # every 32nd radius of radial_rule(0.5), relative to the column's maximum
+    order = bipartite._ANGULAR_ORDER
+    mesh = bipartite._radial_mesh(0.5, order)
+    angular = bipartite._angular_kernel_integral(0.5, mesh.r[::32], order)[1]
+    return (max(abs(a - b) for a, b in zip(mesh.rf[::32], angular))
+            / max(map(abs, mesh.rf)))
+
+
+def _f_norm_on_rule() -> float:
+    # ||f||^2 of the mesh's f (C is proportional to 1 / sqrt(K)) on radial_rule(0.7)
+    mesh = bipartite._radial_mesh(0.7, bipartite._ANGULAR_ORDER)
+    return _norm_sq(mesh.weight, mesh.f)
 
 
 def _overlap_route_gap() -> float:
@@ -165,6 +183,8 @@ def run_battery(order: int):
                   0.0, 1e-10, None)),
         ("residual_route_agreement",
          lambda: (_residual_route_gap(), 0.0, 1e-7, None)),
+        ("rf_route_agreement", lambda: (_rf_route_gap(), 0.0, 1e-14, None)),
+        ("f_norm_rule", lambda: (_f_norm_on_rule(), 1.0, 1e-14, None)),
         ("overlap_identity", lambda: (overlap(0.3, 0.3), 1.0, 1e-10, None)),
         ("overlap_vacuum", lambda: (_vacuum_route_gap(), 0.0, 1e-10, None)),
         ("overlap_route_agreement",

@@ -15,8 +15,8 @@ makes P_n(D) v_n = (n^n / n!) D f, so z_2n = prefactor_n (n^n / n!)^2
 ||v||^2 = int rho_xi / prod_j ((1/2 + j/n)^2 + t^2) dt over the Mellin
 density of f (``bipartite._mellin_density``), where D acts as -(1/2 + it).
 Route B (``functional_z``) takes both norms on the radial rule, on Python
-floats: r f' from f's one cached angular pass per xi
-(``bipartite._f_rule_rows``), and each family from its chain, one cached
+floats: r f' in closed form from Bessel kernels, held by the rule's mesh
+(``bipartite._radial_mesh``), and each family from its chain, one cached
 cumulative pass per xi and n (``_chain``) that holds (n, 0) = f, (n, 1),
 ..., (n, n - 1) = v_n by solving (D - k/n) v_k = v_(k-1) down the rule's
 ln r panels with running integrals.  ``_rule_rows`` reads a key's rows
@@ -182,7 +182,7 @@ def _chain(xi: float, n: int, order: int):
     pass per xi, n and order, so a changed order is a fresh pass.
     """
     x, w = _gauss_legendre(order)
-    r, _, lo, step, f0, f = bipartite._radial_mesh(xi, order)
+    r, _, lo, step, f0, f, _ = bipartite._radial_mesh(xi, order)
     tau = [(radius / lo) ** (1.0 / n) for radius in r[:order]]
     alpha = (1.0 + xi) / (2.0 * (1.0 - xi))
     poly = {0: f0, n: -alpha * lo * f0}
@@ -295,17 +295,17 @@ def z_product(n: int, xi) -> UncertaintyReport:
 def functional_z(n: int, xi) -> float:
     """z_2n by the nested route: ||r f'|| and ||v_n|| on ``radial_rule(xi)``, n = 2..5.
 
-    Both norms are sums on that rule, on floats, so no Mellin density
-    enters: r f' comes from f's cached angular pass and v_n from its
-    chain's cached cumulative pass, through ``_rule_rows``, which refuses n
-    beyond ``ROUTE_B_MAX_N``.
+    Both norms are sums on that rule, on floats, so neither the Mellin
+    density nor the angular rule enters: r f' is the mesh's closed form in
+    i0e and d (``bipartite._radial_mesh``) and v_n comes from its chain's
+    cached cumulative pass, through ``_rule_rows``, which refuses n beyond
+    ``ROUTE_B_MAX_N``.
     """
     v = as_xi(xi).value
     # not _v_key: _rule_rows refuses every n outside 2..ROUTE_B_MAX_N with the cap's message
     vn = _rule_rows(v, Poles(n, n - 1 if isinstance(n, int) else 0))[0]
-    weight = bipartite.radial_rule(v)[1]
-    rf = bipartite._f_rule_rows(v, _ANGULAR_ORDER)[1]
-    return _z(n, _norm_sq(weight, rf), _norm_sq(weight, vn))
+    mesh = bipartite._radial_mesh(v, _ANGULAR_ORDER)
+    return _z(n, _norm_sq(mesh.weight, mesh.rf), _norm_sq(mesh.weight, vn))
 
 
 def z4_product(xi) -> UncertaintyReport:

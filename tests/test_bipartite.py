@@ -430,6 +430,32 @@ def test_rf_prime_norm_equals_r_combination():
     assert value == pytest.approx(0.5 * (1.0 + r_closed(0.5)), abs=1e-13)
 
 
+# r f' of route B's mesh is closed: -C r e^(-gamma0 r) (beta d(beta r) + gamma0 i0e(beta r))
+_RF_XI = [1e-6, 0.01, 0.5, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12]
+
+
+@pytest.mark.parametrize("xi", _RF_XI)
+def test_mesh_rf_meets_the_angular_pass(xi):
+    # on every radius of the rule the closed r f' meets the angular pass of
+    # f's definition to 1e-15 of the column's maximum, and the mesh's f, read
+    # in the same loop, keeps the bits of _f_i0e
+    mesh = bipartite._radial_mesh(xi, 16)
+    rf = bipartite._f_rule_rows(xi, 16)[1]
+    assert len(mesh.rf) == len(mesh.r) == len(rf)
+    assert max(abs(a - b) for a, b in zip(mesh.rf, rf)) <= 1e-15 * max(map(abs, rf))
+    assert mesh.f[:len(mesh.r)] == tuple(bipartite._f_i0e(xi, mesh.r))
+    assert mesh.f0 == bipartite._f_i0e(xi, (0.0,))[0]
+
+
+@pytest.mark.parametrize("xi", _RF_XI + [1.0 - 1e-15])
+def test_mesh_rf_norm_is_the_closed_one(xi):
+    # ||r f'||^2 = ||D f||^2 = (1 + R)/2 on the rule, where the form
+    # beta i1e - alpha i0e would lose log10(alpha / gamma0) digits
+    mesh = bipartite._radial_mesh(xi, 16)
+    value = bipartite._norm_sq(mesh.weight, mesh.rf)
+    assert value == pytest.approx(0.5 * (1.0 + r_closed(xi)), rel=1e-15, abs=0.0)
+
+
 def test_residual_shrinks_toward_one():
     vals = [residual_norm_sq(x) for x in (0.5, 0.9, 0.99)]
     assert vals[0] > vals[1] > vals[2] > 0.0

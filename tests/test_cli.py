@@ -244,7 +244,7 @@ print(cli.main(["--command", "verify", "--out", sys.argv[1]]))
     out = tmp_path / "verify.csv"
     assert run_fresh(code, str(out)).split() == ["0"]
     _, rows = read_csv(out)
-    assert len(rows) == 29 and all(row[4] == "true" for row in rows)
+    assert len(rows) == 31 and all(row[4] == "true" for row in rows)
 
 
 def test_parse_defaults(tmp_path, monkeypatch):
@@ -464,11 +464,11 @@ def test_verify_passes(tmp_path, monkeypatch):
 
 
 def test_verify_angular_pass_radii(tmp_path, monkeypatch):
-    # the angular passes of verify, cold: one pass on radial_rule(0.5)
-    # (416 radii) for the row r f' that functional_z reads beside its
-    # chains' rows, one for the nested norm of f on radial_rule(0.7) (432),
-    # both kept in f's one cache of rule rows, and one point value of f;
-    # the count changes only with the radial rule or the battery
+    # the angular passes of verify, cold: r f' at every 32nd radius of
+    # radial_rule(0.5) (13 radii) against the mesh's closed r f', and one
+    # point value of f.  No product or norm reads the angular pass: route
+    # B's f and r f' are the mesh's closed forms.  The count changes only
+    # with the radial rule or the battery
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
     radii = []
     real = bipartite._angular_kernel_integral
@@ -481,7 +481,7 @@ def test_verify_angular_pass_radii(tmp_path, monkeypatch):
     monkeypatch.setattr(bipartite, "_f_rule_rows",
                         lru_cache(maxsize=32)(bipartite._f_rule_rows.__wrapped__))
     assert cli.main(["--command", "verify"]) == 0
-    assert sum(radii) == 849
+    assert sorted(radii) == [1, 13]
 
 
 def test_verify_negative_control(tmp_path, monkeypatch, capsys):
@@ -547,7 +547,8 @@ def test_verify_vacuum_row_reads_k(tmp_path, monkeypatch):
     # the vacuum row divides <f, vacuum> by the rule's own ||f||, so its
     # quadrature side is free of K while c0 = sqrt(pi / (2K)) is not: K off
     # by 1e-6 everywhere, f on the radial rule included (fresh caches),
-    # turns it red with the other rows that read K on one side only
+    # turns it red with the other rows that read K on one side only, among
+    # them ||f||^2 = 1 on the rule, as f is proportional to 1 / sqrt(K)
     real = bipartite.ellip_k
 
     def scaled(*args, **kwargs):
@@ -561,9 +562,10 @@ def test_verify_vacuum_row_reads_k(tmp_path, monkeypatch):
     assert cli.main(["--command", "verify"]) == 1
     _, rows = read_csv(tmp_path / "verify.csv")
     red = {row[0]: float(row[1]) for row in rows if row[4] == "false"}
-    assert list(red) == ["bipartite_route_agreement", "overlap_identity", "overlap_vacuum",
-                         "z4_shortcut_agreement", "z6_shortcut_agreement"]
+    assert list(red) == ["bipartite_route_agreement", "f_norm_rule", "overlap_identity",
+                         "overlap_vacuum", "z4_shortcut_agreement", "z6_shortcut_agreement"]
     assert red["overlap_vacuum"] > 4e-7
+    assert red["f_norm_rule"] == pytest.approx(1.0 / (1.0 + 1e-6), rel=1e-12)
 
 
 # the rows that read a family norm on route A: the products; the identity
@@ -588,7 +590,7 @@ def test_verify_reports_a_raising_layer_as_red_rows(tmp_path, monkeypatch, capsy
     _, rows = read_csv(tmp_path / "verify.csv")
     red = {row[0] for row in rows if row[4] == "false"}
     assert red == _FAMILY_ROWS
-    assert len(rows) == 29
+    assert len(rows) == 31
 
 
 def test_verify_reports_a_raising_radial_pass_as_red_rows(tmp_path, monkeypatch, capsys):

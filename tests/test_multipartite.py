@@ -443,8 +443,9 @@ def _fresh(monkeypatch, module, name, wrap=None):
 def test_nested_norms_share_one_chain_pass(monkeypatch):
     # rk_norm(0) and rk_norm(1) of g_2, g_3/2 and h and functional_z(2)
     # and (3) at one xi combine the rows of one cumulative pass per chain,
-    # (2, 0..1) for g_2 and (3, 0..2) for g_3/2 and h, and of one angular
-    # pass for r f', which the nested norms of f read too.  A second rule
+    # (2, 0..1) for g_2 and (3, 0..2) for g_3/2 and h; the nested norms of
+    # f read one angular pass, and functional_z none, as its r f' is the
+    # mesh's closed form.  A second rule
     # order is a fresh pass, which test_radial_rule_orders_agree relies
     # on, and the first order's rows are still there afterwards
     xi = 0.4321
@@ -1014,3 +1015,35 @@ def test_perturbed_rule_rows_shift_nested_z4(monkeypatch):
     dirty_nested = functional_z(2, 0.5)
     assert dirty_nested == pytest.approx(nested / 1.05**2, rel=1e-12)
     assert dirty == clean
+
+
+def _raising(*args):
+    raise AssertionError("a kernel of the other route was read")
+
+
+@pytest.mark.parametrize("xi", [0.5, 1.0 - 1e-12])
+def test_route_b_reads_no_kernel_of_route_a(xi, monkeypatch):
+    # route B reads Bessel closed forms alone (i0e and d, through the mesh)
+    # and its chains: on fresh caches functional_z for n = 2..5 gives the
+    # same bits with the angular pass, the angular rule and route A's
+    # Mellin density raising
+    clean = [functional_z(n, xi) for n in range(2, 6)]
+    for name in ("_angular_kernel_integral", "angular_rule", "_mellin_density"):
+        monkeypatch.setattr(bipartite, name, _raising)
+    _fresh(monkeypatch, bipartite, "_radial_mesh")
+    _fresh(monkeypatch, bipartite, "_f_rule_rows")
+    chains = _fresh(monkeypatch, multipartite, "_chain")
+    assert [functional_z(n, xi) for n in range(2, 6)] == clean
+    assert chains.cache_info().misses == 4
+
+
+def test_route_a_reads_no_radial_mesh(monkeypatch):
+    # the converse: z_product reads the Mellin density and K and E alone,
+    # so with route B's mesh raising it gives the same bits on a fresh density
+    clean = [z_product(n, 0.5).product for n in range(1, 6)]
+    monkeypatch.setattr(bipartite, "_radial_mesh", _raising)
+    _fresh(monkeypatch, multipartite, "_chain")
+    _fresh(monkeypatch, bipartite, "_f_rule_rows")
+    density = _fresh(monkeypatch, bipartite, "_mellin_density")
+    assert [z_product(n, 0.5).product for n in range(1, 6)] == clean
+    assert density.cache_info().misses == 1
