@@ -341,8 +341,8 @@ class AngularProfile:
     they are one angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r,
     kept per mesh (``_f_rule_rows``): f's definition, which no product
     reads, as route B takes f and r f' in closed form from
-    ``_radial_mesh``.  A family (n, k)
-    takes r v' = (k/n) v + (D - k/n) v from the key (n, k - 1) of its
+    ``_radial_mesh``.  A family (n, k) takes
+    r v' = (k/n) v + (D - k/n) v from the key (n, k - 1) of its
     chain, whose (n, 0) is f: on ``radial_rule`` from route B's one cached
     pass of running integrals per chain on the mesh's f, and at other
     radii from Laplace averages int_1^inf mu(u) f(u r) du of f.  Every identity of the paper
