@@ -222,6 +222,8 @@ def _angular_kernel_integral(xi: float, r, order: int):
     and gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)),
     taken on ``angular_rule`` of ``order`` radius by radius on Python floats;
     both rows share the radius's terms w e^(-x), so a value depends on its own r alone.
+    f's one angular pass, uncached: ``f_profile``'s rows and ``verify``'s check of
+    the closed f and r f' read it, and no product does.
     """
     gamma, weight = angular_rule(xi, order)
     norm = math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
@@ -233,18 +235,10 @@ def _angular_kernel_integral(xi: float, r, order: int):
     return tuple(f), tuple(rf)
 
 
-@lru_cache(maxsize=32)
-def _f_rule_rows(xi: float, order: int):
-    """(f, r f') of ``f_profile`` on the radii of ``_radial_mesh(xi, order)``: one angular
-    pass per mesh, the definition that the mesh's closed f and r f' are checked against.
-    """
-    return _angular_kernel_integral(xi, _radial_mesh(xi, order).r, order)
-
-
 # beyond t = 13, rho_xi(t) <= rho_xi(0) sech(pi t) < 4e-18 rho_xi(0), and
 # |W_xi|^2 oscillates at frequencies up to span = ln(gamma_max / gamma_min):
 # span + 16 equal panels of [0, 13] agree with 6.5 span + 40 panels of 24
-# points to 4.4e-16 on int rho, int (1/4 + t^2) rho, ||g_2||^2 and ||h||^2 at
+# points to 4.4e-16 on int rho, int (1/4 + t^2) rho and ||v_n||^2, n = 2..5, at
 # seven xi from 1e-6 to 1 - 1e-15 (test_t_rule_meets_a_heavy_rule); span + 12
 # is off by 1.3e-14 at xi = 0.05
 _T_MAX = 13.0
@@ -339,8 +333,8 @@ class AngularProfile:
     ``rows(r)`` gives (v, r v') of the unnormalized profile at the radii
     ``r``, or on ``radial_rule`` when ``r`` is None.  For ``f_profile``
     they are one angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r,
-    kept per mesh (``_f_rule_rows``): f's definition, which no product
-    reads, as route B takes f and r f' in closed form from
+    per call (``_angular_kernel_integral``): f's definition, which no
+    product reads, as route B takes f and r f' in closed form from
     ``_radial_mesh``.  A family (n, k) takes
     r v' = (k/n) v + (D - k/n) v from the key (n, k - 1) of its
     chain, whose (n, 0) is f: on ``radial_rule`` from route B's one cached
@@ -382,11 +376,6 @@ class AngularProfile:
 
     def value(self, r):
         """v(r) / ||v||: a float for a scalar ``r``, else an array."""
-        if isinstance(r, (int, float)):
-            # on floats alone: f's angular pass then loads no numpy
-            if not 0.0 <= r < math.inf:
-                raise ValueError("r must be finite and nonnegative")
-            return float(self._rows([float(r)])[0][0]) / self._norm
         v = self.rows(r)[0] / self._norm
         return float(v) if np.ndim(r) == 0 else v
 
@@ -471,14 +460,13 @@ def f_profile(xi) -> AngularProfile:
     """The two-party profile f as an angular integral of e^{-gamma r}.
 
     Independent of ``f_closed`` and of route B's closed f and r f' on the
-    radial rule (``_radial_mesh``), which ``verify`` checks it against.
+    radial rule (``_radial_mesh``).  Each ``rows`` call is one angular pass
+    (``_angular_kernel_integral``), on ``radial_rule(xi)``'s radii when r is None.
     """
     v = as_xi(xi).value
 
     def rows(r):
-        if r is None:
-            return _f_rule_rows(v, _ANGULAR_ORDER)
-        return _angular_kernel_integral(v, r, _ANGULAR_ORDER)
+        return _angular_kernel_integral(v, radial_rule(v)[0] if r is None else r, _ANGULAR_ORDER)
 
     return AngularProfile(v, rows, norm=1.0)
 

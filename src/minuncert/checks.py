@@ -18,7 +18,6 @@ from .bipartite import (
     _f_i0e,
     _norm_sq,
     f_closed,
-    f_profile,
     fock_coeff,
     fock_normalization_defect,
     overlap,
@@ -79,8 +78,8 @@ def _shell_structure_error() -> float:
 
 # the quadrature rows sum on radial_rule's floats, with f in closed form as
 # C i0e(beta r) e^(-gamma0 r) and r f' as -C r e^(-gamma0 r) (beta d + gamma0 i0e),
-# both read from route B's mesh; the angular pass of f's definition checks them
-# at a few radii (f_route_agreement, rf_route_agreement)
+# both read from route B's mesh; one angular pass of f's definition checks f_closed
+# and the mesh's r f' at a few radii (f_route_agreement, rf_route_agreement)
 
 
 def _residual_route_gap() -> float:
@@ -91,14 +90,21 @@ def _residual_route_gap() -> float:
     return abs(quad - residual_norm_sq(0.7))
 
 
-def _rf_route_gap() -> float:
-    # the mesh's closed r f' against the angular pass of f's definition at
-    # every 32nd radius of radial_rule(0.5), relative to the column's maximum
-    order = bipartite._ANGULAR_ORDER
-    mesh = bipartite._radial_mesh(0.5, order)
-    angular = bipartite._angular_kernel_integral(0.5, mesh.r[::32], order)[1]
-    return (max(abs(a - b) for a, b in zip(mesh.rf[::32], angular))
-            / max(map(abs, mesh.rf)))
+def _angular_pass():
+    # f's definition at every 32nd radius of radial_rule(0.5) (13): radii, f, r f'
+    radii = radial_rule(0.5)[0][::32]
+    return (radii, *bipartite._angular_kernel_integral(0.5, radii, bipartite._ANGULAR_ORDER))
+
+
+def _f_route_gap(radii, f) -> float:
+    # f_closed on its float path; beta r spans both branches of log_i0e
+    return max(abs(f_closed(0.5, radius) - a) for radius, a in zip(radii, f))
+
+
+def _rf_route_gap(rf) -> float:
+    # the mesh's closed r f' against the angular pass, relative to the column's maximum
+    mesh = bipartite._radial_mesh(0.5, bipartite._ANGULAR_ORDER)
+    return max(abs(a - b) for a, b in zip(mesh.rf[::32], rf)) / max(map(abs, mesh.rf))
 
 
 def _f_norm_on_rule() -> float:
@@ -138,12 +144,13 @@ def run_battery(order: int):
     """The rows (check, value, reference, tolerance, passed) and whether all passed.
 
     ``order`` is the order of the quadratic form of the eigen route.  The
-    solution and the eigenpair are each built once, inside the first check
-    that reads them, so a layer that raises turns only the rows that read
-    it red.
+    solution, the eigenpair and f's angular pass are each built once, inside
+    the first check that reads them, so a layer that raises turns only the
+    rows that read it red.
     """
     sol = cache(minimize_q0)
     pair = cache(lambda: min_eigenpair(build_q_form(order)))
+    angular = cache(_angular_pass)
 
     def above_infimum(report):
         return report.product, report.infimum, 0.0, report.product > report.infimum
@@ -178,12 +185,10 @@ def run_battery(order: int):
          lambda: (abs(uncertainty_product(0.5).product
                       - uncertainty_product(0.5, "quadrature").product),
                   0.0, 1e-12, None)),
-        ("f_route_agreement",
-         lambda: (abs(f_closed(0.5, 1.0) - f_profile(0.5).value(1.0)),
-                  0.0, 1e-10, None)),
+        ("f_route_agreement", lambda: (_f_route_gap(*angular()[:2]), 0.0, 1e-10, None)),
         ("residual_route_agreement",
          lambda: (_residual_route_gap(), 0.0, 1e-7, None)),
-        ("rf_route_agreement", lambda: (_rf_route_gap(), 0.0, 1e-14, None)),
+        ("rf_route_agreement", lambda: (_rf_route_gap(angular()[2]), 0.0, 1e-14, None)),
         ("f_norm_rule", lambda: (_f_norm_on_rule(), 1.0, 1e-14, None)),
         ("overlap_identity", lambda: (overlap(0.3, 0.3), 1.0, 1e-10, None)),
         ("overlap_vacuum", lambda: (_vacuum_route_gap(), 0.0, 1e-10, None)),

@@ -182,23 +182,23 @@ def _chain(xi: float, n: int, order: int):
     pass per xi, n and order, so a changed order is a fresh pass.
     """
     x, w = _gauss_legendre(order)
-    r, _, lo, step, f0, f, _ = bipartite._radial_mesh(xi, order)
-    tau = [(radius / lo) ** (1.0 / n) for radius in r[:order]]
+    mesh = bipartite._radial_mesh(xi, order)
+    tau = [(radius / mesh.lo) ** (1.0 / n) for radius in mesh.r[:order]]
     alpha = (1.0 + xi) / (2.0 * (1.0 - xi))
-    poly = {0: f0, n: -alpha * lo * f0}
+    poly = {0: mesh.f0, n: -alpha * mesh.lo * mesh.f0}
     tail = tail_matrix(order)
-    h = 0.5 * step
-    out = [f[:len(r)]]
-    prev = f
+    h = 0.5 * mesh.step
+    out = [mesh.f[:len(mesh.r)]]
+    prev = mesh.f
     for k in range(1, n):
         c = k / n
         rows = [[h * t * math.exp(c * h * (xa - xb)) for t, xb in zip(row, x)]
                 for row, xa in zip(tail, x)]
         rows.append([h * wb * math.exp(-c * h * (1.0 + xb)) for wb, xb in zip(w, x)])
-        decay = [math.exp(-c * h * (1.0 - xa)) for xa in x] + [math.exp(-c * step)]
-        v = [0.0] * len(f)
+        decay = [math.exp(-c * h * (1.0 - xa)) for xa in x] + [math.exp(-c * mesh.step)]
+        v = [0.0] * len(mesh.f)
         edge = 0.0  # v_k at the top of the panel
-        for start in range(len(f) - order, 0, -order):
+        for start in range(len(mesh.f) - order, 0, -order):
             g = prev[start:start + order]
             col = [edge * d - sum(map(mul, row, g)) for d, row in zip(decay, rows)]
             edge = col.pop()
@@ -206,7 +206,7 @@ def _chain(xi: float, n: int, order: int):
         poly = {m: n * a / (m - k) for m, a in poly.items()}
         poly[k] = edge - sum(poly.values())
         v[:order] = [sum(a * t ** m for m, a in poly.items()) for t in tau]
-        out.append(tuple(v[:len(r)]))
+        out.append(tuple(v[:len(mesh.r)]))
         prev = v
     return tuple(out)
 

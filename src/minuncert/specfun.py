@@ -55,8 +55,9 @@ _I0E_ASYMPTOTIC = tuple(
     math.prod((2 * j - 1) ** 2 / (8.0 * j) for j in range(1, k + 1)) for k in range(31, -1, -1))
 # d switches at the same z.  Below, the coefficients (2k - 1)!! / (k! (k + 1)!) of z^k,
 # k < 104, each one int division, highest power first: at z = 20 the last is 2e-17 of
-# the sum.  From 20 on, I0's a_k of z^-k less I1's is a_k 4k / (2k - 1), k < 32, the
-# last 1.4e-16 of the sum at z = 20
+# the sum.  A z sums the first 26 + 5 ceil(z): on 10^6 sampled z each keeps the whole
+# table's bits (24 + 5 ceil(z) moved 4).  From 20 on, I0's a_k of z^-k less I1's is
+# a_k 4k / (2k - 1), k < 32, the last 1.4e-16 of the sum at z = 20
 _D_SERIES = tuple(num / den for num, den in zip(
     accumulate(range(1, 206, 2), mul, initial=1),
     accumulate((k * (k + 1) for k in range(1, 104)), mul, initial=1)))[::-1]
@@ -212,7 +213,8 @@ def i0e_minus_i1e(z: float) -> float:
 
     Below z = 20 it is e^-2z M(1/2, 2, 2z) (DLMF 10.39.5, 13.3.15 and
     13.2.39), from 20 on the asymptotic series of I0 less that of I1
-    (DLMF 10.40.1) over sqrt(2 pi z), each summed by Horner's rule.  All
+    (DLMF 10.40.1) over sqrt(2 pi z), each summed by Horner's rule, the
+    series from the highest power that z needs.  All
     terms of both are positive, so nothing cancels: within 1.2e-15
     relative of mpmath on [1e-5, 1e5], worst near z = 15.5.
     """
@@ -220,7 +222,7 @@ def i0e_minus_i1e(z: float) -> float:
     if z < 0.0:
         raise ValueError("argument must be non-negative")
     if z < _I0E_CROSSOVER:
-        return _horner(_D_SERIES, z) * math.exp(-2.0 * z)
+        return _horner(_D_SERIES[-(26 + 5 * math.ceil(z)):], z) * math.exp(-2.0 * z)
     return _horner(_D_ASYMPTOTIC, 1.0 / z) / (4.0 * math.sqrt(0.125 * math.pi * z))
 
 

@@ -183,7 +183,7 @@ def test_density_is_the_direct_sum_at_every_node(xi):
 
 
 def _heavy_sums(xi):
-    # the four sums of the density on 6.5 span + 40 equal panels of 24
+    # the six sums of the density on 6.5 span + 40 equal panels of 24
     # points, with W summed naively over (t x gamma) blocks
     gamma, weight = map(np.asarray, bipartite.angular_rule(xi, 16))
     log_gamma, amp = np.log(gamma), weight / np.sqrt(gamma)
@@ -195,25 +195,30 @@ def _heavy_sums(xi):
         w2[start:start + 256] = (np.sum(amp * np.cos(phase), axis=-1) ** 2
                                  + np.sum(amp * np.sin(phase), axis=-1) ** 2)
     wrho = wt * w2 / (np.cosh(math.pi * t) * 2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
-    return _four_sums(t, wrho)
+    return _six_sums(t, wrho)
 
 
-def _four_sums(t, wrho):
-    # int rho, int (1/4 + t^2) rho, ||g_2||^2 and ||h / scale||^2
+def _six_sums(t, wrho):
+    # int rho, int (1/4 + t^2) rho, ||g_2||^2, ||h / scale||^2, and ||v_4||^2 and
+    # ||v_5||^2 of `scan --parties 8|10`: int rho / prod_(j<n) ((1/2 + j/n)^2 + t^2)
     t2 = np.asarray(t) ** 2
     wrho = np.asarray(wrho)
+    v4 = wrho / ((9.0 / 16.0 + t2) * (1.0 + t2) * (25.0 / 16.0 + t2))
+    v5 = wrho / ((0.49 + t2) * (0.81 + t2) * (1.21 + t2) * (1.69 + t2))
     return np.array([math.fsum(wrho), math.fsum(wrho * (0.25 + t2)),
                      0.25 * math.fsum(wrho / (1.0 + t2)),
-                     math.fsum(wrho / ((25.0 / 36.0 + t2) * (49.0 / 36.0 + t2))) / 9.0])
+                     math.fsum(wrho / ((25.0 / 36.0 + t2) * (49.0 / 36.0 + t2))) / 9.0,
+                     math.fsum(v4), math.fsum(v5)])
 
 
 @pytest.mark.parametrize("xi", [1e-6, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-15])
 def test_t_rule_meets_a_heavy_rule(xi):
     # span + 16 panels of 16 points resolve |W_xi|^2, which oscillates at
-    # frequencies up to span = ln(gamma_max / gamma_min): the four sums
-    # the products read meet those of a rule with 6.5 span + 40 panels of
-    # 24 points.  Fewer panels (span + 12) miss by 1.3e-14 at xi = 0.05
-    got = _four_sums(*bipartite._mellin_density(xi, 16))
+    # frequencies up to span = ln(gamma_max / gamma_min): the six sums
+    # the products of 2 to 10 parties read meet those of a rule with
+    # 6.5 span + 40 panels of 24 points.  Fewer panels (span + 12) miss by
+    # 1.3e-14 at xi = 0.05
+    got = _six_sums(*bipartite._mellin_density(xi, 16))
     want = _heavy_sums(xi)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
@@ -415,6 +420,23 @@ def test_rows_are_the_profile_and_its_r_derivative():
         p.rk_norm(2)
 
 
+@pytest.mark.parametrize("xi", [0.01, 0.5, 1.0 - 1e-12])
+def test_f_rows_on_the_rule_are_one_angular_pass(xi):
+    # f's rows on the radial rule are the angular pass at the rule's radii,
+    # bit for bit, taken anew on each call
+    rows = f_profile(xi).rows()
+    assert rows == bipartite._angular_kernel_integral(xi, radial_rule(xi)[0], 16)
+    assert f_profile(xi).rows() == rows and f_profile(xi).rows() is not rows
+
+
+def test_f_value_keeps_its_bits():
+    # a scalar radius goes through the array rows; the float is the one the
+    # angular pass on Python floats gave before, to the bit
+    value = f_profile(0.5).value(1.0)
+    assert type(value) is float and value.hex() == "0x1.e87c2da8c2d5bp-2"
+    assert f_profile(0.5).value(1) == value
+
+
 def test_residual_norm_closed_vs_quadrature():
     assert residual_norm_sq(0.7) == pytest.approx(RESIDUAL_07, abs=1e-14)
     # the unit-norm angular route, summed on the radial rule
@@ -440,7 +462,7 @@ def test_mesh_rf_meets_the_angular_pass(xi):
     # f's definition to 1e-15 of the column's maximum, and the mesh's f, read
     # in the same loop, keeps the bits of _f_i0e
     mesh = bipartite._radial_mesh(xi, 16)
-    rf = bipartite._f_rule_rows(xi, 16)[1]
+    rf = bipartite._angular_kernel_integral(xi, mesh.r, 16)[1]
     assert len(mesh.rf) == len(mesh.r) == len(rf)
     assert max(abs(a - b) for a, b in zip(mesh.rf, rf)) <= 1e-15 * max(map(abs, rf))
     assert mesh.f[:len(mesh.r)] == tuple(bipartite._f_i0e(xi, mesh.r))

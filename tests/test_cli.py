@@ -464,11 +464,11 @@ def test_verify_passes(tmp_path, monkeypatch):
 
 
 def test_verify_angular_pass_radii(tmp_path, monkeypatch):
-    # the angular passes of verify, cold: r f' at every 32nd radius of
-    # radial_rule(0.5) (13 radii) against the mesh's closed r f', and one
-    # point value of f.  No product or norm reads the angular pass: route
-    # B's f and r f' are the mesh's closed forms.  The count changes only
-    # with the radial rule or the battery
+    # verify makes one angular pass, at every 32nd radius of radial_rule(0.5)
+    # (13 radii), which f_closed and the mesh's closed r f' are both checked
+    # against.  No product or norm reads the angular pass: route B's f and
+    # r f' are the mesh's closed forms.  The count changes only with the
+    # radial rule or the battery
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
     radii = []
     real = bipartite._angular_kernel_integral
@@ -478,10 +478,24 @@ def test_verify_angular_pass_radii(tmp_path, monkeypatch):
         return real(xi, r, order)
 
     monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted)
-    monkeypatch.setattr(bipartite, "_f_rule_rows",
-                        lru_cache(maxsize=32)(bipartite._f_rule_rows.__wrapped__))
     assert cli.main(["--command", "verify"]) == 0
-    assert sorted(radii) == [1, 13]
+    assert radii == [13]
+
+
+def test_verify_reports_a_raising_angular_pass_as_red_rows(tmp_path, monkeypatch, capsys):
+    # the battery's one angular pass feeds the two rows that check the
+    # closed f and r f' against f's definition, and no other
+    def broken(*args):
+        raise RuntimeError("angular pass unavailable")
+
+    monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
+    monkeypatch.setattr(bipartite, "_angular_kernel_integral", broken)
+    assert cli.main(["--command", "verify"]) == 1
+    assert "angular pass unavailable" in capsys.readouterr().err
+    _, rows = read_csv(tmp_path / "verify.csv")
+    assert [row[0] for row in rows if row[4] == "false"] == ["f_route_agreement",
+                                                              "rf_route_agreement"]
+    assert len(rows) == 31
 
 
 def test_verify_negative_control(tmp_path, monkeypatch, capsys):
@@ -556,8 +570,8 @@ def test_verify_vacuum_row_reads_k(tmp_path, monkeypatch):
 
     monkeypatch.setenv("MINUNCERT_OUTPUT_DIR", str(tmp_path))
     monkeypatch.setattr(bipartite, "ellip_k", scaled)
-    for module, name in ((bipartite, "_radial_mesh"), (bipartite, "_f_rule_rows"),
-                         (bipartite, "_mellin_density"), (multipartite, "_chain")):
+    for module, name in ((bipartite, "_radial_mesh"), (bipartite, "_mellin_density"),
+                         (multipartite, "_chain")):
         monkeypatch.setattr(module, name, lru_cache(maxsize=32)(getattr(module, name).__wrapped__))
     assert cli.main(["--command", "verify"]) == 1
     _, rows = read_csv(tmp_path / "verify.csv")

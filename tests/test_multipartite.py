@@ -402,14 +402,14 @@ def test_family_chains_rule_orders_agree(xi):
 
 def _rule_norms(xi, key, order):
     """[||v||, ||r v'||] of the family ``key`` (f at k = 0) on the radial rule of ``order``."""
-    weight = bipartite._radial_mesh(xi, order).weight
+    mesh = bipartite._radial_mesh(xi, order)
     if key.k == 0:
-        rows = bipartite._f_rule_rows(xi, order)
+        rows = bipartite._angular_kernel_integral(xi, mesh.r, order)
     else:
         chain = multipartite._chain(xi, key.n, order)
         v, sibling = chain[key.k], chain[key.k - 1]
         rows = v, [key.k / key.n * y + s for y, s in zip(v, sibling)]
-    return [math.sqrt(bipartite._norm_sq(weight, row)) for row in rows]
+    return [math.sqrt(bipartite._norm_sq(mesh.weight, row)) for row in rows]
 
 
 @pytest.mark.parametrize("xi", [1e-6, 0.01, 0.5, 0.999, 1.0 - 1e-9, 1.0 - 1e-15])
@@ -443,9 +443,8 @@ def _fresh(monkeypatch, module, name, wrap=None):
 def test_nested_norms_share_one_chain_pass(monkeypatch):
     # rk_norm(0) and rk_norm(1) of g_2, g_3/2 and h and functional_z(2)
     # and (3) at one xi combine the rows of one cumulative pass per chain,
-    # (2, 0..1) for g_2 and (3, 0..2) for g_3/2 and h; the nested norms of
-    # f read one angular pass, and functional_z none, as its r f' is the
-    # mesh's closed form.  A second rule
+    # (2, 0..1) for g_2 and (3, 0..2) for g_3/2 and h, and read no angular
+    # pass, as functional_z's r f' is the mesh's closed form.  A second rule
     # order is a fresh pass, which test_radial_rule_orders_agree relies
     # on, and the first order's rows are still there afterwards
     xi = 0.4321
@@ -463,27 +462,23 @@ def test_nested_norms_share_one_chain_pass(monkeypatch):
         return real_angular(x, r, order)
 
     _fresh(monkeypatch, multipartite, "_chain", counted)
-    _fresh(monkeypatch, bipartite, "_f_rule_rows")
     monkeypatch.setattr(bipartite, "_angular_kernel_integral", counted_angular)
-    fams = (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi), f_profile(xi))
-    n16 = len(bipartite.radial_rule(xi)[0])
+    fams = (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi))
     norms = [[fam.rk_norm(k) for k in range(2)] for fam in fams]
     z = (functional_z(2, xi), functional_z(3, xi))
-    first = [("chain", xi, 2, 16), ("chain", xi, 3, 16), ("angular", xi, n16, 16)]
+    first = [("chain", xi, 2, 16), ("chain", xi, 3, 16)]
     assert passes == first
     assert z == (functional_z(2, xi), functional_z(3, xi))
 
-    n24 = len(bipartite._radial_mesh(xi, 24).r)
-    assert n24 != n16
-    for key in (_G2, _G32, _H, _F):
+    assert len(bipartite._radial_mesh(xi, 24).r) != len(bipartite.radial_rule(xi)[0])
+    for key in (_G2, _G32, _H):
         assert _rule_norms(xi, key, 24)[0] == pytest.approx(_rule_norms(xi, key, 16)[0],
                                                             rel=1e-14, abs=0.0)
-    assert passes == first + [("chain", xi, 2, 24), ("chain", xi, 3, 24),
-                              ("angular", xi, n24, 24)]
+    assert passes == first + [("chain", xi, 2, 24), ("chain", xi, 3, 24)]
 
     assert [fam.rk_norm(0) for fam in fams] == [fam_norms[0] for fam_norms in norms]
     assert z == (functional_z(2, xi), functional_z(3, xi))
-    assert len(passes) == 6
+    assert len(passes) == 4
 
 
 def _record_rule_orders(monkeypatch):
@@ -502,7 +497,6 @@ def _record_rule_orders(monkeypatch):
     monkeypatch.setattr(bipartite, "angular_rule", recorded(bipartite.angular_rule))
     _fresh(monkeypatch, bipartite, "_radial_mesh", recorded)
     _fresh(monkeypatch, multipartite, "_chain")
-    _fresh(monkeypatch, bipartite, "_f_rule_rows")
     _fresh(monkeypatch, bipartite, "_mellin_density")
     return asked
 
@@ -512,8 +506,6 @@ def _record_rule_orders(monkeypatch):
 _ORDER_LAYERS = {
     "_radial_mesh": (lambda: bipartite._radial_mesh(0.5, 24),
                      {"_radial_mesh", "_gauss_legendre"}),
-    "_f_rule_rows": (lambda: bipartite._f_rule_rows(0.5, 24),
-                     {"_radial_mesh", "angular_rule", "_gauss_legendre"}),
     "_mellin_density": (lambda: bipartite._mellin_density(0.5, 24),
                         {"angular_rule", "_gauss_legendre"}),
 }
@@ -522,11 +514,11 @@ _ORDER_LAYERS = {
 @pytest.mark.parametrize("layer", list(_ORDER_LAYERS))
 def test_cached_layers_read_rules_of_their_own_order(layer, monkeypatch):
     # a layer is cached by its rule order, so everything it reads must be
-    # of that order too: built on fresh caches at 24, it asks the angular
-    # rule, the mesh and the Gauss-Legendre nodes for 24 alone, and so is
-    # the same whatever order ran before it.  A 24-point density or f row
-    # built on the angular rule of another order differs from its own by
-    # a few ulps only, which no agreement of two orders would show
+    # of that order too: built on fresh caches at 24, it asks every rule it
+    # reads for 24 alone, and so is the same whatever order ran before it.
+    # A 24-point density built on the angular rule of another order differs
+    # from its own by a few ulps only, which no agreement of two orders
+    # would show
     asked = _record_rule_orders(monkeypatch)
     build, names = _ORDER_LAYERS[layer]
     build()
@@ -569,7 +561,6 @@ def test_battery_lays_out_one_mesh_per_xi(monkeypatch):
 
     meshes = _fresh(monkeypatch, bipartite, "_radial_mesh", counted)
     chains = _fresh(monkeypatch, multipartite, "_chain")
-    _fresh(monkeypatch, bipartite, "_f_rule_rows")
     rows, ok = checks.run_battery(200)
     assert ok
     assert sorted(built) == [(0.5, 16), (0.7, 16)]
@@ -995,7 +986,6 @@ def test_perturbed_kernel_shifts_z4(monkeypatch):
 
     monkeypatch.setattr(bipartite, "_mellin_density", scaled)
     _fresh(monkeypatch, multipartite, "_chain")
-    _fresh(monkeypatch, bipartite, "_f_rule_rows")
     dirty = z4_product(0.5).product
     dirty_nested = functional_z(2, 0.5)
     assert dirty == pytest.approx(clean / 1.05, rel=1e-12)
@@ -1031,7 +1021,6 @@ def test_route_b_reads_no_kernel_of_route_a(xi, monkeypatch):
     for name in ("_angular_kernel_integral", "angular_rule", "_mellin_density"):
         monkeypatch.setattr(bipartite, name, _raising)
     _fresh(monkeypatch, bipartite, "_radial_mesh")
-    _fresh(monkeypatch, bipartite, "_f_rule_rows")
     chains = _fresh(monkeypatch, multipartite, "_chain")
     assert [functional_z(n, xi) for n in range(2, 6)] == clean
     assert chains.cache_info().misses == 4
@@ -1043,7 +1032,6 @@ def test_route_a_reads_no_radial_mesh(monkeypatch):
     clean = [z_product(n, 0.5).product for n in range(1, 6)]
     monkeypatch.setattr(bipartite, "_radial_mesh", _raising)
     _fresh(monkeypatch, multipartite, "_chain")
-    _fresh(monkeypatch, bipartite, "_f_rule_rows")
     density = _fresh(monkeypatch, bipartite, "_mellin_density")
     assert [z_product(n, 0.5).product for n in range(1, 6)] == clean
     assert density.cache_info().misses == 1
