@@ -23,7 +23,6 @@ _HOME = {
     "uncertainty_product": "bipartite",
     "residual_norm_sq": "bipartite",
     "f_closed": "bipartite",
-    "f_profile": "bipartite",
     "overlap": "bipartite",
     "fock_coeff": "bipartite",
     "fock_normalization_defect": "bipartite",

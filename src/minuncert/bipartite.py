@@ -32,7 +32,6 @@ __all__ = [
     "uncertainty_product",
     "residual_norm_sq",
     "f_closed",
-    "f_profile",
     "overlap",
     "fock_coeff",
     "fock_normalization_defect",
@@ -87,7 +86,7 @@ class UncertaintyReport(namedtuple("UncertaintyReport", "parties xi product rout
     __slots__ = ()
 
     def __new__(cls, parties, xi, product, route):
-        if parties % 2 != 0 or parties < 2:
+        if _count("parties", parties, 2) % 2 != 0:
             raise ValueError(f"parties must be a positive even integer, got {parties}")
         report = super().__new__(cls, parties, xi, product, route)
         if not product > report.infimum:
@@ -222,8 +221,8 @@ def _angular_kernel_integral(xi: float, r, order: int):
     and gamma(theta) = (1 - sqrt(xi) cos theta) / (2 (1 + sqrt(xi) cos theta)),
     taken on ``angular_rule`` of ``order`` radius by radius on Python floats;
     both rows share the radius's terms w e^(-x), so a value depends on its own r alone.
-    f's one angular pass, uncached: ``f_profile``'s rows and ``verify``'s check of
-    the closed f and r f' read it, and no product does.
+    f's one angular pass, uncached: ``verify``'s check of the closed f and r f' reads
+    it, and no product or profile does.
     """
     gamma, weight = angular_rule(xi, order)
     norm = math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
@@ -328,28 +327,23 @@ def _f_i0e(xi: float, x):
 
 
 class AngularProfile:
-    """Radial profile v(r), given by its two rows v and r v'.
+    """Radial profile v(r) of a family (n, k), given by its two rows v and r v'.
 
     ``rows(r)`` gives (v, r v') of the unnormalized profile at the radii
-    ``r``, or on ``radial_rule`` when ``r`` is None.  For ``f_profile``
-    they are one angular pass of e^(-x) and -x e^(-x), x = gamma(theta) r,
-    per call (``_angular_kernel_integral``): f's definition, which no
-    product reads, as route B takes f and r f' in closed form from
-    ``_radial_mesh``.  A family (n, k) takes
-    r v' = (k/n) v + (D - k/n) v from the key (n, k - 1) of its
-    chain, whose (n, 0) is f: on ``radial_rule`` from route B's one cached
-    pass of running integrals per chain on the mesh's f, and at other
-    radii from Laplace averages int_1^inf mu(u) f(u r) du of f.  Every identity of the paper
-    links ||v|| and ||r v'|| only, so no product needs another row
-    (``functional_z``).
+    ``r``, or on ``radial_rule`` when ``r`` is None.  The family takes
+    r v' = (k/n) v + (D - k/n) v from the key (n, k - 1) of its chain,
+    whose (n, 0) is f: on ``radial_rule`` from route B's one cached pass of
+    running integrals per chain on the mesh's f, and at other radii from
+    Laplace averages int_1^inf mu(u) f(u r) du of f (``multipartite``).
+    Every identity of the paper links ||v|| and ||r v'|| only, so no
+    product needs another row (``functional_z``).
 
     ``normalization`` is ||v||, given at construction by a route
-    independent of the nested pass (the closed form for f, the Mellin
-    density for the g and h families), and ``value`` the normalized
-    profile v / ||v||.  The raw rows keep the sign the kernel dictates
-    (negative at the origin for the plain ODE families), which is what
-    makes a defining ODE hold verbatim; consumers that want a positive
-    plot flip the sign.
+    independent of the nested pass (route A's Mellin density), and
+    ``value`` the normalized profile v / ||v||.  The raw rows keep the
+    sign the kernel dictates (negative at the origin for the plain ODE
+    families), which is what makes a defining ODE hold verbatim;
+    consumers that want a positive plot flip the sign.
     """
 
     def __init__(self, xi, rows, norm: float):
@@ -360,13 +354,15 @@ class AngularProfile:
     def rows(self, r=None):
         """(v, r v') of the unnormalized profile at the radii ``r`` (a scalar or
         1-D array) as an array, or on ``radial_rule`` as two tuples of floats.
+
+        The validated radii reach the family as a 1-D float array.
         """
         if r is None:
             return self._rows(None)
         rv = _radii(r)
         if rv.ndim > 1:
             raise ValueError(f"r must be a scalar or a 1-D array, got {rv.ndim} dimensions")
-        out = np.array(self._rows(np.atleast_1d(rv).tolist()))
+        out = self._rows(np.atleast_1d(rv))
         return out[:, 0] if rv.ndim == 0 else out
 
     @property
@@ -454,21 +450,6 @@ def f_closed(xi, r):
     rv = _radii(r)
     out = np.exp(log_front + log_i0e(beta * rv) - (hi * rv + lo * rv))
     return float(out) if rv.ndim == 0 else out
-
-
-def f_profile(xi) -> AngularProfile:
-    """The two-party profile f as an angular integral of e^{-gamma r}.
-
-    Independent of ``f_closed`` and of route B's closed f and r f' on the
-    radial rule (``_radial_mesh``).  Each ``rows`` call is one angular pass
-    (``_angular_kernel_integral``), on ``radial_rule(xi)``'s radii when r is None.
-    """
-    v = as_xi(xi).value
-
-    def rows(r):
-        return _angular_kernel_integral(v, radial_rule(v)[0] if r is None else r, _ANGULAR_ORDER)
-
-    return AngularProfile(v, rows, norm=1.0)
 
 
 def _xi_or_zero(v) -> float:

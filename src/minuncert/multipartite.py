@@ -233,14 +233,14 @@ def _family_profile(xi: float, c: float, key: Poles):
         if r is None:
             v, sibling = _rule_rows(xi, key)
             return tuple(c * y for y in v), tuple(c * (a * y + s) for y, s in zip(v, sibling))
-        v, sibling = _laplace(xi, np.asarray(r), key, _ANGULAR_ORDER)
+        v, sibling = _laplace(xi, r, key, _ANGULAR_ORDER)
         return c * np.array([v, a * v + sibling])
 
     norm = abs(c) * math.sqrt(_family_norms(xi, key, _ANGULAR_ORDER))
     return AngularProfile(xi, rows, norm=norm)
 
 
-# the g and h families share f's profile class
+# every family's profile class, under the name the g and h families use
 OdeFamilyProfile = AngularProfile
 
 

@@ -98,6 +98,8 @@ def log_rule(lo: float, hi: float, order: int, ratio: float):
     """
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
+    if not 1.0 < ratio < math.inf:
+        raise ValueError(f"ratio must be finite and above 1, got {ratio!r}")
     panels = max(1, math.ceil(math.log2(hi / lo) / math.log2(ratio)))
     a, b = math.log(lo), math.log(hi)
     step = (b - a) / panels

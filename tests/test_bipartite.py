@@ -12,7 +12,6 @@ from minuncert.bipartite import (
     XiParameter,
     as_xi,
     f_closed,
-    f_profile,
     fock_coeff,
     fock_normalization_defect,
     overlap,
@@ -246,7 +245,7 @@ def test_report_invariants_enforced():
     report = UncertaintyReport(parties=2, xi=XiParameter(0.5), product=0.2, route="closed_form")
     assert (report.separable_bound, report.infimum) == (SEPARABLE_BOUND_2, PRODUCT_INFIMUM_2)
     assert report.violation_ratio == 0.25 / 0.2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even"):
         UncertaintyReport(parties=3, xi=XiParameter(0.5), product=0.2, route="closed_form")
     with pytest.raises(ValueError, match="infimum"):
         UncertaintyReport(parties=2, xi=XiParameter(0.5), product=0.12, route="closed_form")
@@ -258,10 +257,11 @@ def test_report_invariants_enforced():
 
 
 def test_profile_routes_agree():
+    radii = (0.0, 0.4, 2.0, 7.5)
     for xi in (0.3, 0.9):
-        angular = f_profile(xi)
-        for r in (0.0, 0.4, 2.0, 7.5):
-            assert f_closed(xi, r) == pytest.approx(angular.value(r), rel=1e-11, abs=1e-13)
+        angular = bipartite._angular_kernel_integral(xi, radii, 16)[0]
+        for r, value in zip(radii, angular):
+            assert f_closed(xi, r) == pytest.approx(value, rel=1e-11, abs=1e-13)
 
 
 def test_profile_at_origin_frozen():
@@ -305,13 +305,10 @@ def test_profile_vectorized():
     assert vals.shape == (3,)
     for i, ri in enumerate(r):
         assert vals[i] == f_closed(0.5, float(ri))
-    assert f_profile(0.5).value(r).shape == (3,)
     with pytest.raises(ValueError):
         f_closed(0.5, -1.0)
-    with pytest.raises(ValueError):
-        f_profile(0.5).value(-1.0)
     # a profile takes a scalar or a 1-D array of radii and says so
-    for prof in (f_profile(0.5), g_family(0.5), h_family(0.5)):
+    for prof in (g_family(0.5), h_family(0.5)):
         assert prof.rows(r).shape == (2, 3)
         assert prof.rows(1.0).shape == (2,)
         for route in (prof.value, prof.rows):
@@ -322,10 +319,9 @@ def test_profile_vectorized():
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_radii_must_be_finite_and_nonnegative(bad):
     # a NaN or infinite radius is refused like a negative one, by the
-    # closed form and by the point values of every angular profile, alone
+    # closed form and by the point values of every family profile, alone
     # or inside an array
-    routes = (lambda r: f_closed(0.5, r), f_profile(0.5).value, g_family(0.5).value,
-              h_family(0.5).value)
+    routes = (lambda r: f_closed(0.5, r), g_family(0.5).value, h_family(0.5).value)
     for route in routes:
         for r in (bad, np.array([0.0, 1.0, bad])):
             with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -334,13 +330,14 @@ def test_radii_must_be_finite_and_nonnegative(bad):
 
 def test_f_closed_whole_equals_slices():
     # the profile table evaluates whole columns; each value must not
-    # depend on which other radii share the call, for the closed form and
-    # for every angular-kernel profile
+    # depend on which other radii share the call, for the closed form, for
+    # f's angular pass and for every family profile
     for xi in (0.1, 0.5, 0.9, 0.999):
         beta = math.sqrt(xi) / (1.0 - xi)
         r = np.linspace(0.0, 3.0 * _BESSEL_CROSSOVER / beta, 201)
         assert np.any(beta * r <= _BESSEL_CROSSOVER) and np.any(beta * r > _BESSEL_CROSSOVER)
-        for route in (lambda rr: f_closed(xi, rr), f_profile(xi).value,
+        for route in (lambda rr: f_closed(xi, rr),
+                      lambda rr: np.array(bipartite._angular_kernel_integral(xi, rr, 16)[0]),
                       g_family(xi).value, h_family(xi).value):
             whole = route(r)
             for width in (16, 1):
@@ -360,7 +357,7 @@ def test_f_profile_point_values_certified(xi):
     r = np.concatenate(([0.0], np.geomspace(1e-3, max(4096.0, 40.0 / gamma0), 600)))
     log_front = 0.5 * (math.log(math.pi) - math.log(2.0 * ellip_k(xi) * gap))
     ref = np.exp(log_front + np.log(scipy.special.i0e(beta * r)) - gamma0 * r)
-    value = f_profile(xi).value(r)
+    value = np.array(bipartite._angular_kernel_integral(xi, r, 16)[0])
     live = ref > 1e-8 * ref.max()
     assert np.count_nonzero(live) > 100
     assert np.max(np.abs(value[live] / ref[live] - 1.0)) <= 1e-14
@@ -396,58 +393,38 @@ def test_f_prime_at_zero():
 
 def test_rk_derivative_vs_finite_differences():
     # the angular route differentiated against differences of the closed form
-    p = f_profile(0.5)
-
     def closed(r):
         return f_closed(0.5, r)
 
-    for r in (0.7, 1.8):
+    radii = (0.7, 1.8)
+    for r, rf in zip(radii, bipartite._angular_kernel_integral(0.5, radii, 16)[1]):
         fd = fd_rk_derivative(closed, 1, r, h=1e-3)
-        assert p.rows(r)[1] == pytest.approx(fd, rel=1e-7, abs=1e-9)
+        assert rf == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
 def test_rows_are_the_profile_and_its_r_derivative():
-    # f has unit norm, so its row v is its value; the rows of a whole
-    # array are the rows of each radius, and no row above r v' exists
-    p = f_profile(0.6)
-    r = np.array([0.0, 1.3, 5.0])
-    rows = p.rows(r)
-    assert np.array_equal(rows[0], p.value(r))
+    # f's angular pass: its row f is f_closed, the rows of a whole tuple of
+    # radii are the rows of each radius, and r f' vanishes at the origin
+    r = (0.0, 1.3, 5.0)
+    f, rf = bipartite._angular_kernel_integral(0.6, r, 16)
+    assert f == pytest.approx([f_closed(0.6, x) for x in r], rel=1e-13, abs=0.0)
     for i, radius in enumerate(r):
-        assert np.array_equal(p.rows(radius), rows[:, i])
-    assert p.rows(0.0)[1] == 0.0
-    with pytest.raises(ValueError):
-        p.rk_norm(2)
-
-
-@pytest.mark.parametrize("xi", [0.01, 0.5, 1.0 - 1e-12])
-def test_f_rows_on_the_rule_are_one_angular_pass(xi):
-    # f's rows on the radial rule are the angular pass at the rule's radii,
-    # bit for bit, taken anew on each call
-    rows = f_profile(xi).rows()
-    assert rows == bipartite._angular_kernel_integral(xi, radial_rule(xi)[0], 16)
-    assert f_profile(xi).rows() == rows and f_profile(xi).rows() is not rows
-
-
-def test_f_value_keeps_its_bits():
-    # a scalar radius goes through the array rows; the float is the one the
-    # angular pass on Python floats gave before, to the bit
-    value = f_profile(0.5).value(1.0)
-    assert type(value) is float and value.hex() == "0x1.e87c2da8c2d5bp-2"
-    assert f_profile(0.5).value(1) == value
+        assert bipartite._angular_kernel_integral(0.6, (radius,), 16) == ((f[i],), (rf[i],))
+    assert rf[0] == 0.0
 
 
 def test_residual_norm_closed_vs_quadrature():
     assert residual_norm_sq(0.7) == pytest.approx(RESIDUAL_07, abs=1e-14)
     # the unit-norm angular route, summed on the radial rule
-    f, rf = map(np.asarray, f_profile(0.7).rows())
+    f, rf = map(np.asarray, bipartite._angular_kernel_integral(0.7, radial_rule(0.7)[0], 16))
     value = float(np.sum(radial_rule(0.7)[1] * (0.5 * f + rf) ** 2))
     assert value == pytest.approx(RESIDUAL_07, abs=1e-13)
 
 
 def test_rf_prime_norm_equals_r_combination():
     # int (r f')^2 dr = (1 + R)/2, tying the profile to the closed R
-    value = f_profile(0.5).rk_norm(1) ** 2
+    r, weight = radial_rule(0.5)
+    value = bipartite._norm_sq(weight, bipartite._angular_kernel_integral(0.5, r, 16)[1])
     assert value == pytest.approx(RF_PRIME_NORM_SQ_HALF, abs=1e-13)
     assert value == pytest.approx(0.5 * (1.0 + r_closed(0.5)), abs=1e-13)
 
@@ -681,7 +658,7 @@ def test_shell_identity():
 
 @pytest.mark.parametrize("name, call", [
     ("n", b_coefficients),
-    ("k", lambda bad: f_profile(0.5).rk_norm(bad)),
+    ("k", lambda bad: g_family(0.5).rk_norm(bad)),
     ("N", lambda bad: shell_sum(bad, 0.5)),
     ("n", lambda bad: fock_coeff(bad, 0, 0.5)),
     ("m", lambda bad: fock_coeff(0, bad, 0.5)),
@@ -690,6 +667,7 @@ def test_shell_identity():
     ("n", lambda bad: family(bad, 0.5)),
     ("order", lambda bad: panel_rule((0.0, 1.0), bad)),
     ("order", build_q_form),
+    ("parties", lambda bad: UncertaintyReport(bad, XiParameter(0.5), 0.2, "x")),
 ])
 @pytest.mark.parametrize("bad", [True, False, 2.0, 2.5, "2", None])
 def test_counts_refuse_bools_and_non_integers(name, call, bad):

@@ -1,3 +1,4 @@
+import doctest
 import importlib
 import os
 import pkgutil
@@ -9,6 +10,7 @@ import pytest
 
 import minuncert
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(minuncert.__path__))
 
 
@@ -61,6 +63,17 @@ def test_package_dir_and_unknown_names():
     assert not hasattr(minuncert, "no_such_name")
     assert hasattr(minuncert, "z6_product")
 
+
+def test_readme_sample_session_runs():
+    # the python block after "Sample session:" runs as printed; the block
+    # alone, since doctest on the whole file reads the closing fence as output
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Sample session:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README sample session", str(README), 0)
+    assert len(test.examples) == 6
+    runner = doctest.DocTestRunner(optionflags=doctest.ELLIPSIS)
+    runner.run(test)
+    assert runner.summarize(verbose=False) == doctest.TestResults(0, 6)
 
 
 # entry points that the benchmark's traced run (bench/layers.py) wraps by

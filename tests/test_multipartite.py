@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from minuncert.bipartite import XiParameter, f_closed, f_profile, r_closed
+from minuncert.bipartite import XiParameter, f_closed, r_closed
 from minuncert.multipartite import (
     OperatorCoefficients,
     alpha_beta_certificate,
@@ -192,16 +192,16 @@ def test_first_derivative_of_ode_pointwise():
     # (1 - a) D g + a D^2 g = D f with D = r d/dr, i.e. r g' + a r^2 g''
     # = r f'.  D g is row 1, D^2 g its central difference, and D f comes
     # from f's own angular row
-    f = f_profile(0.5)
+    radii = (0.5, 1.7, 4.2)
+    f_rows = bipartite._angular_kernel_integral(0.5, radii, 16)[1]
     for a in (1.5, 2.0):
         prof = g_family(0.5, a)
 
         def row1(x, prof=prof):
             return prof.rows(x)[1]
 
-        for r in (0.5, 1.7, 4.2):
+        for r, rf in zip(radii, f_rows):
             lhs = (1.0 - a) * row1(r) + a * fd_rk_derivative(row1, 1, r, h=1e-3)
-            rf = f.rows(r)[1]
             assert lhs == pytest.approx(rf, rel=1e-10, abs=1e-12)
 
 
@@ -219,10 +219,10 @@ def test_first_derivative_of_h_ode_pointwise():
         assert lhs == pytest.approx(rg, rel=1e-9, abs=1e-12)
 
 
-def _combo_norm(profile, coefs):
-    # ||coefs[0] v + coefs[1] r v'|| of the raw rows, summed on the radial rule
-    weight = bipartite.radial_rule(profile.xi.value)[1]
-    v = sum(c * np.asarray(row) for c, row in zip(coefs, profile.rows()))
+def _combo_norm(xi, rows, coefs):
+    # ||coefs[0] v + coefs[1] r v'|| of the raw rows, summed on radial_rule(xi)
+    weight = bipartite.radial_rule(xi)[1]
+    v = sum(c * np.asarray(row) for c, row in zip(coefs, rows))
     return math.sqrt(float(np.sum(weight * v * v)))
 
 
@@ -253,7 +253,7 @@ def test_h_norms_tie_back_to_base():
         rhs = (base.rk_norm(0) / base.normalization) ** 2
         expanded = 10.0 * h.rk_norm(0) ** 2 + 9.0 * h.rk_norm(1) ** 2
         assert expanded == pytest.approx(rhs, rel=1e-12, abs=0.0)
-        assert _combo_norm(h, (-2.0, 3.0)) ** 2 == pytest.approx(rhs, rel=1e-12, abs=0.0)
+        assert _combo_norm(xi, h.rows(), (-2.0, 3.0)) ** 2 == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_family_validation():
@@ -341,7 +341,8 @@ def test_functional_z_is_the_norm_ratio(xi):
     # z_2n = prefactor_n c^2 ||r f'||^2 / ||v||^2, with the nested norms of
     # f's row k = 1 and of the family: c^2 = 1 for g_2 and 9/4 for h, whose
     # rows carry the scale -2 / (3 ||g_3/2||)
-    rf = f_profile(xi).rk_norm(1)
+    r, weight = bipartite.radial_rule(xi)
+    rf = math.sqrt(bipartite._norm_sq(weight, bipartite._angular_kernel_integral(xi, r, 16)[1]))
     g2 = g_family(xi, 2.0).rk_norm(0)
     scale = -2.0 / (3.0 * g_family(xi, 1.5).normalization)
     h_raw = h_family(xi).rk_norm(0) / abs(scale)
@@ -572,25 +573,24 @@ def test_battery_lays_out_one_mesh_per_xi(monkeypatch):
     assert chains.cache_info().misses == 2
 
 
-def _per_cell_norms(prof, coefs_list, angular):
+def _per_cell_norms(xi, coefs_list, point_rows):
     # the nested norms with each combination taken per cell before any
     # reduction on the radial rule: per cell of radial_rule x angular_rule
-    # for f (``angular``), per radius of their point route (``rows(r)``)
-    # for the families, in blocks of 32 radii
-    xi = prof.xi.value
+    # for f (``point_rows`` None), per radius of their point route
+    # (``rows(r)``) for the families, in blocks of 32 radii
     r, wr = bipartite.radial_rule(xi)
     gamma, wt = bipartite.angular_rule(xi, 16)
     den = math.sqrt(2.0 * math.pi * ellip_k(xi) * (1.0 - xi))
     sq = np.zeros(len(coefs_list))
     for start in range(0, len(r), 32):
         block = r[start:start + 32]
-        if angular:
+        if point_rows is None:
             x = np.outer(block, gamma)
             kernels = (np.exp(-x), -x * np.exp(-x))
         else:
-            rows = prof.rows(block)
+            rows = point_rows(block)
         for i, coefs in enumerate(coefs_list):
-            if angular:
+            if point_rows is None:
                 cell = sum(c * kernels[k] for k, c in enumerate(coefs))
                 v = np.sum(wt * cell, axis=-1) / den
             else:
@@ -601,15 +601,15 @@ def _per_cell_norms(prof, coefs_list, angular):
 
 @pytest.mark.parametrize("xi", [0.01, 0.5, 1.0 - 1e-9])
 def test_combo_norm_rows_match_per_cell_combination(xi):
-    # combining the cached radial rows gives the norms of combining per
+    # combining the rows on the radial rule gives the norms of combining per
     # cell, each profile on its own cells, for the unit vectors of rk_norm
     # and the combinations of the ODEs
     coefs_list = [(1.0,), (0.0, 1.0), (-1.0, 2.0), (-0.5, 1.5), (-2.0, 3.0)]
-    profiles = ((f_profile(xi), True), (g_family(xi, 2.0), False), (g_family(xi, 1.5), False),
-                (h_family(xi), False))
-    for prof, angular in profiles:
-        got = [_combo_norm(prof, coefs) for coefs in coefs_list]
-        want = _per_cell_norms(prof, coefs_list, angular)
+    f_rows = bipartite._angular_kernel_integral(xi, bipartite.radial_rule(xi)[0], 16)
+    families = (g_family(xi, 2.0), g_family(xi, 1.5), h_family(xi))
+    for rows, point_rows in ((f_rows, None), *((fam.rows(), fam.rows) for fam in families)):
+        got = [_combo_norm(xi, rows, coefs) for coefs in coefs_list]
+        want = _per_cell_norms(xi, coefs_list, point_rows)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
@@ -703,6 +703,29 @@ def test_laplace_point_values_vs_mpmath(xi, radii):
         assert err <= 1e-20
         assert g2_values[i] == pytest.approx(g2_ref, rel=5e-15, abs=0.0)
         assert h_values[i] == pytest.approx(h_ref, rel=5e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [np.linspace(0.0, 4.0, 401), [0.0, 1.3, 5.0], 1.0],
+                         ids=["linspace", "three", "scalar"])
+@pytest.mark.parametrize("xi", [1e-6, 0.5, 0.9, 1.0 - 1e-12])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_family_rows_are_the_laplace_pass(n, xi, r):
+    # rows(r) hands the validated radii to the Laplace pass as they are:
+    # the rows are c [v, (k/n) v + sibling] of v_n's key, c = 1, to the bit,
+    # a scalar radius gives shape (2,), and value a float
+    if isinstance(r, np.ndarray):
+        r = r ** (2 * n)
+    fam = family(n, xi)
+    key = multipartite.Poles(n, n - 1)
+    v, sibling = multipartite._laplace(xi, np.atleast_1d(np.asarray(r, dtype=float)), key, 16)
+    want = np.array([v, key.k / key.n * v + sibling])
+    got = fam.rows(r)
+    value = fam.value(r)
+    if np.ndim(r) == 0:
+        want = want[:, 0]
+        assert got.shape == (2,) and type(value) is float
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.asarray(value).tobytes() == (want[0] / fam.normalization).tobytes()
 
 
 def test_one_surface_keyed_by_n():

@@ -85,6 +85,10 @@ def test_interval_validation():
     for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0)):
         with pytest.raises(ValueError):
             log_rule(lo, hi, 4, 2.5)
+    # a ratio of 1 divided by zero, 0.5 and inf gave one panel, -4 a math error
+    for ratio in (1.0, 0.5, math.nan, math.inf, -4.0):
+        with pytest.raises(ValueError, match="ratio"):
+            log_rule(1e-3, 1.0, 16, ratio)
 
 
 def test_log_rule_layout():
